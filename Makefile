@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race ci bench bench-json bench-serve-json bench-kernels bench-kernels-json bench-kernels-pr10-json bench-graph-json bench-cluster-json serve-smoke chaos-smoke obs-smoke fuzz-smoke graph-smoke graph-fuzz graph-fuzz-soak cluster-smoke kernels-race-smoke clean
+.PHONY: all build test vet race flake-gate bench-test ci bench bench-json bench-serve-json bench-kernels bench-kernels-json bench-kernels-pr10-json bench-graph-json bench-cluster-json serve-smoke chaos-smoke obs-smoke fuzz-smoke graph-smoke graph-fuzz graph-fuzz-soak cluster-smoke kernels-race-smoke clean
 
 all: build
 
@@ -18,7 +18,22 @@ vet:
 race:
 	$(GO) test -race ./...
 
-ci: vet race serve-smoke chaos-smoke obs-smoke fuzz-smoke graph-smoke graph-fuzz cluster-smoke kernels-race-smoke bench-kernels
+ci: vet race flake-gate serve-smoke chaos-smoke obs-smoke fuzz-smoke graph-smoke graph-fuzz cluster-smoke kernels-race-smoke bench-kernels bench-test
+
+# flake-gate reruns the serving and cluster suites twenty times under
+# the race detector (~1 min on 2 cores). The request path's ordering
+# oracles (TestReplyIsLast, TestRouterReplyIsLast), the pool-ownership
+# hammers and the trace/flight-recorder tests are all timing-sensitive
+# by nature: a reply written before its bookkeeping, or a buffer
+# released while still read, fails here long before it fails once.
+flake-gate:
+	$(GO) test -race -count=20 ./internal/server ./internal/cluster
+
+# bench-test runs the repo benchmark's own suite (unit tests plus a 1 s
+# smoke of every workload, checksums and NoBatch bit-identity included);
+# benchmark/ is its own module, so 'go test ./...' at the root skips it.
+bench-test:
+	cd benchmark && $(GO) test ./...
 
 # graph-smoke is the dataflow-graph gate: the determinism suite (same
 # DAG at 1 vs 8 workers → bit-identical results and virtual makespans,

@@ -2,9 +2,13 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // parse a "1.23x" / "1.23" / "4.56%" cell into a float.
@@ -272,6 +276,26 @@ func TestServeShape(t *testing.T) {
 	// must never halve throughput under a pipelined open load.
 	if sp := cell(t, ba[9]); sp < 0.5 {
 		t.Errorf("batched throughput collapsed: %vx of unbatched", sp)
+	}
+	// A failed client call is counted into a WARNING note, never a panic.
+	for _, n := range rep.Notes {
+		if strings.Contains(n, "requests failed") {
+			t.Errorf("healthy loopback run reported failures: %s", n)
+		}
+	}
+}
+
+// TestFailuresClassify: bench clients count failed calls by the typed
+// class of the reply (wrapped or not), and everything without one —
+// dial failures, lost connections — as "conn".
+func TestFailuresClassify(t *testing.T) {
+	f := &failures{}
+	f.add(server.ErrOverloaded, 1)
+	f.add(fmt.Errorf("call 7: %w [trace=ab]", server.ErrOverloaded), 1)
+	f.add(fmt.Errorf("%w: retry budget", server.ErrTransient), 1)
+	f.add(net.ErrClosed, 4)
+	if got, want := f.String(), "conn=4 overloaded=2 transient=1"; got != want || f.total() != 7 {
+		t.Fatalf("failures = %q (total %d), want %q (total 7)", got, f.total(), want)
 	}
 }
 

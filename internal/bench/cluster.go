@@ -58,6 +58,10 @@ func ClusterBench(o Opts) *Report {
 			secs(r.wall.Seconds()), f2(r.rps),
 			fmt.Sprintf("%.0f", r.failovers), fmt.Sprintf("%d", r.affinity),
 			f2x(r.rps/base.rps))
+		if n := r.failed.total(); n > 0 {
+			rep.AddNote("WARNING: %d-daemon run: %d client calls failed (%s) — its RPS counts them as served",
+				r.daemons, n, r.failed.String())
+		}
 	}
 
 	rep.AddNote("each daemon: 2 devices, 2 dispatch workers, pace %.0f (workers sleep pace x virtual "+
@@ -76,6 +80,7 @@ type clusterRun struct {
 	rps       float64
 	failovers float64
 	affinity  int
+	failed    *failures
 }
 
 // runCluster boots daemons in-process behind a router, drives the
@@ -125,6 +130,7 @@ func runCluster(o Opts, daemons, reqs, clients int, pace float64) clusterRun {
 	activation := tensor.RandUniform(rng, 32, 32, -1, 1)
 
 	var issued atomic.Int64
+	failed := &failures{}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for ci := 0; ci < clients; ci++ {
@@ -133,7 +139,9 @@ func runCluster(o Opts, daemons, reqs, clients int, pace float64) clusterRun {
 			defer wg.Done()
 			c, err := server.DialRetry(rt.Addr(), server.RetryPolicy{Max: 4, Base: 2 * time.Millisecond})
 			if err != nil {
-				panic(err)
+				// The other clients drain the shared request counter.
+				failed.add(err, 1)
+				return
 			}
 			defer c.Close()
 			crng := rand.New(rand.NewSource(int64(ci)))
@@ -144,7 +152,7 @@ func runCluster(o Opts, daemons, reqs, clients int, pace float64) clusterRun {
 				}
 				b := weights[crng.Intn(keys)]
 				if _, err := c.Gemm(activation, b, nil); err != nil {
-					panic(fmt.Sprintf("cluster bench request failed: %v", err))
+					failed.add(err, 1)
 				}
 			}
 		}(ci)
@@ -157,6 +165,7 @@ func runCluster(o Opts, daemons, reqs, clients int, pace float64) clusterRun {
 		wall:     wall,
 		rps:      float64(reqs) / wall.Seconds(),
 		affinity: rt.AffinitySize(),
+		failed:   failed,
 	}
 	for _, snap := range rt.Metrics().Snapshot() {
 		if snap.Name == "gptpu_cluster_failovers_total" {

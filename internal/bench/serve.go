@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,6 +59,15 @@ func Serve(o Opts) *Report {
 	row("unbatched", unbatched, "1.00x")
 	row("batched", batched, f2x(unbatched.wall.Seconds()/batched.wall.Seconds()))
 
+	for _, r := range []struct {
+		mode string
+		run  serveRun
+	}{{"unbatched", unbatched}, {"batched", batched}} {
+		if n := r.run.failed.total(); n > 0 {
+			rep.AddNote("WARNING: %s run: %d of %d requests failed (%s) — its RPS counts them as served",
+				r.mode, n, total, r.run.failed.String())
+		}
+	}
 	if batched.batches == 0 {
 		rep.AddNote("WARNING: batched run coalesced nothing — window too short for this host?")
 	} else {
@@ -89,6 +101,56 @@ type serveRun struct {
 	batches     float64
 	batchedReqs float64
 	shed        float64
+	failed      *failures
+}
+
+// failures counts the client calls of a run that did not succeed, by
+// typed error class. A bench client never panics on a failed call: a
+// daemon that sheds, drains or drops a connection mid-run is a result
+// to report, not a reason to lose the run.
+type failures struct {
+	mu      sync.Mutex
+	byClass map[string]int
+}
+
+// add records one failed call (or, with n > 1, a client whose dial
+// failed and whose n calls were therefore never sent).
+func (f *failures) add(err error, n int) {
+	class := server.ErrStatus(err)
+	if class == "internal" && !errors.Is(err, server.ErrInternal) {
+		class = "conn" // no typed reply: dial failure or lost connection
+	}
+	f.mu.Lock()
+	if f.byClass == nil {
+		f.byClass = make(map[string]int)
+	}
+	f.byClass[class] += n
+	f.mu.Unlock()
+}
+
+func (f *failures) total() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := 0
+	for _, c := range f.byClass {
+		n += c
+	}
+	return n
+}
+
+// String lists the classes in name order, e.g. "conn=2 overloaded=5".
+func (f *failures) String() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	classes := make([]string, 0, len(f.byClass))
+	for c := range f.byClass {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	for i, c := range classes {
+		classes[i] = fmt.Sprintf("%s=%d", c, f.byClass[c])
+	}
+	return strings.Join(classes, " ")
 }
 
 // runServe boots an in-process daemon, hammers it with concurrent
@@ -118,6 +180,7 @@ func runServe(clients, perClient, n int, batch bool) serveRun {
 		inputs[i] = tensor.RandUniform(rng, n, n, -1, 1)
 	}
 
+	failed := &failures{}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
@@ -126,7 +189,8 @@ func runServe(clients, perClient, n int, batch bool) serveRun {
 			defer wg.Done()
 			c, err := server.Dial(srv.Addr())
 			if err != nil {
-				panic(err)
+				failed.add(err, perClient)
+				return
 			}
 			defer c.Close()
 			// pipeDepth workers share the multiplexed connection so
@@ -138,7 +202,7 @@ func runServe(clients, perClient, n int, batch bool) serveRun {
 					defer cwg.Done()
 					for r := 0; r < reqs; r++ {
 						if _, err := c.Gemm(a, weights, nil); err != nil {
-							panic(err)
+							failed.add(err, 1)
 						}
 					}
 				}(perClient/pipeDepth + boolInt(w < perClient%pipeDepth))
@@ -147,7 +211,7 @@ func runServe(clients, perClient, n int, batch bool) serveRun {
 		}(inputs[i])
 	}
 	wg.Wait()
-	run := serveRun{wall: time.Since(start)}
+	run := serveRun{wall: time.Since(start), failed: failed}
 
 	for _, snap := range reg.Snapshot() {
 		var total float64

@@ -57,7 +57,7 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 		members: reg.Gauge("gptpu_cluster_members",
 			"Configured members currently in each health state.", "state"),
 		routeLat: reg.Histogram("gptpu_cluster_request_seconds",
-			"Wall seconds from router arrival to reply written, by operator.",
+			"Wall seconds from router arrival to the winning reply in hand (the socket write follows), by operator.",
 			routeLatBuckets, "op"),
 	}
 }

@@ -47,12 +47,17 @@ func (r *Router) handleConn(conn net.Conn) {
 	}()
 
 	cw := &connWriter{bw: bufio.NewWriter(conn)}
-	br := bufio.NewReader(conn)
+	// Frames are pooled. An operator frame belongs to its handleRequest
+	// goroutine, which releases it after the reply is written (every
+	// forward attempt resends its payload); every other frame is
+	// released here, after its reply.
+	fr := server.NewFrameReader(bufio.NewReader(conn), r.cfg.MaxFrame)
 	for {
-		f, err := server.DecodeFrame(br, r.cfg.MaxFrame)
+		f, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, server.ErrVersionMismatch) && f != nil {
 				r.reply(cw, server.Version, f.ReqID, 0, server.MsgError, server.ErrorPayload(err))
+				f.Release()
 				continue
 			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -73,15 +78,17 @@ func (r *Router) handleConn(conn net.Conn) {
 				r.mu.Unlock()
 				r.reply(cw, f.Version, f.ReqID, f.TraceID, server.MsgError,
 					server.ErrorPayload(fmt.Errorf("%w: router draining", server.ErrShuttingDown)))
-				continue
+				break
 			}
 			r.reqWG.Add(1)
 			r.mu.Unlock()
 			go r.handleRequest(cw, f)
+			continue
 		default:
 			r.reply(cw, f.Version, f.ReqID, f.TraceID, server.MsgError,
 				server.ErrorPayload(fmt.Errorf("%w: unexpected frame type %s", server.ErrBadRequest, f.Type)))
 		}
+		f.Release()
 	}
 }
 
@@ -98,7 +105,6 @@ func (r *Router) reply(cw *connWriter, ver byte, reqID, traceID uint64, t server
 func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 	defer r.reqWG.Done()
 	r.met.inflight.Add(1)
-	defer r.met.inflight.Add(-1)
 	arrived := time.Now()
 	op := f.Type
 	r.met.requests.With(op.String()).Inc()
@@ -112,36 +118,40 @@ func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 		traceID = rt.ID()
 	}
 
+	// The placement key is the weight operand's content hash (B for
+	// binary operators, A for the unary reductions), folded over the
+	// payload bytes where they lie: the router never materializes a
+	// matrix, and a malformed payload is refused here with the same
+	// typed error the daemon's decoder would give.
 	dst := time.Now()
-	req, err := server.DecodeOpRequest(op, f.Payload)
+	key, err := server.WireWeightKey(op, f.Payload)
 	rt.ObserveSpan("route_decode", dst, time.Since(dst), "")
-	if err != nil {
-		r.finishReply(cw, f.Version, f.ReqID, traceID, op, arrived, rt, nil, err)
-		return
+	var resp *server.Frame
+	if err == nil {
+		resp, err = r.forward(key, op, f.Payload, traceID, rt)
 	}
-	// The placement key is the weight operand's content hash: B for
-	// binary operators (the stable, cacheable side — A is the per-call
-	// activation), A for unary reductions which have no weight side.
-	wm := req.B
-	if wm == nil {
-		wm = req.A
-	}
-	key := server.WeightKey(wm)
-
-	resp, err := r.forward(key, op, f.Payload, traceID, rt)
 	r.finishReply(cw, f.Version, f.ReqID, traceID, op, arrived, rt, resp, err)
+	// Both frames are pooled: the client's payload was resent on every
+	// forward attempt and the backend's was the reply just written, so
+	// neither has a reader left.
+	resp.Release()
+	f.Release()
 }
 
 // finishReply relays the backend's reply frame (payloads are version-
 // independent, so the backend payload passes through verbatim whatever
-// versions each side negotiated) or renders err as a typed error, then
-// seals the metrics and trace for the request.
+// versions each side negotiated) or renders err as a typed error. The
+// socket write is the last thing an observer can see: the counters, the
+// route latency, the sealed trace and the in-flight gauge are all
+// settled before it, so a client holding its answer finds the request
+// finished in the router's flight recorder.
 func (r *Router) finishReply(cw *connWriter, ver byte, reqID, traceID uint64,
 	op server.MsgType, arrived time.Time, rt *obs.Trace, resp *server.Frame, err error) {
-	status := "ok"
+	status, typ := "ok", server.MsgError
+	var payload []byte
 	if err != nil {
 		status = server.ErrStatus(err)
-		r.reply(cw, ver, reqID, traceID, server.MsgError, server.ErrorPayload(err))
+		payload = server.ErrorPayload(err)
 		lvl := slog.LevelDebug
 		if status == "internal" || status == "bad_request" {
 			lvl = slog.LevelWarn
@@ -150,11 +160,13 @@ func (r *Router) finishReply(cw *connWriter, ver byte, reqID, traceID uint64,
 			"trace_id", obs.FormatID(traceID), "req_id", reqID,
 			"op", op.String(), "code", status, "err", err.Error())
 	} else {
-		r.reply(cw, ver, reqID, traceID, resp.Type, resp.Payload)
+		typ, payload = resp.Type, resp.Payload
 	}
 	r.met.replies.With(status).Inc()
 	r.met.routeLat.With(op.String()).Observe(time.Since(arrived).Seconds())
 	rt.Finish(status)
+	r.met.inflight.Add(-1)
+	r.reply(cw, ver, reqID, traceID, typ, payload)
 }
 
 // candidates orders the members to try for key: the affinity-table

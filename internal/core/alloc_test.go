@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/edgetpu"
@@ -52,20 +53,24 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 		budget float64
 		run    func(s *Stream)
 	}{
-		// MatVec: quantize x once, one FC instruction per row chunk
-		// with a pooled int32 part buffer, one []float32 result.
-		{"MatVec", 64, func(s *Stream) { _ = s.MatVec(ba, x) }},
+		// MatVec: quantize x once into a pooled int8 vector, one FC
+		// instruction per row chunk with a pooled int32 part buffer,
+		// a pooled wide accumulator, one []float32 result.
+		{"MatVec", 40, func(s *Stream) { _ = s.MatVec(ba, x) }},
 		// MatMul: GEMM-as-strided-conv2D sweep; windows/kernels are
 		// packed per segment, per-rectangle outputs come from the
-		// int32 pool and return on accumulate.
-		{"MatMul", 600, func(s *Stream) { _ = s.MatMul(ba, bb) }},
+		// int32 pool and return once dequantized into the result; the
+		// plan (instruction slice, operand lists, batch tracker) is
+		// recycled storage.
+		{"MatMul", 80, func(s *Stream) { _ = s.MatMul(ba, bb) }},
 		// MatMulFC: one FC instruction per (row-chunk, column) pair —
 		// 512 instructions here, so per-instruction bookkeeping (plan
-		// entries, closures, wide CPU-side accumulators) dominates;
-		// the int8 column staging and int32 part buffers are pooled.
+		// entries, closures) dominates; the wide CPU-side
+		// accumulators, the int8 column staging, the int32 part
+		// buffers and the operand lists are pooled.
 		// This is the paper's deliberately FC-bound comparison path,
 		// so the budget scales with instruction count, not tiles.
-		{"MatMulFC", 4200, func(s *Stream) { _ = s.MatMulFC(ba, bb) }},
+		{"MatMulFC", 3200, func(s *Stream) { _ = s.MatMulFC(ba, bb) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,11 +81,57 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 					t.Fatal(s.Err())
 				}
 			})
-			t.Logf("%s: %.0f allocs/op (budget %.0f)", tc.name, got, tc.budget)
-			if got > tc.budget {
+			budget := tc.budget
+			if tensor.RaceEnabled {
+				// sync.Pool drops a share of Puts under the race
+				// detector, so part of the pooled scratch is allocated
+				// again.
+				budget *= 1.5
+			}
+			t.Logf("%s: %.0f allocs/op (budget %.0f)", tc.name, got, budget)
+			if got > budget {
 				t.Errorf("%s allocates %.0f per op, budget %.0f — did a pooled tile path regress to make()?",
-					tc.name, got, tc.budget)
+					tc.name, got, budget)
 			}
 		})
+	}
+}
+
+// TestGemmByteBudget weighs what TestGemmStreamAllocBudget counts: one
+// 512x512 tpuGemm over a fresh activation buffer and a resident weight
+// buffer may allocate its 1 MiB result, the 256 KiB int8 form of the
+// fresh operand and bookkeeping — no wide accumulator (one segment:
+// the closures dequantize straight into the result) and no copy of the
+// operand's conv2D layout (it aliases the int8 form). The parent of
+// this test's commit allocated 3.5 MiB per call.
+func TestGemmByteBudget(t *testing.T) {
+	if tensor.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	ctx := testCtx(2)
+	defer ctx.Close()
+	rng := rand.New(rand.NewSource(7))
+	const n = 512
+	a := tensor.RandUniform(rng, n, n, 0, 1)
+	bb := ctx.NewBuffer(tensor.RandUniform(rng, n, n, 0, 1))
+	call := func() {
+		s := ctx.NewStream()
+		if out := s.MatMul(ctx.NewBuffer(a), bb); out == nil || s.Err() != nil {
+			t.Fatal("MatMul failed:", s.Err())
+		}
+	}
+	call()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 10
+	for i := 0; i < runs; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	const budget = 1600 << 10
+	t.Logf("%.0f KiB per 512x512 GEMM (budget %d KiB)", got/1024, budget>>10)
+	if got > budget {
+		t.Errorf("%.0f KiB per GEMM, budget %d KiB — is the wide accumulator or the conv layout copy back?", got/1024, budget>>10)
 	}
 }

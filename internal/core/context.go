@@ -140,6 +140,8 @@ type Context struct {
 	engOnce sync.Once
 	eng     *engine
 
+	plans sync.Pool // *plan: instruction-plan storage, recycled by collect
+
 	mu       sync.Mutex
 	affinity map[affinityKey]int
 	rr       int
@@ -426,6 +428,10 @@ type Buffer struct {
 	// A sticky error instead of a panic: the serving daemon creates
 	// buffers from remote bytes outside any Enqueue recover.
 	invalid error
+	// calib is the quantization calibration of M, found by the same pass
+	// that tested it for non-finite values (NewBuffer, Invalidate), so
+	// the Tensorizer never walks the data again just to pick a scale.
+	calib quant.Params
 
 	// chip marks the buffer as a dataflow-graph intermediate that was
 	// produced by a device instruction and never left on-chip memory:
@@ -441,7 +447,7 @@ type Buffer struct {
 	qp           quant.Params
 	q            *tensor.MatrixI8
 	readyAt      timing.Duration
-	derivedForms map[string]*derived
+	derivedForms map[derivedTag]*derived
 }
 
 // chipRef returns the buffer's on-chip residency, nil for ordinary
@@ -458,13 +464,25 @@ func (b *Buffer) chipRef() *chipResidency {
 // cannot quantize (NaN or ±Inf values).
 var ErrBadInput = errors.New("core: non-finite input data")
 
-// checkFinite returns the ErrBadInput for m, or nil when every value
-// is finite (shape-only matrices pass: they carry no values).
-func checkFinite(m *tensor.Matrix) error {
-	if m.AllFinite() {
-		return nil
+// analyze walks the buffer's host data once, recording its
+// quantization calibration and poisoning the buffer with ErrBadInput
+// when it holds a NaN or ±Inf (shape-only matrices pass: they carry no
+// values).
+func (b *Buffer) analyze() {
+	var finite bool
+	b.calib, finite = quant.Analyze(b.M)
+	b.invalid = nil
+	if !finite {
+		b.invalid = fmt.Errorf("%w: %dx%d matrix contains NaN or Inf", ErrBadInput, b.M.Rows, b.M.Cols)
 	}
-	return fmt.Errorf("%w: %dx%d matrix contains NaN or Inf", ErrBadInput, m.Rows, m.Cols)
+}
+
+// calibration returns the quantization parameters the Tensorizer's
+// calibration picks for the buffer's host data.
+func (b *Buffer) calibration() quant.Params {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.calib
 }
 
 // NewBuffer registers host data with the runtime. The data is not
@@ -476,7 +494,9 @@ func (c *Context) NewBuffer(m *tensor.Matrix) *Buffer {
 	if m == nil {
 		panic("core: NewBuffer(nil)")
 	}
-	return &Buffer{M: m, key: c.nextKey(), invalid: checkFinite(m)}
+	b := &Buffer{M: m, key: c.nextKey()}
+	b.analyze()
+	return b
 }
 
 // Rows returns the buffer's logical row count.
@@ -495,7 +515,7 @@ func (c *Context) Invalidate(b *Buffer) {
 	b.q = nil
 	b.derivedForms = nil
 	b.key = c.nextKey()
-	b.invalid = checkFinite(b.M)
+	b.analyze()
 	b.mu.Unlock()
 }
 
@@ -526,7 +546,7 @@ func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (q
 		// way.
 		b.qp = quant.Params{Scale: 1}
 		if c.opts.Functional {
-			b.qp = quant.ParamsFor(b.M)
+			b.qp = b.calib
 			b.q = quant.QuantizeWith(b.M, b.qp)
 		}
 		b.quantized = true
@@ -555,7 +575,7 @@ func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (q
 
 	b.qp = quant.Params{Scale: 1}
 	if c.opts.Functional {
-		b.qp = quant.ParamsFor(b.M)
+		b.qp = b.calib
 		b.q = quant.QuantizeWith(b.M, b.qp)
 	}
 	b.quantized = true

@@ -60,6 +60,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 		}
 	}
 	dq := float32(divisor) / (pa.Scale * pk.Scale)
+	kers := []*tensor.MatrixI8{qk} // one channel, shared by every tile
 	for i, sp := range spans {
 		sp := sp
 		// Extended region including the halo, clipped at the matrix
@@ -79,10 +80,10 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 				KRows: kernel.Rows(), KCols: kernel.Cols(), Channels: 1,
 				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
 			},
-			inputs: []inputRef{
-				{key: mix(a.key, 2000000+uint64(i)), bytes: int64(exR * exC), chip: a.chipRef()},
-				{key: kernel.key, bytes: int64(kernel.M.Elems()), chip: kernel.chipRef()},
-			},
+			inputs: pl.inputs(
+				inputRef{key: mix(a.key, 2000000+uint64(i)), bytes: int64(exR * exC), chip: a.chipRef()},
+				inputRef{key: kernel.key, bytes: int64(kernel.M.Elems()), chip: kernel.chipRef()},
+			),
 			outBytes: int64(sp.Rows * sp.Cols), // requantized int8 results
 			ready:    ready,
 		}
@@ -90,7 +91,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 			exR, exC := exR, exC
 			w.fn = func() {
 				in := qa.View(sp.R0, sp.C0, exR, exC)
-				acc := c.kern.Conv2D(in, []*tensor.MatrixI8{qk}, 1, 1)[0]
+				acc := c.kern.Conv2D(in, kers, 1, 1)[0]
 				for r := 0; r < sp.Rows; r++ {
 					for cc := 0; cc < sp.Cols; cc++ {
 						out8 := quant.SaturateI8(roundDiv(acc.At(r, cc), divisor))
@@ -156,6 +157,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 		}
 	}
 	dq := float32(divisor) / (pa.Scale * pk.Scale)
+	kers := []*tensor.MatrixI8{qk} // one channel, shared by every band
 
 	// Row bands aligned to the stride, sized so a band plus kernel
 	// stays well inside on-chip memory.
@@ -176,10 +178,10 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 				StrideR: strideR, StrideC: strideC, Channels: 1,
 				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
 			},
-			inputs: []inputRef{
-				{key: mix(a.key, 5000000+uint64(o0)), bytes: int64(bandRows) * int64(a.Cols()), chip: a.chipRef()},
-				{key: kernel.key, bytes: int64(kernel.M.Elems()), chip: kernel.chipRef()},
-			},
+			inputs: pl.inputs(
+				inputRef{key: mix(a.key, 5000000+uint64(o0)), bytes: int64(bandRows) * int64(a.Cols()), chip: a.chipRef()},
+				inputRef{key: kernel.key, bytes: int64(kernel.M.Elems()), chip: kernel.chipRef()},
+			),
 			outBytes: int64(oEnd-o0) * int64(outCols),
 			ready:    ready,
 		}
@@ -187,7 +189,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 			o0, oEnd, r0, bandRows := o0, oEnd, r0, bandRows
 			w.fn = func() {
 				in := qa.View(r0, 0, bandRows, a.Cols())
-				acc := c.kern.Conv2D(in, []*tensor.MatrixI8{qk}, strideR, strideC)[0]
+				acc := c.kern.Conv2D(in, kers, strideR, strideC)[0]
 				for r := o0; r < oEnd; r++ {
 					for cc := 0; cc < outCols; cc++ {
 						out8 := quant.SaturateI8(roundDiv(acc.At(r-o0, cc), divisor))

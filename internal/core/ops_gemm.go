@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -39,8 +38,13 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 	)
 	n := len(x)
 	if c.opts.Functional {
+		// The quantized vector and the wide accumulator below are
+		// scratch of this call: both come from pools and go back once
+		// the instructions that read them have been collected.
 		sx = quant.ParamsFor(tensor.FromSlice(1, n, x)).Scale
-		qx = make([]int8, n)
+		qxm := tensor.GetI8ForOverwrite(1, n)
+		defer tensor.PutI8(qxm)
+		qx = qxm.Data
 		for i, v := range x {
 			qx[i] = quant.RoundToI8(v, sx)
 		}
@@ -71,7 +75,12 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 		blockRows = tile
 	}
 
-	acc := make([]int64, m)
+	var acc []int64
+	if c.opts.Functional {
+		wide := getWide(m)
+		defer putWide(wide)
+		acc = *wide
+	}
 	pl := s.plan((m + blockRows - 1) / blockRows)
 	inCols := tile
 	if n < tile {
@@ -83,13 +92,13 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 			rows = m - r0
 		}
 		rowTiles := (rows + tile - 1) / tile
-		inputs := []inputRef{
+		inputs := pl.inputs(
 			// The weight block was quantized when the buffer was first
 			// used; it can prefetch over the link before the fresh
 			// vector is ready.
-			{key: mix(a.key, 3000000+uint64(r0)), bytes: int64(rows) * int64(n), ready: readyA, chip: a.chipRef()},
-			{key: xKey, bytes: int64(n)},
-		}
+			inputRef{key: mix(a.key, 3000000+uint64(r0)), bytes: int64(rows) * int64(n), ready: readyA, chip: a.chipRef()},
+			inputRef{key: xKey, bytes: int64(n)},
+		)
 		instr := isa.Instruction{
 			Op: isa.FullyConnected, InRows: tile, InCols: inCols,
 			TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
@@ -187,6 +196,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 
 	out := allocResult(c, m, k)
 	pl := s.plan(rowTiles * k)
+	inputs := make([]inputRef, 0, colTiles+1) // staging, copied into the plan's arena
 	for j := 0; j < k; j++ {
 		for rt := 0; rt < rowTiles; rt++ {
 			r0 := rt * tile
@@ -194,7 +204,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 			if r0+rows > m {
 				rows = m - r0
 			}
-			inputs := make([]inputRef, 0, colTiles+1)
+			inputs = inputs[:0]
 			for ct := 0; ct < colTiles; ct++ {
 				inputs = append(inputs, inputRef{
 					key:   mix(a.key, 3000000+uint64(rt*colTiles+ct)),
@@ -209,14 +219,15 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 					TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
 				},
 				count:    colTiles,
-				inputs:   inputs,
+				inputs:   pl.inputs(inputs...),
 				outBytes: int64(rows) * 4 * int64(colTiles),
 				ready:    ready,
 			}
 			if c.opts.Functional {
 				j, r0, rows := j, r0, rows
 				w.fn = func() {
-					acc := make([]int64, rows)
+					wide := getWide(rows)
+					acc := *wide
 					colBuf := tensor.GetI8ForOverwrite(1, tile)
 					part := tensor.GetI32ForOverwrite(1, rows)
 					for ct := 0; ct < colTiles; ct++ {
@@ -238,6 +249,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 					for i, v := range acc {
 						out.Set(r0+i, j, float32(float64(v)*inv))
 					}
+					putWide(wide)
 				}
 			}
 			pl.add(w)
@@ -310,15 +322,22 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	chanBatch := clampChunk(int(half/int64(n2max)), k)
 	ncc := (k + chanBatch - 1) / chanBatch
 
-	// Segment partials accumulate exactly in wide integers ("the CPU
-	// code only needs to add received values", section 6.2.1) — also
-	// what keeps the functional result bit-identical while segment
-	// closures run in parallel: integer addition commutes, so the
-	// nondeterministic closure completion order cannot show.
+	// With one segment (the common case: every inner dimension below
+	// ~4300) each output rectangle is written by exactly one closure, so
+	// the closure dequantizes its int32 partials straight into out. Only
+	// a segmented inner dimension needs the wide accumulator — segment
+	// partials add up exactly in 64-bit integers ("the CPU code only
+	// needs to add received values", section 6.2.1), which also keeps the
+	// functional result bit-identical while segment closures run in
+	// parallel: integer addition commutes, so the nondeterministic
+	// closure completion order cannot show.
+	inv := 1 / (float64(pa.Scale) * float64(pb.Scale))
 	var acc []int64
 	var rectMu []sync.Mutex
-	if c.opts.Functional {
-		acc = make([]int64, m*k)
+	if c.opts.Functional && ks > 1 {
+		wide := getWide(m * k)
+		defer putWide(wide)
+		acc = *wide
 		rectMu = make([]sync.Mutex, ((m+chunkRows-1)/chunkRows)*ncc)
 	}
 
@@ -326,7 +345,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	// submitted as soon as its derived layouts exist, so the engine
 	// charges and executes segment i while the host still quantizes
 	// segment i+1.
-	pendings := make([]*pending, 0, ks)
+	pendings := make([]*plan, 0, ks)
 	for seg := 0; seg < ks; seg++ {
 		segStart := seg * segLenN
 		segN := segLenN
@@ -342,8 +361,16 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 		// Derived layout for a's segment: each row's segment columns
 		// zero-padded to n2 and interpreted as an s x s block (a pure
 		// layout identity: the padded row *is* the row-major block).
-		da := c.derivedQuant(a, fmt.Sprintf("convA:%d:%d", seg, side), pa.Scale, int64(m)*int64(n2),
+		// A segment spanning all of n needs no copy at all: the closures
+		// read only the first segN columns of each row, which are qa's
+		// own rows, so the derived form aliases qa (the host cost of the
+		// layout is charged all the same — the simulated Tensorizer still
+		// emits it).
+		da := c.derivedQuant(a, derivedTag{kind: tagConvA, seg: seg, side: side}, pa.Scale, int64(m)*int64(n2),
 			maxDur(readyA, s.now), s.taskID, func() *tensor.MatrixI8 {
+				if segN == n {
+					return qa
+				}
 				o := tensor.NewI8(m, n2)
 				for r := 0; r < m; r++ {
 					copy(o.Row(r)[:segN], qa.Row(r)[segStart:segStart+segN])
@@ -352,7 +379,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 			})
 		// Derived layout for b's segment: kernel j holds rows
 		// segStart..segStart+segN of column j, padded to n2.
-		db := c.derivedQuant(b, fmt.Sprintf("convB:%d:%d", seg, side), pb.Scale, int64(k)*int64(n2),
+		db := c.derivedQuant(b, derivedTag{kind: tagConvB, seg: seg, side: side}, pb.Scale, int64(k)*int64(n2),
 			maxDur(readyB, s.now), s.taskID, func() *tensor.MatrixI8 {
 				o := tensor.NewI8(k, n2)
 				for j := 0; j < k; j++ {
@@ -387,13 +414,13 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 						KRows: side, KCols: side, StrideR: side, StrideC: side, Channels: nch,
 						TaskID: s.taskID, InputKey: da.key, QuantFlags: c.quantFlagsFor(),
 					},
-					inputs: []inputRef{
-						// Derived conv layouts of an on-chip intermediate
-						// inherit its residency: the reshaping is the
-						// simulation's bookkeeping, not a host round trip.
-						{key: mix(da.key, uint64(r0)), bytes: int64(rows) * int64(n2), chip: a.chipRef()},
-						{key: mix(db.key, uint64(c0)), bytes: int64(nch) * int64(n2), chip: b.chipRef()},
-					},
+					// Derived conv layouts of an on-chip intermediate
+					// inherit its residency: the reshaping is the
+					// simulation's bookkeeping, not a host round trip.
+					inputs: pl.inputs(
+						inputRef{key: mix(da.key, uint64(r0)), bytes: int64(rows) * int64(n2), chip: a.chipRef()},
+						inputRef{key: mix(db.key, uint64(c0)), bytes: int64(nch) * int64(n2), chip: b.chipRef()},
+					),
 					// Partials return as dual-portion int16 pairs: wide
 					// enough for exact CPU aggregation at 1/254^2
 					// relative granularity, half the download cost of
@@ -404,7 +431,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 				if c.opts.Functional {
 					r0, rows, c0, nch, segN := r0, rows, c0, nch, segN
 					daq, dbq := da.q, db.q
-					mu := &rectMu[(r0/chunkRows)*ncc+c0/chanBatch]
+					rect := (r0/chunkRows)*ncc + c0/chanBatch
 					w.fn = func() {
 						// Each padded row of the derived layout *is* one
 						// flattened s x s window, each kernel row one
@@ -420,15 +447,23 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 						wins := daq.View(r0, 0, rows, segN)
 						kers := dbq.View(c0, 0, nch, segN)
 						outs := c.kern.Conv2DGemm(wins, kers)
-						mu.Lock()
-						for i := 0; i < rows; i++ {
-							oRow := outs.Row(i)
-							base := (r0+i)*k + c0
-							for j, v := range oRow {
-								acc[base+j] += int64(v)
+						if acc == nil {
+							for i := 0; i < rows; i++ {
+								dst := out.Row(r0 + i)[c0 : c0+nch]
+								for j, v := range outs.Row(i) {
+									dst[j] = float32(float64(v) * inv)
+								}
 							}
+						} else {
+							rectMu[rect].Lock()
+							for i := 0; i < rows; i++ {
+								base := (r0+i)*k + c0
+								for j, v := range outs.Row(i) {
+									acc[base+j] += int64(v)
+								}
+							}
+							rectMu[rect].Unlock()
 						}
-						mu.Unlock()
 						tensor.PutI32(outs)
 					}
 				}
@@ -457,11 +492,11 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	// dequantization pass.
 	s.finish(lastEnd, c.params.AggTime(int64(m)*int64(k)*int64(ks-1))+
 		c.params.QuantTime(int64(m)*int64(k)))
-	if c.opts.Functional {
-		inv := 1 / (float64(pa.Scale) * float64(pb.Scale))
+	if acc != nil {
 		for r := 0; r < m; r++ {
-			for j := 0; j < k; j++ {
-				out.Set(r, j, float32(float64(acc[r*k+j])*inv))
+			row := out.Row(r)
+			for j := range row {
+				row[j] = float32(float64(acc[r*k+j]) * inv)
 			}
 		}
 	}

@@ -59,13 +59,13 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 		// integers).
 		joint := float32(1)
 		if c.opts.Functional {
-			pa, pb := quant.ParamsFor(a.M), quant.ParamsFor(b.M)
+			pa, pb := a.calibration(), b.calibration()
 			joint = pa.Scale
 			if pb.Scale < joint {
 				joint = pb.Scale
 			}
 		}
-		tag := scaleTag("joint", joint)
+		tag := derivedTag{kind: tagJoint, scale: math.Float32bits(joint)}
 		da := c.derivedQuant(a, tag, joint, int64(a.M.Elems()), s.now, s.taskID, func() *tensor.MatrixI8 {
 			return quant.QuantizeWith(a.M, quant.Params{Scale: joint})
 		})
@@ -109,10 +109,10 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 				Op: op, InRows: sp.Rows, InCols: sp.Cols,
 				TaskID: s.taskID, InputKey: keyA, QuantFlags: c.quantFlagsFor(),
 			},
-			inputs: []inputRef{
-				{key: mix(keyA, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()},
-				{key: mix(keyB, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: b.chipRef()},
-			},
+			inputs: pl.inputs(
+				inputRef{key: mix(keyA, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()},
+				inputRef{key: mix(keyB, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: b.chipRef()},
+			),
 			outBytes: int64(sp.Rows * sp.Cols), // int8 result tiles
 			ready:    ready,
 		}
@@ -215,7 +215,7 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 				Op: op, InRows: sp.Rows, InCols: sp.Cols,
 				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
 			},
-			inputs:   []inputRef{{key: mix(a.key, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()}},
+			inputs:   pl.inputs(inputRef{key: mix(a.key, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()}),
 			outBytes: int64(sp.Rows * sp.Cols),
 			ready:    ready,
 		}
@@ -298,7 +298,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 				Op: op, InRows: sp.Rows, InCols: sp.Cols,
 				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
 			},
-			inputs:   []inputRef{{key: mix(a.key, 1000000+uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()}},
+			inputs:   pl.inputs(inputRef{key: mix(a.key, 1000000+uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()}),
 			outBytes: outBytes,
 			ready:    ready,
 		}
@@ -337,7 +337,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 			rp.add(instrWork{
 				instr: isa.Instruction{Op: op, InRows: rows, InCols: cols,
 					TaskID: s.taskID, InputKey: c.nextKey(), QuantFlags: c.quantFlagsFor()},
-				inputs:   []inputRef{{key: c.nextKey(), bytes: int64(n)}},
+				inputs:   rp.inputs(inputRef{key: c.nextKey(), bytes: int64(n)}),
 				outBytes: outBytes,
 				ready:    end,
 			})
@@ -390,10 +390,11 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 		"window (%d,%d)+%dx%d outside %dx%d", r0, c0, rows, cols, a.Rows(), a.Cols())
 	c := s.c
 	pa, qa, ready := c.ensureQuantized(a, s.now, s.taskID)
+	pl := s.plan(1)
 	w := instrWork{
 		instr: isa.Instruction{Op: isa.Crop, InRows: a.Rows(), InCols: a.Cols(),
 			TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor()},
-		inputs:   []inputRef{{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}},
+		inputs:   pl.inputs(inputRef{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}),
 		outBytes: int64(rows * cols),
 		ready:    ready,
 	}
@@ -405,7 +406,6 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 			tensor.PutI8(sub)
 		}
 	}
-	pl := s.plan(1)
 	pl.add(w)
 	end, ok := pl.submit().collect()
 	if !ok {
@@ -431,10 +431,11 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 		"target %dx%d smaller than %dx%d", rows, cols, a.Rows(), a.Cols())
 	c := s.c
 	pa, qa, ready := c.ensureQuantized(a, s.now, s.taskID)
+	pl := s.plan(1)
 	w := instrWork{
 		instr: isa.Instruction{Op: isa.Ext, InRows: a.Rows(), InCols: a.Cols(),
 			TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor()},
-		inputs:   []inputRef{{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}},
+		inputs:   pl.inputs(inputRef{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}),
 		outBytes: int64(rows * cols),
 		ready:    ready,
 	}
@@ -446,7 +447,6 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 			tensor.PutI8(padded)
 		}
 	}
-	pl := s.plan(1)
 	pl.add(w)
 	end, ok := pl.submit().collect()
 	if !ok {
@@ -459,14 +459,20 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 	return out
 }
 
-// allocResult allocates a functional result matrix, or a shape-only
-// descriptor in timing-only mode (paper-scale sweeps must not
-// materialize gigabyte outputs).
+// allocResult returns the matrix an operator computes its functional
+// result into, or a shape-only descriptor in timing-only mode
+// (paper-scale sweeps must not materialize gigabyte outputs). The
+// contents are unspecified — every operator stores every element — and
+// the matrix is the caller's: the runtime never recycles a result
+// itself, but a caller that is its only reader (the serving daemon,
+// once the reply is encoded) may hand it to tensor.PutF32, and the
+// next result of that size then reuses the memory. GetF32Exact keeps
+// callers that never do so from paying for more than their result.
 func allocResult(c *Context, rows, cols int) *tensor.Matrix {
 	if !c.opts.Functional {
 		return tensor.ShapeOnly(rows, cols)
 	}
-	return tensor.New(rows, cols)
+	return tensor.GetF32Exact(rows, cols)
 }
 
 func maxDur(a, b timing.Duration) timing.Duration {

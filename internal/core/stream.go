@@ -1,8 +1,7 @@
 package core
 
 import (
-	"fmt"
-	"math"
+	"sync"
 	"time"
 
 	"repro/internal/tensor"
@@ -112,27 +111,54 @@ func (s *Stream) advance(end timing.Duration) {
 // (tiling math), submit (IQ dispatch), collect (outcome into the
 // stream) — leaving each operator only its tiling math and its
 // dequantization epilogue.
+//
+// A plan is also its own in-flight handle (submit returns it, collect
+// waits on it), and its storage is recycled: collect hands the plan
+// back to the context's pool once every instruction has completed, so
+// the instruction slice, the operand-reference arena and the batch
+// tracker are allocated once and reused by later operators instead of
+// once per operator invocation.
 type plan struct {
 	s     *Stream
 	works []instrWork
+	refs  []inputRef // arena the instructions' operand lists are carved from
+	bt    batch
+	start time.Time
 }
 
 // plan opens an instruction plan sized for about n instructions.
 func (s *Stream) plan(n int) *plan {
-	return &plan{s: s, works: make([]instrWork, 0, n)}
+	p, _ := s.c.plans.Get().(*plan)
+	if p == nil {
+		p = &plan{}
+	}
+	p.s = s
+	if cap(p.works) < n {
+		p.works = make([]instrWork, 0, n)
+	}
+	return p
 }
 
 // add appends one instruction to the plan.
 func (p *plan) add(w instrWork) { p.works = append(p.works, w) }
 
+// inputs returns the operand list for the next instruction, carved
+// from the plan's arena (a grown arena leaves earlier lists on the old
+// array, which they keep alive).
+func (p *plan) inputs(refs ...inputRef) []inputRef {
+	n := len(p.refs)
+	p.refs = append(p.refs, refs...)
+	return p.refs[n:len(p.refs):len(p.refs)]
+}
+
 // submit enqueues the planned instructions on the back-end IQ and
-// returns a handle to collect their completion. Submission is
-// asynchronous: the operator goroutine keeps planning (and
-// pre-quantizing) its next batch while the engine charges and
+// returns the plan as the handle to collect their completion.
+// Submission is asynchronous: the operator goroutine keeps planning
+// (and pre-quantizing) its next batch while the engine charges and
 // executes this one. A plan's instructions enter the charge order as
 // one contiguous run, in plan order.
-func (p *plan) submit() *pending {
-	pd := &pending{s: p.s, start: time.Now()}
+func (p *plan) submit() *plan {
+	p.start = time.Now()
 	if p.s.obs != nil {
 		for i := range p.works {
 			p.works[i].obs = p.s.obs
@@ -150,27 +176,27 @@ func (p *plan) submit() *pending {
 			p.works[i].outBytes = 0
 		}
 	}
-	p.s.c.engine().submit(p.works, &pd.bt)
-	return pd
-}
-
-// pending is an in-flight IQ submission.
-type pending struct {
-	s     *Stream
-	bt    batch
-	start time.Time
+	p.s.c.engine().submit(p.works, &p.bt)
+	return p
 }
 
 // collect waits for every instruction of the submission and returns
 // the virtual completion time of the last one. The batch's dispatch
 // wall time is observed on success and failure alike — a failed batch
 // still cost the host real time. A failed batch marks the stream
-// failed and returns ok=false.
-func (pd *pending) collect() (end timing.Duration, ok bool) {
-	end, err := pd.bt.collect()
-	pd.s.c.met.dispatchWall.Observe(time.Since(pd.start).Seconds())
+// failed and returns ok=false. The plan must not be used afterwards:
+// no worker touches an instruction once the batch has drained, so its
+// storage goes back to the pool here.
+func (p *plan) collect() (end timing.Duration, ok bool) {
+	end, err := p.bt.collect()
+	s := p.s
+	s.c.met.dispatchWall.Observe(time.Since(p.start).Seconds())
+	clear(p.works) // drop the closures and observers the entries hold
+	clear(p.refs)
+	p.s, p.works, p.refs, p.bt.last, p.bt.err = nil, p.works[:0], p.refs[:0], 0, nil
+	s.c.plans.Put(p)
 	if err != nil {
-		pd.s.fail(err)
+		s.fail(err)
 		return 0, false
 	}
 	return end, true
@@ -215,11 +241,11 @@ type derived struct {
 // functional mode and must return the int8 form at the given scale.
 // elems is the logical size charged to the host-side transformation;
 // task tags the trace span with the OPQ task that triggered the build.
-func (c *Context) derivedQuant(b *Buffer, tag string, scale float32, elems int64, ready timing.Duration, task int, build func() *tensor.MatrixI8) *derived {
+func (c *Context) derivedQuant(b *Buffer, tag derivedTag, scale float32, elems int64, ready timing.Duration, task int, build func() *tensor.MatrixI8) *derived {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.derivedForms == nil {
-		b.derivedForms = make(map[string]*derived)
+		b.derivedForms = make(map[derivedTag]*derived)
 	}
 	if d, ok := b.derivedForms[tag]; ok {
 		c.met.quantCacheHits.Inc()
@@ -268,7 +294,46 @@ func (c *Context) derivedQuant(b *Buffer, tag string, scale float32, elems int64
 	return d
 }
 
-// scaleTag renders a scale factor into a stable cache tag.
-func scaleTag(prefix string, scale float32) string {
-	return fmt.Sprintf("%s:%08x", prefix, math.Float32bits(scale))
+// derivedTag names one derived form of a buffer in its cache: which
+// layout (kind), and the parameters that distinguish two forms of the
+// same kind — the inner-dimension segment and its padded side for the
+// conv2D-GEMM layouts, the scale's bit pattern for a joint-scale
+// re-quantization.
+type derivedTag struct {
+	kind      string
+	seg, side int
+	scale     uint32
+}
+
+const (
+	tagConvA = "convA"
+	tagConvB = "convB"
+	tagJoint = "joint"
+)
+
+// wides recycles the 64-bit scratch accumulators operators aggregate
+// device partials in (MatVec, MatMulFC, a segmented MatMul).
+var wides sync.Pool // *[]int64
+
+// maxWide caps what putWide keeps, so one huge GEMM cannot pin its
+// accumulator.
+const maxWide = 1 << 24
+
+// getWide returns a zeroed accumulator of n values.
+func getWide(n int) *[]int64 {
+	w, _ := wides.Get().(*[]int64)
+	if w == nil || cap(*w) < n {
+		v := make([]int64, n)
+		return &v
+	}
+	*w = (*w)[:n]
+	clear(*w)
+	return w
+}
+
+// putWide hands an accumulator back; the caller must not use it again.
+func putWide(w *[]int64) {
+	if cap(*w) <= maxWide {
+		wides.Put(w)
+	}
 }

@@ -288,17 +288,17 @@ func TanhLUT(in *tensor.MatrixI8, inScale float32) *tensor.MatrixI8 {
 }
 
 // ReLU leaves only non-negative values on a matrix (Table 1's
-// description of ReLu). The (pooled) output arrives zeroed, so only
-// positive entries copy.
+// description of ReLu). v >> 7 is all ones for a negative int8 and zero
+// otherwise, so v &^ (v >> 7) clears exactly the negative values: every
+// element is stored, with no data-dependent branch, and the output
+// needs no zeroing pass.
 func ReLU(in *tensor.MatrixI8) *tensor.MatrixI8 {
-	out := tensor.GetI8(in.Rows, in.Cols)
+	out := tensor.GetI8ForOverwrite(in.Rows, in.Cols)
 	for r := 0; r < in.Rows; r++ {
 		src, dst := in.Row(r), out.Row(r)
 		dst = dst[:len(src)]
 		for i, v := range src {
-			if v > 0 {
-				dst[i] = v
-			}
+			dst[i] = v &^ (v >> 7)
 		}
 	}
 	return out

@@ -191,7 +191,7 @@ func TestTanhCacheConcurrent(t *testing.T) {
 // invocation once the job descriptors and tensor buffers are pooled —
 // and the serial path keeps its existing zero budget.
 func TestParallelPathAllocs(t *testing.T) {
-	if raceEnabled {
+	if tensor.RaceEnabled {
 		t.Skip("sync.Pool intentionally drops puts under the race detector, so pooled job descriptors re-allocate")
 	}
 	defer SetKernelThreads(0)

@@ -94,38 +94,67 @@ func Quantize(m *tensor.Matrix) (*tensor.MatrixI8, Params) {
 // tpuGemm up to a maximum value of 64). All other data uses the
 // symmetric absolute-maximum rule.
 func ParamsFor(m *tensor.Matrix) Params {
-	exact := true
-	var absMax float32
-scan:
+	p, _ := Analyze(m)
+	return p
+}
+
+// Analyze is the one pass the Tensorizer makes over host data before
+// quantizing it: it reports ParamsFor's calibration (exactness test
+// and absolute maximum) and, from the same walk, whether every value
+// is finite — what the runtime checks before it accepts a buffer.
+// Shape-only matrices carry no values: scale 1, finite. The parameters
+// of a non-finite matrix are meaningless; callers reject it.
+func Analyze(m *tensor.Matrix) (p Params, finite bool) {
+	if m.Data == nil || m.Elems() == 0 {
+		return Params{Scale: 1}, true
+	}
+	var (
+		exact  = true
+		lo, hi = m.At(0, 0), m.At(0, 0)
+		// v - v is 0 for every finite v and NaN for NaN and ±Inf, and a
+		// NaN sum stays NaN: one subtract-add per value, no branch.
+		poison float32
+	)
 	for r := 0; r < m.Rows; r++ {
 		for _, v := range m.Row(r) {
-			if v != float32(int32(v)) || v > QMax || v < -QMax-1 {
+			poison += v - v
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+			if exact && (v != float32(int32(v)) || v > QMax || v < -QMax-1) {
 				exact = false
-				break scan
 			}
 		}
 	}
+	finite = poison == 0
 	if exact {
-		return Params{Scale: 1}
+		return Params{Scale: 1}, finite
 	}
-	min, max := m.MinMax()
-	absMax = max
-	if -min > absMax {
-		absMax = -min
+	absMax := hi
+	if -lo > absMax {
+		absMax = -lo
 	}
-	return Params{Scale: ScaleFor(absMax)}
+	return Params{Scale: ScaleFor(absMax)}, finite
 }
 
 // QuantizeWith maps m to int8 using the provided parameters.
 func QuantizeWith(m *tensor.Matrix, p Params) *tensor.MatrixI8 {
 	q := tensor.NewI8(m.Rows, m.Cols)
+	quantizeInto(q, m, p)
+	return q
+}
+
+// quantizeInto stores m's int8 mapping under p into q (same shape).
+func quantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
 	for r := 0; r < m.Rows; r++ {
 		src, dst := m.Row(r), q.Row(r)
 		for i, v := range src {
 			dst[i] = RoundToI8(v, p.Scale)
 		}
 	}
-	return q
 }
 
 // Dequantize reconstructs a float matrix from quantized data.
@@ -289,8 +318,10 @@ func EstimateChainedScale(ops []Op, min, max float32, n int) float32 {
 // capability the paper attributes to GPTPU (section 10).
 func SplitPortions(m *tensor.Matrix) (hi, lo *tensor.Matrix, p Params) {
 	p = ParamsFor(m)
-	q := QuantizeWith(m, p)
+	q := tensor.GetI8ForOverwrite(m.Rows, m.Cols) // scratch: only hi is kept
+	quantizeInto(q, m, p)
 	hi = Dequantize(q, p)
+	tensor.PutI8(q)
 	lo = tensor.New(m.Rows, m.Cols)
 	for i := range lo.Data {
 		lo.Data[i] = m.Data[i] - hi.Data[i]

@@ -299,3 +299,77 @@ func TestSplitVector(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeMatchesSeparateScans pins the folded pass against the
+// scans it replaced — an exactness walk, a min/max walk and a
+// finiteness walk — on float, integer, out-of-range, strided and
+// poisoned data: same scale bits, same verdict.
+func TestAnalyzeMatchesSeparateScans(t *testing.T) {
+	refParams := func(m *tensor.Matrix) Params {
+		exact := true
+		for r := 0; r < m.Rows && exact; r++ {
+			for _, v := range m.Row(r) {
+				if v != float32(int32(v)) || v > QMax || v < -QMax-1 {
+					exact = false
+					break
+				}
+			}
+		}
+		if exact {
+			return Params{Scale: 1}
+		}
+		return Params{Scale: ScaleFor(m.AbsMax())}
+	}
+	refFinite := func(m *tensor.Matrix) bool {
+		for r := 0; r < m.Rows; r++ {
+			for _, v := range m.Row(r) {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(5))
+	ints := tensor.New(9, 13)
+	for i := range ints.Data {
+		ints.Data[i] = float32(rng.Intn(256) - 128)
+	}
+	wide := ints.Clone()
+	wide.Set(4, 4, 128)
+	cases := map[string]*tensor.Matrix{
+		"floats":   tensor.RandUniform(rng, 17, 23, -3, 5),
+		"negative": tensor.RandUniform(rng, 5, 5, -9, -1),
+		"ints":     ints,
+		"wide":     wide,
+		"view":     tensor.RandUniform(rng, 20, 20, -1, 1).View(3, 4, 7, 9),
+		"zeros":    tensor.New(4, 4),
+		"huge":     tensor.FromSlice(1, 3, []float32{math.MaxFloat32, -math.MaxFloat32, 1}),
+		"shape":    tensor.ShapeOnly(64, 64),
+		"empty":    tensor.New(0, 0),
+	}
+	for name, m := range cases {
+		p, finite := Analyze(m)
+		if name == "shape" {
+			if p.Scale != 1 || !finite {
+				t.Errorf("shape-only: %+v finite=%v, want scale 1, finite", p, finite)
+			}
+			continue
+		}
+		if want := refParams(m); math.Float32bits(p.Scale) != math.Float32bits(want.Scale) {
+			t.Errorf("%s: scale %v, want %v", name, p.Scale, want.Scale)
+		}
+		if !finite {
+			t.Errorf("%s: reported non-finite", name)
+		}
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, at := range []int{0, 57, 17*23 - 1} {
+			m := tensor.RandUniform(rng, 17, 23, -3, 5)
+			m.Data[at] = bad
+			if _, finite := Analyze(m); finite || refFinite(m) {
+				t.Errorf("%v at %d: finite = %v, want false", bad, at, finite)
+			}
+		}
+	}
+}

@@ -126,6 +126,13 @@ func newBatcher(gx *gptpu.Context, met *serverMetrics, window time.Duration, max
 // a crafted collision can never compute another client's GEMM against
 // the wrong matrix. On true, the call's reply arrives on call.done
 // after the group flushes.
+//
+// Ownership: on true, weight belongs to the batcher — the group it
+// opened keeps it (and the weight cache may keep it for good), or, when
+// the call joined a live group that already holds the same bytes, it
+// went back to the float32 pool. On false it is still the caller's.
+// call.a stays the caller's throughout; the flush only reads it, and
+// has finished with it by the time call.done delivers.
 func (b *batcher) submit(key batchKey, weight *tensor.Matrix, call *gemmCall) bool {
 	b.mu.Lock()
 	g := b.groups[key]
@@ -136,6 +143,8 @@ func (b *batcher) submit(key batchKey, weight *tensor.Matrix, call *gemmCall) bo
 	} else if !WeightEqual(g.b, weight) {
 		b.mu.Unlock()
 		return false
+	} else if weight != g.b {
+		tensor.PutF32(weight)
 	}
 	g.calls = append(g.calls, call)
 	g.rows += call.a.Rows
@@ -171,15 +180,18 @@ func (b *batcher) flushKey(key batchKey, g *batchGroup) {
 // matrix is byte-identical to weight — a hash-colliding entry would
 // otherwise poison every later flush under this key — so on mismatch
 // the flush gets a fresh buffer and the cache entry is left alone.
-func (b *batcher) weightBuffer(key batchKey, weight *tensor.Matrix) *gptpu.Buffer {
+// kept reports that the cache now holds weight itself: a kept matrix
+// outlives the flush (later flushes compute over its buffer) and is
+// never returned to the pool, not even after eviction.
+func (b *batcher) weightBuffer(key batchKey, weight *tensor.Matrix) (buf *gptpu.Buffer, kept bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if wb, ok := b.weights[key]; ok {
 		if WeightEqual(wb.m, weight) {
 			b.met.weightHits.Inc()
-			return wb.buf
+			return wb.buf, wb.m == weight
 		}
-		return b.gx.CreateMatrixBuffer(weight)
+		return b.gx.CreateMatrixBuffer(weight), false
 	}
 	if len(b.worder) >= weightCacheCap {
 		delete(b.weights, b.worder[0])
@@ -188,7 +200,7 @@ func (b *batcher) weightBuffer(key batchKey, weight *tensor.Matrix) *gptpu.Buffe
 	wb := b.gx.CreateMatrixBuffer(weight)
 	b.weights[key] = cachedWeight{m: weight, buf: wb}
 	b.worder = append(b.worder, key)
-	return wb
+	return wb, true
 }
 
 // flush executes one group: expire stale calls, stack the survivors'
@@ -213,7 +225,9 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	for _, c := range live {
 		rows += c.a.Rows
 	}
-	stacked := tensor.New(rows, key.n)
+	// Every row of stacked is copied over below, and its only reader is
+	// this flush's task.
+	stacked := tensor.GetF32ForOverwrite(rows, key.n)
 	r0 := 0
 	for _, c := range live {
 		for r := 0; r < c.a.Rows; r++ {
@@ -223,7 +237,7 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 		b.met.queueWait.Observe(now.Sub(c.arrived).Seconds())
 	}
 
-	wb := b.weightBuffer(key, g.b)
+	wb, weightKept := b.weightBuffer(key, g.b)
 	ab := b.gx.CreateMatrixBuffer(stacked)
 	var to gptpu.TaskObserver
 	var riders fanObs
@@ -245,6 +259,12 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	if err == nil && out == nil {
 		err = fmt.Errorf("%w: batched GEMM returned no result", ErrInternal)
 	}
+	// The task is over: nothing reads the stacked activations any more,
+	// nor the group's weight matrix unless the weight cache kept it.
+	tensor.PutF32(stacked)
+	if !weightKept {
+		tensor.PutF32(g.b)
+	}
 
 	b.met.batches.Inc()
 	b.met.batchSize.Observe(float64(len(live)))
@@ -257,9 +277,14 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 		}
 		return
 	}
+	// Each rider gets its own copy of its row band (the handler encodes
+	// it and returns it to the pool); only then may the stacked result go.
 	r0 = 0
 	for _, c := range live {
-		c.done <- callResult{m: out.View(r0, 0, c.a.Rows, key.k).Clone()}
+		band := tensor.GetF32ForOverwrite(c.a.Rows, key.k)
+		band.CopyFrom(out.View(r0, 0, c.a.Rows, key.k))
 		r0 += c.a.Rows
+		c.done <- callResult{m: band}
 	}
+	tensor.PutF32(out)
 }

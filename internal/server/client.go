@@ -159,12 +159,14 @@ func (c *Client) Close() error {
 }
 
 // readLoop routes response frames to their callers until the
-// connection dies.
+// connection dies. Frames are pooled: the caller a frame is routed to
+// releases it, a frame nobody waits for is released here.
 func (c *Client) readLoop() {
-	br := bufio.NewReader(c.conn)
+	fr := NewFrameReader(bufio.NewReader(c.conn), 0)
 	for {
-		f, err := DecodeFrame(br, 0)
+		f, err := fr.Next()
 		if err != nil {
+			f.Release()
 			c.failAll(err)
 			return
 		}
@@ -174,6 +176,8 @@ func (c *Client) readLoop() {
 		c.pmu.Unlock()
 		if ch != nil {
 			ch <- reply{f: f}
+		} else {
+			f.Release()
 		}
 	}
 }
@@ -198,7 +202,9 @@ func (c *Client) failAll(err error) {
 // answer to a v2 frame downgrades the connection to legacy frames and
 // resends the same request once — the version negotiation. Error
 // replies carrying a trace ID annotate the returned error with it, so
-// a shed request's log line names the exact server-side trace.
+// a shed request's log line names the exact server-side trace. The
+// payload is only read (the downgrade resends it); the returned frame
+// is pooled and the caller releases it after its last read.
 func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, error) {
 	for {
 		ver := byte(c.ver.Load())
@@ -232,6 +238,8 @@ func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, e
 		}
 		if r.f.Type == MsgError {
 			code, msg, derr := decodeError(r.f.Payload)
+			replyTrace := r.f.TraceID
+			r.f.Release() // decodeError copied the message out
 			if derr != nil {
 				return nil, derr
 			}
@@ -243,8 +251,8 @@ func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, e
 				continue
 			}
 			err := errFromCode(code, msg)
-			if r.f.TraceID != 0 {
-				err = fmt.Errorf("%w [trace=%s]", err, obs.FormatID(r.f.TraceID))
+			if replyTrace != 0 {
+				err = fmt.Errorf("%w [trace=%s]", err, obs.FormatID(replyTrace))
 			}
 			return nil, err
 		}
@@ -260,7 +268,9 @@ func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, e
 // so the router's negotiated version with the backend is independent
 // of the version its own client spoke). Typed error replies surface as
 // errors exactly like Call's, so the router's failover logic can
-// classify them with errors.Is.
+// classify them with errors.Is. The reply frame is pooled: Release it
+// after the last read of its payload (a frame never released is
+// collected normally).
 func (c *Client) Forward(op MsgType, payload []byte, traceID uint64) (*Frame, error) {
 	return c.roundTrip(op, payload, traceID)
 }
@@ -274,6 +284,7 @@ func (c *Client) Health() (HealthInfo, error) {
 	if err != nil {
 		return HealthInfo{}, err
 	}
+	defer f.Release() // decodeHealth copies the shard ID out
 	if f.Type != MsgPong {
 		return HealthInfo{}, fmt.Errorf("server client: ping answered with %s", f.Type)
 	}
@@ -282,14 +293,8 @@ func (c *Client) Health() (HealthInfo, error) {
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	f, err := c.roundTrip(MsgPing, nil, 0)
-	if err != nil {
-		return err
-	}
-	if f.Type != MsgPong {
-		return fmt.Errorf("server client: ping answered with %s", f.Type)
-	}
-	return nil
+	_, err := c.Health()
+	return err
 }
 
 // Call invokes one remote operator. b must be nil exactly for the
@@ -328,12 +333,15 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 	rt := c.rec.Start(traceID, 0, op.String()) // nil recorder -> nil trace
 	est := time.Now()
 	payload := encodeOpRequest(req)
+	// Released only once the retry loop is over: every resend — a retry
+	// here, the version downgrade inside roundTrip — reads it again.
+	defer payload.release()
 	rt.ObserveSpan(obs.StageClientEncode, est, time.Since(est), "")
 	var f *Frame
 	var err error
 	for attempt := 0; ; attempt++ {
 		rt.Begin(obs.StageWire, "")
-		f, err = c.roundTrip(op, payload, traceID)
+		f, err = c.roundTrip(op, payload.b, traceID)
 		rt.End(obs.StageWire)
 		if err == nil || attempt >= c.retry.Max || !Retryable(err) {
 			break
@@ -346,6 +354,9 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 		rt.Finish(errStatus(codeFromErr(err)))
 		return nil, err
 	}
+	// The result is decoded into a fresh matrix the caller owns (it is
+	// never pooled); after that the reply frame has no reader left.
+	defer f.Release()
 	if f.Type != MsgResult {
 		rt.Finish("internal")
 		return nil, fmt.Errorf("server client: %s answered with %s", op, f.Type)

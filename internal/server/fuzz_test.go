@@ -20,7 +20,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	b := tensor.FromSlice(3, 2, []float32{1, 0, 0, 1, 1, 1})
 	var good bytes.Buffer
 	_ = EncodeFrame(&good, &Frame{Version: Version, Type: MsgGemm, ReqID: 42,
-		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b})})
+		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b})
 	f.Add(good.Bytes())
 
 	// Truncated: the same frame cut mid-payload.
@@ -44,7 +44,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Legacy v1 frame (no trace field) — must still decode.
 	var v1 bytes.Buffer
 	_ = EncodeFrame(&v1, &Frame{Version: VersionLegacy, Type: MsgGemm, ReqID: 43,
-		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b})})
+		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b})
 	f.Add(v1.Bytes())
 
 	// v2 frame whose length claim covers only the v1 header: the trace
@@ -78,7 +78,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1})
 	var nfb bytes.Buffer
 	_ = EncodeFrame(&nfb, &Frame{Version: Version, Type: MsgAdd, ReqID: 7,
-		Payload: encodeOpRequest(&OpRequest{Op: MsgAdd, A: nf, B: nf})})
+		Payload: encodeOpRequest(&OpRequest{Op: MsgAdd, A: nf, B: nf}).b})
 	f.Add(nfb.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {

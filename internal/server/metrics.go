@@ -21,20 +21,21 @@ var sizeBuckets = telemetry.ExpBuckets(1, 2, 8)
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	connections *telemetry.Gauge   // open client connections
-	inflight    *telemetry.Gauge   // admitted requests being served
+	connections *telemetry.Gauge      // open client connections
+	inflight    *telemetry.Gauge      // admitted requests being served
 	requests    *telemetry.CounterVec // by op
 	replies     *telemetry.CounterVec // by status (ok / error name)
 	bytesRead   *telemetry.Counter
 	bytesSent   *telemetry.Counter
-	shed        *telemetry.Counter // admission rejections (ErrOverloaded)
-	deadline    *telemetry.Counter // requests expired before dispatch
-	queueWait   *telemetry.Histogram // arrival to dispatch (admission + batch window)
-	e2eLat      *telemetry.HistogramVec // arrival to reply written, by op
-	batches     *telemetry.Counter // micro-batch flushes
-	batchSize   *telemetry.Histogram // requests coalesced per flush
-	batchedReqs *telemetry.Counter // requests served via a batch
-	weightHits  *telemetry.Counter // batcher weight-buffer cache hits
+	shed        *telemetry.Counter      // admission rejections (ErrOverloaded)
+	deadline    *telemetry.Counter      // requests expired before dispatch
+	queueWait   *telemetry.Histogram    // arrival to dispatch (admission + batch window)
+	e2eLat      *telemetry.HistogramVec // arrival to reply encoded, by op
+	replyWrite  *telemetry.Histogram    // reply frame socket write
+	batches     *telemetry.Counter      // micro-batch flushes
+	batchSize   *telemetry.Histogram    // requests coalesced per flush
+	batchedReqs *telemetry.Counter      // requests served via a batch
+	weightHits  *telemetry.Counter      // batcher weight-buffer cache hits
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -63,8 +64,11 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Wall seconds from request arrival to runtime dispatch (admission + batch window).",
 			waitBuckets).With(),
 		e2eLat: reg.Histogram("gptpu_serve_request_seconds",
-			"Wall seconds from request arrival to reply written, by operator.",
+			"Wall seconds from request arrival to reply encoded (the socket write follows, see gptpu_serve_reply_write_seconds), by operator.",
 			latBuckets, "op"),
+		replyWrite: reg.Histogram("gptpu_serve_reply_write_seconds",
+			"Wall seconds writing one reply frame to its connection (lock wait + write + flush).",
+			waitBuckets).With(),
 		batches: reg.Counter("gptpu_serve_batches_total",
 			"Micro-batch flushes submitted to the runtime.").With(),
 		batchSize: reg.Histogram("gptpu_serve_batch_size",

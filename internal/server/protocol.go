@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/tensor"
@@ -242,6 +244,70 @@ type Frame struct {
 	ReqID   uint64
 	TraceID uint64
 	Payload []byte
+
+	// buf is the pooled buffer Payload points into, nil for frames the
+	// caller owns outright (DecodeFrame, literals).
+	buf *wireBuf
+}
+
+// Release returns a pooled frame's buffer for reuse; Payload is invalid
+// afterwards. Only frames from a FrameReader or Client.Forward are
+// pooled — on any other frame, and on a second call, Release does
+// nothing, and a pooled frame that is never released is simply
+// collected. The payload's last reader calls it: the daemon once the
+// operands are decoded, the router once the last forward attempt and
+// the reply write are done, the client once the result is decoded.
+func (f *Frame) Release() {
+	if f == nil || f.buf == nil {
+		return
+	}
+	f.buf.release()
+	f.buf, f.Payload = nil, nil
+}
+
+// wireBuf is one recycled byte buffer of the wire path: a frame body
+// read off a socket, or a payload encoded for one. Buffers are
+// size-classed like internal/tensor's tile pools (power-of-two
+// capacities, one sync.Pool per class) and capped at 1<<maxWireBits
+// bytes, so one 64 MiB frame cannot pin memory in the pool; larger
+// buffers are allocated exactly and collected normally.
+type wireBuf struct{ b []byte }
+
+const (
+	minWireBits = 6
+	maxWireBits = 24
+)
+
+var wirePools [maxWireBits + 1]sync.Pool // class c holds *wireBuf with cap(b) == 1<<c
+
+// getWireBuf returns a buffer of length n with unspecified contents.
+func getWireBuf(n int) *wireBuf {
+	if n <= 0 || n > 1<<maxWireBits {
+		return &wireBuf{b: make([]byte, n)}
+	}
+	c := bits.Len(uint(n - 1))
+	if c < minWireBits {
+		c = minWireBits
+	}
+	if w, _ := wirePools[c].Get().(*wireBuf); w != nil {
+		w.b = w.b[:n]
+		return w
+	}
+	return &wireBuf{b: make([]byte, n, 1<<c)}
+}
+
+// release hands the buffer back; the caller must not touch it again.
+// Safe on nil and on buffers outside the pooled range (no-op).
+func (w *wireBuf) release() {
+	if w == nil {
+		return
+	}
+	c := cap(w.b)
+	if c&(c-1) != 0 || c < 1<<minWireBits || c > 1<<maxWireBits {
+		return
+	}
+	w.b = w.b[:c]
+	wirePools[bits.Len(uint(c))-1].Put(w)
 }
 
 // EncodeFrame writes f to w in wire format, choosing the header
@@ -259,7 +325,10 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 	if len(f.Payload) > MaxFrameLen-hdrLen {
 		return fmt.Errorf("server: payload %d bytes exceeds frame cap", len(f.Payload))
 	}
-	hdr := make([]byte, 4+hdrLen)
+	// The header goes through a recycled buffer: a stack array would
+	// escape through the io.Writer and cost an allocation per frame.
+	hb := getWireBuf(4 + hdrLen)
+	hdr := hb.b
 	binary.BigEndian.PutUint32(hdr[0:], uint32(hdrLen+len(f.Payload)))
 	binary.BigEndian.PutUint16(hdr[4:], Magic)
 	hdr[6] = ver
@@ -268,10 +337,12 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 	if ver >= 2 {
 		binary.BigEndian.PutUint64(hdr[16:], f.TraceID)
 	}
-	if _, err := w.Write(hdr); err != nil {
+	_, err := w.Write(hdr)
+	hb.release()
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(f.Payload)
+	_, err = w.Write(f.Payload)
 	return err
 }
 
@@ -280,27 +351,66 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 // protocol versions decode; a frame with any other version is
 // returned together with ErrVersionMismatch so the caller can still
 // answer its request ID; every other error leaves the stream
-// unusable.
+// unusable. The frame is freshly allocated and owned by the caller;
+// read loops use a FrameReader, whose frames are recycled.
 func DecodeFrame(r io.Reader, max uint32) (*Frame, error) {
+	var lenBuf [4]byte
+	return readFrame(r, lenBuf[:], max, false)
+}
+
+// FrameReader decodes the frames of one connection into pooled
+// buffers. Each frame it returns — including one returned together
+// with ErrVersionMismatch — is valid until its Release; a frame never
+// released is collected like any other. Not safe for concurrent use.
+type FrameReader struct {
+	r      io.Reader
+	max    uint32
+	lenBuf [4]byte
+}
+
+// NewFrameReader reads frames of at most max bytes from r (0 =
+// MaxFrameLen).
+func NewFrameReader(r io.Reader, max uint32) *FrameReader {
+	return &FrameReader{r: r, max: max}
+}
+
+// Next reads one frame; errors are DecodeFrame's.
+func (fr *FrameReader) Next() (*Frame, error) {
+	return readFrame(fr.r, fr.lenBuf[:], fr.max, true)
+}
+
+// readFrame is the one frame decoder: lenBuf is 4 bytes of scratch for
+// the length prefix, pooled selects a recycled body buffer.
+func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, error) {
 	if max == 0 || max > MaxFrameLen {
 		max = MaxFrameLen
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(lenBuf)
 	if n < headerLen {
 		return nil, fmt.Errorf("%w: frame length %d below header size", ErrBadRequest, n)
 	}
 	if n > max {
 		return nil, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrBadRequest, n, max)
 	}
-	buf := make([]byte, n)
+	var (
+		wb  *wireBuf
+		buf []byte
+	)
+	if pooled {
+		wb = getWireBuf(int(n))
+		buf = wb.b
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, buf); err != nil {
+		wb.release()
 		return nil, err
 	}
 	if got := binary.BigEndian.Uint16(buf[0:]); got != Magic {
+		wb.release()
 		return nil, fmt.Errorf("%w: bad magic %#04x", ErrBadRequest, got)
 	}
 	f := &Frame{
@@ -308,12 +418,14 @@ func DecodeFrame(r io.Reader, max uint32) (*Frame, error) {
 		Type:    MsgType(buf[3]),
 		ReqID:   binary.BigEndian.Uint64(buf[4:]),
 		Payload: buf[headerLen:],
+		buf:     wb,
 	}
 	switch f.Version {
 	case VersionLegacy:
 		return f, nil
 	case Version:
 		if n < headerLenV2 {
+			wb.release()
 			return nil, fmt.Errorf("%w: v2 frame length %d below header size", ErrBadRequest, n)
 		}
 		f.TraceID = binary.BigEndian.Uint64(buf[12:])
@@ -366,32 +478,68 @@ func appendMatrix(dst []byte, m *tensor.Matrix) []byte {
 	return dst
 }
 
-// decodeMatrix decodes one matrix from buf, returning the matrix and
-// the remaining bytes. Dimension and length claims are validated
-// before any allocation proportional to them; the payload then loads
-// through one contiguous window (tensor.New rows are dense, so there
-// is no per-row staging).
-func decodeMatrix(buf []byte) (*tensor.Matrix, []byte, error) {
+// matrixWireLen is the encoded size of m: two u32 dimensions plus four
+// bytes per element.
+func matrixWireLen(m *tensor.Matrix) int { return 8 + m.Elems()*4 }
+
+// encodeMatrix renders m into a pooled, exactly pre-sized buffer; the
+// caller releases it once the bytes are on the socket.
+func encodeMatrix(m *tensor.Matrix) *wireBuf {
+	wb := getWireBuf(matrixWireLen(m))
+	appendMatrix(wb.b[:0], m)
+	return wb
+}
+
+// splitMatrix validates the matrix header at the front of buf and
+// returns the dimensions, the element bytes and the bytes after them.
+// Dimension and length claims are checked before anything proportional
+// to them is allocated or read.
+func splitMatrix(buf []byte) (rows, cols int, data, rest []byte, err error) {
 	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("%w: truncated matrix header", ErrBadRequest)
+		return 0, 0, nil, nil, fmt.Errorf("%w: truncated matrix header", ErrBadRequest)
 	}
-	rows := binary.BigEndian.Uint32(buf[0:])
-	cols := binary.BigEndian.Uint32(buf[4:])
-	if rows == 0 || cols == 0 || rows > MaxDim || cols > MaxDim {
-		return nil, nil, fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrBadRequest, rows, cols)
+	r := binary.BigEndian.Uint32(buf[0:])
+	c := binary.BigEndian.Uint32(buf[4:])
+	if r == 0 || c == 0 || r > MaxDim || c > MaxDim {
+		return 0, 0, nil, nil, fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrBadRequest, r, c)
 	}
-	elems := uint64(rows) * uint64(cols)
-	need := elems * 4
+	need := uint64(r) * uint64(c) * 4
 	if uint64(len(buf)-8) < need {
-		return nil, nil, fmt.Errorf("%w: matrix %dx%d needs %d data bytes, frame has %d",
-			ErrBadRequest, rows, cols, need, len(buf)-8)
+		return 0, 0, nil, nil, fmt.Errorf("%w: matrix %dx%d needs %d data bytes, frame has %d",
+			ErrBadRequest, r, c, need, len(buf)-8)
 	}
-	m := tensor.New(int(rows), int(cols))
-	src := buf[8 : 8+need]
-	for i := range m.Data {
-		m.Data[i] = math.Float32frombits(binary.BigEndian.Uint32(src[i*4:]))
+	return int(r), int(c), buf[8 : 8+need], buf[8+need:], nil
+}
+
+// decodeMatrixTo decodes one matrix from buf into a matrix obtained
+// from alloc (whose contents it overwrites entirely), returning the
+// matrix, the remaining bytes and whether every value is finite — the
+// finiteness test rides the one pass that converts the bits, so the
+// serving path never walks an operand a second time to find a NaN.
+func decodeMatrixTo(buf []byte, alloc func(rows, cols int) *tensor.Matrix) (m *tensor.Matrix, rest []byte, finite bool, err error) {
+	rows, cols, src, rest, err := splitMatrix(buf)
+	if err != nil {
+		return nil, nil, false, err
 	}
-	return m, buf[8+need:], nil
+	m = alloc(rows, cols)
+	// An all-ones exponent (NaN, ±Inf) carries into bit 31 when one
+	// exponent unit is added; every finite value leaves it clear.
+	var carry uint32
+	dst := m.Data[:len(src)/4]
+	for i := range dst {
+		b := binary.BigEndian.Uint32(src[:4])
+		src = src[4:]
+		carry |= b&0x7f800000 + 0x00800000
+		dst[i] = math.Float32frombits(b)
+	}
+	return m, rest, carry>>31 == 0, nil
+}
+
+// decodeMatrix decodes one matrix from buf into a fresh matrix the
+// caller owns, returning it and the remaining bytes.
+func decodeMatrix(buf []byte) (*tensor.Matrix, []byte, error) {
+	m, rest, _, err := decodeMatrixTo(buf, tensor.New)
+	return m, rest, err
 }
 
 // OpRequest is one decoded operator request.
@@ -401,56 +549,88 @@ type OpRequest struct {
 	DeadlineMillis uint32
 	Flags          byte
 	A, B           *tensor.Matrix // B nil for unary operators
+
+	// nonFinite records that the decoder saw a NaN or ±Inf in A or B.
+	nonFinite bool
 }
 
-// encodeOpRequest renders an operator request payload.
-func encodeOpRequest(req *OpRequest) []byte {
-	n := 5 + 8 + req.A.Elems()*4
+// encodeOpRequest renders an operator request payload into a pooled,
+// exactly pre-sized buffer; the caller releases it after the last send.
+func encodeOpRequest(req *OpRequest) *wireBuf {
+	n := 5 + matrixWireLen(req.A)
 	if req.B != nil {
-		n += 8 + req.B.Elems()*4
+		n += matrixWireLen(req.B)
 	}
-	dst := make([]byte, 0, n)
-	dst = binary.BigEndian.AppendUint32(dst, req.DeadlineMillis)
+	wb := getWireBuf(n)
+	dst := binary.BigEndian.AppendUint32(wb.b[:0], req.DeadlineMillis)
 	dst = append(dst, req.Flags)
 	dst = appendMatrix(dst, req.A)
 	if req.B != nil {
-		dst = appendMatrix(dst, req.B)
+		appendMatrix(dst, req.B)
 	}
-	return dst
+	return wb
 }
 
-// decodeOpRequest parses an operator request payload for op.
-func decodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
+// opRequestBody checks that payload is an operator request with its
+// fixed header (deadline, flags) and returns the matrix bytes after it.
+func opRequestBody(op MsgType, payload []byte) ([]byte, error) {
 	if !op.isOp() {
 		return nil, fmt.Errorf("%w: type %s is not an operator", ErrBadRequest, op)
 	}
 	if len(payload) < 5 {
 		return nil, fmt.Errorf("%w: truncated request header", ErrBadRequest)
 	}
+	return payload[5:], nil
+}
+
+// decodeOpRequestTo parses an operator request payload for op, taking
+// the operand matrices from alloc. The matrices never alias payload.
+func decodeOpRequestTo(op MsgType, payload []byte, alloc func(rows, cols int) *tensor.Matrix) (*OpRequest, error) {
+	rest, err := opRequestBody(op, payload)
+	if err != nil {
+		return nil, err
+	}
 	req := &OpRequest{
 		Op:             op,
 		DeadlineMillis: binary.BigEndian.Uint32(payload[0:]),
 		Flags:          payload[4],
 	}
-	rest := payload[5:]
-	var err error
-	if req.A, rest, err = decodeMatrix(rest); err != nil {
+	finiteA, finiteB := true, true
+	if req.A, rest, finiteA, err = decodeMatrixTo(rest, alloc); err != nil {
 		return nil, err
 	}
 	if !op.unary() {
-		if req.B, rest, err = decodeMatrix(rest); err != nil {
+		if req.B, rest, finiteB, err = decodeMatrixTo(rest, alloc); err != nil {
+			req.release()
 			return nil, err
 		}
 	}
 	if len(rest) != 0 {
+		req.release()
 		return nil, fmt.Errorf("%w: %d trailing bytes after request", ErrBadRequest, len(rest))
 	}
+	req.nonFinite = !finiteA || !finiteB
 	return req, nil
 }
 
-// DecodeOpRequest parses an operator request payload for op (exported
-// for the cluster router, which derives the placement key from the
-// decoded weight matrix before forwarding the raw payload).
+// release returns the request's operand matrices to the float32 pool.
+// Only the daemon calls it, on requests it decoded into pooled
+// matrices, once nothing reads them any more; PutF32 ignores matrices
+// that are not pool-shaped.
+func (req *OpRequest) release() {
+	tensor.PutF32(req.A)
+	tensor.PutF32(req.B)
+	req.A, req.B = nil, nil
+}
+
+// decodeOpRequest parses an operator request payload for op into fresh
+// matrices the caller owns.
+func decodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
+	return decodeOpRequestTo(op, payload, tensor.New)
+}
+
+// DecodeOpRequest parses an operator request payload for op into fresh
+// matrices the caller owns.
 func DecodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
 	return decodeOpRequest(op, payload)
 }

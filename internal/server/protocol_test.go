@@ -55,7 +55,7 @@ func TestOpRequestRoundTrip(t *testing.T) {
 		{Op: MsgGemm, DeadlineMillis: 250, Flags: FlagNoBatch, A: a, B: b},
 		{Op: MsgMean, A: a},
 	} {
-		got, err := decodeOpRequest(tc.Op, encodeOpRequest(tc))
+		got, err := decodeOpRequest(tc.Op, encodeOpRequest(tc).b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ type Server struct {
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	draining bool
-	aborted  bool // chaos hard-kill: listener dropped without drain
+	aborted  bool           // chaos hard-kill: listener dropped without drain
 	reqWG    sync.WaitGroup // in-flight request handlers
 	connWG   sync.WaitGroup // connection read loops
 }
@@ -335,14 +335,18 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	cw := &connWriter{bw: bufio.NewWriter(conn), met: s.met}
-	br := bufio.NewReader(conn)
+	// Frames are pooled. An operator frame belongs to its handleRequest
+	// goroutine, which releases it once the operands are decoded; every
+	// other frame is released here, after its reply.
+	fr := NewFrameReader(bufio.NewReader(conn), s.cfg.MaxFrame)
 	for {
-		f, err := DecodeFrame(br, s.cfg.MaxFrame)
+		f, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, ErrVersionMismatch) && f != nil {
 				// Per-frame versioning: answer this request, keep the
 				// connection (framing stayed intact).
 				s.reply(cw, s.maxVer, f.ReqID, 0, MsgError, encodeError(CodeVersion, err.Error()))
+				f.Release()
 				continue
 			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -359,6 +363,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// way): answer like an old build would, in its own version.
 			s.reply(cw, s.maxVer, f.ReqID, 0, MsgError, encodeError(CodeVersion,
 				fmt.Sprintf("frame version %d, server speaks <= %d", f.Version, s.maxVer)))
+			f.Release()
 			continue
 		}
 
@@ -375,15 +380,17 @@ func (s *Server) handleConn(conn net.Conn) {
 				// Typed error replies echo the request's trace ID so the
 				// client can log which request the shutdown bounced.
 				s.reply(cw, f.Version, f.ReqID, f.TraceID, MsgError, encodeError(CodeShuttingDown, "draining"))
-				continue
+				break
 			}
 			s.reqWG.Add(1)
 			s.mu.Unlock()
 			go s.handleRequest(cw, f)
+			continue
 		default:
 			s.reply(cw, f.Version, f.ReqID, f.TraceID, MsgError,
 				encodeError(CodeBadRequest, fmt.Sprintf("unexpected frame type %s", f.Type)))
 		}
+		f.Release()
 	}
 }
 
@@ -404,6 +411,9 @@ type reqCtx struct {
 	op      MsgType
 	arrived time.Time
 	rt      *obs.Trace // nil when tracing is disabled
+	// admitted is set once the request holds an admission slot;
+	// finishReply gives the slot back before it writes the reply.
+	admitted bool
 }
 
 // handleRequest serves one operator request end to end: decode,
@@ -425,9 +435,16 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 	}
 	rc := &reqCtx{cw: cw, ver: f.Version, reqID: f.ReqID, traceID: traceID, op: op, arrived: arrived, rt: rt}
 
+	// The operands decode into pooled matrices that never alias the
+	// frame, so the frame's last reader is the decoder. The request owns
+	// the matrices until this handler returns — by then the batch it
+	// rode has stacked A, or its own task has completed — except for a B
+	// the batcher took over.
 	dst := time.Now()
-	req, err := decodeOpRequest(op, f.Payload)
+	req, err := decodeOpRequestTo(op, f.Payload, tensor.GetF32ForOverwrite)
+	f.Release()
 	if err == nil {
+		defer req.release()
 		err = validateShapes(req)
 	}
 	rt.ObserveSpan(obs.StageDecode, dst, time.Since(dst), "")
@@ -442,7 +459,7 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 		return
 	}
 	rt.ObserveSpan(obs.StageAdmission, ast, time.Since(ast), "")
-	defer s.adm.release()
+	rc.admitted = true
 	if expired(arrived, req.DeadlineMillis, time.Now()) {
 		s.met.deadline.Inc()
 		s.finishReply(rc, nil, ErrDeadlineExceeded)
@@ -455,6 +472,9 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 			rt: rt, done: make(chan callResult, 1)}
 		rt.Begin(obs.StageBatchWait, "")
 		if s.bat.submit(key, req.B, call) {
+			// submit took B over: the group keeps it or has already
+			// released it.
+			req.B = nil
 			res := <-call.done
 			rt.End(obs.StageBatchWait)
 			s.finishReply(rc, res.m, res.err)
@@ -478,24 +498,32 @@ func (s *Server) batchable(req *OpRequest) bool {
 		req.A.Elems() <= s.cfg.BatchMaxElems && req.B.Elems() <= s.cfg.BatchMaxElems
 }
 
-// finishReply writes the success or error frame (echoing the
-// request's protocol version and trace ID), records the reply-class
-// counter and end-to-end latency histogram, and seals the request's
-// trace. A result that cannot fit one frame (validateShapes should
-// prevent this) degrades to a typed error reply — the request ID is
-// always answered, so the client never blocks on a silently-dropped
-// encode.
+// finishReply answers the request with m or a typed error, in the
+// request's protocol version and with its trace ID, and makes the
+// socket write the last thing an observer can see: the reply is encoded
+// into a pooled buffer (m, which the daemon owns and nothing else reads,
+// goes back to the float32 pool), the reply-class counter and
+// end-to-end latency are recorded, the trace is sealed, the admission
+// slot is returned — and only then is the frame written. A client that
+// has read its answer therefore finds the request finished in the
+// flight recorder and its slot free. A result that cannot fit one frame
+// (validateShapes should prevent this) degrades to a typed error reply —
+// the request ID is always answered, so the client never blocks on a
+// silently-dropped encode.
 func (s *Server) finishReply(rc *reqCtx, m *tensor.Matrix, err error) {
 	if err == nil && m.Elems() > MaxResultElems {
 		err = fmt.Errorf("%w: result %dx%d exceeds reply frame cap", ErrInternal, m.Rows, m.Cols)
 	}
 	est := time.Now()
-	var status string
+	var (
+		status  = "ok"
+		typ     = MsgResult
+		payload []byte
+		wb      *wireBuf
+	)
 	if err != nil {
 		code := codeFromErr(err)
-		status = errStatus(code)
-		s.met.replies.With(status).Inc()
-		s.reply(rc.cw, rc.ver, rc.reqID, rc.traceID, MsgError, encodeError(code, err.Error()))
+		status, typ, payload = errStatus(code), MsgError, encodeError(code, err.Error())
 		rc.rt.ObserveSpan(obs.StageReplyEncode, est, time.Since(est), status)
 		// Client-fault and internal failures are operator-actionable;
 		// sheds and deadline misses are expected load-control outcomes
@@ -508,13 +536,21 @@ func (s *Server) finishReply(rc *reqCtx, m *tensor.Matrix, err error) {
 			"trace_id", obs.FormatID(rc.traceID), "req_id", rc.reqID,
 			"op", rc.op.String(), "code", status, "err", err.Error())
 	} else {
-		status = "ok"
-		s.met.replies.With("ok").Inc()
-		s.reply(rc.cw, rc.ver, rc.reqID, rc.traceID, MsgResult, appendMatrix(nil, m))
+		wb = encodeMatrix(m)
+		payload = wb.b
 		rc.rt.ObserveSpan(obs.StageReplyEncode, est, time.Since(est), "")
 	}
+	tensor.PutF32(m)
+	s.met.replies.With(status).Inc()
 	s.met.e2eLat.With(rc.op.String()).Observe(time.Since(rc.arrived).Seconds())
 	rc.rt.Finish(status)
+	if rc.admitted {
+		s.adm.release()
+	}
+	wst := time.Now()
+	s.reply(rc.cw, rc.ver, rc.reqID, rc.traceID, typ, payload)
+	s.met.replyWrite.Observe(time.Since(wst).Seconds())
+	wb.release()
 }
 
 // ErrStatus names a typed error's failure class for status-labeled
@@ -554,7 +590,8 @@ func validateShapes(req *OpRequest) error {
 	// would defeat the symmetric quantization (one +Inf used to drive
 	// the scale to 0 and poison the whole result with NaN), so they
 	// are rejected here as malformed rather than deep in the runtime.
-	if !req.A.AllFinite() || (req.B != nil && !req.B.AllFinite()) {
+	// The decoder tested every value's bits as it converted them.
+	if req.nonFinite {
 		return fmt.Errorf("%w: matrix contains non-finite values (NaN or Inf)", ErrBadRequest)
 	}
 	switch req.Op {

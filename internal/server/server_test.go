@@ -405,15 +405,18 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 	newCall := func() *gemmCall {
 		return &gemmCall{a: a, arrived: time.Now(), done: make(chan callResult, 1)}
 	}
+	// An accepted submit takes the weight matrix over (the batcher may
+	// return it to the float32 pool), so each call hands in its own copy
+	// — as the daemon does, where every request decodes its own.
 	c1 := newCall()
-	if !bat.submit(key, w1, c1) {
+	if !bat.submit(key, w1.Clone(), c1) {
 		t.Fatal("first submit refused")
 	}
 	if bat.submit(key, w2, newCall()) {
 		t.Fatal("colliding weights joined a live group — would compute against wrong matrix")
 	}
 	c2 := newCall()
-	if !bat.submit(key, w1, c2) { // hits BatchMaxRequests, cap-flushes
+	if !bat.submit(key, w1.Clone(), c2) { // hits BatchMaxRequests, cap-flushes
 		t.Fatal("same-weight submit refused")
 	}
 	for _, c := range []*gemmCall{c1, c2} {
@@ -430,7 +433,7 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 	// reusing that key must detect the byte mismatch and compute with
 	// fresh weights, not the cached w1.
 	c3, c4 := newCall(), newCall()
-	if !bat.submit(key, w2, c3) || !bat.submit(key, w2, c4) {
+	if !bat.submit(key, w2.Clone(), c3) || !bat.submit(key, w2.Clone(), c4) {
 		t.Fatal("w2 group refused after w1 group retired")
 	}
 	for _, c := range []*gemmCall{c3, c4} {

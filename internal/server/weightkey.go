@@ -1,14 +1,44 @@
 package server
 
 import (
-	"hash/fnv"
+	"encoding/binary"
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
 )
 
+// FNV-1a 64 parameters. WeightKey feeds the hash one little-endian
+// uint64 per value, and the four high bytes of a widened 32-bit value
+// are zero: four xor-with-zero steps that collapse to one multiply by
+// the prime's fourth power (mod 2^64).
+const (
+	fnvOffset64  uint64 = 14695981039346656037
+	fnvPrime64   uint64 = 1099511628211
+	fnvPrime64p4 uint64 = 0x9ffaac085635bc91
+)
+
+// fnvWord folds the 8 little-endian bytes of v into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// fnvBits folds one float's bit pattern, widened to 64 bits, into h.
+func fnvBits(h uint64, b uint32) uint64 {
+	h = (h ^ uint64(b&0xff)) * fnvPrime64
+	h = (h ^ uint64(b>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(b>>16&0xff)) * fnvPrime64
+	h = (h ^ uint64(b>>24)) * fnvPrime64
+	return h * fnvPrime64p4
+}
+
 // WeightKey fingerprints a matrix's dimensions and float bit patterns
-// (FNV-1a 64). It is the content-derived identity shared by the GEMM
+// (FNV-1a 64 over one little-endian uint64 per value, dimensions
+// first). It is the content-derived identity shared by the GEMM
 // micro-batcher (batch-group compatibility and the weight-buffer
 // cache) and the cluster router (rendezvous placement key), so the
 // node a weight matrix hashes to is the node whose batcher already
@@ -23,21 +53,45 @@ import (
 // a collision merely co-locates two models on one node — never
 // computes against the wrong weights).
 func WeightKey(m *tensor.Matrix) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(m.Rows)<<32 | uint64(m.Cols))
+	h := fnvWord(fnvOffset64, uint64(m.Rows)<<32|uint64(m.Cols))
 	for r := 0; r < m.Rows; r++ {
 		for _, v := range m.Row(r) {
-			put(uint64(math.Float32bits(v)))
+			h = fnvBits(h, math.Float32bits(v))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// WireWeightKey is WeightKey of an encoded operator request's weight
+// operand — B for binary operators (the stable, cacheable side; A is
+// the per-call activation), A for the unary reductions — computed over
+// the payload bytes in place. The payload is validated exactly as
+// DecodeOpRequest validates it (same typed ErrBadRequest on malformed
+// input), and the key equals WeightKey of the decoded operand bit for
+// bit, so the router places a request where the daemon's batcher keys
+// it without materializing either matrix.
+func WireWeightKey(op MsgType, payload []byte) (uint64, error) {
+	body, err := opRequestBody(op, payload)
+	if err != nil {
+		return 0, err
+	}
+	rows, cols, data, rest, err := splitMatrix(body)
+	if err != nil {
+		return 0, err
+	}
+	if !op.unary() {
+		if rows, cols, data, rest, err = splitMatrix(rest); err != nil {
+			return 0, err
+		}
+	}
+	if len(rest) != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes after request", ErrBadRequest, len(rest))
+	}
+	h := fnvWord(fnvOffset64, uint64(rows)<<32|uint64(cols))
+	for ; len(data) >= 4; data = data[4:] {
+		h = fnvBits(h, binary.BigEndian.Uint32(data))
+	}
+	return h, nil
 }
 
 // WeightEqual reports byte-identity of two matrices (dimensions and

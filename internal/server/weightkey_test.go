@@ -104,7 +104,7 @@ func TestWeightKeyCollisionFallback(t *testing.T) {
 
 	// The weight cache must also survive a forged-key hit: a lookup
 	// with colliding weights gets a fresh buffer, never b1's.
-	if buf := srv.bat.weightBuffer(key, b2); buf == nil {
+	if buf, _ := srv.bat.weightBuffer(key, b2); buf == nil {
 		t.Fatal("collision-safe weightBuffer returned nil")
 	}
 }

@@ -184,26 +184,6 @@ func (m *Matrix) AbsMax() float32 {
 	return max
 }
 
-// AllFinite reports whether every element is a finite float32 (no NaN,
-// no ±Inf). Shape-only matrices vacuously pass: they carry no values
-// to poison. Quantization boundaries use this to reject inputs whose
-// non-finite range would defeat the symmetric scale derivation.
-func (m *Matrix) AllFinite() bool {
-	if m.Data == nil {
-		return true
-	}
-	for r := 0; r < m.Rows; r++ {
-		for _, v := range m.Row(r) {
-			// NaN is the only value unequal to itself; the float32
-			// infinities are the only remaining non-finite cases.
-			if v != v || v > math.MaxFloat32 || v < -math.MaxFloat32 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Scale multiplies every element by s in place.
 func (m *Matrix) Scale(s float32) {
 	for r := 0; r < m.Rows; r++ {
