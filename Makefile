@@ -90,13 +90,14 @@ obs-smoke:
 # fuzz-smoke gives each fuzz target a short budget ('go test -fuzz'
 # accepts exactly one target per invocation, hence one line each):
 # the wire-protocol frame decoder, the model-format decoders, and the
-# conv2D fast-path/reference equivalence oracle.
+# conv2D and GEMM-panel fast-path/reference equivalence oracles.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/model
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrom' -fuzztime 5s ./internal/model
 	$(GO) test -run '^$$' -fuzz 'FuzzInstructionPacket' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DEquiv' -fuzztime 5s ./internal/edgetpu
+	$(GO) test -run '^$$' -fuzz 'FuzzConv2DGemmEquiv' -fuzztime 5s ./internal/edgetpu
 
 bench:
 	$(GO) run ./cmd/gptpu-bench
@@ -118,9 +119,11 @@ bench-serve-json:
 # catches kernels that crash, allocate unboundedly, or lose their
 # reference twin without paying for stable timings. The regex also
 # matches the *Threads benchmarks, so the intra-op pool axis
-# (t1/t2/t4 sub-benchmarks) rides the same smoke.
+# (t1/t2/t4 sub-benchmarks) rides the same smoke, as do the GEMM panel
+# shapes (GMAC/s); the Tensorizer's host passes follow.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark(Conv2D|FullyConnected|Add|Tanh|Crop|Mean|Max)' -benchtime 1x ./internal/edgetpu
+	$(GO) test -run '^$$' -bench 'Benchmark(Analyze|QuantizeInto)' -benchtime 1x ./internal/quant
 
 # kernels-race-smoke runs the intra-op worker pool's oracles under the
 # race detector: the thread-count equivalence battery, the chunk

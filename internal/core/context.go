@@ -142,8 +142,12 @@ type Context struct {
 
 	plans sync.Pool // *plan: instruction-plan storage, recycled by collect
 
-	mu       sync.Mutex
-	affinity map[affinityKey]int
+	mu sync.Mutex
+	// affinity is the scheduler's placement memory, one table per task
+	// ID: an entry can only ever match instructions of the task that
+	// made it, so a finished task's table is dead weight and
+	// dropAffinity removes it whole.
+	affinity map[int]map[affinityKey]int
 	rr       int
 	pending  []*Task
 }
@@ -151,7 +155,6 @@ type Context struct {
 type affinityKey struct {
 	input uint64
 	flags uint32
-	task  int
 }
 
 // defaults holds process-wide observability hooks for tools (like
@@ -245,7 +248,7 @@ func NewContext(opts Options) *Context {
 		TL:       tl,
 		Pool:     edgetpu.NewPoolInjected(tl, params, opts.Devices, met.reg, fault.New(fc)),
 		Host:     tl.NewResource("cpu-core0"),
-		affinity: make(map[affinityKey]int),
+		affinity: make(map[int]map[affinityKey]int),
 	}
 	return c
 }
@@ -313,7 +316,7 @@ func (c *Context) Reset() {
 		d.ResetState()
 	}
 	c.mu.Lock()
-	c.affinity = make(map[affinityKey]int)
+	c.affinity = make(map[int]map[affinityKey]int)
 	c.rr = 0
 	c.mu.Unlock()
 }
@@ -411,6 +414,16 @@ func (c *Context) Stats() Stats {
 
 // nextTask allocates a task ID for the OPQ.
 func (c *Context) nextTask() int { return int(c.taskSeq.Add(1)) }
+
+// dropAffinity forgets the placements of a finished task. Task IDs are
+// never reused, so its entries could never match again; without this a
+// long-lived context (a daemon runs one task per request) grew its
+// table by every request's keys forever.
+func (c *Context) dropAffinity(task int) {
+	c.mu.Lock()
+	delete(c.affinity, task)
+	c.mu.Unlock()
+}
 
 // Buffer is an openctpu buffer: host raw data plus the cached
 // quantized form the Tensorizer derives on first use. Re-using a

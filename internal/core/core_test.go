@@ -689,3 +689,50 @@ func TestConv2DStridedTimingOnly(t *testing.T) {
 		t.Fatalf("shape %dx%d", out.Rows, out.Cols)
 	}
 }
+
+// TestAffinityTableDropsFinishedTasks is the leak regression for the
+// scheduler's placement memory: a finished task's affinity entries can
+// never match again (task IDs are not reused), and 10 000 sequential
+// one-op tasks on one context — a daemon's life — must leave the table
+// empty instead of 10 000 tasks deep. Dropping dead entries cannot move
+// a placement: the virtual makespan and the hit/fallback counts are
+// pinned to what the never-pruned table produced for this workload.
+func TestAffinityTableDropsFinishedTasks(t *testing.T) {
+	o := DefaultOptions()
+	o.Devices = 2
+	o.Functional = false
+	ctx := NewContext(o)
+	defer ctx.Close()
+	const tasks = 10000
+	for i := 0; i < tasks; i++ {
+		// One MatMulFC: four instructions on one primary operand — one
+		// FCFS placement, three affinity hits.
+		task := ctx.Enqueue(func(s *Stream) {
+			s.MatMulFC(ctx.NewBuffer(tensor.ShapeOnly(128, 128)), ctx.NewBuffer(tensor.ShapeOnly(128, 4)))
+		})
+		if err := task.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if i == tasks/2 {
+			// Graphs end their task at Submit.
+			g := ctx.NewGraph()
+			g.Add(ctx.NewBuffer(tensor.ShapeOnly(256, 256)), ctx.NewBuffer(tensor.ShapeOnly(256, 256)))
+			if err := g.Submit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx.mu.Lock()
+	live := len(ctx.affinity)
+	ctx.mu.Unlock()
+	if live != 0 {
+		t.Errorf("affinity table holds %d tasks after every task finished, want 0", live)
+	}
+	// Taken at the parent of this test, where the table was never pruned.
+	const wantMakespan, wantHits, wantFCFS = 580445267, 30000, 10004
+	st := ctx.Stats()
+	if ctx.Elapsed() != wantMakespan || st.AffinityHits != wantHits || st.FCFSFallbacks != wantFCFS {
+		t.Errorf("makespan %d, hits %d, fcfs %d; want %d, %d, %d", ctx.Elapsed(), st.AffinityHits, st.FCFSFallbacks,
+			wantMakespan, wantHits, wantFCFS)
+	}
+}

@@ -424,6 +424,7 @@ func (g *Graph) SubmitObserved(obs TaskObserver) error {
 	c.met.graphNodes.Add(float64(len(g.nodes)))
 	g.analyze()
 	epoch := c.TL.Makespan()
+	defer c.dropAffinity(g.taskID) // a graph submits once: its task ends here
 
 	var firstErr error
 	for _, n := range g.nodes {

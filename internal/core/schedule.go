@@ -129,11 +129,13 @@ func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.D
 	// input); keying on small shared operands like an iteration vector
 	// would collapse every instruction onto one device.
 	var k affinityKey
+	var tab map[affinityKey]int // the task's table; nil until its first placement
 	keyed := c.opts.LocalityScheduling && len(w.inputs) > 0
 	rebinding := false
 	if keyed {
-		k = affinityKey{input: w.inputs[0].key, flags: w.instr.QuantFlags, task: w.instr.TaskID}
-		if id, ok := c.affinity[k]; ok {
+		k = affinityKey{input: w.inputs[0].key, flags: w.instr.QuantFlags}
+		tab = c.affinity[w.instr.TaskID]
+		if id, ok := tab[k]; ok {
 			for _, d := range healthy {
 				if d.ID == id {
 					c.met.affinityHits.Inc()
@@ -155,7 +157,11 @@ func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.D
 	}
 	best := c.fcfsLocked(healthy)
 	if keyed {
-		c.affinity[k] = best.ID
+		if tab == nil {
+			tab = make(map[affinityKey]int)
+			c.affinity[w.instr.TaskID] = tab
+		}
+		tab[k] = best.ID
 	}
 	return best
 }

@@ -53,6 +53,7 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	go func() {
 		defer c.met.opqDepth.Add(-1)
 		defer close(t.done)
+		defer c.dropAffinity(t.ID) // the kernel has returned: the task's stream is finished
 		defer func() {
 			if r := recover(); r != nil {
 				t.err = fmt.Errorf("core: task %d panicked: %v", t.ID, r)

@@ -76,8 +76,8 @@ func BenchmarkConv2DGemmNaive(b *testing.B) {
 
 // Fast runs the current closure body: truncated views skip the known
 // zero tail (bit-identical, pinned by TestConv2DGemmZeroTailEquivalence),
-// Conv2DGemm runs the bias-packed dots (two multiply-adds per integer
-// multiply), the pooled result recycles.
+// Conv2DGemm runs the bias-packed lane dots (three multiply-adds per
+// integer multiply), the pooled result recycles.
 func BenchmarkConv2DGemmFast(b *testing.B) {
 	wins, kers, side, segN := gemmOperands()
 	n2 := side * side
@@ -85,6 +85,31 @@ func BenchmarkConv2DGemmFast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tensor.PutI32(Conv2DGemm(wins.View(0, 0, benchTile, segN), kers.View(0, 0, benchTile, segN)))
+	}
+}
+
+// BenchmarkConv2DGemmShapes measures the panel product alone, compact
+// operands, at the shapes the repo benchmark's layer replay times: the
+// gemm_lib panel (128 windows x 512 kernels, inner 512), the 128-cube
+// tile and the serve_small 32-cube. GMAC/s counts rows·channels·inner
+// multiply-adds per call; the ref twin is the naive int64 loop.
+func BenchmarkConv2DGemmShapes(b *testing.B) {
+	for _, sh := range [][3]int{{128, 512, 512}, {128, 128, 128}, {32, 32, 32}} {
+		nw, nch, n := sh[0], sh[1], sh[2]
+		wins, kers := benchMatrix(nw, n, 12), benchMatrix(nch, n, 13)
+		for _, k := range []struct {
+			name string
+			fn   func(wins, kers *tensor.MatrixI8) *tensor.MatrixI32
+		}{{"fast", Conv2DGemm}, {"ref", RefConv2DGemm}} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", nw, nch, n, k.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tensor.PutI32(k.fn(wins, kers))
+				}
+				macs := float64(nw) * float64(nch) * float64(n) * float64(b.N)
+				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
 	}
 }
 

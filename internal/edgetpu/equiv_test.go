@@ -142,16 +142,76 @@ func TestConv2DGemmEquivalence(t *testing.T) {
 	}
 }
 
+// constI8 returns a rows x cols matrix holding v everywhere.
+func constI8(rows, cols int, v int8) *tensor.MatrixI8 {
+	m := tensor.NewI8(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+	return m
+}
+
+// checkConv2DGemm requires Conv2DGemm to match the reference twin.
+func checkConv2DGemm(t *testing.T, name string, wins, kers *tensor.MatrixI8) {
+	t.Helper()
+	got := Conv2DGemm(wins, kers)
+	sameI32(t, name, got, RefConv2DGemm(wins, kers))
+	tensor.PutI32(got)
+}
+
+// checkConv2DGemmSaturated drives the lane-overflow corners: every
+// biased product at its maximum (-128 x -128 biases to 0 x 0, 127 x 127
+// to 255 x 255 — the 32·255² bound itself), and the mixed extremes.
+func checkConv2DGemmSaturated(t *testing.T, name string, nw, nch, n int) {
+	t.Helper()
+	for _, v := range [][2]int8{{-128, -128}, {127, -128}, {-128, 127}, {127, 127}} {
+		checkConv2DGemm(t, fmt.Sprintf("%s %dx%dx%d sat(%d,%d)", name, nw, nch, n, v[0], v[1]),
+			constI8(nw, n, v[0]), constI8(nch, n, v[1]))
+	}
+}
+
+// TestConv2DGemmGeometry walks the micro-kernel's edges against
+// RefConv2DGemm: window rows in every residue mod 3 (the packed row
+// groups, including a panel shorter than one group), kernel rows in
+// every residue mod 4 (the register block and its one-row tail),
+// compact operands and strided views, random and saturated values.
+func TestConv2DGemmGeometry(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	// Inner dimensions around the 32-term lane chunks (one short, exact,
+	// one over; the same at two chunks), the gemm_lib panel width, and
+	// the longest unsegmented MatMul inner dimension.
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 512, 4300} {
+		for nw := 1; nw <= 7; nw++ {
+			for nch := 1; nch <= 8; nch++ {
+				checkConv2DGemm(t, fmt.Sprintf("Conv2DGemm %dx%dx%d", nw, nch, n),
+					randI8Operand(rng, nw, n), randI8Operand(rng, nch, n))
+			}
+		}
+		for _, sh := range [][2]int{{1, 1}, {2, 3}, {3, 4}, {4, 5}, {5, 2}, {129, 7}} {
+			checkConv2DGemmSaturated(t, "Conv2DGemm", sh[0], sh[1], n)
+		}
+	}
+	// Degenerate panels: nothing to multiply, nothing to write.
+	checkConv2DGemm(t, "Conv2DGemm 3x2x0", tensor.NewI8(3, 0), tensor.NewI8(2, 0))
+	checkConv2DGemm(t, "Conv2DGemm 0x2x5", tensor.NewI8(0, 5), randI8(rng, 2, 5))
+	checkConv2DGemm(t, "Conv2DGemm 3x0x5", randI8(rng, 3, 5), tensor.NewI8(0, 5))
+}
+
 // TestConv2DGemmZeroTailEquivalence pins the MatMul closure's
 // truncated-view optimization: when inner dimension n pads up to
 // n2 = s*s, columns n..n2 of every window and kernel row are zero, and
 // Conv2DGemm over views truncated to n columns must match the full
 // padded computation bit-for-bit (the zero products it skips
-// contribute exactly nothing to the integer accumulators).
+// contribute exactly nothing to the integer accumulators). The
+// truncated views are strided (row stride n2, width segN), and segN
+// lands anywhere relative to the kernel's 32-term lane chunks.
 func TestConv2DGemmZeroTailEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
 		s := rng.Intn(9) + 2
+		if trial%10 == 0 {
+			s = rng.Intn(14) + 10 // up to 23 x 23 = 529: many lane chunks per dot
+		}
 		n2 := s * s
 		segN := rng.Intn(n2-1) + 1 // 1..n2-1 live columns, rest zero tail
 		nWin, nch := rng.Intn(17)+1, rng.Intn(17)+1
@@ -171,6 +231,7 @@ func TestConv2DGemmZeroTailEquivalence(t *testing.T) {
 		}
 		got := Conv2DGemm(wins.View(0, 0, nWin, segN), kers.View(0, 0, nch, segN))
 		want := Conv2DGemm(wins, kers)
+		sameI32(t, "zero-tail views", got, RefConv2DGemm(wins.View(0, 0, nWin, segN), kers.View(0, 0, nch, segN)))
 		for i := 0; i < nWin; i++ {
 			for ch := 0; ch < nch; ch++ {
 				if got.At(i, ch) != want.At(i, ch) {
@@ -310,6 +371,16 @@ func TestEquivalenceAtThreadCounts(t *testing.T) {
 			}
 			tensor.PutI32(got)
 		}
+		// Row groups of three chunk across the pool: window counts in
+		// every residue mod 3 (a ragged last group in the last chunk),
+		// kernel counts in every residue mod 4, inner dimensions around
+		// the lane chunks, strided views, and the saturated corners.
+		for _, sh := range [][3]int{{128, 512, 512}, {130, 9, 529}, {131, 6, 33}, {64, 31, 4300}, {2, 2, 4096}, {7, 3, 512}} {
+			nWin, nch, n := sh[0], sh[1], sh[2]
+			checkConv2DGemm(t, name("Conv2DGemm"), randI8Operand(rng, nWin, n), randI8Operand(rng, nch, n))
+		}
+		checkConv2DGemmSaturated(t, name("Conv2DGemm"), 128, 128, 128)
+		checkConv2DGemmSaturated(t, name("Conv2DGemm"), 65, 5, 65)
 
 		// Conv2D: the fused 3x3 stencil, the general strided path, and
 		// odd geometries that land just around the chunk math.
@@ -384,5 +455,35 @@ func FuzzConv2DEquiv(f *testing.F) {
 			sameI32(t, "Conv2D(fuzz)", got[ch], want[ch])
 			tensor.PutI32(got[ch])
 		}
+	})
+}
+
+// FuzzConv2DGemmEquiv fuzzes the GEMM panel product's geometry — window
+// and kernel counts (row groups of three, register blocks of four),
+// inner dimension (lane chunks of 32), operand layout, saturated
+// values and the intra-op pool width: always bit-identical to
+// RefConv2DGemm.
+func FuzzConv2DGemmEquiv(f *testing.F) {
+	f.Add(int64(1), uint8(128), uint8(128), uint16(128), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(5), uint16(33), uint8(1), uint8(1))   // all -128 x all -128
+	f.Add(int64(3), uint8(1), uint8(1), uint16(4300), uint8(2), uint8(2)) // 127 x -128, 8 threads
+	f.Add(int64(4), uint8(3), uint8(4), uint16(32), uint8(3), uint8(0))   // all 127: every lane at its bound
+	f.Fuzz(func(t *testing.T, seed int64, rows, chans uint8, inner uint16, fill, threads uint8) {
+		nw, nch, n := int(rows)%140+1, int(chans)%140+1, int(inner)%4400+1
+		rng := rand.New(rand.NewSource(seed))
+		var wins, kers *tensor.MatrixI8
+		switch fill % 4 {
+		case 0:
+			wins, kers = randI8Operand(rng, nw, n), randI8Operand(rng, nch, n)
+		case 1:
+			wins, kers = constI8(nw, n, -128), constI8(nch, n, -128)
+		case 2:
+			wins, kers = constI8(nw, n, 127), constI8(nch, n, -128)
+		default:
+			wins, kers = constI8(nw, n, 127), constI8(nch, n, 127)
+		}
+		defer SetKernelThreads(0)
+		SetKernelThreads([]int{1, 2, 8}[threads%3])
+		checkConv2DGemm(t, "Conv2DGemm(fuzz)", wins, kers)
 	})
 }

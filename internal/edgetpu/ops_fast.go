@@ -27,9 +27,14 @@ import (
 //   - a contiguous-window fast path for the GEMM-as-strided-conv2D
 //     configuration tpuGemm emits (kernel width == input width ==
 //     stride: every window is one flat []int8 run);
-//   - a bias-packed dot product for the Conv2DGemm panel form: two
-//     exact multiply-adds per 64-bit integer multiply (swarDot),
-//     halving the multiplier-port bound of the scalar loop;
+//   - a bias-packed, row-interleaved micro-kernel for the Conv2DGemm
+//     panel form: three window rows share one 64-bit word in 21-bit
+//     lanes, w = x0 + x1·2²¹ + x2·2⁴² with every x biased to [0, 255],
+//     so one integer multiply by a biased kernel byte c is three exact
+//     multiply-adds, x0c + x1c·2²¹ + x2c·2⁴² (mac4, laneDot4) — a third
+//     of the scalar loop's multiplier-port bound. A lane takes at most
+//     32 products before it is split out: 32·255² < 2²¹, so the lanes
+//     stay inside bits 0-62 and never carry into each other;
 //   - a stride-1 row-axpy path for stencil convolutions, turning the
 //     per-output gather into sequential accumulate sweeps, with all
 //     nine taps of the common 3x3 stencil fused into one pass.
@@ -316,90 +321,131 @@ func (j *generalJob) runRows(lo, hi int) {
 	}
 }
 
-// swarScratch holds the packed biased-operand panels Conv2DGemm
-// builds per call; pooled because the hot GEMM stream calls it once
-// per instruction.
-type swarScratch struct {
-	pw, pk []uint64
-	sw, sk []int64
+// gemmScratch holds the packed biased-operand panels Conv2DGemm builds
+// per call; pooled because the hot GEMM stream calls it once per
+// instruction.
+type gemmScratch struct {
+	pw []uint64 // window panel: one n-word run per group of three rows
+	kb []uint8  // kernel panel: nch x n biased bytes
+	cw []int64  // per window row: n·2¹⁴ − 128·Σx', the bias terms it owns
+	ck []int64  // per kernel row: 128·Σc'
 }
 
-var swarPool = sync.Pool{New: func() any { return new(swarScratch) }}
+var gemmScratchPool = sync.Pool{New: func() any { return new(gemmScratch) }}
 
-func growU64(s []uint64, n int) []uint64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
+// The lane geometry of the packed window panel: three rows share one
+// 64-bit word in 21-bit lanes (bits 0-20, 21-41, 42-62), and a lane
+// holds at most laneChunk biased products before it is split out:
+// 32·255² = 2 080 800 < 2²¹ = 2 097 152, so a lane never carries into
+// its neighbour and bit 63 is never reached.
+const (
+	laneBits  = 21
+	laneMask  = 1<<laneBits - 1
+	laneChunk = 32
+)
+
+// packRows3 interleaves three window rows into dst after the +128 bias
+// to [0, 255] (x ^ 0x80 on the raw byte): dst[t] = r0'[t] | r1'[t]<<21
+// | r2'[t]<<42. It returns each row's biased sum.
+func packRows3(dst []uint64, r0, r1, r2 []int8) (s0, s1, s2 int64) {
+	n := len(r0)
+	dst, r1, r2 = dst[:n], r1[:n], r2[:n]
+	var u0, u1, u2 uint64
+	for t, v := range r0 {
+		x0 := uint64(uint8(v) ^ 0x80)
+		x1 := uint64(uint8(r1[t]) ^ 0x80)
+		x2 := uint64(uint8(r2[t]) ^ 0x80)
+		u0, u1, u2 = u0+x0, u1+x1, u2+x2
+		dst[t] = x0 | x1<<laneBits | x2<<(2*laneBits)
 	}
-	return s[:n]
+	return int64(u0), int64(u1), int64(u2)
 }
 
-// packBiased packs adjacent element pairs of src into 32-bit lanes of
-// dst after the +128 bias to [0, 255] (an odd tail pairs with the
-// bias value itself, i.e. a zero element), and returns the sum of the
-// biased elements over the full padded extent. When swap is set the
-// pair order inside each word is reversed — the kernel-side layout
-// that makes the 64-bit product's middle lane a two-element dot (see
-// swarDot).
-func packBiased(dst []uint64, src []int8, swap bool) int64 {
-	var sum int64
-	i, j := 0, 0
-	for ; i+2 <= len(src); i, j = i+2, j+1 {
-		x0 := uint64(int64(src[i]) + 128)
-		x1 := uint64(int64(src[i+1]) + 128)
-		sum += int64(x0 + x1)
-		if swap {
-			dst[j] = x1 | x0<<32
-		} else {
-			dst[j] = x0 | x1<<32
-		}
+// biasRow stores src biased to [0, 255] into dst and returns the
+// biased sum.
+func biasRow(dst []uint8, src []int8) int64 {
+	dst = dst[:len(src)]
+	var sum uint64
+	for t, v := range src {
+		c := uint8(v) ^ 0x80
+		dst[t] = c
+		sum += uint64(c)
 	}
-	if i < len(src) {
-		x0 := uint64(int64(src[i]) + 128)
-		sum += int64(x0) + 128
-		if swap {
-			dst[j] = 128 | x0<<32
-		} else {
-			dst[j] = x0 | 128<<32
-		}
-	}
-	return sum
+	return int64(sum)
 }
 
-// swarDot is the packed-operand dot product: with a = x0 + x1·2³² and
-// b = c1 + c0·2³² (the swapped kernel packing), the 64-bit truncated
-// product is
+// mac4 is the GEMM micro-kernel: one chunk (at most laneChunk words) of
+// a packed window run against the same chunk of four biased kernel
+// rows. With w = x0 + x1·2²¹ + x2·2⁴² and a byte c, the product w·c =
+// x0c + x1c·2²¹ + x2c·2⁴² is three exact multiply-adds in one integer
+// multiply, accumulated shift-free; per multiply the loop issues 1.25
+// loads (one word shared by four byte loads).
 //
-//	a·b mod 2⁶⁴ = x0·c1 + (x0·c0 + x1·c1)·2³²
+// A leaf of its own, kept out of line, so that the four accumulators,
+// five pointers and the index are all it asks of the register file:
+// inlined into laneDot4 the accumulators spill to the stack on amd64
+// and every multiply-add pays a load and a store.
 //
-// — the x1·c0·2⁶⁴ term vanishes exactly, the low lane x0·c1 ≤ 255²
-// never carries into bit 32, and the middle lane x0·c0 + x1·c1 ≤
-// 2·255² fits its 32 bits. So one integer multiply yields two exact
-// multiply-adds of the biased dot, halving the multiplier-port bound
-// that limits the plain int8 loop. Lanes accumulate in a uint64
-// (half ≤ 2²⁵ rows stay exact), and the caller removes the bias
-// algebraically.
-func swarDot(a, b []uint64) int64 {
-	n := len(a)
-	b = b[:n]
-	var s0, s1 uint64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i] >> 32
-		s1 += a[i+1] * b[i+1] >> 32
-		s0 += a[i+2] * b[i+2] >> 32
-		s1 += a[i+3] * b[i+3] >> 32
+//go:noinline
+func mac4(w []uint64, k0, k1, k2, k3 []uint8) (a0, a1, a2, a3 uint64) {
+	n := len(w)
+	k0, k1, k2, k3 = k0[:n], k1[:n], k2[:n], k3[:n]
+	for t, x := range w {
+		a0 += x * uint64(k0[t])
+		a1 += x * uint64(k1[t])
+		a2 += x * uint64(k2[t])
+		a3 += x * uint64(k3[t])
 	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i] >> 32
+	return
+}
+
+// laneDot4 computes the twelve biased dot products of one packed
+// window run (three rows) with four biased kernel rows, d[3·ch + row]:
+// mac4 per chunk, then one lane split per accumulator.
+func laneDot4(d *[12]uint64, pw []uint64, b0, b1, b2, b3 []uint8) {
+	*d = [12]uint64{}
+	n := len(pw)
+	for lo := 0; lo < n; lo += laneChunk {
+		hi := min(lo+laneChunk, n)
+		a0, a1, a2, a3 := mac4(pw[lo:hi], b0[lo:hi], b1[lo:hi], b2[lo:hi], b3[lo:hi])
+		d[0] += a0 & laneMask
+		d[1] += a0 >> laneBits & laneMask
+		d[2] += a0 >> (2 * laneBits)
+		d[3] += a1 & laneMask
+		d[4] += a1 >> laneBits & laneMask
+		d[5] += a1 >> (2 * laneBits)
+		d[6] += a2 & laneMask
+		d[7] += a2 >> laneBits & laneMask
+		d[8] += a2 >> (2 * laneBits)
+		d[9] += a3 & laneMask
+		d[10] += a3 >> laneBits & laneMask
+		d[11] += a3 >> (2 * laneBits)
 	}
-	return int64(s0 + s1)
+}
+
+// laneDot1 is laneDot4 for one kernel row: the channel tail when the
+// kernel count is not a multiple of four.
+func laneDot1(pw []uint64, b []uint8) (d [3]uint64) {
+	for len(pw) > 0 {
+		c := min(len(pw), laneChunk)
+		k := b[:c]
+		var a uint64
+		for t, x := range pw[:c] {
+			a += x * uint64(k[t])
+		}
+		d[0] += a & laneMask
+		d[1] += a >> laneBits & laneMask
+		d[2] += a >> (2 * laneBits)
+		pw, b = pw[c:], b[c:]
+	}
+	return d
 }
 
 // Conv2DGemm runs the conv2D instruction in its GEMM-as-strided-conv
@@ -411,11 +457,12 @@ func swarDot(a, b []uint64) int64 {
 //
 // — bit-identical to Conv2D(stacked, kernelViews, s, s) per channel,
 // which the equivalence suite pins. The inner product runs on
-// bias-packed operands (two multiply-adds per integer multiply, see
-// swarDot); exactness is restored per output element from the row
+// bias-packed operands, three window rows per 64-bit word against one
+// kernel byte (three multiply-adds per integer multiply, see
+// laneDot4); exactness is restored per output element from the row
 // sums the packing pass collects:
 //
-//	Σ x·c = Σ (x'−128)(c'−128) = Σ x'c' − 128·Σx' − 128·Σc' + n·2¹⁴
+//	Σ x·c = Σ (x'−128)(c'−128) = Σ x'c' + (n·2¹⁴ − 128·Σx') − 128·Σc'
 //
 // with every term exact in int64. The result matrix is pooled; pass
 // it to tensor.PutI32 when the accumulators have been consumed.
@@ -425,59 +472,86 @@ func Conv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	}
 	nw, nch, n := wins.Rows, kers.Rows, wins.Cols
 	out := tensor.GetI32ForOverwrite(nw, nch)
-	half := (n + 1) / 2
-	sc := swarPool.Get().(*swarScratch)
-	sc.pw, sc.pk = growU64(sc.pw, nw*half), growU64(sc.pk, nch*half)
-	sc.sw, sc.sk = growI64(sc.sw, nw), growI64(sc.sk, nch)
-	for i := 0; i < nw; i++ {
-		sc.sw[i] = packBiased(sc.pw[i*half:(i+1)*half], wins.Row(i), false)
+	groups := (nw + 2) / 3
+	sc := gemmScratchPool.Get().(*gemmScratch)
+	sc.pw, sc.kb = grow(sc.pw, groups*n), grow(sc.kb, nch*n)
+	sc.cw, sc.ck = grow(sc.cw, 3*groups), grow(sc.ck, nch)
+	base := int64(n) << 14
+	for g := 0; g < groups; g++ {
+		// A short last group repeats its final row; those lanes are
+		// computed and never stored.
+		i := 3 * g
+		i1, i2 := min(i+1, nw-1), min(i+2, nw-1)
+		s0, s1, s2 := packRows3(sc.pw[g*n:(g+1)*n], wins.Row(i), wins.Row(i1), wins.Row(i2))
+		sc.cw[i], sc.cw[i+1], sc.cw[i+2] = base-128*s0, base-128*s1, base-128*s2
 	}
 	for ch := 0; ch < nch; ch++ {
-		sc.sk[ch] = packBiased(sc.pk[ch*half:(ch+1)*half], kers.Row(ch), true)
+		sc.ck[ch] = 128 * biasRow(sc.kb[ch*n:(ch+1)*n], kers.Row(ch))
 	}
-	// The dot phase dominates (O(nw·nch·half) vs the packs' O((nw+
-	// nch)·half)) and is row-independent — output row i reads only
-	// panel row i and the shared kernel panel — so it row-chunks
-	// across the intra-op pool. The packs stay serial: they are the
-	// memory-bound prologue and finish before the job is published,
-	// so workers see fully built panels.
-	if !parEligible(nw, 2*nch*half) {
+	// The dot phase dominates (O(nw·nch·n/3) multiplies vs the packs'
+	// O((nw+nch)·n) moves) and is group-independent — group g reads
+	// only panel run g and the shared kernel panel, and writes output
+	// rows 3g..3g+2 — so it chunks on whole row groups across the
+	// intra-op pool. The packs stay serial: they are the memory-bound
+	// prologue and finish before the job is published, so workers see
+	// fully built panels.
+	if !parEligible(groups, 3*nch*n) {
 		poolSerial.Add(1)
-		j := gemmDotJob{sc: sc, out: out, half: half, nch: nch, base: int64(2*half) * 16384}
-		j.runRows(0, nw)
+		j := gemmDotJob{sc: sc, out: out, n: n}
+		j.runRows(0, groups)
 	} else {
 		j := gemmDotJobPool.Get().(*gemmDotJob)
-		j.sc, j.out, j.half, j.nch = sc, out, half, nch
-		j.base = int64(2*half) * 16384
-		parallelRows(nw, 2*nch*half, j)
+		j.sc, j.out, j.n = sc, out, n
+		parallelRows(groups, 3*nch*n, j)
 		*j = gemmDotJob{}
 		gemmDotJobPool.Put(j)
 	}
-	swarPool.Put(sc)
+	gemmScratchPool.Put(sc)
 	return out
 }
 
-// gemmDotJob is the Conv2DGemm dot phase over packed panels: one
-// output row per panel row, each row's accumulation byte-identical to
-// the serial loop.
+// gemmDotJob is the Conv2DGemm dot phase over packed panels. Its rows
+// are row groups: runRows(lo, hi) computes output rows 3·lo..3·hi-1
+// (clipped at the panel's end), every element an exact integer, so
+// the result is byte-identical however the groups are chunked.
 type gemmDotJob struct {
-	sc   *swarScratch
-	out  *tensor.MatrixI32
-	half int
-	nch  int
-	base int64
+	sc  *gemmScratch
+	out *tensor.MatrixI32
+	n   int
 }
 
 var gemmDotJobPool = sync.Pool{New: func() any { return new(gemmDotJob) }}
 
 func (j *gemmDotJob) runRows(lo, hi int) {
-	sc, half, nch := j.sc, j.half, j.nch
-	for i := lo; i < hi; i++ {
-		pwr := sc.pw[i*half : (i+1)*half]
-		corrW := j.base - 128*sc.sw[i]
-		oRow := j.out.Row(i)
-		for ch := 0; ch < nch; ch++ {
-			oRow[ch] = int32(swarDot(pwr, sc.pk[ch*half:(ch+1)*half]) + corrW - 128*sc.sk[ch])
+	sc, out, n := j.sc, j.out, j.n
+	nw, nch := out.Rows, out.Cols
+	for g := lo; g < hi; g++ {
+		pw := sc.pw[g*n : (g+1)*n]
+		i := 3 * g
+		rows := min(3, nw-i)
+		var oRow [3][]int32
+		for r := 0; r < rows; r++ {
+			oRow[r] = out.Row(i + r)
+		}
+		cw := sc.cw[i : i+3]
+		var d [12]uint64
+		ch := 0
+		for ; ch+4 <= nch; ch += 4 {
+			kb, ck := sc.kb[ch*n:(ch+4)*n], sc.ck[ch:ch+4]
+			laneDot4(&d, pw, kb[:n], kb[n:2*n], kb[2*n:3*n], kb[3*n:])
+			for r := 0; r < rows; r++ {
+				o := oRow[r][ch : ch+4 : ch+4]
+				o[0] = int32(int64(d[r]) + cw[r] - ck[0])
+				o[1] = int32(int64(d[3+r]) + cw[r] - ck[1])
+				o[2] = int32(int64(d[6+r]) + cw[r] - ck[2])
+				o[3] = int32(int64(d[9+r]) + cw[r] - ck[3])
+			}
+		}
+		for ; ch < nch; ch++ {
+			d := laneDot1(pw, sc.kb[ch*n:(ch+1)*n])
+			for r := 0; r < rows; r++ {
+				oRow[r][ch] = int32(int64(d[r]) + cw[r] - sc.ck[ch])
+			}
 		}
 	}
 }

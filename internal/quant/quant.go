@@ -74,16 +74,36 @@ func SaturateI8(v int32) int8 {
 	return int8(v)
 }
 
-// RoundToI8 scales and saturates a float into int8.
+// roundMagic is 1.5·2²³: adding it to a float32 x with |x| ≤ 2²² lands
+// in [2²³, 2²⁴), where the float32 spacing is exactly 1, so the
+// addition itself rounds x to the nearest integer, ties to even, and
+// leaves that integer in the low mantissa bits.
+const roundMagic = 1.5 * (1 << 23)
+
+// RoundToI8 scales and saturates a float into int8, rounding half to
+// even. The product saturates in the float domain, before any integer
+// conversion (Go leaves converting an out-of-range float to an integer
+// implementation-defined: on amd64 int32(3e9) is MinInt32, which used
+// to saturate a large positive product to -128). +Inf saturates to
+// 127; -Inf and NaN to -128.
 func RoundToI8(v, scale float32) int8 {
-	return SaturateI8(int32(math.RoundToEven(float64(v * scale))))
+	// The conversion keeps the product a rounded float32 on platforms
+	// that would otherwise fuse it into the magic add.
+	x := float32(v * scale)
+	if x > QMax {
+		x = QMax
+	}
+	if !(x >= -QMax-1) {
+		x = -QMax - 1
+	}
+	return int8(int32(math.Float32bits(x+roundMagic)) - int32(math.Float32bits(roundMagic)))
 }
 
 // Quantize maps m to int8 with a symmetric scale derived from its
 // absolute maximum and returns the quantized matrix and parameters.
 func Quantize(m *tensor.Matrix) (*tensor.MatrixI8, Params) {
-	scale := ScaleFor(m.AbsMax())
-	return QuantizeWith(m, Params{Scale: scale}), Params{Scale: scale}
+	p := Params{Scale: ScaleFor(math.Float32frombits(absMaxBits(m)))}
+	return QuantizeWith(m, p), p
 }
 
 // ParamsFor picks quantization parameters for m with the Tensorizer's
@@ -98,46 +118,65 @@ func ParamsFor(m *tensor.Matrix) Params {
 	return p
 }
 
-// Analyze is the one pass the Tensorizer makes over host data before
-// quantizing it: it reports ParamsFor's calibration (exactness test
-// and absolute maximum) and, from the same walk, whether every value
-// is finite — what the runtime checks before it accepts a buffer.
-// Shape-only matrices carry no values: scale 1, finite. The parameters
-// of a non-finite matrix are meaningless; callers reject it.
+// Analyze is the Tensorizer's look at host data before quantizing it:
+// it reports ParamsFor's calibration (exactness test, else absolute
+// maximum) and whether every value is finite — what the runtime checks
+// before it accepts a buffer. Shape-only matrices carry no values:
+// scale 1, finite. The parameters of a non-finite matrix are
+// meaningless; callers reject it.
 func Analyze(m *tensor.Matrix) (p Params, finite bool) {
 	if m.Data == nil || m.Elems() == 0 {
 		return Params{Scale: 1}, true
 	}
-	var (
-		exact  = true
-		lo, hi = m.At(0, 0), m.At(0, 0)
-		// v - v is 0 for every finite v and NaN for NaN and ±Inf, and a
-		// NaN sum stays NaN: one subtract-add per value, no branch.
-		poison float32
-	)
+	if exactInts(m) {
+		return Params{Scale: 1}, true
+	}
+	top := absMaxBits(m)
+	return Params{Scale: ScaleFor(math.Float32frombits(top))}, top < infBits
+}
+
+// exactInts reports whether every value of m is an integer inside the
+// int8 range. Non-integer data fails within a few elements, so the
+// walk costs nothing there; integer data pays one pass and needs no
+// abs-max scan at all.
+func exactInts(m *tensor.Matrix) bool {
 	for r := 0; r < m.Rows; r++ {
 		for _, v := range m.Row(r) {
-			poison += v - v
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-			if exact && (v != float32(int32(v)) || v > QMax || v < -QMax-1) {
-				exact = false
+			if v > QMax || v < -QMax-1 || v != float32(int32(v)) {
+				return false
 			}
 		}
 	}
-	finite = poison == 0
-	if exact {
-		return Params{Scale: 1}, finite
+	return true
+}
+
+const (
+	absMask = 0x7fffffff // clears a float32's sign bit
+	infBits = 0x7f800000 // Float32bits(+Inf): every finite |v| is below, NaN above
+)
+
+// absMaxBits returns the largest sign-cleared bit pattern in m (0 for
+// an empty matrix). IEEE floats of one sign order like their bit
+// patterns, so this is the bits of the absolute maximum — as an
+// integer max, which compiles to compare-and-move instead of a branch
+// per value, over four independent accumulators. A NaN or ±Inf
+// surfaces as a result at or above infBits.
+func absMaxBits(m *tensor.Matrix) uint32 {
+	var m0, m1, m2, m3 uint32
+	for r := 0; r < m.Rows; r++ {
+		s := m.Row(r)
+		i := 0
+		for ; i+4 <= len(s); i += 4 {
+			m0 = max(m0, math.Float32bits(s[i])&absMask)
+			m1 = max(m1, math.Float32bits(s[i+1])&absMask)
+			m2 = max(m2, math.Float32bits(s[i+2])&absMask)
+			m3 = max(m3, math.Float32bits(s[i+3])&absMask)
+		}
+		for ; i < len(s); i++ {
+			m0 = max(m0, math.Float32bits(s[i])&absMask)
+		}
 	}
-	absMax := hi
-	if -lo > absMax {
-		absMax = -lo
-	}
-	return Params{Scale: ScaleFor(absMax)}, finite
+	return max(m0, m1, m2, m3)
 }
 
 // QuantizeWith maps m to int8 using the provided parameters.
@@ -150,7 +189,8 @@ func QuantizeWith(m *tensor.Matrix, p Params) *tensor.MatrixI8 {
 // quantizeInto stores m's int8 mapping under p into q (same shape).
 func quantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
 	for r := 0; r < m.Rows; r++ {
-		src, dst := m.Row(r), q.Row(r)
+		src := m.Row(r)
+		dst := q.Row(r)[:len(src)]
 		for i, v := range src {
 			dst[i] = RoundToI8(v, p.Scale)
 		}
