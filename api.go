@@ -70,13 +70,6 @@ type Config struct {
 	// benchmarks (bench cluster) use it; 0 disables pacing. Virtual
 	// time and functional results are unaffected.
 	Pace float64
-	// KernelThreads sets the process-wide intra-op worker width the
-	// functional kernels row-chunk across. 0 leaves the current
-	// setting (default: half of GOMAXPROCS, clamped to [1, 8]).
-	// Results and virtual makespans are identical at every width; the
-	// knob trades wall-clock kernel latency only. See SetKernelThreads
-	// for runtime adjustment.
-	KernelThreads int
 }
 
 // Context is an open GPTPU machine: the programming-interface entry
@@ -106,7 +99,6 @@ func Open(cfg Config) *Context {
 	o.RetryBudget = cfg.RetryBudget
 	o.RetryBackoff = cfg.RetryBackoff
 	o.Pace = cfg.Pace
-	o.KernelThreads = cfg.KernelThreads
 	c := core.NewContext(o)
 	if cfg.Trace {
 		c.TL.EnableTrace()
@@ -124,13 +116,6 @@ func SetDefaultMetrics(reg *telemetry.Registry) { core.SetDefaultMetrics(reg) }
 // SetDefaultTrace makes every subsequently-opened context record
 // trace events; TracedTimelines retrieves their timelines for export.
 func SetDefaultTrace(on bool) { core.SetDefaultTrace(on) }
-
-// SetKernelThreads sets the process-wide intra-op worker width the
-// functional kernels row-chunk across, taking effect for subsequent
-// kernel invocations in every open context. 0 restores the default
-// (half of GOMAXPROCS, clamped to [1, 8]); values above 16 clamp.
-// Results and virtual makespans are identical at every width.
-func SetKernelThreads(n int) { edgetpu.SetKernelThreads(n) }
 
 // SetDefaultFault installs a process-wide fault plan for contexts
 // opened with a nil Config.Fault, so tools can inject faults into

@@ -36,7 +36,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
 	workers := flag.Int("workers", 0, "IQ dispatch-engine worker goroutines per context (0 = one per host core)")
-	kernelThreads := flag.Int("kernel-threads", 0, "intra-op kernel worker width (0 = half of GOMAXPROCS, clamped to [1,8]; results identical at any width)")
 	format := flag.String("format", "text", "output format: text|csv|json")
 	metricsOut := flag.String("metrics", "", "write the sweep-wide telemetry snapshot to this file (Prometheus text; expvar JSON if the name ends in .json)")
 	traceOut := flag.String("trace", "", "write the merged Chrome trace of every context to this file")
@@ -99,10 +98,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", ps.Addr())
 	}
 
-	if *kernelThreads > 0 {
-		gptpu.SetKernelThreads(*kernelThreads)
-	}
-	opts := bench.Opts{Full: *full, Workers: *workers, KernelThreads: *kernelThreads}
+	opts := bench.Opts{Full: *full, Workers: *workers}
 	mode := "quick"
 	if *full {
 		mode = "full (paper-scale)"

@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	gptpu "repro"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -46,12 +45,7 @@ func main() {
 	flightN := flag.Int("flight", 256, "flight recorder capacity")
 	flightDump := flag.String("flight-dump", "", "write the flight recorder as JSON to this file at exit")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-	kernelThreads := flag.Int("kernel-threads", 0, "intra-op kernel worker width for any locally-run kernels (0 = default; uniform flag surface with gptpu-serve)")
 	flag.Parse()
-
-	if *kernelThreads > 0 {
-		gptpu.SetKernelThreads(*kernelThreads)
-	}
 
 	addrs := splitMembers(*members)
 	if len(addrs) == 0 {

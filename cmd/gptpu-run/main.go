@@ -51,7 +51,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a telemetry snapshot to this file (Prometheus text; expvar JSON if the name ends in .json)")
 	pprofAddr := flag.String("pprof", "", "serve live metrics and net/http/pprof on this address while the run executes (e.g. :6060)")
 	retryBudget := flag.Int("retry-budget", 0, "dispatch retries per instruction under faults (0 = default 8)")
-	kernelThreads := flag.Int("kernel-threads", 0, "intra-op kernel worker width (0 = half of GOMAXPROCS, clamped to [1,8]; results identical at any width)")
 	var ff fault.Flags
 	ff.Register(flag.CommandLine)
 	flag.Parse()
@@ -69,7 +68,6 @@ func main() {
 		Trace:           *traceOut != "",
 		Fault:           fc,
 		RetryBudget:     *retryBudget,
-		KernelThreads:   *kernelThreads,
 	})
 
 	if *pprofAddr != "" {

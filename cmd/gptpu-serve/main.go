@@ -85,7 +85,6 @@ func main() {
 	soakMixed := flag.Bool("soak-mixed", false, "with -soak: mix elementwise and reduction ops in with the GEMMs")
 	shard := flag.String("shard", "", "shard identity reported in health-probe replies (cluster membership label)")
 	pace := flag.Float64("pace", 0, "real-time emulation: wall-seconds slept per virtual second of matrix-unit execution (0 = off)")
-	kernelThreads := flag.Int("kernel-threads", 0, "intra-op kernel worker width (0 = half of GOMAXPROCS, clamped to [1,8]; results identical at any width)")
 	flightVerify := flag.String("flight-verify", "", "verify a flight-dump JSON file for internal consistency and exit")
 	expectFault := flag.Bool("expect-fault", false, "with -flight-verify: require at least one fault-attributed request")
 	var ff fault.Flags
@@ -133,7 +132,6 @@ func main() {
 		Logger:           logger,
 		ShardID:          *shard,
 		Pace:             *pace,
-		KernelThreads:    *kernelThreads,
 	})
 	if err := srv.Listen(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, "gptpu-serve:", err)

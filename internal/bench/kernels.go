@@ -23,21 +23,12 @@ func Kernels(o Opts) *Report {
 	rep := &Report{
 		ID:     "kernels",
 		Title:  "Kernel substrate: naive vs blocked int8 compute (bit-identical results)",
-		Header: []string{"kernel", "shape", "threads", "naive", "optimized", "naive-tput", "opt-tput", "speedup"},
+		Header: []string{"kernel", "shape", "naive", "optimized", "naive-tput", "opt-tput", "speedup"},
 	}
 	budget := 5 * time.Millisecond
 	if o.Full {
 		budget = 50 * time.Millisecond
 	}
-
-	// The naive-vs-optimized table is measured at kernel threads = 1 so
-	// its speedup column isolates the blocked-loop work from intra-op
-	// parallelism (and stays comparable with the PR 5 baselines); the
-	// threads sweep below measures the pool. The sweep restores the
-	// invoker's width when done.
-	effThreads := edgetpu.KernelThreads()
-	edgetpu.SetKernelThreads(1)
-	defer edgetpu.SetKernelThreads(o.KernelThreads)
 
 	rng := uint32(1)
 	randI8 := func(rows, cols int) *tensor.MatrixI8 {
@@ -136,51 +127,12 @@ func Kernels(o Opts) *Report {
 	for _, c := range cells {
 		nn := timeKernel(budget, c.naive)
 		nf := timeKernel(budget, c.fast)
-		rep.AddRow(c.name, c.shape, "1",
+		rep.AddRow(c.name, c.shape,
 			nsop(nn), nsop(nf), gbps(c.bytes, nn), gbps(c.bytes, nf), f2x(nn/nf))
 	}
 	rep.AddNote("naive = ops_ref.go reference kernels; optimized = ops.go/ops_fast.go blocked kernels with pooled buffers")
 	rep.AddNote("equivalence suite (internal/edgetpu/equiv_test.go) pins both bit-identical; speedup is implementation only")
 	rep.AddNote("conv2D-gemm naive rebuilds the stacked/per-channel headers per call and convolves the full zero-padded %dx%d layout, as the pre-substrate closure did; optimized truncates the known zero tail at %d live columns (bit-identical, pinned by TestConv2DGemmZeroTailEquivalence)", side, side, segN)
-
-	// Intra-op threads sweep: the pool-eligible kernels at widths
-	// {1, 2, 4} on 128/256-class shapes, each width against the same
-	// serial (threads=1) baseline in the "naive" column. Results are
-	// bit-identical at every width (TestEquivalenceAtThreadCounts); the
-	// speedup column is wall-clock only and saturates at the host's
-	// core count.
-	big := randI8(256, 256)
-	big2 := randI8(256, 256)
-	bigVec := make([]int8, 256)
-	copy(bigVec, big.Row(0))
-	sweep := []cell{
-		{"conv2D-gemm-par", fmt.Sprintf("%dx%d.%d", tile, tile, n2),
-			int64(tile*n2)*2 + int64(tile*tile)*4, nil,
-			func() {
-				tensor.PutI32(edgetpu.Conv2DGemm(wins.View(0, 0, tile, segN), kers.View(0, 0, tile, segN)))
-			}},
-		{"conv2D-3x3-par", "256x256",
-			int64(256*256) * 5, nil,
-			func() { put32s(edgetpu.Conv2D(big, []*tensor.MatrixI8{k3}, 1, 1)) }},
-		{"fullyConnected-par", "256x256",
-			int64(256*256) + int64(256)*5, nil,
-			func() { _ = edgetpu.FullyConnected(big, bigVec) }},
-		{"add-par", "256x256",
-			int64(256*256) * 6, nil,
-			func() { tensor.PutI32(edgetpu.Add(big, big2)) }},
-	}
-	for _, c := range sweep {
-		edgetpu.SetKernelThreads(1)
-		base := timeKernel(budget, c.fast)
-		for _, threads := range []int{1, 2, 4} {
-			edgetpu.SetKernelThreads(threads)
-			nf := timeKernel(budget, c.fast)
-			rep.AddRow(c.name, c.shape, fmt.Sprintf("%d", threads),
-				nsop(base), nsop(nf), gbps(c.bytes, base), gbps(c.bytes, nf), f2x(base/nf))
-		}
-	}
-	edgetpu.SetKernelThreads(1)
-	rep.AddNote("*-par rows sweep the intra-op worker pool: naive column = the same optimized kernel at threads=1, so speedup isolates the pool; results are bit-identical at every width and virtual makespans never move (fuzzer kernelThreads axis)")
 
 	// Dispatch re-run on the new substrate: same workload and
 	// measurement protocol as the `dispatch` experiment.
@@ -199,7 +151,7 @@ func Kernels(o Opts) *Report {
 			devs, serial.wall.Seconds(), workers, par.wall.Seconds(),
 			serial.wall.Seconds()/par.wall.Seconds(), makespanNote(serial, par))
 	}
-	rep.AddNote("host pin: GOMAXPROCS=%d, effective kernel-threads=%d — at GOMAXPROCS=1 both the multi-worker and the multi-thread ceilings are parity, so the parallel columns measure dispatch/pool overhead (the seed engine ran 0.85-0.86x here), not hardware parallelism", runtime.GOMAXPROCS(0), effThreads)
+	rep.AddNote("host pin: GOMAXPROCS=%d — at GOMAXPROCS=1 the multi-worker ceiling is parity, so the dispatch re-run measures dispatch overhead (the seed engine ran 0.85-0.86x here), not hardware parallelism", runtime.GOMAXPROCS(0))
 	return rep
 }
 

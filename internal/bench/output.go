@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
-
-	"repro/internal/edgetpu"
 )
 
 // WriteCSV renders the report as CSV: one header row, then data rows.
@@ -35,8 +33,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 // column only means something next to the parallelism that was
 // physically available.
 type jsonEnv struct {
-	GOMAXPROCS    int `json:"gomaxprocs"`
-	KernelThreads int `json:"kernel_threads"`
+	GOMAXPROCS int `json:"gomaxprocs"`
 }
 
 // jsonReport is the stable JSON shape of a report.
@@ -55,7 +52,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(jsonReport{
 		ID: r.ID, Title: r.Title,
-		Env:    jsonEnv{GOMAXPROCS: runtime.GOMAXPROCS(0), KernelThreads: edgetpu.KernelThreads()},
+		Env:    jsonEnv{GOMAXPROCS: runtime.GOMAXPROCS(0)},
 		Header: r.Header, Rows: r.Rows, Notes: r.Notes,
 	})
 }

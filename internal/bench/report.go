@@ -28,11 +28,6 @@ type Opts struct {
 	// through to the contexts they open (0 = one per host core). Only
 	// affects real wall-clock dispatch, never simulated results.
 	Workers int
-	// KernelThreads is the intra-op kernel worker width the sweep was
-	// invoked with (0 = process default). Recorded in report env
-	// metadata; the kernels experiment also restores it after its
-	// threads sweep. Never affects simulated results.
-	KernelThreads int
 }
 
 // Report is one regenerated table or figure.

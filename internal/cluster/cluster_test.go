@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,6 +184,13 @@ func TestRouterBadRequestNoFailover(t *testing.T) {
 	_, err := c.Gemm(a, b, nil)
 	if !errors.Is(err, server.ErrBadRequest) {
 		t.Fatalf("err = %v, want ErrBadRequest", err)
+	}
+	// Two hops (daemon → router → client), one class text, one trace tag.
+	if n := strings.Count(err.Error(), server.ErrBadRequest.Error()); n != 1 {
+		t.Fatalf("class text %d times in %q, want once", n, err)
+	}
+	if n := strings.Count(err.Error(), "[trace="); n != 1 {
+		t.Fatalf("trace tag %d times in %q, want once", n, err)
 	}
 	if n := r.met.failovers.With("shed").Value() + r.met.failovers.With("conn").Value() +
 		r.met.failovers.With("transient").Value(); n != 0 {

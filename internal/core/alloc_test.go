@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/edgetpu"
 	"repro/internal/tensor"
 )
 
@@ -20,12 +19,6 @@ import (
 // revert to per-tile make() calls blows through them immediately)
 // without flaking on allocator internals.
 func TestGemmStreamAllocBudget(t *testing.T) {
-	// Pin the intra-op pool to the serial path: the budgets measure the
-	// stream substrate, and on a many-core host the parallel kernels'
-	// pooled job descriptors would add race-detector-dependent noise
-	// (sync.Pool drops puts under -race).
-	edgetpu.SetKernelThreads(1)
-	defer edgetpu.SetKernelThreads(0)
 	ctx := testCtx(2)
 	defer ctx.Close()
 	rng := rand.New(rand.NewSource(7))

@@ -97,13 +97,6 @@ type Options struct {
 	// compute them, so adding daemons cannot show scaling). Virtual
 	// time, makespans and results are unaffected. 0 disables pacing.
 	Pace float64
-	// KernelThreads sets the process-wide intra-op worker width the
-	// functional kernels row-chunk across (edgetpu.SetKernelThreads).
-	// 0 leaves the current setting untouched (default: half of
-	// GOMAXPROCS, clamped to [1, 8]). Results and virtual makespans
-	// are identical at every width — the knob trades wall-clock
-	// latency only.
-	KernelThreads int
 }
 
 // DefaultOptions returns the configuration of the paper's prototype:
@@ -233,9 +226,6 @@ func NewContext(opts Options) *Context {
 	}
 	defaults.mu.Unlock()
 	met := newRuntimeMetrics(reg)
-	if opts.KernelThreads > 0 {
-		edgetpu.SetKernelThreads(opts.KernelThreads)
-	}
 	kern := edgetpu.Fast
 	if opts.RefKernels {
 		kern = edgetpu.Ref

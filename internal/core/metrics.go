@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/edgetpu"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // vlatBuckets ladder virtual-time latencies from 1 µs to 10 s; the
 // paper's per-instruction latencies (Table 1) and whole-operator
@@ -65,7 +62,6 @@ func newRuntimeMetrics(reg *telemetry.Registry) *runtimeMetrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	registerKernelPoolGauges(reg)
 	return &runtimeMetrics{
 		reg: reg,
 		tasksEnqueued: reg.Counter("gptpu_tasks_enqueued_total",
@@ -117,33 +113,4 @@ func newRuntimeMetrics(reg *telemetry.Registry) *runtimeMetrics {
 		graphChipEdges: reg.Counter("gptpu_graph_onchip_intermediates_total",
 			"Graph intermediates that stayed in on-chip memory (no host round trip).").With(),
 	}
-}
-
-// registerKernelPoolGauges publishes the edgetpu intra-op worker
-// pool's counters into reg. The pool is process-wide, so the gauges
-// are set to absolute snapshot values on every scrape — idempotent
-// when several contexts share one registry (a counter-delta scheme
-// would double-count across their hooks).
-func registerKernelPoolGauges(reg *telemetry.Registry) {
-	threads := reg.Gauge("gptpu_kernel_pool_threads",
-		"Effective intra-op kernel worker width (KernelThreads).").With()
-	helpers := reg.Gauge("gptpu_kernel_pool_helpers",
-		"Persistent intra-op helper goroutines spawned so far.").With()
-	jobs := reg.Gauge("gptpu_kernel_pool_jobs_total",
-		"Parallel kernel jobs dispatched to the intra-op pool since process start.").With()
-	chunks := reg.Gauge("gptpu_kernel_pool_chunks_total",
-		"Row chunks dispatched across all parallel kernel jobs since process start.").With()
-	wakes := reg.Gauge("gptpu_kernel_pool_wakes_total",
-		"Helper park-to-wake transitions since process start.").With()
-	serial := reg.Gauge("gptpu_kernel_pool_serial_fallbacks_total",
-		"Kernel calls that stayed on the serial path (below cutoff or width 1) since process start.").With()
-	reg.AddSnapshotHook(func() {
-		s := edgetpu.KernelPoolSnapshot()
-		threads.Set(float64(s.Threads))
-		helpers.Set(float64(s.Helpers))
-		jobs.Set(float64(s.Jobs))
-		chunks.Set(float64(s.Chunks))
-		wakes.Set(float64(s.Wakes))
-		serial.Set(float64(s.SerialFallbacks))
-	})
 }

@@ -249,76 +249,3 @@ func BenchmarkMaxFast(b *testing.B) {
 		_ = MaxVal(in)
 	}
 }
-
-// Threads axis: the parallel kernels swept across intra-op pool
-// widths {1, 2, 4}. Width 1 is the serial baseline (identical to the
-// *Fast benchmarks above); wider runs measure what the persistent
-// pool buys on this host — on a single-core machine they bound the
-// pool's dispatch overhead instead (results are bit-identical either
-// way). ReportAllocs pins the zero-allocation steady state of the
-// parallel path.
-
-// benchThreads runs body at each pool width as a sub-benchmark,
-// restoring the process default afterwards.
-func benchThreads(b *testing.B, body func(b *testing.B)) {
-	defer SetKernelThreads(0)
-	for _, threads := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("t%d", threads), func(b *testing.B) {
-			SetKernelThreads(threads)
-			body(b)
-		})
-	}
-}
-
-func BenchmarkConv2DGemmThreads(b *testing.B) {
-	wins, kers, side, segN := gemmOperands()
-	n2 := side * side
-	benchThreads(b, func(b *testing.B) {
-		b.SetBytes(int64(benchTile*n2)*2 + int64(benchTile*benchTile)*4)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.PutI32(Conv2DGemm(wins.View(0, 0, benchTile, segN), kers.View(0, 0, benchTile, segN)))
-		}
-	})
-}
-
-func BenchmarkConv2DStencilThreads(b *testing.B) {
-	in := benchMatrix(benchTile, benchTile, 3)
-	k := benchMatrix(3, 3, 4)
-	benchThreads(b, func(b *testing.B) {
-		b.SetBytes(int64(benchTile*benchTile) * 5)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, o := range Conv2D(in, []*tensor.MatrixI8{k}, 1, 1) {
-				tensor.PutI32(o)
-			}
-		}
-	})
-}
-
-func BenchmarkFullyConnectedThreads(b *testing.B) {
-	const rows = 256 // above the serial cutoff at width >= 2
-	w := benchMatrix(rows, rows, 5)
-	vec := make([]int8, rows)
-	copy(vec, w.Row(0))
-	dst := make([]int32, rows)
-	benchThreads(b, func(b *testing.B) {
-		b.SetBytes(int64(rows*rows) + int64(rows)*5)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			FullyConnectedInto(dst, w, vec)
-		}
-	})
-}
-
-func BenchmarkAddThreads(b *testing.B) {
-	x := benchMatrix(benchTile, benchTile, 6)
-	y := benchMatrix(benchTile, benchTile, 7)
-	benchThreads(b, func(b *testing.B) {
-		b.SetBytes(int64(benchTile*benchTile) * 6)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.PutI32(Add(x, y))
-		}
-	})
-}

@@ -338,97 +338,91 @@ func TestActivationEquivalence(t *testing.T) {
 	}
 }
 
-// TestEquivalenceAtThreadCounts sweeps the intra-op pool width across
-// {1, 2, 4, 8} and requires every parallel kernel to stay bit-exact
-// against its frozen reference twin — the acceptance oracle for the
-// row-chunked paths. Shapes mix pool-eligible sizes (128-class, above
-// the serial cutoff) with odd-prime row counts that exercise ragged
-// chunk boundaries, including rows < threads.
-func TestEquivalenceAtThreadCounts(t *testing.T) {
-	defer SetKernelThreads(0)
-	for _, threads := range []int{1, 2, 4, 8} {
-		SetKernelThreads(threads)
-		rng := rand.New(rand.NewSource(int64(100 + threads)))
-		name := func(op string) string { return fmt.Sprintf("%s@kt=%d", op, threads) }
+// TestEquivalenceEdgeShapes pins every optimized kernel bit-exact
+// against its frozen reference twin at tile-class sizes (128- and
+// 256-class) and odd-prime shapes: window rows in every residue mod 3
+// (ragged row groups), kernel counts in every residue mod 4, inner
+// dimensions around the 32-term lane chunk, strided views, saturated
+// corners, and the tanh LUT.
+func TestEquivalenceEdgeShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
 
-		// Conv2DGemm: the tpuGemm panel-dot path.
-		for _, sh := range [][3]int{{128, 12, 128}, {61, 9, 67}, {5, 3, 3}, {1, 1, 1}, {7, 2, 16}} {
-			nWin, s, nch := sh[0], sh[1], sh[2]
-			wins, kers := randI8(rng, nWin, s*s), randI8(rng, nch, s*s)
-			got := Conv2DGemm(wins, kers)
-			stacked := &tensor.MatrixI8{Rows: nWin * s, Cols: s, Stride: s, Data: wins.Data}
-			kviews := make([]*tensor.MatrixI8, nch)
-			for ch := range kviews {
-				kviews[ch] = &tensor.MatrixI8{Rows: s, Cols: s, Stride: s, Data: kers.Row(ch)}
-			}
-			want := RefConv2D(stacked, kviews, s, s)
-			for ch := 0; ch < nch; ch++ {
-				for i := 0; i < nWin; i++ {
-					if got.At(i, ch) != want[ch].At(i, 0) {
-						t.Fatalf("%s: [%d][%d] = %d, want %d", name("Conv2DGemm"), i, ch, got.At(i, ch), want[ch].At(i, 0))
-					}
+	// Conv2DGemm: the tpuGemm panel-dot path.
+	for _, sh := range [][3]int{{128, 12, 128}, {61, 9, 67}, {5, 3, 3}, {1, 1, 1}, {7, 2, 16}} {
+		nWin, s, nch := sh[0], sh[1], sh[2]
+		wins, kers := randI8(rng, nWin, s*s), randI8(rng, nch, s*s)
+		got := Conv2DGemm(wins, kers)
+		stacked := &tensor.MatrixI8{Rows: nWin * s, Cols: s, Stride: s, Data: wins.Data}
+		kviews := make([]*tensor.MatrixI8, nch)
+		for ch := range kviews {
+			kviews[ch] = &tensor.MatrixI8{Rows: s, Cols: s, Stride: s, Data: kers.Row(ch)}
+		}
+		want := RefConv2D(stacked, kviews, s, s)
+		for ch := 0; ch < nch; ch++ {
+			for i := 0; i < nWin; i++ {
+				if got.At(i, ch) != want[ch].At(i, 0) {
+					t.Fatalf("Conv2DGemm: [%d][%d] = %d, want %d", i, ch, got.At(i, ch), want[ch].At(i, 0))
 				}
 			}
+		}
+		tensor.PutI32(got)
+	}
+	// Window counts in every residue mod 3 (a ragged last row group),
+	// kernel counts in every residue mod 4, inner dimensions around the
+	// lane chunks, strided views, and the saturated corners.
+	for _, sh := range [][3]int{{128, 512, 512}, {130, 9, 529}, {131, 6, 33}, {64, 31, 4300}, {2, 2, 4096}, {7, 3, 512}} {
+		nWin, nch, n := sh[0], sh[1], sh[2]
+		checkConv2DGemm(t, "Conv2DGemm", randI8Operand(rng, nWin, n), randI8Operand(rng, nch, n))
+	}
+	checkConv2DGemmSaturated(t, "Conv2DGemm", 128, 128, 128)
+	checkConv2DGemmSaturated(t, "Conv2DGemm", 65, 5, 65)
+
+	// Conv2D: the fused 3x3 stencil, the general strided path, and odd
+	// geometries.
+	for _, sh := range [][4]int{{128, 128, 1, 1}, {61, 67, 1, 1}, {97, 33, 2, 3}, {3, 3, 1, 1}} {
+		in := randI8Operand(rng, sh[0], sh[1])
+		kernels := []*tensor.MatrixI8{randI8(rng, 3, 3), randI8(rng, 3, 3)}
+		got := Conv2D(in, kernels, sh[2], sh[3])
+		want := RefConv2D(in, kernels, sh[2], sh[3])
+		for ch := range kernels {
+			sameI32(t, "Conv2D", got[ch], want[ch])
+			tensor.PutI32(got[ch])
+		}
+	}
+
+	// FullyConnected: the dot path behind MatMulFC.
+	for _, sh := range [][2]int{{256, 256}, {61, 67}, {3, 129}, {1, 1}} {
+		w := randI8Operand(rng, sh[0], sh[1])
+		vec := make([]int8, sh[1])
+		for i := range vec {
+			vec[i] = int8(rng.Intn(256) - 128)
+		}
+		got := FullyConnected(w, vec)
+		want := RefFullyConnected(w, vec)
+		for r := range want {
+			if got[r] != want[r] {
+				t.Fatalf("FullyConnected: [%d] = %d, want %d", r, got[r], want[r])
+			}
+		}
+	}
+
+	// Pairwise slabs and the COW tanh LUT.
+	for _, sh := range [][2]int{{128, 128}, {63, 65}, {2, 2}} {
+		a, b := randI8Operand(rng, sh[0], sh[1]), randI8(rng, sh[0], sh[1])
+		for _, fn := range []struct {
+			op        string
+			fast, ref func(a, b *tensor.MatrixI8) *tensor.MatrixI32
+		}{
+			{"Add", Add, RefAdd}, {"Sub", Sub, RefSub}, {"Mul", Mul, RefMul},
+		} {
+			got := fn.fast(a, b)
+			sameI32(t, fn.op, got, fn.ref(a, b))
 			tensor.PutI32(got)
 		}
-		// Row groups of three chunk across the pool: window counts in
-		// every residue mod 3 (a ragged last group in the last chunk),
-		// kernel counts in every residue mod 4, inner dimensions around
-		// the lane chunks, strided views, and the saturated corners.
-		for _, sh := range [][3]int{{128, 512, 512}, {130, 9, 529}, {131, 6, 33}, {64, 31, 4300}, {2, 2, 4096}, {7, 3, 512}} {
-			nWin, nch, n := sh[0], sh[1], sh[2]
-			checkConv2DGemm(t, name("Conv2DGemm"), randI8Operand(rng, nWin, n), randI8Operand(rng, nch, n))
-		}
-		checkConv2DGemmSaturated(t, name("Conv2DGemm"), 128, 128, 128)
-		checkConv2DGemmSaturated(t, name("Conv2DGemm"), 65, 5, 65)
-
-		// Conv2D: the fused 3x3 stencil, the general strided path, and
-		// odd geometries that land just around the chunk math.
-		for _, sh := range [][4]int{{128, 128, 1, 1}, {61, 67, 1, 1}, {97, 33, 2, 3}, {3, 3, 1, 1}} {
-			in := randI8Operand(rng, sh[0], sh[1])
-			kernels := []*tensor.MatrixI8{randI8(rng, 3, 3), randI8(rng, 3, 3)}
-			got := Conv2D(in, kernels, sh[2], sh[3])
-			want := RefConv2D(in, kernels, sh[2], sh[3])
-			for ch := range kernels {
-				sameI32(t, name("Conv2D"), got[ch], want[ch])
-				tensor.PutI32(got[ch])
-			}
-		}
-
-		// FullyConnected: the SWAR dot path behind MatMulFC.
-		for _, sh := range [][2]int{{256, 256}, {61, 67}, {3, 129}, {1, 1}} {
-			w := randI8Operand(rng, sh[0], sh[1])
-			vec := make([]int8, sh[1])
-			for i := range vec {
-				vec[i] = int8(rng.Intn(256) - 128)
-			}
-			got := FullyConnected(w, vec)
-			want := RefFullyConnected(w, vec)
-			for r := range want {
-				if got[r] != want[r] {
-					t.Fatalf("%s: [%d] = %d, want %d", name("FullyConnected"), r, got[r], want[r])
-				}
-			}
-		}
-
-		// Pairwise slabs and the COW tanh LUT.
-		for _, sh := range [][2]int{{128, 128}, {63, 65}, {2, 2}} {
-			a, b := randI8Operand(rng, sh[0], sh[1]), randI8(rng, sh[0], sh[1])
-			for _, fn := range []struct {
-				op        string
-				fast, ref func(a, b *tensor.MatrixI8) *tensor.MatrixI32
-			}{
-				{"Add", Add, RefAdd}, {"Sub", Sub, RefSub}, {"Mul", Mul, RefMul},
-			} {
-				got := fn.fast(a, b)
-				sameI32(t, name(fn.op), got, fn.ref(a, b))
-				tensor.PutI32(got)
-			}
-			scale := float32(rng.Float64()*100 + 0.5)
-			gotT := TanhLUT(a, scale)
-			sameI8(t, name("TanhLUT"), gotT, RefTanhLUT(a, scale))
-			tensor.PutI8(gotT)
-		}
+		scale := float32(rng.Float64()*100 + 0.5)
+		gotT := TanhLUT(a, scale)
+		sameI8(t, "TanhLUT", gotT, RefTanhLUT(a, scale))
+		tensor.PutI8(gotT)
 	}
 }
 
@@ -460,15 +454,14 @@ func FuzzConv2DEquiv(f *testing.F) {
 
 // FuzzConv2DGemmEquiv fuzzes the GEMM panel product's geometry — window
 // and kernel counts (row groups of three, register blocks of four),
-// inner dimension (lane chunks of 32), operand layout, saturated
-// values and the intra-op pool width: always bit-identical to
-// RefConv2DGemm.
+// inner dimension (lane chunks of 32), operand layout and saturated
+// values: always bit-identical to RefConv2DGemm.
 func FuzzConv2DGemmEquiv(f *testing.F) {
-	f.Add(int64(1), uint8(128), uint8(128), uint16(128), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(7), uint8(5), uint16(33), uint8(1), uint8(1))   // all -128 x all -128
-	f.Add(int64(3), uint8(1), uint8(1), uint16(4300), uint8(2), uint8(2)) // 127 x -128, 8 threads
-	f.Add(int64(4), uint8(3), uint8(4), uint16(32), uint8(3), uint8(0))   // all 127: every lane at its bound
-	f.Fuzz(func(t *testing.T, seed int64, rows, chans uint8, inner uint16, fill, threads uint8) {
+	f.Add(int64(1), uint8(128), uint8(128), uint16(128), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(5), uint16(33), uint8(1))   // all -128 x all -128
+	f.Add(int64(3), uint8(1), uint8(1), uint16(4300), uint8(2)) // 127 x -128
+	f.Add(int64(4), uint8(3), uint8(4), uint16(32), uint8(3))   // all 127: every lane at its bound
+	f.Fuzz(func(t *testing.T, seed int64, rows, chans uint8, inner uint16, fill uint8) {
 		nw, nch, n := int(rows)%140+1, int(chans)%140+1, int(inner)%4400+1
 		rng := rand.New(rand.NewSource(seed))
 		var wins, kers *tensor.MatrixI8
@@ -482,8 +475,6 @@ func FuzzConv2DGemmEquiv(f *testing.F) {
 		default:
 			wins, kers = constI8(nw, n, 127), constI8(nch, n, 127)
 		}
-		defer SetKernelThreads(0)
-		SetKernelThreads([]int{1, 2, 8}[threads%3])
 		checkConv2DGemm(t, "Conv2DGemm(fuzz)", wins, kers)
 	})
 }

@@ -19,7 +19,6 @@ package edgetpu
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/tensor"
 )
@@ -119,49 +118,22 @@ func Mul(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
 	return pairwise(pairMul, a, b)
 }
 
-// Pairwise op selector: one monomorphic job body with a per-row
-// switch keeps the inner loops free of indirect calls.
+// Pairwise op selector: one monomorphic loop with a per-row switch
+// keeps the inner loops free of indirect calls.
 const (
 	pairAdd = iota
 	pairSub
 	pairMul
 )
 
-// pairwise runs one elementwise slab, row-chunked across the intra-op
-// pool: each output row is written by exactly one goroutine and every
-// element depends only on its own operands, so results are identical
-// at any thread count.
+// pairwise runs one elementwise slab into a pooled output.
 func pairwise(op int, a, b *tensor.MatrixI8) *tensor.MatrixI32 {
 	checkPairwise(a, b)
 	out := tensor.GetI32ForOverwrite(a.Rows, a.Cols)
-	if !parEligible(a.Rows, a.Cols) {
-		poolSerial.Add(1)
-		j := pairwiseJob{op: op, a: a, b: b, out: out}
-		j.runRows(0, a.Rows)
-		return out
-	}
-	j := pairwiseJobPool.Get().(*pairwiseJob)
-	j.op, j.a, j.b, j.out = op, a, b, out
-	parallelRows(a.Rows, a.Cols, j)
-	*j = pairwiseJob{}
-	pairwiseJobPool.Put(j)
-	return out
-}
-
-// pairwiseJob row-chunks one Add/Sub/Mul slab.
-type pairwiseJob struct {
-	op   int
-	a, b *tensor.MatrixI8
-	out  *tensor.MatrixI32
-}
-
-var pairwiseJobPool = sync.Pool{New: func() any { return new(pairwiseJob) }}
-
-func (j *pairwiseJob) runRows(lo, hi int) {
-	for r := lo; r < hi; r++ {
-		ra, rb, ro := j.a.Row(r), j.b.Row(r), j.out.Row(r)
+	for r := 0; r < a.Rows; r++ {
+		ra, rb, ro := a.Row(r), b.Row(r), out.Row(r)
 		rb, ro = rb[:len(ra)], ro[:len(ra)]
-		switch j.op {
+		switch op {
 		case pairAdd:
 			for i, v := range ra {
 				ro[i] = int32(v) + int32(rb[i])
@@ -176,6 +148,7 @@ func (j *pairwiseJob) runRows(lo, hi int) {
 			}
 		}
 	}
+	return out
 }
 
 func checkPairwise(a, b *tensor.MatrixI8) {

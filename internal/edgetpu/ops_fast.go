@@ -105,41 +105,14 @@ func contigWindows(in *tensor.MatrixI8, k *tensor.MatrixI8, strideC int) bool {
 }
 
 // conv2DContig computes every channel of a contiguous-window conv2D,
-// register-tiling four kernels per input pass. Output rows are
-// independent (row i reads one flat window, writes outs[ch].Data[i]),
-// so the row loop chunks across the intra-op pool.
+// register-tiling four kernels per input pass: output row i reads one
+// flat window and writes outs[ch].Data[i].
 func conv2DContig(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR int, outs []*tensor.MatrixI32) {
 	outR := (in.Rows + strideR - 1) / strideR
-	perRow := len(kernels) * kernels[0].Rows * in.Cols
-	if !parEligible(outR, perRow) {
-		poolSerial.Add(1)
-		j := contigJob{in: in, kernels: kernels, strideR: strideR, outs: outs}
-		j.runRows(0, outR)
-		return
-	}
-	j := contigJobPool.Get().(*contigJob)
-	j.in, j.kernels, j.strideR, j.outs = in, kernels, strideR, outs
-	parallelRows(outR, perRow, j)
-	*j = contigJob{}
-	contigJobPool.Put(j)
-}
-
-// contigJob row-chunks conv2DContig.
-type contigJob struct {
-	in      *tensor.MatrixI8
-	kernels []*tensor.MatrixI8
-	strideR int
-	outs    []*tensor.MatrixI32
-}
-
-var contigJobPool = sync.Pool{New: func() any { return new(contigJob) }}
-
-func (j *contigJob) runRows(lo, hi int) {
-	in, kernels, strideR, outs := j.in, j.kernels, j.strideR, j.outs
 	cols := in.Cols
 	kRows := kernels[0].Rows
 	nch := len(kernels)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < outR; i++ {
 		base := i * strideR
 		rEnd := base + kRows
 		if rEnd > in.Rows {
@@ -186,46 +159,15 @@ func conv3x3RowI8(acc []int32, r0, r1, r2 []int8, k0, k1, k2 []int8) {
 // common 3x3 stencil runs all nine taps fused per interior output row
 // (conv3x3RowI8) with scalar right-edge tails; other shapes and the
 // bottom edge fall back to one axpy per tap. out must arrive zeroed
-// (GetI32 guarantees it). Output row i reads input rows i..i+k.Rows-1
-// and writes only its own accumulator row, so the row loop chunks
-// across the intra-op pool.
+// (GetI32 guarantees it).
 func conv2DStride1(in, k *tensor.MatrixI8, out *tensor.MatrixI32) {
-	perRow := k.Rows * k.Cols * out.Cols
-	if !parEligible(out.Rows, perRow) {
-		poolSerial.Add(1)
-		j := stencilJob{in: in, k: k, out: out}
-		j.runRows(0, out.Rows)
-		return
-	}
-	j := stencilJobPool.Get().(*stencilJob)
-	j.in, j.k, j.out = in, k, out
-	parallelRows(out.Rows, perRow, j)
-	*j = stencilJob{}
-	stencilJobPool.Put(j)
-}
-
-// stencilJob row-chunks conv2DStride1.
-type stencilJob struct {
-	in, k *tensor.MatrixI8
-	out   *tensor.MatrixI32
-}
-
-var stencilJobPool = sync.Pool{New: func() any { return new(stencilJob) }}
-
-func (j *stencilJob) runRows(lo, hi int) {
-	conv2DStride1Rows(j.in, j.k, j.out, lo, hi)
-}
-
-// conv2DStride1Rows is the conv2DStride1 body over output rows
-// [lo, hi).
-func conv2DStride1Rows(in, k *tensor.MatrixI8, out *tensor.MatrixI32, lo, hi int) {
 	outC := out.Cols
 	three := k.Rows == 3 && k.Cols == 3 && in.Cols >= 3
 	lim2 := in.Cols - 2
 	if lim2 > outC {
 		lim2 = outC
 	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < out.Rows; i++ {
 		accRow := out.Row(i)
 		pMax := k.Rows
 		if i+pMax > in.Rows {
@@ -271,35 +213,9 @@ func conv2DStride1Rows(in, k *tensor.MatrixI8, out *tensor.MatrixI32, lo, hi int
 
 // conv2DGeneral computes one channel of an arbitrarily strided conv2D,
 // with the innermost reduction running as contiguous row-segment dot
-// products. Row-chunked: each output row's windows are disjoint from
-// every other row's writes.
+// products.
 func conv2DGeneral(in, k *tensor.MatrixI8, out *tensor.MatrixI32, strideR, strideC int) {
-	perRow := out.Cols * k.Rows * k.Cols
-	if !parEligible(out.Rows, perRow) {
-		poolSerial.Add(1)
-		j := generalJob{in: in, k: k, out: out, strideR: strideR, strideC: strideC}
-		j.runRows(0, out.Rows)
-		return
-	}
-	j := generalJobPool.Get().(*generalJob)
-	j.in, j.k, j.out, j.strideR, j.strideC = in, k, out, strideR, strideC
-	parallelRows(out.Rows, perRow, j)
-	*j = generalJob{}
-	generalJobPool.Put(j)
-}
-
-// generalJob row-chunks conv2DGeneral.
-type generalJob struct {
-	in, k            *tensor.MatrixI8
-	out              *tensor.MatrixI32
-	strideR, strideC int
-}
-
-var generalJobPool = sync.Pool{New: func() any { return new(generalJob) }}
-
-func (j *generalJob) runRows(lo, hi int) {
-	in, k, out, strideR, strideC := j.in, j.k, j.out, j.strideR, j.strideC
-	for i := lo; i < hi; i++ {
+	for i := 0; i < out.Rows; i++ {
 		baseR := i * strideR
 		pMax := k.Rows
 		if baseR+pMax > in.Rows {
@@ -488,44 +404,19 @@ func Conv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	for ch := 0; ch < nch; ch++ {
 		sc.ck[ch] = 128 * biasRow(sc.kb[ch*n:(ch+1)*n], kers.Row(ch))
 	}
-	// The dot phase dominates (O(nw·nch·n/3) multiplies vs the packs'
-	// O((nw+nch)·n) moves) and is group-independent — group g reads
-	// only panel run g and the shared kernel panel, and writes output
-	// rows 3g..3g+2 — so it chunks on whole row groups across the
-	// intra-op pool. The packs stay serial: they are the memory-bound
-	// prologue and finish before the job is published, so workers see
-	// fully built panels.
-	if !parEligible(groups, 3*nch*n) {
-		poolSerial.Add(1)
-		j := gemmDotJob{sc: sc, out: out, n: n}
-		j.runRows(0, groups)
-	} else {
-		j := gemmDotJobPool.Get().(*gemmDotJob)
-		j.sc, j.out, j.n = sc, out, n
-		parallelRows(groups, 3*nch*n, j)
-		*j = gemmDotJob{}
-		gemmDotJobPool.Put(j)
-	}
+	gemmDot(sc, out, n)
 	gemmScratchPool.Put(sc)
 	return out
 }
 
-// gemmDotJob is the Conv2DGemm dot phase over packed panels. Its rows
-// are row groups: runRows(lo, hi) computes output rows 3·lo..3·hi-1
-// (clipped at the panel's end), every element an exact integer, so
-// the result is byte-identical however the groups are chunked.
-type gemmDotJob struct {
-	sc  *gemmScratch
-	out *tensor.MatrixI32
-	n   int
-}
-
-var gemmDotJobPool = sync.Pool{New: func() any { return new(gemmDotJob) }}
-
-func (j *gemmDotJob) runRows(lo, hi int) {
-	sc, out, n := j.sc, j.out, j.n
+// gemmDot is the Conv2DGemm dot phase over the packed panels in sc:
+// group g reads panel run g and the shared kernel panel and writes
+// output rows 3g..3g+2 (clipped at the panel's end). It dominates the
+// call, O(nw·nch·n/3) multiplies against the packs' O((nw+nch)·n)
+// moves.
+func gemmDot(sc *gemmScratch, out *tensor.MatrixI32, n int) {
 	nw, nch := out.Rows, out.Cols
-	for g := lo; g < hi; g++ {
+	for g := 0; g < (nw+2)/3; g++ {
 		pw := sc.pw[g*n : (g+1)*n]
 		i := 3 * g
 		rows := min(3, nw-i)
@@ -558,48 +449,15 @@ func (j *gemmDotJob) runRows(lo, hi int) {
 
 // fullyConnectedInto writes the FullyConnected accumulators into dst
 // (length weights.Rows), streaming the input vector against four
-// weight rows per pass. Weight rows chunk across the intra-op pool:
-// dst[r] depends only on weight row r, and dot4I8 and dotI8 produce
-// identical values for any one row (int32 addition is exact and
-// commutative), so where a chunk boundary breaks a 4-row group the
-// scalar tail computes the same bytes.
+// weight rows per pass.
 func fullyConnectedInto(dst []int32, weights *tensor.MatrixI8, vec []int8) {
-	if !parEligible(weights.Rows, weights.Cols) {
-		poolSerial.Add(1)
-		j := fcJob{dst: dst, weights: weights, vec: vec}
-		j.runRows(0, weights.Rows)
-		return
-	}
-	j := fcJobPool.Get().(*fcJob)
-	j.dst, j.weights, j.vec = dst, weights, vec
-	parallelRows(weights.Rows, weights.Cols, j)
-	*j = fcJob{}
-	fcJobPool.Put(j)
-}
-
-// fcJob row-chunks fullyConnectedInto over weight rows.
-type fcJob struct {
-	dst     []int32
-	weights *tensor.MatrixI8
-	vec     []int8
-}
-
-var fcJobPool = sync.Pool{New: func() any { return new(fcJob) }}
-
-func (j *fcJob) runRows(lo, hi int) {
-	fullyConnectedRows(j.dst, j.weights, j.vec, lo, hi)
-}
-
-// fullyConnectedRows computes dst[lo:hi] of the FullyConnected
-// accumulators.
-func fullyConnectedRows(dst []int32, weights *tensor.MatrixI8, vec []int8, lo, hi int) {
-	r := lo
-	for ; r+4 <= hi; r += 4 {
+	r := 0
+	for ; r+4 <= weights.Rows; r += 4 {
 		s0, s1, s2, s3 := dot4I8(vec,
 			weights.Row(r), weights.Row(r+1), weights.Row(r+2), weights.Row(r+3))
 		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
 	}
-	for ; r < hi; r++ {
+	for ; r < weights.Rows; r++ {
 		dst[r] = dotI8(vec, weights.Row(r))
 	}
 }
@@ -614,12 +472,11 @@ type tanhTable [256]int8
 // pathological scale-per-call workload cannot grow it unboundedly.
 //
 // Copy-on-write: readers load one atomic pointer and index an
-// immutable map — no lock, no cache-line ping-pong, which matters now
-// that dispatch workers AND intra-op pool helpers hit the table
-// concurrently (the old RWMutex read path serialized on the lock
-// word). Writers are rare (one per distinct scale), take mu, and
-// publish a fresh map; a lost race costs one redundant 256-entry
-// build, never a wrong table.
+// immutable map — no lock, no cache-line ping-pong between the
+// dispatch workers that hit the table concurrently (the old RWMutex
+// read path serialized on the lock word). Writers are rare (one per
+// distinct scale), take mu, and publish a fresh map; a lost race
+// costs one redundant 256-entry build, never a wrong table.
 var tanhCache struct {
 	mu sync.Mutex // serializes writers; readers only Load p
 	p  atomic.Pointer[map[uint32]*tanhTable]
@@ -633,8 +490,8 @@ func init() {
 const tanhCacheCap = 64
 
 // tanhTableFor returns the LUT for inScale, building and caching it on
-// first use. Safe for concurrent use by dispatch workers and pool
-// helpers; the hot path is one atomic load plus a map read.
+// first use. Safe for concurrent use by dispatch workers; the hot path
+// is one atomic load plus a map read.
 func tanhTableFor(inScale float32) *tanhTable {
 	key := math.Float32bits(inScale)
 	if t := (*tanhCache.p.Load())[key]; t != nil {

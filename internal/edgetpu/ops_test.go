@@ -3,6 +3,7 @@ package edgetpu
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -172,6 +173,66 @@ func TestReLU(t *testing.T) {
 	out := ReLU(in)
 	if out.At(0, 0) != 0 || out.At(0, 1) != 0 || out.At(0, 2) != 5 || out.At(0, 3) != 127 {
 		t.Fatalf("relu got %v", out.Data)
+	}
+}
+
+// TestTanhCacheConcurrent hammers the copy-on-write LUT cache from
+// many goroutines, as concurrent dispatch workers do, across more
+// scales than its capacity, so growth, the cold-restart eviction path,
+// and concurrent readers all overlap. make race runs it under -race.
+func TestTanhCacheConcurrent(t *testing.T) {
+	const workers = 8
+	const scalesPerWorker = 24 // workers * scalesPerWorker > tanhCacheCap
+	rng := rand.New(rand.NewSource(43))
+	in := randI8(rng, 16, 16)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < scalesPerWorker; i++ {
+				scale := float32(w*scalesPerWorker+i+1) * 0.37
+				got := TanhLUT(in, scale)
+				want := RefTanhLUT(in, scale)
+				for r := 0; r < got.Rows; r++ {
+					gr, wr := got.Row(r), want.Row(r)
+					for c := range gr {
+						if gr[c] != wr[c] {
+							t.Errorf("TanhLUT scale=%v [%d][%d] = %d, want %d", scale, r, c, gr[c], wr[c])
+							return
+						}
+					}
+				}
+				tensor.PutI8(got)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestKernelSteadyStateAllocs pins the steady-state budget: once the
+// tensor buffers and the GEMM scratch panels are pooled, a pairwise
+// call and a Conv2DGemm call allocate nothing per invocation.
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	if tensor.RaceEnabled {
+		t.Skip("sync.Pool intentionally drops puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(47))
+	a, b := randI8(rng, 128, 128), randI8(rng, 128, 128)
+	wins, kers := randI8(rng, 128, 144), randI8(rng, 128, 144)
+	for i := 0; i < 3; i++ {
+		tensor.PutI32(Add(a, b))
+		tensor.PutI32(Conv2DGemm(wins, kers))
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		tensor.PutI32(Add(a, b))
+	}); n > 0 {
+		t.Errorf("Add: %.1f allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		tensor.PutI32(Conv2DGemm(wins, kers))
+	}); n > 0 {
+		t.Errorf("Conv2DGemm: %.1f allocs/op, want 0", n)
 	}
 }
 

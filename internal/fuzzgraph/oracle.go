@@ -95,9 +95,6 @@ func diffBits(what string, want, got []uint32) error {
 //   - optimized kernels at workers {1,4,8}: identical results AND
 //     identical virtual makespans (worker count must not change what
 //     is computed or what the model says it costs);
-//   - optimized kernels at kernel threads {2,8}: the intra-op row
-//     chunking must be bit-identical and makespan-identical to the
-//     serial baseline (every other run pins threads to 1);
 //   - frozen ops_ref kernels at workers {1,4,8}: identical to the
 //     optimized base, bit for bit, makespans included;
 //   - the same matrix under the case's randomized fault plan, checked
@@ -116,21 +113,6 @@ func Check(cs *Case, h *Harness) error {
 	for _, w := range []int{4, 8} {
 		got := runCase(cs, ins, runCfg{workers: w, functional: true})
 		if err := diffOutcomes(fmt.Sprintf("fast w=%d", w), base, got); err != nil {
-			return err
-		}
-	}
-	// Kernel-thread axis: intra-op row chunking at widths above 1, both
-	// alone (w=1) and composed with the dispatch engine's workers (w=8),
-	// must not change a bit or a virtual nanosecond.
-	for _, kt := range []int{2, 8} {
-		got := runCase(cs, ins, runCfg{workers: 1, kthreads: kt, functional: true})
-		if err := diffOutcomes(fmt.Sprintf("fast kt=%d", kt), base, got); err != nil {
-			return err
-		}
-	}
-	{
-		got := runCase(cs, ins, runCfg{workers: 8, kthreads: 8, functional: true})
-		if err := diffOutcomes("fast w=8 kt=8", base, got); err != nil {
 			return err
 		}
 	}
@@ -171,14 +153,10 @@ func Check(cs *Case, h *Harness) error {
 	for _, rc := range []runCfg{
 		{workers: 4, functional: true},
 		{workers: 8, functional: true},
-		{workers: 4, kthreads: 8, functional: true},
 		{workers: 1, functional: true, ref: true},
 	} {
 		got := runCase(cs, ins, faultCfg(cs, rc))
 		what := fmt.Sprintf("fault fast w=%d", rc.workers)
-		if rc.kthreads > 0 {
-			what = fmt.Sprintf("fault fast w=%d kt=%d", rc.workers, rc.kthreads)
-		}
 		if rc.ref {
 			what = fmt.Sprintf("fault ref w=%d", rc.workers)
 		}

@@ -14,7 +14,6 @@ import (
 // runCfg selects one execution configuration of a case.
 type runCfg struct {
 	workers    int
-	kthreads   int  // intra-op kernel worker width (0 = pin to 1: the serial baseline)
 	ref        bool // frozen ops_ref kernels instead of the optimized table
 	functional bool
 	fetchAll   bool // force host materialization of every node
@@ -24,11 +23,11 @@ type runCfg struct {
 // nodeOut is one node's observable outcome, normalized for byte
 // comparison across configurations.
 type nodeOut struct {
-	Label     string // normalized error label, "" on success
-	OnChip    bool
-	ShapeOnly bool
+	Label      string // normalized error label, "" on success
+	OnChip     bool
+	ShapeOnly  bool
 	Rows, Cols int
-	Bits      []uint32 // float32 bit patterns, row-major; scalar/vector flattened
+	Bits       []uint32 // float32 bit patterns, row-major; scalar/vector flattened
 }
 
 // outcome is one full execution of a case.
@@ -197,13 +196,6 @@ func runCase(cs *Case, ins []*tensor.Matrix, rc runCfg) *outcome {
 	o.Functional = rc.functional
 	o.RefKernels = rc.ref
 	o.Fault = rc.fc
-	// The kernel-thread width is process-wide state, so every run pins
-	// it explicitly — a zero rc.kthreads means the serial baseline, not
-	// "whatever the previous run left behind".
-	o.KernelThreads = rc.kthreads
-	if o.KernelThreads == 0 {
-		o.KernelThreads = 1
-	}
 	ctx := core.NewContext(o)
 	defer ctx.Close()
 

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +253,10 @@ func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, e
 			}
 			err := errFromCode(code, msg)
 			if replyTrace != 0 {
-				err = fmt.Errorf("%w [trace=%s]", err, obs.FormatID(replyTrace))
+				// A relayed error already ends with the first hop's tag.
+				if tag := " [trace=" + obs.FormatID(replyTrace) + "]"; !strings.HasSuffix(msg, tag) {
+					err = fmt.Errorf("%w%s", err, tag)
+				}
 			}
 			return nil, err
 		}

@@ -34,6 +34,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"strings"
 	"sync"
 	"time"
 
@@ -195,6 +196,11 @@ var (
 )
 
 // errFromCode converts a wire error code + message into a typed error.
+// Senders put err.Error() on the wire, which already begins with the
+// class text of the sentinel the code names (and a relaying router
+// forwards a client-side error that begins with it too), so leading
+// copies are stripped before the sentinel is wrapped again: the class
+// text reads once however many hops the error crossed.
 func errFromCode(code uint16, msg string) error {
 	base := ErrInternal
 	switch code {
@@ -210,6 +216,10 @@ func errFromCode(code uint16, msg string) error {
 		base = ErrVersionMismatch
 	case CodeTransient:
 		base = ErrTransient
+	}
+	class := base.Error()
+	for msg == class || strings.HasPrefix(msg, class+": ") {
+		msg = strings.TrimPrefix(msg[len(class):], ": ")
 	}
 	if msg == "" {
 		return base

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -150,13 +152,27 @@ func TestDecodeMatrixRejectsOverclaimedDims(t *testing.T) {
 	}
 }
 
+// TestErrorCodeRoundTrip: every typed class survives the wire, and its
+// class text appears exactly once whether the sender put a bare detail,
+// the wrapped error's own text (what the daemon sends), or a relayed
+// client-side error (what the router sends) on the wire.
 func TestErrorCodeRoundTrip(t *testing.T) {
 	for _, e := range []error{ErrOverloaded, ErrDeadlineExceeded, ErrBadRequest,
-		ErrInternal, ErrShuttingDown, ErrVersionMismatch} {
+		ErrInternal, ErrShuttingDown, ErrVersionMismatch, ErrTransient} {
 		code := codeFromErr(e)
-		back := errFromCode(code, "ctx")
-		if !errors.Is(back, e) {
-			t.Fatalf("code %d did not round trip to %v (got %v)", code, e, back)
+		sent := fmt.Errorf("%w: ctx", e)
+		relayed := errFromCode(code, sent.Error())
+		for _, msg := range []string{"", "ctx", e.Error(), sent.Error(), relayed.Error()} {
+			back := errFromCode(code, msg)
+			if !errors.Is(back, e) {
+				t.Fatalf("code %d, msg %q did not round trip to %v (got %v)", code, msg, e, back)
+			}
+			if n := strings.Count(back.Error(), e.Error()); n != 1 {
+				t.Fatalf("code %d, msg %q: class text %d times in %q, want once", code, msg, n, back)
+			}
+		}
+		if relayed.Error() != sent.Error() {
+			t.Fatalf("relayed %q, want %q", relayed, sent)
 		}
 	}
 }

@@ -75,10 +75,6 @@ type Config struct {
 	// run at full host speed). Cluster capacity benchmarks use it so
 	// daemon throughput reflects simulated device capacity.
 	Pace float64
-	// KernelThreads sets the intra-op worker width for the functional
-	// kernels (0 = default). Results and virtual makespans are
-	// identical at every width.
-	KernelThreads int
 }
 
 // Server is the gptpu-serve daemon: one shared runtime context, an
@@ -125,7 +121,6 @@ func New(cfg Config) *Server {
 		Fault:           cfg.Fault,
 		RetryBudget:     cfg.RetryBudget,
 		Pace:            cfg.Pace,
-		KernelThreads:   cfg.KernelThreads,
 	})
 	logger := cfg.Logger
 	if logger == nil {

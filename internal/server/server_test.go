@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -365,6 +366,25 @@ func TestBadShapeTyped(t *testing.T) {
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatal("daemon unhealthy after bad request:", err)
+	}
+}
+
+// TestLoopbackBadShapeClassOnce: the daemon sends the wrapped error's
+// full text and the client re-wraps the sentinel, so the class text
+// must be stripped once in between — it reads exactly once.
+func TestLoopbackBadShapeClassOnce(t *testing.T) {
+	srv, c, err := Loopback(Config{Devices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	defer c.Close()
+	_, err = c.Gemm(tensor.New(4, 5), tensor.New(4, 5), nil)
+	if !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("want ErrBadRequest, got %v", err)
+	}
+	if n := strings.Count(err.Error(), ErrBadRequest.Error()); n != 1 {
+		t.Fatalf("class text %d times in %q, want once", n, err)
 	}
 }
 

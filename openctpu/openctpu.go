@@ -121,9 +121,8 @@ func InitWorkers(devices, workers int) *Context {
 
 // InitConfig opens the runtime with a full gptpu.Config: the escape
 // hatch for runtime knobs the C API never had, such as fault
-// injection (Config.Fault), retry budgets, a shared telemetry
-// registry, and the intra-op kernel worker width
-// (Config.KernelThreads — results identical at any width).
+// injection (Config.Fault), retry budgets, and a shared telemetry
+// registry.
 func InitConfig(cfg gptpu.Config) *Context {
 	return &Context{
 		ctx:   gptpu.Open(cfg),
