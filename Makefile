@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race flake-gate bench-test ci bench bench-json bench-serve-json bench-kernels bench-kernels-json bench-graph-json bench-cluster-json serve-smoke obs-smoke fuzz-smoke graph-smoke graph-fuzz graph-fuzz-soak cluster-smoke clean
+.PHONY: all build test vet race flake-gate bench-test ci bench bench-kernels serve-smoke obs-smoke fuzz-smoke graph-smoke graph-fuzz graph-fuzz-soak cluster-smoke clean
 
 all: build
 
@@ -92,20 +92,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DEquiv' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DGemmEquiv' -fuzztime 5s ./internal/edgetpu
 
+# bench regenerates the paper's tables and figures at quick scale (all
+# on the virtual clock); host wall-clock performance is measured by
+# 'bash benchmark/run.sh' and 'go test -bench'.
 bench:
 	$(GO) run ./cmd/gptpu-bench
-
-# bench-json captures the dispatch-engine characterization (serial vs
-# parallel dispatch wall time, virtual makespan, per-device
-# utilization) as JSON, starting the repo's perf trajectory.
-bench-json:
-	$(GO) run ./cmd/gptpu-bench -exp dispatch -format json > BENCH_PR2.json
-
-# bench-serve-json captures the serving-layer characterization
-# (micro-batched vs request-per-submit throughput under concurrent
-# clients) as JSON.
-bench-serve-json:
-	$(GO) run ./cmd/gptpu-bench -exp serve -format json > BENCH_PR3.json
 
 # bench-kernels is the kernel-substrate benchmark smoke: every naive vs
 # optimized instruction microbenchmark runs once (-benchtime 1x) so CI
@@ -116,24 +107,6 @@ bench-serve-json:
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark(Conv2D|FullyConnected|Add|Tanh|Crop|Mean|Max)' -benchtime 1x ./internal/edgetpu
 	$(GO) test -run '^$$' -bench 'Benchmark(Analyze|QuantizeInto)' -benchtime 1x ./internal/quant
-
-# bench-kernels-json captures the kernel-substrate characterization
-# (naive vs blocked ns/op and GB/s per instruction, plus the dispatch
-# re-run on the optimized substrate) as JSON.
-# bench-graph-json captures the dataflow-graph characterization
-# (whole-DAG submission vs per-op round-trips: wall time, virtual
-# makespan, and device→host bytes at 1–8 workers) as JSON.
-bench-graph-json:
-	$(GO) run ./cmd/gptpu-bench -exp graph -format json > BENCH_PR7.json
-
-bench-kernels-json:
-	$(GO) run ./cmd/gptpu-bench -exp kernels -full -format json > BENCH_PR5.json
-
-# bench-cluster-json captures the cluster serving characterization
-# (routed aggregate throughput at 1/2/4 daemons under the seeded
-# transient-fault plan, with failover and affinity counts) as JSON.
-bench-cluster-json:
-	$(GO) run ./cmd/gptpu-bench -exp cluster -full -format json > BENCH_PR8.json
 
 clean:
 	$(GO) clean ./...

@@ -43,8 +43,7 @@ type Config struct {
 	// Params overrides the calibrated cost model (nil = default).
 	Params *timing.Params
 	// Metrics is the telemetry registry the runtime records into.
-	// Nil means a fresh private registry (unless SetDefaultMetrics
-	// installed a process-wide one). Sharing one registry across
+	// Nil means a fresh private registry. Sharing one registry across
 	// contexts accumulates their counters together.
 	Metrics *telemetry.Registry
 	// Trace enables event recording on the context's timeline so the
@@ -53,8 +52,7 @@ type Config struct {
 	// Fault is the deterministic fault-injection plan this context's
 	// device pool follows: seeded transient exec faults, device loss
 	// and revival at virtual times, PCIe link degradation. Nil means
-	// no injected faults (unless SetDefaultFault installed a
-	// process-wide plan).
+	// no injected faults.
 	Fault *fault.Config
 	// RetryBudget bounds dispatch retries per instruction after
 	// transient faults or device loss (0 = 8); exhaustion fails the
@@ -66,9 +64,9 @@ type Config struct {
 	// Pace enables real-time emulation: each instruction's dispatch
 	// sleeps Pace wall-seconds per virtual second of charged
 	// matrix-unit execution, so wall-clock throughput tracks simulated
-	// device capacity instead of host CPU speed. Serving-capacity
-	// benchmarks (bench cluster) use it; 0 disables pacing. Virtual
-	// time and functional results are unaffected.
+	// device capacity instead of host CPU speed (serving-capacity
+	// measurements on one shared host need that); 0 disables pacing.
+	// Virtual time and functional results are unaffected.
 	Pace float64
 }
 
@@ -105,27 +103,6 @@ func Open(cfg Config) *Context {
 	}
 	return &Context{c: c}
 }
-
-// SetDefaultMetrics installs a process-wide registry that contexts
-// opened with a nil Config.Metrics record into, so tools can collect
-// fleet-wide totals across contexts they do not construct themselves
-// (cmd/gptpu-bench does this for its -metrics flag). Pass nil to
-// restore private per-context registries.
-func SetDefaultMetrics(reg *telemetry.Registry) { core.SetDefaultMetrics(reg) }
-
-// SetDefaultTrace makes every subsequently-opened context record
-// trace events; TracedTimelines retrieves their timelines for export.
-func SetDefaultTrace(on bool) { core.SetDefaultTrace(on) }
-
-// SetDefaultFault installs a process-wide fault plan for contexts
-// opened with a nil Config.Fault, so tools can inject faults into
-// contexts they do not construct themselves (cmd/gptpu-bench does this
-// for its -fault-* flags). Pass nil to disable.
-func SetDefaultFault(fc *fault.Config) { core.SetDefaultFault(fc) }
-
-// TracedTimelines returns the timelines of every context opened since
-// SetDefaultTrace(true).
-func TracedTimelines() []*timing.Timeline { return core.TracedTimelines() }
 
 // Core exposes the underlying runtime for benchmarks and tests that
 // need device-pool or timeline access.

@@ -8,12 +8,17 @@
 //	gptpu-bench -exp fig7,table5 # selected experiments
 //	gptpu-bench -list            # list experiment ids
 //
+// Every result is on the virtual clock; host wall-clock performance is
+// the repo benchmark's job (bash benchmark/run.sh).
+//
 // With -metrics the sweep's telemetry accumulates into one shared
 // registry (every context the experiments open records into it) and a
 // snapshot is written after the last experiment: Prometheus text, or
 // expvar JSON for .json paths. With -trace every context records its
 // schedule and the merged Chrome trace is written at the end, one
-// process group per context.
+// process group per context. The -fault-* flags give every context the
+// same fault plan. All of them reach the experiments' contexts through
+// bench.Opts.Open.
 package main
 
 import (
@@ -28,6 +33,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
+	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
@@ -35,8 +41,6 @@ func main() {
 	full := flag.Bool("full", false, "run paper-scale configurations (slower)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	workers := flag.Int("workers", 0, "IQ dispatch-engine worker goroutines per context (0 = one per host core)")
-	format := flag.String("format", "text", "output format: text|csv|json")
 	metricsOut := flag.String("metrics", "", "write the sweep-wide telemetry snapshot to this file (Prometheus text; expvar JSON if the name ends in .json)")
 	traceOut := flag.String("trace", "", "write the merged Chrome trace of every context to this file")
 	pprofAddr := flag.String("pprof", "", "serve live metrics and net/http/pprof on this address while the sweep runs (e.g. :6060)")
@@ -48,11 +52,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
 		os.Exit(2)
-	}
-	if fc != nil {
-		// Every context the sweep opens inherits the fault plan, same
-		// mechanism as the shared metrics registry below.
-		gptpu.SetDefaultFault(fc)
 	}
 
 	if *list {
@@ -80,10 +79,6 @@ func main() {
 	var reg *telemetry.Registry
 	if *metricsOut != "" || *pprofAddr != "" {
 		reg = telemetry.NewRegistry()
-		gptpu.SetDefaultMetrics(reg)
-	}
-	if *traceOut != "" {
-		gptpu.SetDefaultTrace(true)
 	}
 	if *pprofAddr != "" {
 		mux := http.NewServeMux()
@@ -98,36 +93,37 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/\n", ps.Addr())
 	}
 
-	opts := bench.Opts{Full: *full, Workers: *workers}
+	// Every context the experiments open comes through this hook: it
+	// fills in the shared registry and the fault plan where the
+	// experiment left them nil, and with -trace records the context's
+	// timeline for the merged export.
+	tracing := *traceOut != ""
+	var timelines []*timing.Timeline
+	open := func(cfg gptpu.Config) *gptpu.Context {
+		if cfg.Metrics == nil {
+			cfg.Metrics = reg
+		}
+		if cfg.Fault == nil {
+			cfg.Fault = fc
+		}
+		cfg.Trace = cfg.Trace || tracing
+		ctx := gptpu.Open(cfg)
+		if tracing {
+			timelines = append(timelines, ctx.Core().TL)
+		}
+		return ctx
+	}
+
+	opts := bench.Opts{Full: *full, Open: open}
 	mode := "quick"
 	if *full {
 		mode = "full (paper-scale)"
 	}
-	// Machine-readable formats keep stdout pure (they are meant to be
-	// redirected, e.g. make bench-json); the banner goes to stderr.
-	banner := os.Stdout
-	if *format == "csv" || *format == "json" {
-		banner = os.Stderr
-	}
-	fmt.Fprintf(banner, "GPTPU reproduction harness — %d experiment(s), %s mode\n\n", len(selected), mode)
+	fmt.Printf("GPTPU reproduction harness — %d experiment(s), %s mode\n\n", len(selected), mode)
 	for _, e := range selected {
 		start := time.Now()
-		rep := e.Run(opts)
-		switch *format {
-		case "csv":
-			if err := rep.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
-				os.Exit(1)
-			}
-		case "json":
-			if err := rep.WriteJSON(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
-				os.Exit(1)
-			}
-		default:
-			rep.Fprint(os.Stdout)
-			fmt.Printf("  [%s regenerated in %v wall time]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		}
+		e.Run(opts).Fprint(os.Stdout)
+		fmt.Printf("  [%s regenerated in %v wall time]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if reg != nil && *metricsOut != "" {
@@ -150,13 +146,13 @@ func main() {
 		}
 		fmt.Printf("metrics: %d families -> %s\n", len(reg.Catalog()), *metricsOut)
 	}
-	if *traceOut != "" {
+	if tracing {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
 			os.Exit(1)
 		}
-		n, err := trace.ExportAll(gptpu.TracedTimelines(), f)
+		n, err := trace.ExportAll(timelines, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -53,13 +53,13 @@ import (
 	"syscall"
 	"time"
 
-	gptpu "repro"
 	"repro/internal/blas"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
@@ -109,10 +109,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *tracePath != "" {
-		gptpu.SetDefaultTrace(true)
-	}
-
 	var rec *obs.Recorder
 	if *obsOn {
 		rec = obs.New(obs.Config{Capacity: *flightN})
@@ -133,6 +129,12 @@ func main() {
 		ShardID:          *shard,
 		Pace:             *pace,
 	})
+	// -trace records the daemon's one runtime timeline from the first
+	// request on.
+	tl := srv.Runtime().Core().TL
+	if *tracePath != "" {
+		tl.EnableTrace()
+	}
 	if err := srv.Listen(*addr); err != nil {
 		fmt.Fprintln(os.Stderr, "gptpu-serve:", err)
 		os.Exit(1)
@@ -212,7 +214,7 @@ func main() {
 		}
 	}
 	if *tracePath != "" {
-		if err := writeTrace(rec, *tracePath); err != nil {
+		if err := writeTrace(tl, rec, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-serve: trace:", err)
 			exit = 1
 		} else {
@@ -246,10 +248,10 @@ func writeFlightDump(rec *obs.Recorder, path string) error {
 	return f.Close()
 }
 
-// writeTrace exports the runtime's virtual-time device timelines
+// writeTrace exports the runtime's virtual-time device timeline
 // merged with the flight recorder's wall-clock request lanes as one
 // Chrome trace-event file.
-func writeTrace(rec *obs.Recorder, path string) error {
+func writeTrace(tl *timing.Timeline, rec *obs.Recorder, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -258,7 +260,7 @@ func writeTrace(rec *obs.Recorder, path string) error {
 	if rec != nil {
 		lanes = rec.RequestLanes()
 	}
-	n, err := trace.ExportAllWithRequests(gptpu.TracedTimelines(), lanes, f)
+	n, err := trace.ExportAllWithRequests([]*timing.Timeline{tl}, lanes, f)
 	if err != nil {
 		f.Close()
 		return err

@@ -35,7 +35,7 @@ func Ablations(o Opts) *Report {
 	// rule keeps weight tiles resident. The workload interleaves two
 	// matrices so FCFS placement drifts.
 	runLoc := func(disable bool) float64 {
-		ctx := gptpu.Open(gptpu.Config{Devices: 4, TimingOnly: true, DisableLocality: disable})
+		ctx := o.open(gptpu.Config{Devices: 4, TimingOnly: true, DisableLocality: disable})
 		a := ctx.CreateMatrixBuffer(tensor.ShapeOnly(n, n))
 		b := ctx.CreateMatrixBuffer(tensor.ShapeOnly(n-128, n-128))
 		op := ctx.NewOp()
@@ -50,7 +50,7 @@ func Ablations(o Opts) *Report {
 
 	// 2. Compiler path on a single GEMM.
 	runCompile := func(slow bool) float64 {
-		ctx := gptpu.Open(gptpu.Config{TimingOnly: true, UseTFLiteCompiler: slow})
+		ctx := o.open(gptpu.Config{TimingOnly: true, UseTFLiteCompiler: slow})
 		op := ctx.NewOp()
 		op.Gemm(ctx.CreateMatrixBuffer(tensor.ShapeOnly(n, n)), ctx.CreateMatrixBuffer(tensor.ShapeOnly(n, n)))
 		return ctx.Elapsed().Seconds()
@@ -60,7 +60,7 @@ func Ablations(o Opts) *Report {
 
 	// 3. Reduction strategy on a matrix-wise mean.
 	runReduce := func(onDevice bool) float64 {
-		ctx := gptpu.Open(gptpu.Config{TimingOnly: true, OnDeviceReduce: onDevice})
+		ctx := o.open(gptpu.Config{TimingOnly: true, OnDeviceReduce: onDevice})
 		op := ctx.NewOp()
 		op.Mean(ctx.CreateMatrixBuffer(tensor.ShapeOnly(n, n)))
 		return ctx.Elapsed().Seconds()
@@ -75,7 +75,7 @@ func Ablations(o Opts) *Report {
 	a := tensor.RandPositiveInts(rng, sz, sz, 64)
 	b := tensor.RandPositiveInts(rng, sz, sz, 64)
 	ref := blas.NaiveGemm(a, b)
-	ctx := gptpu.Open(gptpu.Config{})
+	ctx := o.open(gptpu.Config{})
 	op := ctx.NewOp()
 	exact := op.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 	// Simulate the naive rule by perturbing the data off the integer
@@ -83,7 +83,7 @@ func Ablations(o Opts) *Report {
 	aN, bN := a.Clone(), b.Clone()
 	aN.Data[0] += 0.25
 	bN.Data[0] += 0.25
-	ctx2 := gptpu.Open(gptpu.Config{})
+	ctx2 := o.open(gptpu.Config{})
 	op2 := ctx2.NewOp()
 	ranged := op2.Gemm(ctx2.CreateMatrixBuffer(aN), ctx2.CreateMatrixBuffer(bN))
 	if op.Err() != nil || op2.Err() != nil {
@@ -133,7 +133,7 @@ func Precision(o Opts) *Report {
 			return op.GemmFC(ba, bb)
 		}},
 	} {
-		ctx := gptpu.Open(gptpu.Config{})
+		ctx := o.open(gptpu.Config{})
 		op := ctx.NewOp()
 		got := v.run(ctx, op, ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 		if op.Err() != nil {

@@ -24,7 +24,7 @@ type accuracyCase struct {
 	name      string
 	paperMAPE string // Table 4(a) default column
 	paperRMSE string // Table 4(b) default column
-	run       func(rangeMax float64, full bool) (mape, rmse float64)
+	run       func(o Opts, rangeMax float64) (mape, rmse float64)
 	rangeNote string
 }
 
@@ -39,7 +39,7 @@ func accuracyCases() []accuracyCase {
 	return []accuracyCase{
 		{
 			name: "Backprop", paperMAPE: "0.12%", paperRMSE: "0.14%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				cfg := backprop.Config{Batch: 128, In: 96, Hidden: 64, Out: 8, Seed: 11}
 				w := cfg.Generate()
 				// The range sweep is skipped for Backprop: un-normalized
@@ -50,7 +50,7 @@ func accuracyCases() []accuracyCase {
 				_ = r
 				cpu := blas.NewCPU(nil, 1)
 				ref, _ := backprop.RunCPU(cpu, 1, cfg, w)
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				got, _, err := backprop.RunTPU(ctx, cfg, w)
 				if err != nil {
 					panic(err)
@@ -63,9 +63,9 @@ func accuracyCases() []accuracyCase {
 		},
 		{
 			name: "Blackscholes", paperMAPE: "0.18%", paperRMSE: "0.33%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				n := 4096
-				if full {
+				if o.Full {
 					n = 1 << 16
 				}
 				cfg := blackscholes.Config{N: n, Seed: 12}
@@ -79,7 +79,7 @@ func accuracyCases() []accuracyCase {
 				}
 				cpu := blas.NewCPU(nil, 1)
 				ref, _ := blackscholes.RunCPU(cpu, 1, cfg, opts)
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				got, _, err := blackscholes.RunTPU(ctx, cfg, opts)
 				if err != nil {
 					panic(err)
@@ -90,9 +90,9 @@ func accuracyCases() []accuracyCase {
 		},
 		{
 			name: "Gaussian", paperMAPE: "0.00%", paperRMSE: "0.00%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				n := 128
-				if full {
+				if o.Full {
 					n = 256
 				}
 				cfg := gaussian.Config{N: n, Seed: 13}
@@ -102,7 +102,7 @@ func accuracyCases() []accuracyCase {
 				}
 				cpu := blas.NewCPU(nil, 1)
 				ref, _ := gaussian.RunCPU(cpu, 1, cfg, a.Clone())
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				got, _, err := gaussian.RunTPU(ctx, cfg, a)
 				if err != nil {
 					panic(err)
@@ -113,9 +113,9 @@ func accuracyCases() []accuracyCase {
 		},
 		{
 			name: "GEMM", paperMAPE: "0.89%", paperRMSE: "0.98%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				n := 192
-				if full {
+				if o.Full {
 					n = 512
 				}
 				rng := rand.New(rand.NewSource(14))
@@ -126,7 +126,7 @@ func accuracyCases() []accuracyCase {
 				a := tensor.RandUniform(rng, n, n, -span, span)
 				b := tensor.RandUniform(rng, n, n, -span, span)
 				ref := blas.Gemm(a, b)
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				got, _, err := gemm.RunTPU(ctx, gemm.Conv2D, a, b)
 				if err != nil {
 					panic(err)
@@ -137,7 +137,7 @@ func accuracyCases() []accuracyCase {
 		},
 		{
 			name: "HotSpot", paperMAPE: "0.50%", paperRMSE: "0.64%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				cfg := hotspot3d.Config{N: 140, Layers: 3, Iters: 4, Seed: 15}
 				temp, power := cfg.Generate()
 				if r > 0 {
@@ -149,7 +149,7 @@ func accuracyCases() []accuracyCase {
 				}
 				cpu := blas.NewCPU(nil, 1)
 				refStack, _ := hotspot3d.RunCPU(cpu, 1, cfg, cloneStack(temp), power)
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				gotStack, _, err := hotspot3d.RunTPU(ctx, cfg, temp, power)
 				if err != nil {
 					panic(err)
@@ -165,9 +165,9 @@ func accuracyCases() []accuracyCase {
 		},
 		{
 			name: "LUD", paperMAPE: "0.00%", paperRMSE: "0.00%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				n := 256
-				if full {
+				if o.Full {
 					n = 512
 				}
 				cfg := lud.Config{N: n, Seed: 16}
@@ -177,7 +177,7 @@ func accuracyCases() []accuracyCase {
 				}
 				cpu := blas.NewCPU(nil, 1)
 				ref, _ := lud.RunCPU(cpu, 1, cfg, a.Clone())
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				got, _, err := lud.RunTPU(ctx, cfg, a)
 				if err != nil {
 					panic(err)
@@ -188,16 +188,16 @@ func accuracyCases() []accuracyCase {
 		},
 		{
 			name: "PageRank", paperMAPE: "0.61%", paperRMSE: "0.41%",
-			run: func(r float64, full bool) (float64, float64) {
+			run: func(o Opts, r float64) (float64, float64) {
 				n := 256
-				if full {
+				if o.Full {
 					n = 1024
 				}
 				cfg := pagerank.Config{N: n, Iters: 12, Seed: 17}
 				g := cfg.Generate()
 				cpu := blas.NewCPU(nil, 1)
 				ref, _ := pagerank.RunCPU(cpu, 1, cfg, g)
-				ctx := gptpu.Open(gptpu.Config{})
+				ctx := o.open(gptpu.Config{})
 				got, _, err := pagerank.RunTPU(ctx, cfg, g)
 				if err != nil {
 					panic(err)
@@ -225,7 +225,7 @@ func Table4(o Opts) *Report {
 	for _, c := range cases {
 		var mapes, rmses [4]float64
 		for i, r := range ranges {
-			m, e := c.run(r, o.Full)
+			m, e := c.run(o, r)
 			mapes[i], rmses[i] = m, e
 			avgM[i] += m
 			avgR[i] += e
@@ -262,7 +262,7 @@ func Table5(o Opts) *Report {
 	// Timing ratio is range-independent: measure once.
 	cpu := blas.NewCPU(nil, 1)
 	_, fbM := gemm.RunCPUInt8(cpu, gemm.Config{N: n}, nil, nil)
-	ctxT := gptpu.Open(gptpu.Config{TimingOnly: true})
+	ctxT := o.open(gptpu.Config{TimingOnly: true})
 	_, tpuM, err := gemm.RunTPU(ctxT, gemm.Conv2D, shapeOnly(n), shapeOnly(n))
 	if err != nil {
 		panic(err)
@@ -274,7 +274,7 @@ func Table5(o Opts) *Report {
 		a, b := cfg.Generate()
 		ref := blas.GemmParallel(a, b)
 		fb := blas.Int8Gemm(a, b)
-		ctx := gptpu.Open(gptpu.Config{})
+		ctx := o.open(gptpu.Config{})
 		tpu, _, err := gemm.RunTPU(ctx, gemm.Conv2D, a, b)
 		if err != nil {
 			panic(err)

@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"net"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/server"
+	gptpu "repro"
+	"repro/internal/telemetry"
 )
 
 // parse a "1.23x" / "1.23" / "4.56%" cell into a float.
@@ -244,126 +242,52 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id must not resolve")
 	}
-	if len(All()) != 18 {
-		t.Fatalf("expected 18 experiments, got %d", len(All()))
+	if len(All()) != 13 {
+		t.Fatalf("expected 13 experiments, got %d", len(All()))
 	}
 }
 
-func TestServeShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("network serving sweep")
-	}
-	rep := Serve(Opts{})
-	un := findRow(t, rep, "unbatched")
-	ba := findRow(t, rep, "batched")
-	if got := cell(t, un[6]); got != 0 {
-		t.Errorf("unbatched run recorded %v batches, want 0", got)
-	}
-	if got := cell(t, ba[6]); got < 2 {
-		t.Errorf("batched run coalesced only %v flushes", got)
-	}
-	// Every request must have ridden a batch (avg-batch > 1 shows real
-	// coalescing, not one-request flushes).
-	if avg := cell(t, ba[7]); avg <= 1 {
-		t.Errorf("batched run averaged %v requests per flush, want > 1", avg)
-	}
-	for _, r := range [][]string{un, ba} {
-		if shed := cell(t, r[8]); shed != 0 {
-			t.Errorf("%s: %v requests shed at bench concurrency, want 0", r[0], shed)
-		}
-	}
-	// Throughput ordering is asserted loosely — hosts vary, but batching
-	// must never halve throughput under a pipelined open load.
-	if sp := cell(t, ba[9]); sp < 0.5 {
-		t.Errorf("batched throughput collapsed: %vx of unbatched", sp)
-	}
-	// A failed client call is counted into a WARNING note, never a panic.
-	for _, n := range rep.Notes {
-		if strings.Contains(n, "requests failed") {
-			t.Errorf("healthy loopback run reported failures: %s", n)
+// TestExperimentsOpenThroughOpts pins the one way a tool reaches the
+// contexts the experiments construct: Opts.Open. Every experiment that
+// charges virtual time on a runtime context must open it through the
+// hook, so a registry (or fault plan, or trace switch) the hook injects
+// sees all of its instructions. The device-level and closed-form
+// experiments open none.
+func TestExperimentsOpenThroughOpts(t *testing.T) {
+	noContext := map[string]bool{"table1": true, "exchange": true, "model": true, "table6": true}
+	reg := telemetry.NewRegistry()
+	for _, e := range All() {
+		opened := 0
+		o := Opts{Open: func(cfg gptpu.Config) *gptpu.Context {
+			opened++
+			cfg.Metrics = reg
+			return gptpu.Open(cfg)
+		}}
+		before := instructions(reg)
+		e.Run(o)
+		got := instructions(reg) - before
+		switch {
+		case noContext[e.ID]:
+			if opened != 0 || got != 0 {
+				t.Errorf("%s: opened %d context(s), %v instructions; want none", e.ID, opened, got)
+			}
+		case opened == 0:
+			t.Errorf("%s: opened no context through Opts.Open", e.ID)
+		case got == 0:
+			t.Errorf("%s: shared registry recorded no instructions from %d context(s)", e.ID, opened)
 		}
 	}
 }
 
-// TestFailuresClassify: bench clients count failed calls by the typed
-// class of the reply (wrapped or not), and everything without one —
-// dial failures, lost connections — as "conn".
-func TestFailuresClassify(t *testing.T) {
-	f := &failures{}
-	f.add(server.ErrOverloaded, 1)
-	f.add(fmt.Errorf("call 7: %w [trace=ab]", server.ErrOverloaded), 1)
-	f.add(fmt.Errorf("%w: retry budget", server.ErrTransient), 1)
-	f.add(net.ErrClosed, 4)
-	if got, want := f.String(), "conn=4 overloaded=2 transient=1"; got != want || f.total() != 7 {
-		t.Fatalf("failures = %q (total %d), want %q (total 7)", got, f.total(), want)
-	}
-}
-
-func TestReportOutputFormats(t *testing.T) {
-	rep := &Report{ID: "x", Title: "t", Header: []string{"a", "b"}}
-	rep.AddRow("1", "2,2") // comma needs CSV quoting
-	rep.AddNote("hello")
-
-	var csvBuf strings.Builder
-	if err := rep.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(csvBuf.String(), `"2,2"`) {
-		t.Fatalf("CSV quoting missing:\n%s", csvBuf.String())
-	}
-
-	var jsonBuf strings.Builder
-	if err := rep.WriteJSON(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed map[string]any
-	if err := jsonDecode(jsonBuf.String(), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if parsed["id"] != "x" {
-		t.Fatalf("JSON id %v", parsed["id"])
-	}
-	rows := parsed["rows"].([]any)
-	if len(rows) != 1 {
-		t.Fatalf("JSON rows %v", rows)
-	}
-}
-
-func jsonDecode(s string, v any) error {
-	return json.Unmarshal([]byte(s), v)
-}
-
-// TestClusterShape runs the routed-cluster scaling sweep in quick mode
-// and checks its structural invariants: one row per daemon count, a
-// device column that doubles with the daemons, and an aggregate
-// throughput that genuinely scales (the pace-governed daemons make the
-// wall clock track simulated capacity, so scaling < 2x at 4 daemons
-// means routing overhead or failover storms ate the added capacity —
-// the ≥3x acceptance gate itself is asserted on the -full run that
-// produces BENCH_PR8.json).
-func TestClusterShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-daemon network sweep")
-	}
-	rep := ClusterBench(Opts{})
-	if len(rep.Rows) != 3 {
-		t.Fatalf("cluster report has %d rows, want 3 (1/2/4 daemons)", len(rep.Rows))
-	}
-	for _, r := range rep.Rows {
-		daemons, devices := cell(t, r[0]), cell(t, r[1])
-		if devices != 2*daemons {
-			t.Errorf("%v daemons report %v devices, want %v", daemons, devices, 2*daemons)
+// instructions sums gptpu_instructions_total over its op labels.
+func instructions(reg *telemetry.Registry) float64 {
+	var n float64
+	for _, m := range reg.Snapshot() {
+		if m.Name == "gptpu_instructions_total" {
+			for _, s := range m.Samples {
+				n += s.Value
+			}
 		}
 	}
-	one := findRow(t, rep, "1")
-	four := findRow(t, rep, "4")
-	if got := cell(t, one[8]); got != 1.0 {
-		t.Errorf("baseline speedup %v, want 1.00x", got)
-	}
-	if got := cell(t, four[8]); got < 2.0 {
-		t.Errorf("4-daemon speedup %vx — routed scaling collapsed", got)
-	}
-	if got := cell(t, four[7]); got < 32 {
-		t.Errorf("affinity table holds %v keys at 4 daemons, want the key space resident", got)
-	}
+	return n
 }

@@ -31,12 +31,12 @@ func Figure6(o Opts) *Report {
 		cpu := blas.NewCPU(nil, 1)
 		_, cpuM := gemm.RunCPU(cpu, 1, cfg, nil, nil)
 
-		ctxC := gptpu.Open(gptpu.Config{TimingOnly: true})
+		ctxC := o.open(gptpu.Config{TimingOnly: true})
 		_, convM, err := gemm.RunTPU(ctxC, gemm.Conv2D, shapeOnly(n), shapeOnly(n))
 		if err != nil {
 			panic(err)
 		}
-		ctxF := gptpu.Open(gptpu.Config{TimingOnly: true})
+		ctxF := o.open(gptpu.Config{TimingOnly: true})
 		_, fcM, err := gemm.RunTPU(ctxF, gemm.FullyConnected, shapeOnly(n), shapeOnly(n))
 		if err != nil {
 			panic(err)

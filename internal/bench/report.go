@@ -9,25 +9,38 @@
 // simulator handles in reasonable wall time. Opts.Full selects the
 // larger configuration used by cmd/gptpu-bench; the default (quick)
 // configuration is what the test suite exercises.
+//
+// Every result is on the virtual clock. Host wall-clock performance is
+// measured by the repo benchmark (benchmark/) and by go test -bench.
 package bench
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	gptpu "repro"
 )
 
-// Opts configures experiment scale.
+// Opts configures experiment scale and how experiments reach the
+// runtime.
 type Opts struct {
 	// Full runs paper-scale (or closest feasible) configurations;
 	// quick mode shrinks inputs for test-suite latency.
 	Full bool
-	// Verbose adds per-configuration diagnostic rows.
-	Verbose bool
-	// Workers is the IQ dispatch-engine worker count experiments pass
-	// through to the contexts they open (0 = one per host core). Only
-	// affects real wall-clock dispatch, never simulated results.
-	Workers int
+	// Open opens every context an experiment runs on (nil =
+	// gptpu.Open). A tool that wants one metrics registry, a fault plan
+	// or tracing across the contexts the experiments construct wraps
+	// gptpu.Open here.
+	Open func(gptpu.Config) *gptpu.Context
+}
+
+// open opens a context through o.Open.
+func (o Opts) open(cfg gptpu.Config) *gptpu.Context {
+	if o.Open != nil {
+		return o.Open(cfg)
+	}
+	return gptpu.Open(cfg)
 }
 
 // Report is one regenerated table or figure.
@@ -132,11 +145,6 @@ func All() []Experiment {
 		{"ablations", "Design-decision ablations (DESIGN.md section 5)", Ablations},
 		{"precision", "GEMM accuracy/latency variants (section 10 extension)", Precision},
 		{"sensitivity", "Calibration-constant sensitivity of the conclusions", Sensitivity},
-		{"dispatch", "IQ dispatch engine: serial vs parallel wall time", Dispatch},
-		{"serve", "Serving layer: micro-batched vs unbatched GEMM throughput", Serve},
-		{"kernels", "Kernel substrate: naive vs blocked int8 compute", Kernels},
-		{"graph", "Dataflow graph: whole-DAG submission vs per-op round-trips", GraphBench},
-		{"cluster", "Cluster serving: routed throughput scaling across daemons", ClusterBench},
 	}
 }
 

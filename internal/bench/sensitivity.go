@@ -50,7 +50,7 @@ func Sensitivity(o Opts) *Report {
 		cpu := blas.NewCPU(p, 1)
 		cpu.ChargeGemm(0, int64(n), int64(n), int64(n), 1)
 		base := cpu.Elapsed().Seconds()
-		ctx := gptpu.Open(gptpu.Config{TimingOnly: true, Params: p})
+		ctx := o.open(gptpu.Config{TimingOnly: true, Params: p})
 		op := ctx.NewOp()
 		a := ctx.CreateMatrixBuffer(tensor.ShapeOnly(n, n))
 		b := ctx.CreateMatrixBuffer(tensor.ShapeOnly(n, n))

@@ -70,7 +70,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				_, m, err := backprop.RunTPU(ctx, backprop.Config{Batch: bpB, In: bpIO, Hidden: bpIO}, nil)
 				return mustTPU(m, err)
 			},
@@ -88,7 +88,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				_, m, err := blackscholes.RunTPU(ctx, blackscholes.Config{N: bsN}, nil)
 				return mustTPU(m, err)
 			},
@@ -104,7 +104,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				_, m, err := gaussian.RunTPU(ctx, gaussian.Config{N: gaN}, nil)
 				return mustTPU(m, err)
 			},
@@ -120,7 +120,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				a, b := shapeOnly(gemmN), shapeOnly(gemmN)
 				_, m, err := gemm.RunTPU(ctx, gemm.Conv2D, a, b)
 				return mustTPU(m, err)
@@ -141,7 +141,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				_, m, err := hotspot3d.RunTPU(ctx, hotspot3d.Config{N: hsN, Layers: hsLayers, Iters: hsIters}, nil, nil)
 				return mustTPU(m, err)
 			},
@@ -157,7 +157,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				_, m, err := lud.RunTPU(ctx, lud.Config{N: ludN}, nil)
 				return mustTPU(m, err)
 			},
@@ -173,7 +173,7 @@ func workloads(o Opts) []workload {
 				return m
 			},
 			tpu: func(dev int) apps.Metrics {
-				ctx := gptpu.Open(gptpu.Config{Devices: dev, TimingOnly: true})
+				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				g := &pagerank.Graph{Adj: shapeOnlyRect(prN, prN), OutDeg: make([]float32, prN)}
 				_, m, err := pagerank.RunTPU(ctx, pagerank.Config{N: prN, Iters: prIters}, g)
 				return mustTPU(m, err)

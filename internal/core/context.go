@@ -69,8 +69,8 @@ type Options struct {
 	// (nil = a fresh private registry, exposed via Context.Metrics).
 	Metrics *telemetry.Registry
 	// Fault is the deterministic fault-injection plan (nil = no
-	// injected faults, unless SetDefaultFault installed a process-wide
-	// plan). Each context seeds its own injector from the plan.
+	// injected faults). Each context seeds its own injector from the
+	// plan.
 	Fault *fault.Config
 	// RetryBudget bounds how many times the dispatch engine re-enters
 	// device assignment for one instruction after a transient fault or
@@ -150,57 +150,6 @@ type affinityKey struct {
 	flags uint32
 }
 
-// defaults holds process-wide observability hooks for tools (like
-// cmd/gptpu-bench) that cannot reach every context they transitively
-// create: a fallback registry for contexts whose Options.Metrics is
-// nil, and a switch that enables tracing on every new context and
-// remembers its timeline for a merged export.
-var defaults struct {
-	mu        sync.Mutex
-	metrics   *telemetry.Registry
-	trace     bool
-	timelines []*timing.Timeline
-	fault     *fault.Config
-}
-
-// SetDefaultMetrics installs reg as the registry contexts record into
-// when their Options.Metrics is nil (nil restores private per-context
-// registries). Contexts sharing a registry accumulate into the same
-// counters, giving process-wide totals.
-func SetDefaultMetrics(reg *telemetry.Registry) {
-	defaults.mu.Lock()
-	defaults.metrics = reg
-	defaults.mu.Unlock()
-}
-
-// SetDefaultFault installs a process-wide fault plan for contexts
-// whose Options.Fault is nil (cmd/gptpu-bench reaches its transitively
-// created contexts this way). Pass nil to disable.
-func SetDefaultFault(fc *fault.Config) {
-	defaults.mu.Lock()
-	defaults.fault = fc
-	defaults.mu.Unlock()
-}
-
-// SetDefaultTrace makes every subsequently-created context enable
-// tracing on its timeline and remember it for TracedTimelines.
-func SetDefaultTrace(on bool) {
-	defaults.mu.Lock()
-	defaults.trace = on
-	if !on {
-		defaults.timelines = nil
-	}
-	defaults.mu.Unlock()
-}
-
-// TracedTimelines returns the timelines of every context created
-// since SetDefaultTrace(true).
-func TracedTimelines() []*timing.Timeline {
-	defaults.mu.Lock()
-	defer defaults.mu.Unlock()
-	return append([]*timing.Timeline(nil), defaults.timelines...)
-}
-
 // NewContext builds a GPTPU machine.
 func NewContext(opts Options) *Context {
 	if opts.Devices <= 0 {
@@ -211,21 +160,7 @@ func NewContext(opts Options) *Context {
 		params = timing.Default()
 	}
 	tl := timing.NewTimeline()
-	reg := opts.Metrics
-	fc := opts.Fault
-	defaults.mu.Lock()
-	if reg == nil {
-		reg = defaults.metrics
-	}
-	if fc == nil {
-		fc = defaults.fault
-	}
-	if defaults.trace {
-		tl.EnableTrace()
-		defaults.timelines = append(defaults.timelines, tl)
-	}
-	defaults.mu.Unlock()
-	met := newRuntimeMetrics(reg)
+	met := newRuntimeMetrics(opts.Metrics)
 	kern := edgetpu.Fast
 	if opts.RefKernels {
 		kern = edgetpu.Ref
@@ -236,7 +171,7 @@ func NewContext(opts Options) *Context {
 		met:      met,
 		kern:     kern,
 		TL:       tl,
-		Pool:     edgetpu.NewPoolInjected(tl, params, opts.Devices, met.reg, fault.New(fc)),
+		Pool:     edgetpu.NewPoolInjected(tl, params, opts.Devices, met.reg, fault.New(opts.Fault)),
 		Host:     tl.NewResource("cpu-core0"),
 		affinity: make(map[int]map[affinityKey]int),
 	}

@@ -15,9 +15,10 @@ import (
 // reports comparable MB/s columns; ReportAllocs pins the pooled
 // paths' steady-state allocation behaviour.
 //
-// The `kernels` experiment (internal/bench/kernels.go) reports the
-// same comparison from the gptpu-bench binary; these benchmarks are
-// the developer-facing view (go test -bench Kernel ./internal/edgetpu).
+// These benchmarks are the one host-clock view of the naive vs
+// optimized comparison (go test -bench . ./internal/edgetpu); the repo
+// benchmark reports the optimized kernels at operand shape as its
+// edgetpu.kernel_us.* layer metrics.
 
 const benchTile = 128
 

@@ -25,8 +25,9 @@ import (
 // The scheduler in internal/core does not route every tile through
 // this byte path (the Go function calls in ops.go compute the same
 // values without serialization cost); the interpreter exists to pin
-// down the wire format and is exercised end-to-end by tests and by
-// cmd/gptpu-char.
+// down the wire format. Only tests drive it: every opcode end to end
+// (TestInterpreterEveryOpcode), values per opcode, and
+// FuzzInstructionPacket.
 
 // instrMagic opens every instruction packet.
 var instrMagic = [8]byte{'G', 'P', 'T', 'P', 'U', 'I', 'N', 'S'}
