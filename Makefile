@@ -58,8 +58,12 @@ graph-fuzz-soak:
 
 # serve-smoke builds the gptpu-serve daemon, boots it on an ephemeral
 # port, round-trips a client GEMM, and asserts a clean drain on
-# SIGTERM — the serving layer's end-to-end liveness gate.
+# SIGTERM — the serving layer's end-to-end liveness gate. It first
+# guards against the deleted batch-window flag creeping back into the
+# smoke scripts or this file (the bracket keeps the guard from
+# matching itself).
 serve-smoke:
+	! grep -n -e '-batch[-]window' Makefile scripts/*.sh
 	GO="$(GO)" sh scripts/serve-smoke.sh
 
 # cluster-smoke is the cluster serving layer's end-to-end gate: three

@@ -68,8 +68,7 @@ func main() {
 	devices := flag.Int("devices", 1, "simulated Edge TPUs behind the daemon (1-8)")
 	workers := flag.Int("workers", 0, "IQ dispatch-engine worker goroutines (0 = one per host core)")
 	maxInFlight := flag.Int("max-inflight", 64, "admission bound: requests beyond this are shed with an overloaded reply")
-	batchWindow := flag.Duration("batch-window", 500*time.Microsecond, "GEMM micro-batch coalescing window (negative disables batching)")
-	batchMax := flag.Int("batch-max", 16, "micro-batch flushes early at this many coalesced requests")
+	batchMax := flag.Int("batch-max", 16, "a GEMM micro-batch flushes early at this many coalesced requests")
 	metricsAddr := flag.String("metrics", "", "also serve the telemetry HTTP exporter on this address (e.g. :9090)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics listener")
 	check := flag.String("check", "", "client mode: round-trip a GEMM against the daemon at this address and exit")
@@ -119,7 +118,6 @@ func main() {
 		Devices:          *devices,
 		DispatchWorkers:  *workers,
 		MaxInFlight:      *maxInFlight,
-		BatchWindow:      *batchWindow,
 		BatchMaxRequests: *batchMax,
 		Metrics:          reg,
 		Fault:            fc,
@@ -139,8 +137,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gptpu-serve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d, batch-window %v)\n",
-		srv.Addr(), *devices, *maxInFlight, *batchWindow)
+	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d, batch-max %d)\n",
+		srv.Addr(), *devices, *maxInFlight, *batchMax)
 
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()

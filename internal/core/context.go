@@ -139,8 +139,11 @@ type Context struct {
 	// affinity is the scheduler's placement memory, one table per task
 	// ID: an entry can only ever match instructions of the task that
 	// made it, so a finished task's table is dead weight and
-	// dropAffinity removes it whole.
+	// dropAffinity removes it whole. Small dropped tables are cleared
+	// onto freeTabs for the next task, so a daemon running one task per
+	// request does not build a map per request.
 	affinity map[int]map[affinityKey]int
+	freeTabs []map[affinityKey]int
 	rr       int
 	pending  []*Task
 }
@@ -346,9 +349,24 @@ func (c *Context) nextTask() int { return int(c.taskSeq.Add(1)) }
 // table by every request's keys forever.
 func (c *Context) dropAffinity(task int) {
 	c.mu.Lock()
-	delete(c.affinity, task)
+	if tab, ok := c.affinity[task]; ok {
+		delete(c.affinity, task)
+		// Recycle only small tables: clear keeps a map's buckets, and a
+		// paper-scale stream's table can hold hundreds of thousands.
+		if len(tab) <= maxRecycledKeys && len(c.freeTabs) < maxFreeTabs {
+			clear(tab)
+			c.freeTabs = append(c.freeTabs, tab)
+		}
+	}
 	c.mu.Unlock()
 }
+
+// Bounds on the recycled affinity tables: a daemon's concurrent
+// requests each hold one table of a few dozen keys.
+const (
+	maxRecycledKeys = 256
+	maxFreeTabs     = 64
+)
 
 // Buffer is an openctpu buffer: host raw data plus the cached
 // quantized form the Tensorizer derives on first use. Re-using a

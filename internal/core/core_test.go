@@ -723,10 +723,27 @@ func TestAffinityTableDropsFinishedTasks(t *testing.T) {
 		}
 	}
 	ctx.mu.Lock()
-	live := len(ctx.affinity)
+	live, free := len(ctx.affinity), len(ctx.freeTabs)
 	ctx.mu.Unlock()
 	if live != 0 {
 		t.Errorf("affinity table holds %d tasks after every task finished, want 0", live)
+	}
+	// Sequential tasks reuse one recycled table rather than building a
+	// map each.
+	if free != 1 {
+		t.Errorf("%d recycled affinity tables after sequential tasks, want 1", free)
+	}
+	// A long stream's large table is dropped, not kept on the free list.
+	big := make(map[affinityKey]int)
+	for i := 0; i <= maxRecycledKeys; i++ {
+		big[affinityKey{input: uint64(i)}] = 0
+	}
+	ctx.mu.Lock()
+	ctx.affinity[-1] = big
+	ctx.mu.Unlock()
+	ctx.dropAffinity(-1)
+	if len(ctx.freeTabs) != 1 {
+		t.Errorf("a %d-key table was recycled", len(big))
 	}
 	// Taken at the parent of this test, where the table was never pruned.
 	const wantMakespan, wantHits, wantFCFS = 580445267, 30000, 10004

@@ -121,13 +121,15 @@ type engine struct {
 	workers int
 
 	mu       sync.Mutex
-	notEmpty *sync.Cond // workers: queue gained an item, or closed/idle flipped
-	notFull  *sync.Cond // submitters: queue space freed, or the drain gate reopened
-	idle     *sync.Cond // drain/close: inflight hit zero or a worker retired
-	queue    []iqItem   // FIFO, at most iqCap entries
-	running  int        // live worker goroutines
-	inflight int        // items enqueued but not yet completed
-	freeIDs  []int      // retired worker slots, for stable telemetry labels
+	notEmpty *sync.Cond    // workers: queue gained an item, or closed/idle flipped
+	notFull  *sync.Cond    // submitters: queue space freed, or the drain gate reopened
+	idle     *sync.Cond    // drain/close: inflight hit zero or a worker retired
+	queue    [iqCap]iqItem // FIFO ring: qlen entries from qhead
+	qhead    int
+	qlen     int
+	running  int   // live worker goroutines
+	inflight int   // items enqueued but not yet completed
+	freeIDs  []int // retired worker slots, for stable telemetry labels
 	nextID   int
 	closed   bool
 	draining bool // admission gate: submissions block during a Reset drain
@@ -152,7 +154,7 @@ func (e *engine) submit(works []instrWork, bt *batch) {
 		// Admission: blocked by a full queue (backpressure) or by a
 		// Reset drain in progress (no instruction may charge virtual
 		// time across the timeline rewind).
-		for (len(e.queue) >= iqCap || e.draining) && !e.closed {
+		for (e.qlen == iqCap || e.draining) && !e.closed {
 			e.notFull.Wait()
 		}
 		if e.closed {
@@ -165,7 +167,8 @@ func (e *engine) submit(works []instrWork, bt *batch) {
 			}
 			return
 		}
-		e.queue = append(e.queue, iqItem{w: &works[i], b: bt, enq: time.Now()})
+		e.queue[(e.qhead+e.qlen)%iqCap] = iqItem{w: &works[i], b: bt, enq: time.Now()}
+		e.qlen++
 		e.inflight++
 		e.c.met.iqDepth.Add(1)
 		if e.running < e.workers {
@@ -196,7 +199,7 @@ func (e *engine) worker(id int) {
 
 	e.mu.Lock()
 	for {
-		for len(e.queue) == 0 {
+		for e.qlen == 0 {
 			if e.closed || e.inflight == 0 {
 				e.running--
 				e.freeIDs = append(e.freeIDs, id)
@@ -206,8 +209,10 @@ func (e *engine) worker(id int) {
 			}
 			e.notEmpty.Wait()
 		}
-		item := e.queue[0]
-		e.queue = e.queue[1:]
+		item := e.queue[e.qhead]
+		e.queue[e.qhead] = iqItem{}
+		e.qhead = (e.qhead + 1) % iqCap
+		e.qlen--
 		e.notFull.Signal() // queue space freed: wake one submitter
 
 		start := time.Now()
@@ -328,7 +333,8 @@ func (c *Context) chargeInstr(w *instrWork) (timing.Duration, error) {
 	var lastErr error
 	for attempt := 0; attempt <= budget; attempt++ {
 		c.Pool.Tick(c.TL.Makespan())
-		healthy := c.Pool.Healthy()
+		var stack [8]*edgetpu.Device
+		healthy := c.Pool.AppendHealthy(stack[:0])
 		if len(healthy) == 0 {
 			return 0, ErrNoDevices
 		}

@@ -158,7 +158,12 @@ func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.D
 	best := c.fcfsLocked(healthy)
 	if keyed {
 		if tab == nil {
-			tab = make(map[affinityKey]int)
+			if n := len(c.freeTabs); n > 0 {
+				tab = c.freeTabs[n-1]
+				c.freeTabs = c.freeTabs[:n-1]
+			} else {
+				tab = make(map[affinityKey]int)
+			}
 			c.affinity[w.instr.TaskID] = tab
 		}
 		tab[k] = best.ID

@@ -1,7 +1,6 @@
 package edgetpu
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -55,13 +54,30 @@ type Device struct {
 	failed      bool
 	quarantined bool // revived but not yet probed back into service
 	memUsed     int64
-	resident    map[uint64]*list.Element // values are *residentEntry
-	lru         *list.List               // front = most recently used
+	resident    map[uint64]*residentEntry
+	lru         residentEntry  // ring sentinel: lru.next is the most recently used
+	spare       *residentEntry // evicted entries chained by next, reused by uploads
 }
 
+// residentEntry is one on-chip input, linked into its device's LRU
+// ring.
 type residentEntry struct {
-	key   uint64
-	bytes int64
+	key        uint64
+	bytes      int64
+	prev, next *residentEntry
+}
+
+// unlink removes e from the ring it is on.
+func (e *residentEntry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// pushFrontLocked links e in as the most recently used entry; d.mu
+// must be held.
+func (d *Device) pushFrontLocked(e *residentEntry) {
+	e.prev, e.next = &d.lru, d.lru.next
+	d.lru.next.prev = e
+	d.lru.next = e
 }
 
 // NewDevice builds device id on the shared timeline and interconnect,
@@ -70,15 +86,15 @@ func NewDevice(id int, tl *timing.Timeline, ic *pcie.Interconnect, params *timin
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	return &Device{
-		ID:       id,
-		params:   params,
-		ic:       ic,
-		comp:     tl.NewResource(fmt.Sprintf("edgetpu%d", id)),
-		met:      newDeviceMetrics(reg, id),
-		resident: make(map[uint64]*list.Element),
-		lru:      list.New(),
+	d := &Device{
+		ID:     id,
+		params: params,
+		ic:     ic,
+		comp:   tl.NewResource(fmt.Sprintf("edgetpu%d", id)),
+		met:    newDeviceMetrics(reg, id),
 	}
+	d.clearMemLocked()
+	return d
 }
 
 // Fail marks the device lost; subsequent calls return ErrDeviceLost.
@@ -147,8 +163,8 @@ func (d *Device) Quarantined() bool {
 // clearMemLocked drops all on-chip residency state; d.mu must be held.
 func (d *Device) clearMemLocked() {
 	d.memUsed = 0
-	d.resident = make(map[uint64]*list.Element)
-	d.lru = list.New()
+	d.resident = make(map[uint64]*residentEntry)
+	d.lru.prev, d.lru.next = &d.lru, &d.lru
 }
 
 // ResetState clears the device's on-chip memory: residency entries
@@ -230,23 +246,33 @@ func (d *Device) UploadSpan(key uint64, bytes int64, ready timing.Duration, sp t
 		d.mu.Unlock()
 		return ready, fmt.Errorf("%w: %d bytes > %d", ErrModelTooLarge, bytes, d.params.TPUMemBytes)
 	}
-	if el, ok := d.resident[key]; ok {
-		d.lru.MoveToFront(el)
+	if e, ok := d.resident[key]; ok {
+		e.unlink()
+		d.pushFrontLocked(e)
 		d.mu.Unlock()
 		d.met.hits.Inc()
 		return ready, nil // residency hit: no transfer
 	}
-	// Evict least-recently-used entries until the new input fits.
+	// Evict least-recently-used entries until the new input fits; their
+	// entries are recycled for this and later uploads.
 	var evicted int
 	for d.memUsed+bytes > d.params.TPUMemBytes {
-		back := d.lru.Back()
-		victim := back.Value.(*residentEntry)
+		victim := d.lru.prev
 		d.memUsed -= victim.bytes
 		delete(d.resident, victim.key)
-		d.lru.Remove(back)
+		victim.unlink()
+		victim.next, d.spare = d.spare, victim
 		evicted++
 	}
-	d.resident[key] = d.lru.PushFront(&residentEntry{key: key, bytes: bytes})
+	e := d.spare
+	if e != nil {
+		d.spare = e.next
+	} else {
+		e = new(residentEntry)
+	}
+	e.key, e.bytes = key, bytes
+	d.pushFrontLocked(e)
+	d.resident[key] = e
 	d.memUsed += bytes
 	d.mu.Unlock()
 	d.met.misses.Inc()
@@ -380,13 +406,14 @@ func (p *Pool) Tick(now timing.Duration) {
 	}
 }
 
-// Healthy returns the usable devices.
-func (p *Pool) Healthy() []*Device {
-	var out []*Device
+// AppendHealthy appends the usable devices to dst and returns the
+// extended slice; the dispatch engine passes a stack array, so its
+// every placement attempt is allocation-free.
+func (p *Pool) AppendHealthy(dst []*Device) []*Device {
 	for _, d := range p.Devices {
 		if d.Healthy() {
-			out = append(out, d)
+			dst = append(dst, d)
 		}
 	}
-	return out
+	return dst
 }

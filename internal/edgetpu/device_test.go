@@ -114,8 +114,8 @@ func TestFailedDeviceRefusesWork(t *testing.T) {
 	if _, err := d.Download(100, 0); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("download err=%v", err)
 	}
-	if len(pool.Healthy()) != 1 {
-		t.Fatalf("healthy=%d", len(pool.Healthy()))
+	if len(pool.AppendHealthy(nil)) != 1 {
+		t.Fatalf("healthy=%d", len(pool.AppendHealthy(nil)))
 	}
 }
 

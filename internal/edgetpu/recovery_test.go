@@ -89,11 +89,11 @@ func TestPoolTickKillAndRevive(t *testing.T) {
 		Revive: []fault.Event{{Device: 0, At: 10 * time.Millisecond}},
 	})
 	pool.Tick(0)
-	if len(pool.Healthy()) != 2 {
+	if len(pool.AppendHealthy(nil)) != 2 {
 		t.Fatal("no event is due at t=0")
 	}
 	pool.Tick(5 * time.Millisecond)
-	if pool.Devices[0].Healthy() || len(pool.Healthy()) != 1 {
+	if pool.Devices[0].Healthy() || len(pool.AppendHealthy(nil)) != 1 {
 		t.Fatal("device 0 must be lost at its kill time")
 	}
 	// The revival tick revives and probes in one pass, so the device is

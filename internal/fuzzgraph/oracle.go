@@ -9,10 +9,10 @@ import (
 )
 
 // Harness owns the wire leg of the three-way oracle: an in-process
-// daemon on a loopback socket plus one client. Micro-batching is
-// disabled (BatchWindow < 0) because batched GEMM quantizes with a
-// window-joint scale and is deliberately not bit-identical to the
-// per-request path.
+// daemon on a loopback socket plus one client. Its GEMMs opt out of
+// micro-batching (CallOpts.NoBatch) because a batched GEMM quantizes
+// its riders with one joint scale and is deliberately not
+// bit-identical to the per-request path.
 type Harness struct {
 	srv *server.Server
 	cli *server.Client
@@ -23,7 +23,6 @@ type Harness struct {
 func NewHarness() (*Harness, error) {
 	srv, cli, err := server.Loopback(server.Config{
 		Devices:     4,
-		BatchWindow: -1,
 		MaxInFlight: 256,
 	})
 	if err != nil {
@@ -239,7 +238,7 @@ func (h *Harness) wireCheck(cs *Case, ins []*tensor.Matrix, fetched *outcome) er
 			var err error
 			switch ns.Op {
 			case OpMatMul:
-				got, err = h.cli.Gemm(a, b, nil)
+				got, err = h.cli.Gemm(a, b, &server.CallOpts{NoBatch: true})
 			case OpAdd:
 				got, err = h.cli.Add(a, b, nil)
 			case OpSub:

@@ -6,8 +6,8 @@
 // goes (data exchange vs compute, per-instruction latency — §3.2,
 // §9.1). The serving stack needs the same decomposition per request:
 // a GEMM that took 40ms could have spent it shed-retrying admission,
-// parked in the batch window, queued behind a long OPQ backlog, or
-// re-charging after the fault injector killed its device. Each
+// parked behind a running micro-batch, queued behind a long OPQ
+// backlog, or re-charging after the fault injector killed its device. Each
 // request owns a Trace — an append-only list of closed spans (stage,
 // start, duration, attribute) plus point events (fault annotations,
 // retry notes) — built with one short mutex hold per record so the
@@ -38,7 +38,7 @@ const (
 	StageWire         = "wire"          // client: send → reply wall time
 	StageDecode       = "decode"        // server: payload decode + validation
 	StageAdmission    = "admission"     // server: admission-control decision
-	StageBatchWait    = "batch_wait"    // server: parked in the micro-batch window
+	StageBatchWait    = "batch_wait"    // server: from joining the micro-batcher to its reply
 	StageQueueWait    = "queue_wait"    // engine: OPQ instruction-queue wait
 	StageCharge       = "charge"        // engine: device charge incl. fault retries
 	StageExec         = "exec"          // engine: functional execution

@@ -24,9 +24,7 @@ const weightCacheCap = 32
 // craftable), so every group join and weight-cache hit confirms
 // identity by byte-comparing the actual matrices; a collision falls
 // back to the unbatched path rather than computing against the wrong
-// weights. Stacking the A matrices row-wise then computes every
-// request in one multi-segment tpuGemm submission:
-// [A1; A2; ...] x B = [C1; C2; ...].
+// weights.
 type batchKey struct {
 	n, k  int
 	bhash uint64
@@ -64,13 +62,12 @@ func (f fanObs) ObserveEvent(name, attr string, fault bool) {
 	}
 }
 
-// batchGroup accumulates compatible calls until the window timer, the
-// request cap, or the stacked-row cap flushes it.
+// batchGroup is a key's pending group: the calls that arrived while
+// the key's previous batch was running.
 type batchGroup struct {
 	b     *tensor.Matrix
 	calls []*gemmCall
 	rows  int
-	timer *time.Timer // window timer; stopped when a cap flush wins
 }
 
 // batcher coalesces small GEMM requests into stacked submissions. One
@@ -79,21 +76,27 @@ type batchGroup struct {
 // through the dispatch engine — where the unbatched path pays each of
 // those per request.
 //
-// State machine per batch key: idle → accumulating (first call
-// arrives, window timer armed) → flushing (timer fires, or the call
-// or row cap is hit, whichever first) → idle. Flushes of different
-// keys proceed independently.
+// Batching is occupancy-driven, per batch key: idle → running (the
+// first call flushes at once) → arrivals accumulate in the pending
+// group → drain (the batch returned: flush the group) → idle once a
+// batch returns to an empty group. A group that reaches the call or
+// row cap flushes early, beside the running batch.
 type batcher struct {
 	gx      *gptpu.Context
 	met     *serverMetrics
-	window  time.Duration
 	maxReqs int
 	maxRows int
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// groups holds an entry per running key (one with a drain loop):
+	// its pending group, nil while none has formed.
 	groups  map[batchKey]*batchGroup
 	weights map[batchKey]cachedWeight
 	worder  []batchKey // FIFO eviction order for the weight cache
+
+	// flushHook runs before every drain-loop flush and its result after
+	// it; tests replace the no-op before the first submit.
+	flushHook func(key batchKey) (end func())
 }
 
 // cachedWeight pairs a cached runtime weight buffer with the matrix it
@@ -104,7 +107,7 @@ type cachedWeight struct {
 	buf *gptpu.Buffer
 }
 
-func newBatcher(gx *gptpu.Context, met *serverMetrics, window time.Duration, maxReqs, maxRows int) *batcher {
+func newBatcher(gx *gptpu.Context, met *serverMetrics, maxReqs, maxRows int) *batcher {
 	if maxReqs <= 0 {
 		maxReqs = 16
 	}
@@ -113,33 +116,32 @@ func newBatcher(gx *gptpu.Context, met *serverMetrics, window time.Duration, max
 	}
 	return &batcher{
 		gx: gx, met: met,
-		window: window, maxReqs: maxReqs, maxRows: maxRows,
-		groups:  make(map[batchKey]*batchGroup),
-		weights: make(map[batchKey]cachedWeight),
+		maxReqs: maxReqs, maxRows: maxRows,
+		groups:    make(map[batchKey]*batchGroup),
+		weights:   make(map[batchKey]cachedWeight),
+		flushHook: func(batchKey) func() { return func() {} },
 	}
 }
 
 // submit queues one GEMM call under key, reporting whether it joined a
 // group. A false return means the call's weight matrix hash-collides
-// with the live group's weights (same key, different bytes) — the
-// caller must serve it through the unbatched execute path instead, so
-// a crafted collision can never compute another client's GEMM against
-// the wrong matrix. On true, the call's reply arrives on call.done
-// after the group flushes.
+// with the key's pending group's weights (same key, different bytes) —
+// the caller must serve it through the unbatched execute path instead,
+// so a crafted collision can never compute another client's GEMM
+// against the wrong matrix. On true, the call's reply arrives on
+// call.done after its group flushes.
 //
 // Ownership: on true, weight belongs to the batcher — the group it
 // opened keeps it (and the weight cache may keep it for good), or, when
-// the call joined a live group that already holds the same bytes, it
+// the call joined a pending group that already holds the same bytes, it
 // went back to the float32 pool. On false it is still the caller's.
 // call.a stays the caller's throughout; the flush only reads it, and
 // has finished with it by the time call.done delivers.
 func (b *batcher) submit(key batchKey, weight *tensor.Matrix, call *gemmCall) bool {
 	b.mu.Lock()
-	g := b.groups[key]
+	g, running := b.groups[key]
 	if g == nil {
 		g = &batchGroup{b: weight}
-		b.groups[key] = g
-		g.timer = time.AfterFunc(b.window, func() { b.flushKey(key, g) })
 	} else if !WeightEqual(g.b, weight) {
 		b.mu.Unlock()
 		return false
@@ -148,31 +150,36 @@ func (b *batcher) submit(key batchKey, weight *tensor.Matrix, call *gemmCall) bo
 	}
 	g.calls = append(g.calls, call)
 	g.rows += call.a.Rows
-	full := len(g.calls) >= b.maxReqs || g.rows >= b.maxRows
-	if full {
-		// Retire the group and its window timer; flushKey tolerates a
-		// timer that already fired and lost the race.
-		delete(b.groups, key)
-		g.timer.Stop()
+	capped := len(g.calls) >= b.maxReqs || g.rows >= b.maxRows
+	if !running || capped {
+		b.groups[key] = nil // g leaves now
+	} else {
+		b.groups[key] = g
 	}
 	b.mu.Unlock()
-	if full {
+	if !running {
+		go b.drain(key, g)
+	} else if capped {
 		go b.flush(key, g)
 	}
 	return true
 }
 
-// flushKey is the window-timer path: flush g only if it is still the
-// live group for key (a cap-triggered flush may have raced ahead).
-func (b *batcher) flushKey(key batchKey, g *batchGroup) {
-	b.mu.Lock()
-	if b.groups[key] != g {
+// drain is a key's running state: flush g, then each group that
+// accumulated meanwhile, until the key goes idle.
+func (b *batcher) drain(key batchKey, g *batchGroup) {
+	for g != nil {
+		end := b.flushHook(key)
+		b.flush(key, g)
+		end()
+		b.mu.Lock()
+		if g = b.groups[key]; g == nil {
+			delete(b.groups, key) // idle
+		} else {
+			b.groups[key] = nil
+		}
 		b.mu.Unlock()
-		return
 	}
-	delete(b.groups, key)
-	b.mu.Unlock()
-	b.flush(key, g)
 }
 
 // weightBuffer returns the cached runtime buffer for key, creating
@@ -205,52 +212,39 @@ func (b *batcher) weightBuffer(key batchKey, weight *tensor.Matrix) (buf *gptpu.
 
 // flush executes one group: expire stale calls, stack the survivors'
 // A matrices, run one GEMM task, and scatter the row bands back to
-// the waiting calls.
+// the waiting calls. A lone survivor skips both copies: the task
+// computes straight over its A, and the result goes to it whole.
 func (b *batcher) flush(key batchKey, g *batchGroup) {
 	now := time.Now()
-	live := g.calls[:0]
+	live, rows := g.calls[:0], 0
+	var riders fanObs
 	for _, c := range g.calls {
 		if expired(c.arrived, c.deadlineMillis, now) {
 			b.met.deadline.Inc()
 			c.done <- callResult{err: ErrDeadlineExceeded}
 			continue
 		}
-		live = append(live, c)
+		b.met.queueWait.Observe(now.Sub(c.arrived).Seconds())
+		live, rows = append(live, c), rows+c.a.Rows
+		if c.rt != nil {
+			riders = append(riders, c.rt)
+		}
 	}
 	if len(live) == 0 {
 		return
 	}
 
-	rows := 0
-	for _, c := range live {
-		rows += c.a.Rows
+	a := live[0].a
+	var stacked *tensor.Matrix
+	if len(live) > 1 {
+		stacked = stackRows(live, rows, key.n)
+		a = stacked
 	}
-	// Every row of stacked is copied over below, and its only reader is
-	// this flush's task.
-	stacked := tensor.GetF32ForOverwrite(rows, key.n)
-	r0 := 0
-	for _, c := range live {
-		for r := 0; r < c.a.Rows; r++ {
-			copy(stacked.Row(r0+r), c.a.Row(r))
-		}
-		r0 += c.a.Rows
-		b.met.queueWait.Observe(now.Sub(c.arrived).Seconds())
-	}
-
 	wb, weightKept := b.weightBuffer(key, g.b)
-	ab := b.gx.CreateMatrixBuffer(stacked)
+	ab := b.gx.CreateMatrixBuffer(a)
 	var to gptpu.TaskObserver
-	var riders fanObs
-	for _, c := range live {
-		if c.rt != nil {
-			riders = append(riders, c.rt)
-		}
-	}
 	if len(riders) > 0 {
-		attr := fmt.Sprintf("riders=%d rows=%d", len(live), rows)
-		for _, t := range riders {
-			t.ObserveEvent("batched", attr, false)
-		}
+		riders.ObserveEvent("batched", fmt.Sprintf("riders=%d rows=%d", len(live), rows), false)
 		to = riders
 	}
 	var out *tensor.Matrix
@@ -277,9 +271,13 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 		}
 		return
 	}
+	if len(live) == 1 {
+		live[0].done <- callResult{m: out}
+		return
+	}
 	// Each rider gets its own copy of its row band (the handler encodes
 	// it and returns it to the pool); only then may the stacked result go.
-	r0 = 0
+	r0 := 0
 	for _, c := range live {
 		band := tensor.GetF32ForOverwrite(c.a.Rows, key.k)
 		band.CopyFrom(out.View(r0, 0, c.a.Rows, key.k))
@@ -287,4 +285,17 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 		c.done <- callResult{m: band}
 	}
 	tensor.PutF32(out)
+}
+
+// stackRows copies the calls' A matrices (rows in all), in order, into
+// one pooled matrix, so one GEMM computes every call:
+// [A1; A2; ...] x B = [C1; C2; ...].
+func stackRows(calls []*gemmCall, rows, cols int) *tensor.Matrix {
+	stacked := tensor.GetF32ForOverwrite(rows, cols) // every row is copied over
+	r0 := 0
+	for _, c := range calls {
+		stacked.View(r0, 0, c.a.Rows, cols).CopyFrom(c.a)
+		r0 += c.a.Rows
+	}
+	return stacked
 }

@@ -145,8 +145,8 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosDeterministicMakespan replays one serial request sequence
-// against two fresh daemons under the same fault plan (batching off, so
-// wall-clock timers play no part) and requires bit-identical virtual
+// against two fresh daemons under the same fault plan (GEMMs sent
+// NoBatch, so batch composition plays no part) and requires bit-identical virtual
 // makespans: the whole fault layer is driven by the virtual clock and
 // one seeded PRNG, never by wall time.
 func TestChaosDeterministicMakespan(t *testing.T) {
@@ -154,7 +154,6 @@ func TestChaosDeterministicMakespan(t *testing.T) {
 		srv := startServer(t, Config{
 			Devices:     4,
 			MaxInFlight: 64,
-			BatchWindow: -1, // micro-batch windows are wall-clock: disable
 			Fault:       chaosPlan(),
 		})
 		c := dial(t, srv)
@@ -162,7 +161,7 @@ func TestChaosDeterministicMakespan(t *testing.T) {
 		for r := 0; r < 6; r++ {
 			a := tensor.RandUniform(rng, 48, 48, -1, 1)
 			b := tensor.RandUniform(rng, 48, 48, -1, 1)
-			if _, err := c.Gemm(a, b, nil); err != nil {
+			if _, err := c.Gemm(a, b, &CallOpts{NoBatch: true}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := c.Add(a, b, nil); err != nil {
@@ -223,7 +222,6 @@ func TestNonFiniteWireMatrixRejected(t *testing.T) {
 func TestTransientErrorTyped(t *testing.T) {
 	srv := New(Config{
 		Devices:     1,
-		BatchWindow: -1,
 		Fault:       &fault.Config{Seed: 1, TransientProb: 1},
 		RetryBudget: 2,
 	})

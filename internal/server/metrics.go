@@ -29,7 +29,7 @@ type serverMetrics struct {
 	bytesSent   *telemetry.Counter
 	shed        *telemetry.Counter      // admission rejections (ErrOverloaded)
 	deadline    *telemetry.Counter      // requests expired before dispatch
-	queueWait   *telemetry.Histogram    // arrival to dispatch (admission + batch window)
+	queueWait   *telemetry.Histogram    // arrival to dispatch (admission + wait behind a running batch)
 	e2eLat      *telemetry.HistogramVec // arrival to reply encoded, by op
 	replyWrite  *telemetry.Histogram    // reply frame socket write
 	batches     *telemetry.Counter      // micro-batch flushes
@@ -61,7 +61,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		deadline: reg.Counter("gptpu_serve_deadline_expired_total",
 			"Requests whose client deadline expired before dispatch.").With(),
 		queueWait: reg.Histogram("gptpu_serve_queue_wait_seconds",
-			"Wall seconds from request arrival to runtime dispatch (admission + batch window).",
+			"Wall seconds from request arrival to runtime dispatch (admission, plus any wait behind a running batch of the same GEMM key).",
 			waitBuckets).With(),
 		e2eLat: reg.Histogram("gptpu_serve_request_seconds",
 			"Wall seconds from request arrival to reply encoded (the socket write follows, see gptpu_serve_reply_write_seconds), by operator.",

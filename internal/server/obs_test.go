@@ -31,7 +31,7 @@ func stageSet(rec obs.TraceRec) map[string]bool {
 // exec spans, runtime, reply encode, and the total.
 func TestTraceIDPropagation(t *testing.T) {
 	rec := obs.New(obs.Config{})
-	srv := startServer(t, Config{Devices: 1, Obs: rec, BatchWindow: -1})
+	srv := startServer(t, Config{Devices: 1, Obs: rec})
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(5))
@@ -39,7 +39,7 @@ func TestTraceIDPropagation(t *testing.T) {
 	b := tensor.RandUniform(rng, 32, 32, -1, 1)
 
 	id := obs.NewTraceID()
-	got, err := c.Gemm(a, b, &CallOpts{TraceID: id})
+	got, err := c.Gemm(a, b, &CallOpts{TraceID: id, NoBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTraceIDPropagation(t *testing.T) {
 // the engine spans fan out to it even though the stacked GEMM ran once.
 func TestBatchedRequestTraced(t *testing.T) {
 	rec := obs.New(obs.Config{})
-	srv := startServer(t, Config{Devices: 1, Obs: rec, BatchWindow: 2 * time.Millisecond})
+	srv := startServer(t, Config{Devices: 1, Obs: rec})
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(6))
@@ -116,7 +116,7 @@ func TestBatchedRequestTraced(t *testing.T) {
 // the client can name the trace that was refused.
 func TestShedReplyCarriesTraceID(t *testing.T) {
 	rec := obs.New(obs.Config{})
-	srv := startServer(t, Config{Devices: 1, MaxInFlight: 1, BatchWindow: -1, Obs: rec})
+	srv := startServer(t, Config{Devices: 1, MaxInFlight: 1, Obs: rec})
 	c := dial(t, srv)
 
 	// Pin the only admission slot so the next request is shed.
@@ -162,7 +162,7 @@ func TestShedReplyCarriesTraceID(t *testing.T) {
 // TestDeadlineReplyCarriesTraceID: the other typed-error path of the
 // satellite fix — a deadline miss echoes the trace ID too.
 func TestDeadlineReplyCarriesTraceID(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: -1, Obs: obs.New(obs.Config{})})
+	srv := startServer(t, Config{Devices: 1, Obs: obs.New(obs.Config{})})
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(8))
@@ -194,7 +194,7 @@ func TestDeadlineReplyCarriesTraceID(t *testing.T) {
 // answers v2 frames with CodeVersion; the client must downgrade and
 // keep working, and report the negotiated version.
 func TestVersionNegotiation(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: -1, MaxVersion: VersionLegacy})
+	srv := startServer(t, Config{Devices: 1, MaxVersion: VersionLegacy})
 	c := dial(t, srv)
 
 	if got := c.ProtocolVersion(); got != Version {
@@ -223,7 +223,7 @@ func TestVersionNegotiation(t *testing.T) {
 // by a v2 daemon (per-frame versioning, replies echo the request's
 // version).
 func TestLegacyClientAgainstCurrentServer(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: -1, Obs: obs.New(obs.Config{})})
+	srv := startServer(t, Config{Devices: 1, Obs: obs.New(obs.Config{})})
 	c := dial(t, srv)
 	c.ver.Store(uint32(VersionLegacy)) // simulate an old client build
 
@@ -315,7 +315,6 @@ func TestFaultRetryAttributed(t *testing.T) {
 	rec := obs.New(obs.Config{})
 	srv := New(Config{
 		Devices:     1,
-		BatchWindow: -1,
 		RetryBudget: 2,
 		Fault:       &fault.Config{Seed: 1, TransientProb: 1},
 		Obs:         rec,

@@ -30,12 +30,9 @@ type Config struct {
 	// MaxInFlight bounds admitted requests; arrivals beyond it are
 	// shed with ErrOverloaded (0 = 64).
 	MaxInFlight int
-	// BatchWindow is how long the first small GEMM of a batch group
-	// waits for company before flushing. Negative disables
-	// micro-batching; 0 selects the 500µs default.
-	BatchWindow time.Duration
 	// BatchMaxRequests flushes a group early once this many requests
-	// coalesced (0 = 16).
+	// coalesced (0 = 16). No GEMM waits for company: one whose key has
+	// no batch running flushes at once.
 	BatchMaxRequests int
 	// BatchMaxRows flushes a group early once the stacked activation
 	// matrix reaches this many rows (0 = 4096).
@@ -84,7 +81,7 @@ type Server struct {
 	gx     *gptpu.Context
 	met    *serverMetrics
 	adm    *admission
-	bat    *batcher // nil when batching is disabled
+	bat    *batcher
 	rec    *obs.Recorder
 	log    *slog.Logger
 	maxVer byte
@@ -102,9 +99,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
-	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 500 * time.Microsecond
 	}
 	if cfg.BatchMaxElems <= 0 {
 		cfg.BatchMaxElems = 65536
@@ -142,9 +136,7 @@ func New(cfg Config) *Server {
 		log:    logger,
 		maxVer: maxVer,
 		conns:  make(map[net.Conn]struct{}),
-	}
-	if cfg.BatchWindow > 0 {
-		s.bat = newBatcher(gx, met, cfg.BatchWindow, cfg.BatchMaxRequests, cfg.BatchMaxRows)
+		bat:    newBatcher(gx, met, cfg.BatchMaxRequests, cfg.BatchMaxRows),
 	}
 	return s
 }
@@ -461,7 +453,9 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 		return
 	}
 
-	if s.batchable(req) {
+	// Small GEMMs that did not opt out go through the micro-batcher.
+	if req.Op == MsgGemm && req.Flags&FlagNoBatch == 0 &&
+		req.A.Elems() <= s.cfg.BatchMaxElems && req.B.Elems() <= s.cfg.BatchMaxElems {
 		key := batchKey{n: req.A.Cols, k: req.B.Cols, bhash: WeightKey(req.B)}
 		call := &gemmCall{a: req.A, arrived: arrived, deadlineMillis: req.DeadlineMillis,
 			rt: rt, done: make(chan callResult, 1)}
@@ -475,7 +469,7 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 			s.finishReply(rc, res.m, res.err)
 			return
 		}
-		// The weight matrix hash-collided with a live batch group's:
+		// The weight matrix hash-collided with a pending batch group's:
 		// fall through to the unbatched path rather than batch against
 		// the wrong weights.
 		rt.End(obs.StageBatchWait)
@@ -484,13 +478,6 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 	s.met.queueWait.Observe(time.Since(arrived).Seconds())
 	m, err := s.execute(req, rt)
 	s.finishReply(rc, m, err)
-}
-
-// batchable reports whether a request qualifies for micro-batching:
-// a GEMM small enough to stack, not opted out, batcher enabled.
-func (s *Server) batchable(req *OpRequest) bool {
-	return s.bat != nil && req.Op == MsgGemm && req.Flags&FlagNoBatch == 0 &&
-		req.A.Elems() <= s.cfg.BatchMaxElems && req.B.Elems() <= s.cfg.BatchMaxElems
 }
 
 // finishReply answers the request with m or a typed error, in the

@@ -20,7 +20,13 @@ import (
 // with the test.
 func startServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	srv := New(cfg)
+	return serveOn(t, New(cfg))
+}
+
+// serveOn is startServer for a daemon the test built (and rigged)
+// itself.
+func serveOn(t *testing.T, srv *Server) *Server {
+	t.Helper()
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestConcurrentConnectionsMixedOps(t *testing.T) {
 // single-core host the connection read loop serializes requests so a
 // flood never reliably overlaps two in-flight executions.
 func TestOverloadShedsTyped(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, MaxInFlight: 1, BatchWindow: -1})
+	srv := startServer(t, Config{Devices: 1, MaxInFlight: 1})
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(9))
@@ -173,58 +179,82 @@ func TestOverloadShedsTyped(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagates sends a request whose deadline expires while
-// it waits in the micro-batch window: the reply must be the typed
+// TestDeadlinePropagates expires a request's deadline while it waits
+// behind its key's in-flight batch: the reply must be the typed
 // deadline error, and no result may be fabricated.
 func TestDeadlinePropagates(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: 200 * time.Millisecond})
+	srv := New(Config{Devices: 1})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.RandUniform(rng, 8, 8, -1, 1)
 	b := tensor.RandUniform(rng, 8, 8, -1, 1)
-	_, err := c.Gemm(a, b, &CallOpts{Deadline: 20 * time.Millisecond})
-	if !errors.Is(err, ErrDeadlineExceeded) {
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Gemm(a, b, nil)
+		leader <- err
+	}()
+	gate.waitRunning(t)
+	late := make(chan error, 1)
+	go func() {
+		_, err := c.Gemm(a, b, &CallOpts{Deadline: 20 * time.Millisecond})
+		late <- err
+	}()
+	waitPending(t, srv.bat, 1)
+	time.Sleep(40 * time.Millisecond) // the pending call's deadline passes
+	gate.open()
+
+	if err := <-late; !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatalf("in-flight leader failed: %v", err)
 	}
 	if srv.met.deadline.Value() == 0 {
 		t.Error("deadline-expired counter did not move")
 	}
 }
 
-// TestBatcherCoalesces drives concurrent small GEMMs sharing one
-// weight matrix into a wide batch window: they must flush as one
-// stacked submission and every caller must still get its own correct
-// row band.
+// TestBatcherCoalesces holds a key's batch running and sends riders
+// sharing its weight matrix meanwhile: they must leave as one stacked
+// submission the moment the running batch returns, and every caller
+// must still get its own correct row band.
 func TestBatcherCoalesces(t *testing.T) {
-	const callers = 4
-	srv := startServer(t, Config{
-		Devices:          1,
-		BatchWindow:      100 * time.Millisecond,
-		BatchMaxRequests: callers,
-	})
+	const riders = 4
+	srv := New(Config{Devices: 1})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(11))
 	weights := tensor.RandUniform(rng, 24, 24, -1, 1)
-	as := make([]*tensor.Matrix, callers)
+	as := make([]*tensor.Matrix, riders+1) // as[0] is the leader
 	for i := range as {
 		as[i] = tensor.RandUniform(rng, 6+2*i, 24, -1, 1)
 	}
 
 	var wg sync.WaitGroup
-	outs := make([]*tensor.Matrix, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
+	outs := make([]*tensor.Matrix, len(as))
+	errs := make([]error, len(as))
+	call := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			outs[i], errs[i] = c.Gemm(as[i], weights, nil)
-		}(i)
+		}()
 	}
+	call(0)
+	gate.waitRunning(t)
+	for i := 1; i <= riders; i++ {
+		call(i)
+	}
+	waitPending(t, srv.bat, riders)
+	gate.open()
 	wg.Wait()
 
-	for i := 0; i < callers; i++ {
+	for i := range as {
 		if errs[i] != nil {
 			t.Fatalf("caller %d: %v", i, errs[i])
 		}
@@ -236,18 +266,14 @@ func TestBatcherCoalesces(t *testing.T) {
 			t.Errorf("caller %d RMSE %v", i, e)
 		}
 	}
-	if got := srv.met.batches.Value(); got != 1 {
-		t.Errorf("batches flushed = %v, want 1 (callers must coalesce)", got)
+	if got := srv.met.batches.Value(); got != 2 {
+		t.Errorf("batches flushed = %v, want 2 (the leader, then the riders as one)", got)
 	}
-	if got := srv.met.batchedReqs.Value(); got != callers {
-		t.Errorf("batched requests = %v, want %d", got, callers)
+	if got := srv.met.batchedReqs.Value(); got != riders+1 {
+		t.Errorf("batched requests = %v, want %d", got, riders+1)
 	}
-
-	// A second round against the same weights must hit the cached
-	// weight buffer (skipping its re-quantization).
-	if _, err := c.Gemm(as[0], weights, nil); err != nil {
-		t.Fatal(err)
-	}
+	// The riders' batch found the leader's weights in the cache
+	// (skipping their re-quantization).
 	if srv.met.weightHits.Value() == 0 {
 		t.Error("weight cache did not hit on repeated weights")
 	}
@@ -257,7 +283,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // mid-flight: the request must complete with its real result and
 // Shutdown must wait for it.
 func TestShutdownDrainsInflight(t *testing.T) {
-	srv := New(Config{Devices: 1, BatchWindow: -1})
+	srv := New(Config{Devices: 1})
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +435,12 @@ func TestGemmResultCapRejected(t *testing.T) {
 // TestBatcherHashCollisionSafe forges two weight matrices sharing one
 // batchKey (as an adversarial FNV collision would) and verifies
 // byte-comparison keeps them apart: the collider is refused from the
-// live group, and a later group under the same key is not served from
-// the poisoned weight-buffer cache.
+// pending group, and a later group under the same key is not served
+// from the poisoned weight-buffer cache.
 func TestBatcherHashCollisionSafe(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: time.Second, BatchMaxRequests: 2})
+	srv := New(Config{Devices: 1, BatchMaxRequests: 2})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 	bat := srv.bat
 
 	rng := rand.New(rand.NewSource(7))
@@ -428,18 +456,24 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 	// An accepted submit takes the weight matrix over (the batcher may
 	// return it to the float32 pool), so each call hands in its own copy
 	// — as the daemon does, where every request decodes its own.
+	c0 := newCall()
+	if !bat.submit(key, w1.Clone(), c0) { // idle key: runs at once, held by the gate
+		t.Fatal("leader submit refused")
+	}
+	gate.waitRunning(t)
 	c1 := newCall()
 	if !bat.submit(key, w1.Clone(), c1) {
-		t.Fatal("first submit refused")
+		t.Fatal("first pending submit refused")
 	}
 	if bat.submit(key, w2, newCall()) {
-		t.Fatal("colliding weights joined a live group — would compute against wrong matrix")
+		t.Fatal("colliding weights joined a pending group — would compute against wrong matrix")
 	}
 	c2 := newCall()
 	if !bat.submit(key, w1.Clone(), c2) { // hits BatchMaxRequests, cap-flushes
 		t.Fatal("same-weight submit refused")
 	}
-	for _, c := range []*gemmCall{c1, c2} {
+	gate.open()
+	for _, c := range []*gemmCall{c0, c1, c2} {
 		res := <-c.done
 		if res.err != nil {
 			t.Fatal(res.err)
@@ -448,10 +482,12 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 			t.Errorf("w1 band RMSE %v", e)
 		}
 	}
+	waitIdle(t, bat)
 
 	// w1's buffer is now cached under the forged key. A w2 group
 	// reusing that key must detect the byte mismatch and compute with
 	// fresh weights, not the cached w1.
+	hits := srv.met.weightHits.Value()
 	c3, c4 := newCall(), newCall()
 	if !bat.submit(key, w2.Clone(), c3) || !bat.submit(key, w2.Clone(), c4) {
 		t.Fatal("w2 group refused after w1 group retired")
@@ -465,21 +501,41 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 			t.Errorf("w2 band RMSE %v (served from poisoned weight cache?)", e)
 		}
 	}
-	if got := srv.met.weightHits.Value(); got != 0 {
-		t.Errorf("weight cache hits = %v, want 0 (colliding entry must not hit)", got)
+	if got := srv.met.weightHits.Value(); got != hits {
+		t.Errorf("weight cache hits %v -> %v, want unchanged (colliding entry must not hit)", hits, got)
 	}
 }
 
 // TestHugeDeadlineClamped sends a deadline just past the u32
-// millisecond wire range: it must saturate (~49.7 days), not wrap to
-// ~1 ms and expire inside the batch window.
+// millisecond wire range and holds it behind an in-flight batch for
+// longer than a wrapped (~1 ms) deadline: it must saturate (~49.7
+// days), not wrap and expire.
 func TestHugeDeadlineClamped(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: 100 * time.Millisecond})
+	srv := New(Config{Devices: 1})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 	c := dial(t, srv)
 	rng := rand.New(rand.NewSource(3))
 	a := tensor.RandUniform(rng, 8, 8, -1, 1)
 	b := tensor.RandUniform(rng, 8, 8, -1, 1)
-	if _, err := c.Gemm(a, b, &CallOpts{Deadline: (1<<32 + 1) * time.Millisecond}); err != nil {
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Gemm(a, b, nil)
+		leader <- err
+	}()
+	gate.waitRunning(t)
+	huge := make(chan error, 1)
+	go func() {
+		_, err := c.Gemm(a, b, &CallOpts{Deadline: (1<<32 + 1) * time.Millisecond})
+		huge <- err
+	}()
+	waitPending(t, srv.bat, 1)
+	time.Sleep(5 * time.Millisecond)
+	gate.open()
+	if err := <-huge; err != nil {
 		t.Fatalf("huge deadline failed (wrapped instead of clamped?): %v", err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -77,7 +77,9 @@ func TestWeightEqualShapeMismatch(t *testing.T) {
 // the second matrix down the unbatched path and both requests still
 // compute against their own weights.
 func TestWeightKeyCollisionFallback(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, BatchWindow: 2 * time.Millisecond})
+	srv := New(Config{Devices: 1})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 
 	rng := rand.New(rand.NewSource(11))
 	b1 := tensor.RandUniform(rng, 8, 8, -1, 1)
@@ -85,21 +87,32 @@ func TestWeightKeyCollisionFallback(t *testing.T) {
 	key := batchKey{n: 8, k: 8, bhash: 0xdecafbad} // same forged key for both
 
 	a := tensor.RandUniform(rng, 4, 8, -1, 1)
-	call1 := &gemmCall{a: a, arrived: time.Now(), done: make(chan callResult, 1)}
-	if !srv.bat.submit(key, b1, call1) {
-		t.Fatal("first submit under the key must join")
+	newCall := func() *gemmCall {
+		return &gemmCall{a: a, arrived: time.Now(), done: make(chan callResult, 1)}
 	}
-	call2 := &gemmCall{a: a, arrived: time.Now(), done: make(chan callResult, 1)}
-	if srv.bat.submit(key, b2, call2) {
+	// The first call runs at once and is held there, so the second
+	// opens the key's pending group — the group a collider meets.
+	call0, call1 := newCall(), newCall()
+	if !srv.bat.submit(key, b1.Clone(), call0) {
+		t.Fatal("first submit under the key must run")
+	}
+	gate.waitRunning(t)
+	if !srv.bat.submit(key, b1.Clone(), call1) {
+		t.Fatal("same-weight submit must join the pending group")
+	}
+	if srv.bat.submit(key, b2, newCall()) {
 		t.Fatal("hash-colliding weights must be refused by the batcher")
 	}
+	gate.open()
 
-	res := <-call1.done
-	if res.err != nil {
-		t.Fatalf("batched call failed: %v", res.err)
-	}
-	if rmse := tensor.RMSE(blas.NaiveGemm(a, b1), res.m); rmse > 0.05 {
-		t.Fatalf("batched result RMSE %v against its own weights", rmse)
+	for _, c := range []*gemmCall{call0, call1} {
+		res := <-c.done
+		if res.err != nil {
+			t.Fatalf("batched call failed: %v", res.err)
+		}
+		if rmse := tensor.RMSE(blas.NaiveGemm(a, b1), res.m); rmse > 0.05 {
+			t.Fatalf("batched result RMSE %v against its own weights", rmse)
+		}
 	}
 
 	// The weight cache must also survive a forged-key hit: a lookup
