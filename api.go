@@ -179,6 +179,11 @@ func (o *Op) GemmPrecise(a, b *Buffer) *tensor.Matrix { return o.s.MatMulPrecise
 // MatVec multiplies a matrix by a vector with FullyConnected.
 func (o *Op) MatVec(a *Buffer, x []float32) []float32 { return o.s.MatVec(a, x) }
 
+// MatVecPrecise is the dual-portion MatVec (~16-bit effective input
+// precision at three FullyConnected passes). The matrix's split is
+// built on first use and kept on the buffer for the next call.
+func (o *Op) MatVecPrecise(a *Buffer, x []float32) []float32 { return o.s.MatVecPrecise(a, x) }
+
 // Add performs pair-wise addition.
 func (o *Op) Add(a, b *Buffer) *tensor.Matrix { return o.s.Add(a, b) }
 

@@ -4,12 +4,14 @@
 // product A*p, maps to FullyConnected instructions; the scalar
 // recurrences stay on the host.
 //
-// Plain int8 products stall CG at a few percent residual, so the
-// solver composes the dual-portion technique (paper section 10) at
-// the application level: the system matrix splits once into coarse +
-// fine buffers (both resident across iterations), the direction
-// vector splits per iteration, and three MatVec calls reconstruct
-// A*p to ~16-bit precision — enough for CG to converge properly.
+// Plain int8 products stall CG at the quantization floor, so the
+// solver runs the product through Op.MatVecPrecise, the dual-portion
+// technique of the paper's section 10: the system matrix splits once
+// into coarse and fine portions (kept on its buffer and resident on the
+// devices across iterations), the direction vector splits every
+// iteration, and three FullyConnected passes reconstruct A*p to ~16-bit
+// precision. The program solves one system both ways and prints the
+// residuals side by side.
 //
 //	go run ./examples/conjgrad
 package main
@@ -22,27 +24,58 @@ import (
 	"os"
 
 	gptpu "repro"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
 const (
-	n     = 1024
+	n     = 256
 	iters = 40
 )
 
 func main() {
+	a, b := system()
+	fmt.Printf("conjugate gradient: %dx%d SPD system on 4 Edge TPUs\n", n, n)
+	for _, precise := range []bool{false, true} {
+		ctx := gptpu.Open(gptpu.Config{Devices: 4})
+		op := ctx.NewOp()
+		buf := ctx.CreateMatrixBuffer(a)
+		matVec, name := op.MatVec, "int8 MatVec"
+		if precise {
+			matVec, name = op.MatVecPrecise, "MatVecPrecise"
+		}
+		x, it := solve(func(p []float32) []float32 {
+			ap := matVec(buf, p)
+			if op.Err() != nil {
+				slog.Error("matvec kernel failed", "err", op.Err())
+				os.Exit(1)
+			}
+			return ap
+		}, b)
+		norm, worst := residual(a, x, b)
+		fmt.Printf("  %-13s iterations: %2d   residual norm: %.4f   worst component: %.5f   virtual time: %v\n",
+			name, it, norm, worst, ctx.Elapsed())
+		ctx.Close()
+	}
+}
+
+// system returns a symmetric positive-definite system A x = b with
+// A = M^T M / n + 4 I.
+func system() (*tensor.Matrix, []float32) {
 	rng := rand.New(rand.NewSource(3))
-	// Symmetric positive-definite system: A = M^T M / n + I.
 	m := tensor.RandUniform(rng, n, n, -1, 1)
+	acc := make([]float64, n*n)
+	for k := 0; k < n; k++ {
+		row := m.Row(k)
+		for i, mi := range row {
+			for j := i; j < n; j++ {
+				acc[i*n+j] += float64(mi) * float64(row[j])
+			}
+		}
+	}
 	a := tensor.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			var acc float64
-			for k := 0; k < n; k++ {
-				acc += float64(m.At(k, i)) * float64(m.At(k, j))
-			}
-			v := float32(acc / n)
+			v := float32(acc[i*n+j] / n)
 			if i == j {
 				v += 4
 			}
@@ -54,37 +87,18 @@ func main() {
 	for i := range b {
 		b[i] = rng.Float32()*2 - 1
 	}
+	return a, b
+}
 
-	ctx := gptpu.Open(gptpu.Config{Devices: 4})
-	op := ctx.NewOp()
-	aHi, aLo, _ := quant.SplitPortions(a)
-	bHi := ctx.CreateMatrixBuffer(aHi)
-	bLo := ctx.CreateMatrixBuffer(aLo)
-	// matVec reconstructs A*p from three device products:
-	// A_hi*p_hi + A_hi*p_lo + A_lo*p_hi (the lo*lo term is negligible).
-	matVec := func(p []float32) []float32 {
-		pHi, pLo := quant.SplitVector(p)
-		y1 := op.MatVec(bHi, pHi)
-		y2 := op.MatVec(bHi, pLo)
-		y3 := op.MatVec(bLo, pHi)
-		out := make([]float32, len(p))
-		for i := range out {
-			out[i] = y1[i] + y2[i] + y3[i]
-		}
-		return out
-	}
-
+// solve runs CG from x = 0 until the recurrence residual falls below
+// 1e-4 or iters is reached, and returns x and the iteration count.
+func solve(matVec func([]float32) []float32, b []float32) ([]float32, int) {
 	x := make([]float32, n)
 	r := append([]float32(nil), b...)
 	p := append([]float32(nil), b...)
 	rs := dot(r, r)
-	var it int
-	for it = 0; it < iters; it++ {
-		ap := matVec(p) // the dual-portion device product
-		if op.Err() != nil {
-			slog.Error("matvec kernel failed", "err", op.Err())
-			os.Exit(1)
-		}
+	for it := 1; it <= iters; it++ {
+		ap := matVec(p)
 		alpha := rs / dot(p, ap)
 		for i := range x {
 			x[i] += alpha * p[i]
@@ -92,35 +106,29 @@ func main() {
 		}
 		rsNew := dot(r, r)
 		if math.Sqrt(float64(rsNew)) < 1e-4 {
-			it++
-			break
+			return x, it
 		}
-		beta := rsNew / rs
 		for i := range p {
-			p[i] = r[i] + beta*p[i]
+			p[i] = r[i] + rsNew/rs*p[i]
 		}
 		rs = rsNew
 	}
+	return x, iters
+}
 
-	// Residual of the returned solution against the exact system.
-	res := make([]float32, n)
-	var worst float64
+// residual returns the norm and the largest component of A x - b,
+// computed exactly on the host.
+func residual(a *tensor.Matrix, x, b []float32) (norm, worst float64) {
 	for i := 0; i < n; i++ {
 		var acc float64
-		for j := 0; j < n; j++ {
-			acc += float64(a.At(i, j)) * float64(x[j])
+		for j, v := range a.Row(i) {
+			acc += float64(v) * float64(x[j])
 		}
-		res[i] = float32(acc) - b[i]
-		if d := math.Abs(float64(res[i])); d > worst {
-			worst = d
-		}
+		d := acc - float64(b[i])
+		norm += d * d
+		worst = math.Max(worst, math.Abs(d))
 	}
-	fmt.Printf("conjugate gradient: %dx%d SPD system on 4 Edge TPUs\n", n, n)
-	fmt.Printf("  iterations: %d   final residual norm: %.4f   worst component: %.4f\n",
-		it, math.Sqrt(float64(dot(res, res))), worst)
-	fmt.Printf("  virtual time: %v, energy %.2f J\n", ctx.Elapsed(), ctx.Energy().TotalJoules())
-	fmt.Println("  note: dual-portion products give ~16-bit precision; single-portion int8")
-	fmt.Println("  stalls CG near 5% residual (try removing the split to see it)")
+	return math.Sqrt(norm), worst
 }
 
 func dot(a, b []float32) float32 {

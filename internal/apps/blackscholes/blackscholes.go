@@ -16,7 +16,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/blas"
 	"repro/internal/gpusim"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -194,11 +193,11 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		}
 		// Host: d1/d2 (one log, two sqrts, a few muls per option).
 		core.ChargeHostWork(params.CPUScalarTime(int64(bn) / 4))
-		f1 := tensor.New(bn, PolyDegree+1)
-		f2 := tensor.New(bn, PolyDegree+1)
-
+		f1 := tensor.ShapeOnly(bn, PolyDegree+1)
+		f2 := tensor.ShapeOnly(bn, PolyDegree+1)
 		if functional {
-
+			f1 = tensor.New(bn, PolyDegree+1)
+			f2 = tensor.New(bn, PolyDegree+1)
 			for i := 0; i < bn; i++ {
 				o := opts[b0+i]
 				s, k, t, r, v := float64(o.S), float64(o.K), float64(o.T), float64(o.R), float64(o.V)
@@ -212,14 +211,13 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		// Host: feature expansion (9 multiplies per option per d).
 		core.ChargeHostWork(params.QuantTime(int64(bn) * (PolyDegree + 1) * 2))
 
+		// The polynomial products run at ~16-bit precision (the lo*lo
+		// term of the dual-portion split is negligible at ~1e-5).
 		op := ctx.NewOp()
-		phi1, err := splitMatVec(ctx, op, f1, polyCoeffs, functional)
-		if err != nil {
-			return nil, apps.Metrics{}, err
-		}
-		phi2, err := splitMatVec(ctx, op, f2, polyCoeffs, functional)
-		if err != nil {
-			return nil, apps.Metrics{}, err
+		phi1 := op.MatVecPrecise(ctx.CreateMatrixBuffer(f1), polyCoeffs)
+		phi2 := op.MatVecPrecise(ctx.CreateMatrixBuffer(f2), polyCoeffs)
+		if op.Err() != nil {
+			return nil, apps.Metrics{}, op.Err()
 		}
 		// Host: final price combination.
 		core.ChargeHostWork(params.CPUScalarTime(int64(bn) / 8))
@@ -234,55 +232,6 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		}
 	}
 	return prices, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
-}
-
-// splitMatVec evaluates F*c with the precision-splitting technique of
-// the paper's section 10 discussion ("GPTPU can achieve the desired
-// level of precision by iteratively computing on different portions
-// of raw input numbers"): both the feature matrix and the coefficient
-// vector split into a coarse portion exactly representable in int8
-// and a fine residual, and three FullyConnected passes reconstruct
-// the product to ~1e-5 precision (the lo*lo term is negligible):
-//
-//	F*c ~ F_hi*c_hi + F_hi*c_lo + F_lo*c_hi
-func splitMatVec(ctx *gptpu.Context, op *gptpu.Op, f *tensor.Matrix, coeffs []float32, functional bool) ([]float32, error) {
-	fHi, fLo := splitMatrix(f, functional)
-	cHi, cLo := splitVector(coeffs)
-	// Host cost of the split: one pass over the feature matrix.
-	core := ctx.Core()
-	core.ChargeHostWork(core.Params().QuantTime(int64(f.Elems())))
-
-	bHi := ctx.CreateMatrixBuffer(fHi)
-	bLo := ctx.CreateMatrixBuffer(fLo)
-	hh := op.MatVec(bHi, cHi)
-	hl := op.MatVec(bHi, cLo)
-	lh := op.MatVec(bLo, cHi)
-	if op.Err() != nil {
-		return nil, op.Err()
-	}
-	out := make([]float32, f.Rows)
-	if functional {
-		for i := range out {
-			out[i] = hh[i] + hl[i] + lh[i]
-		}
-	}
-	core.ChargeHostWork(core.Params().AggTime(int64(f.Rows)))
-	return out, nil
-}
-
-// splitMatrix returns the int8-exact coarse portion of m and the
-// residual (quant.SplitPortions; zero matrices in timing-only mode).
-func splitMatrix(m *tensor.Matrix, functional bool) (hi, lo *tensor.Matrix) {
-	if !functional {
-		return tensor.New(m.Rows, m.Cols), tensor.New(m.Rows, m.Cols)
-	}
-	hi, lo, _ = quant.SplitPortions(m)
-	return hi, lo
-}
-
-// splitVector splits the coefficient vector the same way.
-func splitVector(c []float32) (hi, lo []float32) {
-	return quant.SplitVector(c)
 }
 
 // fillPowers writes the normalized power features 1, t, ..., t^9 with

@@ -95,6 +95,14 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 	}
 	op := ctx.NewOp()
 	params := ctx.Core().Params()
+	// Storage for the two broadcast operands of the within-panel
+	// reductions, shared by every pivot step: each step's buffers are
+	// done with the data once its Mul returns.
+	var mulStore [2][]float32
+	if functional {
+		mulStore[0] = make([]float32, (panelSize-1)*(n+1))
+		mulStore[1] = make([]float32, (panelSize-1)*(n+1))
+	}
 
 	for k0 := 0; k0 < n-1; k0 += panelSize {
 		kEnd := k0 + panelSize
@@ -116,9 +124,11 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 			if pr <= 0 {
 				break
 			}
-			mulA := allocMat(pr, pc, functional)
-			mulB := allocMat(pr, pc, functional)
+			mulA := tensor.ShapeOnly(pr, pc)
+			mulB := tensor.ShapeOnly(pr, pc)
 			if functional {
+				mulA = tensor.FromSlice(pr, pc, mulStore[0])
+				mulB = tensor.FromSlice(pr, pc, mulStore[1])
 				rowK := work.Row(k)[k:]
 				for i := 0; i < pr; i++ {
 					f := work.At(k+1+i, k) / work.At(k, k)

@@ -219,7 +219,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, temp, power []*tensor.Matrix) ([]*te
 				return nil, apps.Metrics{}, op.Err()
 			}
 			if functional {
-				conv[z] = full.Crop(0, 0, cfg.N, cfg.N)
+				conv[z] = full.View(0, 0, cfg.N, cfg.N)
 			}
 		}
 		if functional {

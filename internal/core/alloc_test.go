@@ -128,3 +128,55 @@ func TestGemmByteBudget(t *testing.T) {
 		t.Errorf("%.0f KiB per GEMM, budget %d KiB — is the wide accumulator or the conv layout copy back?", got/1024, budget>>10)
 	}
 }
+
+// TestPreciseAndPairwiseByteBudget weighs the Tensorizer's host passes
+// where they used to build throwaway forms. MatVecPrecise over a fresh
+// 65536x10 buffer (BlackScholes' feature matrix) may allocate the two
+// int8 portions (640 KiB each), the three partial products (256 KiB
+// each; the first carries the sum) and bookkeeping; a float32 portion
+// creeping back costs 2.5 MiB. A pairwise Mul over two fresh 256x256 buffers may
+// allocate their int8 forms (64 KiB each), its 256 KiB result and
+// bookkeeping; a second int8 form of either operand costs 64 KiB.
+func TestPreciseAndPairwiseByteBudget(t *testing.T) {
+	if tensor.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	ctx := testCtx(2)
+	defer ctx.Close()
+	rng := rand.New(rand.NewSource(31))
+	feat := tensor.RandUniform(rng, 65536, 10, -1, 1)
+	coef := make([]float32, 10)
+	for i := range coef {
+		coef[i] = rng.Float32()*2 - 1
+	}
+	a := tensor.RandUniform(rng, 256, 256, -3, 3)
+	b := tensor.RandUniform(rng, 256, 256, -3, 3)
+	for _, tc := range []struct {
+		name   string
+		budget int
+		call   func(s *Stream) bool
+	}{
+		{"MatVecPrecise", 2560 << 10, func(s *Stream) bool { return s.MatVecPrecise(ctx.NewBuffer(feat), coef) != nil }},
+		{"Mul", 440 << 10, func(s *Stream) bool { return s.MulPair(ctx.NewBuffer(a), ctx.NewBuffer(b)) != nil }},
+	} {
+		call := func() {
+			s := ctx.NewStream()
+			if !tc.call(s) || s.Err() != nil {
+				t.Fatal(tc.name, "failed:", s.Err())
+			}
+		}
+		call()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f KiB per call (budget %d KiB)", tc.name, got/1024, tc.budget>>10)
+		if got > float64(tc.budget) {
+			t.Errorf("%s: %.0f KiB per call, budget %d KiB — is a float32 portion or a second int8 form back?", tc.name, got/1024, tc.budget>>10)
+		}
+	}
+}

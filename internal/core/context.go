@@ -398,12 +398,19 @@ type Buffer struct {
 	// consumer can observe the buffer.
 	chip *chipResidency
 
-	mu           sync.Mutex
-	quantized    bool
-	qp           quant.Params
+	mu        sync.Mutex
+	quantized bool
+	qp        quant.Params
+	// q is the int8 form and qmax its max|code|, from the pass that built
+	// it. A split portion (see portions) has q before it is quantized:
+	// the split built it, and ensureQuantized only charges the pass.
 	q            *tensor.MatrixI8
+	qmax         int32
 	readyAt      timing.Duration
 	derivedForms map[derivedTag]*derived
+	// hi and lo are the precision split of M, built on first use by the
+	// dual-portion operators and kept for the next.
+	hi, lo *Buffer
 }
 
 // chipRef returns the buffer's on-chip residency, nil for ordinary
@@ -441,6 +448,14 @@ func (b *Buffer) calibration() quant.Params {
 	return b.calib
 }
 
+// codeMax returns max|code| over the buffer's int8 form, found by the
+// pass that built it (call after ensureQuantized; 0 in timing-only mode).
+func (b *Buffer) codeMax() int32 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.qmax
+}
+
 // NewBuffer registers host data with the runtime. The data is not
 // copied; the caller must not mutate it while operators are in
 // flight. Use Invalidate after intentional mutation. Data containing
@@ -470,6 +485,7 @@ func (c *Context) Invalidate(b *Buffer) {
 	b.quantized = false
 	b.q = nil
 	b.derivedForms = nil
+	b.hi, b.lo = nil, nil
 	b.key = c.nextKey()
 	b.analyze()
 	b.mu.Unlock()
@@ -503,7 +519,7 @@ func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (q
 		b.qp = quant.Params{Scale: 1}
 		if c.opts.Functional {
 			b.qp = b.calib
-			b.q = quant.QuantizeWith(b.M, b.qp)
+			b.q, b.qmax = quant.QuantizeWithMax(b.M, b.qp)
 		}
 		b.quantized = true
 		b.readyAt = b.chip.ready
@@ -532,7 +548,9 @@ func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (q
 	b.qp = quant.Params{Scale: 1}
 	if c.opts.Functional {
 		b.qp = b.calib
-		b.q = quant.QuantizeWith(b.M, b.qp)
+		if b.q == nil {
+			b.q, b.qmax = quant.QuantizeWithMax(b.M, b.qp)
+		}
 	}
 	b.quantized = true
 	b.readyAt = end

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -599,6 +600,135 @@ func TestMatMulPreciseBeatsPlain(t *testing.T) {
 	ratio := ctx2.Elapsed().Seconds() / ctx1.Elapsed().Seconds()
 	if ratio < 1.5 || ratio > 6 {
 		t.Fatalf("precise/plain time ratio %v outside the expected ~3x", ratio)
+	}
+}
+
+// TestPreciseOpsMatchFloatPortions pins the dual-portion operators to
+// the composition they replace: buffers over quant.SplitPortions'
+// float32 portions, three plain operators, and the host charges for
+// the split and the combination. Results and virtual makespans must
+// agree exactly, on a compact operand and on a strided view.
+func TestPreciseOpsMatchFloatPortions(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	parent := tensor.RandUniform(rng, 300, 200, -3, 3)
+	w := tensor.RandUniform(rng, 150, 70, -2, 2)
+	x := make([]float32, 150)
+	for i := range x {
+		x[i] = rng.Float32()*4 - 1
+	}
+	same := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	split := func(ctx *Context, m *tensor.Matrix) (hi, lo *Buffer) {
+		h, l, _ := quant.SplitPortions(m)
+		ctx.ChargeHostWork(ctx.params.QuantTime(int64(m.Elems())))
+		return ctx.NewBuffer(h), ctx.NewBuffer(l)
+	}
+	for name, a := range map[string]*tensor.Matrix{
+		"compact": parent.View(0, 0, 290, 150).Clone(),
+		"view":    parent.View(7, 11, 290, 150),
+	} {
+		ctx := testCtx(2)
+		s := ctx.NewStream()
+		got := s.MatVecPrecise(ctx.NewBuffer(a), x)
+		ref := testCtx(2)
+		rs := ref.NewStream()
+		ah, al := split(ref, a)
+		xh, xl, _ := quant.SplitPortions(tensor.FromSlice(1, len(x), x))
+		hh, hl, lh := rs.MatVec(ah, xh.Data), rs.MatVec(ah, xl.Data), rs.MatVec(al, xh.Data)
+		want := make([]float32, len(hh))
+		for i := range want {
+			want[i] = hh[i] + hl[i] + lh[i]
+		}
+		ref.ChargeHostWork(ref.params.AggTime(int64(a.Rows)))
+		if s.Err() != nil || rs.Err() != nil {
+			t.Fatal(s.Err(), rs.Err())
+		}
+		if !same(got, want) || ctx.Elapsed() != ref.Elapsed() {
+			t.Errorf("%s MatVecPrecise: results equal %v, makespan %v want %v", name, same(got, want), ctx.Elapsed(), ref.Elapsed())
+		}
+
+		ctx, ref = testCtx(2), testCtx(2)
+		s, rs = ctx.NewStream(), ref.NewStream()
+		gotM := s.MatMulPrecise(ctx.NewBuffer(a), ctx.NewBuffer(w))
+		ah, al = split(ref, a)
+		wh, wl := split(ref, w)
+		mh, ml, lm := rs.MatMul(ah, wh), rs.MatMul(ah, wl), rs.MatMul(al, wh)
+		wantM := tensor.New(a.Rows, w.Cols)
+		for i := range wantM.Data {
+			wantM.Data[i] = mh.Data[i] + ml.Data[i] + lm.Data[i]
+		}
+		rs.advance(ref.chargeHost(rs.now, ref.params.AggTime(2*int64(wantM.Elems()))))
+		if s.Err() != nil || rs.Err() != nil {
+			t.Fatal(s.Err(), rs.Err())
+		}
+		if !same(gotM.Data, wantM.Data) || ctx.Elapsed() != ref.Elapsed() {
+			t.Errorf("%s MatMulPrecise: results equal %v, makespan %v want %v", name, same(gotM.Data, wantM.Data), ctx.Elapsed(), ref.Elapsed())
+		}
+	}
+}
+
+// TestMatVecPreciseKeepsSplit: a second call on the same buffer reuses
+// the split (no second split pass) and finds both portions resident.
+func TestMatVecPreciseKeepsSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ctx := testCtx(1)
+	b := ctx.NewBuffer(tensor.RandUniform(rng, 256, 64, -1, 1))
+	x := make([]float32, 64)
+	for i := range x {
+		x[i] = rng.Float32()
+	}
+	s := ctx.NewStream()
+	first := s.MatVecPrecise(b, x)
+	hits := ctx.Stats().ResidencyHits
+	t0 := ctx.Elapsed()
+	second := s.MatVecPrecise(b, x)
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatal("same inputs must give the same product")
+		}
+	}
+	if ctx.Stats().ResidencyHits <= hits {
+		t.Error("second call re-uploaded the portions")
+	}
+	if again := ctx.Elapsed() - t0; again >= t0 {
+		t.Errorf("second call took %v of virtual time, first %v: the split should not repeat", again, t0)
+	}
+}
+
+// TestMatVecPreciseSharedBuffer: tasks racing to split one buffer get
+// one split and the product a lone stream computes.
+func TestMatVecPreciseSharedBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	m := tensor.RandUniform(rng, 200, 40, -2, 2)
+	x := make([]float32, 40)
+	for i := range x {
+		x[i] = rng.Float32()*2 - 1
+	}
+	ctx := testCtx(2)
+	want := ctx.NewStream().MatVecPrecise(ctx.NewBuffer(m), x)
+	b := ctx.NewBuffer(m)
+	got := make([][]float32, 8)
+	for i := range got {
+		ctx.Enqueue(func(s *Stream) { got[i] = s.MatVecPrecise(b, x) })
+	}
+	if err := ctx.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		for j := range want {
+			if g[j] != want[j] {
+				t.Fatalf("task %d: element %d = %v, want %v", i, j, g[j], want[j])
+			}
+		}
 	}
 }
 

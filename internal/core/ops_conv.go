@@ -41,25 +41,8 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 	// from the actual quantized kernel so results ship back as int8
 	// (stencil grids re-ship every iteration, so download width is the
 	// dominant cost).
-	divisor := int32(1)
-	if c.opts.Functional {
-		var kSum, aMax int32
-		for r := 0; r < qk.Rows; r++ {
-			for _, v := range qk.Row(r) {
-				if v < 0 {
-					kSum -= int32(v)
-				} else {
-					kSum += int32(v)
-				}
-			}
-		}
-		aMax = i8AbsMax(qa)
-		divisor = (kSum*aMax + quant.QMax - 1) / quant.QMax
-		if divisor < 1 {
-			divisor = 1
-		}
-	}
-	dq := float32(divisor) / (pa.Scale * pk.Scale)
+	divisor := requantDivisor(absSum(qk) * a.codeMax())
+	div, dq := quant.NewDivider(divisor), float32(divisor)/(pa.Scale*pk.Scale)
 	kers := []*tensor.MatrixI8{qk} // one channel, shared by every tile
 	for i, sp := range spans {
 		sp := sp
@@ -92,12 +75,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 			w.fn = func() {
 				in := qa.View(sp.R0, sp.C0, exR, exC)
 				acc := c.kern.Conv2D(in, kers, 1, 1)[0]
-				for r := 0; r < sp.Rows; r++ {
-					for cc := 0; cc < sp.Cols; cc++ {
-						out8 := quant.SaturateI8(roundDiv(acc.At(r, cc), divisor))
-						out.Set(sp.R0+r, sp.C0+cc, float32(out8)*dq)
-					}
-				}
+				requantize(out.View(sp.R0, sp.C0, sp.Rows, sp.Cols), acc, div, dq)
 				tensor.PutI32(acc)
 			}
 		}
@@ -139,24 +117,8 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 	outCols := (a.Cols() + strideC - 1) / strideC
 	out := allocResult(c, outRows, outCols)
 
-	divisor := int32(1)
-	if c.opts.Functional {
-		var kSum int32
-		for r := 0; r < qk.Rows; r++ {
-			for _, v := range qk.Row(r) {
-				if v < 0 {
-					kSum -= int32(v)
-				} else {
-					kSum += int32(v)
-				}
-			}
-		}
-		divisor = (kSum*i8AbsMax(qa) + quant.QMax - 1) / quant.QMax
-		if divisor < 1 {
-			divisor = 1
-		}
-	}
-	dq := float32(divisor) / (pa.Scale * pk.Scale)
+	divisor := requantDivisor(absSum(qk) * a.codeMax())
+	div, dq := quant.NewDivider(divisor), float32(divisor)/(pa.Scale*pk.Scale)
 	kers := []*tensor.MatrixI8{qk} // one channel, shared by every band
 
 	// Row bands aligned to the stride, sized so a band plus kernel
@@ -190,12 +152,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 			w.fn = func() {
 				in := qa.View(r0, 0, bandRows, a.Cols())
 				acc := c.kern.Conv2D(in, kers, strideR, strideC)[0]
-				for r := o0; r < oEnd; r++ {
-					for cc := 0; cc < outCols; cc++ {
-						out8 := quant.SaturateI8(roundDiv(acc.At(r-o0, cc), divisor))
-						out.Set(r, cc, float32(out8)*dq)
-					}
-				}
+				requantize(out.View(o0, 0, oEnd-o0, outCols), acc, div, dq)
 				tensor.PutI32(acc)
 			}
 		}
@@ -207,4 +164,18 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 	}
 	s.finish(end, c.params.QuantTime(int64(out.Elems())))
 	return out
+}
+
+// absSum is sum|k| over a quantized kernel (0 in timing-only mode).
+func absSum(k *tensor.MatrixI8) int32 {
+	if k == nil {
+		return 0
+	}
+	var sum int32
+	for r := 0; r < k.Rows; r++ {
+		for _, v := range k.Row(r) {
+			sum += max(int32(v), -int32(v))
+		}
+	}
+	return sum
 }

@@ -27,28 +27,36 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 	defer s.opTimer("matVec")()
 	checkShapes("FullyConnected", len(x) == a.Cols(),
 		"vector length %d != matrix cols %d", len(x), a.Cols())
-	c := s.c
-	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 
-	// Quantize the vector (fresh each call: iterative algorithms
-	// update it every round).
-	var (
-		qx []int8
-		sx = float32(1)
-	)
-	n := len(x)
-	if c.opts.Functional {
-		// The quantized vector and the wide accumulator below are
-		// scratch of this call: both come from pools and go back once
-		// the instructions that read them have been collected.
-		sx = quant.ParamsFor(tensor.FromSlice(1, n, x)).Scale
-		qxm := tensor.GetI8ForOverwrite(1, n)
-		defer tensor.PutI8(qxm)
-		qx = qxm.Data
+	// Quantize the vector (fresh each call: iterative algorithms update
+	// it every round) into a pooled scratch that goes back once the
+	// instructions that read it have been collected.
+	var xq quant.Portion // no codes in timing-only mode
+	if s.c.opts.Functional {
+		xq.P = quant.ParamsFor(tensor.FromSlice(1, len(x), x))
+		xq.Q = tensor.GetI8ForOverwrite(1, len(x))
+		defer tensor.PutI8(xq.Q)
 		for i, v := range x {
-			qx[i] = quant.RoundToI8(v, sx)
+			xq.Q.Data[i] = quant.RoundToI8(v, xq.P.Scale)
 		}
 	}
+	return s.matVec(a, xq, len(x))
+}
+
+// matVec is MatVec over a vector of n elements already in int8 form
+// (x.Q is nil in timing-only mode); it charges the vector's quantize
+// and encode pass all the same.
+func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
+	if s.err != nil {
+		return nil
+	}
+	c := s.c
+	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
+	var qx []int8
+	if x.Q != nil {
+		qx = x.Q.Data
+	}
+	sx := x.P.Scale
 	xKey := c.nextKey()
 	ready := c.chargeHost(maxDur(readyA, s.now),
 		c.params.QuantTime(int64(n))+c.params.TensorizerEncodeTime(int64(n)))
@@ -367,20 +375,21 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 		// layout is charged all the same — the simulated Tensorizer still
 		// emits it).
 		da := c.derivedQuant(a, derivedTag{kind: tagConvA, seg: seg, side: side}, pa.Scale, int64(m)*int64(n2),
-			maxDur(readyA, s.now), s.taskID, func() *tensor.MatrixI8 {
+			maxDur(readyA, s.now), s.taskID, func(d *derived) {
 				if segN == n {
-					return qa
+					d.q = qa
+					return
 				}
 				o := tensor.NewI8(m, n2)
 				for r := 0; r < m; r++ {
 					copy(o.Row(r)[:segN], qa.Row(r)[segStart:segStart+segN])
 				}
-				return o
+				d.q = o
 			})
 		// Derived layout for b's segment: kernel j holds rows
 		// segStart..segStart+segN of column j, padded to n2.
 		db := c.derivedQuant(b, derivedTag{kind: tagConvB, seg: seg, side: side}, pb.Scale, int64(k)*int64(n2),
-			maxDur(readyB, s.now), s.taskID, func() *tensor.MatrixI8 {
+			maxDur(readyB, s.now), s.taskID, func(d *derived) {
 				o := tensor.NewI8(k, n2)
 				for j := 0; j < k; j++ {
 					row := o.Row(j)
@@ -388,7 +397,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 						row[i] = qb.At(segStart+i, j)
 					}
 				}
-				return o
+				d.q = o
 			})
 		ready := maxDur(da.readyAt, db.readyAt)
 

@@ -40,16 +40,18 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 	c := s.c
 
 	var (
-		qa, qb *tensor.MatrixI8
-		sa, sb float32
-		ready  = s.now
-		keyA   uint64
-		keyB   uint64
+		qa, qb     *tensor.MatrixI8
+		sa, sb     float32
+		maxA, maxB int32 // max|code| of each int8 form, from its quantize pass
+		ready      = s.now
+		keyA       uint64
+		keyB       uint64
 	)
 	if op == isa.Mul {
 		pa, qam, ta := c.ensureQuantized(a, s.now, s.taskID)
 		pb, qbm, tb := c.ensureQuantized(b, s.now, s.taskID)
 		qa, qb, sa, sb = qam, qbm, pa.Scale, pb.Scale
+		maxA, maxB = a.codeMax(), b.codeMax()
 		keyA, keyB = a.key, b.key
 		ready = maxDur(ta, tb)
 	} else {
@@ -66,37 +68,29 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 			}
 		}
 		tag := derivedTag{kind: tagJoint, scale: math.Float32bits(joint)}
-		da := c.derivedQuant(a, tag, joint, int64(a.M.Elems()), s.now, s.taskID, func() *tensor.MatrixI8 {
-			return quant.QuantizeWith(a.M, quant.Params{Scale: joint})
+		da := c.derivedQuant(a, tag, joint, int64(a.M.Elems()), s.now, s.taskID, func(d *derived) {
+			d.q, d.max = quant.QuantizeWithMax(a.M, quant.Params{Scale: joint})
 		})
-		db := c.derivedQuant(b, tag, joint, int64(b.M.Elems()), s.now, s.taskID, func() *tensor.MatrixI8 {
-			return quant.QuantizeWith(b.M, quant.Params{Scale: joint})
+		db := c.derivedQuant(b, tag, joint, int64(b.M.Elems()), s.now, s.taskID, func(d *derived) {
+			d.q, d.max = quant.QuantizeWithMax(b.M, quant.Params{Scale: joint})
 		})
 		qa, qb, sa, sb = da.q, db.q, joint, joint
+		maxA, maxB = da.max, db.max
 		keyA, keyB = da.key, db.key
 		ready = maxDur(da.readyAt, db.readyAt)
 	}
 
 	// The device's output stage requantizes wide results back to int8.
 	// The Tensorizer calibrates the requantization divisor from the
-	// observed quantized maxima ("dynamically evaluates input data",
+	// operands' quantized maxima ("dynamically evaluates input data",
 	// section 1) instead of the worst-case bound, which preserves
 	// exactness for small-integer datasets.
-	divisor := int32(1)
-	if c.opts.Functional {
-		amax, bmax := i8AbsMax(qa), i8AbsMax(qb)
-		var bound int32
-		switch op {
-		case isa.Mul:
-			bound = amax * bmax
-		default:
-			bound = amax + bmax
-		}
-		divisor = (bound + quant.QMax - 1) / quant.QMax
-		if divisor < 1 {
-			divisor = 1
-		}
+	bound, scale := maxA+maxB, sa // Eq. 6
+	if op == isa.Mul {
+		bound, scale = maxA*maxB, sa*sb // Eq. 7
 	}
+	divisor := requantDivisor(bound)
+	div, dq := quant.NewDivider(divisor), float32(divisor)/scale
 
 	out := allocResult(c, a.Rows(), a.Cols())
 	tile := isa.TileFor(op)
@@ -117,7 +111,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 			ready:    ready,
 		}
 		if c.opts.Functional {
-			w.fn = func() { pairwiseTile(c.kern, op, qa, qb, out, sp, sa, sb, divisor) }
+			w.fn = func() { pairwiseTile(c.kern, op, qa, qb, out, sp, div, dq) }
 		}
 		pl.add(w)
 	}
@@ -134,58 +128,42 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 // wide accumulation, then the device's output requantization stage
 // (the fixed-point realization of the Eq. 6/7 scale rules), then host
 // dequantization into the float result.
-func pairwiseTile(k *edgetpu.KernelTable, op isa.OpCode, qa, qb *tensor.MatrixI8, out *tensor.Matrix, sp tensor.Span, sa, sb float32, divisor int32) {
+func pairwiseTile(k *edgetpu.KernelTable, op isa.OpCode, qa, qb *tensor.MatrixI8, out *tensor.Matrix, sp tensor.Span, div quant.Divider, dq float32) {
 	va := qa.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
 	vb := qb.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
 	var wide *tensor.MatrixI32
-	var dequant float32
 	switch op {
 	case isa.Add:
 		wide = k.Add(va, vb)
-		dequant = float32(divisor) / sa // realizes Eq. 6: out8 * divisor / s
 	case isa.Sub:
 		wide = k.Sub(va, vb)
-		dequant = float32(divisor) / sa
 	case isa.Mul:
 		wide = k.Mul(va, vb)
-		dequant = float32(divisor) / (sa * sb) // realizes Eq. 7
 	default:
 		panic("core: pairwiseTile bad op")
 	}
-	for r := 0; r < sp.Rows; r++ {
-		src := wide.Row(r)
-		for cix, v := range src {
-			out8 := quant.SaturateI8(roundDiv(v, divisor))
-			out.Set(sp.R0+r, sp.C0+cix, float32(out8)*dequant)
-		}
-	}
+	requantize(out.View(sp.R0, sp.C0, sp.Rows, sp.Cols), wide, div, dq)
 	tensor.PutI32(wide)
 }
 
-// i8AbsMax returns max(|v|) over a quantized matrix (0 for empty).
-func i8AbsMax(m *tensor.MatrixI8) int32 {
-	var best int32
-	for r := 0; r < m.Rows; r++ {
-		for _, v := range m.Row(r) {
-			w := int32(v)
-			if w < 0 {
-				w = -w
-			}
-			if w > best {
-				best = w
-			}
-		}
-	}
-	return best
+// requantDivisor is the output stage's divisor for wide results whose
+// magnitude is at most bound: the smallest that brings the bound into
+// int8 range, and at least 1 (the bound is 0 in timing-only mode).
+func requantDivisor(bound int32) int32 {
+	return max((bound+quant.QMax-1)/quant.QMax, 1)
 }
 
-// roundDiv divides with round-half-away-from-zero, the rounding mode
-// of fixed-point requantization stages.
-func roundDiv(v, d int32) int32 {
-	if v >= 0 {
-		return (v + d/2) / d
+// requantize is the device's output stage and the host's
+// dequantization, row by row: each value of acc's top-left corner the
+// size of out divides by the divisor (div), rounding half away from
+// zero, saturates to int8 and lands in out times dq = divisor/scale.
+func requantize(out *tensor.Matrix, acc *tensor.MatrixI32, div quant.Divider, dq float32) {
+	for r := 0; r < out.Rows; r++ {
+		dst := out.Row(r)
+		for i, v := range acc.Row(r)[:len(dst)] {
+			dst[i] = float32(quant.SaturateI8(div.RoundDiv(v))) * dq
+		}
 	}
-	return (v - d/2) / d
 }
 
 // Tanh applies the tanh activation element-wise (Table 1).

@@ -232,16 +232,18 @@ func mix(base uint64, idx uint64) uint64 {
 type derived struct {
 	key     uint64
 	q       *tensor.MatrixI8
+	max     int32 // max|q|, set by builders whose consumers requantize
 	scale   float32
 	readyAt timing.Duration
 }
 
 // derivedQuant returns (building and charging on first use) a derived
 // quantized form of b identified by tag. build runs only in
-// functional mode and must return the int8 form at the given scale.
+// functional mode and must store the int8 form at the given scale in
+// d.q.
 // elems is the logical size charged to the host-side transformation;
 // task tags the trace span with the OPQ task that triggered the build.
-func (c *Context) derivedQuant(b *Buffer, tag derivedTag, scale float32, elems int64, ready timing.Duration, task int, build func() *tensor.MatrixI8) *derived {
+func (c *Context) derivedQuant(b *Buffer, tag derivedTag, scale float32, elems int64, ready timing.Duration, task int, build func(d *derived)) *derived {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.derivedForms == nil {
@@ -270,7 +272,7 @@ func (c *Context) derivedQuant(b *Buffer, tag derivedTag, scale float32, elems i
 		}
 		d := &derived{key: c.nextKey(), scale: scale, readyAt: at}
 		if c.opts.Functional && build != nil {
-			d.q = build()
+			build(d)
 		}
 		b.derivedForms[tag] = d
 		return d
@@ -288,7 +290,7 @@ func (c *Context) derivedQuant(b *Buffer, tag derivedTag, scale float32, elems i
 	c.TL.Observe(end)
 	d := &derived{key: c.nextKey(), scale: scale, readyAt: end}
 	if c.opts.Functional && build != nil {
-		d.q = build()
+		build(d)
 	}
 	b.derivedForms[tag] = d
 	return d

@@ -147,6 +147,7 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 	if div <= 0 {
 		div = 1
 	}
+	divider := quant.NewDivider(div)
 	need := func(n int) error {
 		if len(operands) != n {
 			return fmt.Errorf("%w: %v needs %d operands, got %d", ErrBadInstruction, op, n, len(operands))
@@ -158,7 +159,7 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		for r := 0; r < wide.Rows; r++ {
 			src, dst := wide.Row(r), out.Row(r)
 			for i, v := range src {
-				dst[i] = quant.SaturateI8(roundDivI32(v, div))
+				dst[i] = quant.SaturateI8(divider.RoundDiv(v))
 			}
 		}
 		// raw = q8 * div / combined  =>  stored scale = combined/div.
@@ -263,13 +264,6 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		return model.FromI8(ReLU(a.Data), a.Scale).Encode(), nil
 	}
 	return nil, fmt.Errorf("%w: unhandled opcode %v", ErrBadInstruction, op)
-}
-
-func roundDivI32(v, d int32) int32 {
-	if v >= 0 {
-		return (v + d/2) / d
-	}
-	return (v - d/2) / d
 }
 
 func maxIntI(a, b int) int {

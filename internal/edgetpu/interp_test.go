@@ -89,7 +89,7 @@ func TestInterpreterConvMatchesDirect(t *testing.T) {
 	direct := Conv2D(in.Data, []*tensor.MatrixI8{k.Data}, 1, 1)[0]
 	for r := 0; r < out.Rows; r++ {
 		for c := 0; c < out.Cols; c++ {
-			want := quant.SaturateI8(roundDivI32(direct.At(r, c), 256))
+			want := quant.SaturateI8(quant.NewDivider(256).RoundDiv(direct.At(r, c)))
 			if out.Data.At(r, c) != want {
 				t.Fatalf("(%d,%d): wire %d vs direct %d", r, c, out.Data.At(r, c), want)
 			}
@@ -111,7 +111,7 @@ func TestInterpreterFullyConnected(t *testing.T) {
 	}
 	direct := FullyConnected(w.Data, x.Data.Row(0))
 	for i, v := range direct {
-		if out.Data.At(0, i) != quant.SaturateI8(roundDivI32(v, 1024)) {
+		if out.Data.At(0, i) != quant.SaturateI8(quant.NewDivider(1024).RoundDiv(v)) {
 			t.Fatalf("FC elem %d mismatch", i)
 		}
 	}

@@ -245,3 +245,27 @@ func BenchmarkQuantizeInto(b *testing.B) {
 		quantizeInto(q, m, p)
 	}
 }
+
+// BenchmarkQuantizeWithMax is BenchmarkQuantizeInto with the max|q|
+// tracking the runtime's operand pass does.
+func BenchmarkQuantizeWithMax(b *testing.B) {
+	m := benchData(512, 512)
+	p := ParamsFor(m)
+	b.SetBytes(int64(m.Elems()) * 5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		QuantizeWithMax(m, p)
+	}
+}
+
+// BenchmarkSplitQuantize times the dual-portion split of BlackScholes'
+// 65536x10 feature matrix; MB/s is host floats read.
+func BenchmarkSplitQuantize(b *testing.B) {
+	m := benchData(65536, 10)
+	p := ParamsFor(m)
+	b.SetBytes(int64(m.Elems()) * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SplitQuantize(m, p)
+	}
+}

@@ -140,14 +140,23 @@ func Analyze(m *tensor.Matrix) (p Params, finite bool) {
 // walk costs nothing there; integer data pays one pass and needs no
 // abs-max scan at all.
 func exactInts(m *tensor.Matrix) bool {
-	for r := 0; r < m.Rows; r++ {
-		for _, v := range m.Row(r) {
-			if v > QMax || v < -QMax-1 || v != float32(int32(v)) {
+	f := m.Flat()
+	for r := 0; r < f.Rows; r++ {
+		for _, v := range f.Row(r) {
+			if !isInt8(v) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// isInt8 reports whether v is an integer inside the int8 range, the
+// per-value test of the exactness-preserving calibration. The range
+// test comes first: converting an out-of-range float to an integer is
+// implementation-defined.
+func isInt8(v float32) bool {
+	return v <= QMax && v >= -QMax-1 && v == float32(int32(v))
 }
 
 const (
@@ -163,8 +172,9 @@ const (
 // surfaces as a result at or above infBits.
 func absMaxBits(m *tensor.Matrix) uint32 {
 	var m0, m1, m2, m3 uint32
-	for r := 0; r < m.Rows; r++ {
-		s := m.Row(r)
+	f := m.Flat()
+	for r := 0; r < f.Rows; r++ {
+		s := f.Row(r)
 		i := 0
 		for ; i+4 <= len(s); i += 4 {
 			m0 = max(m0, math.Float32bits(s[i])&absMask)
@@ -186,24 +196,49 @@ func QuantizeWith(m *tensor.Matrix, p Params) *tensor.MatrixI8 {
 	return q
 }
 
-// quantizeInto stores m's int8 mapping under p into q (same shape).
+// quantizeInto stores m's int8 mapping under p into q (compact, same
+// shape).
 func quantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
-	for r := 0; r < m.Rows; r++ {
-		src := m.Row(r)
-		dst := q.Row(r)[:len(src)]
-		for i, v := range src {
+	src := m.Flat()
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		dst := q.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
 			dst[i] = RoundToI8(v, p.Scale)
 		}
 	}
+}
+
+// QuantizeWithMax is QuantizeWith that also returns max|q|, tracked in
+// the same pass: the device's output stage sizes its requantization
+// divisor from the operands' maxima, which would otherwise cost a
+// second walk over the int8 form. (The tracking costs about a third of
+// the pass, so QuantizeWith goes without it.)
+func QuantizeWithMax(m *tensor.Matrix, p Params) (*tensor.MatrixI8, int32) {
+	q := tensor.NewI8(m.Rows, m.Cols)
+	var lo, hi int32
+	src := m.Flat()
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		dst := q.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
+			c := RoundToI8(v, p.Scale)
+			dst[i] = c
+			lo, hi = min(lo, int32(c)), max(hi, int32(c))
+		}
+	}
+	return q, max(hi, -lo)
 }
 
 // Dequantize reconstructs a float matrix from quantized data.
 func Dequantize(q *tensor.MatrixI8, p Params) *tensor.Matrix {
 	m := tensor.New(q.Rows, q.Cols)
 	inv := 1 / p.Scale
-	for r := 0; r < q.Rows; r++ {
-		src, dst := q.Row(r), m.Row(r)
-		for i, v := range src {
+	src := q.Flat()
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		dst := m.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
 			dst[i] = float32(v) * inv
 		}
 	}
@@ -218,9 +253,11 @@ func Dequantize(q *tensor.MatrixI8, p Params) *tensor.Matrix {
 func DequantizeI32(acc *tensor.MatrixI32, combined float32) *tensor.Matrix {
 	m := tensor.New(acc.Rows, acc.Cols)
 	inv := 1 / combined
-	for r := 0; r < acc.Rows; r++ {
-		src, dst := acc.Row(r), m.Row(r)
-		for i, v := range src {
+	src := acc.Flat()
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		dst := m.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
 			dst[i] = float32(v) * inv
 		}
 	}
@@ -356,6 +393,10 @@ func EstimateChainedScale(ops []Op, min, max float32, n int) float32 {
 // portions and combining recovers ~16-bit effective precision — the
 // "iteratively computing on different portions of raw input numbers"
 // capability the paper attributes to GPTPU (section 10).
+//
+// The runtime never builds these float32 portions: SplitQuantize
+// produces what the device consumes directly, and is pinned to this
+// definition by test.
 func SplitPortions(m *tensor.Matrix) (hi, lo *tensor.Matrix, p Params) {
 	p = ParamsFor(m)
 	q := tensor.GetI8ForOverwrite(m.Rows, m.Cols) // scratch: only hi is kept
@@ -363,15 +404,114 @@ func SplitPortions(m *tensor.Matrix) (hi, lo *tensor.Matrix, p Params) {
 	hi = Dequantize(q, p)
 	tensor.PutI8(q)
 	lo = tensor.New(m.Rows, m.Cols)
-	for i := range lo.Data {
-		lo.Data[i] = m.Data[i] - hi.Data[i]
+	src := m.Flat()
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		h := hi.Data[r*src.Cols:][:len(row)]
+		l := lo.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
+			l[i] = v - h[i]
+		}
 	}
 	return hi, lo, p
 }
 
-// SplitVector is SplitPortions for a flat vector.
-func SplitVector(v []float32) (hi, lo []float32) {
-	m := tensor.FromSlice(1, len(v), v)
-	h, l, _ := SplitPortions(m)
-	return h.Data, l.Data
+// Portion is one portion of a precision split in the form the device
+// consumes: its int8 codes and the calibration they were quantized with
+// (what ParamsFor picks for the portion's values).
+type Portion struct {
+	Q *tensor.MatrixI8
+	P Params
+}
+
+// SplitQuantize is SplitPortions followed by ParamsFor and QuantizeWith
+// on each portion, bit for bit, without building either portion in
+// float32. p must be m's own calibration, ParamsFor(m); a runtime
+// buffer has it from the pass that checked its data.
+//
+// Every coarse value is code/scale for one of m's int8 codes, so the
+// coarse portion's calibration and its int8 form are a 256-entry table
+// over those codes. The residual is m minus that value: the first pass
+// quantizes m and calibrates the residual, the second recomputes the
+// residual, quantizes it and maps the codes through the table.
+func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
+	inv := 1 / p.Scale
+	// coarse is Dequantize's value for code c. The conversion keeps the
+	// product rounded before the residual's subtraction, as it is when
+	// the coarse portion is stored.
+	coarse := func(c int8) float32 { return float32(float32(c) * inv) }
+
+	q := tensor.NewI8(m.Rows, m.Cols)
+	src := m.Flat()
+	var cLo, cHi int32 // range of the codes
+	var resTop uint32
+	resExact := true
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		dst := q.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
+			c := RoundToI8(v, p.Scale)
+			dst[i] = c
+			cLo, cHi = min(cLo, int32(c)), max(cHi, int32(c))
+			d := v - coarse(c)
+			resTop = max(resTop, math.Float32bits(d)&absMask)
+			if resExact && !isInt8(d) {
+				resExact = false
+			}
+		}
+	}
+
+	// The coarse portion's calibration. Its largest magnitude sits at an
+	// extreme code, because code/scale is monotone in the code; it is
+	// exact when every code present has an int8-exact coarse value.
+	hi.P = Params{Scale: 1}
+	if !coarseExact(q, cLo, cHi, coarse) {
+		top := max(math.Float32bits(coarse(int8(cLo)))&absMask, math.Float32bits(coarse(int8(cHi)))&absMask)
+		hi.P.Scale = ScaleFor(math.Float32frombits(top))
+	}
+	var table [256]int8 // code -> coarse portion's code, indexed by uint8(code)
+	for c := cLo; c <= cHi; c++ {
+		table[uint8(c)] = RoundToI8(coarse(int8(c)), hi.P.Scale)
+	}
+	lo.P = Params{Scale: 1}
+	if !resExact {
+		lo.P.Scale = ScaleFor(math.Float32frombits(resTop))
+	}
+
+	l := tensor.NewI8(m.Rows, m.Cols)
+	for r := 0; r < src.Rows; r++ {
+		row := src.Row(r)
+		qs := q.Data[r*src.Cols:][:len(row)]
+		ls := l.Data[r*src.Cols:][:len(row)]
+		for i, v := range row {
+			c := qs[i]
+			ls[i] = RoundToI8(v-coarse(c), lo.P.Scale)
+			qs[i] = table[uint8(c)]
+		}
+	}
+	hi.Q, lo.Q = q, l
+	return hi, lo
+}
+
+// coarseExact reports whether every code in q (compact, codes within
+// [cLo, cHi]) has an int8-exact coarse value. Usually a code that does
+// not is present and the scan stops at the first nonzero code; when
+// none in the range fails, there is nothing to scan.
+func coarseExact(q *tensor.MatrixI8, cLo, cHi int32, coarse func(int8) float32) bool {
+	var bad [256]bool
+	some := false
+	for c := cLo; c <= cHi; c++ {
+		if !isInt8(coarse(int8(c))) {
+			bad[uint8(c)], some = true, true
+		}
+	}
+	if !some {
+		return true
+	}
+	for _, c := range q.Data {
+		if bad[uint8(c)] {
+			return false
+		}
+	}
+	return true
 }

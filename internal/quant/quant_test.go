@@ -290,12 +290,150 @@ func TestSplitPortionsReconstructs(t *testing.T) {
 	}
 }
 
-func TestSplitVector(t *testing.T) {
-	v := []float32{0.5, -3.25, 100}
-	hi, lo := SplitVector(v)
-	for i := range v {
-		if hi[i]+lo[i] != v[i] {
-			t.Fatal("vector split must reconstruct")
+// splitCases are the shapes and value distributions the split oracles
+// run on: random floats, tall-narrow power features (BlackScholes'
+// 65536x10), a vector, a strided view, small integers (scale 1, whose
+// residual is all zero), all-zero data, one-signed data and an operand
+// whose coarse values are all integers without the data being so.
+func splitCases(rng *rand.Rand) map[string]*tensor.Matrix {
+	powers := tensor.New(65536, 10)
+	for r := 0; r < powers.Rows; r++ {
+		t, p := rng.Float32()*2-1, float32(1)
+		for c := range powers.Row(r) {
+			powers.Set(r, c, p)
+			p *= t
+		}
+	}
+	ints := tensor.New(23, 31)
+	for i := range ints.Data {
+		ints.Data[i] = float32(rng.Intn(256) - 128)
+	}
+	return map[string]*tensor.Matrix{
+		"floats":   tensor.RandUniform(rng, 37, 53, -7, 7),
+		"powers":   powers,
+		"vector":   tensor.RandUniform(rng, 1, 1000, -2, 3),
+		"view":     tensor.RandUniform(rng, 40, 40, -5, 5).View(3, 7, 29, 17),
+		"ints":     ints,
+		"zeros":    tensor.New(16, 16),
+		"positive": tensor.RandUniform(rng, 9, 11, 0.5, 90),
+		"negative": tensor.RandUniform(rng, 9, 11, -90, -0.5),
+		// codes 127 and 0 only, and 127/scale rounds to 100 exactly.
+		"int-coarse": tensor.FromSlice(2, 3, []float32{100, 0.1, -0.2, 0, 100, 0.3}),
+		"one":        tensor.FromSlice(1, 1, []float32{-2.75}),
+		"empty":      tensor.New(0, 0),
+	}
+}
+
+// TestSplitQuantizeMatchesReference pins the runtime's split to its
+// definition: SplitPortions, then ParamsFor and QuantizeWith on each
+// float32 portion. Codes and scale bits must agree exactly.
+func TestSplitQuantizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for name, m := range splitCases(rng) {
+		hiRef, loRef, p := SplitPortions(m)
+		hi, lo := SplitQuantize(m, p)
+		for _, c := range []struct {
+			part string
+			ref  *tensor.Matrix
+			got  Portion
+		}{{"hi", hiRef, hi}, {"lo", loRef, lo}} {
+			want := ParamsFor(c.ref)
+			if math.Float32bits(c.got.P.Scale) != math.Float32bits(want.Scale) {
+				t.Errorf("%s %s: scale %v, want %v", name, c.part, c.got.P.Scale, want.Scale)
+				continue
+			}
+			if !c.got.Q.Equal(QuantizeWith(c.ref, want)) {
+				t.Errorf("%s %s: int8 form differs from QuantizeWith", name, c.part)
+			}
+		}
+	}
+}
+
+// TestSplitOfViewMatchesClone is the regression for SplitPortions on a
+// strided view, which filled the residual by flat index over the
+// parent's storage: a view and its compact clone must split alike.
+func TestSplitOfViewMatchesClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	parent := tensor.RandUniform(rng, 48, 48, -9, 9)
+	for _, v := range []*tensor.Matrix{parent.View(5, 3, 20, 31), parent.View(0, 1, 48, 47), parent.View(47, 0, 1, 48)} {
+		c := v.Clone()
+		vh, vl, vp := SplitPortions(v)
+		ch, cl, cp := SplitPortions(c)
+		if vp != cp || !vh.Equal(ch) || !vl.Equal(cl) {
+			t.Errorf("%dx%d view: SplitPortions differs from its clone's", v.Rows, v.Cols)
+		}
+		sh, sl := SplitQuantize(v, vp)
+		kh, kl := SplitQuantize(c, cp)
+		if sh.P != kh.P || sl.P != kl.P || !sh.Q.Equal(kh.Q) || !sl.Q.Equal(kl.Q) {
+			t.Errorf("%dx%d view: SplitQuantize differs from its clone's", v.Rows, v.Cols)
+		}
+	}
+}
+
+// TestQuantizeWithMaxMatchesScan: the max the quantize pass returns is
+// the max|code| a separate scan of its output finds.
+func TestQuantizeWithMaxMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for name, m := range splitCases(rng) {
+		for _, p := range []Params{ParamsFor(m), {Scale: 1}, {Scale: 1000}, {Scale: 0.01}} {
+			q, got := QuantizeWithMax(m, p)
+			if want := scanAbsMax(q); got != want {
+				t.Errorf("%s at scale %v: max %d, scan %d", name, p.Scale, got, want)
+			}
+			if !q.Equal(QuantizeWith(m, p)) {
+				t.Errorf("%s at scale %v: codes differ from QuantizeWith", name, p.Scale)
+			}
+		}
+	}
+}
+
+func scanAbsMax(q *tensor.MatrixI8) int32 {
+	var best int32
+	for r := 0; r < q.Rows; r++ {
+		for _, v := range q.Row(r) {
+			best = max(best, int32(v), -int32(v))
+		}
+	}
+	return best
+}
+
+// TestDividerMatchesExact checks the multiply-shift divider against
+// round-half-away-from-zero division in exact int64 arithmetic, over
+// edge numerators (0, ±1, the int32 extremes, multiples of d and the
+// rounding ties around them) and random ones, for divisors 1, 2, 127,
+// 128, the int32 maximum and random values up to 2^20.
+func TestDividerMatchesExact(t *testing.T) {
+	exact := func(v, d int64) int64 {
+		if v >= 0 {
+			return (v + d/2) / d
+		}
+		return -((-v + d/2) / d)
+	}
+	rng := rand.New(rand.NewSource(71))
+	divisors := []int32{1, 2, 3, 127, 128, 255, 1 << 20, math.MaxInt32}
+	for i := 0; i < 200; i++ {
+		divisors = append(divisors, 1+rng.Int31n(1<<20))
+	}
+	for _, d := range divisors {
+		div := NewDivider(d)
+		check := func(v int32) {
+			if got, want := div.RoundDiv(v), exact(int64(v), int64(d)); int64(got) != want {
+				t.Fatalf("RoundDiv(%d, %d) = %d, want %d", v, d, got, want)
+			}
+		}
+		for _, v := range []int32{0, 1, -1, math.MaxInt32, math.MinInt32, math.MaxInt32 - 1, math.MinInt32 + 1} {
+			check(v)
+		}
+		for k := int64(-3); k <= 3; k++ {
+			for _, off := range []int64{-1, 0, 1, int64(d / 2), -int64(d / 2), int64(d/2) + 1, -int64(d/2) - 1} {
+				if v := k*int64(d) + off; v >= math.MinInt32 && v <= math.MaxInt32 {
+					check(int32(v))
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			check(int32(rng.Uint32()))
+			check(rng.Int31n(1<<22) - 1<<21)
 		}
 	}
 }

@@ -34,6 +34,15 @@ func (m *MatrixI8) Elems() int { return m.Rows * m.Cols }
 // Bytes returns the on-device footprint (1 byte per element).
 func (m *MatrixI8) Bytes() int { return m.Elems() }
 
+// Flat is Matrix.Flat for int8 matrices.
+func (m *MatrixI8) Flat() MatrixI8 {
+	if m.Stride != m.Cols || m.Rows <= 1 {
+		return *m
+	}
+	n := m.Rows * m.Cols
+	return MatrixI8{Rows: 1, Cols: n, Stride: n, Data: m.Data[:n]}
+}
+
 // View returns a sub-matrix view sharing storage with m.
 func (m *MatrixI8) View(r0, c0, rows, cols int) *MatrixI8 {
 	if r0 < 0 || c0 < 0 || rows < 0 || cols < 0 || r0+rows > m.Rows || c0+cols > m.Cols {
@@ -115,6 +124,15 @@ func (m *MatrixI32) Row(r int) []int32 { return m.Data[r*m.Stride : r*m.Stride+m
 
 // Elems returns Rows*Cols.
 func (m *MatrixI32) Elems() int { return m.Rows * m.Cols }
+
+// Flat is Matrix.Flat for int32 matrices.
+func (m *MatrixI32) Flat() MatrixI32 {
+	if m.Stride != m.Cols || m.Rows <= 1 {
+		return *m
+	}
+	n := m.Rows * m.Cols
+	return MatrixI32{Rows: 1, Cols: n, Stride: n, Data: m.Data[:n]}
+}
 
 // AddInto accumulates o into m element-wise. Shapes must match.
 func (m *MatrixI32) AddInto(o *MatrixI32) {

@@ -55,6 +55,20 @@ func (m *Matrix) IsCompact() bool { return m.Stride == m.Cols }
 // Elems returns the number of logical elements (Rows*Cols).
 func (m *Matrix) Elems() int { return m.Rows * m.Cols }
 
+// Flat returns m as one row of all its elements when its storage is
+// compact, and m unchanged when it is a strided view, so a pass over
+// every element runs one loop instead of one per row (a 65536x10
+// operand would otherwise pay a loop set-up every ten elements). Row r
+// of the flat form covers elements r*f.Cols onward of any compact
+// matrix of m's shape, which is how a pass indexes its destination.
+func (m *Matrix) Flat() Matrix {
+	if m.Stride != m.Cols || m.Rows <= 1 {
+		return *m
+	}
+	n := m.Rows * m.Cols
+	return Matrix{Rows: 1, Cols: n, Stride: n, Data: m.Data[:n]}
+}
+
 // Bytes returns the storage footprint of the logical elements in bytes
 // assuming float32 encoding. Device-side int8 footprints are computed
 // by the quant package.
