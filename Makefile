@@ -10,8 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the full suite under the race detector; the concurrent
 # telemetry registry and scheduler paths are the interesting targets.

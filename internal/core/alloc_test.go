@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -92,11 +93,12 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 
 // TestGemmByteBudget weighs what TestGemmStreamAllocBudget counts: one
 // 512x512 tpuGemm over a fresh activation buffer and a resident weight
-// buffer may allocate its 1 MiB result, the 256 KiB int8 form of the
-// fresh operand and bookkeeping — no wide accumulator (one segment:
-// the closures dequantize straight into the result) and no copy of the
-// operand's conv2D layout (it aliases the int8 form). The parent of
-// this test's commit allocated 3.5 MiB per call.
+// buffer may allocate its 1 MiB result and bookkeeping — no int8 form of
+// the fresh operand (used once, it is quantized row chunk by row chunk
+// into pooled scratch), no wide accumulator (one segment: the closures
+// dequantize straight into the result) and no copy of the operand's
+// conv2D layout. Allocating the fresh operand's whole int8 form again
+// costs 256 KiB.
 func TestGemmByteBudget(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -107,26 +109,35 @@ func TestGemmByteBudget(t *testing.T) {
 	const n = 512
 	a := tensor.RandUniform(rng, n, n, 0, 1)
 	bb := ctx.NewBuffer(tensor.RandUniform(rng, n, n, 0, 1))
-	call := func() {
+	got := bytesPerCall(func() {
 		s := ctx.NewStream()
 		if out := s.MatMul(ctx.NewBuffer(a), bb); out == nil || s.Err() != nil {
 			t.Fatal("MatMul failed:", s.Err())
 		}
-	}
-	call()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 10
-	for i := 0; i < runs; i++ {
-		call()
-	}
-	runtime.ReadMemStats(&after)
-	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	const budget = 1600 << 10
+	})
+	const budget = 1120 << 10
 	t.Logf("%.0f KiB per 512x512 GEMM (budget %d KiB)", got/1024, budget>>10)
 	if got > budget {
-		t.Errorf("%.0f KiB per GEMM, budget %d KiB — is the wide accumulator or the conv layout copy back?", got/1024, budget>>10)
+		t.Errorf("%.0f KiB per GEMM, budget %d KiB — is an int8 form, the wide accumulator or the conv layout copy back?", got/1024, budget>>10)
 	}
+}
+
+// bytesPerCall returns the fewest bytes one call of f allocates, over
+// calls after a warm-up. Taking the fewest keeps a call whose pooled
+// scratch sat in another P's private slot, or was dropped by the
+// collector, from failing a budget; a regression that allocates on
+// every call still shows.
+func bytesPerCall(f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	best := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return best
 }
 
 // TestPreciseAndPairwiseByteBudget weighs the Tensorizer's host passes
@@ -134,9 +145,10 @@ func TestGemmByteBudget(t *testing.T) {
 // 65536x10 buffer (BlackScholes' feature matrix) may allocate the two
 // int8 portions (640 KiB each), the three partial products (256 KiB
 // each; the first carries the sum) and bookkeeping; a float32 portion
-// creeping back costs 2.5 MiB. A pairwise Mul over two fresh 256x256 buffers may
-// allocate their int8 forms (64 KiB each), its 256 KiB result and
-// bookkeeping; a second int8 form of either operand costs 64 KiB.
+// creeping back costs 2.5 MiB. A pairwise Mul over two fresh 256x256
+// buffers may allocate its 256 KiB result and bookkeeping: used once,
+// its operands are quantized tile by tile into pooled scratch, and a
+// whole int8 form of either costs 64 KiB.
 func TestPreciseAndPairwiseByteBudget(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -157,26 +169,17 @@ func TestPreciseAndPairwiseByteBudget(t *testing.T) {
 		call   func(s *Stream) bool
 	}{
 		{"MatVecPrecise", 2560 << 10, func(s *Stream) bool { return s.MatVecPrecise(ctx.NewBuffer(feat), coef) != nil }},
-		{"Mul", 440 << 10, func(s *Stream) bool { return s.MulPair(ctx.NewBuffer(a), ctx.NewBuffer(b)) != nil }},
+		{"Mul", 288 << 10, func(s *Stream) bool { return s.MulPair(ctx.NewBuffer(a), ctx.NewBuffer(b)) != nil }},
 	} {
-		call := func() {
+		got := bytesPerCall(func() {
 			s := ctx.NewStream()
 			if !tc.call(s) || s.Err() != nil {
 				t.Fatal(tc.name, "failed:", s.Err())
 			}
-		}
-		call()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		const runs = 10
-		for i := 0; i < runs; i++ {
-			call()
-		}
-		runtime.ReadMemStats(&after)
-		got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		})
 		t.Logf("%s: %.0f KiB per call (budget %d KiB)", tc.name, got/1024, tc.budget>>10)
 		if got > float64(tc.budget) {
-			t.Errorf("%s: %.0f KiB per call, budget %d KiB — is a float32 portion or a second int8 form back?", tc.name, got/1024, tc.budget>>10)
+			t.Errorf("%s: %.0f KiB per call, budget %d KiB — is a float32 portion or an int8 form back?", tc.name, got/1024, tc.budget>>10)
 		}
 	}
 }

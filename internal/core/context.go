@@ -145,7 +145,11 @@ type Context struct {
 	affinity map[int]map[affinityKey]int
 	freeTabs []map[affinityKey]int
 	rr       int
-	pending  []*Task
+	// inflight is the OPQ: the tasks whose kernels have not returned.
+	// syncErr is the first error a retired task reported since the last
+	// Sync.
+	inflight map[*Task]struct{}
+	syncErr  error
 }
 
 type affinityKey struct {
@@ -177,6 +181,7 @@ func NewContext(opts Options) *Context {
 		Pool:     edgetpu.NewPoolInjected(tl, params, opts.Devices, met.reg, fault.New(opts.Fault)),
 		Host:     tl.NewResource("cpu-core0"),
 		affinity: make(map[int]map[affinityKey]int),
+		inflight: make(map[*Task]struct{}),
 	}
 	return c
 }
@@ -368,11 +373,11 @@ const (
 	maxFreeTabs     = 64
 )
 
-// Buffer is an openctpu buffer: host raw data plus the cached
-// quantized form the Tensorizer derives on first use. Re-using a
-// buffer across operators (e.g. PageRank's adjacency matrix across
-// power iterations) re-uses both the quantization work and — through
-// the scheduler's affinity rule — the on-device residency.
+// Buffer is an openctpu buffer: host raw data plus the quantization the
+// Tensorizer derives on first use. Re-using a buffer across operators
+// (e.g. PageRank's adjacency matrix across power iterations) re-uses
+// both the quantization work and — through the scheduler's affinity
+// rule — the on-device residency.
 type Buffer struct {
 	M   *tensor.Matrix
 	key uint64
@@ -384,10 +389,12 @@ type Buffer struct {
 	// A sticky error instead of a panic: the serving daemon creates
 	// buffers from remote bytes outside any Enqueue recover.
 	invalid error
-	// calib is the quantization calibration of M, found by the same pass
-	// that tested it for non-finite values (NewBuffer, Invalidate), so
-	// the Tensorizer never walks the data again just to pick a scale.
-	calib quant.Params
+	// calib is the quantization calibration of M and extent the range
+	// that gives its max|code|, found by the same pass that tested it for
+	// non-finite values (NewBuffer, Invalidate), so the Tensorizer never
+	// walks the data again to pick a scale or size an output stage.
+	calib  quant.Params
+	extent quant.Extent
 
 	// chip marks the buffer as a dataflow-graph intermediate that was
 	// produced by a device instruction and never left on-chip memory:
@@ -401,11 +408,12 @@ type Buffer struct {
 	mu        sync.Mutex
 	quantized bool
 	qp        quant.Params
-	// q is the int8 form and qmax its max|code|, from the pass that built
-	// it. A split portion (see portions) has q before it is quantized:
-	// the split built it, and ensureQuantized only charges the pass.
+	// q is the whole int8 form, nil until the buffer's second use (or a
+	// first use that reads it whole): a buffer used once is quantized
+	// window by window by the instructions that ship it. A split portion
+	// (see portions) has q before it is quantized: the split built it,
+	// and its first use only charges the pass.
 	q            *tensor.MatrixI8
-	qmax         int32
 	readyAt      timing.Duration
 	derivedForms map[derivedTag]*derived
 	// hi and lo are the precision split of M, built on first use by the
@@ -433,7 +441,7 @@ var ErrBadInput = errors.New("core: non-finite input data")
 // values).
 func (b *Buffer) analyze() {
 	var finite bool
-	b.calib, finite = quant.Analyze(b.M)
+	b.calib, b.extent, finite = quant.Analyze(b.M)
 	b.invalid = nil
 	if !finite {
 		b.invalid = fmt.Errorf("%w: %dx%d matrix contains NaN or Inf", ErrBadInput, b.M.Rows, b.M.Cols)
@@ -446,14 +454,6 @@ func (b *Buffer) calibration() quant.Params {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.calib
-}
-
-// codeMax returns max|code| over the buffer's int8 form, found by the
-// pass that built it (call after ensureQuantized; 0 in timing-only mode).
-func (b *Buffer) codeMax() int32 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.qmax
 }
 
 // NewBuffer registers host data with the runtime. The data is not
@@ -491,49 +491,95 @@ func (c *Context) Invalidate(b *Buffer) {
 	b.mu.Unlock()
 }
 
+// operand is a quantized buffer as an operator's instructions read it:
+// the int8 form of m at scale p, either whole (q) or window by window —
+// each instruction quantizes the part it ships into pooled scratch, the
+// Tensorizer's per-tile encode (section 6.2.1).
+type operand struct {
+	p   quant.Params
+	m   *tensor.Matrix   // host data
+	q   *tensor.MatrixI8 // whole int8 form, nil while windows quantize themselves
+	max int32            // max|code| of the form
+}
+
+// window returns the int8 form of the rows x cols window at (r0, c0): a
+// view of the whole form, or scratch quantized from the host data. Hand
+// it to release once the kernel has read it.
+func (o operand) window(r0, c0, rows, cols int) *tensor.MatrixI8 {
+	if o.q != nil {
+		return o.q.View(r0, c0, rows, cols)
+	}
+	w := tensor.GetI8ForOverwrite(rows, cols)
+	quant.QuantizeInto(w, o.m.View(r0, c0, rows, cols), o.p)
+	return w
+}
+
+// release returns a window's scratch to the pool.
+func (o operand) release(w *tensor.MatrixI8) {
+	if o.q == nil {
+		tensor.PutI8(w)
+	}
+}
+
 // ensureQuantized performs (and charges) the Tensorizer's host-side
 // data transformation for b once: range calibration, int8 quantization
-// and model encoding. It returns the quantization parameters, the
-// quantized data (nil in timing-only mode) and the virtual time at
-// which the encoded model is available. task tags the trace span with
-// the OPQ task that triggered the encode.
-func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (quant.Params, *tensor.MatrixI8, timing.Duration) {
+// and model encoding. It returns b as an operand and the virtual time
+// at which the encoded model is available. task tags the trace span
+// with the OPQ task that triggered the encode.
+//
+// The first use builds no int8 matrix — the instructions quantize their
+// own windows — and max|code| comes from the extent the buffer's
+// analysis found. A later use builds the whole form and keeps it for
+// every use after.
+func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (operand, timing.Duration) {
+	return c.quantize(b, ready, task, false)
+}
+
+// wholeQuantized is ensureQuantized for a consumer that reads b's int8
+// form whole (a crop, the FullyConnected GEMM's weight columns, the
+// kernel of a conv2D): it builds the form on this use if there is none
+// yet.
+func (c *Context) wholeQuantized(b *Buffer, ready timing.Duration, task int) (operand, timing.Duration) {
+	return c.quantize(b, ready, task, true)
+}
+
+func (c *Context) quantize(b *Buffer, ready timing.Duration, task int, whole bool) (operand, timing.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.quantized {
+	reused := b.quantized
+	switch {
+	case reused:
 		c.met.quantCacheHits.Inc()
-		at := b.readyAt
-		if ready > at {
-			at = ready
-		}
-		return b.qp, b.q, at
-	}
-	if b.chip != nil {
+	case b.chip != nil:
 		// Graph intermediate: the value was produced on-device and never
 		// materialized on the host, so there is no quantize/encode pass to
 		// charge — it becomes usable the moment its producer finished.
-		// The quantization parameters are still derived (from the host
-		// shadow) so downstream functional math is bit-identical to the
-		// per-op path, which re-quantizes the downloaded result the same
-		// way.
+		// Its calibration still comes from the host shadow, so downstream
+		// functional math is bit-identical to the per-op path, which
+		// re-quantizes the downloaded result the same way.
+		b.readyAt = b.chip.ready
+	default:
+		c.met.quantCacheMisses.Inc()
+		b.readyAt = c.tensorize(int64(b.M.Elems()), ready, task)
+	}
+	if !reused {
 		b.qp = quant.Params{Scale: 1}
 		if c.opts.Functional {
 			b.qp = b.calib
-			b.q, b.qmax = quant.QuantizeWithMax(b.M, b.qp)
 		}
 		b.quantized = true
-		b.readyAt = b.chip.ready
-		at := b.readyAt
-		if ready > at {
-			at = ready
-		}
-		return b.qp, b.q, at
 	}
-	c.met.quantCacheMisses.Inc()
-	elems := int64(b.M.Elems())
-	// Host-side transformation cost: quantize + encode into the model
-	// format (the fast path) or invoke the reference TFLite compiler
-	// (ablation).
+	if c.opts.Functional && b.q == nil && (reused || whole) {
+		b.q = quant.QuantizeWith(b.M, b.qp)
+	}
+	return operand{p: b.qp, m: b.M, q: b.q, max: b.extent.MaxCode(b.qp.Scale)}, maxDur(b.readyAt, ready)
+}
+
+// tensorize charges the Tensorizer's host pass over elems values from
+// ready on the host core — quantize and encode into the model format,
+// or invoke the reference TFLite compiler (the FastModelPath ablation)
+// — and returns when it ends.
+func (c *Context) tensorize(elems int64, ready timing.Duration, task int) timing.Duration {
 	cost := c.params.QuantTime(elems)
 	if c.opts.FastModelPath {
 		cost += c.params.TensorizerEncodeTime(elems)
@@ -544,17 +590,7 @@ func (c *Context) ensureQuantized(b *Buffer, ready timing.Duration, task int) (q
 	_, end := c.Host.AcquireSpan(ready, cost,
 		timing.Span{Phase: "tensorize", Task: task, Bytes: elems})
 	c.TL.Observe(end)
-
-	b.qp = quant.Params{Scale: 1}
-	if c.opts.Functional {
-		b.qp = b.calib
-		if b.q == nil {
-			b.q, b.qmax = quant.QuantizeWithMax(b.M, b.qp)
-		}
-	}
-	b.quantized = true
-	b.readyAt = end
-	return b.qp, b.q, end
+	return end
 }
 
 // quantFlagsFor encodes the context's quantization configuration into

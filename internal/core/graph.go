@@ -95,11 +95,11 @@ const (
 // (n.Add(x).Tanh()), feed it to host nodes, or Fetch it to force host
 // materialization of the result.
 type Node struct {
-	g    *Graph
-	id   int
-	kind nodeKind
-	op   string
-	args []Value
+	g          *Graph
+	id         int
+	kind       nodeKind
+	op         string
+	args       []Value
 	rows, cols int
 
 	// kDevice: the operator invocation, given the resolved operand

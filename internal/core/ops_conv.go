@@ -27,8 +27,8 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 		kernel.Rows() <= a.Rows() && kernel.Cols() <= a.Cols(),
 		"kernel %dx%d incompatible with input %dx%d", kernel.Rows(), kernel.Cols(), a.Rows(), a.Cols())
 	c := s.c
-	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
-	pk, qk, readyK := c.ensureQuantized(kernel, s.now, s.taskID)
+	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
+	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)
 	ready := maxDur(readyA, readyK)
 
 	out := allocResult(c, a.Rows(), a.Cols())
@@ -41,9 +41,9 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 	// from the actual quantized kernel so results ship back as int8
 	// (stencil grids re-ship every iteration, so download width is the
 	// dominant cost).
-	divisor := requantDivisor(absSum(qk) * a.codeMax())
-	div, dq := quant.NewDivider(divisor), float32(divisor)/(pa.Scale*pk.Scale)
-	kers := []*tensor.MatrixI8{qk} // one channel, shared by every tile
+	divisor := requantDivisor(absSum(kq.q) * oa.max)
+	div, dq := quant.NewDivider(divisor), float32(divisor)/(oa.p.Scale*kq.p.Scale)
+	kers := []*tensor.MatrixI8{kq.q} // one channel, shared by every tile
 	for i, sp := range spans {
 		sp := sp
 		// Extended region including the halo, clipped at the matrix
@@ -73,8 +73,9 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 		if c.opts.Functional {
 			exR, exC := exR, exC
 			w.fn = func() {
-				in := qa.View(sp.R0, sp.C0, exR, exC)
+				in := oa.window(sp.R0, sp.C0, exR, exC)
 				acc := c.kern.Conv2D(in, kers, 1, 1)[0]
+				oa.release(in)
 				requantize(out.View(sp.R0, sp.C0, sp.Rows, sp.Cols), acc, div, dq)
 				tensor.PutI32(acc)
 			}
@@ -109,17 +110,17 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 		kernel.Rows() <= a.Rows() && kernel.Cols() <= a.Cols(),
 		"kernel %dx%d incompatible with input %dx%d", kernel.Rows(), kernel.Cols(), a.Rows(), a.Cols())
 	c := s.c
-	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
-	pk, qk, readyK := c.ensureQuantized(kernel, s.now, s.taskID)
+	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
+	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)
 	ready := maxDur(readyA, readyK)
 
 	outRows := (a.Rows() + strideR - 1) / strideR
 	outCols := (a.Cols() + strideC - 1) / strideC
 	out := allocResult(c, outRows, outCols)
 
-	divisor := requantDivisor(absSum(qk) * a.codeMax())
-	div, dq := quant.NewDivider(divisor), float32(divisor)/(pa.Scale*pk.Scale)
-	kers := []*tensor.MatrixI8{qk} // one channel, shared by every band
+	divisor := requantDivisor(absSum(kq.q) * oa.max)
+	div, dq := quant.NewDivider(divisor), float32(divisor)/(oa.p.Scale*kq.p.Scale)
+	kers := []*tensor.MatrixI8{kq.q} // one channel, shared by every band
 
 	// Row bands aligned to the stride, sized so a band plus kernel
 	// stays well inside on-chip memory.
@@ -150,8 +151,9 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 		if c.opts.Functional {
 			o0, oEnd, r0, bandRows := o0, oEnd, r0, bandRows
 			w.fn = func() {
-				in := qa.View(r0, 0, bandRows, a.Cols())
+				in := oa.window(r0, 0, bandRows, a.Cols())
 				acc := c.kern.Conv2D(in, kers, strideR, strideC)[0]
+				oa.release(in)
 				requantize(out.View(o0, 0, oEnd-o0, outCols), acc, div, dq)
 				tensor.PutI32(acc)
 			}

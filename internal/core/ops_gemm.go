@@ -51,7 +51,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 		return nil
 	}
 	c := s.c
-	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
+	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	var qx []int8
 	if x.Q != nil {
 		qx = x.Q.Data
@@ -101,7 +101,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 		}
 		rowTiles := (rows + tile - 1) / tile
 		inputs := pl.inputs(
-			// The weight block was quantized when the buffer was first
+			// The weight block was encoded when the buffer was first
 			// used; it can prefetch over the link before the fresh
 			// vector is ready.
 			inputRef{key: mix(a.key, 3000000+uint64(r0)), bytes: int64(rows) * int64(n), ready: readyA, chip: a.chipRef()},
@@ -136,15 +136,17 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 			r0, rows := r0, rows
 			w.fn = func() {
 				part := tensor.GetI32ForOverwrite(1, rows)
+				block := oa.window(r0, 0, rows, n)
 				for ct := 0; ct < colTiles; ct++ {
 					c0 := ct * tile
 					cols := segLen(n, ct, tile)
-					wt := qa.View(r0, c0, rows, cols)
+					wt := block.View(0, c0, rows, cols)
 					c.kern.FullyConnectedInto(part.Data, wt, qx[c0:c0+cols])
 					for i, v := range part.Data {
 						acc[r0+i] += int64(v)
 					}
 				}
+				oa.release(block)
 				tensor.PutI32(part)
 			}
 		}
@@ -160,7 +162,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 
 	out := make([]float32, m)
 	if c.opts.Functional {
-		inv := 1 / (float64(pa.Scale) * float64(sx))
+		inv := 1 / (float64(oa.p.Scale) * float64(sx))
 		for i, v := range acc {
 			out[i] = float32(float64(v) * inv)
 		}
@@ -193,8 +195,9 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 	checkShapes("FullyConnected-GEMM", a.Cols() == b.Rows(),
 		"inner dimensions %d vs %d", a.Cols(), b.Rows())
 	c := s.c
-	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
-	pb, qb, readyB := c.ensureQuantized(b, s.now, s.taskID)
+	oa, readyA := c.wholeQuantized(a, s.now, s.taskID)
+	ob, readyB := c.wholeQuantized(b, s.now, s.taskID)
+	qa, qb := oa.q, ob.q
 	ready := maxDur(readyA, readyB)
 
 	m, n, k := a.Rows(), a.Cols(), b.Cols()
@@ -253,7 +256,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 					}
 					tensor.PutI32(part)
 					tensor.PutI8(colBuf)
-					inv := 1 / (float64(pa.Scale) * float64(pb.Scale))
+					inv := 1 / (float64(oa.p.Scale) * float64(ob.p.Scale))
 					for i, v := range acc {
 						out.Set(r0+i, j, float32(float64(v)*inv))
 					}
@@ -296,9 +299,6 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	checkShapes("tpuGemm", a.Cols() == b.Rows(),
 		"inner dimensions %d vs %d", a.Cols(), b.Rows())
 	c := s.c
-	pa, qa, readyA := c.ensureQuantized(a, s.now, s.taskID)
-	pb, qb, readyB := c.ensureQuantized(b, s.now, s.taskID)
-
 	m, n, k := a.Rows(), a.Cols(), b.Cols()
 	half := c.params.TPUMemBytes / 2
 
@@ -314,6 +314,9 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 		ks = n
 	}
 	segLenN := (n + ks - 1) / ks
+
+	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
+	ob, readyB := c.ensureQuantized(b, s.now, s.taskID)
 
 	out := allocResult(c, m, k)
 
@@ -339,7 +342,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	// functional result bit-identical while segment closures run in
 	// parallel: integer addition commutes, so the nondeterministic
 	// closure completion order cannot show.
-	inv := 1 / (float64(pa.Scale) * float64(pb.Scale))
+	inv := 1 / (float64(oa.p.Scale) * float64(ob.p.Scale))
 	var acc []int64
 	var rectMu []sync.Mutex
 	if c.opts.Functional && ks > 1 {
@@ -351,8 +354,8 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 
 	// Segments pipeline through the IQ: each segment's instructions are
 	// submitted as soon as its derived layouts exist, so the engine
-	// charges and executes segment i while the host still quantizes
-	// segment i+1.
+	// charges and executes segment i while the host still builds segment
+	// i+1's layouts.
 	pendings := make([]*plan, 0, ks)
 	for seg := 0; seg < ks; seg++ {
 		segStart := seg * segLenN
@@ -370,34 +373,42 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 		// zero-padded to n2 and interpreted as an s x s block (a pure
 		// layout identity: the padded row *is* the row-major block).
 		// A segment spanning all of n needs no copy at all: the closures
-		// read only the first segN columns of each row, which are qa's
-		// own rows, so the derived form aliases qa (the host cost of the
-		// layout is charged all the same — the simulated Tensorizer still
-		// emits it).
-		da := c.derivedQuant(a, derivedTag{kind: tagConvA, seg: seg, side: side}, pa.Scale, int64(m)*int64(n2),
-			maxDur(readyA, s.now), s.taskID, func(d *derived) {
-				if segN == n {
-					d.q = qa
-					return
-				}
-				o := tensor.NewI8(m, n2)
-				for r := 0; r < m; r++ {
-					copy(o.Row(r)[:segN], qa.Row(r)[segStart:segStart+segN])
-				}
-				d.q = o
-			})
+		// read only the first segN columns of each row, which are a's own
+		// rows, so they read a itself (the host cost of the layout is
+		// charged all the same — the simulated Tensorizer still emits it).
+		// Layouts copy from windows of the operands, so an operand used
+		// once never has a whole int8 form.
+		layoutA := func(bool) *tensor.MatrixI8 {
+			w := oa.window(0, segStart, m, segN)
+			o := tensor.NewI8(m, n2)
+			for r := 0; r < m; r++ {
+				copy(o.Row(r), w.Row(r))
+			}
+			oa.release(w)
+			return o
+		}
+		if segN == n {
+			layoutA = nil
+		}
+		da := c.derivedQuant(a, derivedTag{kind: tagConvA, seg: seg, side: side}, int64(m)*int64(n2),
+			maxDur(readyA, s.now), s.taskID, layoutA)
+		wa := oa
+		if segN != n {
+			wa = operand{q: da.q}
+		}
 		// Derived layout for b's segment: kernel j holds rows
 		// segStart..segStart+segN of column j, padded to n2.
-		db := c.derivedQuant(b, derivedTag{kind: tagConvB, seg: seg, side: side}, pb.Scale, int64(k)*int64(n2),
-			maxDur(readyB, s.now), s.taskID, func(d *derived) {
+		db := c.derivedQuant(b, derivedTag{kind: tagConvB, seg: seg, side: side}, int64(k)*int64(n2),
+			maxDur(readyB, s.now), s.taskID, func(bool) *tensor.MatrixI8 {
+				w := ob.window(segStart, 0, segN, k)
 				o := tensor.NewI8(k, n2)
-				for j := 0; j < k; j++ {
-					row := o.Row(j)
-					for i := 0; i < segN; i++ {
-						row[i] = qb.At(segStart+i, j)
+				for i := 0; i < segN; i++ {
+					for j, v := range w.Row(i) {
+						o.Set(j, i, v)
 					}
 				}
-				d.q = o
+				ob.release(w)
+				return o
 			})
 		ready := maxDur(da.readyAt, db.readyAt)
 
@@ -439,7 +450,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 				}
 				if c.opts.Functional {
 					r0, rows, c0, nch, segN := r0, rows, c0, nch, segN
-					daq, dbq := da.q, db.q
+					dbq := db.q
 					rect := (r0/chunkRows)*ncc + c0/chanBatch
 					w.fn = func() {
 						// Each padded row of the derived layout *is* one
@@ -453,9 +464,10 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 						// nothing to the integer accumulators — skipping
 						// them is bit-identical and trims n2-segN MACs
 						// off every dot product.
-						wins := daq.View(r0, 0, rows, segN)
+						wins := wa.window(r0, 0, rows, segN)
 						kers := dbq.View(c0, 0, nch, segN)
 						outs := c.kern.Conv2DGemm(wins, kers)
+						wa.release(wins)
 						if acc == nil {
 							for i := 0; i < rows; i++ {
 								dst := out.Row(r0 + i)[c0 : c0+nch]

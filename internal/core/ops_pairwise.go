@@ -40,18 +40,14 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 	c := s.c
 
 	var (
-		qa, qb     *tensor.MatrixI8
-		sa, sb     float32
-		maxA, maxB int32 // max|code| of each int8 form, from its quantize pass
-		ready      = s.now
-		keyA       uint64
-		keyB       uint64
+		oa, ob     operand
+		ready      timing.Duration
+		keyA, keyB uint64
 	)
 	if op == isa.Mul {
-		pa, qam, ta := c.ensureQuantized(a, s.now, s.taskID)
-		pb, qbm, tb := c.ensureQuantized(b, s.now, s.taskID)
-		qa, qb, sa, sb = qam, qbm, pa.Scale, pb.Scale
-		maxA, maxB = a.codeMax(), b.codeMax()
+		var ta, tb timing.Duration
+		oa, ta = c.ensureQuantized(a, s.now, s.taskID)
+		ob, tb = c.ensureQuantized(b, s.now, s.taskID)
 		keyA, keyB = a.key, b.key
 		ready = maxDur(ta, tb)
 	} else {
@@ -59,23 +55,16 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 		// per-operand scales covers the wider range (and preserves the
 		// exactness-calibrated scale 1 when both datasets are small
 		// integers).
-		joint := float32(1)
+		joint := quant.Params{Scale: 1}
 		if c.opts.Functional {
-			pa, pb := a.calibration(), b.calibration()
-			joint = pa.Scale
-			if pb.Scale < joint {
-				joint = pb.Scale
+			joint = a.calibration()
+			if pb := b.calibration(); pb.Scale < joint.Scale {
+				joint = pb
 			}
 		}
-		tag := derivedTag{kind: tagJoint, scale: math.Float32bits(joint)}
-		da := c.derivedQuant(a, tag, joint, int64(a.M.Elems()), s.now, s.taskID, func(d *derived) {
-			d.q, d.max = quant.QuantizeWithMax(a.M, quant.Params{Scale: joint})
-		})
-		db := c.derivedQuant(b, tag, joint, int64(b.M.Elems()), s.now, s.taskID, func(d *derived) {
-			d.q, d.max = quant.QuantizeWithMax(b.M, quant.Params{Scale: joint})
-		})
-		qa, qb, sa, sb = da.q, db.q, joint, joint
-		maxA, maxB = da.max, db.max
+		var da, db *derived
+		oa, da = c.jointQuant(a, joint, s.now, s.taskID)
+		ob, db = c.jointQuant(b, joint, s.now, s.taskID)
 		keyA, keyB = da.key, db.key
 		ready = maxDur(da.readyAt, db.readyAt)
 	}
@@ -85,9 +74,9 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 	// operands' quantized maxima ("dynamically evaluates input data",
 	// section 1) instead of the worst-case bound, which preserves
 	// exactness for small-integer datasets.
-	bound, scale := maxA+maxB, sa // Eq. 6
+	bound, scale := oa.max+ob.max, oa.p.Scale // Eq. 6
 	if op == isa.Mul {
-		bound, scale = maxA*maxB, sa*sb // Eq. 7
+		bound, scale = oa.max*ob.max, oa.p.Scale*ob.p.Scale // Eq. 7
 	}
 	divisor := requantDivisor(bound)
 	div, dq := quant.NewDivider(divisor), float32(divisor)/scale
@@ -111,7 +100,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 			ready:    ready,
 		}
 		if c.opts.Functional {
-			w.fn = func() { pairwiseTile(c.kern, op, qa, qb, out, sp, div, dq) }
+			w.fn = func() { pairwiseTile(c.kern, op, oa, ob, out, sp, div, dq) }
 		}
 		pl.add(w)
 	}
@@ -128,9 +117,9 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 // wide accumulation, then the device's output requantization stage
 // (the fixed-point realization of the Eq. 6/7 scale rules), then host
 // dequantization into the float result.
-func pairwiseTile(k *edgetpu.KernelTable, op isa.OpCode, qa, qb *tensor.MatrixI8, out *tensor.Matrix, sp tensor.Span, div quant.Divider, dq float32) {
-	va := qa.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
-	vb := qb.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
+func pairwiseTile(k *edgetpu.KernelTable, op isa.OpCode, oa, ob operand, out *tensor.Matrix, sp tensor.Span, div quant.Divider, dq float32) {
+	va := oa.window(sp.R0, sp.C0, sp.Rows, sp.Cols)
+	vb := ob.window(sp.R0, sp.C0, sp.Rows, sp.Cols)
 	var wide *tensor.MatrixI32
 	switch op {
 	case isa.Add:
@@ -142,6 +131,8 @@ func pairwiseTile(k *edgetpu.KernelTable, op isa.OpCode, qa, qb *tensor.MatrixI8
 	default:
 		panic("core: pairwiseTile bad op")
 	}
+	oa.release(va)
+	ob.release(vb)
 	requantize(out.View(sp.R0, sp.C0, sp.Rows, sp.Cols), wide, div, dq)
 	tensor.PutI32(wide)
 }
@@ -181,7 +172,7 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 	}
 	defer s.opTimer(op.String())()
 	c := s.c
-	pa, qa, ready := c.ensureQuantized(a, s.now, s.taskID)
+	oa, ready := c.ensureQuantized(a, s.now, s.taskID)
 	out := allocResult(c, a.Rows(), a.Cols())
 	tile := isa.TileFor(op)
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
@@ -198,7 +189,7 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 			ready:    ready,
 		}
 		if c.opts.Functional {
-			w.fn = func() { elementwiseTile(c.kern, op, qa, out, sp, pa.Scale) }
+			w.fn = func() { elementwiseTile(c.kern, op, oa, out, sp) }
 		}
 		pl.add(w)
 	}
@@ -210,20 +201,21 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 	return out
 }
 
-func elementwiseTile(k *edgetpu.KernelTable, op isa.OpCode, qa *tensor.MatrixI8, out *tensor.Matrix, sp tensor.Span, sa float32) {
-	va := qa.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
+func elementwiseTile(k *edgetpu.KernelTable, op isa.OpCode, oa operand, out *tensor.Matrix, sp tensor.Span) {
+	va := oa.window(sp.R0, sp.C0, sp.Rows, sp.Cols)
 	var res *tensor.MatrixI8
 	var dequant float32
 	switch op {
 	case isa.Tanh:
-		res = k.TanhLUT(va, sa)
+		res = k.TanhLUT(va, oa.p.Scale)
 		dequant = 1.0 / quant.QMax // tanh outputs quantize to [-127,127] over [-1,1]
 	case isa.ReLU:
 		res = k.ReLU(va)
-		dequant = 1 / sa
+		dequant = 1 / oa.p.Scale
 	default:
 		panic("core: elementwiseTile bad op")
 	}
+	oa.release(va)
 	for r := 0; r < sp.Rows; r++ {
 		src := res.Row(r)
 		for cix, v := range src {
@@ -254,7 +246,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 	}
 	defer s.opTimer(op.String())()
 	c := s.c
-	pa, qa, ready := c.ensureQuantized(a, s.now, s.taskID)
+	oa, ready := c.ensureQuantized(a, s.now, s.taskID)
 	tile := isa.TileFor(op)
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
 
@@ -282,13 +274,14 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 		}
 		if c.opts.Functional {
 			w.fn = func() {
-				va := qa.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
+				va := oa.window(sp.R0, sp.C0, sp.Rows, sp.Cols)
 				if op == isa.Mean {
 					sum, n := c.kern.MeanSum(va)
 					parts[i] = partial{sum: sum, elems: n}
 				} else {
 					parts[i] = partial{max: c.kern.MaxVal(va), elems: va.Elems()}
 				}
+				oa.release(va)
 			}
 		}
 		pl.add(w)
@@ -343,7 +336,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 		if n == 0 {
 			return 0
 		}
-		return float32(float64(sum) / float64(n) / float64(pa.Scale))
+		return float32(float64(sum) / float64(n) / float64(oa.p.Scale))
 	}
 	best := int8(math.MinInt8)
 	for _, p := range parts {
@@ -351,7 +344,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 			best = p.max
 		}
 	}
-	return float32(best) / pa.Scale
+	return float32(best) / oa.p.Scale
 }
 
 // Crop removes all elements outside the given sub-matrix and returns
@@ -367,7 +360,7 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 	checkShapes("crop", r0 >= 0 && c0 >= 0 && rows >= 0 && cols >= 0 && r0+rows <= a.Rows() && c0+cols <= a.Cols(),
 		"window (%d,%d)+%dx%d outside %dx%d", r0, c0, rows, cols, a.Rows(), a.Cols())
 	c := s.c
-	pa, qa, ready := c.ensureQuantized(a, s.now, s.taskID)
+	oa, ready := c.wholeQuantized(a, s.now, s.taskID)
 	pl := s.plan(1)
 	w := instrWork{
 		instr: isa.Instruction{Op: isa.Crop, InRows: a.Rows(), InCols: a.Cols(),
@@ -379,8 +372,8 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 	var out *tensor.Matrix
 	if c.opts.Functional {
 		w.fn = func() {
-			sub := c.kern.Crop(qa, r0, c0, rows, cols)
-			out = quant.Dequantize(sub, pa)
+			sub := c.kern.Crop(oa.q, r0, c0, rows, cols)
+			out = quant.Dequantize(sub, oa.p)
 			tensor.PutI8(sub)
 		}
 	}
@@ -408,7 +401,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 	checkShapes("ext", rows >= a.Rows() && cols >= a.Cols(),
 		"target %dx%d smaller than %dx%d", rows, cols, a.Rows(), a.Cols())
 	c := s.c
-	pa, qa, ready := c.ensureQuantized(a, s.now, s.taskID)
+	oa, ready := c.wholeQuantized(a, s.now, s.taskID)
 	pl := s.plan(1)
 	w := instrWork{
 		instr: isa.Instruction{Op: isa.Ext, InRows: a.Rows(), InCols: a.Cols(),
@@ -420,8 +413,8 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 	var out *tensor.Matrix
 	if c.opts.Functional {
 		w.fn = func() {
-			padded := c.kern.Ext(qa, rows, cols)
-			out = quant.Dequantize(padded, pa)
+			padded := c.kern.Ext(oa.q, rows, cols)
+			out = quant.Dequantize(padded, oa.p)
 			tensor.PutI8(padded)
 		}
 	}

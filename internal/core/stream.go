@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"time"
 
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
@@ -154,8 +156,8 @@ func (p *plan) inputs(refs ...inputRef) []inputRef {
 // submit enqueues the planned instructions on the back-end IQ and
 // returns the plan as the handle to collect their completion.
 // Submission is asynchronous: the operator goroutine keeps planning
-// (and pre-quantizing) its next batch while the engine charges and
-// executes this one. A plan's instructions enter the charge order as
+// (and building layouts for) its next batch while the engine charges
+// and executes this one. A plan's instructions enter the charge order as
 // one contiguous run, in plan order.
 func (p *plan) submit() *plan {
 	p.start = time.Now()
@@ -232,68 +234,65 @@ func mix(base uint64, idx uint64) uint64 {
 type derived struct {
 	key     uint64
 	q       *tensor.MatrixI8
-	max     int32 // max|q|, set by builders whose consumers requantize
-	scale   float32
 	readyAt timing.Duration
 }
 
-// derivedQuant returns (building and charging on first use) a derived
-// quantized form of b identified by tag. build runs only in
-// functional mode and must store the int8 form at the given scale in
-// d.q.
+// derivedQuant returns (charging on first use) a derived quantized form
+// of b identified by tag. build runs only in functional mode, under
+// b.mu, on every use while the form has no int8 matrix: it returns the
+// matrix, or nil to leave the instructions quantizing their own
+// windows; reused reports a use after the form's first.
 // elems is the logical size charged to the host-side transformation;
 // task tags the trace span with the OPQ task that triggered the build.
-func (c *Context) derivedQuant(b *Buffer, tag derivedTag, scale float32, elems int64, ready timing.Duration, task int, build func(d *derived)) *derived {
+func (c *Context) derivedQuant(b *Buffer, tag derivedTag, elems int64, ready timing.Duration, task int, build func(reused bool) *tensor.MatrixI8) *derived {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.derivedForms == nil {
 		b.derivedForms = make(map[derivedTag]*derived)
 	}
-	if d, ok := b.derivedForms[tag]; ok {
+	d, reused := b.derivedForms[tag]
+	switch {
+	case reused:
 		c.met.quantCacheHits.Inc()
-		if d.readyAt < ready {
-			// Cached: availability is the later of cache-fill time and
-			// the caller's ready time.
-			d2 := *d
-			d2.readyAt = ready
-			return &d2
-		}
-		return d
-	}
-	if b.chip != nil {
+	case b.chip != nil:
 		// Derived form of a graph intermediate: the source never left the
 		// device, so no host transformation is charged (mirrors
-		// ensureQuantized). The int8 form is still built from the host
+		// ensureQuantized). The int8 form still comes from the host
 		// shadow for bit-exact functional equivalence with the per-op
 		// path.
-		at := b.chip.ready
-		if ready > at {
-			at = ready
-		}
-		d := &derived{key: c.nextKey(), scale: scale, readyAt: at}
-		if c.opts.Functional && build != nil {
-			build(d)
-		}
-		b.derivedForms[tag] = d
-		return d
-	}
-	c.met.quantCacheMisses.Inc()
-	cost := c.params.QuantTime(elems)
-	if c.opts.FastModelPath {
-		cost += c.params.TensorizerEncodeTime(elems)
-	} else {
-		cost += c.params.RefCompileTime(elems)
-	}
-	c.met.tensorizeVSec.Add(cost.Seconds())
-	_, end := c.Host.AcquireSpan(ready, cost,
-		timing.Span{Phase: "tensorize", Task: task, Bytes: elems})
-	c.TL.Observe(end)
-	d := &derived{key: c.nextKey(), scale: scale, readyAt: end}
-	if c.opts.Functional && build != nil {
-		build(d)
+		d = &derived{key: c.nextKey(), readyAt: maxDur(b.chip.ready, ready)}
+	default:
+		c.met.quantCacheMisses.Inc()
+		d = &derived{key: c.nextKey(), readyAt: c.tensorize(elems, ready, task)}
 	}
 	b.derivedForms[tag] = d
+	if c.opts.Functional && build != nil && d.q == nil {
+		d.q = build(reused)
+	}
+	if d.readyAt < ready {
+		// Availability is the later of cache-fill time and the caller's
+		// ready time.
+		d2 := *d
+		d2.readyAt = ready
+		return &d2
+	}
 	return d
+}
+
+// jointQuant returns b at the joint scale p of a pairwise add or sub: a
+// derived form with an identity of its own, read window by window on its
+// first use and built whole on its second, like the buffer's own form.
+// max|code| comes from b's extent, valid since p is no larger than b's
+// own calibration.
+func (c *Context) jointQuant(b *Buffer, p quant.Params, ready timing.Duration, task int) (operand, *derived) {
+	tag := derivedTag{kind: tagJoint, scale: math.Float32bits(p.Scale)}
+	d := c.derivedQuant(b, tag, int64(b.M.Elems()), ready, task, func(reused bool) *tensor.MatrixI8 {
+		if !reused {
+			return nil
+		}
+		return quant.QuantizeWith(b.M, p)
+	})
+	return operand{p: p, m: b.M, q: d.q, max: b.extent.MaxCode(p.Scale)}, d
 }
 
 // derivedTag names one derived form of a buffer in its cache: which

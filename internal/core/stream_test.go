@@ -57,10 +57,11 @@ func TestDerivedQuantCaches(t *testing.T) {
 	ctx := testCtx(1)
 	a := tensor.New(64, 64)
 	b := ctx.NewBuffer(a)
-	d1 := ctx.derivedQuant(b, derivedTag{kind: "tag"}, 1, 4096, 0, 1, func(d *derived) { d.q = tensor.NewI8(64, 64) })
+	d1 := ctx.derivedQuant(b, derivedTag{kind: "tag"}, 4096, 0, 1, func(bool) *tensor.MatrixI8 { return tensor.NewI8(64, 64) })
 	host1 := ctx.Host.BusyTime()
-	d2 := ctx.derivedQuant(b, derivedTag{kind: "tag"}, 1, 4096, 0, 1, func(*derived) {
+	d2 := ctx.derivedQuant(b, derivedTag{kind: "tag"}, 4096, 0, 1, func(bool) *tensor.MatrixI8 {
 		t.Fatal("builder must not rerun on cache hit")
+		return nil
 	})
 	if d1.key != d2.key {
 		t.Fatal("cache must return the same identity")
@@ -69,7 +70,7 @@ func TestDerivedQuantCaches(t *testing.T) {
 		t.Fatal("cache hit must not re-charge host time")
 	}
 	// A different tag builds fresh.
-	d3 := ctx.derivedQuant(b, derivedTag{kind: "other"}, 1, 4096, 0, 1, func(d *derived) { d.q = tensor.NewI8(64, 64) })
+	d3 := ctx.derivedQuant(b, derivedTag{kind: "other"}, 4096, 0, 1, func(bool) *tensor.MatrixI8 { return tensor.NewI8(64, 64) })
 	if d3.key == d1.key {
 		t.Fatal("distinct tags must get distinct identities")
 	}
@@ -78,11 +79,11 @@ func TestDerivedQuantCaches(t *testing.T) {
 func TestDerivedQuantLaterReady(t *testing.T) {
 	ctx := testCtx(1)
 	b := ctx.NewBuffer(tensor.New(8, 8))
-	d1 := ctx.derivedQuant(b, derivedTag{kind: "t"}, 1, 64, 0, 1, func(d *derived) { d.q = tensor.NewI8(8, 8) })
+	d1 := ctx.derivedQuant(b, derivedTag{kind: "t"}, 64, 0, 1, func(bool) *tensor.MatrixI8 { return tensor.NewI8(8, 8) })
 	// A caller arriving later must see its own ready time, not the
 	// cache-fill time.
 	later := d1.readyAt + time.Millisecond
-	d2 := ctx.derivedQuant(b, derivedTag{kind: "t"}, 1, 64, later, 1, nil)
+	d2 := ctx.derivedQuant(b, derivedTag{kind: "t"}, 64, later, 1, nil)
 	if d2.readyAt != later {
 		t.Fatalf("readyAt %v want %v", d2.readyAt, later)
 	}

@@ -43,7 +43,7 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	s.obs = obs
 	t := &Task{ID: s.taskID, done: make(chan struct{})}
 	c.mu.Lock()
-	c.pending = append(c.pending, t)
+	c.inflight[t] = struct{}{}
 	c.mu.Unlock()
 	c.met.tasksEnqueued.Inc()
 	c.met.opqDepth.Add(1)
@@ -53,7 +53,7 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	go func() {
 		defer c.met.opqDepth.Add(-1)
 		defer close(t.done)
-		defer c.dropAffinity(t.ID) // the kernel has returned: the task's stream is finished
+		defer c.retire(t) // the kernel has returned: the task's stream is finished
 		defer func() {
 			if r := recover(); r != nil {
 				t.err = fmt.Errorf("core: task %d panicked: %v", t.ID, r)
@@ -67,18 +67,36 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	return t
 }
 
+// retire takes a returned task off the OPQ: the context keeps only its
+// error, if it is the first since the last Sync. A daemon enqueues a
+// task per request and never syncs until shutdown, so the OPQ must not
+// hold finished tasks.
+func (c *Context) retire(t *Task) {
+	c.dropAffinity(t.ID)
+	c.mu.Lock()
+	delete(c.inflight, t)
+	if t.err != nil && c.syncErr == nil {
+		c.syncErr = t.err
+	}
+	c.mu.Unlock()
+}
+
 // Sync requires all enqueued tasks to complete before it returns
-// (openctpu_sync) and reports the first task error encountered.
+// (openctpu_sync) and reports the first task error since the last Sync,
+// in completion order.
 func (c *Context) Sync() error {
 	c.mu.Lock()
-	pending := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	var first error
-	for _, t := range pending {
-		if err := t.Wait(); err != nil && first == nil {
-			first = err
-		}
+	tasks := make([]*Task, 0, len(c.inflight))
+	for t := range c.inflight {
+		tasks = append(tasks, t)
 	}
-	return first
+	c.mu.Unlock()
+	for _, t := range tasks {
+		t.Wait()
+	}
+	c.mu.Lock()
+	err := c.syncErr
+	c.syncErr = nil
+	c.mu.Unlock()
+	return err
 }

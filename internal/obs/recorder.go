@@ -27,8 +27,8 @@ type Config struct {
 const (
 	defaultCapacity = 256
 	defaultWindow   = 2048
-	maxCaptures     = 8   // bounded postmortem snapshots kept FIFO
-	captureInflight = 64  // traces frozen per capture
+	maxCaptures     = 8  // bounded postmortem snapshots kept FIFO
+	captureInflight = 64 // traces frozen per capture
 	captureMinGap   = time.Second
 )
 

@@ -191,7 +191,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		cases["len"+string(rune('0'+n))] = tensor.RandUniform(rng, 1, n, -4, 4)
 	}
 	for name, m := range cases {
-		p, finite := Analyze(m)
+		p, _, finite := Analyze(m)
 		want, wantFinite := refAnalyze(m)
 		if math.Float32bits(p.Scale) != math.Float32bits(want.Scale) || finite != wantFinite {
 			t.Errorf("%s: Analyze = (%v, %v), want (%v, %v)", name, p.Scale, finite, want.Scale, wantFinite)
@@ -209,7 +209,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		for _, at := range []int{0, 1, 2, 3, 57, 17*23 - 1} {
 			for _, base := range []*tensor.Matrix{tensor.RandUniform(rng, 17, 23, -3, 5), ints(17, 23)} {
 				base.Data[at] = bad
-				_, finite := Analyze(base)
+				_, _, finite := Analyze(base)
 				if _, wantFinite := refAnalyze(base); finite || wantFinite {
 					t.Errorf("%v at %d: finite = %v (reference %v), want false", bad, at, finite, wantFinite)
 				}
@@ -242,19 +242,7 @@ func BenchmarkQuantizeInto(b *testing.B) {
 	b.SetBytes(int64(m.Elems()) * 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		quantizeInto(q, m, p)
-	}
-}
-
-// BenchmarkQuantizeWithMax is BenchmarkQuantizeInto with the max|q|
-// tracking the runtime's operand pass does.
-func BenchmarkQuantizeWithMax(b *testing.B) {
-	m := benchData(512, 512)
-	p := ParamsFor(m)
-	b.SetBytes(int64(m.Elems()) * 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		QuantizeWithMax(m, p)
+		QuantizeInto(q, m, p)
 	}
 }
 

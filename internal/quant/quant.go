@@ -114,41 +114,72 @@ func Quantize(m *tensor.Matrix) (*tensor.MatrixI8, Params) {
 // tpuGemm up to a maximum value of 64). All other data uses the
 // symmetric absolute-maximum rule.
 func ParamsFor(m *tensor.Matrix) Params {
-	p, _ := Analyze(m)
+	p, _, _ := Analyze(m)
 	return p
 }
 
 // Analyze is the Tensorizer's look at host data before quantizing it:
 // it reports ParamsFor's calibration (exactness test, else absolute
-// maximum) and whether every value is finite — what the runtime checks
-// before it accepts a buffer. Shape-only matrices carry no values:
-// scale 1, finite. The parameters of a non-finite matrix are
-// meaningless; callers reject it.
-func Analyze(m *tensor.Matrix) (p Params, finite bool) {
+// maximum), the extent of the values, and whether every value is
+// finite — what the runtime checks before it accepts a buffer.
+// Shape-only matrices carry no values: scale 1, an empty extent,
+// finite. The parameters of a non-finite matrix are meaningless;
+// callers reject it.
+func Analyze(m *tensor.Matrix) (p Params, e Extent, finite bool) {
 	if m.Data == nil || m.Elems() == 0 {
-		return Params{Scale: 1}, true
+		return Params{Scale: 1}, Extent{}, true
 	}
-	if exactInts(m) {
-		return Params{Scale: 1}, true
+	if lo, hi, ok := intRange(m); ok {
+		return Params{Scale: 1}, Extent{Lo: float32(lo), Hi: float32(hi)}, true
 	}
 	top := absMaxBits(m)
-	return Params{Scale: ScaleFor(math.Float32frombits(top))}, top < infBits
+	absMax := math.Float32frombits(top)
+	p = Params{Scale: ScaleFor(absMax)}
+	e = Extent{Lo: -absMax, Hi: absMax}
+	if math.IsInf(float64(p.Scale), 1) {
+		// A range this close to zero overflows the scale, and the codes
+		// stop being symmetric: zero and negative values quantize to -128.
+		// Rare enough to pay a second walk for the signed extremes.
+		e.Lo, e.Hi = m.MinMax()
+	}
+	return p, e, top < infBits
 }
 
-// exactInts reports whether every value of m is an integer inside the
-// int8 range. Non-integer data fails within a few elements, so the
-// walk costs nothing there; integer data pays one pass and needs no
-// abs-max scan at all.
-func exactInts(m *tensor.Matrix) bool {
+// Extent is as much of a matrix's value range as the device's output
+// stage needs: the largest code magnitude of the matrix's int8 form, at
+// its own calibration scale or any smaller (joint) one, without a walk
+// over that form. For int8-exact data it is the integer range (with 0);
+// otherwise ±absMax, because at such scales every code lies within
+// ±QMax and negating a value negates its code — except when the scale
+// overflowed to +Inf, where it is the signed minimum and maximum.
+type Extent struct {
+	Lo, Hi float32
+}
+
+// MaxCode returns max|code| of the int8 form at scale, which must not
+// exceed the calibration Analyze picked with e. RoundToI8 is monotone in
+// the value, so every code lies between those of Lo and Hi.
+func (e Extent) MaxCode(scale float32) int32 {
+	lo, hi := int32(RoundToI8(e.Lo, scale)), int32(RoundToI8(e.Hi, scale))
+	return max(lo, -lo, hi, -hi)
+}
+
+// intRange reports whether every value of m is an integer inside the
+// int8 range and, if so, their minimum and maximum (both widened to
+// include 0). Non-integer data fails within a few elements, so the walk
+// costs nothing there; integer data pays one pass and needs no abs-max
+// scan at all.
+func intRange(m *tensor.Matrix) (lo, hi int32, ok bool) {
 	f := m.Flat()
 	for r := 0; r < f.Rows; r++ {
 		for _, v := range f.Row(r) {
 			if !isInt8(v) {
-				return false
+				return 0, 0, false
 			}
+			lo, hi = min(lo, int32(v)), max(hi, int32(v))
 		}
 	}
-	return true
+	return lo, hi, true
 }
 
 // isInt8 reports whether v is an integer inside the int8 range, the
@@ -192,13 +223,13 @@ func absMaxBits(m *tensor.Matrix) uint32 {
 // QuantizeWith maps m to int8 using the provided parameters.
 func QuantizeWith(m *tensor.Matrix, p Params) *tensor.MatrixI8 {
 	q := tensor.NewI8(m.Rows, m.Cols)
-	quantizeInto(q, m, p)
+	QuantizeInto(q, m, p)
 	return q
 }
 
-// quantizeInto stores m's int8 mapping under p into q (compact, same
-// shape).
-func quantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
+// QuantizeInto stores m's int8 mapping under p into q, a compact matrix
+// of m's shape; m may be a strided view (one instruction's window).
+func QuantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
 	src := m.Flat()
 	for r := 0; r < src.Rows; r++ {
 		row := src.Row(r)
@@ -207,27 +238,6 @@ func quantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
 			dst[i] = RoundToI8(v, p.Scale)
 		}
 	}
-}
-
-// QuantizeWithMax is QuantizeWith that also returns max|q|, tracked in
-// the same pass: the device's output stage sizes its requantization
-// divisor from the operands' maxima, which would otherwise cost a
-// second walk over the int8 form. (The tracking costs about a third of
-// the pass, so QuantizeWith goes without it.)
-func QuantizeWithMax(m *tensor.Matrix, p Params) (*tensor.MatrixI8, int32) {
-	q := tensor.NewI8(m.Rows, m.Cols)
-	var lo, hi int32
-	src := m.Flat()
-	for r := 0; r < src.Rows; r++ {
-		row := src.Row(r)
-		dst := q.Data[r*src.Cols:][:len(row)]
-		for i, v := range row {
-			c := RoundToI8(v, p.Scale)
-			dst[i] = c
-			lo, hi = min(lo, int32(c)), max(hi, int32(c))
-		}
-	}
-	return q, max(hi, -lo)
 }
 
 // Dequantize reconstructs a float matrix from quantized data.
@@ -400,7 +410,7 @@ func EstimateChainedScale(ops []Op, min, max float32, n int) float32 {
 func SplitPortions(m *tensor.Matrix) (hi, lo *tensor.Matrix, p Params) {
 	p = ParamsFor(m)
 	q := tensor.GetI8ForOverwrite(m.Rows, m.Cols) // scratch: only hi is kept
-	quantizeInto(q, m, p)
+	QuantizeInto(q, m, p)
 	hi = Dequantize(q, p)
 	tensor.PutI8(q)
 	lo = tensor.New(m.Rows, m.Cols)

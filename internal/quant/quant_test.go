@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -370,20 +371,76 @@ func TestSplitOfViewMatchesClone(t *testing.T) {
 	}
 }
 
-// TestQuantizeWithMaxMatchesScan: the max the quantize pass returns is
-// the max|code| a separate scan of its output finds.
-func TestQuantizeWithMaxMatchesScan(t *testing.T) {
+// TestExtentMaxCodeMatchesScan: the max|code| the analysis pass's
+// extent derives equals a scan of the int8 form, at the data's own
+// scale and at every smaller joint scale tried — on the split cases,
+// integer data reaching -128, all-zero, denormal (whose scale overflows
+// to +Inf) and saturating data, and on random matrices of each kind.
+func TestExtentMaxCodeMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for name, m := range splitCases(rng) {
-		for _, p := range []Params{ParamsFor(m), {Scale: 1}, {Scale: 1000}, {Scale: 0.01}} {
-			q, got := QuantizeWithMax(m, p)
-			if want := scanAbsMax(q); got != want {
-				t.Errorf("%s at scale %v: max %d, scan %d", name, p.Scale, got, want)
+	den := math.Float32frombits(1)
+	check := func(name string, m *tensor.Matrix) {
+		t.Helper()
+		p, e, finite := Analyze(m)
+		if !finite {
+			t.Fatalf("%s: reported non-finite", name)
+		}
+		for _, s := range []float32{
+			p.Scale,
+			math.Nextafter32(p.Scale, 0),
+			p.Scale / 2,
+			p.Scale / 3,
+			p.Scale * 1e-3,
+			ScaleFor(127.5), // an int8-exact partner's joint scale just below 1
+			1e-20,
+		} {
+			if s > p.Scale {
+				continue
 			}
-			if !q.Equal(QuantizeWith(m, p)) {
-				t.Errorf("%s at scale %v: codes differ from QuantizeWith", name, p.Scale)
+			if got, want := e.MaxCode(s), scanAbsMax(QuantizeWith(m, Params{Scale: s})); got != want {
+				t.Errorf("%s at scale %v (own %v): extent %+v gives %d, scan %d", name, s, p.Scale, e, got, want)
 			}
 		}
+	}
+	minInt := tensor.New(7, 9)
+	for i := range minInt.Data {
+		minInt.Data[i] = float32(rng.Intn(200) - 100)
+	}
+	minInt.Data[17] = -128
+	cases := splitCases(rng)
+	cases["int-min"] = minInt
+	cases["int-positive"] = tensor.RandPositiveInts(rng, 8, 8, 127)
+	cases["denormal"] = tensor.FromSlice(1, 4, []float32{den, -den, 1e-40, 0})
+	cases["denormal-positive"] = tensor.FromSlice(1, 3, []float32{den, 3 * den, 1e-40})
+	cases["denormal-negative"] = tensor.FromSlice(1, 2, []float32{-den, -1e-40})
+	cases["saturating"] = tensor.FromSlice(1, 4, []float32{math.MaxFloat32, -math.MaxFloat32, 1, -3e38})
+	cases["wide-ints"] = tensor.FromSlice(1, 3, []float32{128, -129, 5})
+	for name, m := range cases {
+		check(name, m)
+	}
+	// Random matrices of every kind the cases above cover.
+	for i := 0; i < 2000; i++ {
+		rows, cols := 1+rng.Intn(6), 1+rng.Intn(6)
+		m := tensor.New(rows, cols)
+		kind := i % 5
+		for j := range m.Data {
+			switch kind {
+			case 0: // int8-exact
+				m.Data[j] = float32(rng.Intn(256) - 128)
+			case 1: // floats of random magnitude
+				m.Data[j] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(20)-10)))
+			case 2: // tiny: scale overflows or nearly so
+				m.Data[j] = float32(rng.NormFloat64()) * math.Float32frombits(1+uint32(rng.Intn(1<<24)))
+			case 3: // ties and near-integers
+				m.Data[j] = float32(rng.Intn(512)-256) / 2
+			case 4: // one sign only
+				m.Data[j] = rng.Float32() * 50
+			}
+			if rng.Intn(8) == 0 {
+				m.Data[j] = 0
+			}
+		}
+		check(fmt.Sprintf("random %d (kind %d)", i, kind), m)
 	}
 }
 
@@ -487,7 +544,7 @@ func TestAnalyzeMatchesSeparateScans(t *testing.T) {
 		"empty":    tensor.New(0, 0),
 	}
 	for name, m := range cases {
-		p, finite := Analyze(m)
+		p, _, finite := Analyze(m)
 		if name == "shape" {
 			if p.Scale != 1 || !finite {
 				t.Errorf("shape-only: %+v finite=%v, want scale 1, finite", p, finite)
@@ -505,7 +562,7 @@ func TestAnalyzeMatchesSeparateScans(t *testing.T) {
 		for _, at := range []int{0, 57, 17*23 - 1} {
 			m := tensor.RandUniform(rng, 17, 23, -3, 5)
 			m.Data[at] = bad
-			if _, finite := Analyze(m); finite || refFinite(m) {
+			if _, _, finite := Analyze(m); finite || refFinite(m) {
 				t.Errorf("%v at %d: finite = %v, want false", bad, at, finite)
 			}
 		}

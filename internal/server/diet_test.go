@@ -285,9 +285,13 @@ func TestFrameReaderRecycles(t *testing.T) {
 // owning its operands; whichever opens the group has its matrix kept or
 // recycled by the batcher. Every result, on both sides, must equal the
 // library's bit for bit (all activations share one absolute maximum, so
-// a batched row band equals its solo result).
+// a batched row band equals its solo result). W1's first flush is held
+// until W1 calls wait in a pending group and a forged W2 has been
+// refused by it, so a collision happens on every run.
 func TestCollidingWeightUnderTraffic(t *testing.T) {
-	srv := startServer(t, Config{Devices: 2, MaxInFlight: 256})
+	srv := New(Config{Devices: 2, MaxInFlight: 256})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 	lib := gptpu.Open(gptpu.Config{Devices: 2})
 	defer lib.Close()
 	rng := rand.New(rand.NewSource(9))
@@ -328,6 +332,18 @@ func TestCollidingWeightUnderTraffic(t *testing.T) {
 			errs <- nil
 		}(w)
 	}
+	gate.waitRunning(t)
+	for deadline := time.Now().Add(10 * time.Second); srv.bat.pendingCalls() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no W1 call joined the pending group")
+		}
+	}
+	forged := &gemmCall{a: pairs[0].a, arrived: time.Now(), done: make(chan callResult, 1)}
+	if srv.bat.submit(key, w2.Clone(), forged) {
+		t.Fatal("forged W2 joined W1's pending group")
+	}
+	refused.Add(1)
+	gate.open()
 	for f := 0; f < forgers; f++ {
 		go func(f int) {
 			for i := 0; i < rounds*len(pairs); i++ {
