@@ -10,9 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also fails on any file gofmt would rewrite.
+# vet also fails on any file gofmt would rewrite, and vets the
+# benchmark module, which builds the internal config structs by field
+# name: a renamed field fails here, not only in bench-test.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the full suite under the race detector; the concurrent
@@ -61,11 +64,11 @@ graph-fuzz-soak:
 # serve-smoke builds the gptpu-serve daemon, boots it on an ephemeral
 # port, round-trips a client GEMM, and asserts a clean drain on
 # SIGTERM — the serving layer's end-to-end liveness gate. It first
-# guards against the deleted batch-window flag creeping back into the
-# smoke scripts or this file (the bracket keeps the guard from
+# guards against the deleted batch-window and pace flags creeping back
+# into the smoke scripts or this file (the brackets keep the guard from
 # matching itself).
 serve-smoke:
-	! grep -n -e '-batch[-]window' Makefile scripts/*.sh
+	! grep -n -e '-batch[-]window' -e '-pac[e]' Makefile scripts/*.sh
 	GO="$(GO)" sh scripts/serve-smoke.sh
 
 # cluster-smoke is the cluster serving layer's end-to-end gate: three

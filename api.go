@@ -6,69 +6,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/edgetpu"
 	"repro/internal/energy"
-	"repro/internal/fault"
-	"repro/internal/quant"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
 
-// Config selects the machine and runtime configuration. The zero
-// value means: one Edge TPU, functional execution, all runtime
-// optimizations enabled.
-type Config struct {
-	// Devices is the number of attached Edge TPUs (1-8 on the paper's
-	// prototype). 0 means 1.
-	Devices int
-	// TimingOnly disables functional execution: operators charge
-	// virtual time but return zero results. Used for paper-scale
-	// performance sweeps.
-	TimingOnly bool
-	// DisableLocality turns off the section 6.1 affinity rule
-	// (ablation).
-	DisableLocality bool
-	// UseTFLiteCompiler charges the slow Python TFLite model-creation
-	// path instead of the Tensorizer's (ablation, section 6.2.3).
-	UseTFLiteCompiler bool
-	// OnDeviceReduce aggregates matrix-wise operators on-device
-	// instead of on the CPU (ablation, section 6.2.1).
-	OnDeviceReduce bool
-	// Sampled selects sampling-based range calibration.
-	Sampled bool
-	// DispatchWorkers is the worker count of the back-end IQ dispatch
-	// engine (0 = one per host core). Virtual-time results are
-	// identical for every worker count; more workers only speed up the
-	// real wall clock of functional dispatch.
-	DispatchWorkers int
-	// Params overrides the calibrated cost model (nil = default).
-	Params *timing.Params
-	// Metrics is the telemetry registry the runtime records into.
-	// Nil means a fresh private registry. Sharing one registry across
-	// contexts accumulates their counters together.
-	Metrics *telemetry.Registry
-	// Trace enables event recording on the context's timeline so the
-	// run can be exported as a Chrome trace (see internal/trace).
-	Trace bool
-	// Fault is the deterministic fault-injection plan this context's
-	// device pool follows: seeded transient exec faults, device loss
-	// and revival at virtual times, PCIe link degradation. Nil means
-	// no injected faults.
-	Fault *fault.Config
-	// RetryBudget bounds dispatch retries per instruction after
-	// transient faults or device loss (0 = 8); exhaustion fails the
-	// operator with ErrRetryBudget.
-	RetryBudget int
-	// RetryBackoff is the initial virtual backoff before a transient
-	// retry, doubling per attempt (0 = 10µs).
-	RetryBackoff timing.Duration
-	// Pace enables real-time emulation: each instruction's dispatch
-	// sleeps Pace wall-seconds per virtual second of charged
-	// matrix-unit execution, so wall-clock throughput tracks simulated
-	// device capacity instead of host CPU speed (serving-capacity
-	// measurements on one shared host need that); 0 disables pacing.
-	// Virtual time and functional results are unaffected.
-	Pace float64
-}
+// Config selects the machine and runtime configuration; see
+// core.Config for the fields. The zero value is the paper's prototype:
+// one Edge TPU, functional execution, all runtime optimizations
+// enabled.
+type Config = core.Config
 
 // Context is an open GPTPU machine: the programming-interface entry
 // point. All methods are safe for concurrent use.
@@ -78,31 +25,7 @@ type Context struct {
 
 // Open initializes the GPTPU runtime over the configured number of
 // simulated Edge TPUs.
-func Open(cfg Config) *Context {
-	o := core.DefaultOptions()
-	if cfg.Devices > 0 {
-		o.Devices = cfg.Devices
-	}
-	o.Functional = !cfg.TimingOnly
-	o.LocalityScheduling = !cfg.DisableLocality
-	o.FastModelPath = !cfg.UseTFLiteCompiler
-	o.OnDeviceReduce = cfg.OnDeviceReduce
-	if cfg.Sampled {
-		o.QuantMethod = quant.MethodSampled
-	}
-	o.DispatchWorkers = cfg.DispatchWorkers
-	o.Params = cfg.Params
-	o.Metrics = cfg.Metrics
-	o.Fault = cfg.Fault
-	o.RetryBudget = cfg.RetryBudget
-	o.RetryBackoff = cfg.RetryBackoff
-	o.Pace = cfg.Pace
-	c := core.NewContext(o)
-	if cfg.Trace {
-		c.TL.EnableTrace()
-	}
-	return &Context{c: c}
-}
+func Open(cfg Config) *Context { return &Context{c: core.NewContext(cfg)} }
 
 // Core exposes the underlying runtime for benchmarks and tests that
 // need device-pool or timeline access.

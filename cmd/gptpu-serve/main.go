@@ -83,7 +83,6 @@ func main() {
 	soakReqs := flag.Int("soak-reqs", 200, "requests per client in -soak mode")
 	soakMixed := flag.Bool("soak-mixed", false, "with -soak: mix elementwise and reduction ops in with the GEMMs")
 	shard := flag.String("shard", "", "shard identity reported in health-probe replies (cluster membership label)")
-	pace := flag.Float64("pace", 0, "real-time emulation: wall-seconds slept per virtual second of matrix-unit execution (0 = off)")
 	flightVerify := flag.String("flight-verify", "", "verify a flight-dump JSON file for internal consistency and exit")
 	expectFault := flag.Bool("expect-fault", false, "with -flight-verify: require at least one fault-attributed request")
 	var ff fault.Flags
@@ -125,7 +124,6 @@ func main() {
 		Obs:              rec,
 		Logger:           logger,
 		ShardID:          *shard,
-		Pace:             *pace,
 	})
 	// -trace records the daemon's one runtime timeline from the first
 	// request on.
@@ -138,7 +136,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d, batch-max %d)\n",
-		srv.Addr(), *devices, *maxInFlight, *batchMax)
+		srv.Addr(), srv.Runtime().Core().Config().Devices, *maxInFlight, *batchMax)
 
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
@@ -281,20 +279,15 @@ func runCheck(addr string) int {
 		fmt.Fprintln(os.Stderr, "gptpu-serve check: ping:", err)
 		return 1
 	}
-	switch {
-	case h.Legacy:
-		fmt.Println("gptpu-serve check: health: legacy daemon (no probe payload)")
-	default:
-		state := "serving"
-		if h.Draining {
-			state = "draining"
-		}
-		id := h.ShardID
-		if id == "" {
-			id = "-"
-		}
-		fmt.Printf("gptpu-serve check: health: %s shard=%s devices=%d\n", state, id, h.Devices)
+	state := "serving"
+	if h.Draining {
+		state = "draining"
 	}
+	id := h.ShardID
+	if id == "" {
+		id = "-"
+	}
+	fmt.Printf("gptpu-serve check: health: %s shard=%s devices=%d\n", state, id, h.Devices)
 	rng := rand.New(rand.NewSource(1))
 	a := tensor.RandUniform(rng, 48, 48, -1, 1)
 	b := tensor.RandUniform(rng, 48, 48, -1, 1)

@@ -65,16 +65,11 @@ type Config struct {
 	DeadStrikes int
 	// AffinityCap bounds the weight-affinity table (0 = 4096 keys).
 	AffinityCap int
-	// MaxAttempts bounds how many placement candidates one request may
-	// try (0 = every candidate).
-	MaxAttempts int
 	// Retry is the per-member connection policy (server.DialRetry):
 	// retryable typed errors returned by a member are NOT retried on
 	// that member — failover advances to the next candidate instead —
 	// so keep Max small; it mainly smooths dial-time races.
 	Retry server.RetryPolicy
-	// MaxFrame bounds one client wire frame (0 = server.MaxFrameLen).
-	MaxFrame uint32
 	// Metrics is the registry for gptpu_cluster_ telemetry (nil = a
 	// fresh registry, exposed via Metrics).
 	Metrics *telemetry.Registry

@@ -126,7 +126,7 @@ func TestRouterHealthAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Legacy || h.Draining {
+	if h.Draining {
 		t.Fatalf("router health %+v", h)
 	}
 	if h.ShardID != "edge-router" {

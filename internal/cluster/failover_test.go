@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,21 +184,27 @@ func TestChaosFailover(t *testing.T) {
 // on: requests in flight on a hard-killed daemon are resent by the
 // router to the surviving replica (operators are pure, so the resend
 // is side-effect-safe) — with one member still alive, EVERY request
-// must succeed, with a correct result, and nothing may hang.
+// must succeed, with a correct result, and nothing may hang. A relay in
+// front of the victim withholds its replies, so every request is still
+// in flight on it when it is killed.
 func TestHardKillInFlight(t *testing.T) {
-	// Pace stretches each GEMM's wall time so the Abort lands while
-	// requests are genuinely in flight on the victim.
-	d0 := startDaemon(t, server.Config{Devices: 1, ShardID: "s0", Pace: 500})
-	d1 := startDaemon(t, server.Config{Devices: 1, ShardID: "s1", Pace: 500})
-	r := startRouter(t, Config{DeadStrikes: 2}, d0, d1)
+	d0 := startDaemon(t, server.Config{Devices: 1, ShardID: "s0"})
+	d1 := startDaemon(t, server.Config{Devices: 1, ShardID: "s1"})
+	const reqs = 12
+	hole := newReplyHole(t, d0.Addr(), reqs)
+	r := startRouter(t, Config{Members: []string{hole.addr()}, DeadStrikes: 2}, d1)
+	t.Cleanup(hole.close) // before the router drains: a failed run must not hang it
 	c := dialRouter(t, r)
 
+	// A weight whose key ranks the relayed victim first.
 	rng := rand.New(rand.NewSource(17))
 	a := tensor.RandUniform(rng, 8, 8, -1, 1)
-	b := tensor.RandUniform(rng, 8, 8, -1, 1)
+	var b *tensor.Matrix
+	for b == nil || r.candidates(server.WeightKey(b))[0].addr != hole.addr() {
+		b = tensor.RandUniform(rng, 8, 8, -1, 1)
+	}
 	want := blas.NaiveGemm(a, b)
 
-	const reqs = 12
 	var wg sync.WaitGroup
 	errCh := make(chan error, reqs)
 	okCh := make(chan *tensor.Matrix, reqs)
@@ -212,8 +220,13 @@ func TestHardKillInFlight(t *testing.T) {
 			okCh <- got
 		}()
 	}
-	time.Sleep(2 * time.Millisecond) // let requests reach the daemons
-	d0.Abort()                       // d1 survives and must absorb everything
+	select {
+	case <-hole.all:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("only %d of %d requests reached the victim", hole.forwarded.Load(), reqs)
+	}
+	inFlight := hole.forwarded.Load() // no reply has left the relay
+	d0.Abort()                        // d1 survives and must absorb everything
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -221,6 +234,9 @@ func TestHardKillInFlight(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("in-flight requests hung after hard kill")
+	}
+	if inFlight < 1 {
+		t.Fatal("no request was in flight on the victim when it was killed")
 	}
 	close(errCh)
 	close(okCh)
@@ -237,4 +253,82 @@ func TestHardKillInFlight(t *testing.T) {
 	if n != reqs {
 		t.Fatalf("%d successful answers for %d requests", n, reqs)
 	}
+}
+
+// replyHole is a TCP relay in front of one daemon: it forwards every
+// request frame and withholds every reply, so the requests it forwarded
+// stay in flight until the daemon drops the connection — and then the
+// relay drops its client's connection too.
+type replyHole struct {
+	ln        net.Listener
+	forwarded atomic.Int64 // frames forwarded to the daemon
+	want      int64        // all is closed once forwarded reaches want
+	all       chan struct{}
+
+	mu    sync.Mutex
+	conns []net.Conn // client-side connections, for close
+}
+
+func newReplyHole(t *testing.T, backend string, want int64) *replyHole {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &replyHole{ln: ln, want: want, all: make(chan struct{})}
+	t.Cleanup(h.close)
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go h.relay(down, backend)
+		}
+	}()
+	return h
+}
+
+func (h *replyHole) addr() string { return h.ln.Addr().String() }
+
+// close stops accepting and drops every client-side connection, which
+// fails whatever the relay still holds in flight.
+func (h *replyHole) close() {
+	h.ln.Close()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, c := range h.conns {
+		c.Close()
+	}
+}
+
+func (h *replyHole) relay(down net.Conn, backend string) {
+	defer down.Close()
+	h.mu.Lock()
+	h.conns = append(h.conns, down)
+	h.mu.Unlock()
+	up, err := net.Dial("tcp", backend)
+	if err != nil {
+		return
+	}
+	defer up.Close()
+	go func() {
+		defer up.Close()
+		fr := server.NewFrameReader(down)
+		for {
+			f, err := fr.Next()
+			if err != nil {
+				return
+			}
+			err = server.EncodeFrame(up, f)
+			f.Release()
+			if err != nil {
+				return
+			}
+			if h.forwarded.Add(1) == h.want {
+				close(h.all)
+			}
+		}
+	}()
+	io.Copy(io.Discard, up) // the replies, until the daemon hangs up
 }

@@ -51,18 +51,18 @@ func (r *Router) handleConn(conn net.Conn) {
 	// goroutine, which releases it after the reply is written (every
 	// forward attempt resends its payload); every other frame is
 	// released here, after its reply.
-	fr := server.NewFrameReader(bufio.NewReader(conn), r.cfg.MaxFrame)
+	fr := server.NewFrameReader(bufio.NewReader(conn))
 	for {
 		f, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, server.ErrVersionMismatch) && f != nil {
-				r.reply(cw, server.Version, f.ReqID, 0, server.MsgError, server.ErrorPayload(err))
+				r.reply(cw, f.ReqID, 0, server.MsgError, server.ErrorPayload(err))
 				f.Release()
 				continue
 			}
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				r.log.Warn("dropping client connection on malformed frame", "err", err.Error())
-				r.reply(cw, server.Version, 0, 0, server.MsgError, server.ErrorPayload(err))
+				r.reply(cw, 0, 0, server.MsgError, server.ErrorPayload(err))
 			}
 			return
 		}
@@ -71,12 +71,12 @@ func (r *Router) handleConn(conn net.Conn) {
 		case f.Type == server.MsgPing:
 			// The router answers probes itself with its aggregate health
 			// — `gptpu-serve -check <router>` works unchanged.
-			r.reply(cw, f.Version, f.ReqID, f.TraceID, server.MsgPong, server.EncodeHealth(r.health()))
+			r.reply(cw, f.ReqID, f.TraceID, server.MsgPong, server.EncodeHealth(r.health()))
 		case f.Type >= server.MsgGemm && f.Type <= server.MsgMax:
 			r.mu.Lock()
 			if r.draining {
 				r.mu.Unlock()
-				r.reply(cw, f.Version, f.ReqID, f.TraceID, server.MsgError,
+				r.reply(cw, f.ReqID, f.TraceID, server.MsgError,
 					server.ErrorPayload(fmt.Errorf("%w: router draining", server.ErrShuttingDown)))
 				break
 			}
@@ -85,23 +85,22 @@ func (r *Router) handleConn(conn net.Conn) {
 			go r.handleRequest(cw, f)
 			continue
 		default:
-			r.reply(cw, f.Version, f.ReqID, f.TraceID, server.MsgError,
+			r.reply(cw, f.ReqID, f.TraceID, server.MsgError,
 				server.ErrorPayload(fmt.Errorf("%w: unexpected frame type %s", server.ErrBadRequest, f.Type)))
 		}
 		f.Release()
 	}
 }
 
-// reply writes one frame in the request's protocol version, echoing
-// its trace ID. Write errors are ignored — the read loop notices a
-// dead connection.
-func (r *Router) reply(cw *connWriter, ver byte, reqID, traceID uint64, t server.MsgType, payload []byte) {
-	_ = cw.send(&server.Frame{Version: ver, Type: t, ReqID: reqID, TraceID: traceID, Payload: payload})
+// reply writes one frame echoing the request's ID and trace ID. Write
+// errors are ignored — the read loop notices a dead connection.
+func (r *Router) reply(cw *connWriter, reqID, traceID uint64, t server.MsgType, payload []byte) {
+	_ = cw.send(&server.Frame{Type: t, ReqID: reqID, TraceID: traceID, Payload: payload})
 }
 
 // handleRequest routes one operator request: derive its placement key,
-// walk the candidate list, relay the winning reply in the client's own
-// protocol version and request ID.
+// walk the candidate list, relay the winning reply under the client's
+// request ID.
 func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 	defer r.reqWG.Done()
 	r.met.inflight.Add(1)
@@ -130,7 +129,7 @@ func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 	if err == nil {
 		resp, err = r.forward(key, op, f.Payload, traceID, rt)
 	}
-	r.finishReply(cw, f.Version, f.ReqID, traceID, op, arrived, rt, resp, err)
+	r.finishReply(cw, f.ReqID, traceID, op, arrived, rt, resp, err)
 	// Both frames are pooled: the client's payload was resent on every
 	// forward attempt and the backend's was the reply just written, so
 	// neither has a reader left.
@@ -138,14 +137,13 @@ func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 	f.Release()
 }
 
-// finishReply relays the backend's reply frame (payloads are version-
-// independent, so the backend payload passes through verbatim whatever
-// versions each side negotiated) or renders err as a typed error. The
-// socket write is the last thing an observer can see: the counters, the
-// route latency, the sealed trace and the in-flight gauge are all
-// settled before it, so a client holding its answer finds the request
-// finished in the router's flight recorder.
-func (r *Router) finishReply(cw *connWriter, ver byte, reqID, traceID uint64,
+// finishReply relays the backend's reply frame (its payload passes
+// through verbatim) or renders err as a typed error. The socket write
+// is the last thing an observer can see: the counters, the route
+// latency, the sealed trace and the in-flight gauge are all settled
+// before it, so a client holding its answer finds the request finished
+// in the router's flight recorder.
+func (r *Router) finishReply(cw *connWriter, reqID, traceID uint64,
 	op server.MsgType, arrived time.Time, rt *obs.Trace, resp *server.Frame, err error) {
 	status, typ := "ok", server.MsgError
 	var payload []byte
@@ -166,7 +164,7 @@ func (r *Router) finishReply(cw *connWriter, ver byte, reqID, traceID uint64,
 	r.met.routeLat.With(op.String()).Observe(time.Since(arrived).Seconds())
 	rt.Finish(status)
 	r.met.inflight.Add(-1)
-	r.reply(cw, ver, reqID, traceID, typ, payload)
+	r.reply(cw, reqID, traceID, typ, payload)
 }
 
 // candidates orders the members to try for key: the affinity-table
@@ -210,13 +208,8 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no cluster members configured", server.ErrInternal)
 	}
-	max := r.cfg.MaxAttempts
-	if max <= 0 || max > len(cands) {
-		max = len(cands)
-	}
 	var lastErr error
-	for i := 0; i < max; i++ {
-		m := cands[i]
+	for _, m := range cands {
 		cli, err := m.conn(r.cfg.Retry)
 		if err != nil {
 			r.memberFailed(m, cli, rt, "dial", err)

@@ -9,7 +9,7 @@
 //
 // Execution is dual: every operator produces a functional result
 // computed with bit-exact int8 device arithmetic (optional, see
-// Options.Functional) and charges virtual time on the simulated
+// Config.TimingOnly) and charges virtual time on the simulated
 // machine's resource timelines. Performance experiments at
 // paper-scale inputs run timing-only; accuracy experiments run
 // functionally at feasible sizes.
@@ -31,32 +31,31 @@ import (
 	"repro/internal/timing"
 )
 
-// Options configures a GPTPU context. The zero value is not usable;
-// call DefaultOptions.
-type Options struct {
+// Config selects the machine and runtime configuration. The zero value
+// is the paper's prototype: one Edge TPU, functional execution, the
+// section 6.1 locality rule and the Tensorizer's model path.
+type Config struct {
 	// Devices is the number of attached Edge TPUs (the prototype
-	// machine hosts up to 8, paper section 3.1).
+	// machine hosts up to 8, paper section 3.1). 0 means 1.
 	Devices int
-	// Functional enables bit-exact int8 computation of results. When
-	// false, operators only charge virtual time (used to run the
-	// paper-scale performance sweeps in reasonable wall time).
-	Functional bool
-	// LocalityScheduling enables the section 6.1 rule: instructions
-	// sharing input, quantization flags and task ID are pinned to the
-	// device already holding the input. Disabling it (pure FCFS) is
-	// an ablation.
-	LocalityScheduling bool
-	// FastModelPath uses the reverse-engineered Tensorizer encoder
-	// (1.8 ms per 2Kx2K model); disabling it charges the Python
-	// TFLite compiler latency (2.7 s), the section 6.2.3 ablation.
-	FastModelPath bool
+	// TimingOnly disables functional execution: operators charge
+	// virtual time but compute no results. Used to run the paper-scale
+	// performance sweeps in reasonable wall time.
+	TimingOnly bool
+	// DisableLocality turns off the section 6.1 rule that pins
+	// instructions sharing input, quantization flags and task ID to the
+	// device already holding the input (pure FCFS, an ablation).
+	DisableLocality bool
+	// UseTFLiteCompiler charges the Python TFLite compiler latency
+	// (2.7 s per 2Kx2K model) instead of the reverse-engineered
+	// Tensorizer encoder's 1.8 ms, the section 6.2.3 ablation.
+	UseTFLiteCompiler bool
 	// OnDeviceReduce aggregates matrix-wise operator results with a
 	// second round of device instructions instead of CPU code, the
 	// alternative section 6.2.1 considers and rejects.
 	OnDeviceReduce bool
-	// QuantMethod selects range calibration (SCALE scans, Sampled
-	// samples).
-	QuantMethod quant.Method
+	// Sampled selects sampling-based range calibration (default SCALE).
+	Sampled bool
 	// DispatchWorkers is the worker count of the back-end IQ dispatch
 	// engine (0 = one worker per host core, GOMAXPROCS). Workers run
 	// functional closures wall-clock-parallel; virtual-time results
@@ -67,7 +66,11 @@ type Options struct {
 	Params *timing.Params
 	// Metrics is the telemetry registry the runtime records into
 	// (nil = a fresh private registry, exposed via Context.Metrics).
+	// Sharing one registry across contexts accumulates their counters.
 	Metrics *telemetry.Registry
+	// Trace enables event recording on the context's timeline so the
+	// run can be exported as a Chrome trace (see internal/trace).
+	Trace bool
 	// Fault is the deterministic fault-injection plan (nil = no
 	// injected faults). Each context seeds its own injector from the
 	// plan.
@@ -77,45 +80,19 @@ type Options struct {
 	// mid-flight device loss (0 = 8). Exhaustion fails the instruction
 	// with ErrRetryBudget.
 	RetryBudget int
-	// RetryBackoff is the initial virtual-time backoff charged before
-	// retrying a transient fault; it doubles per consecutive retry
-	// (0 = 10µs).
-	RetryBackoff timing.Duration
 	// RefKernels executes every functional instruction body on the
 	// frozen naive reference kernels (edgetpu.Ref) instead of the
 	// optimized substrate (edgetpu.Fast). Results and virtual time
 	// must be bit-identical either way — the differential fuzzer runs
 	// whole instruction DAGs under both tables and byte-compares.
 	RefKernels bool
-	// Pace enables real-time emulation of device occupancy: after an
-	// instruction's virtual charge succeeds, its dispatch worker
-	// sleeps Pace wall-seconds per virtual second of matrix-unit
-	// execution before running the functional phase. Wall-clock
-	// throughput then tracks simulated device capacity instead of
-	// host CPU speed, which is what serving-capacity benchmarks need
-	// (an unpaced simulator answers requests as fast as one core can
-	// compute them, so adding daemons cannot show scaling). Virtual
-	// time, makespans and results are unaffected. 0 disables pacing.
-	Pace float64
-}
-
-// DefaultOptions returns the configuration of the paper's prototype:
-// functional execution on a single Edge TPU with all optimizations on.
-func DefaultOptions() Options {
-	return Options{
-		Devices:            1,
-		Functional:         true,
-		LocalityScheduling: true,
-		FastModelPath:      true,
-		QuantMethod:        quant.MethodScale,
-	}
 }
 
 // Context is one GPTPU machine instance: a host CPU, a pool of Edge
 // TPUs behind PCIe switch cards, and the runtime state (buffer
 // registry, scheduler affinity table, task queue).
 type Context struct {
-	opts   Options
+	cfg    Config
 	params *timing.Params
 	met    *runtimeMetrics
 	kern   *edgetpu.KernelTable
@@ -157,28 +134,34 @@ type affinityKey struct {
 	flags uint32
 }
 
-// NewContext builds a GPTPU machine.
-func NewContext(opts Options) *Context {
-	if opts.Devices <= 0 {
-		panic(fmt.Sprintf("core: need at least one device, got %d", opts.Devices))
+// NewContext builds a GPTPU machine. A negative device count panics.
+func NewContext(cfg Config) *Context {
+	if cfg.Devices < 0 {
+		panic(fmt.Sprintf("core: negative device count %d", cfg.Devices))
 	}
-	params := opts.Params
+	if cfg.Devices == 0 {
+		cfg.Devices = 1
+	}
+	params := cfg.Params
 	if params == nil {
 		params = timing.Default()
 	}
 	tl := timing.NewTimeline()
-	met := newRuntimeMetrics(opts.Metrics)
+	if cfg.Trace {
+		tl.EnableTrace()
+	}
+	met := newRuntimeMetrics(cfg.Metrics)
 	kern := edgetpu.Fast
-	if opts.RefKernels {
+	if cfg.RefKernels {
 		kern = edgetpu.Ref
 	}
 	c := &Context{
-		opts:     opts,
+		cfg:      cfg,
 		params:   params,
 		met:      met,
 		kern:     kern,
 		TL:       tl,
-		Pool:     edgetpu.NewPoolInjected(tl, params, opts.Devices, met.reg, fault.New(opts.Fault)),
+		Pool:     edgetpu.NewPoolInjected(tl, params, cfg.Devices, met.reg, fault.New(cfg.Fault)),
 		Host:     tl.NewResource("cpu-core0"),
 		affinity: make(map[int]map[affinityKey]int),
 		inflight: make(map[*Task]struct{}),
@@ -193,14 +176,15 @@ func NewContext(opts Options) *Context {
 // WriteJSON, or serve it over HTTP with telemetry.Serve.
 func (c *Context) Metrics() *telemetry.Registry { return c.met.reg }
 
-// Options returns the context configuration.
-func (c *Context) Options() Options { return c.opts }
+// Config returns the context configuration, with Devices normalized
+// to the count the pool actually holds.
+func (c *Context) Config() Config { return c.cfg }
 
 // Params returns the cost-model parameters.
 func (c *Context) Params() *timing.Params { return c.params }
 
 // Functional reports whether operators compute real results.
-func (c *Context) Functional() bool { return c.opts.Functional }
+func (c *Context) Functional() bool { return !c.cfg.TimingOnly }
 
 // Elapsed returns the virtual makespan of all work charged so far.
 func (c *Context) Elapsed() timing.Duration { return c.TL.Makespan() }
@@ -213,7 +197,7 @@ func (c *Context) Energy() energy.Report { return energy.Measure(c.TL) }
 // first use.
 func (c *Context) engine() *engine {
 	c.engOnce.Do(func() {
-		w := c.opts.DispatchWorkers
+		w := c.cfg.DispatchWorkers
 		if w <= 0 {
 			w = runtime.GOMAXPROCS(0)
 		}
@@ -564,12 +548,12 @@ func (c *Context) quantize(b *Buffer, ready timing.Duration, task int, whole boo
 	}
 	if !reused {
 		b.qp = quant.Params{Scale: 1}
-		if c.opts.Functional {
+		if c.Functional() {
 			b.qp = b.calib
 		}
 		b.quantized = true
 	}
-	if c.opts.Functional && b.q == nil && (reused || whole) {
+	if c.Functional() && b.q == nil && (reused || whole) {
 		b.q = quant.QuantizeWith(b.M, b.qp)
 	}
 	return operand{p: b.qp, m: b.M, q: b.q, max: b.extent.MaxCode(b.qp.Scale)}, maxDur(b.readyAt, ready)
@@ -577,14 +561,14 @@ func (c *Context) quantize(b *Buffer, ready timing.Duration, task int, whole boo
 
 // tensorize charges the Tensorizer's host pass over elems values from
 // ready on the host core — quantize and encode into the model format,
-// or invoke the reference TFLite compiler (the FastModelPath ablation)
+// or invoke the reference TFLite compiler (the UseTFLiteCompiler ablation)
 // — and returns when it ends.
 func (c *Context) tensorize(elems int64, ready timing.Duration, task int) timing.Duration {
 	cost := c.params.QuantTime(elems)
-	if c.opts.FastModelPath {
-		cost += c.params.TensorizerEncodeTime(elems)
-	} else {
+	if c.cfg.UseTFLiteCompiler {
 		cost += c.params.RefCompileTime(elems)
+	} else {
+		cost += c.params.TensorizerEncodeTime(elems)
 	}
 	c.met.tensorizeVSec.Add(cost.Seconds())
 	_, end := c.Host.AcquireSpan(ready, cost,
@@ -596,4 +580,10 @@ func (c *Context) tensorize(elems int64, ready timing.Duration, task int) timing
 // quantFlagsFor encodes the context's quantization configuration into
 // the instruction's flag word (instructions only share a device
 // placement when these match, section 6.1).
-func (c *Context) quantFlagsFor() uint32 { return uint32(c.opts.QuantMethod) + 1 }
+func (c *Context) quantFlagsFor() uint32 {
+	m := quant.MethodScale
+	if c.cfg.Sampled {
+		m = quant.MethodSampled
+	}
+	return uint32(m) + 1
+}

@@ -10,9 +10,7 @@ import (
 )
 
 func testCtx(devices int) *Context {
-	o := DefaultOptions()
-	o.Devices = devices
-	return NewContext(o)
+	return NewContext(Config{Devices: devices})
 }
 
 // refMatMul is the float reference for accuracy comparisons.
@@ -135,7 +133,7 @@ func TestOnDeviceReduceMatchesCPUAggregation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.RandUniform(rng, 300, 300, -5, 5)
 
-	o := DefaultOptions()
+	o := Config{}
 	ctxCPU := NewContext(o)
 	o.OnDeviceReduce = true
 	ctxDev := NewContext(o)
@@ -326,10 +324,7 @@ func TestMultiDeviceScaling(t *testing.T) {
 	a := tensor.RandUniform(rng, 512, 512, -3, 3)
 	b := tensor.RandUniform(rng, 512, 512, -3, 3)
 	elapsed := func(devs int) float64 {
-		o := DefaultOptions()
-		o.Devices = devs
-		o.Functional = false
-		ctx := NewContext(o)
+		ctx := NewContext(Config{Devices: devs, TimingOnly: true})
 		s := ctx.NewStream()
 		s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
 		if s.Err() != nil {
@@ -350,9 +345,7 @@ func TestTimingIndependentOfFunctionalFlag(t *testing.T) {
 	a := tensor.RandUniform(rng, 256, 256, -3, 3)
 	b := tensor.RandUniform(rng, 256, 256, -3, 3)
 	run := func(functional bool) float64 {
-		o := DefaultOptions()
-		o.Functional = functional
-		ctx := NewContext(o)
+		ctx := NewContext(Config{TimingOnly: !functional})
 		s := ctx.NewStream()
 		s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
 		s.MatVec(ctx.NewBuffer(a), make([]float32, 256))
@@ -398,11 +391,7 @@ func TestLocalityAblation(t *testing.T) {
 	a := tensor.RandUniform(rng, 1024, 1024, -1, 1)
 	x := make([]float32, 1024)
 	iter := func(locality bool) float64 {
-		o := DefaultOptions()
-		o.Devices = 4
-		o.Functional = false
-		o.LocalityScheduling = locality
-		ctx := NewContext(o)
+		ctx := NewContext(Config{Devices: 4, TimingOnly: true, DisableLocality: !locality})
 		ba := ctx.NewBuffer(a)
 		s := ctx.NewStream()
 		for i := 0; i < 5; i++ {
@@ -424,10 +413,7 @@ func TestFastModelPathAblation(t *testing.T) {
 	a := tensor.RandUniform(rng, 512, 512, -1, 1)
 	b := tensor.RandUniform(rng, 512, 512, -1, 1)
 	run := func(fast bool) float64 {
-		o := DefaultOptions()
-		o.Functional = false
-		o.FastModelPath = fast
-		ctx := NewContext(o)
+		ctx := NewContext(Config{TimingOnly: true, UseTFLiteCompiler: !fast})
 		s := ctx.NewStream()
 		s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
 		return ctx.Elapsed().Seconds()
@@ -447,10 +433,7 @@ func TestTasksRunInParallel(t *testing.T) {
 	b := tensor.RandUniform(rng, 256, 256, -1, 1)
 
 	run := func(devices int) float64 {
-		o := DefaultOptions()
-		o.Devices = devices
-		o.Functional = false
-		ctx := NewContext(o)
+		ctx := NewContext(Config{Devices: devices, TimingOnly: true})
 		for i := 0; i < 2; i++ {
 			ba, bb := ctx.NewBuffer(a.Clone()), ctx.NewBuffer(b.Clone())
 			ctx.Enqueue(func(s *Stream) { s.MatMul(ba, bb) })
@@ -567,13 +550,19 @@ func TestContextReset(t *testing.T) {
 	}
 }
 
-func TestZeroDevicePanics(t *testing.T) {
+// TestDeviceCount: a negative device count panics; zero means one, and
+// Config reports the normalized count.
+func TestDeviceCount(t *testing.T) {
+	ctx := NewContext(Config{})
+	if got := ctx.Config().Devices; got != 1 || len(ctx.Pool.Devices) != 1 {
+		t.Fatalf("Devices 0: Config reports %d, pool holds %d; want 1", got, len(ctx.Pool.Devices))
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Fatal("expected panic on a negative device count")
 		}
 	}()
-	NewContext(Options{Devices: 0})
+	NewContext(Config{Devices: -1})
 }
 
 func TestMatMulPreciseBeatsPlain(t *testing.T) {
@@ -733,9 +722,7 @@ func TestMatVecPreciseSharedBuffer(t *testing.T) {
 }
 
 func TestMatMulPreciseTimingOnly(t *testing.T) {
-	o := DefaultOptions()
-	o.Functional = false
-	ctx := NewContext(o)
+	ctx := NewContext(Config{TimingOnly: true})
 	s := ctx.NewStream()
 	out := s.MatMulPrecise(ctx.NewBuffer(tensor.ShapeOnly(256, 256)), ctx.NewBuffer(tensor.ShapeOnly(256, 256)))
 	if s.Err() != nil {
@@ -806,9 +793,7 @@ func TestConv2DStridedMatchesDevice(t *testing.T) {
 }
 
 func TestConv2DStridedTimingOnly(t *testing.T) {
-	o := DefaultOptions()
-	o.Functional = false
-	ctx := NewContext(o)
+	ctx := NewContext(Config{TimingOnly: true})
 	s := ctx.NewStream()
 	out := s.Conv2DStrided(ctx.NewBuffer(tensor.ShapeOnly(1024, 1024)),
 		ctx.NewBuffer(tensor.ShapeOnly(4, 4)), 4, 4)
@@ -828,10 +813,7 @@ func TestConv2DStridedTimingOnly(t *testing.T) {
 // a placement: the virtual makespan and the hit/fallback counts are
 // pinned to what the never-pruned table produced for this workload.
 func TestAffinityTableDropsFinishedTasks(t *testing.T) {
-	o := DefaultOptions()
-	o.Devices = 2
-	o.Functional = false
-	ctx := NewContext(o)
+	ctx := NewContext(Config{Devices: 2, TimingOnly: true})
 	defer ctx.Close()
 	const tasks = 10000
 	for i := 0; i < tasks; i++ {

@@ -30,13 +30,12 @@ var ErrClosed = errors.New("core: context closed")
 var ErrRetryBudget = errors.New("core: dispatch retry budget exhausted")
 
 // defaultRetryBudget bounds retries per instruction when
-// Options.RetryBudget is zero.
+// Config.RetryBudget is zero.
 const defaultRetryBudget = 8
 
-// defaultRetryBackoff is the initial virtual backoff before a
-// transient-fault retry when Options.RetryBackoff is zero; it doubles
-// per consecutive retry of the same instruction.
-const defaultRetryBackoff = 10 * time.Microsecond
+// retryBackoff is the initial virtual backoff before a transient-fault
+// retry; it doubles per consecutive retry of the same instruction.
+const retryBackoff = 10 * time.Microsecond
 
 // batch tracks one submission through the IQ: how many of its
 // instructions are still outstanding, the latest virtual completion
@@ -234,20 +233,9 @@ func (e *engine) worker(id int) {
 		}
 		e.mu.Unlock()
 
-		paced := err == nil && !item.b.failed() && e.c.opts.Pace > 0 && item.w.execCost > 0
-		if err == nil && (item.w.fn != nil || paced) && !item.b.failed() {
+		if err == nil && item.w.fn != nil && !item.b.failed() {
 			execStart := time.Now()
-			// Real-time emulation: hold this worker for the charged
-			// matrix-unit occupancy so wall throughput tracks device
-			// capacity. Sleeping (not spinning) keeps the host core free
-			// — the point is that paced daemons scale with device count,
-			// not host cores.
-			if paced {
-				time.Sleep(time.Duration(float64(item.w.execCost) * e.c.opts.Pace))
-			}
-			if item.w.fn != nil {
-				item.w.fn()
-			}
+			item.w.fn()
 			if item.w.obs != nil {
 				item.w.obs.ObserveSpan("exec", execStart, time.Since(execStart), "")
 			}
@@ -322,14 +310,11 @@ func (e *engine) close() {
 // injector ticks first, so time-scheduled kills and revivals fire at
 // deterministic points of the serialized charge order.
 func (c *Context) chargeInstr(w *instrWork) (timing.Duration, error) {
-	budget := c.opts.RetryBudget
+	budget := c.cfg.RetryBudget
 	if budget <= 0 {
 		budget = defaultRetryBudget
 	}
-	backoff := c.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
+	backoff := retryBackoff
 	var lastErr error
 	for attempt := 0; attempt <= budget; attempt++ {
 		c.Pool.Tick(c.TL.Makespan())

@@ -16,10 +16,7 @@ import (
 // virtual makespan plus the functional results, for comparing across
 // dispatch-engine worker counts.
 func engineWorkload(workers int) (makespan float64, gemm, add *tensor.Matrix) {
-	o := DefaultOptions()
-	o.Devices = 4
-	o.DispatchWorkers = workers
-	ctx := NewContext(o)
+	ctx := NewContext(Config{Devices: 4, DispatchWorkers: workers})
 	defer ctx.Close()
 
 	rng := rand.New(rand.NewSource(99))
@@ -69,10 +66,7 @@ func TestDeviceLostRetryConcurrentStreams(t *testing.T) {
 	// N parallel OPQ tasks keep the IQ busy while two of four devices
 	// fail mid-flight: every instruction must reroute (none lost, no
 	// task error) and every functional result must still be correct.
-	o := DefaultOptions()
-	o.Devices = 4
-	o.DispatchWorkers = 4
-	ctx := NewContext(o)
+	ctx := NewContext(Config{Devices: 4, DispatchWorkers: 4})
 	defer ctx.Close()
 
 	rng := rand.New(rand.NewSource(7))

@@ -16,11 +16,7 @@ import (
 // and returns the virtual makespan and scheduler stats.
 func faultWorkload(t *testing.T, fc *fault.Config, workers int) (float64, Stats, *tensor.Matrix) {
 	t.Helper()
-	o := DefaultOptions()
-	o.Devices = 4
-	o.DispatchWorkers = workers
-	o.Fault = fc
-	ctx := NewContext(o)
+	ctx := NewContext(Config{Devices: 4, DispatchWorkers: workers, Fault: fc})
 	defer ctx.Close()
 
 	rng := rand.New(rand.NewSource(99))
@@ -90,7 +86,7 @@ func TestTransientFaultsRetryToCorrectResult(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustion(t *testing.T) {
-	o := DefaultOptions()
+	o := Config{}
 	o.Devices = 1
 	o.Fault = &fault.Config{Seed: 1, TransientProb: 1} // every exec faults
 	o.RetryBudget = 3
@@ -210,9 +206,7 @@ func TestNonFiniteInputsPoisonBuffer(t *testing.T) {
 func TestShapeOnlyBuffersStayUsable(t *testing.T) {
 	// Timing-only sweeps use ShapeOnly matrices with nil data; the
 	// finiteness guard must not reject (or scan) them.
-	o := DefaultOptions()
-	o.Functional = false
-	ctx := NewContext(o)
+	ctx := NewContext(Config{TimingOnly: true})
 	defer ctx.Close()
 	s := ctx.NewStream()
 	s.Add(ctx.NewBuffer(tensor.ShapeOnly(64, 64)), ctx.NewBuffer(tensor.ShapeOnly(64, 64)))

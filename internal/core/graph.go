@@ -573,7 +573,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 	switch n.kind {
 	case kHost:
 		n.end = c.chargeHost(ready, n.hostCost)
-		if c.opts.Functional {
+		if c.Functional() {
 			ins := make([]*tensor.Matrix, len(bufs))
 			for i, b := range bufs {
 				ins[i] = b.M
@@ -594,7 +594,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 			return
 		}
 		n.end = s.now
-		if c.opts.Functional {
+		if c.Functional() {
 			n.out = tensor.FromSlice(1, n.cols, n.vec)
 		} else {
 			n.out = tensor.ShapeOnly(1, n.cols)
@@ -614,7 +614,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 		}
 		n.end = s.now
 		n.scalar = v
-		if c.opts.Functional {
+		if c.Functional() {
 			n.out = tensor.FromSlice(1, 1, []float32{v})
 		} else {
 			// Shape descriptor like every other node kind: a timing-only
@@ -653,7 +653,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 // consumes; timing-only shape descriptors synthesize zeros.
 func vectorData(c *Context, m *tensor.Matrix) []float32 {
 	nel := m.Rows * m.Cols
-	if !c.opts.Functional || m.Data == nil {
+	if !c.Functional() || m.Data == nil {
 		return make([]float32, nel)
 	}
 	if m.Rows == 1 && m.Stride == m.Cols {

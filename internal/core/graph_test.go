@@ -76,8 +76,7 @@ func TestGraphChainBitExactAndZeroIntermediateDownloads(t *testing.T) {
 	const n = 96
 	a, b, c := graphChainInputs(n)
 
-	oSerial := DefaultOptions()
-	ctxS := NewContext(oSerial)
+	ctxS := NewContext(Config{})
 	defer ctxS.Close()
 	want, err := serialChain(ctxS, a, b, c)
 	if err != nil {
@@ -88,8 +87,7 @@ func TestGraphChainBitExactAndZeroIntermediateDownloads(t *testing.T) {
 		serialDown += d.DownloadBytes
 	}
 
-	oGraph := DefaultOptions()
-	ctxG := NewContext(oGraph)
+	ctxG := NewContext(Config{})
 	defer ctxG.Close()
 	got, g, err := graphChain(ctxG, a, b, c)
 	if err != nil {
@@ -127,11 +125,7 @@ func TestGraphChainBitExactAndZeroIntermediateDownloads(t *testing.T) {
 // returning makespan, results and stats.
 func graphDeterminismRun(t *testing.T, workers int, fc *fault.Config) (float64, *tensor.Matrix, *tensor.Matrix, Stats) {
 	t.Helper()
-	o := DefaultOptions()
-	o.Devices = 4
-	o.DispatchWorkers = workers
-	o.Fault = fc
-	ctx := NewContext(o)
+	ctx := NewContext(Config{Devices: 4, DispatchWorkers: workers, Fault: fc})
 	defer ctx.Close()
 
 	a, b, c := graphChainInputs(128)
@@ -205,7 +199,7 @@ func TestGraphDeterminismUnderFaults(t *testing.T) {
 // nodes with ErrUpstream while leaving independent branches healthy,
 // and Submit must return the root cause.
 func TestGraphUpstreamPoisoning(t *testing.T) {
-	ctx := NewContext(DefaultOptions())
+	ctx := NewContext(Config{})
 	defer ctx.Close()
 	a, b, _ := graphChainInputs(64)
 	bad := tensor.New(64, 64)
@@ -246,7 +240,7 @@ func TestGraphUpstreamPoisoning(t *testing.T) {
 // graph's poisoning builds on: the first failure sticks, later ops
 // no-op, and Err keeps returning the root cause.
 func TestStreamErrSticky(t *testing.T) {
-	ctx := NewContext(DefaultOptions())
+	ctx := NewContext(Config{})
 	defer ctx.Close()
 	bad := tensor.New(8, 8)
 	bad.Set(0, 0, float32(math.Inf(1)))
@@ -291,7 +285,7 @@ func (r *spanRecorder) ObserveEvent(string, string, bool) {}
 // span per node (labelled op#id) alongside the per-instruction
 // queue_wait/charge/exec spans.
 func TestGraphSubmitObservedNodeSpans(t *testing.T) {
-	ctx := NewContext(DefaultOptions())
+	ctx := NewContext(Config{})
 	defer ctx.Close()
 	a, b, c := graphChainInputs(64)
 	g := ctx.NewGraph()
@@ -333,9 +327,7 @@ func TestGraphSubmitObservedNodeSpans(t *testing.T) {
 // results stay bit-identical.
 func TestGraphSegmentation(t *testing.T) {
 	run := func(segLen int) (float64, *tensor.Matrix, int64) {
-		o := DefaultOptions()
-		o.Devices = 4
-		ctx := NewContext(o)
+		ctx := NewContext(Config{Devices: 4})
 		defer ctx.Close()
 		a, b, c := graphChainInputs(96)
 		g := ctx.NewGraph().SegmentChains(segLen)
@@ -370,16 +362,14 @@ func TestGraphSegmentation(t *testing.T) {
 // shadows and the functional result still matches per-op execution.
 func TestGraphSurvivesHomeDeviceKill(t *testing.T) {
 	a, b, c := graphChainInputs(96)
-	oS := DefaultOptions()
-	ctxS := NewContext(oS)
+	ctxS := NewContext(Config{})
 	defer ctxS.Close()
 	want, err := serialChain(ctxS, a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	o := DefaultOptions()
-	o.Devices = 2
+	o := Config{Devices: 2}
 	// Device 0 dies almost immediately: whichever chain homes there
 	// must rebind and re-upload.
 	o.Fault = &fault.Config{Seed: 1, Kill: []fault.Event{{Device: 0, At: 50 * time.Microsecond}}}
@@ -397,7 +387,7 @@ func TestGraphSurvivesHomeDeviceKill(t *testing.T) {
 // producer to materialize and produce the same numbers as hand-run
 // host code.
 func TestGraphHostOpAndMatVec(t *testing.T) {
-	ctx := NewContext(DefaultOptions())
+	ctx := NewContext(Config{})
 	defer ctx.Close()
 	const n = 64
 	rng := rand.New(rand.NewSource(77))
@@ -424,7 +414,7 @@ func TestGraphHostOpAndMatVec(t *testing.T) {
 	}
 
 	// Reference: same ops per-op.
-	ctx2 := NewContext(DefaultOptions())
+	ctx2 := NewContext(Config{})
 	defer ctx2.Close()
 	half := make([]float32, n)
 	for i := range half {
@@ -452,7 +442,7 @@ func TestGraphHostOpAndMatVec(t *testing.T) {
 func TestGraphIsolatedNodesNotPinned(t *testing.T) {
 	const n = 64
 	a, b, c := graphChainInputs(n)
-	ctx := NewContext(DefaultOptions())
+	ctx := NewContext(Config{})
 	defer ctx.Close()
 	ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
 
@@ -493,9 +483,7 @@ func TestGraphIsolatedNodesNotPinned(t *testing.T) {
 // compute on fabricated data. The chain off the reduce must still
 // charge virtual time and complete.
 func TestGraphTimingOnlyReduceChain(t *testing.T) {
-	o := DefaultOptions()
-	o.Functional = false
-	ctx := NewContext(o)
+	ctx := NewContext(Config{TimingOnly: true})
 	defer ctx.Close()
 
 	g := ctx.NewGraph()
@@ -575,7 +563,7 @@ func TestGraphConv2DKernelValidation(t *testing.T) {
 // return the ErrUpstream wrap with the root cause reachable, and
 // Submit must report only the root cause.
 func TestGraphUpstreamPoisoningMixedKinds(t *testing.T) {
-	ctx := NewContext(DefaultOptions())
+	ctx := NewContext(Config{})
 	defer ctx.Close()
 	a, b, _ := graphChainInputs(64)
 	bad := tensor.New(64, 64)

@@ -70,7 +70,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 			outBytes: int64(sp.Rows * sp.Cols), // requantized int8 results
 			ready:    ready,
 		}
-		if c.opts.Functional {
+		if c.Functional() {
 			exR, exC := exR, exC
 			w.fn = func() {
 				in := oa.window(sp.R0, sp.C0, exR, exC)
@@ -148,7 +148,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 			outBytes: int64(oEnd-o0) * int64(outCols),
 			ready:    ready,
 		}
-		if c.opts.Functional {
+		if c.Functional() {
 			o0, oEnd, r0, bandRows := o0, oEnd, r0, bandRows
 			w.fn = func() {
 				in := oa.window(r0, 0, bandRows, a.Cols())

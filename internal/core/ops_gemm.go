@@ -32,7 +32,7 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 	// it every round) into a pooled scratch that goes back once the
 	// instructions that read it have been collected.
 	var xq quant.Portion // no codes in timing-only mode
-	if s.c.opts.Functional {
+	if s.c.Functional() {
 		xq.P = quant.ParamsFor(tensor.FromSlice(1, len(x), x))
 		xq.Q = tensor.GetI8ForOverwrite(1, len(x))
 		defer tensor.PutI8(xq.Q)
@@ -69,7 +69,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 	// device, few enough that the IQ dispatch overhead stays bounded
 	// for very tall matrices, and capped so a block's weights fit
 	// half the on-chip memory.
-	blockRows := (m + 4*c.opts.Devices - 1) / (4 * c.opts.Devices)
+	blockRows := (m + 4*c.cfg.Devices - 1) / (4 * c.cfg.Devices)
 	blockRows = (blockRows + tile - 1) / tile * tile
 	if blockRows < tile {
 		blockRows = tile
@@ -84,7 +84,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 	}
 
 	var acc []int64
-	if c.opts.Functional {
+	if c.Functional() {
 		wide := getWide(m)
 		defer putWide(wide)
 		acc = *wide
@@ -132,7 +132,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 			outBytes: outBytes,
 			ready:    ready,
 		}
-		if c.opts.Functional {
+		if c.Functional() {
 			r0, rows := r0, rows
 			w.fn = func() {
 				part := tensor.GetI32ForOverwrite(1, rows)
@@ -161,7 +161,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 	s.finish(end, c.params.AggTime(int64(m)*int64(colTiles))+c.params.QuantTime(int64(m)))
 
 	out := make([]float32, m)
-	if c.opts.Functional {
+	if c.Functional() {
 		inv := 1 / (float64(oa.p.Scale) * float64(sx))
 		for i, v := range acc {
 			out[i] = float32(float64(v) * inv)
@@ -234,7 +234,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 				outBytes: int64(rows) * 4 * int64(colTiles),
 				ready:    ready,
 			}
-			if c.opts.Functional {
+			if c.Functional() {
 				j, r0, rows := j, r0, rows
 				w.fn = func() {
 					wide := getWide(rows)
@@ -328,7 +328,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	// mutex that serialized every closure.
 	side0 := int(math.Ceil(math.Sqrt(float64(segLenN))))
 	n2max := side0 * side0
-	parallel := (m + 2*c.opts.Devices - 1) / (2 * c.opts.Devices)
+	parallel := (m + 2*c.cfg.Devices - 1) / (2 * c.cfg.Devices)
 	chunkRows := clampChunk(minInt(int(half/int64(n2max)), parallel), m)
 	chanBatch := clampChunk(int(half/int64(n2max)), k)
 	ncc := (k + chanBatch - 1) / chanBatch
@@ -345,7 +345,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	inv := 1 / (float64(oa.p.Scale) * float64(ob.p.Scale))
 	var acc []int64
 	var rectMu []sync.Mutex
-	if c.opts.Functional && ks > 1 {
+	if c.Functional() && ks > 1 {
 		wide := getWide(m * k)
 		defer putWide(wide)
 		acc = *wide
@@ -448,7 +448,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 					outBytes: int64(rows) * int64(nch) * 2,
 					ready:    ready,
 				}
-				if c.opts.Functional {
+				if c.Functional() {
 					r0, rows, c0, nch, segN := r0, rows, c0, nch, segN
 					dbq := db.q
 					rect := (r0/chunkRows)*ncc + c0/chanBatch

@@ -56,7 +56,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 		// exactness-calibrated scale 1 when both datasets are small
 		// integers).
 		joint := quant.Params{Scale: 1}
-		if c.opts.Functional {
+		if c.Functional() {
 			joint = a.calibration()
 			if pb := b.calibration(); pb.Scale < joint.Scale {
 				joint = pb
@@ -99,7 +99,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 			outBytes: int64(sp.Rows * sp.Cols), // int8 result tiles
 			ready:    ready,
 		}
-		if c.opts.Functional {
+		if c.Functional() {
 			w.fn = func() { pairwiseTile(c.kern, op, oa, ob, out, sp, div, dq) }
 		}
 		pl.add(w)
@@ -188,7 +188,7 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 			outBytes: int64(sp.Rows * sp.Cols),
 			ready:    ready,
 		}
-		if c.opts.Functional {
+		if c.Functional() {
 			w.fn = func() { elementwiseTile(c.kern, op, oa, out, sp) }
 		}
 		pl.add(w)
@@ -235,7 +235,7 @@ func (s *Stream) MaxReduce(a *Buffer) float32 { return s.reduce(isa.Max, a) }
 // 64x64 tiles each produce one value; by default CPU code aggregates
 // the received values (the paper's choice, because one device round
 // already shrinks the data by 4096x and data movement dominates);
-// with Options.OnDeviceReduce the runtime instead iterates additional
+// with Config.OnDeviceReduce the runtime instead iterates additional
 // device rounds, the alternative the paper rejects.
 func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 	if s.err != nil {
@@ -272,7 +272,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 			outBytes: outBytes,
 			ready:    ready,
 		}
-		if c.opts.Functional {
+		if c.Functional() {
 			w.fn = func() {
 				va := oa.window(sp.R0, sp.C0, sp.Rows, sp.Cols)
 				if op == isa.Mean {
@@ -291,7 +291,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 		return 0
 	}
 
-	if c.opts.OnDeviceReduce {
+	if c.cfg.OnDeviceReduce {
 		// Alternative: repeatedly re-encode the received values as a
 		// new input tensor and reduce on-device until one value
 		// remains. Functionally identical; costs extra encode,
@@ -323,7 +323,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 		s.finish(end, c.params.AggTime(int64(len(spans))))
 	}
 
-	if !c.opts.Functional {
+	if !c.Functional() {
 		return 0
 	}
 	if op == isa.Mean {
@@ -370,7 +370,7 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 		ready:    ready,
 	}
 	var out *tensor.Matrix
-	if c.opts.Functional {
+	if c.Functional() {
 		w.fn = func() {
 			sub := c.kern.Crop(oa.q, r0, c0, rows, cols)
 			out = quant.Dequantize(sub, oa.p)
@@ -383,7 +383,7 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 		return nil
 	}
 	s.finish(end, c.params.QuantTime(int64(rows*cols)))
-	if !c.opts.Functional {
+	if !c.Functional() {
 		return tensor.ShapeOnly(rows, cols)
 	}
 	return out
@@ -411,7 +411,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 		ready:    ready,
 	}
 	var out *tensor.Matrix
-	if c.opts.Functional {
+	if c.Functional() {
 		w.fn = func() {
 			padded := c.kern.Ext(oa.q, rows, cols)
 			out = quant.Dequantize(padded, oa.p)
@@ -424,7 +424,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 		return nil
 	}
 	s.finish(end, c.params.QuantTime(int64(rows*cols)))
-	if !c.opts.Functional {
+	if !c.Functional() {
 		return tensor.ShapeOnly(rows, cols)
 	}
 	return out
@@ -440,7 +440,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 // next result of that size then reuses the memory. GetF32Exact keeps
 // callers that never do so from paying for more than their result.
 func allocResult(c *Context, rows, cols int) *tensor.Matrix {
-	if !c.opts.Functional {
+	if !c.Functional() {
 		return tensor.ShapeOnly(rows, cols)
 	}
 	return tensor.GetF32Exact(rows, cols)

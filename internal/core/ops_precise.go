@@ -41,7 +41,7 @@ func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
 	if s.err != nil {
 		return nil
 	}
-	if c.opts.Functional {
+	if c.Functional() {
 		for i := range out.Data {
 			out.Data[i] = out.Data[i] + hl.Data[i] + lh.Data[i]
 		}
@@ -74,7 +74,7 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 
 	hi, lo := c.portions(a)
 	var xHi, xLo quant.Portion // no codes in timing-only mode
-	if c.opts.Functional {
+	if c.Functional() {
 		v := tensor.FromSlice(1, len(x), x)
 		xHi, xLo = quant.SplitQuantize(v, quant.ParamsFor(v))
 	}
@@ -84,7 +84,7 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 	if s.err != nil {
 		return nil
 	}
-	if c.opts.Functional {
+	if c.Functional() {
 		for i := range out {
 			out[i] = out[i] + hl[i] + lh[i]
 		}
@@ -111,7 +111,7 @@ func (c *Context) portions(b *Buffer) (hi, lo *Buffer) {
 	c.ChargeHostWork(c.params.QuantTime(int64(b.M.Elems())))
 	hi = &Buffer{M: tensor.ShapeOnly(b.M.Rows, b.M.Cols), key: c.nextKey(), calib: quant.Params{Scale: 1}}
 	lo = &Buffer{M: tensor.ShapeOnly(b.M.Rows, b.M.Cols), key: c.nextKey(), calib: quant.Params{Scale: 1}}
-	if c.opts.Functional {
+	if c.Functional() {
 		h, l := quant.SplitQuantize(b.M, b.calib)
 		hi.calib, hi.q = h.P, h.Q
 		lo.calib, lo.q = l.P, l.Q

@@ -65,10 +65,7 @@ func TestWholeFormOnSecondUse(t *testing.T) {
 	a := tensor.RandUniform(rand.New(rand.NewSource(3)), 200, 300, -5, 5)
 	want := map[string][]float32{}
 	for _, ref := range []bool{false, true} {
-		o := DefaultOptions()
-		o.Devices = 2
-		o.RefKernels = ref
-		ctx := NewContext(o)
+		ctx := NewContext(Config{Devices: 2, RefKernels: ref})
 		for name, run := range tileOps(ctx, rand.New(rand.NewSource(4))) {
 			b := ctx.NewBuffer(a)
 			var kept []*tensor.MatrixI8

@@ -77,10 +77,6 @@ type instrWork struct {
 	// re-ships them from their host shadows at full size.
 	home    *graphHome
 	rehomed bool
-	// execCost is the pure matrix-unit time the charged device spent on
-	// this instruction (set by tryOn on success). The engine's pacing
-	// mode sleeps Pace × execCost wall time during the exec phase.
-	execCost timing.Duration
 }
 
 func (w *instrWork) n() int {
@@ -130,7 +126,7 @@ func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.D
 	// would collapse every instruction onto one device.
 	var k affinityKey
 	var tab map[affinityKey]int // the task's table; nil until its first placement
-	keyed := c.opts.LocalityScheduling && len(w.inputs) > 0
+	keyed := !c.cfg.DisableLocality && len(w.inputs) > 0
 	rebinding := false
 	if keyed {
 		k = affinityKey{input: w.inputs[0].key, flags: w.instr.QuantFlags}
@@ -228,7 +224,6 @@ func (c *Context) tryOn(d *edgetpu.Device, w *instrWork) (timing.Duration, error
 	if err != nil {
 		return 0, err
 	}
-	w.execCost = d.ExecCost(&w.instr, w.n())
 	at, err = d.DownloadSpan(w.outBytes, at, sp)
 	if err != nil {
 		return 0, err

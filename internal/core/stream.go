@@ -266,7 +266,7 @@ func (c *Context) derivedQuant(b *Buffer, tag derivedTag, elems int64, ready tim
 		d = &derived{key: c.nextKey(), readyAt: c.tensorize(elems, ready, task)}
 	}
 	b.derivedForms[tag] = d
-	if c.opts.Functional && build != nil && d.q == nil {
+	if c.Functional() && build != nil && d.q == nil {
 		d.q = build(reused)
 	}
 	if d.readyAt < ready {

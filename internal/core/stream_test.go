@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -31,10 +30,7 @@ func TestStreamSerializesOps(t *testing.T) {
 func TestStreamsShareDevicesFairly(t *testing.T) {
 	// Two streams with identical work on a 2-device machine should
 	// each get a device (FCFS earliest-available).
-	o := DefaultOptions()
-	o.Devices = 2
-	o.Functional = false
-	ctx := NewContext(o)
+	ctx := NewContext(Config{Devices: 2, TimingOnly: true})
 	a := tensor.ShapeOnly(512, 512)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -162,10 +158,8 @@ func TestQuickIntegerGemmExact(t *testing.T) {
 }
 
 func TestQuantFlagsAffectPlacementKey(t *testing.T) {
-	o := DefaultOptions()
-	o.QuantMethod = quant.MethodSampled
-	c := NewContext(o)
-	if c.quantFlagsFor() == NewContext(DefaultOptions()).quantFlagsFor() {
+	c := NewContext(Config{Sampled: true})
+	if c.quantFlagsFor() == NewContext(Config{}).quantFlagsFor() {
 		t.Fatal("different quantization methods must have distinct flags")
 	}
 }

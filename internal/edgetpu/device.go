@@ -321,17 +321,6 @@ func (d *Device) ExecN(in *isa.Instruction, n int, ready timing.Duration) (timin
 	return end, nil
 }
 
-// ExecCost returns the pure matrix-unit time ExecN charges for n
-// back-to-back instructions, without acquiring the unit. The dispatch
-// engine's pacing mode uses it to translate charged device occupancy
-// into wall-clock sleep.
-func (d *Device) ExecCost(in *isa.Instruction, n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return time.Duration(n) * d.params.InstrTime(in)
-}
-
 // Download transfers result bytes back to the host and returns the
 // completion time.
 func (d *Device) Download(bytes int64, ready timing.Duration) (timing.Duration, error) {

@@ -190,13 +190,13 @@ func matrixBits(m *tensor.Matrix) []uint32 {
 // the normalized outcome. The input matrices are shared across runs
 // (they are never mutated); buffers are fresh per run.
 func runCase(cs *Case, ins []*tensor.Matrix, rc runCfg) *outcome {
-	o := core.DefaultOptions()
-	o.Devices = 4
-	o.DispatchWorkers = rc.workers
-	o.Functional = rc.functional
-	o.RefKernels = rc.ref
-	o.Fault = rc.fc
-	ctx := core.NewContext(o)
+	ctx := core.NewContext(core.Config{
+		Devices:         4,
+		DispatchWorkers: rc.workers,
+		TimingOnly:      !rc.functional,
+		RefKernels:      rc.ref,
+		Fault:           rc.fc,
+	})
 	defer ctx.Close()
 
 	g, nodes := buildGraph(ctx, cs, ins, rc.fetchAll)

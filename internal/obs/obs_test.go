@@ -195,22 +195,6 @@ func TestFaultCapture(t *testing.T) {
 	}
 }
 
-// TestNoFaultCapture: Config.NoFaultCapture suppresses automatic
-// captures but not explicit ones.
-func TestNoFaultCapture(t *testing.T) {
-	r := New(Config{NoFaultCapture: true})
-	tr := r.Start(0, 1, "gemm")
-	tr.ObserveEvent("device_lost", "", true)
-	if d := r.Dump(); len(d.Captures) != 0 {
-		t.Fatalf("%d captures despite NoFaultCapture", len(d.Captures))
-	}
-	r.Capture("drain")
-	if d := r.Dump(); len(d.Captures) != 1 {
-		t.Fatal("explicit Capture suppressed")
-	}
-	tr.Finish("ok")
-}
-
 // TestValidateRejects: Validate must flag the corruptions it claims
 // to catch.
 func TestValidateRejects(t *testing.T) {

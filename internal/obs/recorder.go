@@ -16,19 +16,13 @@ import (
 type Config struct {
 	// Capacity is the completed-waterfall ring size (default 256).
 	Capacity int
-	// Window is the per-stage quantile window length (default 2048
-	// observations).
-	Window int
-	// NoFaultCapture disables the automatic in-flight capture taken
-	// when a fault-annotated event is recorded.
-	NoFaultCapture bool
 }
 
 const (
 	defaultCapacity = 256
-	defaultWindow   = 2048
-	maxCaptures     = 8  // bounded postmortem snapshots kept FIFO
-	captureInflight = 64 // traces frozen per capture
+	quantileWindow  = 2048 // per-stage quantile window, in observations
+	maxCaptures     = 8    // bounded postmortem snapshots kept FIFO
+	captureInflight = 64   // traces frozen per capture
 	captureMinGap   = time.Second
 )
 
@@ -38,7 +32,6 @@ const (
 // or drain moments. A nil *Recorder disables tracing everywhere.
 type Recorder struct {
 	capacity int
-	noCap    bool
 	q        *quantiles
 
 	mu            sync.Mutex
@@ -60,13 +53,9 @@ func New(cfg Config) *Recorder {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = defaultCapacity
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = defaultWindow
-	}
 	return &Recorder{
 		capacity: cfg.Capacity,
-		noCap:    cfg.NoFaultCapture,
-		q:        newQuantiles(cfg.Window),
+		q:        newQuantiles(quantileWindow),
 		inflight: make(map[*Trace]struct{}),
 	}
 }
@@ -137,9 +126,6 @@ func (r *Recorder) finish(t *Trace, status string, stageSums map[string]float64)
 // noteFault is called by Trace.ObserveEvent for fault-annotated
 // events; it freezes a rate-limited capture of the in-flight set.
 func (r *Recorder) noteFault(name string) {
-	if r.noCap {
-		return
-	}
 	r.capture("fault:"+name, captureMinGap)
 }
 

@@ -85,7 +85,7 @@ type batcher struct {
 	gx      *gptpu.Context
 	met     *serverMetrics
 	maxReqs int
-	maxRows int
+	maxRows int // batchMaxRows; the property test lowers it
 
 	mu sync.Mutex
 	// groups holds an entry per running key (one with a drain loop):
@@ -107,16 +107,17 @@ type cachedWeight struct {
 	buf *gptpu.Buffer
 }
 
-func newBatcher(gx *gptpu.Context, met *serverMetrics, maxReqs, maxRows int) *batcher {
+// batchMaxRows flushes a group early once its stacked activation
+// matrix reaches this many rows.
+const batchMaxRows = 4096
+
+func newBatcher(gx *gptpu.Context, met *serverMetrics, maxReqs int) *batcher {
 	if maxReqs <= 0 {
 		maxReqs = 16
 	}
-	if maxRows <= 0 {
-		maxRows = 4096
-	}
 	return &batcher{
 		gx: gx, met: met,
-		maxReqs: maxReqs, maxRows: maxRows,
+		maxReqs: maxReqs, maxRows: batchMaxRows,
 		groups:    make(map[batchKey]*batchGroup),
 		weights:   make(map[batchKey]cachedWeight),
 		flushHook: func(batchKey) func() { return func() {} },

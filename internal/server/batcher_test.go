@@ -171,7 +171,8 @@ func batcherOracle(t *testing.T, seed int64) {
 	gx := gptpu.Open(gptpu.Config{Devices: 1})
 	defer gx.Close()
 	baseline := runtime.NumGoroutine()
-	b := newBatcher(gx, newServerMetrics(nil), maxReqs, maxRows)
+	b := newBatcher(gx, newServerMetrics(nil), maxReqs)
+	b.maxRows = maxRows // small enough that the row cap fires too
 
 	// Weights: keys ordinary keys, plus one forged key shared by the
 	// colliding pair w[keys] and w[keys+1].

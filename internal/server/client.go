@@ -27,12 +27,6 @@ type Client struct {
 	retry   RetryPolicy
 	retries atomic.Int64
 
-	// ver is the negotiated protocol version: starts at the newest
-	// this build speaks, downgrades (once, monotonically) when the
-	// server answers CodeVersion — the per-frame negotiation that
-	// keeps a v2 client talking to a v1 daemon.
-	ver atomic.Uint32
-
 	// rec, when set, records a client-side waterfall (encode, wire
 	// round-trip, retries) per call into its own flight recorder.
 	rec *obs.Recorder
@@ -110,8 +104,8 @@ type CallOpts struct {
 	// (exact per-request quantization scale at lower throughput).
 	NoBatch bool
 	// TraceID pins the request's end-to-end trace ID (0 = the client
-	// generates a fresh one). Propagated in the v2 frame header and
-	// echoed in every reply, including typed errors.
+	// generates a fresh one). Propagated in the frame header and echoed
+	// in every reply, including typed errors.
 	TraceID uint64
 }
 
@@ -136,7 +130,6 @@ func DialRetry(addr string, p RetryPolicy) (*Client, error) {
 		bw:      bufio.NewWriter(conn),
 		pending: make(map[uint64]chan reply),
 	}
-	c.ver.Store(uint32(Version))
 	go c.readLoop()
 	return c, nil
 }
@@ -145,9 +138,6 @@ func DialRetry(addr string, p RetryPolicy) (*Client, error) {
 // records its encode/wire/retry waterfall into r. Set it before
 // issuing calls; a nil recorder disables client-side tracing.
 func (c *Client) SetFlightRecorder(r *obs.Recorder) { c.rec = r }
-
-// ProtocolVersion returns the currently negotiated frame version.
-func (c *Client) ProtocolVersion() byte { return byte(c.ver.Load()) }
 
 // Retries returns how many retry sends this client has performed.
 func (c *Client) Retries() int64 { return c.retries.Load() }
@@ -163,7 +153,7 @@ func (c *Client) Close() error {
 // connection dies. Frames are pooled: the caller a frame is routed to
 // releases it, a frame nobody waits for is released here.
 func (c *Client) readLoop() {
-	fr := NewFrameReader(bufio.NewReader(c.conn), 0)
+	fr := NewFrameReader(bufio.NewReader(c.conn))
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -198,79 +188,64 @@ func (c *Client) failAll(err error) {
 	}
 }
 
-// roundTrip sends one frame (in the negotiated protocol version,
-// carrying traceID on v2) and waits for its reply. A CodeVersion
-// answer to a v2 frame downgrades the connection to legacy frames and
-// resends the same request once — the version negotiation. Error
-// replies carrying a trace ID annotate the returned error with it, so
-// a shed request's log line names the exact server-side trace. The
-// payload is only read (the downgrade resends it); the returned frame
-// is pooled and the caller releases it after its last read.
+// roundTrip sends one frame carrying traceID and waits for its reply.
+// Error replies carrying a trace ID annotate the returned error with
+// it, so a shed request's log line names the exact server-side trace.
+// The payload is only read (a retry resends it); the returned frame is
+// pooled and the caller releases it after its last read.
 func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, error) {
-	for {
-		ver := byte(c.ver.Load())
-		id := c.seq.Add(1)
-		ch := make(chan reply, 1)
-		c.pmu.Lock()
-		if c.closed {
-			err := c.err
-			c.pmu.Unlock()
-			return nil, fmt.Errorf("server client: connection closed: %w", err)
-		}
-		c.pending[id] = ch
+	id := c.seq.Add(1)
+	ch := make(chan reply, 1)
+	c.pmu.Lock()
+	if c.closed {
+		err := c.err
 		c.pmu.Unlock()
+		return nil, fmt.Errorf("server client: connection closed: %w", err)
+	}
+	c.pending[id] = ch
+	c.pmu.Unlock()
 
-		c.wmu.Lock()
-		err := EncodeFrame(c.bw, &Frame{Version: ver, Type: t, ReqID: id, TraceID: traceID, Payload: payload})
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		c.wmu.Unlock()
-		if err != nil {
-			c.pmu.Lock()
-			delete(c.pending, id)
-			c.pmu.Unlock()
-			return nil, err
-		}
+	c.wmu.Lock()
+	err := EncodeFrame(c.bw, &Frame{Type: t, ReqID: id, TraceID: traceID, Payload: payload})
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		c.pmu.Lock()
+		delete(c.pending, id)
+		c.pmu.Unlock()
+		return nil, err
+	}
 
-		r := <-ch
-		if r.err != nil {
-			return nil, fmt.Errorf("server client: connection lost: %w", r.err)
-		}
-		if r.f.Type == MsgError {
-			code, msg, derr := decodeError(r.f.Payload)
-			replyTrace := r.f.TraceID
-			r.f.Release() // decodeError copied the message out
-			if derr != nil {
-				return nil, derr
-			}
-			if code == CodeVersion && ver > VersionLegacy {
-				// The server does not speak our version: downgrade and
-				// resend. The loop is bounded — a legacy frame that still
-				// draws CodeVersion falls through to the typed error.
-				c.ver.CompareAndSwap(uint32(ver), uint32(VersionLegacy))
-				continue
-			}
-			err := errFromCode(code, msg)
-			if replyTrace != 0 {
-				// A relayed error already ends with the first hop's tag.
-				if tag := " [trace=" + obs.FormatID(replyTrace) + "]"; !strings.HasSuffix(msg, tag) {
-					err = fmt.Errorf("%w%s", err, tag)
-				}
-			}
-			return nil, err
-		}
+	r := <-ch
+	if r.err != nil {
+		return nil, fmt.Errorf("server client: connection lost: %w", r.err)
+	}
+	if r.f.Type != MsgError {
 		return r.f, nil
 	}
+	code, msg, derr := decodeError(r.f.Payload)
+	replyTrace := r.f.TraceID
+	r.f.Release() // decodeError copied the message out
+	if derr != nil {
+		return nil, derr
+	}
+	err = errFromCode(code, msg)
+	if replyTrace != 0 {
+		// A relayed error already ends with the first hop's tag.
+		if tag := " [trace=" + obs.FormatID(replyTrace) + "]"; !strings.HasSuffix(msg, tag) {
+			err = fmt.Errorf("%w%s", err, tag)
+		}
+	}
+	return nil, err
 }
 
 // Forward relays one already-encoded operator request and returns the
 // raw reply frame. It is the cluster router's backend hop: the router
 // never re-encodes payloads — it decodes just enough of the request to
 // derive a placement key, then forwards the client's payload bytes
-// verbatim (the payload format is identical across protocol versions,
-// so the router's negotiated version with the backend is independent
-// of the version its own client spoke). Typed error replies surface as
+// verbatim. Typed error replies surface as
 // errors exactly like Call's, so the router's failover logic can
 // classify them with errors.Is. The reply frame is pooled: Release it
 // after the last read of its payload (a frame never released is
@@ -279,10 +254,9 @@ func (c *Client) Forward(op MsgType, payload []byte, traceID uint64) (*Frame, er
 	return c.roundTrip(op, payload, traceID)
 }
 
-// Health round-trips a liveness probe and decodes the enriched Pong
-// payload (draining state, shard identity, device count). Daemons
-// predating the enrichment answer with an empty payload; that decodes
-// as HealthInfo{Legacy: true} — alive, but opaque.
+// Health round-trips a liveness probe and decodes the Pong payload
+// (draining state, shard identity, device count). A malformed payload
+// is an error, like a lost connection.
 func (c *Client) Health() (HealthInfo, error) {
 	f, err := c.roundTrip(MsgPing, nil, 0)
 	if err != nil {
@@ -292,7 +266,7 @@ func (c *Client) Health() (HealthInfo, error) {
 	if f.Type != MsgPong {
 		return HealthInfo{}, fmt.Errorf("server client: ping answered with %s", f.Type)
 	}
-	return decodeHealth(f.Payload), nil
+	return decodeHealth(f.Payload)
 }
 
 // Ping round-trips a liveness probe.
@@ -337,8 +311,8 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 	rt := c.rec.Start(traceID, 0, op.String()) // nil recorder -> nil trace
 	est := time.Now()
 	payload := encodeOpRequest(req)
-	// Released only once the retry loop is over: every resend — a retry
-	// here, the version downgrade inside roundTrip — reads it again.
+	// Released only once the retry loop is over: every retry reads it
+	// again.
 	defer payload.release()
 	rt.ObserveSpan(obs.StageClientEncode, est, time.Since(est), "")
 	var f *Frame

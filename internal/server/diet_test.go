@@ -252,7 +252,7 @@ func TestFrameReaderRecycles(t *testing.T) {
 	if !bytes.Equal(owned.Payload, payload) {
 		t.Fatal("Release disturbed a caller-owned frame")
 	}
-	fr := NewFrameReader(bufio.NewReader(&wire), 0)
+	fr := NewFrameReader(bufio.NewReader(&wire))
 	var last *byte
 	recycled := false
 	for i := 0; i < 3; i++ {

@@ -41,16 +41,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	v9[6] = 9
 	f.Add(v9)
 
-	// Legacy v1 frame (no trace field) — must still decode.
-	var v1 bytes.Buffer
-	_ = EncodeFrame(&v1, &Frame{Version: VersionLegacy, Type: MsgGemm, ReqID: 43,
-		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b})
-	f.Add(v1.Bytes())
+	// Retired v1 frame (no trace field): a version mismatch that must
+	// still surface its request ID.
+	f.Add(forgeFrame(1, MsgGemm, 43, encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b))
 
-	// v2 frame whose length claim covers only the v1 header: the trace
-	// field is missing and the decoder must reject, not over-read.
-	shortV2 := make([]byte, 4+headerLen)
-	binary.BigEndian.PutUint32(shortV2[0:], headerLen)
+	// v2 frame whose length claim covers only the shared header prefix:
+	// the trace field is missing and the decoder must reject, not
+	// over-read.
+	shortV2 := make([]byte, 4+idLen)
+	binary.BigEndian.PutUint32(shortV2[0:], idLen)
 	binary.BigEndian.PutUint16(shortV2[4:], Magic)
 	shortV2[6] = Version
 	shortV2[7] = byte(MsgPing)

@@ -1,75 +1,117 @@
 package server
 
 import (
+	"net"
 	"strings"
 	"testing"
 )
 
-// TestHealthRoundTrip: the enriched Pong payload survives its own
-// codec, including the clamps (device counts beyond a byte, shard IDs
-// beyond u16).
+// TestHealthRoundTrip: the Pong payload survives its own codec,
+// including the clamps (device counts beyond a byte, shard IDs beyond
+// u16).
 func TestHealthRoundTrip(t *testing.T) {
-	cases := []HealthInfo{
+	roundTrip := func(h HealthInfo) HealthInfo {
+		t.Helper()
+		got, err := decodeHealth(encodeHealth(h))
+		if err != nil {
+			t.Fatalf("decode %+v: %v", h, err)
+		}
+		return got
+	}
+	for _, h := range []HealthInfo{
 		{},
 		{Draining: true, ShardID: "shard-a", Devices: 4},
 		{ShardID: "", Devices: 255},
 		{Draining: true},
-	}
-	for _, h := range cases {
-		got := decodeHealth(encodeHealth(h))
-		if got != h {
+	} {
+		if got := roundTrip(h); got != h {
 			t.Errorf("round trip %+v -> %+v", h, got)
 		}
 	}
 	// Clamps: 300 devices saturates at 255; a >64KiB shard ID truncates.
-	got := decodeHealth(encodeHealth(HealthInfo{Devices: 300}))
-	if got.Devices != 255 {
+	if got := roundTrip(HealthInfo{Devices: 300}); got.Devices != 255 {
 		t.Errorf("device clamp: got %d, want 255", got.Devices)
 	}
 	long := strings.Repeat("x", 70000)
-	got = decodeHealth(encodeHealth(HealthInfo{ShardID: long}))
-	if len(got.ShardID) != 65535 {
+	if got := roundTrip(HealthInfo{ShardID: long}); len(got.ShardID) != 65535 {
 		t.Errorf("shard-id clamp: got %d bytes, want 65535", len(got.ShardID))
 	}
 }
 
-// TestHealthLegacyReply: an empty Pong payload — what every daemon
-// built before the enrichment sends — must decode as Legacy (alive but
-// opaque), never as an error and never as "draining". Truncated or
-// unknown-version payloads degrade the same way: health enrichment
-// fails soft, liveness does not.
-func TestHealthLegacyReply(t *testing.T) {
-	for _, payload := range [][]byte{
-		nil,
-		{},
-		{healthVersion, 0, 1},             // truncated: no shard-id length
-		{99, 0, 1, 0, 0},                  // unknown payload version
-		{healthVersion, 0, 1, 0xff, 0xff}, // shard-id length beyond payload
+// TestHealthMalformedPong: every daemon and router sends the full
+// health payload, so a Pong whose payload is empty, truncated or of
+// another health version makes Client.Health fail — the router's
+// prober counts that as a strike.
+func TestHealthMalformedPong(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty", nil},
+		{"truncated", []byte{healthVersion, 0, 1}},
+		{"unknown-version", []byte{99, 0, 1, 0, 0}},
+		{"shard-id-beyond-payload", []byte{healthVersion, 0, 1, 0xff, 0xff}},
 	} {
-		h := decodeHealth(payload)
-		if !h.Legacy {
-			t.Errorf("payload %v: want Legacy, got %+v", payload, h)
-		}
-		if h.Draining {
-			t.Errorf("payload %v: legacy decode must not report draining", payload)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			addr := pongServer(t, tc.payload)
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if h, err := c.Health(); err == nil {
+				t.Fatalf("Health accepted payload %v as %+v", tc.payload, h)
+			}
+		})
 	}
 }
 
-// TestHealthProbeLive: a live daemon answers the probe with its shard
-// identity and drain state, and flipping into drain is visible to the
-// next probe on an existing connection.
-func TestHealthProbeLive(t *testing.T) {
-	srv := startServer(t, Config{Devices: 2, ShardID: "shard-7"})
-	c := dial(t, srv)
-	h, err := c.Health()
+// pongServer answers every frame on one connection with a Pong
+// carrying payload.
+func pongServer(t *testing.T, payload []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Legacy {
-		t.Fatal("enriched daemon answered a legacy (empty) health payload")
-	}
-	if h.ShardID != "shard-7" || h.Devices != 2 || h.Draining {
-		t.Fatalf("health = %+v, want shard-7/2 devices/serving", h)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			f, err := DecodeFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			if EncodeFrame(conn, &Frame{Type: MsgPong, ReqID: f.ReqID, Payload: payload}) != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestHealthProbeLive: a live daemon answers the probe with its shard
+// identity, drain state and device count; a zero-value Config runs,
+// and reports, one device.
+func TestHealthProbeLive(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want HealthInfo
+	}{
+		{Config{Devices: 2, ShardID: "shard-7"}, HealthInfo{ShardID: "shard-7", Devices: 2}},
+		{Config{}, HealthInfo{Devices: 1}},
+	} {
+		c := dial(t, startServer(t, tc.cfg))
+		h, err := c.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != tc.want {
+			t.Fatalf("%+v: health = %+v, want %+v", tc.cfg, h, tc.want)
+		}
 	}
 }

@@ -190,55 +190,6 @@ func TestDeadlineReplyCarriesTraceID(t *testing.T) {
 	}
 }
 
-// TestVersionNegotiation: a daemon capped at the legacy protocol
-// answers v2 frames with CodeVersion; the client must downgrade and
-// keep working, and report the negotiated version.
-func TestVersionNegotiation(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, MaxVersion: VersionLegacy})
-	c := dial(t, srv)
-
-	if got := c.ProtocolVersion(); got != Version {
-		t.Fatalf("fresh client speaks v%d, want v%d", got, Version)
-	}
-	rng := rand.New(rand.NewSource(9))
-	a := tensor.RandUniform(rng, 24, 24, -1, 1)
-	b := tensor.RandUniform(rng, 24, 24, -1, 1)
-	got, err := c.Gemm(a, b, nil)
-	if err != nil {
-		t.Fatalf("call against legacy daemon: %v", err)
-	}
-	if e := tensor.RMSE(blas.NaiveGemm(a, b), got); e > 0.05 {
-		t.Fatalf("gemm RMSE %v after downgrade", e)
-	}
-	if got := c.ProtocolVersion(); got != VersionLegacy {
-		t.Fatalf("client speaks v%d after CodeVersion, want v%d", got, VersionLegacy)
-	}
-	// Subsequent calls stay on the legacy framing without re-negotiating.
-	if _, err := c.Add(a, b, nil); err != nil {
-		t.Fatalf("second call after downgrade: %v", err)
-	}
-}
-
-// TestLegacyClientAgainstCurrentServer: v1 frames must still be served
-// by a v2 daemon (per-frame versioning, replies echo the request's
-// version).
-func TestLegacyClientAgainstCurrentServer(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, Obs: obs.New(obs.Config{})})
-	c := dial(t, srv)
-	c.ver.Store(uint32(VersionLegacy)) // simulate an old client build
-
-	rng := rand.New(rand.NewSource(10))
-	a := tensor.RandUniform(rng, 16, 16, -1, 1)
-	b := tensor.RandUniform(rng, 16, 16, -1, 1)
-	got, err := c.Gemm(a, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := tensor.RMSE(blas.NaiveGemm(a, b), got); e > 0.05 {
-		t.Fatalf("gemm RMSE %v", e)
-	}
-}
-
 // TestFlightDumpConsistencyUnderTraffic is the -race acceptance test:
 // dumps taken while concurrent traffic is live must always be
 // internally consistent — every span closed or explicitly marked

@@ -15,10 +15,12 @@
 //     attach a deadline, which the server honors before dispatch.
 //
 //   - Micro-batching: compatible small GEMM requests (same inner
-//     dimensions, byte-identical weight matrix) arriving within a
-//     short window coalesce into one stacked multi-segment submission
-//     to the dispatch engine, so serving throughput beats
-//     one-request-per-submit.
+//     dimensions, byte-identical weight matrix) coalesce by occupancy,
+//     not by a timer: a request whose key has no batch running
+//     dispatches at once, and requests arriving while one runs gather
+//     into one stacked multi-segment submission that dispatches when it
+//     returns, so serving throughput beats one-request-per-submit
+//     without making an idle daemon wait.
 //
 //   - Graceful shutdown: SIGTERM stops accepting work, drains
 //     in-flight requests, then retires the runtime via Context.Close.
@@ -36,7 +38,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/tensor"
 )
@@ -46,17 +47,16 @@ import (
 //	offset  size  field
 //	0       4     frame length n (big-endian; bytes after this field)
 //	4       2     magic 0x4754 ("GT")
-//	6       1     protocol version (1 or 2)
+//	6       1     protocol version (2)
 //	7       1     message type
 //	8       8     request ID (echoed verbatim in the reply)
-//	16      8     trace ID (version 2 only; echoed verbatim, 0 = none)
+//	16      8     trace ID (echoed verbatim, 0 = none)
 //	...     ...   payload
 //
-// Version 2 inserts an 8-byte trace ID between the request ID and the
-// payload; version 1 frames have no trace field. Versioning is
-// per-frame: a server answers each request in the version it arrived
-// with, and a client that receives CodeVersion downgrades to legacy
-// frames for the rest of the connection.
+// Every wire client speaks this one layout. A frame of any other
+// version is answered with CodeVersion on its own request ID — the
+// bytes through the request ID sit at the same offsets in every
+// version — and the connection keeps serving.
 //
 // Request payloads (MsgGemm .. MsgMax):
 //
@@ -71,18 +71,12 @@ import (
 const (
 	// Magic is the two-byte frame preamble ("GT").
 	Magic uint16 = 0x4754
-	// Version is the newest protocol version this build speaks (v2:
-	// trace-ID field). Legacy v1 frames are still decoded; frames with
-	// any other version are answered with CodeVersion and the
-	// connection keeps working — versioning is per-frame, so clients
-	// negotiate by downgrading after a CodeVersion reply.
+	// Version is the one protocol version this build speaks.
 	Version byte = 2
-	// VersionLegacy is the pre-tracing frame layout (no trace field).
-	VersionLegacy byte = 1
-	// headerLen is the fixed v1 post-length header: magic + version +
-	// type + request ID. headerLenV2 adds the 8-byte trace ID.
-	headerLen   = 12
-	headerLenV2 = headerLen + 8
+	// idLen is the header prefix every version shares: magic, version,
+	// type and request ID. headerLen adds the 8-byte trace ID.
+	idLen     = 12
+	headerLen = idLen + 8
 	// MaxFrameLen bounds one frame's post-length bytes (64 MiB, a
 	// 2896x2896 float32 matrix pair with headroom). DecodeFrame
 	// rejects larger claims before allocating.
@@ -92,12 +86,11 @@ const (
 	MaxDim = 1 << 20
 	// MaxResultElems bounds a result matrix's element count so its
 	// reply (8-byte matrix header + 4 bytes/element) always fits one
-	// frame in either protocol version (sized against the larger v2
-	// header). The frame cap bounds *inputs*, but not what they
+	// frame. The frame cap bounds *inputs*, but not what they
 	// compute: an outer-product GEMM (2^20 x 1 times 1 x 2^20) ships
 	// ~8 MiB of operands yet names a 4 TiB result — validateShapes
 	// rejects such requests up front instead of letting them allocate.
-	MaxResultElems = (MaxFrameLen - headerLenV2 - 8) / 4
+	MaxResultElems = (MaxFrameLen - headerLen - 8) / 4
 )
 
 // MsgType enumerates frame types.
@@ -246,8 +239,8 @@ func codeFromErr(err error) uint16 {
 	return CodeInternal
 }
 
-// Frame is one decoded wire message. TraceID is carried only by
-// version-2 frames (0 on v1 and when the client attached no trace).
+// Frame is one wire message. Version is the version byte a decoded
+// frame arrived with; EncodeFrame always writes Version.
 type Frame struct {
 	Version byte
 	Type    MsgType
@@ -320,33 +313,21 @@ func (w *wireBuf) release() {
 	wirePools[bits.Len(uint(c))-1].Put(w)
 }
 
-// EncodeFrame writes f to w in wire format, choosing the header
-// layout from f.Version (0 means the current Version). The trace ID
-// is dropped silently when encoding a legacy v1 frame.
+// EncodeFrame writes f to w in wire format.
 func EncodeFrame(w io.Writer, f *Frame) error {
-	ver := f.Version
-	if ver == 0 {
-		ver = Version
-	}
-	hdrLen := headerLen
-	if ver >= 2 {
-		hdrLen = headerLenV2
-	}
-	if len(f.Payload) > MaxFrameLen-hdrLen {
+	if len(f.Payload) > MaxFrameLen-headerLen {
 		return fmt.Errorf("server: payload %d bytes exceeds frame cap", len(f.Payload))
 	}
 	// The header goes through a recycled buffer: a stack array would
 	// escape through the io.Writer and cost an allocation per frame.
-	hb := getWireBuf(4 + hdrLen)
+	hb := getWireBuf(4 + headerLen)
 	hdr := hb.b
-	binary.BigEndian.PutUint32(hdr[0:], uint32(hdrLen+len(f.Payload)))
+	binary.BigEndian.PutUint32(hdr[0:], uint32(headerLen+len(f.Payload)))
 	binary.BigEndian.PutUint16(hdr[4:], Magic)
-	hdr[6] = ver
+	hdr[6] = Version
 	hdr[7] = byte(f.Type)
 	binary.BigEndian.PutUint64(hdr[8:], f.ReqID)
-	if ver >= 2 {
-		binary.BigEndian.PutUint64(hdr[16:], f.TraceID)
-	}
+	binary.BigEndian.PutUint64(hdr[16:], f.TraceID)
 	_, err := w.Write(hdr)
 	hb.release()
 	if err != nil {
@@ -356,13 +337,13 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 	return err
 }
 
-// DecodeFrame reads one frame from r, rejecting malformed input with
-// an error (never a panic, never an allocation beyond max). Both
-// protocol versions decode; a frame with any other version is
-// returned together with ErrVersionMismatch so the caller can still
-// answer its request ID; every other error leaves the stream
-// unusable. The frame is freshly allocated and owned by the caller;
-// read loops use a FrameReader, whose frames are recycled.
+// DecodeFrame reads one frame of at most max bytes (0 = MaxFrameLen)
+// from r, rejecting malformed input with an error (never a panic, never
+// an allocation beyond max). A frame of another version is returned
+// together with ErrVersionMismatch so the caller can still answer its
+// request ID; every other error leaves the stream unusable. The frame
+// is freshly allocated and owned by the caller; read loops use a
+// FrameReader, whose frames are recycled.
 func DecodeFrame(r io.Reader, max uint32) (*Frame, error) {
 	var lenBuf [4]byte
 	return readFrame(r, lenBuf[:], max, false)
@@ -374,19 +355,17 @@ func DecodeFrame(r io.Reader, max uint32) (*Frame, error) {
 // released is collected like any other. Not safe for concurrent use.
 type FrameReader struct {
 	r      io.Reader
-	max    uint32
 	lenBuf [4]byte
 }
 
-// NewFrameReader reads frames of at most max bytes from r (0 =
-// MaxFrameLen).
-func NewFrameReader(r io.Reader, max uint32) *FrameReader {
-	return &FrameReader{r: r, max: max}
+// NewFrameReader reads frames of at most MaxFrameLen bytes from r.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{r: r}
 }
 
 // Next reads one frame; errors are DecodeFrame's.
 func (fr *FrameReader) Next() (*Frame, error) {
-	return readFrame(fr.r, fr.lenBuf[:], fr.max, true)
+	return readFrame(fr.r, fr.lenBuf[:], MaxFrameLen, true)
 }
 
 // readFrame is the one frame decoder: lenBuf is 4 bytes of scratch for
@@ -399,7 +378,7 @@ func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, err
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf)
-	if n < headerLen {
+	if n < idLen {
 		return nil, fmt.Errorf("%w: frame length %d below header size", ErrBadRequest, n)
 	}
 	if n > max {
@@ -427,36 +406,24 @@ func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, err
 		Version: buf[2],
 		Type:    MsgType(buf[3]),
 		ReqID:   binary.BigEndian.Uint64(buf[4:]),
-		Payload: buf[headerLen:],
+		Payload: buf[idLen:],
 		buf:     wb,
 	}
-	switch f.Version {
-	case VersionLegacy:
-		return f, nil
-	case Version:
-		if n < headerLenV2 {
-			wb.release()
-			return nil, fmt.Errorf("%w: v2 frame length %d below header size", ErrBadRequest, n)
-		}
-		f.TraceID = binary.BigEndian.Uint64(buf[12:])
-		f.Payload = buf[headerLenV2:]
-		return f, nil
+	if f.Version != Version {
+		return f, fmt.Errorf("%w: frame version %d, want %d", ErrVersionMismatch, f.Version, Version)
 	}
-	return f, fmt.Errorf("%w: frame version %d, want %d or %d", ErrVersionMismatch, f.Version, VersionLegacy, Version)
+	if n < headerLen {
+		wb.release()
+		return nil, fmt.Errorf("%w: frame length %d below header size", ErrBadRequest, n)
+	}
+	f.TraceID = binary.BigEndian.Uint64(buf[idLen:])
+	f.Payload = buf[headerLen:]
+	return f, nil
 }
 
 // wireLen returns the full on-wire size of f (length prefix + header
 // + payload), for byte-counter telemetry.
-func wireLen(f *Frame) int {
-	ver := f.Version
-	if ver == 0 {
-		ver = Version
-	}
-	if ver >= 2 {
-		return 4 + headerLenV2 + len(f.Payload)
-	}
-	return 4 + headerLen + len(f.Payload)
-}
+func wireLen(f *Frame) int { return 4 + headerLen + len(f.Payload) }
 
 // appendMatrix appends the wire encoding of m (rows, cols, row-major
 // float32 bits) to dst: one grow to the exact final size up front (no
@@ -657,13 +624,10 @@ func ErrorPayload(err error) []byte {
 // payload), for byte-counter telemetry outside this package.
 func WireLen(f *Frame) int { return wireLen(f) }
 
-// HealthInfo is the enriched MsgPong payload: what a router's health
-// probe needs to distinguish "draining, stop sending" (the daemon is
-// finishing in-flight work and will answer everything it accepted)
-// from "dead, fail over" (in-flight requests are lost). Legacy daemons
-// answer MsgPing with an empty payload; the decoder reports those via
-// Legacy so probers treat them as healthy-but-opaque instead of
-// failing the probe.
+// HealthInfo is the MsgPong payload: what a router's health probe needs
+// to distinguish "draining, stop sending" (the daemon is finishing
+// in-flight work and will answer everything it accepted) from "dead,
+// fail over" (in-flight requests are lost).
 type HealthInfo struct {
 	// Draining is set once the daemon began a graceful shutdown: it
 	// still answers probes on live connections but refuses new work
@@ -676,9 +640,6 @@ type HealthInfo struct {
 	// Devices is the simulated Edge TPU count behind the daemon, a
 	// capacity hint.
 	Devices int
-	// Legacy marks a pre-health daemon's empty Pong: liveness proven,
-	// drain state and identity unknown.
-	Legacy bool
 }
 
 // healthVersion identifies the health payload layout.
@@ -716,33 +677,27 @@ func encodeHealth(h HealthInfo) []byte {
 	return append(dst, id...)
 }
 
-// decodeHealth parses a MsgPong payload. An empty payload is a legacy
-// daemon's reply (liveness only); an unknown version or truncated
-// payload is treated the same way rather than failing the probe —
-// health enrichment degrades, liveness does not.
-func decodeHealth(payload []byte) HealthInfo {
+// decodeHealth parses a MsgPong payload. A payload that is short, of
+// another health version or truncated is an error: every daemon and
+// router in this repo sends the layout above.
+func decodeHealth(payload []byte) (HealthInfo, error) {
 	if len(payload) < 5 || payload[0] != healthVersion {
-		return HealthInfo{Legacy: true}
-	}
-	h := HealthInfo{
-		Draining: payload[1]&healthFlagDraining != 0,
-		Devices:  int(payload[2]),
+		return HealthInfo{}, fmt.Errorf("server: malformed health payload (%d bytes)", len(payload))
 	}
 	n := int(binary.BigEndian.Uint16(payload[3:]))
 	if len(payload) < 5+n {
-		return HealthInfo{Legacy: true}
+		return HealthInfo{}, errors.New("server: health payload shard ID truncated")
 	}
-	h.ShardID = string(payload[5 : 5+n])
-	return h
+	return HealthInfo{
+		Draining: payload[1]&healthFlagDraining != 0,
+		Devices:  int(payload[2]),
+		ShardID:  string(payload[5 : 5+n]),
+	}, nil
 }
 
 // EncodeHealth renders a MsgPong health payload (exported for the
 // cluster router, which answers probes with its own aggregate health).
 func EncodeHealth(h HealthInfo) []byte { return encodeHealth(h) }
-
-// DecodeHealth parses a MsgPong payload; see decodeHealth for the
-// legacy-daemon semantics.
-func DecodeHealth(payload []byte) HealthInfo { return decodeHealth(payload) }
 
 // encodeError renders an error payload.
 func encodeError(code uint16, msg string) []byte {
@@ -757,31 +712,4 @@ func decodeError(payload []byte) (uint16, string, error) {
 		return 0, "", fmt.Errorf("%w: truncated error payload", ErrBadRequest)
 	}
 	return binary.BigEndian.Uint16(payload[0:]), string(payload[2:]), nil
-}
-
-// CodecThroughput measures the matrix frame codec on m over the given
-// wall budget, returning encode and decode throughput in GB/s. The
-// serve benchmark reports it alongside the serving rows so codec
-// regressions are visible next to the RPS they would erode.
-func CodecThroughput(m *tensor.Matrix, budget time.Duration) (encGBs, decGBs float64) {
-	enc := appendMatrix(nil, m)
-	bytes := float64(len(enc))
-	measure := func(f func()) float64 {
-		f() // warmup
-		start := time.Now()
-		iters := 0
-		for time.Since(start) < budget {
-			f()
-			iters++
-		}
-		return bytes * float64(iters) / float64(time.Since(start).Nanoseconds())
-	}
-	buf := make([]byte, 0, len(enc))
-	encGBs = measure(func() { buf = appendMatrix(buf[:0], m) })
-	decGBs = measure(func() {
-		if _, _, err := decodeMatrix(enc); err != nil {
-			panic(err)
-		}
-	})
-	return encGBs, decGBs
 }

@@ -28,25 +28,15 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyFrameRoundTrip: v1 frames (no trace field) must still
-// encode and decode; the trace ID is dropped silently on encode and
-// reads back as zero.
-func TestLegacyFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &Frame{Version: VersionLegacy, Type: MsgPing, ReqID: 99, TraceID: 0xABCD}
-	if err := EncodeFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.Len(); got != 4+headerLen {
-		t.Fatalf("v1 ping frame is %d bytes, want %d", got, 4+headerLen)
-	}
-	out, err := DecodeFrame(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Version != VersionLegacy || out.ReqID != 99 || out.TraceID != 0 {
-		t.Fatalf("legacy round trip: %+v", out)
-	}
+// forgeFrame hand-builds a frame of any version: the header prefix
+// every version shares (magic, version, type, request ID) followed by
+// body. EncodeFrame only writes Version.
+func forgeFrame(ver byte, t MsgType, reqID uint64, body []byte) []byte {
+	raw := binary.BigEndian.AppendUint32(nil, uint32(idLen+len(body)))
+	raw = binary.BigEndian.AppendUint16(raw, Magic)
+	raw = append(raw, ver, byte(t))
+	raw = binary.BigEndian.AppendUint64(raw, reqID)
+	return append(raw, body...)
 }
 
 func TestOpRequestRoundTrip(t *testing.T) {
@@ -101,7 +91,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 	})
 	t.Run("undersized-claim", func(t *testing.T) {
 		small := append([]byte(nil), good...)
-		binary.BigEndian.PutUint32(small[0:], headerLen-1)
+		binary.BigEndian.PutUint32(small[0:], idLen-1)
 		if _, err := DecodeFrame(bytes.NewReader(small), 0); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("undersized claim: want ErrBadRequest, got %v", err)
 		}
@@ -125,10 +115,10 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		}
 	})
 	t.Run("v2-truncated-header", func(t *testing.T) {
-		// A frame claiming version 2 whose length covers only the v1
-		// header (12 <= n < 20) must draw a typed error, not a panic or
-		// a phantom trace ID read past the buffer.
-		for n := headerLen; n < headerLenV2; n++ {
+		// A frame claiming version 2 whose length covers only the shared
+		// header prefix (12 <= n < 20) must draw a typed error, not a
+		// panic or a phantom trace ID read past the buffer.
+		for n := idLen; n < headerLen; n++ {
 			raw := make([]byte, 4+n)
 			binary.BigEndian.PutUint32(raw[0:], uint32(n))
 			binary.BigEndian.PutUint16(raw[4:], Magic)

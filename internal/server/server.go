@@ -34,15 +34,6 @@ type Config struct {
 	// coalesced (0 = 16). No GEMM waits for company: one whose key has
 	// no batch running flushes at once.
 	BatchMaxRequests int
-	// BatchMaxRows flushes a group early once the stacked activation
-	// matrix reaches this many rows (0 = 4096).
-	BatchMaxRows int
-	// BatchMaxElems is the "small GEMM" threshold: requests whose A or
-	// B exceed this many elements bypass the batcher (0 = 65536, a
-	// 256x256 matrix).
-	BatchMaxElems int
-	// MaxFrame bounds one wire frame (0 = MaxFrameLen).
-	MaxFrame uint32
 	// Metrics is the telemetry registry the daemon and its runtime
 	// record into (nil = a fresh registry, exposed via Metrics).
 	Metrics *telemetry.Registry
@@ -56,10 +47,6 @@ type Config struct {
 	// windowed stage quantiles, and the postmortem dump. nil disables
 	// request tracing entirely (zero per-request overhead).
 	Obs *obs.Recorder
-	// MaxVersion caps the protocol version the daemon accepts (0 =
-	// the current Version). Tests set VersionLegacy to simulate an
-	// old daemon for client downgrade negotiation.
-	MaxVersion byte
 	// Logger receives structured serving-path logs with trace-ID and
 	// request-ID attributes (nil = discard).
 	Logger *slog.Logger
@@ -67,24 +54,22 @@ type Config struct {
 	// probe replies so a router can verify it is talking to the member
 	// it configured (empty = unnamed).
 	ShardID string
-	// Pace enables real-time emulation of device occupancy in the
-	// runtime (wall seconds slept per virtual matrix-unit second; 0 =
-	// run at full host speed). Cluster capacity benchmarks use it so
-	// daemon throughput reflects simulated device capacity.
-	Pace float64
 }
+
+// batchMaxElems is the "small GEMM" threshold: requests whose A or B
+// exceed this many elements (a 256x256 matrix) bypass the batcher.
+const batchMaxElems = 65536
 
 // Server is the gptpu-serve daemon: one shared runtime context, an
 // admission controller, a GEMM micro-batcher, and a TCP front door.
 type Server struct {
-	cfg    Config
-	gx     *gptpu.Context
-	met    *serverMetrics
-	adm    *admission
-	bat    *batcher
-	rec    *obs.Recorder
-	log    *slog.Logger
-	maxVer byte
+	cfg Config
+	gx  *gptpu.Context
+	met *serverMetrics
+	adm *admission
+	bat *batcher
+	rec *obs.Recorder
+	log *slog.Logger
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -100,9 +85,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 64
 	}
-	if cfg.BatchMaxElems <= 0 {
-		cfg.BatchMaxElems = 65536
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -114,29 +96,23 @@ func New(cfg Config) *Server {
 		Metrics:         reg,
 		Fault:           cfg.Fault,
 		RetryBudget:     cfg.RetryBudget,
-		Pace:            cfg.Pace,
 	})
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	maxVer := cfg.MaxVersion
-	if maxVer == 0 {
-		maxVer = Version
-	}
 	if cfg.Obs != nil {
 		cfg.Obs.Export(reg)
 	}
 	s := &Server{
-		cfg:    cfg,
-		gx:     gx,
-		met:    met,
-		adm:    newAdmission(cfg.MaxInFlight, met),
-		rec:    cfg.Obs,
-		log:    logger,
-		maxVer: maxVer,
-		conns:  make(map[net.Conn]struct{}),
-		bat:    newBatcher(gx, met, cfg.BatchMaxRequests, cfg.BatchMaxRows),
+		cfg:   cfg,
+		gx:    gx,
+		met:   met,
+		adm:   newAdmission(cfg.MaxInFlight, met),
+		rec:   cfg.Obs,
+		log:   logger,
+		conns: make(map[net.Conn]struct{}),
+		bat:   newBatcher(gx, met, cfg.BatchMaxRequests),
 	}
 	return s
 }
@@ -197,7 +173,9 @@ func (s *Server) Serve() error {
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining || s.aborted {
+			// Accepted as the listener closed: Abort has already swept
+			// the live connections, so this one must not outlive it.
 			s.mu.Unlock()
 			conn.Close()
 			continue
@@ -258,7 +236,7 @@ func (s *Server) health() HealthInfo {
 	return HealthInfo{
 		Draining: draining,
 		ShardID:  s.cfg.ShardID,
-		Devices:  s.gx.Core().Options().Devices,
+		Devices:  s.gx.Core().Config().Devices,
 	}
 }
 
@@ -325,14 +303,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	// Frames are pooled. An operator frame belongs to its handleRequest
 	// goroutine, which releases it once the operands are decoded; every
 	// other frame is released here, after its reply.
-	fr := NewFrameReader(bufio.NewReader(conn), s.cfg.MaxFrame)
+	fr := NewFrameReader(bufio.NewReader(conn))
 	for {
 		f, err := fr.Next()
 		if err != nil {
 			if errors.Is(err, ErrVersionMismatch) && f != nil {
-				// Per-frame versioning: answer this request, keep the
-				// connection (framing stayed intact).
-				s.reply(cw, s.maxVer, f.ReqID, 0, MsgError, encodeError(CodeVersion, err.Error()))
+				// Answer this request, keep the connection: the length
+				// prefix kept the framing intact.
+				s.reply(cw, f.ReqID, 0, MsgError, encodeError(CodeVersion, err.Error()))
 				f.Release()
 				continue
 			}
@@ -340,33 +318,24 @@ func (s *Server) handleConn(conn net.Conn) {
 				// Malformed framing: the stream position is unknown,
 				// so drop the connection after a best-effort error.
 				s.log.Warn("dropping connection on malformed frame", "err", err.Error())
-				s.reply(cw, s.maxVer, 0, 0, MsgError, encodeError(CodeBadRequest, err.Error()))
+				s.reply(cw, 0, 0, MsgError, encodeError(CodeBadRequest, err.Error()))
 			}
 			return
 		}
 		s.met.bytesRead.Add(float64(wireLen(f)))
-		if f.Version > s.maxVer {
-			// Version-capped daemon (tests simulate a legacy server this
-			// way): answer like an old build would, in its own version.
-			s.reply(cw, s.maxVer, f.ReqID, 0, MsgError, encodeError(CodeVersion,
-				fmt.Sprintf("frame version %d, server speaks <= %d", f.Version, s.maxVer)))
-			f.Release()
-			continue
-		}
 
 		switch {
 		case f.Type == MsgPing:
-			// The Pong carries the enriched health payload (drain state,
-			// shard identity). Pre-health clients ignore the payload, so
-			// the extension is compatible in both directions.
-			s.reply(cw, f.Version, f.ReqID, f.TraceID, MsgPong, encodeHealth(s.health()))
+			// The Pong carries the health payload (drain state, shard
+			// identity, device count).
+			s.reply(cw, f.ReqID, f.TraceID, MsgPong, encodeHealth(s.health()))
 		case f.Type.isOp():
 			s.mu.Lock()
 			if s.draining {
 				s.mu.Unlock()
 				// Typed error replies echo the request's trace ID so the
 				// client can log which request the shutdown bounced.
-				s.reply(cw, f.Version, f.ReqID, f.TraceID, MsgError, encodeError(CodeShuttingDown, "draining"))
+				s.reply(cw, f.ReqID, f.TraceID, MsgError, encodeError(CodeShuttingDown, "draining"))
 				break
 			}
 			s.reqWG.Add(1)
@@ -374,25 +343,23 @@ func (s *Server) handleConn(conn net.Conn) {
 			go s.handleRequest(cw, f)
 			continue
 		default:
-			s.reply(cw, f.Version, f.ReqID, f.TraceID, MsgError,
+			s.reply(cw, f.ReqID, f.TraceID, MsgError,
 				encodeError(CodeBadRequest, fmt.Sprintf("unexpected frame type %s", f.Type)))
 		}
 		f.Release()
 	}
 }
 
-// reply writes one frame in the request's protocol version (a v1
-// client must get v1 replies), echoing its trace ID on v2. Write
+// reply writes one frame echoing the request's ID and trace ID. Write
 // errors are ignored — the read loop notices a dead connection.
-func (s *Server) reply(cw *connWriter, ver byte, reqID, traceID uint64, t MsgType, payload []byte) {
-	_ = cw.send(&Frame{Version: ver, Type: t, ReqID: reqID, TraceID: traceID, Payload: payload})
+func (s *Server) reply(cw *connWriter, reqID, traceID uint64, t MsgType, payload []byte) {
+	_ = cw.send(&Frame{Type: t, ReqID: reqID, TraceID: traceID, Payload: payload})
 }
 
 // reqCtx carries one request's reply coordinates and trace through
 // the serving path.
 type reqCtx struct {
 	cw      *connWriter
-	ver     byte
 	reqID   uint64
 	traceID uint64
 	op      MsgType
@@ -413,14 +380,14 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 	s.met.requests.With(op.String()).Inc()
 
 	// The trace ID is client-generated; the recorder assigns one when
-	// the client sent none (v1 frames, zero field). Error replies echo
+	// the client sent none (a zero field). Error replies echo
 	// whichever ID ends up attached, so the client can correlate.
 	rt := s.rec.Start(f.TraceID, f.ReqID, op.String())
 	traceID := f.TraceID
 	if rt != nil {
 		traceID = rt.ID()
 	}
-	rc := &reqCtx{cw: cw, ver: f.Version, reqID: f.ReqID, traceID: traceID, op: op, arrived: arrived, rt: rt}
+	rc := &reqCtx{cw: cw, reqID: f.ReqID, traceID: traceID, op: op, arrived: arrived, rt: rt}
 
 	// The operands decode into pooled matrices that never alias the
 	// frame, so the frame's last reader is the decoder. The request owns
@@ -455,7 +422,7 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 
 	// Small GEMMs that did not opt out go through the micro-batcher.
 	if req.Op == MsgGemm && req.Flags&FlagNoBatch == 0 &&
-		req.A.Elems() <= s.cfg.BatchMaxElems && req.B.Elems() <= s.cfg.BatchMaxElems {
+		req.A.Elems() <= batchMaxElems && req.B.Elems() <= batchMaxElems {
 		key := batchKey{n: req.A.Cols, k: req.B.Cols, bhash: WeightKey(req.B)}
 		call := &gemmCall{a: req.A, arrived: arrived, deadlineMillis: req.DeadlineMillis,
 			rt: rt, done: make(chan callResult, 1)}
@@ -480,18 +447,17 @@ func (s *Server) handleRequest(cw *connWriter, f *Frame) {
 	s.finishReply(rc, m, err)
 }
 
-// finishReply answers the request with m or a typed error, in the
-// request's protocol version and with its trace ID, and makes the
-// socket write the last thing an observer can see: the reply is encoded
-// into a pooled buffer (m, which the daemon owns and nothing else reads,
-// goes back to the float32 pool), the reply-class counter and
-// end-to-end latency are recorded, the trace is sealed, the admission
-// slot is returned — and only then is the frame written. A client that
-// has read its answer therefore finds the request finished in the
-// flight recorder and its slot free. A result that cannot fit one frame
-// (validateShapes should prevent this) degrades to a typed error reply —
-// the request ID is always answered, so the client never blocks on a
-// silently-dropped encode.
+// finishReply answers the request with m or a typed error, with its
+// trace ID, and makes the socket write the last thing an observer can
+// see: the reply is encoded into a pooled buffer (m, which the daemon
+// owns and nothing else reads, goes back to the float32 pool), the
+// reply-class counter and end-to-end latency are recorded, the trace is
+// sealed, the admission slot is returned — and only then is the frame
+// written. A client that has read its answer therefore finds the
+// request finished in the flight recorder and its slot free. A result
+// that cannot fit one frame (validateShapes should prevent this)
+// degrades to a typed error reply — the request ID is always answered,
+// so the client never blocks on a silently-dropped encode.
 func (s *Server) finishReply(rc *reqCtx, m *tensor.Matrix, err error) {
 	if err == nil && m.Elems() > MaxResultElems {
 		err = fmt.Errorf("%w: result %dx%d exceeds reply frame cap", ErrInternal, m.Rows, m.Cols)
@@ -530,7 +496,7 @@ func (s *Server) finishReply(rc *reqCtx, m *tensor.Matrix, err error) {
 		s.adm.release()
 	}
 	wst := time.Now()
-	s.reply(rc.cw, rc.ver, rc.reqID, rc.traceID, typ, payload)
+	s.reply(rc.cw, rc.reqID, rc.traceID, typ, payload)
 	s.met.replyWrite.Observe(time.Since(wst).Seconds())
 	wb.release()
 }

@@ -339,7 +339,8 @@ func TestShutdownDrainsInflight(t *testing.T) {
 
 // TestVersionMismatchAnswered sends a frame with a future protocol
 // version: the daemon must answer that request ID with CodeVersion
-// and keep the connection serviceable.
+// and keep the connection serviceable. (The cluster package's
+// TestFrameVersionMismatch covers v1 frames and the router too.)
 func TestVersionMismatchAnswered(t *testing.T) {
 	srv := startServer(t, Config{Devices: 1})
 	conn, err := net.Dial("tcp", srv.Addr())
@@ -348,11 +349,7 @@ func TestVersionMismatchAnswered(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var raw bytes.Buffer
-	if err := EncodeFrame(&raw, &Frame{Version: Version + 1, Type: MsgPing, ReqID: 77}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(raw.Bytes()); err != nil {
+	if _, err := conn.Write(forgeFrame(Version+1, MsgPing, 77, make([]byte, 8))); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
@@ -369,8 +366,8 @@ func TestVersionMismatchAnswered(t *testing.T) {
 	}
 
 	// Same connection still serves current-version frames.
-	raw.Reset()
-	_ = EncodeFrame(&raw, &Frame{Version: Version, Type: MsgPing, ReqID: 78})
+	var raw bytes.Buffer
+	_ = EncodeFrame(&raw, &Frame{Type: MsgPing, ReqID: 78})
 	if _, err := conn.Write(raw.Bytes()); err != nil {
 		t.Fatal(err)
 	}

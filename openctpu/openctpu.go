@@ -109,20 +109,13 @@ type Context struct {
 
 // Init opens the GPTPU runtime over the given number of Edge TPUs.
 func Init(devices int) *Context {
-	return InitWorkers(devices, 0)
-}
-
-// InitWorkers is Init with an explicit dispatch-engine worker count
-// (0 = one per host core). Worker count only changes real wall-clock
-// dispatch speed, never simulated results.
-func InitWorkers(devices, workers int) *Context {
-	return InitConfig(gptpu.Config{Devices: devices, DispatchWorkers: workers})
+	return InitConfig(gptpu.Config{Devices: devices})
 }
 
 // InitConfig opens the runtime with a full gptpu.Config: the escape
-// hatch for runtime knobs the C API never had, such as fault
-// injection (Config.Fault), retry budgets, and a shared telemetry
-// registry.
+// hatch for runtime knobs the C API never had, such as dispatch
+// workers, fault injection (Config.Fault), retry budgets, and a shared
+// telemetry registry.
 func InitConfig(cfg gptpu.Config) *Context {
 	return &Context{
 		ctx:   gptpu.Open(cfg),

@@ -160,6 +160,9 @@ fi
 echo "obs-smoke: flight dump verified (fault-attributed), trace has request lanes"
 
 echo "obs-smoke: measuring tracing overhead (best of 3, obs on vs off)"
+# The overhead rounds soak longer than the checks above: a ~60 ms soak
+# puts scheduler jitter, not tracing, in the ratio.
+SOAK="-soak-clients 8 -soak-reqs 1000"
 # best_of runs three boot-soak-drain rounds with the given daemon
 # flags and leaves the fastest wall time in BEST. Globals, not a
 # command substitution, for the same PID-stranding reason as above.
