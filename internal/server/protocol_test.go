@@ -39,6 +39,35 @@ func forgeFrame(ver byte, t MsgType, reqID uint64, body []byte) []byte {
 	return append(raw, body...)
 }
 
+// TestLegacyFrameRoundTrip: a retired v1 frame (no trace field) no
+// longer decodes as a request. DecodeFrame reports ErrVersionMismatch
+// with the request ID still readable, consumes exactly that frame, and
+// the v2 frame behind it decodes intact.
+func TestLegacyFrameRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(forgeFrame(1, MsgPing, 99, nil))
+	if err := EncodeFrame(&buf, &Frame{Type: MsgPing, ReqID: 100, TraceID: 0xABCD}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := DecodeFrame(&buf, 0)
+	if !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("v1 frame: want ErrVersionMismatch, got %v", err)
+	}
+	if f == nil || f.Version != 1 || f.ReqID != 99 {
+		t.Fatalf("v1 frame must surface its version and request ID, got %+v", f)
+	}
+	f, err = DecodeFrame(&buf, 0)
+	if err != nil {
+		t.Fatalf("v2 frame after a v1 frame: %v", err)
+	}
+	if f.Version != Version || f.Type != MsgPing || f.ReqID != 100 || f.TraceID != 0xABCD {
+		t.Fatalf("v2 frame after a v1 frame: %+v", f)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes left unread", buf.Len())
+	}
+}
+
 func TestOpRequestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := tensor.RandUniform(rng, 5, 7, -1, 1)

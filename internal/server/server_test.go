@@ -377,6 +377,115 @@ func TestVersionMismatchAnswered(t *testing.T) {
 	}
 }
 
+// TestVersionNegotiation: the client speaks one layout and does not
+// negotiate. A peer answering CodeVersion surfaces ErrVersionMismatch
+// to the caller, and the client never resends the request in another
+// version.
+func TestVersionNegotiation(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	seen := make(chan *Frame, 8)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			f, err := DecodeFrame(conn, 0)
+			if f != nil {
+				seen <- f
+			}
+			if err != nil && !errors.Is(err, ErrVersionMismatch) {
+				return
+			}
+			if EncodeFrame(conn, &Frame{Type: MsgError, ReqID: f.ReqID, Payload: encodeError(CodeVersion, "only v9")}) != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := DialRetry(ln.Addr().String(), RetryPolicy{Max: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a := tensor.New(4, 4)
+	if _, err := c.Gemm(a, a, &CallOpts{NoBatch: true}); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("want ErrVersionMismatch, got %v", err)
+	}
+	if err := c.Ping(); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("ping: want ErrVersionMismatch, got %v", err)
+	}
+	for i, want := range []MsgType{MsgGemm, MsgPing} {
+		f := <-seen
+		if f.Version != Version || f.Type != want {
+			t.Fatalf("frame %d: v%d %s, want v%d %s", i, f.Version, f.Type, Version, want)
+		}
+	}
+	select {
+	case f := <-seen:
+		t.Fatalf("client resent a rejected request: v%d %s", f.Version, f.Type)
+	default:
+	}
+	if n := c.Retries(); n != 0 {
+		t.Fatalf("client retried a version mismatch %d times", n)
+	}
+}
+
+// TestLegacyClientAgainstCurrentServer: a v1 client's GEMM is not
+// served. The daemon answers it with CodeVersion on its own request ID,
+// keeps the connection, and serves the same GEMM sent as v2.
+func TestLegacyClientAgainstCurrentServer(t *testing.T) {
+	srv := startServer(t, Config{Devices: 1})
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+
+	rng := rand.New(rand.NewSource(10))
+	a := tensor.RandUniform(rng, 16, 16, -1, 1)
+	b := tensor.RandUniform(rng, 16, 16, -1, 1)
+	payload := encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b
+
+	if _, err := conn.Write(forgeFrame(1, MsgGemm, 5, payload)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	f, err := DecodeFrame(br, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != MsgError || f.ReqID != 5 {
+		t.Fatalf("v1 GEMM answered with %s on req %d, want an error on req 5", f.Type, f.ReqID)
+	}
+	if code, _, err := decodeError(f.Payload); err != nil || code != CodeVersion {
+		t.Fatalf("v1 GEMM: want CodeVersion, got code %d err %v", code, err)
+	}
+
+	if err := EncodeFrame(conn, &Frame{Type: MsgGemm, ReqID: 6, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = DecodeFrame(br, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != MsgResult || f.ReqID != 6 {
+		t.Fatalf("v2 GEMM answered with %s on req %d", f.Type, f.ReqID)
+	}
+	got, _, err := decodeMatrix(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := tensor.RMSE(blas.NaiveGemm(a, b), got); e > 0.05 {
+		t.Fatalf("gemm RMSE %v", e)
+	}
+}
+
 // TestBadShapeTyped verifies shape mismatches come back as
 // ErrBadRequest without disturbing the daemon.
 func TestBadShapeTyped(t *testing.T) {
