@@ -75,8 +75,10 @@ serve-smoke:
 # sharded daemons behind a gptpu-router on loopback serve mixed soak
 # traffic under a seeded transient-fault plan while one daemon is
 # SIGTERMed mid-soak; the script asserts the aggregate health probe,
-# failover absorption, the membership census and metric families, and
-# trace-ID propagation through the router hop (router and backend
+# failover absorption, the membership census and metric families
+# (among them the router front door's gptpu_cluster_bytes_read_total,
+# whose sample must be non-zero, and gptpu_cluster_bytes_written_total),
+# and trace-ID propagation through the router hop (router and backend
 # flight dumps share IDs).
 cluster-smoke:
 	GO="$(GO)" sh scripts/cluster-smoke.sh

@@ -12,24 +12,21 @@
 // The router speaks the gptpu-serve wire protocol on both sides, so
 // existing clients (and `gptpu-serve -check` / `-soak`) point at the
 // router unchanged. It prints one "listening on <addr>" line once
-// bound and drains gracefully on SIGINT/SIGTERM.
+// bound, drains gracefully on SIGINT/SIGTERM, and dumps its flight
+// recorder to stderr on SIGQUIT — the same process lifecycle as
+// gptpu-serve (server.Process).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -53,18 +50,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	var handler slog.Handler = slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo})
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelInfo})
-	}
-	logger := slog.New(handler)
+	logger := server.NewLogger(*logJSON)
 
 	var rec *obs.Recorder
 	if *obsOn {
 		rec = obs.New(obs.Config{Capacity: *flightN})
 	}
 
-	reg := telemetry.NewRegistry()
 	rt := cluster.New(cluster.Config{
 		Members:       addrs,
 		ShardID:       *shard,
@@ -73,7 +65,6 @@ func main() {
 		DeadStrikes:   *deadStrikes,
 		AffinityCap:   *affinityCap,
 		Retry:         server.RetryPolicy{Max: 1, Base: 5 * time.Millisecond},
-		Metrics:       reg,
 		Obs:           rec,
 		Logger:        logger,
 	})
@@ -83,55 +74,12 @@ func main() {
 	}
 	fmt.Printf("gptpu-router: listening on %s (%d member(s))\n", rt.Addr(), len(addrs))
 
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", reg.Handler())
-		if rec != nil {
-			mux.Handle("/debug/flight", rec.Handler())
-		}
-		ms, err := telemetry.ServeMux(*metricsAddr, mux)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-router: metrics:", err)
-			os.Exit(1)
-		}
-		defer ms.Close()
-		fmt.Printf("gptpu-router: metrics on http://%s/metrics\n", ms.Addr())
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- rt.Serve() }()
-
-	exit := 0
-	select {
-	case s := <-sig:
-		fmt.Printf("gptpu-router: %v, draining\n", s)
-		if err := rt.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-router: drain:", err)
-			os.Exit(1)
-		}
-		if err := <-serveDone; err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-router:", err)
-			os.Exit(1)
-		}
-		fmt.Println("gptpu-router: drained cleanly")
-	case err := <-serveDone:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-router:", err)
-			exit = 1
-		}
-	}
-
-	if rec != nil && *flightDump != "" {
-		if err := writeFlightDump(rec, *flightDump); err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-router: flight-dump:", err)
-			exit = 1
-		} else {
-			fmt.Printf("gptpu-router: flight recorder written to %s\n", *flightDump)
-		}
-	}
-	os.Exit(exit)
+	os.Exit(server.Process{
+		Name:        "gptpu-router",
+		Log:         logger,
+		MetricsAddr: *metricsAddr,
+		FlightDump:  *flightDump,
+	}.Run(rt))
 }
 
 // splitMembers parses the -members list, dropping empty entries so a
@@ -144,17 +92,4 @@ func splitMembers(s string) []string {
 		}
 	}
 	return out
-}
-
-// writeFlightDump persists the flight recorder to path as JSON.
-func writeFlightDump(rec *obs.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

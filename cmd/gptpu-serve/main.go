@@ -43,21 +43,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"math/rand"
-	"net/http"
 	"os"
-	"os/signal"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/blas"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 	"repro/internal/trace"
@@ -89,7 +84,7 @@ func main() {
 	ff.Register(flag.CommandLine)
 	flag.Parse()
 
-	logger := newLogger(*logJSON)
+	logger := server.NewLogger(*logJSON)
 
 	if *flightVerify != "" {
 		os.Exit(runFlightVerify(*flightVerify, *expectFault))
@@ -112,13 +107,11 @@ func main() {
 		rec = obs.New(obs.Config{Capacity: *flightN})
 	}
 
-	reg := telemetry.NewRegistry()
 	srv := server.New(server.Config{
 		Devices:          *devices,
 		DispatchWorkers:  *workers,
 		MaxInFlight:      *maxInFlight,
 		BatchMaxRequests: *batchMax,
-		Metrics:          reg,
 		Fault:            fc,
 		RetryBudget:      *retryBudget,
 		Obs:              rec,
@@ -138,77 +131,13 @@ func main() {
 	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d, batch-max %d)\n",
 		srv.Addr(), srv.Runtime().Core().Config().Devices, *maxInFlight, *batchMax)
 
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", reg.Handler())
-		if rec != nil {
-			mux.Handle("/debug/flight", rec.Handler())
-		}
-		if *pprofOn {
-			telemetry.AttachPprof(mux)
-		}
-		ms, err := telemetry.ServeMux(*metricsAddr, mux)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-serve: metrics:", err)
-			os.Exit(1)
-		}
-		defer ms.Close()
-		fmt.Printf("gptpu-serve: metrics on http://%s/metrics\n", ms.Addr())
-		if *pprofOn {
-			fmt.Printf("gptpu-serve: pprof on http://%s/debug/pprof/\n", ms.Addr())
-		}
-	}
-
-	// SIGQUIT snapshots the flight recorder to stderr without stopping
-	// the daemon — the classic "why is it slow right now" probe.
-	if rec != nil {
-		quit := make(chan os.Signal, 1)
-		signal.Notify(quit, syscall.SIGQUIT)
-		go func() {
-			for range quit {
-				rec.Capture("sigquit")
-				logger.Info("flight dump requested", "signal", "SIGQUIT")
-				if err := rec.WriteJSON(os.Stderr); err != nil {
-					logger.Warn("flight dump failed", "err", err)
-				}
-				fmt.Fprintln(os.Stderr)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve() }()
-
-	exit := 0
-	select {
-	case s := <-sig:
-		fmt.Printf("gptpu-serve: %v, draining\n", s)
-		if err := srv.Shutdown(); err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-serve: drain:", err)
-			os.Exit(1)
-		}
-		if err := <-serveDone; err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-serve:", err)
-			os.Exit(1)
-		}
-		fmt.Println("gptpu-serve: drained cleanly")
-	case err := <-serveDone:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-serve:", err)
-			exit = 1
-		}
-	}
-
-	if rec != nil && *flightDump != "" {
-		if err := writeFlightDump(rec, *flightDump); err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-serve: flight-dump:", err)
-			exit = 1
-		} else {
-			fmt.Printf("gptpu-serve: flight recorder written to %s\n", *flightDump)
-		}
-	}
+	exit := server.Process{
+		Name:        "gptpu-serve",
+		Log:         logger,
+		MetricsAddr: *metricsAddr,
+		Pprof:       *pprofOn,
+		FlightDump:  *flightDump,
+	}.Run(srv)
 	if *tracePath != "" {
 		if err := writeTrace(tl, rec, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-serve: trace:", err)
@@ -218,30 +147,6 @@ func main() {
 		}
 	}
 	os.Exit(exit)
-}
-
-// newLogger builds the daemon's structured logger: text to stderr by
-// default, JSON with -log-json.
-func newLogger(jsonOut bool) *slog.Logger {
-	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
-	if jsonOut {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts))
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts))
-}
-
-// writeFlightDump persists the flight recorder to path as indented
-// JSON.
-func writeFlightDump(rec *obs.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeTrace exports the runtime's virtual-time device timeline

@@ -1,7 +1,10 @@
 // Package cluster is the GPTPU cluster serving layer: a stdlib-only
 // router that fronts N gptpu-serve daemons behind one address,
 // speaking the same wire protocol on both sides (clients need no new
-// code — a router looks exactly like a bigger daemon).
+// code — a router looks exactly like a bigger daemon). Its client side
+// is the daemon's own server.FrontDoor: the router supplies only its
+// aggregate health and the handler that places, forwards and relays
+// an operator frame.
 //
 // The paper's serving model (section 5) shares one host's Edge TPUs
 // among local processes; this layer extends the same
@@ -38,7 +41,6 @@ import (
 	"errors"
 	"io"
 	"log/slog"
-	"net"
 	"sync"
 	"time"
 
@@ -79,26 +81,23 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Router is the cluster front door: accepts client connections, places
-// each operator request on a member by weight affinity, fails over
-// down the rendezvous rank order, and relays the winning reply.
+// Router is the cluster front door: it serves client connections
+// through the daemon's own server.FrontDoor, places each operator
+// request on a member by weight affinity, fails over down the
+// rendezvous rank order, and relays the winning reply.
 type Router struct {
-	cfg Config
-	set *memberSet
-	aff *affinity
-	met *clusterMetrics
-	rec *obs.Recorder
-	log *slog.Logger
+	cfg  Config
+	set  *memberSet
+	aff  *affinity
+	met  *clusterMetrics
+	rec  *obs.Recorder
+	log  *slog.Logger
+	door *server.FrontDoor
 
+	mu        sync.Mutex
 	probeStop chan struct{}
 	probeDone chan struct{}
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	reqWG    sync.WaitGroup
-	connWG   sync.WaitGroup
+	probeOff  bool // Shutdown stopped probing for good
 }
 
 // New builds a router over the configured member addresses. Members
@@ -127,39 +126,23 @@ func New(cfg Config) *Router {
 		cfg.Obs.Export(reg)
 	}
 	r := &Router{
-		cfg:   cfg,
-		set:   newMemberSet(cfg.Members),
-		aff:   newAffinity(cfg.AffinityCap),
-		met:   newClusterMetrics(reg),
-		rec:   cfg.Obs,
-		log:   logger,
-		conns: make(map[net.Conn]struct{}),
+		cfg: cfg,
+		set: newMemberSet(cfg.Members),
+		aff: newAffinity(cfg.AffinityCap),
+		met: newClusterMetrics(reg),
+		rec: cfg.Obs,
+		log: logger,
 	}
+	r.door = server.NewFrontDoor("gptpu_cluster", reg, cfg.Obs, logger, r.health, r.handleRequest)
 	r.updateStateGauges()
 	return r
 }
 
 // Listen binds the router's TCP front door.
-func (r *Router) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.ln = ln
-	r.mu.Unlock()
-	return nil
-}
+func (r *Router) Listen(addr string) error { return r.door.Listen(addr) }
 
 // Addr returns the bound listen address (empty before Listen).
-func (r *Router) Addr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
+func (r *Router) Addr() string { return r.door.Addr() }
 
 // Metrics returns the router's telemetry registry.
 func (r *Router) Metrics() *telemetry.Registry { return r.met.reg }
@@ -171,70 +154,22 @@ func (r *Router) Flight() *obs.Recorder { return r.rec }
 // background health prober (unless ProbeInterval is negative). A
 // graceful shutdown returns nil.
 func (r *Router) Serve() error {
-	r.mu.Lock()
-	ln := r.ln
-	r.mu.Unlock()
-	if ln == nil {
+	if r.Addr() == "" {
 		return errors.New("cluster: Serve before Listen")
 	}
 	r.startProber()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.connWG.Add(1)
-		r.mu.Unlock()
-		go r.handleConn(conn)
-	}
+	return r.door.Serve()
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (r *Router) ListenAndServe(addr string) error {
-	if err := r.Listen(addr); err != nil {
-		return err
-	}
-	return r.Serve()
-}
-
-// Shutdown drains the router: stop probing and accepting, answer new
-// requests with ErrShuttingDown, wait for in-flight routed requests,
-// then close client and member connections. Idempotent.
+// Shutdown drains the router: stop probing; the front door stops
+// accepting, answers new requests with ErrShuttingDown, waits for
+// in-flight routed requests and closes client connections; then the
+// member connections close. Idempotent.
 func (r *Router) Shutdown() error {
-	r.mu.Lock()
-	already := r.draining
-	r.draining = true
-	ln := r.ln
-	r.mu.Unlock()
-	if already {
+	r.stopProber()
+	if !r.door.Drain() {
 		return nil
 	}
-	r.rec.Capture("drain")
-	r.log.Info("router drain started")
-	r.stopProber()
-	if ln != nil {
-		ln.Close()
-	}
-	r.reqWG.Wait()
-	r.mu.Lock()
-	for c := range r.conns {
-		c.Close()
-	}
-	r.mu.Unlock()
-	r.connWG.Wait()
 	for _, m := range r.set.all() {
 		m.mu.Lock()
 		cli := m.cli
@@ -246,6 +181,10 @@ func (r *Router) Shutdown() error {
 	}
 	return nil
 }
+
+// Abort is the chaos hard-kill (server.FrontDoor.Abort): the listener
+// and every client connection drop without a drain.
+func (r *Router) Abort() { r.door.Abort() }
 
 // Snapshot reports every member's current health state (operator
 // introspection and tests).
@@ -264,20 +203,17 @@ func (r *Router) Snapshot() []MemberStatus {
 // AffinitySize returns the live affinity-table entry count.
 func (r *Router) AffinitySize() int { return r.aff.size() }
 
-// health aggregates the router's probe-visible state: draining flag,
-// its own shard identity, and the summed device count of healthy
-// members (the capacity a client of the router actually has).
+// health aggregates the router's probe-visible state: its own shard
+// identity and the summed device count of healthy members (the
+// capacity a client of the router actually has).
 func (r *Router) health() server.HealthInfo {
-	r.mu.Lock()
-	draining := r.draining
-	r.mu.Unlock()
 	devices := 0
 	for _, m := range r.set.all() {
 		if st, _, h := m.snapshot(); st == stateHealthy {
 			devices += h.Devices
 		}
 	}
-	return server.HealthInfo{Draining: draining, ShardID: r.cfg.ShardID, Devices: devices}
+	return server.HealthInfo{ShardID: r.cfg.ShardID, Devices: devices}
 }
 
 // updateStateGauges recomputes the per-state membership census.

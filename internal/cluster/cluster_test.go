@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -111,6 +112,64 @@ func TestRouterEndToEnd(t *testing.T) {
 			t.Fatalf("mean %d: %v", i, err)
 		}
 	}
+}
+
+// TestRouterBytesReconcile: the router forwards each request payload
+// verbatim and relays each reply verbatim, so over failover-free
+// traffic with probing off the bytes its front door reads and writes
+// equal, exactly, the bytes its one member's front door reads and
+// writes. Either owner's writer or reader dropping a frame from its
+// count breaks the equality.
+func TestRouterBytesReconcile(t *testing.T) {
+	d := startDaemon(t, server.Config{Devices: 1, ShardID: "s0"})
+	r := startRouter(t, Config{}, d)
+	c := dialRouter(t, r)
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range []int{4, 16, 48} {
+		a := tensor.RandUniform(rng, n, n, -1, 1)
+		b := tensor.RandUniform(rng, n, n, -1, 1)
+		k := tensor.RandUniform(rng, 3, 3, -1, 1)
+		for _, call := range []func() error{
+			func() error { _, err := c.Gemm(a, b, nil); return err },
+			func() error { _, err := c.Add(a, b, nil); return err },
+			func() error { _, err := c.Sub(a, b, nil); return err },
+			func() error { _, err := c.Mul(a, b, nil); return err },
+			func() error { _, err := c.Conv2D(a, k, nil); return err },
+			func() error { _, err := c.Mean(a, nil); return err },
+			func() error { _, err := c.Max(a, nil); return err },
+		} {
+			if err := call(); err != nil {
+				t.Fatalf("%dx%d: %v", n, n, err)
+			}
+		}
+	}
+	// A reply is counted once its flush returns, which can be after the
+	// client already holds it; the drains wait every handler out.
+	r.Shutdown()
+	d.Shutdown()
+	if f := familyTotal(r.Metrics(), "gptpu_cluster_failovers_total"); f != 0 {
+		t.Fatalf("%v failovers: the traffic was meant to be failover-free", f)
+	}
+	for _, dir := range []string{"read", "written"} {
+		rb := familyTotal(r.Metrics(), "gptpu_cluster_bytes_"+dir+"_total")
+		db := familyTotal(d.Metrics(), "gptpu_serve_bytes_"+dir+"_total")
+		if rb == 0 || rb != db {
+			t.Errorf("bytes %s: router %v, daemon %v — want equal and non-zero", dir, rb, db)
+		}
+	}
+}
+
+// familyTotal sums every sample of one metric family in reg.
+func familyTotal(reg *telemetry.Registry, name string) float64 {
+	total := 0.0
+	for _, fam := range reg.Snapshot() {
+		if fam.Name == name {
+			for _, s := range fam.Samples {
+				total += s.Value
+			}
+		}
+	}
+	return total
 }
 
 // TestRouterHealthAggregate: pinging the router answers with the

@@ -30,7 +30,7 @@ func (r *Router) startProber() {
 		return
 	}
 	r.mu.Lock()
-	if r.probeStop != nil || r.draining {
+	if r.probeStop != nil || r.probeOff {
 		r.mu.Unlock()
 		return
 	}
@@ -54,11 +54,13 @@ func (r *Router) startProber() {
 	}()
 }
 
-// stopProber halts the background probe loop and waits it out.
+// stopProber halts the background probe loop for good and waits it
+// out.
 func (r *Router) stopProber() {
 	r.mu.Lock()
 	stop, done := r.probeStop, r.probeDone
 	r.probeStop, r.probeDone = nil, nil
+	r.probeOff = true
 	r.mu.Unlock()
 	if stop != nil {
 		close(stop)
@@ -108,10 +110,7 @@ func (r *Router) probeMember(m *member) {
 				r.log.Warn("member marked dead by prober", "member", m.addr, "err", res.err.Error())
 			}
 		case res.h.Draining:
-			m.mu.Lock()
-			m.state = stateDraining
-			m.health = res.h
-			m.mu.Unlock()
+			m.markDraining(res.h)
 			r.met.probes.With("draining").Inc()
 		default:
 			prev, _, _ := m.snapshot()

@@ -120,11 +120,14 @@ func (m *member) strike(deadStrikes int) memberState {
 	return m.state
 }
 
-// markDraining records a daemon-reported graceful shutdown: out of the
-// ring, but its in-flight work will complete.
-func (m *member) markDraining() {
+// markDraining records a daemon-reported graceful shutdown, from a
+// probe's health reply or a forward's shutting-down answer: out of the
+// ring without strikes, but its in-flight work will complete. h is the
+// member's health as last reported.
+func (m *member) markDraining(h server.HealthInfo) {
 	m.mu.Lock()
 	m.state = stateDraining
+	m.health = h
 	m.mu.Unlock()
 }
 

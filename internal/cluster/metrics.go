@@ -10,22 +10,22 @@ var routeLatBuckets = telemetry.ExpBuckets(1e-4, 10, 7)
 // clusterMetrics holds the router's telemetry. Same registry
 // discipline as the daemon: one registry, one exporter endpoint, the
 // gptpu_cluster_ prefix keeping router counters distinct from any
-// co-resident daemon's gptpu_serve_ ones.
+// co-resident daemon's gptpu_serve_ ones. The connection gauge and
+// the wire-byte counters belong to the router's server.FrontDoor.
 type clusterMetrics struct {
 	reg *telemetry.Registry
 
-	connections *telemetry.Gauge      // open client connections
-	inflight    *telemetry.Gauge      // requests being routed right now
-	requests    *telemetry.CounterVec // by op
-	replies     *telemetry.CounterVec // by status (ok / error class)
-	forwards    *telemetry.CounterVec // successful backend sends, by member
-	failovers   *telemetry.CounterVec // candidate advances, by reason
-	affHits     *telemetry.Counter    // placements served by the affinity table
-	affRebinds  *telemetry.Counter    // keys that moved members (failover cost)
-	affEvicts   *telemetry.Counter    // FIFO evictions (table at capacity)
-	probes      *telemetry.CounterVec // health probes, by outcome
-	members     *telemetry.GaugeVec   // membership census, by state
-	routeLat    *telemetry.HistogramVec
+	inflight   *telemetry.Gauge      // requests being routed right now
+	requests   *telemetry.CounterVec // by op
+	replies    *telemetry.CounterVec // by status (ok / error class)
+	forwards   *telemetry.CounterVec // successful backend sends, by member
+	failovers  *telemetry.CounterVec // candidate advances, by reason
+	affHits    *telemetry.Counter    // placements served by the affinity table
+	affRebinds *telemetry.Counter    // keys that moved members (failover cost)
+	affEvicts  *telemetry.Counter    // FIFO evictions (table at capacity)
+	probes     *telemetry.CounterVec // health probes, by outcome
+	members    *telemetry.GaugeVec   // membership census, by state
+	routeLat   *telemetry.HistogramVec
 }
 
 func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
@@ -34,8 +34,6 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 	}
 	return &clusterMetrics{
 		reg: reg,
-		connections: reg.Gauge("gptpu_cluster_connections",
-			"Open client connections on the router.").With(),
 		inflight: reg.Gauge("gptpu_cluster_inflight",
 			"Requests currently being routed.").With(),
 		requests: reg.Counter("gptpu_cluster_requests_total",

@@ -125,7 +125,8 @@ func TestAffinityTable(t *testing.T) {
 
 // TestMemberStateMachine: strikes demote healthy → suspect → dead;
 // a successful probe re-admits from any state and resets strikes;
-// draining is reversible the same way.
+// draining — reported by a forward's answer or by a probe's health
+// reply — is reversible the same way.
 func TestMemberStateMachine(t *testing.T) {
 	m := &member{addr: "a:1"}
 	if st, _, _ := m.snapshot(); st != stateHealthy {
@@ -142,13 +143,26 @@ func TestMemberStateMachine(t *testing.T) {
 	if st != stateHealthy || strikes != 0 || h.ShardID != "s1" {
 		t.Fatalf("after readmit: state=%s strikes=%d shard=%q", st, strikes, h.ShardID)
 	}
-	m.markDraining()
+	m.markDraining(serverHealth("s1", 2))
 	if st, _, _ := m.snapshot(); st != stateDraining {
 		t.Fatalf("after markDraining: %s", st)
 	}
 	m.readmit(serverHealth("s1", 2))
 	if st, _, _ := m.snapshot(); st != stateHealthy {
 		t.Fatalf("draining member did not re-admit: %s", st)
+	}
+
+	// A probe reporting a drain records the reply it came with.
+	m.strike(2)
+	probed := serverHealth("s1b", 3)
+	probed.Draining = true
+	m.markDraining(probed)
+	if st, strikes, h := m.snapshot(); st != stateDraining || strikes != 1 || h != probed {
+		t.Fatalf("after a draining probe: state=%s strikes=%d health=%+v", st, strikes, h)
+	}
+	m.readmit(serverHealth("s1", 2))
+	if st, strikes, _ := m.snapshot(); st != stateHealthy || strikes != 0 {
+		t.Fatalf("probe-drained member did not re-admit: %s, %d strikes", st, strikes)
 	}
 }
 
@@ -160,7 +174,7 @@ func TestEligiblePool(t *testing.T) {
 		t.Fatalf("eligible = %d, want 3", len(s.eligible()))
 	}
 	s.all()[0].strike(1) // straight to dead
-	s.all()[1].markDraining()
+	s.all()[1].markDraining(serverHealth("s1", 1))
 	if got := s.eligible(); len(got) != 1 || got[0] != s.all()[2] {
 		t.Fatalf("eligible after demotions = %d members", len(got))
 	}

@@ -1,108 +1,21 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"net"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
 )
 
-// connWriter serializes whole-frame writes from the per-request
-// goroutines sharing one client connection.
-type connWriter struct {
-	mu sync.Mutex
-	bw *bufio.Writer
-}
-
-func (cw *connWriter) send(f *server.Frame) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if err := server.EncodeFrame(cw.bw, f); err != nil {
-		return err
-	}
-	return cw.bw.Flush()
-}
-
-// handleConn runs one client connection's read loop, spawning a
-// goroutine per operator request — the router-side mirror of the
-// daemon's connection handling, so one client connection keeps many
-// routed requests in flight.
-func (r *Router) handleConn(conn net.Conn) {
-	r.met.connections.Add(1)
-	defer func() {
-		r.met.connections.Add(-1)
-		conn.Close()
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		r.connWG.Done()
-	}()
-
-	cw := &connWriter{bw: bufio.NewWriter(conn)}
-	// Frames are pooled. An operator frame belongs to its handleRequest
-	// goroutine, which releases it after the reply is written (every
-	// forward attempt resends its payload); every other frame is
-	// released here, after its reply.
-	fr := server.NewFrameReader(bufio.NewReader(conn))
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			if errors.Is(err, server.ErrVersionMismatch) && f != nil {
-				r.reply(cw, f.ReqID, 0, server.MsgError, server.ErrorPayload(err))
-				f.Release()
-				continue
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				r.log.Warn("dropping client connection on malformed frame", "err", err.Error())
-				r.reply(cw, 0, 0, server.MsgError, server.ErrorPayload(err))
-			}
-			return
-		}
-
-		switch {
-		case f.Type == server.MsgPing:
-			// The router answers probes itself with its aggregate health
-			// — `gptpu-serve -check <router>` works unchanged.
-			r.reply(cw, f.ReqID, f.TraceID, server.MsgPong, server.EncodeHealth(r.health()))
-		case f.Type >= server.MsgGemm && f.Type <= server.MsgMax:
-			r.mu.Lock()
-			if r.draining {
-				r.mu.Unlock()
-				r.reply(cw, f.ReqID, f.TraceID, server.MsgError,
-					server.ErrorPayload(fmt.Errorf("%w: router draining", server.ErrShuttingDown)))
-				break
-			}
-			r.reqWG.Add(1)
-			r.mu.Unlock()
-			go r.handleRequest(cw, f)
-			continue
-		default:
-			r.reply(cw, f.ReqID, f.TraceID, server.MsgError,
-				server.ErrorPayload(fmt.Errorf("%w: unexpected frame type %s", server.ErrBadRequest, f.Type)))
-		}
-		f.Release()
-	}
-}
-
-// reply writes one frame echoing the request's ID and trace ID. Write
-// errors are ignored — the read loop notices a dead connection.
-func (r *Router) reply(cw *connWriter, reqID, traceID uint64, t server.MsgType, payload []byte) {
-	_ = cw.send(&server.Frame{Type: t, ReqID: reqID, TraceID: traceID, Payload: payload})
-}
-
-// handleRequest routes one operator request: derive its placement key,
+// handleRequest is the router's operator-frame handler, which the
+// front door runs on a goroutine per frame: derive the placement key,
 // walk the candidate list, relay the winning reply under the client's
 // request ID.
-func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
-	defer r.reqWG.Done()
+func (r *Router) handleRequest(cw *server.ConnWriter, f *server.Frame) {
 	r.met.inflight.Add(1)
 	arrived := time.Now()
 	op := f.Type
@@ -124,7 +37,7 @@ func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 	// typed error the daemon's decoder would give.
 	dst := time.Now()
 	key, err := server.WireWeightKey(op, f.Payload)
-	rt.ObserveSpan("route_decode", dst, time.Since(dst), "")
+	rt.ObserveSpan(obs.StageRouteDecode, dst, time.Since(dst), "")
 	var resp *server.Frame
 	if err == nil {
 		resp, err = r.forward(key, op, f.Payload, traceID, rt)
@@ -143,7 +56,7 @@ func (r *Router) handleRequest(cw *connWriter, f *server.Frame) {
 // latency, the sealed trace and the in-flight gauge are all settled
 // before it, so a client holding its answer finds the request finished
 // in the router's flight recorder.
-func (r *Router) finishReply(cw *connWriter, reqID, traceID uint64,
+func (r *Router) finishReply(cw *server.ConnWriter, reqID, traceID uint64,
 	op server.MsgType, arrived time.Time, rt *obs.Trace, resp *server.Frame, err error) {
 	status, typ := "ok", server.MsgError
 	var payload []byte
@@ -164,7 +77,7 @@ func (r *Router) finishReply(cw *connWriter, reqID, traceID uint64,
 	r.met.routeLat.With(op.String()).Observe(time.Since(arrived).Seconds())
 	rt.Finish(status)
 	r.met.inflight.Add(-1)
-	r.reply(cw, reqID, traceID, typ, payload)
+	cw.Reply(reqID, traceID, typ, payload)
 }
 
 // candidates orders the members to try for key: the affinity-table
@@ -220,7 +133,7 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 		resp, err := cli.Forward(op, payload, traceID)
 		if err == nil {
 			r.met.forwards.With(m.addr).Inc()
-			rt.ObserveSpan("route_forward", fst, time.Since(fst), m.addr)
+			rt.ObserveSpan(obs.StageRouteForward, fst, time.Since(fst), m.addr)
 			rebound, evicted := r.aff.bind(key, m.addr)
 			if rebound {
 				r.met.affRebinds.Inc()
@@ -230,7 +143,7 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 			}
 			return resp, nil
 		}
-		rt.ObserveSpan("route_forward", fst, time.Since(fst), m.addr)
+		rt.ObserveSpan(obs.StageRouteForward, fst, time.Since(fst), m.addr)
 		switch {
 		case errors.Is(err, server.ErrOverloaded):
 			// The member is healthy, just full: spill to the next rank.
@@ -244,7 +157,9 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 		case errors.Is(err, server.ErrShuttingDown):
 			// The daemon told us itself: out of the ring without strikes,
 			// back on the next successful probe.
-			m.markDraining()
+			_, _, h := m.snapshot()
+			h.Draining = true
+			m.markDraining(h)
 			r.updateStateGauges()
 			r.failover(rt, m, "draining", err)
 			lastErr = err

@@ -36,6 +36,8 @@ import (
 const (
 	StageClientEncode = "client_encode" // client: request frame build
 	StageWire         = "wire"          // client: send → reply wall time
+	StageRouteDecode  = "route_decode"  // router: placement key from the payload
+	StageRouteForward = "route_forward" // router: one forward attempt to a member
 	StageDecode       = "decode"        // server: payload decode + validation
 	StageAdmission    = "admission"     // server: admission-control decision
 	StageBatchWait    = "batch_wait"    // server: from joining the micro-batcher to its reply

@@ -18,15 +18,14 @@ var sizeBuckets = telemetry.ExpBuckets(1, 2, 8)
 // serverMetrics holds the serving layer's telemetry handles. They live
 // in the same registry as the runtime's scheduler and device counters
 // (Server.Metrics), so one -metrics endpoint exports the whole stack.
+// The connection gauge and the wire-byte counters belong to the
+// daemon's FrontDoor.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	connections *telemetry.Gauge      // open client connections
-	inflight    *telemetry.Gauge      // admitted requests being served
-	requests    *telemetry.CounterVec // by op
-	replies     *telemetry.CounterVec // by status (ok / error name)
-	bytesRead   *telemetry.Counter
-	bytesSent   *telemetry.Counter
+	inflight    *telemetry.Gauge        // admitted requests being served
+	requests    *telemetry.CounterVec   // by op
+	replies     *telemetry.CounterVec   // by status (ok / error name)
 	shed        *telemetry.Counter      // admission rejections (ErrOverloaded)
 	deadline    *telemetry.Counter      // requests expired before dispatch
 	queueWait   *telemetry.Histogram    // arrival to dispatch (admission + wait behind a running batch)
@@ -44,18 +43,12 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	}
 	return &serverMetrics{
 		reg: reg,
-		connections: reg.Gauge("gptpu_serve_connections",
-			"Open client connections.").With(),
 		inflight: reg.Gauge("gptpu_serve_inflight",
 			"Requests admitted and currently being served.").With(),
 		requests: reg.Counter("gptpu_serve_requests_total",
 			"Operator requests received, by operator.", "op"),
 		replies: reg.Counter("gptpu_serve_replies_total",
 			"Replies written, by status (ok or error class).", "status"),
-		bytesRead: reg.Counter("gptpu_serve_bytes_read_total",
-			"Wire bytes read from clients (frames incl. headers).").With(),
-		bytesSent: reg.Counter("gptpu_serve_bytes_written_total",
-			"Wire bytes written to clients (frames incl. headers).").With(),
 		shed: reg.Counter("gptpu_serve_shed_total",
 			"Requests shed by the admission controller (ErrOverloaded).").With(),
 		deadline: reg.Counter("gptpu_serve_deadline_expired_total",

@@ -695,10 +695,6 @@ func decodeHealth(payload []byte) (HealthInfo, error) {
 	}, nil
 }
 
-// EncodeHealth renders a MsgPong health payload (exported for the
-// cluster router, which answers probes with its own aggregate health).
-func EncodeHealth(h HealthInfo) []byte { return encodeHealth(h) }
-
 // encodeError renders an error payload.
 func encodeError(code uint16, msg string) []byte {
 	dst := make([]byte, 0, 2+len(msg))

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"sync"
 	"time"
 
 	gptpu "repro"
@@ -63,21 +60,14 @@ const batchMaxElems = 65536
 // Server is the gptpu-serve daemon: one shared runtime context, an
 // admission controller, a GEMM micro-batcher, and a TCP front door.
 type Server struct {
-	cfg Config
-	gx  *gptpu.Context
-	met *serverMetrics
-	adm *admission
-	bat *batcher
-	rec *obs.Recorder
-	log *slog.Logger
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	aborted  bool           // chaos hard-kill: listener dropped without drain
-	reqWG    sync.WaitGroup // in-flight request handlers
-	connWG   sync.WaitGroup // connection read loops
+	cfg  Config
+	gx   *gptpu.Context
+	met  *serverMetrics
+	adm  *admission
+	bat  *batcher
+	rec  *obs.Recorder
+	log  *slog.Logger
+	door *FrontDoor
 }
 
 // New builds a daemon over a fresh shared runtime context.
@@ -105,40 +95,24 @@ func New(cfg Config) *Server {
 		cfg.Obs.Export(reg)
 	}
 	s := &Server{
-		cfg:   cfg,
-		gx:    gx,
-		met:   met,
-		adm:   newAdmission(cfg.MaxInFlight, met),
-		rec:   cfg.Obs,
-		log:   logger,
-		conns: make(map[net.Conn]struct{}),
-		bat:   newBatcher(gx, met, cfg.BatchMaxRequests),
+		cfg: cfg,
+		gx:  gx,
+		met: met,
+		adm: newAdmission(cfg.MaxInFlight, met),
+		rec: cfg.Obs,
+		log: logger,
+		bat: newBatcher(gx, met, cfg.BatchMaxRequests),
 	}
+	s.door = NewFrontDoor("gptpu_serve", reg, cfg.Obs, logger, s.health, s.handleRequest)
 	return s
 }
 
 // Listen binds the daemon's TCP front door (addr like ":8477" or
 // "127.0.0.1:0" for an ephemeral port).
-func (s *Server) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	return nil
-}
+func (s *Server) Listen(addr string) error { return s.door.Listen(addr) }
 
 // Addr returns the bound listen address (empty before Listen).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
+func (s *Server) Addr() string { return s.door.Addr() }
 
 // Metrics returns the registry the daemon and its runtime record
 // into, for the HTTP exporter (telemetry.Serve).
@@ -154,212 +128,37 @@ func (s *Server) Flight() *obs.Recorder { return s.rec }
 
 // Serve accepts connections until Shutdown closes the listener. A
 // graceful shutdown returns nil.
-func (s *Server) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln == nil {
-		return errors.New("server: Serve before Listen")
-	}
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			stopped := s.draining || s.aborted
-			s.mu.Unlock()
-			if stopped {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining || s.aborted {
-			// Accepted as the listener closed: Abort has already swept
-			// the live connections, so this one must not outlive it.
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve() error { return s.door.Serve() }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
-// Shutdown drains the daemon: stop accepting, fail new requests with
-// ErrShuttingDown, wait for in-flight requests (including pending
-// micro-batches) to reply, close connections, then quiesce and retire
-// the shared runtime (Sync + Close — safe even against stragglers,
-// since PR 3 made Close concurrent-safe). Idempotent.
+// Shutdown drains the daemon: the front door stops accepting, fails
+// new requests with ErrShuttingDown, waits for in-flight requests
+// (including pending micro-batches) to reply and closes connections;
+// then the shared runtime quiesces and retires (Sync + Close — safe
+// even against stragglers, since Close is concurrent-safe).
+// Idempotent.
 func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	if already {
+	if !s.door.Drain() {
 		return nil
 	}
-	// Freeze what was in flight at the drain moment: the flight dump's
-	// answer to "what was the daemon doing when it was told to stop".
-	s.rec.Capture("drain")
-	s.log.Info("drain started")
-	if ln != nil {
-		ln.Close()
-	}
-	s.reqWG.Wait()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.connWG.Wait()
 	err := s.gx.Sync()
 	s.gx.Close()
 	return err
 }
 
-// health snapshots the daemon's probe-visible state.
+// Abort is the chaos hard-kill (FrontDoor.Abort): failover tests use
+// it to prove the router re-homes the orphaned requests; the runtime
+// keeps running so a later Shutdown can still retire it cleanly.
+func (s *Server) Abort() { s.door.Abort() }
+
+// health snapshots the daemon's probe-visible identity and capacity.
 func (s *Server) health() HealthInfo {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	return HealthInfo{
-		Draining: draining,
-		ShardID:  s.cfg.ShardID,
-		Devices:  s.gx.Core().Config().Devices,
-	}
-}
-
-// Abort is the chaos hard-kill: drop the listener and every live
-// connection immediately, without draining — in-flight requests lose
-// their replies mid-write, exactly what a SIGKILL'd daemon inflicts on
-// its clients. Failover tests use it to prove the router re-homes the
-// orphaned requests; the runtime itself is left running so a later
-// Shutdown can still retire it cleanly.
-func (s *Server) Abort() {
-	s.mu.Lock()
-	s.aborted = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// connWriter serializes whole-frame writes from the per-request
-// goroutines sharing one connection.
-type connWriter struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	met *serverMetrics
-}
-
-// send writes one frame and flushes.
-func (cw *connWriter) send(f *Frame) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if err := EncodeFrame(cw.bw, f); err != nil {
-		return err
-	}
-	if err := cw.bw.Flush(); err != nil {
-		return err
-	}
-	cw.met.bytesSent.Add(float64(wireLen(f)))
-	return nil
-}
-
-// handleConn runs one connection's read loop, spawning a goroutine
-// per operator request so a single connection can keep many requests
-// in flight (the client multiplexes by request ID).
-func (s *Server) handleConn(conn net.Conn) {
-	s.met.connections.Add(1)
-	defer func() {
-		s.met.connections.Add(-1)
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.connWG.Done()
-	}()
-
-	cw := &connWriter{bw: bufio.NewWriter(conn), met: s.met}
-	// Frames are pooled. An operator frame belongs to its handleRequest
-	// goroutine, which releases it once the operands are decoded; every
-	// other frame is released here, after its reply.
-	fr := NewFrameReader(bufio.NewReader(conn))
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			if errors.Is(err, ErrVersionMismatch) && f != nil {
-				// Answer this request, keep the connection: the length
-				// prefix kept the framing intact.
-				s.reply(cw, f.ReqID, 0, MsgError, encodeError(CodeVersion, err.Error()))
-				f.Release()
-				continue
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				// Malformed framing: the stream position is unknown,
-				// so drop the connection after a best-effort error.
-				s.log.Warn("dropping connection on malformed frame", "err", err.Error())
-				s.reply(cw, 0, 0, MsgError, encodeError(CodeBadRequest, err.Error()))
-			}
-			return
-		}
-		s.met.bytesRead.Add(float64(wireLen(f)))
-
-		switch {
-		case f.Type == MsgPing:
-			// The Pong carries the health payload (drain state, shard
-			// identity, device count).
-			s.reply(cw, f.ReqID, f.TraceID, MsgPong, encodeHealth(s.health()))
-		case f.Type.isOp():
-			s.mu.Lock()
-			if s.draining {
-				s.mu.Unlock()
-				// Typed error replies echo the request's trace ID so the
-				// client can log which request the shutdown bounced.
-				s.reply(cw, f.ReqID, f.TraceID, MsgError, encodeError(CodeShuttingDown, "draining"))
-				break
-			}
-			s.reqWG.Add(1)
-			s.mu.Unlock()
-			go s.handleRequest(cw, f)
-			continue
-		default:
-			s.reply(cw, f.ReqID, f.TraceID, MsgError,
-				encodeError(CodeBadRequest, fmt.Sprintf("unexpected frame type %s", f.Type)))
-		}
-		f.Release()
-	}
-}
-
-// reply writes one frame echoing the request's ID and trace ID. Write
-// errors are ignored — the read loop notices a dead connection.
-func (s *Server) reply(cw *connWriter, reqID, traceID uint64, t MsgType, payload []byte) {
-	_ = cw.send(&Frame{Type: t, ReqID: reqID, TraceID: traceID, Payload: payload})
+	return HealthInfo{ShardID: s.cfg.ShardID, Devices: s.gx.Core().Config().Devices}
 }
 
 // reqCtx carries one request's reply coordinates and trace through
 // the serving path.
 type reqCtx struct {
-	cw      *connWriter
+	cw      *ConnWriter
 	reqID   uint64
 	traceID uint64
 	op      MsgType
@@ -373,8 +172,7 @@ type reqCtx struct {
 // handleRequest serves one operator request end to end: decode,
 // validate, admit (or shed), honor the deadline, execute directly or
 // through the micro-batcher, reply.
-func (s *Server) handleRequest(cw *connWriter, f *Frame) {
-	defer s.reqWG.Done()
+func (s *Server) handleRequest(cw *ConnWriter, f *Frame) {
 	arrived := time.Now()
 	op := f.Type
 	s.met.requests.With(op.String()).Inc()
@@ -496,7 +294,7 @@ func (s *Server) finishReply(rc *reqCtx, m *tensor.Matrix, err error) {
 		s.adm.release()
 	}
 	wst := time.Now()
-	s.reply(rc.cw, rc.reqID, rc.traceID, typ, payload)
+	rc.cw.Reply(rc.reqID, rc.traceID, typ, payload)
 	s.met.replyWrite.Observe(time.Since(wst).Seconds())
 	wb.release()
 }

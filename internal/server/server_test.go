@@ -142,9 +142,9 @@ func TestConcurrentConnectionsMixedOps(t *testing.T) {
 	// The daemon notices closed connections asynchronously; the gauge
 	// must settle back to zero shortly after.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.met.connections.Value() != 0 {
+	for srv.door.connections.Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("connection gauge %v after all clients closed, want 0", srv.met.connections.Value())
+			t.Fatalf("connection gauge %v after all clients closed, want 0", srv.door.connections.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}

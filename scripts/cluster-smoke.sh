@@ -15,8 +15,9 @@
 #      daemon mid-soak — the soak must keep succeeding (draining and
 #      transient answers fail over to the surviving replicas)
 #   6. scrape the router's /metrics: the gptpu_cluster_* families are
-#      live, the membership census shows 2 healthy / 1 dead, and the
-#      failover counter is nonzero
+#      live (wire bytes, connections and in-flight among them), the
+#      membership census shows 2 healthy / 1 dead, and the router's
+#      bytes-read counter is nonzero
 #   7. drain the router and the surviving daemons, verify the router's
 #      flight dump parses, and assert trace-ID propagation: trace IDs
 #      recorded by the router appear in a backend daemon's own flight
@@ -179,12 +180,21 @@ if ! grep -q 'gptpu_cluster_members{state="dead"} 1' "$SCRAPE"; then
 fi
 for family in gptpu_cluster_requests_total gptpu_cluster_replies_total \
     gptpu_cluster_forwards_total gptpu_cluster_failovers_total \
-    gptpu_cluster_probes_total gptpu_cluster_request_seconds; do
+    gptpu_cluster_probes_total gptpu_cluster_request_seconds \
+    gptpu_cluster_bytes_read_total gptpu_cluster_bytes_written_total \
+    gptpu_cluster_connections gptpu_cluster_inflight; do
     if ! grep -q "^$family" "$SCRAPE"; then
         echo "cluster-smoke: /metrics missing $family" >&2
         exit 1
     fi
 done
+# The router serves through the daemon's front door, whose reader
+# counts every frame: after the soak its bytes-read sample is non-zero.
+if ! grep -Eq '^gptpu_cluster_bytes_read_total [1-9]' "$SCRAPE"; then
+    echo "cluster-smoke: router read no wire bytes during the soak" >&2
+    grep '^gptpu_cluster_bytes_read_total' "$SCRAPE" >&2 || true
+    exit 1
+fi
 echo "cluster-smoke: census shows 2 healthy / 1 dead; cluster metric families live"
 
 echo "cluster-smoke: draining router and surviving daemons"
