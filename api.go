@@ -76,6 +76,21 @@ func (x *Context) CreateMatrixBuffer(m *tensor.Matrix) *Buffer {
 // the buffer's raw data.
 func (x *Context) InvalidateBuffer(b *Buffer) { x.c.Invalidate(b) }
 
+// Matrix returns a rows x cols matrix with unspecified contents, for a
+// caller that stores every element before reading any (an operand it
+// rebuilds each iteration). It reuses memory handed back with Release
+// when some fits, the way operator results do; a timing-only context
+// returns a shape-only descriptor.
+func (x *Context) Matrix(rows, cols int) *tensor.Matrix { return x.c.Matrix(rows, cols) }
+
+// Release hands back a matrix the caller is done with (an operator
+// result, or one from Matrix), so the next result or Matrix call that
+// fits reuses its memory instead of allocating. It transfers
+// ownership: do not touch m again, nor any Buffer made from it. Views,
+// nil and timing-only contexts make it a no-op; it charges no virtual
+// time.
+func (x *Context) Release(m *tensor.Matrix) { x.c.Release(m) }
+
 // Op is the operator-invocation handle passed to kernel functions: the
 // typed equivalent of openctpu_invoke_operator. Operators on one Op
 // execute serially; separate tasks execute in parallel.

@@ -193,19 +193,14 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		}
 		// Host: d1/d2 (one log, two sqrts, a few muls per option).
 		core.ChargeHostWork(params.CPUScalarTime(int64(bn) / 4))
-		f1 := tensor.ShapeOnly(bn, PolyDegree+1)
-		f2 := tensor.ShapeOnly(bn, PolyDegree+1)
+		// One feature matrix serves both products: it holds the d1
+		// powers until Phi(d1) returns and is clamped, then the d2
+		// powers.
+		f := ctx.Matrix(bn, PolyDegree+1)
 		if functional {
-			f1 = tensor.New(bn, PolyDegree+1)
-			f2 = tensor.New(bn, PolyDegree+1)
 			for i := 0; i < bn; i++ {
-				o := opts[b0+i]
-				s, k, t, r, v := float64(o.S), float64(o.K), float64(o.T), float64(o.R), float64(o.V)
-				d1 := (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
-				d2 := d1 - v*math.Sqrt(t)
-
-				fillPowers(f1.Row(i), d1)
-				fillPowers(f2.Row(i), d2)
+				d1, _ := dValues(opts[b0+i])
+				fillPowers(f.Row(i), d1)
 			}
 		}
 		// Host: feature expansion (9 multiplies per option per d).
@@ -214,8 +209,20 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		// The polynomial products run at ~16-bit precision (the lo*lo
 		// term of the dual-portion split is negligible at ~1e-5).
 		op := ctx.NewOp()
-		phi1 := op.MatVecPrecise(ctx.CreateMatrixBuffer(f1), polyCoeffs)
-		phi2 := op.MatVecPrecise(ctx.CreateMatrixBuffer(f2), polyCoeffs)
+		phi1 := op.MatVecPrecise(ctx.CreateMatrixBuffer(f), polyCoeffs)
+		if op.Err() != nil {
+			return nil, apps.Metrics{}, op.Err()
+		}
+		if functional {
+			// prices holds Phi(d1) until the final combination.
+			for i := 0; i < bn; i++ {
+				prices[b0+i] = clamp01(phi1[i], f.At(i, 1))
+				_, d2 := dValues(opts[b0+i])
+				fillPowers(f.Row(i), d2)
+			}
+			ctx.Release(tensor.FromSlice(1, bn, phi1))
+		}
+		phi2 := op.MatVecPrecise(ctx.CreateMatrixBuffer(f), polyCoeffs)
 		if op.Err() != nil {
 			return nil, apps.Metrics{}, op.Err()
 		}
@@ -224,14 +231,23 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		if functional {
 			for i := 0; i < bn; i++ {
 				o := opts[b0+i]
-				p1 := clamp01(phi1[i], f1.At(i, 1))
-				p2 := clamp01(phi2[i], f2.At(i, 1))
+				p1 := prices[b0+i]
+				p2 := clamp01(phi2[i], f.At(i, 1))
 
 				prices[b0+i] = o.S*p1 - o.K*float32(math.Exp(-float64(o.R)*float64(o.T)))*p2
 			}
+			ctx.Release(tensor.FromSlice(1, bn, phi2))
 		}
+		ctx.Release(f)
 	}
 	return prices, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
+}
+
+// dValues returns the option's Black-Scholes d1 and d2.
+func dValues(o Option) (d1, d2 float64) {
+	s, k, t, r, v := float64(o.S), float64(o.K), float64(o.T), float64(o.R), float64(o.V)
+	d1 = (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
+	return d1, d1 - v*math.Sqrt(t)
 }
 
 // fillPowers writes the normalized power features 1, t, ..., t^9 with

@@ -95,14 +95,9 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 	}
 	op := ctx.NewOp()
 	params := ctx.Core().Params()
-	// Storage for the two broadcast operands of the within-panel
-	// reductions, shared by every pivot step: each step's buffers are
-	// done with the data once its Mul returns.
-	var mulStore [2][]float32
-	if functional {
-		mulStore[0] = make([]float32, (panelSize-1)*(n+1))
-		mulStore[1] = make([]float32, (panelSize-1)*(n+1))
-	}
+	// Every operand and product below is handed back to the context
+	// once its Mul or Gemm has returned and been subtracted, so the next
+	// step's matrices reuse the memory.
 
 	for k0 := 0; k0 < n-1; k0 += panelSize {
 		kEnd := k0 + panelSize
@@ -124,11 +119,8 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 			if pr <= 0 {
 				break
 			}
-			mulA := tensor.ShapeOnly(pr, pc)
-			mulB := tensor.ShapeOnly(pr, pc)
+			mulA, mulB := ctx.Matrix(pr, pc), ctx.Matrix(pr, pc)
 			if functional {
-				mulA = tensor.FromSlice(pr, pc, mulStore[0])
-				mulB = tensor.FromSlice(pr, pc, mulStore[1])
 				rowK := work.Row(k)[k:]
 				for i := 0; i < pr; i++ {
 					f := work.At(k+1+i, k) / work.At(k, k)
@@ -153,6 +145,9 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 					trail.Set(i, 0, 0)
 				}
 			}
+			for _, m := range []*tensor.Matrix{mulA, mulB, prod} {
+				ctx.Release(m)
+			}
 			ctx.Core().ChargeHostWork(params.AggTime(int64(pr) * int64(pc)))
 		}
 		if rem <= 0 {
@@ -162,8 +157,8 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 		// Trailing block: the rank-p update accumulated over the panel
 		// applies as one tpuGemm (L: rem x p multipliers, U: p x cols
 		// pivot rows) plus the host-side subtraction.
-		elim := allocMat(rem, p, functional)    // multipliers L
-		pivots := allocMat(p, cols, functional) // pivot rows U
+		elim := ctx.Matrix(rem, p)    // multipliers L
+		pivots := ctx.Matrix(p, cols) // pivot rows U
 		if functional {
 			for i := 0; i < rem; i++ {
 				row := elim.Row(i)
@@ -202,17 +197,12 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 				}
 			}
 		}
+		for _, m := range []*tensor.Matrix{elim, pivots, prod} {
+			ctx.Release(m)
+		}
 		ctx.Core().ChargeHostWork(params.AggTime(int64(rem) * int64(cols)))
 	}
 	return work, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
-}
-
-// allocMat allocates a functional matrix or a shape-only descriptor.
-func allocMat(rows, cols int, functional bool) *tensor.Matrix {
-	if functional {
-		return tensor.New(rows, cols)
-	}
-	return tensor.ShapeOnly(rows, cols)
 }
 
 // RunGPU charges the GPU implementation (FP16 on the RTX per section

@@ -39,42 +39,7 @@ func TestAppGoldens(t *testing.T) {
 		"gaussian":     {0x947eb7845b08302, 17608783},
 		"blackscholes": {0x85a6293c88449200, 2142236},
 	}
-	vec := func(v []float32) []*tensor.Matrix { return []*tensor.Matrix{tensor.FromSlice(1, len(v), v)} }
-	run := map[string]func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error){
-		"pagerank": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
-			cfg := pagerank.Config{N: 300, Iters: 4, Seed: 3}
-			r, m, err := pagerank.RunTPU(ctx, cfg, cfg.Generate())
-			return vec(r), m, err
-		},
-		"hotspot3d": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
-			cfg := hotspot3d.Config{N: 100, Layers: 3, Iters: 2, Seed: 3}
-			temp, power := cfg.Generate()
-			return hotspot3d.RunTPU(ctx, cfg, temp, power)
-		},
-		"backprop": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
-			cfg := backprop.Config{Batch: 96, In: 80, Hidden: 72, Seed: 3}
-			r, m, err := backprop.RunTPU(ctx, cfg, cfg.Generate())
-			if err != nil {
-				return nil, m, err
-			}
-			return []*tensor.Matrix{r.W1, r.W2}, m, nil
-		},
-		"lud": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
-			cfg := lud.Config{N: 160, Seed: 3}
-			r, m, err := lud.RunTPU(ctx, cfg, cfg.Generate())
-			return []*tensor.Matrix{r}, m, err
-		},
-		"gaussian": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
-			cfg := gaussian.Config{N: 150, Seed: 3}
-			r, m, err := gaussian.RunTPU(ctx, cfg, cfg.Generate())
-			return []*tensor.Matrix{r}, m, err
-		},
-		"blackscholes": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
-			cfg := blackscholes.Config{N: 5000, Seed: 3}
-			r, m, err := blackscholes.RunTPU(ctx, cfg, cfg.Generate())
-			return vec(r), m, err
-		},
-	}
+	run := goldenApps()
 	for name, w := range want {
 		t.Run(name, func(t *testing.T) {
 			ctx := gptpu.Open(gptpu.Config{Devices: 2})
@@ -99,5 +64,46 @@ func TestAppGoldens(t *testing.T) {
 				t.Errorf("%s: {%#x, %d}, want {%#x, %d}", name, got.sum, got.virtual, w.sum, w.virtual)
 			}
 		})
+	}
+}
+
+// goldenApps binds the six non-GEMM applications to the small seeded
+// configurations TestAppGoldens pins; every run generates its input.
+func goldenApps() map[string]func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+	vec := func(v []float32) []*tensor.Matrix { return []*tensor.Matrix{tensor.FromSlice(1, len(v), v)} }
+	return map[string]func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error){
+		"pagerank": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+			cfg := pagerank.Config{N: 300, Iters: 4, Seed: 3}
+			r, m, err := pagerank.RunTPU(ctx, cfg, cfg.Generate())
+			return vec(r), m, err
+		},
+		"hotspot3d": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+			cfg := hotspot3d.Config{N: 100, Layers: 3, Iters: 2, Seed: 3}
+			temp, power := cfg.Generate()
+			return hotspot3d.RunTPU(ctx, cfg, temp, power)
+		},
+		"backprop": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+			cfg := backprop.Config{Batch: 96, In: 80, Hidden: 72, Seed: 3}
+			r, m, err := backprop.RunTPU(ctx, cfg, cfg.Generate())
+			if r == nil { // an error, or a timing-only run
+				return nil, m, err
+			}
+			return []*tensor.Matrix{r.W1, r.W2}, m, nil
+		},
+		"lud": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+			cfg := lud.Config{N: 160, Seed: 3}
+			r, m, err := lud.RunTPU(ctx, cfg, cfg.Generate())
+			return []*tensor.Matrix{r}, m, err
+		},
+		"gaussian": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+			cfg := gaussian.Config{N: 150, Seed: 3}
+			r, m, err := gaussian.RunTPU(ctx, cfg, cfg.Generate())
+			return []*tensor.Matrix{r}, m, err
+		},
+		"blackscholes": func(ctx *gptpu.Context) ([]*tensor.Matrix, apps.Metrics, error) {
+			cfg := blackscholes.Config{N: 5000, Seed: 3}
+			r, m, err := blackscholes.RunTPU(ctx, cfg, cfg.Generate())
+			return vec(r), m, err
+		},
 	}
 }

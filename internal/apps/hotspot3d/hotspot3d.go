@@ -169,63 +169,62 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, temp, power []*tensor.Matrix
 	return temp, apps.Metrics{Elapsed: cpu.Elapsed(), Energy: cpu.Energy()}
 }
 
-// padForAnchor returns the grid padded with a one-cell ambient border
-// on top/left (and bottom/right so the anchored conv covers the full
-// centered window).
-func padForAnchor(m *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(m.Rows+2, m.Cols+2)
+// padInto writes m into out, (m.Rows+2) x (m.Cols+2), with a one-cell
+// ambient border on top/left (and bottom/right so the anchored conv
+// covers the full centered window).
+func padInto(out, m *tensor.Matrix) {
 	out.Fill(ambient)
 	for r := 0; r < m.Rows; r++ {
 		copy(out.Row(r + 1)[1:1+m.Cols], m.Row(r))
 	}
-	return out
 }
 
 // RunTPU executes the GPTPU implementation: per layer per iteration
 // one 3x3 conv2D instruction stream; vertical coupling and power
 // injection fold into the host aggregation pass that GPTPU already
 // performs for downloaded results.
+//
+// Each iteration pads the grids into fresh buffers (fresh identities),
+// so quantization and transfer costs recur every round. The grids
+// live in memory recycled through the context: a pad goes back once
+// its conv returns, a conv result once its layer is folded, and the
+// previous iteration's grids once the next ones exist (the caller's
+// input never). In timing-only mode Matrix is shape-only, so no grid
+// is materialized at all.
 func RunTPU(ctx *gptpu.Context, cfg Config, temp, power []*tensor.Matrix) ([]*tensor.Matrix, apps.Metrics, error) {
 	nz := cfg.layers()
 	kb := ctx.CreateMatrixBuffer(stencilKernel())
 	functional := ctx.Core().Functional()
-	// Timing-only runs share one padded zero grid; each iteration
-	// still creates fresh buffers (fresh identities), so quantization
-	// and transfer costs recur exactly as they do functionally.
-	var shared *tensor.Matrix
-	if !functional {
-		shared = tensor.New(cfg.N+2, cfg.N+2)
-	}
 	op := ctx.NewOp()
 	cpuAgg := func(elems int64) {
 		// Host-side vertical + power fold: ~4 flops per point.
 		ctx.Core().ChargeHostWork(ctx.Core().Params().AggTime(elems * 2))
 	}
+	pads := make([]*tensor.Matrix, nz)
+	bufs := make([]*gptpu.Buffer, nz)
+	conv := make([]*tensor.Matrix, nz)
 	for it := 0; it < cfg.iters(); it++ {
-		conv := make([]*tensor.Matrix, nz)
-		bufs := make([]*gptpu.Buffer, nz)
 		for z := 0; z < nz; z++ {
+			pads[z] = ctx.Matrix(cfg.N+2, cfg.N+2)
 			if functional {
-				bufs[z] = ctx.CreateMatrixBuffer(padForAnchor(temp[z]))
-			} else {
-				bufs[z] = ctx.CreateMatrixBuffer(shared)
+				padInto(pads[z], temp[z])
 			}
+			bufs[z] = ctx.CreateMatrixBuffer(pads[z])
 		}
 		for z := 0; z < nz; z++ {
 			// Anchored conv over the padded grid computes the centered
-			// 3x3 weighted average for every interior point.
-			full := op.Conv2D(bufs[z], kb)
+			// 3x3 weighted average for every interior point: the top-left
+			// N x N of the result.
+			conv[z] = op.Conv2D(bufs[z], kb)
 			if op.Err() != nil {
 				return nil, apps.Metrics{}, op.Err()
 			}
-			if functional {
-				conv[z] = full.View(0, 0, cfg.N, cfg.N)
-			}
+			ctx.Release(pads[z])
 		}
 		if functional {
 			next := make([]*tensor.Matrix, nz)
 			for z := 0; z < nz; z++ {
-				o := tensor.New(cfg.N, cfg.N)
+				o := ctx.Matrix(cfg.N, cfg.N)
 				for r := 0; r < cfg.N; r++ {
 					for c := 0; c < cfg.N; c++ {
 						acc := float64(conv[z].At(r, c))
@@ -240,7 +239,13 @@ func RunTPU(ctx *gptpu.Context, cfg Config, temp, power []*tensor.Matrix) ([]*te
 						o.Set(r, c, float32(acc))
 					}
 				}
+				ctx.Release(conv[z])
 				next[z] = o
+			}
+			if it > 0 {
+				for _, g := range temp {
+					ctx.Release(g)
+				}
 			}
 			temp = next
 		}

@@ -112,6 +112,11 @@ type Context struct {
 
 	plans sync.Pool // *plan: instruction-plan storage, recycled by collect
 
+	// free is the list Release fills and Matrix draws from, at most
+	// maxFreeResults compact float32 matrices the caller handed back.
+	freeMu sync.Mutex
+	free   []*tensor.Matrix
+
 	mu sync.Mutex
 	// affinity is the scheduler's placement memory, one table per task
 	// ID: an entry can only ever match instructions of the task that
@@ -212,9 +217,13 @@ func (c *Context) engine() *engine {
 // including concurrently with in-flight submits: instructions already
 // queued finish charging before Close returns, and operators whose
 // submissions lose the race fail with ErrClosed instead of panicking
-// the worker pool (what gptpu-serve's shutdown drain relies on).
+// the worker pool (what gptpu-serve's shutdown drain relies on). It
+// also drops the free list of released matrices.
 func (c *Context) Close() {
 	c.engine().close()
+	c.freeMu.Lock()
+	c.free = nil
+	c.freeMu.Unlock()
 }
 
 // Reset rewinds virtual time and scheduler state (buffers keep their
@@ -422,8 +431,14 @@ var ErrBadInput = errors.New("core: non-finite input data")
 // analyze walks the buffer's host data once, recording its
 // quantization calibration and poisoning the buffer with ErrBadInput
 // when it holds a NaN or ±Inf (shape-only matrices pass: they carry no
-// values).
-func (b *Buffer) analyze() {
+// values). A timing-only context reads no element data: its charges
+// never depend on values, so every buffer gets what a shape-only one
+// does.
+func (b *Buffer) analyze(functional bool) {
+	if !functional {
+		b.calib, b.extent, b.invalid = quant.Params{Scale: 1}, quant.Extent{}, nil
+		return
+	}
 	var finite bool
 	b.calib, b.extent, finite = quant.Analyze(b.M)
 	b.invalid = nil
@@ -442,15 +457,16 @@ func (b *Buffer) calibration() quant.Params {
 
 // NewBuffer registers host data with the runtime. The data is not
 // copied; the caller must not mutate it while operators are in
-// flight. Use Invalidate after intentional mutation. Data containing
-// NaN or ±Inf yields a poisoned buffer: every operator consuming it
-// fails its stream with ErrBadInput.
+// flight. Use Invalidate after intentional mutation. In a functional
+// context, data containing NaN or ±Inf yields a poisoned buffer: every
+// operator consuming it fails its stream with ErrBadInput. A
+// timing-only context never reads the data.
 func (c *Context) NewBuffer(m *tensor.Matrix) *Buffer {
 	if m == nil {
 		panic("core: NewBuffer(nil)")
 	}
 	b := &Buffer{M: m, key: c.nextKey()}
-	b.analyze()
+	b.analyze(c.Functional())
 	return b
 }
 
@@ -471,7 +487,7 @@ func (c *Context) Invalidate(b *Buffer) {
 	b.derivedForms = nil
 	b.hi, b.lo = nil, nil
 	b.key = c.nextKey()
-	b.analyze()
+	b.analyze(c.Functional())
 	b.mu.Unlock()
 }
 

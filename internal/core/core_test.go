@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/quant"
@@ -563,6 +565,23 @@ func TestDeviceCount(t *testing.T) {
 		}
 	}()
 	NewContext(Config{Devices: -1})
+}
+
+// TestZeroDevicePanics: a negative device count is a programming
+// error, not a request for the default; NewContext panics and names
+// the count.
+func TestZeroDevicePanics(t *testing.T) {
+	for _, n := range []int{-1, -8} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprint(n)) {
+					t.Errorf("Devices %d: panic %q, want one naming the count", n, msg)
+				}
+			}()
+			NewContext(Config{Devices: n})
+		}()
+	}
 }
 
 func TestMatMulPreciseBeatsPlain(t *testing.T) {

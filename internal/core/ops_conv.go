@@ -31,7 +31,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)
 	ready := maxDur(readyA, readyK)
 
-	out := allocResult(c, a.Rows(), a.Cols())
+	out := c.Matrix(a.Rows(), a.Cols())
 	tile := isa.ArithTile
 	haloR, haloC := kernel.Rows()-1, kernel.Cols()-1
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
@@ -116,7 +116,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 
 	outRows := (a.Rows() + strideR - 1) / strideR
 	outCols := (a.Cols() + strideC - 1) / strideC
-	out := allocResult(c, outRows, outCols)
+	out := c.Matrix(outRows, outCols)
 
 	divisor := requantDivisor(absSum(kq.q) * oa.max)
 	div, dq := quant.NewDivider(divisor), float32(divisor)/(oa.p.Scale*kq.p.Scale)

@@ -160,12 +160,13 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 	// dequantization.
 	s.finish(end, c.params.AggTime(int64(m)*int64(colTiles))+c.params.QuantTime(int64(m)))
 
-	out := make([]float32, m)
-	if c.Functional() {
-		inv := 1 / (float64(oa.p.Scale) * float64(sx))
-		for i, v := range acc {
-			out[i] = float32(float64(v) * inv)
-		}
+	if !c.Functional() {
+		return make([]float32, m)
+	}
+	out := c.Matrix(1, m).Data
+	inv := 1 / (float64(oa.p.Scale) * float64(sx))
+	for i, v := range acc {
+		out[i] = float32(float64(v) * inv)
 	}
 	return out
 }
@@ -205,7 +206,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 	rowTiles := (m + tile - 1) / tile
 	colTiles := (n + tile - 1) / tile
 
-	out := allocResult(c, m, k)
+	out := c.Matrix(m, k)
 	pl := s.plan(rowTiles * k)
 	inputs := make([]inputRef, 0, colTiles+1) // staging, copied into the plan's arena
 	for j := 0; j < k; j++ {
@@ -318,7 +319,7 @@ func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
 	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	ob, readyB := c.ensureQuantized(b, s.now, s.taskID)
 
-	out := allocResult(c, m, k)
+	out := c.Matrix(m, k)
 
 	// Chunk geometry is hoisted above the segment loop and shared by
 	// every segment (sized for the largest segment's padded block n2max,

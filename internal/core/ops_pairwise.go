@@ -81,7 +81,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 	divisor := requantDivisor(bound)
 	div, dq := quant.NewDivider(divisor), float32(divisor)/scale
 
-	out := allocResult(c, a.Rows(), a.Cols())
+	out := c.Matrix(a.Rows(), a.Cols())
 	tile := isa.TileFor(op)
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
 	pl := s.plan(len(spans))
@@ -173,7 +173,7 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 	defer s.opTimer(op.String())()
 	c := s.c
 	oa, ready := c.ensureQuantized(a, s.now, s.taskID)
-	out := allocResult(c, a.Rows(), a.Cols())
+	out := c.Matrix(a.Rows(), a.Cols())
 	tile := isa.TileFor(op)
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
 	pl := s.plan(len(spans))
@@ -428,22 +428,6 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 		return tensor.ShapeOnly(rows, cols)
 	}
 	return out
-}
-
-// allocResult returns the matrix an operator computes its functional
-// result into, or a shape-only descriptor in timing-only mode
-// (paper-scale sweeps must not materialize gigabyte outputs). The
-// contents are unspecified — every operator stores every element — and
-// the matrix is the caller's: the runtime never recycles a result
-// itself, but a caller that is its only reader (the serving daemon,
-// once the reply is encoded) may hand it to tensor.PutF32, and the
-// next result of that size then reuses the memory. GetF32Exact keeps
-// callers that never do so from paying for more than their result.
-func allocResult(c *Context, rows, cols int) *tensor.Matrix {
-	if !c.Functional() {
-		return tensor.ShapeOnly(rows, cols)
-	}
-	return tensor.GetF32Exact(rows, cols)
 }
 
 func maxDur(a, b timing.Duration) timing.Duration {

@@ -35,7 +35,9 @@ func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
 	aHi, aLo := c.portions(a)
 	bHi, bLo := c.portions(b)
 
-	out := s.MatMul(aHi, bHi) // the sum accumulates into the first product
+	// The sum accumulates into the first product; the other two go back
+	// to the context's free list.
+	out := s.MatMul(aHi, bHi)
 	hl := s.MatMul(aHi, bLo)
 	lh := s.MatMul(aLo, bHi)
 	if s.err != nil {
@@ -45,6 +47,8 @@ func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
 		for i := range out.Data {
 			out.Data[i] = out.Data[i] + hl.Data[i] + lh.Data[i]
 		}
+		c.Release(hl)
+		c.Release(lh)
 	}
 	// Host combination of the three wide partial products.
 	end := c.chargeHost(s.now, c.params.AggTime(2*int64(out.Elems())))
@@ -78,7 +82,9 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 		v := tensor.FromSlice(1, len(x), x)
 		xHi, xLo = quant.SplitQuantize(v, quant.ParamsFor(v))
 	}
-	out := s.matVec(hi, xHi, len(x)) // the sum accumulates into the first product
+	// The sum accumulates into the first product; the other two go back
+	// to the context's free list.
+	out := s.matVec(hi, xHi, len(x))
 	hl := s.matVec(hi, xLo, len(x))
 	lh := s.matVec(lo, xHi, len(x))
 	if s.err != nil {
@@ -88,6 +94,8 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 		for i := range out {
 			out[i] = out[i] + hl[i] + lh[i]
 		}
+		c.Release(tensor.FromSlice(1, len(hl), hl))
+		c.Release(tensor.FromSlice(1, len(lh), lh))
 	}
 	c.ChargeHostWork(c.params.AggTime(int64(a.Rows())))
 	return out

@@ -195,6 +195,25 @@ func TestFaultCapture(t *testing.T) {
 	}
 }
 
+// TestNoFaultCapture: no setting turns fault captures off. At every
+// Config a fault-annotated event freezes a capture, and an explicit
+// Capture inside the fault rate limit's gap is still taken.
+func TestNoFaultCapture(t *testing.T) {
+	for _, cfg := range []Config{{}, {Capacity: 1}} {
+		r := New(cfg)
+		tr := r.Start(0, 1, "gemm")
+		tr.ObserveEvent("device_lost", "", true)
+		if d := r.Dump(); len(d.Captures) != 1 || d.Captures[0].Reason != "fault:device_lost" {
+			t.Fatalf("%+v: fault event took %d captures, want 1", cfg, len(d.Captures))
+		}
+		r.Capture("drain")
+		if d := r.Dump(); len(d.Captures) != 2 {
+			t.Fatalf("%+v: explicit Capture after a fault capture was suppressed", cfg)
+		}
+		tr.Finish("ok")
+	}
+}
+
 // TestValidateRejects: Validate must flag the corruptions it claims
 // to catch.
 func TestValidateRejects(t *testing.T) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"net"
 	"strings"
 	"testing"
@@ -66,9 +67,40 @@ func TestHealthMalformedPong(t *testing.T) {
 	}
 }
 
+// TestHealthLegacyReply: a Pong in a retired v1 frame fails
+// Client.Health, even when its payload is a well-formed health report:
+// the client speaks one frame layout, and a peer that answers in
+// another is not a healthy member.
+func TestHealthLegacyReply(t *testing.T) {
+	payload := encodeHealth(HealthInfo{ShardID: "old", Devices: 1})
+	addr := replyServer(t, func(reqID uint64) []byte { return forgeFrame(1, MsgPong, reqID, payload) })
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if h, err := c.Health(); err == nil {
+		t.Fatalf("Health accepted a v1 Pong as %+v", h)
+	}
+}
+
 // pongServer answers every frame on one connection with a Pong
 // carrying payload.
 func pongServer(t *testing.T, payload []byte) string {
+	t.Helper()
+	var buf bytes.Buffer
+	return replyServer(t, func(reqID uint64) []byte {
+		buf.Reset()
+		if EncodeFrame(&buf, &Frame{Type: MsgPong, ReqID: reqID, Payload: payload}) != nil {
+			return nil
+		}
+		return buf.Bytes()
+	})
+}
+
+// replyServer answers every frame on one connection with the raw bytes
+// reply returns for its request ID.
+func replyServer(t *testing.T, reply func(reqID uint64) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -86,7 +118,7 @@ func pongServer(t *testing.T, payload []byte) string {
 			if err != nil {
 				return
 			}
-			if EncodeFrame(conn, &Frame{Type: MsgPong, ReqID: f.ReqID, Payload: payload}) != nil {
+			if _, err := conn.Write(reply(f.ReqID)); err != nil {
 				return
 			}
 		}

@@ -26,8 +26,10 @@ import (
 //     code, cached, encoded) is simply dropped and collected normally.
 //     For float32 matrices that is the rule, not the exception:
 //     anything retained (a batch group's weights, a cached weight
-//     buffer) or handed to a caller outside the owning package (Op.*
-//     and Client.Call results) is never Put.
+//     buffer) or decoded for a caller outside the owning package
+//     (Client.Call results) is never Put. A library caller done with
+//     an operator result hands it to its context's free list with
+//     Context.Release (internal/core), not to these pools.
 //   - Only compact matrices recycle. Put on a view (Stride != Cols) or
 //     on a matrix whose backing array is not pool-shaped (capacity not
 //     a power of two in the pooled range) is a silent no-op, so callers
