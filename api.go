@@ -212,9 +212,8 @@ func (x *Context) NewOp() *Op { return &Op{s: x.c.NewStream()} }
 
 // Metrics returns the runtime telemetry registry: scheduler counters
 // (affinity hits, FCFS fallbacks, device-lost retries), Tensorizer
-// cache and encode statistics, per-instruction and per-operator
-// virtual-latency histograms, and per-device transfer/residency
-// counters. Snapshot it with WritePrometheus or WriteJSON, or expose
+// cache statistics, per-operator virtual-latency histograms, and
+// per-device transfer/residency counters. Snapshot it with WritePrometheus or WriteJSON, or expose
 // it over HTTP with ServeMetrics.
 func (x *Context) Metrics() *telemetry.Registry { return x.c.Metrics() }
 

@@ -2,19 +2,24 @@
 // machine topology of paper section 3.1 (up to 8 M.2 Edge TPUs behind
 // quad-device PCIe switch cards), the power model, the calibrated
 // cost-model constants with their provenance, and the catalog of
-// telemetry metrics the runtime exports (-catalog for just that).
+// telemetry metrics a daemon and a router export (-catalog for just
+// that).
 package main
 
 import (
 	"flag"
 	"fmt"
-
 	"os"
-	gptpu "repro"
+	"strings"
+
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/pcie"
+	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/timing"
 )
 
@@ -24,7 +29,7 @@ func main() {
 	flag.Parse()
 
 	if *catalogOnly {
-		printCatalog(*devices)
+		printCatalog()
 		return
 	}
 
@@ -56,24 +61,30 @@ func main() {
 	fmt.Println()
 	bench.Table6(bench.Opts{}).Fprint(os.Stdout)
 	fmt.Println()
-	printCatalog(*devices)
+	printCatalog()
 }
 
-// printCatalog opens a context over the requested device count and
-// lists every metric family its telemetry registry exports: name,
-// type, label dimensions, and help string.
-func printCatalog(devices int) {
-	ctx := gptpu.Open(gptpu.Config{Devices: devices, TimingOnly: true})
+// catalog lists every metric family a deployment exports, sorted by
+// name: a daemon (runtime, devices, serving, front door, flight
+// recorder) and a router (cluster, front door, flight recorder) built
+// over one registry. README's metrics runbook has one row per family,
+// and a test holds the two equal.
+func catalog() []telemetry.Desc {
+	reg := telemetry.NewRegistry()
+	server.New(server.Config{Metrics: reg, Obs: obs.New(obs.Config{})})
+	cluster.New(cluster.Config{ProbeInterval: -1, Metrics: reg, Obs: obs.New(obs.Config{})})
+	return reg.Catalog()
+}
+
+// printCatalog lists every exported metric family: name, label
+// dimensions, type and help string.
+func printCatalog() {
 	fmt.Println("Telemetry metric catalog (Prometheus names)")
-	for _, d := range ctx.Metrics().Catalog() {
+	for _, d := range catalog() {
 		name := d.Name
 		if len(d.Labels) > 0 {
-			name += "{" + d.Labels[0]
-			for _, l := range d.Labels[1:] {
-				name += "," + l
-			}
-			name += "}"
+			name += "{" + strings.Join(d.Labels, ",") + "}"
 		}
-		fmt.Printf("  %-44s %-9s %s\n", name, d.Type, d.Help)
+		fmt.Printf("  %-48s %-9s %s\n", name, d.Type, d.Help)
 	}
 }

@@ -185,23 +185,9 @@ func TestPoolOwnershipHammer(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	var resends, batches float64
-	for _, fam := range r.Metrics().Snapshot() {
-		if fam.Name == "gptpu_cluster_failovers_total" {
-			for _, s := range fam.Samples {
-				resends += s.Value
-			}
-		}
-	}
-	for _, d := range []*server.Server{flaky, steady} {
-		for _, fam := range d.Metrics().Snapshot() {
-			if fam.Name == "gptpu_serve_batches_total" {
-				for _, s := range fam.Samples {
-					batches += s.Value
-				}
-			}
-		}
-	}
+	resends := familyTotal(r.Metrics(), "gptpu_cluster_failovers_total")
+	batches := familyTotal(flaky.Metrics(), "gptpu_serve_batches_total") +
+		familyTotal(steady.Metrics(), "gptpu_serve_batches_total")
 	if resends == 0 {
 		t.Error("no request was failed over: the resend of a pooled payload went unexercised")
 	}

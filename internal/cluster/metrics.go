@@ -22,7 +22,6 @@ type clusterMetrics struct {
 	failovers  *telemetry.CounterVec // candidate advances, by reason
 	affHits    *telemetry.Counter    // placements served by the affinity table
 	affRebinds *telemetry.Counter    // keys that moved members (failover cost)
-	affEvicts  *telemetry.Counter    // FIFO evictions (table at capacity)
 	probes     *telemetry.CounterVec // health probes, by outcome
 	members    *telemetry.GaugeVec   // membership census, by state
 	routeLat   *telemetry.HistogramVec
@@ -48,8 +47,6 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 			"Placements answered by the weight-affinity table (warm-weight member preferred over pure rendezvous rank).").With(),
 		affRebinds: reg.Counter("gptpu_cluster_affinity_rebinds_total",
 			"Affinity entries that moved to a different member (a key's weights went cold on failover).").With(),
-		affEvicts: reg.Counter("gptpu_cluster_affinity_evictions_total",
-			"Affinity entries evicted by the FIFO capacity bound.").With(),
 		probes: reg.Counter("gptpu_cluster_probes_total",
 			"Health probes sent to members, by outcome (ok, draining, fail, timeout).", "outcome"),
 		members: reg.Gauge("gptpu_cluster_members",

@@ -89,27 +89,23 @@ func (a *affinity) lookup(key uint64) (string, bool) {
 	return addr, ok
 }
 
-// bind records that addr served key. Returns whether the key moved
-// from a different member (a rebind — the failover cost signal) and
-// whether an unrelated key was evicted to make room.
-func (a *affinity) bind(key uint64, addr string) (rebound, evicted bool) {
+// bind records that addr served key, evicting the oldest key when the
+// table is full. It reports whether the key moved from a different
+// member (a rebind — the failover cost signal).
+func (a *affinity) bind(key uint64, addr string) (rebound bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if prev, ok := a.m[key]; ok {
-		if prev == addr {
-			return false, false
-		}
 		a.m[key] = addr
-		return true, false
+		return prev != addr
 	}
 	if len(a.order) >= a.capacity {
 		delete(a.m, a.order[0])
 		a.order = a.order[1:]
-		evicted = true
 	}
 	a.m[key] = addr
 	a.order = append(a.order, key)
-	return false, evicted
+	return false
 }
 
 // size returns the live entry count.

@@ -97,13 +97,13 @@ func TestAffinityTable(t *testing.T) {
 	if _, ok := a.lookup(1); ok {
 		t.Fatal("empty table reported a binding")
 	}
-	if rebound, evicted := a.bind(1, "x"); rebound || evicted {
-		t.Fatalf("first bind: rebound=%v evicted=%v", rebound, evicted)
+	if a.bind(1, "x") {
+		t.Fatal("first bind reported a rebind")
 	}
-	if rebound, _ := a.bind(1, "x"); rebound {
+	if a.bind(1, "x") {
 		t.Fatal("re-binding the same member reported a rebind")
 	}
-	if rebound, _ := a.bind(1, "y"); !rebound {
+	if !a.bind(1, "y") {
 		t.Fatal("moving a key to another member did not report a rebind")
 	}
 	if addr, _ := a.lookup(1); addr != "y" {
@@ -112,11 +112,12 @@ func TestAffinityTable(t *testing.T) {
 
 	a.bind(2, "x")
 	a.bind(3, "x")
-	if _, evicted := a.bind(4, "x"); !evicted { // capacity 3: key 1 falls out
-		t.Fatal("bind at capacity did not evict")
-	}
+	a.bind(4, "x") // capacity 3: key 1 falls out
 	if _, ok := a.lookup(1); ok {
 		t.Fatal("FIFO eviction kept the oldest key")
+	}
+	if _, ok := a.lookup(4); !ok {
+		t.Fatal("the key bound at capacity is missing")
 	}
 	if a.size() != 3 {
 		t.Fatalf("size %d after eviction, want 3", a.size())

@@ -134,12 +134,8 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 		if err == nil {
 			r.met.forwards.With(m.addr).Inc()
 			rt.ObserveSpan(obs.StageRouteForward, fst, time.Since(fst), m.addr)
-			rebound, evicted := r.aff.bind(key, m.addr)
-			if rebound {
+			if r.aff.bind(key, m.addr) {
 				r.met.affRebinds.Inc()
-			}
-			if evicted {
-				r.met.affEvicts.Inc()
 			}
 			return resp, nil
 		}

@@ -176,8 +176,8 @@ func NewContext(cfg Config) *Context {
 
 // Metrics returns the telemetry registry every layer of this context
 // records into: scheduler counters, Tensorizer cache statistics,
-// per-instruction latency histograms, and the per-device transfer and
-// residency counters. Export it with the registry's WritePrometheus /
+// per-operator virtual-latency histograms, and the per-device transfer
+// and residency counters. Export it with the registry's WritePrometheus /
 // WriteJSON, or serve it over HTTP with telemetry.Serve.
 func (c *Context) Metrics() *telemetry.Registry { return c.met.reg }
 
@@ -273,9 +273,7 @@ type DeviceStats struct {
 // thin view over the telemetry registry (Context.Metrics): every field
 // is read back from the same counters the Prometheus export renders.
 type Stats struct {
-	// Instructions executed per device.
-	Execs []int64
-	// PerDevice breaks residency and traffic down by device.
+	// PerDevice breaks executions, residency and traffic down by device.
 	PerDevice []DeviceStats
 	// ResidencyHits/Misses/Evictions aggregate the devices' on-chip
 	// memory behaviour (section 6.1's rule maximizes hits).
@@ -310,8 +308,7 @@ func (c *Context) Stats() Stats {
 	var st Stats
 	for _, d := range c.Pool.Devices {
 		h, m, e := d.ResidencyStats()
-		_, ub, _, db := d.IOStats()
-		st.Execs = append(st.Execs, d.Execs())
+		ub, db := d.IOStats()
 		st.PerDevice = append(st.PerDevice, DeviceStats{
 			ID: d.ID, Execs: d.Execs(),
 			Hits: h, Misses: m, Evictions: e,
@@ -586,7 +583,6 @@ func (c *Context) tensorize(elems int64, ready timing.Duration, task int) timing
 	} else {
 		cost += c.params.TensorizerEncodeTime(elems)
 	}
-	c.met.tensorizeVSec.Add(cost.Seconds())
 	_, end := c.Host.AcquireSpan(ready, cost,
 		timing.Span{Phase: "tensorize", Task: task, Bytes: elems})
 	c.TL.Observe(end)

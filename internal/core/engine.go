@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -81,8 +80,8 @@ func (b *batch) collect() (timing.Duration, error) {
 }
 
 // iqItem is one queued IQ entry: the instruction work, the batch it
-// belongs to, and its enqueue instant (for the enqueue-to-issue
-// latency histogram).
+// belongs to, and its enqueue instant (read only when the instruction
+// carries an observer, for its queue_wait span).
 type iqItem struct {
 	w   *instrWork
 	b   *batch
@@ -102,10 +101,7 @@ type iqItem struct {
 //     an instruction at pop time, while still holding the queue lock:
 //     pops are FIFO, so charge order equals enqueue order and the
 //     virtual makespan is bit-identical for any worker count or
-//     GOMAXPROCS. (An earlier design released the lock and re-ordered
-//     via per-instruction sequence tickets; the ticket hand-off cost a
-//     Broadcast wake storm per instruction, which dominated dispatch
-//     wall time once the functional kernels got fast.)
+//     GOMAXPROCS (DESIGN.md §6 has the ticket design this replaced).
 //
 //   - Functional closures (the bit-exact int8 computation) are pure
 //     with respect to runtime state and run outside the lock,
@@ -126,10 +122,8 @@ type engine struct {
 	queue    [iqCap]iqItem // FIFO ring: qlen entries from qhead
 	qhead    int
 	qlen     int
-	running  int   // live worker goroutines
-	inflight int   // items enqueued but not yet completed
-	freeIDs  []int // retired worker slots, for stable telemetry labels
-	nextID   int
+	running  int // live worker goroutines
+	inflight int // items enqueued but not yet completed
 	closed   bool
 	draining bool // admission gate: submissions block during a Reset drain
 }
@@ -166,20 +160,16 @@ func (e *engine) submit(works []instrWork, bt *batch) {
 			}
 			return
 		}
-		e.queue[(e.qhead+e.qlen)%iqCap] = iqItem{w: &works[i], b: bt, enq: time.Now()}
+		item := iqItem{w: &works[i], b: bt}
+		if item.w.obs != nil {
+			item.enq = time.Now()
+		}
+		e.queue[(e.qhead+e.qlen)%iqCap] = item
 		e.qlen++
 		e.inflight++
-		e.c.met.iqDepth.Add(1)
 		if e.running < e.workers {
 			e.running++
-			id := e.nextID
-			if n := len(e.freeIDs); n > 0 {
-				id = e.freeIDs[n-1]
-				e.freeIDs = e.freeIDs[:n-1]
-			} else {
-				e.nextID++
-			}
-			go e.worker(id)
+			go e.worker()
 		}
 		e.notEmpty.Signal()
 	}
@@ -190,18 +180,13 @@ func (e *engine) submit(works []instrWork, bt *batch) {
 // instruction's virtual pipeline while still holding the queue lock
 // (FIFO pops make that charge order deterministic), then run the
 // functional closure outside the lock, in parallel with other workers.
-// id labels this worker slot's telemetry.
-func (e *engine) worker(id int) {
-	label := strconv.Itoa(id)
-	busy := e.c.met.workerBusy.With(label)
-	items := e.c.met.workerItems.With(label)
-
+// The wall clock is read only for instructions that carry an observer.
+func (e *engine) worker() {
 	e.mu.Lock()
 	for {
 		for e.qlen == 0 {
 			if e.closed || e.inflight == 0 {
 				e.running--
-				e.freeIDs = append(e.freeIDs, id)
 				e.idle.Broadcast()
 				e.mu.Unlock()
 				return
@@ -214,12 +199,13 @@ func (e *engine) worker(id int) {
 		e.qlen--
 		e.notFull.Signal() // queue space freed: wake one submitter
 
-		start := time.Now()
-		e.c.met.queueWait.Observe(start.Sub(item.enq).Seconds())
-		if item.w.obs != nil {
+		ob := item.w.obs
+		var start time.Time
+		if ob != nil {
 			// Stage names match the obs package's constants; see the
 			// TaskObserver contract for why these fire under e.mu.
-			item.w.obs.ObserveSpan("queue_wait", item.enq, start.Sub(item.enq), "")
+			start = time.Now()
+			ob.ObserveSpan("queue_wait", item.enq, start.Sub(item.enq), "")
 		}
 		var (
 			end timing.Duration
@@ -227,26 +213,25 @@ func (e *engine) worker(id int) {
 		)
 		if !item.b.failed() {
 			end, err = e.c.chargeInstr(item.w)
-			if item.w.obs != nil {
-				item.w.obs.ObserveSpan("charge", start, time.Since(start), "")
+			if ob != nil {
+				ob.ObserveSpan("charge", start, time.Since(start), "")
 			}
 		}
 		e.mu.Unlock()
 
 		if err == nil && item.w.fn != nil && !item.b.failed() {
-			execStart := time.Now()
+			if ob != nil {
+				start = time.Now()
+			}
 			item.w.fn()
-			if item.w.obs != nil {
-				item.w.obs.ObserveSpan("exec", execStart, time.Since(execStart), "")
+			if ob != nil {
+				ob.ObserveSpan("exec", start, time.Since(start), "")
 			}
 		}
-		items.Inc()
-		busy.Add(time.Since(start).Seconds())
 		item.b.complete(end, err)
 
 		e.mu.Lock()
 		e.inflight--
-		e.c.met.iqDepth.Add(-1)
 		if e.inflight == 0 {
 			e.idle.Broadcast()
 			e.notEmpty.Broadcast() // idle workers may now retire
@@ -326,9 +311,7 @@ func (c *Context) chargeInstr(w *instrWork) (timing.Duration, error) {
 		d := c.pickDevice(w, healthy)
 		end, err := c.tryOn(d, w)
 		if err == nil {
-			op := w.instr.Op.String()
-			c.met.instrs.With(op).Add(float64(w.n()))
-			c.met.instrVLat.With(op).Observe((end - w.ready).Seconds())
+			c.met.instrs.With(w.instr.Op.String()).Add(float64(w.n()))
 			return end, nil
 		}
 		lastErr = err

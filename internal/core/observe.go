@@ -6,7 +6,7 @@ import "time"
 // engine: stage spans (queue wait, device charge, functional exec)
 // and point events (fault-injector retries, reroutes). The serving
 // layer passes a request's obs.Trace here so a single waterfall spans
-// client → wire → admission → batcher → engine → device.
+// admission → batcher → engine → device.
 //
 // Implementations must be cheap and non-blocking — the queue_wait and
 // charge observations fire from the dispatch worker while it holds

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -125,7 +124,6 @@ type plan struct {
 	works []instrWork
 	refs  []inputRef // arena the instructions' operand lists are carved from
 	bt    batch
-	start time.Time
 }
 
 // plan opens an instruction plan sized for about n instructions.
@@ -160,7 +158,6 @@ func (p *plan) inputs(refs ...inputRef) []inputRef {
 // and executes this one. A plan's instructions enter the charge order as
 // one contiguous run, in plan order.
 func (p *plan) submit() *plan {
-	p.start = time.Now()
 	if p.s.obs != nil {
 		for i := range p.works {
 			p.works[i].obs = p.s.obs
@@ -183,16 +180,13 @@ func (p *plan) submit() *plan {
 }
 
 // collect waits for every instruction of the submission and returns
-// the virtual completion time of the last one. The batch's dispatch
-// wall time is observed on success and failure alike — a failed batch
-// still cost the host real time. A failed batch marks the stream
-// failed and returns ok=false. The plan must not be used afterwards:
-// no worker touches an instruction once the batch has drained, so its
-// storage goes back to the pool here.
+// the virtual completion time of the last one. A failed batch marks
+// the stream failed and returns ok=false. The plan must not be used
+// afterwards: no worker touches an instruction once the batch has
+// drained, so its storage goes back to the pool here.
 func (p *plan) collect() (end timing.Duration, ok bool) {
 	end, err := p.bt.collect()
 	s := p.s
-	s.c.met.dispatchWall.Observe(time.Since(p.start).Seconds())
 	clear(p.works) // drop the closures and observers the entries hold
 	clear(p.refs)
 	p.s, p.works, p.refs, p.bt.last, p.bt.err = nil, p.works[:0], p.refs[:0], 0, nil

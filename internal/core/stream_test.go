@@ -200,7 +200,7 @@ func TestStatsTrackResidency(t *testing.T) {
 	if second.HitRate <= 0 || second.HitRate >= 1 {
 		t.Fatalf("hit rate %v", second.HitRate)
 	}
-	if len(second.Execs) != 1 || second.Execs[0] == 0 {
-		t.Fatalf("execs %v", second.Execs)
+	if len(second.PerDevice) != 1 || second.PerDevice[0].Execs == 0 {
+		t.Fatalf("per-device stats %+v", second.PerDevice)
 	}
 }

@@ -45,7 +45,6 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	c.mu.Lock()
 	c.inflight[t] = struct{}{}
 	c.mu.Unlock()
-	c.met.tasksEnqueued.Inc()
 	c.met.opqDepth.Add(1)
 	// Record the lifecycle's first span: the enqueue instant, on the
 	// task's own trace lane (tasks start at the current makespan).

@@ -8,9 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Kernel microbenchmarks: every hot instruction measured naive
-// (ops_ref.go) against optimized (ops.go/ops_fast.go) on paper tile
-// shapes — 128x128 arithmetic tiles, 64x64 reduction tiles. SetBytes
+// Kernel microbenchmarks: every hot instruction with a fast twin
+// measured naive (ops_ref.go) against optimized (ops.go/ops_fast.go)
+// on paper tile shapes — 128x128 arithmetic tiles, 64x64 reduction
+// tiles (mean and max have one kernel each, measured alone). SetBytes
 // counts data moved per op (int8 operands in, results out) so -bench
 // reports comparable MB/s columns; ReportAllocs pins the pooled
 // paths' steady-state allocation behaviour.
@@ -215,16 +216,7 @@ func BenchmarkCropFast(b *testing.B) {
 	}
 }
 
-func BenchmarkMeanNaive(b *testing.B) {
-	in := benchMatrix(64, 64, 10)
-	b.SetBytes(64 * 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _ = RefMeanSum(in)
-	}
-}
-
-func BenchmarkMeanFast(b *testing.B) {
+func BenchmarkMean(b *testing.B) {
 	in := benchMatrix(64, 64, 10)
 	b.SetBytes(64 * 64)
 	b.ReportAllocs()
@@ -233,16 +225,7 @@ func BenchmarkMeanFast(b *testing.B) {
 	}
 }
 
-func BenchmarkMaxNaive(b *testing.B) {
-	in := benchMatrix(64, 64, 11)
-	b.SetBytes(64 * 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = RefMaxVal(in)
-	}
-}
-
-func BenchmarkMaxFast(b *testing.B) {
+func BenchmarkMax(b *testing.B) {
 	in := benchMatrix(64, 64, 11)
 	b.SetBytes(64 * 64)
 	b.ReportAllocs()

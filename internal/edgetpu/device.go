@@ -189,11 +189,10 @@ func (d *Device) Healthy() bool {
 // tests and utilization reports.
 func (d *Device) Execs() int64 { return int64(d.met.execs.Value()) }
 
-// IOStats reports the device's interconnect traffic: transfer counts
-// and byte totals in each direction.
-func (d *Device) IOStats() (uploads, uploadBytes, downloads, downloadBytes int64) {
-	return int64(d.met.uploads.Value()), int64(d.met.uploadBytes.Value()),
-		int64(d.met.downloads.Value()), int64(d.met.downloadBytes.Value())
+// IOStats reports the device's interconnect traffic: byte totals in
+// each direction.
+func (d *Device) IOStats() (uploadBytes, downloadBytes int64) {
+	return int64(d.met.uploadBytes.Value()), int64(d.met.downloadBytes.Value())
 }
 
 // Resident reports whether the input identified by key currently
@@ -277,7 +276,6 @@ func (d *Device) UploadSpan(key uint64, bytes int64, ready timing.Duration, sp t
 	d.mu.Unlock()
 	d.met.misses.Inc()
 	d.met.evictions.Add(float64(evicted))
-	d.met.uploads.Inc()
 	d.met.uploadBytes.Add(float64(bytes))
 	sp.Phase = "upload"
 	return d.ic.TransferSpan(d.ID, bytes, ready, sp), nil
@@ -317,7 +315,6 @@ func (d *Device) ExecN(in *isa.Instruction, n int, ready timing.Duration) (timin
 	_, end := d.comp.AcquireSpan(ready, dur,
 		timing.Span{Phase: "exec", Op: in.Op.String(), Task: in.TaskID})
 	d.met.execs.Add(float64(n))
-	d.met.execVSeconds.Add(dur.Seconds())
 	return end, nil
 }
 
@@ -336,7 +333,6 @@ func (d *Device) DownloadSpan(bytes int64, ready timing.Duration, sp timing.Span
 	}
 	d.mu.Unlock()
 	if bytes > 0 {
-		d.met.downloads.Inc()
 		d.met.downloadBytes.Add(float64(bytes))
 	}
 	sp.Phase = "download"

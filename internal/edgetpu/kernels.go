@@ -56,8 +56,8 @@ var Ref = &KernelTable{
 	Mul:                RefMul,
 	Crop:               RefCrop,
 	Ext:                RefExt,
-	MeanSum:            RefMeanSum,
-	MaxVal:             RefMaxVal,
+	MeanSum:            MeanSum,
+	MaxVal:             MaxVal,
 	TanhLUT:            RefTanhLUT,
 	ReLU:               RefReLU,
 }

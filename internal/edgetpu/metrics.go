@@ -12,10 +12,7 @@ import (
 // Prometheus export can never disagree.
 type deviceMetrics struct {
 	execs         *telemetry.Counter
-	execVSeconds  *telemetry.Counter
-	uploads       *telemetry.Counter
 	uploadBytes   *telemetry.Counter
-	downloads     *telemetry.Counter
 	downloadBytes *telemetry.Counter
 	hits          *telemetry.Counter
 	misses        *telemetry.Counter
@@ -37,14 +34,8 @@ func newDeviceMetrics(r *telemetry.Registry, id int) *deviceMetrics {
 	return &deviceMetrics{
 		execs: r.Counter("gptpu_device_execs_total",
 			"Edge TPU instructions executed per device.", "device").With(dev),
-		execVSeconds: r.Counter("gptpu_device_exec_vseconds_total",
-			"Virtual seconds of matrix-unit occupancy per device.", "device").With(dev),
-		uploads: r.Counter("gptpu_device_uploads_total",
-			"Host-to-device transfers that crossed the interconnect.", "device").With(dev),
 		uploadBytes: r.Counter("gptpu_device_upload_bytes_total",
 			"Bytes uploaded over the device's PCIe link.", "device").With(dev),
-		downloads: r.Counter("gptpu_device_downloads_total",
-			"Device-to-host result transfers.", "device").With(dev),
 		downloadBytes: r.Counter("gptpu_device_download_bytes_total",
 			"Bytes downloaded over the device's PCIe link.", "device").With(dev),
 		hits: r.Counter("gptpu_device_residency_hits_total",

@@ -184,48 +184,24 @@ func Ext(in *tensor.MatrixI8, rows, cols int) *tensor.MatrixI8 {
 }
 
 // MeanSum returns the exact element sum and count for the mean
-// instruction. The device reports the average; GPTPU's CPU-side
-// aggregation recombines tile sums so it keeps the wide numerator
-// (paper section 6.2.1), which this API exposes directly. The sum
-// runs in four int32 lanes per bounded chunk before widening — exact,
-// order-independent integer addition.
+// instruction (Table 1). The device reports the average; GPTPU's
+// CPU-side aggregation recombines tile sums so it keeps the wide
+// numerator (paper section 6.2.1), which this API exposes directly.
+// Multi-lane sums measured no faster than this plain loop, so both
+// kernel tables bind it.
 func MeanSum(in *tensor.MatrixI8) (sum int64, count int) {
-	// 1<<16 elements per int32-lane pass keeps each lane's magnitude
-	// under 2^21, far from wrapping — the exactness bound that lets the
-	// narrow lanes widen to int64 only once per chunk.
-	const chunk = 1 << 16
 	for r := 0; r < in.Rows; r++ {
-		row := in.Row(r)
-		for len(row) > chunk {
-			sum += sumLanesI8(row[:chunk])
-			row = row[chunk:]
+		for _, v := range in.Row(r) {
+			sum += int64(v)
 		}
-		sum += sumLanesI8(row)
 	}
 	return sum, in.Elems()
 }
 
-// sumLanesI8 sums up to 1<<16 int8 values in four int32 lanes.
-func sumLanesI8(c []int8) int64 {
-	var s0, s1, s2, s3 int32
-	i := 0
-	for ; i+4 <= len(c); i += 4 {
-		s0 += int32(c[i])
-		s1 += int32(c[i+1])
-		s2 += int32(c[i+2])
-		s3 += int32(c[i+3])
-	}
-	for ; i < len(c); i++ {
-		s0 += int32(c[i])
-	}
-	return int64(s0) + int64(s1) + int64(s2) + int64(s3)
-}
-
-// MaxVal finds the maximum value within a matrix (Table 1). The
-// bounds-check-free range scan is already optimal here — multi-lane
-// variants measured slower on the reference host (the compare-move
-// chain retires one element per cycle either way), so the reference
-// loop is kept as-is.
+// MaxVal finds the maximum value within a matrix (Table 1). Multi-lane
+// variants measured no faster than this plain scan (the compare-move
+// chain retires one element per cycle either way), so both kernel
+// tables bind it.
 func MaxVal(in *tensor.MatrixI8) int8 {
 	if in.Elems() == 0 {
 		panic("edgetpu: max of empty matrix")

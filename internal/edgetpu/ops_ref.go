@@ -9,7 +9,7 @@ import (
 )
 
 // Reference kernels: the original, deliberately naive triple-loop
-// implementations of the eleven Table 1 instructions. They define the
+// implementations of the Table 1 instructions. They define the
 // device's functional semantics — exact int8 operands with int32/int64
 // accumulation — and serve two purposes:
 //
@@ -22,7 +22,9 @@ import (
 //     the `kernels` experiment) reports naive-vs-optimized throughput
 //     from the same binary.
 //
-// Do not optimize these. Clarity is the point.
+// Do not optimize these. Clarity is the point. Mean and max have no
+// twin: one plain loop each (MeanSum, MaxVal in ops.go) serves both
+// kernel tables.
 
 // RefConv2D is the reference Edge TPU conv2D instruction (Equation 9
 // with the optional striding of Figure 5): for each output channel
@@ -169,33 +171,6 @@ func RefCrop(in *tensor.MatrixI8, r0, c0, rows, cols int) *tensor.MatrixI8 {
 // dimensionality.
 func RefExt(in *tensor.MatrixI8, rows, cols int) *tensor.MatrixI8 {
 	return in.Pad(rows, cols)
-}
-
-// RefMeanSum is the reference mean instruction: exact element sum and
-// count.
-func RefMeanSum(in *tensor.MatrixI8) (sum int64, count int) {
-	for r := 0; r < in.Rows; r++ {
-		for _, v := range in.Row(r) {
-			sum += int64(v)
-		}
-	}
-	return sum, in.Elems()
-}
-
-// RefMaxVal is the reference max instruction.
-func RefMaxVal(in *tensor.MatrixI8) int8 {
-	if in.Elems() == 0 {
-		panic("edgetpu: max of empty matrix")
-	}
-	best := in.At(0, 0)
-	for r := 0; r < in.Rows; r++ {
-		for _, v := range in.Row(r) {
-			if v > best {
-				best = v
-			}
-		}
-	}
-	return best
 }
 
 // RefTanhLUT is the reference tanh instruction, rebuilding the

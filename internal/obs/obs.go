@@ -34,8 +34,6 @@ import (
 // using these same strings (kept as literals there so core does not
 // depend on obs).
 const (
-	StageClientEncode = "client_encode" // client: request frame build
-	StageWire         = "wire"          // client: send → reply wall time
 	StageRouteDecode  = "route_decode"  // router: placement key from the payload
 	StageRouteForward = "route_forward" // router: one forward attempt to a member
 	StageDecode       = "decode"        // server: payload decode + validation
@@ -158,7 +156,7 @@ func (t *Trace) ObserveEvent(name, attr string, fault bool) {
 	}
 }
 
-// Begin opens a long-running stage (batch_wait, wire). A later End
+// Begin opens a long-running stage (batch_wait). A later End
 // closes it; if the request finishes first, Finish closes it at the
 // finish instant. Dumps taken in between render it with Open: true.
 func (t *Trace) Begin(stage, attr string) {

@@ -25,8 +25,8 @@ func TestNilSafety(t *testing.T) {
 	}
 	tr.ObserveSpan(StageExec, time.Now(), time.Millisecond, "")
 	tr.ObserveEvent("device_lost", "", true)
-	tr.Begin(StageWire, "")
-	tr.End(StageWire)
+	tr.Begin(StageBatchWait, "")
+	tr.End(StageBatchWait)
 	tr.Finish("ok")
 	r.Capture("drain")
 	d := r.Dump()
@@ -357,12 +357,12 @@ func TestConcurrentTracesRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				tr := r.Start(0, uint64(i), "gemm")
-				tr.Begin(StageWire, "")
+				tr.Begin(StageBatchWait, "")
 				tr.ObserveSpan(StageQueueWait, time.Now(), time.Microsecond, "")
 				if i%7 == 0 {
 					tr.ObserveEvent("transient_retry", "dev=0 attempt=1", true)
 				}
-				tr.End(StageWire)
+				tr.End(StageBatchWait)
 				tr.Finish("ok")
 			}
 		}(w)

@@ -45,7 +45,6 @@ type Recorder struct {
 	// Metric handles; nil until Export attaches a registry.
 	reqs      *telemetry.CounterVec
 	inflightG *telemetry.Gauge
-	capsC     *telemetry.CounterVec
 }
 
 // New builds a Recorder.
@@ -74,8 +73,6 @@ func (r *Recorder) Export(reg *telemetry.Registry) {
 		"Traced requests finished, by terminal status.", "status")
 	inflight := reg.Gauge("gptpu_obs_inflight", "Traced requests currently in flight.")
 	r.inflightG = inflight.With()
-	r.capsC = reg.Counter("gptpu_obs_captures_total",
-		"Flight-recorder capture snapshots taken, by reason.", "reason")
 	reg.AddSnapshotHook(func() {
 		r.q.publish(stage)
 		r.mu.Lock()
@@ -171,9 +168,6 @@ func (r *Recorder) capture(reason string, minGap time.Duration) {
 		r.captures = append(r.captures[:0], r.captures[len(r.captures)-maxCaptures:]...)
 	}
 	r.mu.Unlock()
-	if r.capsC != nil {
-		r.capsC.With(reason).Inc()
-	}
 }
 
 // Capture is one frozen snapshot of the in-flight set.

@@ -221,11 +221,9 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	var riders fanObs
 	for _, c := range g.calls {
 		if expired(c.arrived, c.deadlineMillis, now) {
-			b.met.deadline.Inc()
 			c.done <- callResult{err: ErrDeadlineExceeded}
 			continue
 		}
-		b.met.queueWait.Observe(now.Sub(c.arrived).Seconds())
 		live, rows = append(live, c), rows+c.a.Rows
 		if c.rt != nil {
 			riders = append(riders, c.rt)
@@ -262,7 +260,6 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	}
 
 	b.met.batches.Inc()
-	b.met.batchSize.Observe(float64(len(live)))
 	b.met.batchedReqs.Add(float64(len(live)))
 
 	if err != nil {

@@ -27,10 +27,6 @@ type Client struct {
 	retry   RetryPolicy
 	retries atomic.Int64
 
-	// rec, when set, records a client-side waterfall (encode, wire
-	// round-trip, retries) per call into its own flight recorder.
-	rec *obs.Recorder
-
 	wmu sync.Mutex
 	bw  *bufio.Writer
 
@@ -133,11 +129,6 @@ func DialRetry(addr string, p RetryPolicy) (*Client, error) {
 	go c.readLoop()
 	return c, nil
 }
-
-// SetFlightRecorder attaches a client-side flight recorder: each call
-// records its encode/wire/retry waterfall into r. Set it before
-// issuing calls; a nil recorder disables client-side tracing.
-func (c *Client) SetFlightRecorder(r *obs.Recorder) { c.rec = r }
 
 // Retries returns how many retry sends this client has performed.
 func (c *Client) Retries() int64 { return c.retries.Load() }
@@ -308,47 +299,36 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 	if traceID == 0 {
 		traceID = obs.NewTraceID()
 	}
-	rt := c.rec.Start(traceID, 0, op.String()) // nil recorder -> nil trace
-	est := time.Now()
 	payload := encodeOpRequest(req)
 	// Released only once the retry loop is over: every retry reads it
 	// again.
 	defer payload.release()
-	rt.ObserveSpan(obs.StageClientEncode, est, time.Since(est), "")
 	var f *Frame
 	var err error
 	for attempt := 0; ; attempt++ {
-		rt.Begin(obs.StageWire, "")
 		f, err = c.roundTrip(op, payload.b, traceID)
-		rt.End(obs.StageWire)
 		if err == nil || attempt >= c.retry.Max || !Retryable(err) {
 			break
 		}
 		c.retries.Add(1)
-		rt.ObserveEvent("client_retry", fmt.Sprintf("attempt=%d err=%s", attempt+1, errStatus(codeFromErr(err))), false)
 		time.Sleep(c.retry.backoff(attempt))
 	}
 	if err != nil {
-		rt.Finish(errStatus(codeFromErr(err)))
 		return nil, err
 	}
 	// The result is decoded into a fresh matrix the caller owns (it is
 	// never pooled); after that the reply frame has no reader left.
 	defer f.Release()
 	if f.Type != MsgResult {
-		rt.Finish("internal")
 		return nil, fmt.Errorf("server client: %s answered with %s", op, f.Type)
 	}
 	m, rest, err := decodeMatrix(f.Payload)
 	if err != nil {
-		rt.Finish("internal")
 		return nil, err
 	}
 	if len(rest) != 0 {
-		rt.Finish("internal")
 		return nil, fmt.Errorf("server client: %d trailing bytes in result", len(rest))
 	}
-	rt.Finish("ok")
 	return m, nil
 }
 

@@ -9,11 +9,8 @@ import (
 // latBuckets ladder end-to-end request wall time from 100 µs to 100 s.
 var latBuckets = telemetry.ExpBuckets(1e-4, 10, 7)
 
-// waitBuckets ladder queue/batch wait wall time from 10 µs to 10 s.
+// waitBuckets ladder reply-write wall time from 10 µs to 10 s.
 var waitBuckets = telemetry.ExpBuckets(1e-5, 10, 7)
-
-// sizeBuckets ladder micro-batch sizes (requests per flush).
-var sizeBuckets = telemetry.ExpBuckets(1, 2, 8)
 
 // serverMetrics holds the serving layer's telemetry handles. They live
 // in the same registry as the runtime's scheduler and device counters
@@ -27,12 +24,9 @@ type serverMetrics struct {
 	requests    *telemetry.CounterVec   // by op
 	replies     *telemetry.CounterVec   // by status (ok / error name)
 	shed        *telemetry.Counter      // admission rejections (ErrOverloaded)
-	deadline    *telemetry.Counter      // requests expired before dispatch
-	queueWait   *telemetry.Histogram    // arrival to dispatch (admission + wait behind a running batch)
 	e2eLat      *telemetry.HistogramVec // arrival to reply encoded, by op
 	replyWrite  *telemetry.Histogram    // reply frame socket write
 	batches     *telemetry.Counter      // micro-batch flushes
-	batchSize   *telemetry.Histogram    // requests coalesced per flush
 	batchedReqs *telemetry.Counter      // requests served via a batch
 	weightHits  *telemetry.Counter      // batcher weight-buffer cache hits
 }
@@ -51,11 +45,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Replies written, by status (ok or error class).", "status"),
 		shed: reg.Counter("gptpu_serve_shed_total",
 			"Requests shed by the admission controller (ErrOverloaded).").With(),
-		deadline: reg.Counter("gptpu_serve_deadline_expired_total",
-			"Requests whose client deadline expired before dispatch.").With(),
-		queueWait: reg.Histogram("gptpu_serve_queue_wait_seconds",
-			"Wall seconds from request arrival to runtime dispatch (admission, plus any wait behind a running batch of the same GEMM key).",
-			waitBuckets).With(),
 		e2eLat: reg.Histogram("gptpu_serve_request_seconds",
 			"Wall seconds from request arrival to reply encoded (the socket write follows, see gptpu_serve_reply_write_seconds), by operator.",
 			latBuckets, "op"),
@@ -64,8 +53,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			waitBuckets).With(),
 		batches: reg.Counter("gptpu_serve_batches_total",
 			"Micro-batch flushes submitted to the runtime.").With(),
-		batchSize: reg.Histogram("gptpu_serve_batch_size",
-			"Requests coalesced per micro-batch flush.", sizeBuckets).With(),
 		batchedReqs: reg.Counter("gptpu_serve_batched_requests_total",
 			"GEMM requests served through a micro-batch.").With(),
 		weightHits: reg.Counter("gptpu_serve_weight_cache_hits_total",

@@ -162,27 +162,38 @@ func TestShedReplyCarriesTraceID(t *testing.T) {
 // TestDeadlineReplyCarriesTraceID: the other typed-error path of the
 // satellite fix — a deadline miss echoes the trace ID too.
 func TestDeadlineReplyCarriesTraceID(t *testing.T) {
-	srv := startServer(t, Config{Devices: 1, Obs: obs.New(obs.Config{})})
+	srv := New(Config{Devices: 1, Obs: obs.New(obs.Config{})})
+	gate := holdFlushes(srv.bat)
+	serveOn(t, srv)
 	c := dial(t, srv)
 
 	rng := rand.New(rand.NewSource(8))
 	a := tensor.RandUniform(rng, 16, 16, -1, 1)
 	b := tensor.RandUniform(rng, 16, 16, -1, 1)
+	// Hold a batch of the same key running, so the traced request waits
+	// pending behind it until its deadline has certainly passed.
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.Gemm(a, b, nil)
+		leader <- err
+	}()
+	gate.waitRunning(t)
 	id := obs.NewTraceID()
-	// A 1ms deadline on a request that spends >1ms before dispatch:
-	// expired() fires at admission using the wall clock, so stall the
-	// frame briefly by pre-expiring (arrived is set server-side; use the
-	// smallest legal deadline and let scheduling jitter expire it — retry
-	// a few times to avoid a flaky fast path).
-	var err error
-	for i := 0; i < 50; i++ {
-		_, err = c.Gemm(a, b, &CallOpts{TraceID: id, Deadline: time.Nanosecond})
-		if errors.Is(err, ErrDeadlineExceeded) {
-			break
-		}
+	late := make(chan error, 1)
+	go func() {
+		_, err := c.Gemm(a, b, &CallOpts{TraceID: id, Deadline: 20 * time.Millisecond})
+		late <- err
+	}()
+	waitPending(t, srv.bat, 1)
+	time.Sleep(40 * time.Millisecond) // the pending call's deadline passes
+	gate.open()
+
+	if err := <-leader; err != nil {
+		t.Fatalf("held leader: %v", err)
 	}
+	err := <-late
 	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Skip("deadline never expired before dispatch on this host")
+		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
 	}
 	tag := "[trace=" + obs.FormatID(id) + "]"
 	if !strings.Contains(err.Error(), tag) {

@@ -213,7 +213,6 @@ func (s *Server) handleRequest(cw *ConnWriter, f *Frame) {
 	rt.ObserveSpan(obs.StageAdmission, ast, time.Since(ast), "")
 	rc.admitted = true
 	if expired(arrived, req.DeadlineMillis, time.Now()) {
-		s.met.deadline.Inc()
 		s.finishReply(rc, nil, ErrDeadlineExceeded)
 		return
 	}
@@ -240,7 +239,6 @@ func (s *Server) handleRequest(cw *ConnWriter, f *Frame) {
 		rt.End(obs.StageBatchWait)
 	}
 
-	s.met.queueWait.Observe(time.Since(arrived).Seconds())
 	m, err := s.execute(req, rt)
 	s.finishReply(rc, m, err)
 }

@@ -212,8 +212,8 @@ func TestDeadlinePropagates(t *testing.T) {
 	if err := <-leader; err != nil {
 		t.Fatalf("in-flight leader failed: %v", err)
 	}
-	if srv.met.deadline.Value() == 0 {
-		t.Error("deadline-expired counter did not move")
+	if srv.met.replies.With("deadline").Value() == 0 {
+		t.Error(`replies{status="deadline"} did not move`)
 	}
 }
 
