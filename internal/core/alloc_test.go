@@ -142,10 +142,13 @@ func bytesPerCall(f func()) float64 {
 
 // TestPreciseAndPairwiseByteBudget weighs the Tensorizer's host passes
 // where they used to build throwaway forms. MatVecPrecise over a fresh
-// 65536x10 buffer (BlackScholes' feature matrix) may allocate the two
-// int8 portions (640 KiB each), the three partial products (256 KiB
-// each; the first carries the sum) and bookkeeping; a float32 portion
-// creeping back costs 2.5 MiB. A pairwise Mul over two fresh 256x256
+// 65536x10 buffer (BlackScholes' feature matrix) may allocate the
+// product it returns (256 KiB; the two partial products come from the
+// context's free list and go back to it) and bookkeeping. Used once,
+// the buffer's split leaves no codes behind: they are pooled scratch
+// that goes back when the operator ends, so one portion's int8 codes
+// kept again cost 640 KiB, a partial product not handed back 256 KiB
+// and a float32 portion 2.5 MiB. A pairwise Mul over two fresh 256x256
 // buffers may allocate its 256 KiB result and bookkeeping: used once,
 // its operands are quantized tile by tile into pooled scratch, and a
 // whole int8 form of either costs 64 KiB.
@@ -168,7 +171,7 @@ func TestPreciseAndPairwiseByteBudget(t *testing.T) {
 		budget int
 		call   func(s *Stream) bool
 	}{
-		{"MatVecPrecise", 2560 << 10, func(s *Stream) bool { return s.MatVecPrecise(ctx.NewBuffer(feat), coef) != nil }},
+		{"MatVecPrecise", 448 << 10, func(s *Stream) bool { return s.MatVecPrecise(ctx.NewBuffer(feat), coef) != nil }},
 		{"Mul", 288 << 10, func(s *Stream) bool { return s.MulPair(ctx.NewBuffer(a), ctx.NewBuffer(b)) != nil }},
 	} {
 		got := bytesPerCall(func() {
@@ -179,7 +182,7 @@ func TestPreciseAndPairwiseByteBudget(t *testing.T) {
 		})
 		t.Logf("%s: %.0f KiB per call (budget %d KiB)", tc.name, got/1024, tc.budget>>10)
 		if got > float64(tc.budget) {
-			t.Errorf("%s: %.0f KiB per call, budget %d KiB — is a float32 portion or an int8 form back?", tc.name, got/1024, tc.budget>>10)
+			t.Errorf("%s: %.0f KiB per call, budget %d KiB — is a float32 portion, an int8 form or a partial product back?", tc.name, got/1024, tc.budget>>10)
 		}
 	}
 }

@@ -400,15 +400,17 @@ type Buffer struct {
 	qp        quant.Params
 	// q is the whole int8 form, nil until the buffer's second use (or a
 	// first use that reads it whole): a buffer used once is quantized
-	// window by window by the instructions that ship it. A split portion
-	// (see portions) has q before it is quantized: the split built it,
-	// and its first use only charges the pass.
+	// window by window by the instructions that ship it. A split
+	// portion's q comes from the split (see portions), never from
+	// quantize: pooled scratch for the parent's first precise operator,
+	// put back (nil) when that operator ends alone, rebuilt and kept by
+	// the second.
 	q            *tensor.MatrixI8
 	readyAt      timing.Duration
 	derivedForms map[derivedTag]*derived
-	// hi and lo are the precision split of M, built on first use by the
+	// split is the precision split of M, made on first use by the
 	// dual-portion operators and kept for the next.
-	hi, lo *Buffer
+	split *split
 }
 
 // chipRef returns the buffer's on-chip residency, nil for ordinary
@@ -482,7 +484,7 @@ func (c *Context) Invalidate(b *Buffer) {
 	b.quantized = false
 	b.q = nil
 	b.derivedForms = nil
-	b.hi, b.lo = nil, nil
+	b.split = nil
 	b.key = c.nextKey()
 	b.analyze(c.Functional())
 	b.mu.Unlock()

@@ -740,6 +740,44 @@ func TestMatVecPreciseSharedBuffer(t *testing.T) {
 	}
 }
 
+// TestMatMulPreciseSharedBuffer: tasks racing on one buffer's split,
+// half with it as the left operand and half as the right, each beside a
+// fresh partner whose codes go back as its task ends, get the products a
+// lone stream computes.
+func TestMatMulPreciseSharedBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	m := tensor.RandUniform(rng, 96, 80, -2, 2)
+	w := tensor.RandUniform(rng, 80, 96, -1, 1)
+	ctx := testCtx(2)
+	left := ctx.NewStream().MatMulPrecise(ctx.NewBuffer(m), ctx.NewBuffer(w))
+	right := ctx.NewStream().MatMulPrecise(ctx.NewBuffer(w), ctx.NewBuffer(m))
+	b := ctx.NewBuffer(m)
+	got := make([]*tensor.Matrix, 8)
+	for i := range got {
+		ctx.Enqueue(func(s *Stream) {
+			if i%2 == 0 {
+				got[i] = s.MatMulPrecise(b, ctx.NewBuffer(w))
+			} else {
+				got[i] = s.MatMulPrecise(ctx.NewBuffer(w), b)
+			}
+		})
+	}
+	if err := ctx.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range got {
+		want := left
+		if i%2 == 1 {
+			want = right
+		}
+		for j := range want.Data {
+			if g.Data[j] != want.Data[j] {
+				t.Fatalf("task %d: element %d = %v, want %v", i, j, g.Data[j], want.Data[j])
+			}
+		}
+	}
+}
+
 func TestMatMulPreciseTimingOnly(t *testing.T) {
 	ctx := NewContext(Config{TimingOnly: true})
 	s := ctx.NewStream()

@@ -32,14 +32,22 @@ func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
 		"inner dimensions %d vs %d", a.Cols(), b.Rows())
 	c := s.c
 
-	aHi, aLo := c.portions(a)
-	bHi, bLo := c.portions(b)
-
+	sa := c.portions(a)
+	sb := sa // a*a is one use of a's split
+	if b != a {
+		sb = c.portions(b)
+	}
 	// The sum accumulates into the first product; the other two go back
-	// to the context's free list.
-	out := s.MatMul(aHi, bHi)
-	hl := s.MatMul(aHi, bLo)
-	lh := s.MatMul(aLo, bHi)
+	// to the context's free list. Each MatMul has collected its passes
+	// when it returns, failed or not, so no instruction reads the codes
+	// once the portions are done.
+	out := s.MatMul(sa.hi, sb.hi)
+	hl := s.MatMul(sa.hi, sb.lo)
+	lh := s.MatMul(sa.lo, sb.hi)
+	c.donePortions(a, sa)
+	if b != a {
+		c.donePortions(b, sb)
+	}
 	if s.err != nil {
 		return nil
 	}
@@ -58,10 +66,10 @@ func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
 
 // MatVecPrecise is MatVec at ~16-bit effective precision: three
 // FullyConnected passes over the dual-portion split of the matrix and
-// of the vector. The matrix's split is built once and kept on the
-// buffer, so an iterative solver re-using its system matrix splits it
-// once and finds both portions resident on the devices; the vector
-// splits on every call. Like an application combining the portions
+// of the vector. The matrix's split is made once and kept on the
+// buffer, so an iterative solver re-using its system matrix pays for
+// its split once and finds both portions resident on the devices; the
+// vector splits on every call. Like an application combining the portions
 // itself, it charges the split pass and the host combination on the
 // context's host core.
 func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
@@ -76,17 +84,22 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 		"vector length %d != matrix cols %d", len(x), a.Cols())
 	c := s.c
 
-	hi, lo := c.portions(a)
+	sp := c.portions(a)
 	var xHi, xLo quant.Portion // no codes in timing-only mode
 	if c.Functional() {
 		v := tensor.FromSlice(1, len(x), x)
 		xHi, xLo = quant.SplitQuantize(v, quant.ParamsFor(v))
 	}
 	// The sum accumulates into the first product; the other two go back
-	// to the context's free list.
-	out := s.matVec(hi, xHi, len(x))
-	hl := s.matVec(hi, xLo, len(x))
-	lh := s.matVec(lo, xHi, len(x))
+	// to the context's free list. Each pass has collected its
+	// instructions when it returns, failed or not, so the codes go back
+	// right after.
+	out := s.matVec(sp.hi, xHi, len(x))
+	hl := s.matVec(sp.hi, xLo, len(x))
+	lh := s.matVec(sp.lo, xHi, len(x))
+	c.donePortions(a, sp)
+	tensor.PutI8(xHi.Q)
+	tensor.PutI8(xLo.Q)
 	if s.err != nil {
 		return nil
 	}
@@ -101,29 +114,59 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 	return out
 }
 
-// portions returns b's dual-portion split, building it — and charging
-// the host split pass — on first use. Each portion is a buffer of its
-// own (its own key, so the devices track its copy apart) whose int8
-// form and calibration quant.SplitQuantize built straight from b's
-// data: neither portion ever exists in float32, and their M is a
-// shape-only descriptor. Their first use charges the Tensorizer's
-// quantize-and-encode pass like any buffer's. Portions feed only
-// FullyConnected and GEMM passes, which download wide results and
-// never requantize, so their max|code| is not tracked.
-func (c *Context) portions(b *Buffer) (hi, lo *Buffer) {
+// split is a buffer's dual-portion split: two buffers of their own
+// (their own keys, so the devices track each copy apart) whose
+// calibrations and int8 codes quant.SplitQuantize builds straight from
+// the parent's data. Neither portion ever exists in float32, and their
+// M is a shape-only descriptor. Their first use charges the
+// Tensorizer's quantize-and-encode pass like any buffer's. Portions
+// feed only FullyConnected and GEMM passes, which download wide results
+// and never requantize, so their max|code| is not tracked.
+type split struct {
+	hi, lo *Buffer
+	uses   int // precise operators that have used the parent, under its mu
+}
+
+// portions returns b's dual-portion split for one precise operator,
+// which hands it back with donePortions once its passes are collected.
+// The first call makes the split and charges the host split pass; the
+// portions keep their keys, calibrations and residency for every later
+// call. The codes follow the buffer's own rule (§12.5 of DESIGN.md): a
+// buffer one precise operator uses leaves none behind, so its codes are
+// pooled scratch that operator puts back. A second operator rebuilds
+// them on the host if they are gone and keeps them, charging nothing:
+// the split pass was charged once, and the portions are still resident.
+func (c *Context) portions(b *Buffer) *split {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.hi != nil {
-		return b.hi, b.lo
+	sp := b.split
+	if sp == nil {
+		c.ChargeHostWork(c.params.QuantTime(int64(b.M.Elems())))
+		sp = &split{
+			hi: &Buffer{M: tensor.ShapeOnly(b.M.Rows, b.M.Cols), key: c.nextKey(), calib: quant.Params{Scale: 1}},
+			lo: &Buffer{M: tensor.ShapeOnly(b.M.Rows, b.M.Cols), key: c.nextKey(), calib: quant.Params{Scale: 1}},
+		}
+		b.split = sp
 	}
-	c.ChargeHostWork(c.params.QuantTime(int64(b.M.Elems())))
-	hi = &Buffer{M: tensor.ShapeOnly(b.M.Rows, b.M.Cols), key: c.nextKey(), calib: quant.Params{Scale: 1}}
-	lo = &Buffer{M: tensor.ShapeOnly(b.M.Rows, b.M.Cols), key: c.nextKey(), calib: quant.Params{Scale: 1}}
-	if c.Functional() {
+	sp.uses++
+	if c.Functional() && sp.hi.q == nil {
 		h, l := quant.SplitQuantize(b.M, b.calib)
-		hi.calib, hi.q = h.P, h.Q
-		lo.calib, lo.q = l.P, l.Q
+		sp.hi.calib, sp.hi.q = h.P, h.Q
+		sp.lo.calib, sp.lo.q = l.P, l.Q
 	}
-	b.hi, b.lo = hi, lo
-	return hi, lo
+	return sp
+}
+
+// donePortions ends one precise operator's use of b's split sp. The
+// parent's only precise operator puts the codes back; once a second has
+// begun, every operator leaves them, so none is put back while another
+// task's instructions may read it.
+func (c *Context) donePortions(b *Buffer, sp *split) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if sp.uses == 1 {
+		tensor.PutI8(sp.hi.q)
+		tensor.PutI8(sp.lo.q)
+		sp.hi.q, sp.lo.q = nil, nil
+	}
 }

@@ -444,6 +444,9 @@ type Portion struct {
 // over those codes. The residual is m minus that value: the first pass
 // quantizes m and calibrates the residual, the second recomputes the
 // residual, quantizes it and maps the codes through the table.
+//
+// Both int8 forms are pooled scratch (tensor.GetI8ForOverwrite): a
+// caller done with them may hand them back with tensor.PutI8.
 func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
 	inv := 1 / p.Scale
 	// coarse is Dequantize's value for code c. The conversion keeps the
@@ -451,7 +454,7 @@ func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
 	// the coarse portion is stored.
 	coarse := func(c int8) float32 { return float32(float32(c) * inv) }
 
-	q := tensor.NewI8(m.Rows, m.Cols)
+	q := tensor.GetI8ForOverwrite(m.Rows, m.Cols)
 	src := m.Flat()
 	var cLo, cHi int32 // range of the codes
 	var resTop uint32
@@ -488,7 +491,7 @@ func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
 		lo.P.Scale = ScaleFor(math.Float32frombits(resTop))
 	}
 
-	l := tensor.NewI8(m.Rows, m.Cols)
+	l := tensor.GetI8ForOverwrite(m.Rows, m.Cols)
 	for r := 0; r < src.Rows; r++ {
 		row := src.Row(r)
 		qs := q.Data[r*src.Cols:][:len(row)]

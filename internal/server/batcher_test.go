@@ -23,11 +23,16 @@ type flushGate struct {
 }
 
 // holdFlushes installs a flushGate on b. Call it before b sees its
-// first submit (for a daemon: before serveOn).
+// first submit. The hook is set under b.mu, which submit takes before
+// it starts a drain: that orders the gate before every flush even when
+// the request crossed a socket in one writev, a write the race
+// detector does not see ordering anything.
 func holdFlushes(b *batcher) *flushGate {
 	// running's buffer only has to outlast the flushes one test holds;
 	// a token beyond it is dropped, never blocks a flush.
 	g := &flushGate{running: make(chan struct{}, 256), release: make(chan struct{})}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.flushHook = func(batchKey) func() {
 		select {
 		case g.running <- struct{}{}:

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -28,7 +27,7 @@ type Client struct {
 	retries atomic.Int64
 
 	wmu sync.Mutex
-	bw  *bufio.Writer
+	fw  frameWriter
 
 	pmu     sync.Mutex
 	pending map[uint64]chan reply
@@ -120,14 +119,19 @@ func DialRetry(addr string, p RetryPolicy) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn, p), nil
+}
+
+// newClient starts a client on an open connection.
+func newClient(conn net.Conn, p RetryPolicy) *Client {
 	c := &Client{
 		conn:    conn,
 		retry:   p,
-		bw:      bufio.NewWriter(conn),
+		fw:      frameWriter{w: conn},
 		pending: make(map[uint64]chan reply),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Retries returns how many retry sends this client has performed.
@@ -144,7 +148,7 @@ func (c *Client) Close() error {
 // connection dies. Frames are pooled: the caller a frame is routed to
 // releases it, a frame nobody waits for is released here.
 func (c *Client) readLoop() {
-	fr := NewFrameReader(bufio.NewReader(c.conn))
+	fr := newConnReader(c.conn)
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -197,10 +201,7 @@ func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, e
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
-	err := EncodeFrame(c.bw, &Frame{Type: t, ReqID: id, TraceID: traceID, Payload: payload})
-	if err == nil {
-		err = c.bw.Flush()
-	}
+	err := c.fw.write(&Frame{Type: t, ReqID: id, TraceID: traceID, Payload: payload})
 	c.wmu.Unlock()
 	if err != nil {
 		c.pmu.Lock()

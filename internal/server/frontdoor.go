@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -188,11 +187,11 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 		d.connWG.Done()
 	}()
 
-	w := &ConnWriter{bw: bufio.NewWriter(conn), written: d.bytesWritten}
+	w := &ConnWriter{fw: frameWriter{w: conn}, written: d.bytesWritten}
 	// Frames are pooled. An operator frame belongs to the owner's
 	// handler, which releases it after its last read; every other frame
 	// is released here, after its reply.
-	fr := NewFrameReader(bufio.NewReader(conn))
+	fr := newConnReader(conn)
 	for {
 		f, err := fr.Next()
 		if err != nil {
@@ -253,18 +252,17 @@ func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 // sharing one connection, and counts the bytes it writes.
 type ConnWriter struct {
 	mu      sync.Mutex
-	bw      *bufio.Writer
+	fw      frameWriter
 	written *telemetry.Counter
 }
 
-// Reply writes one frame echoing a request's ID and trace ID, and
-// flushes it. Write errors are ignored — the read loop notices a dead
-// connection.
+// Reply writes one frame echoing a request's ID and trace ID. Write
+// errors are ignored — the read loop notices a dead connection.
 func (w *ConnWriter) Reply(reqID, traceID uint64, t MsgType, payload []byte) {
 	f := Frame{Type: t, ReqID: reqID, TraceID: traceID, Payload: payload}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if EncodeFrame(w.bw, &f) != nil || w.bw.Flush() != nil {
+	if w.fw.write(&f) != nil {
 		return
 	}
 	w.written.Add(float64(wireLen(&f)))

@@ -26,8 +26,7 @@ func TestServeRequestsConserved(t *testing.T) {
 			t.Errorf("Shutdown: %v", err)
 		}
 	})
-	// The hook is set before the first request is written, and the
-	// socket write orders it before every handler that reads it.
+	// The hook is set before the first request is written.
 	gate := holdFlushes(srv.bat)
 
 	rng := rand.New(rand.NewSource(11))

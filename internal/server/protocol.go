@@ -30,12 +30,14 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
+	"net"
 	"strings"
 	"sync"
 
@@ -313,27 +315,73 @@ func (w *wireBuf) release() {
 	wirePools[bits.Len(uint(c))-1].Put(w)
 }
 
-// EncodeFrame writes f to w in wire format.
+// EncodeFrame writes f to w in wire format, header and payload in two
+// writes; a connection writes each frame in one (frameWriter).
 func EncodeFrame(w io.Writer, f *Frame) error {
-	if len(f.Payload) > MaxFrameLen-headerLen {
-		return fmt.Errorf("server: payload %d bytes exceeds frame cap", len(f.Payload))
+	if err := checkPayload(f); err != nil {
+		return err
 	}
 	// The header goes through a recycled buffer: a stack array would
 	// escape through the io.Writer and cost an allocation per frame.
 	hb := getWireBuf(4 + headerLen)
-	hdr := hb.b
-	binary.BigEndian.PutUint32(hdr[0:], uint32(headerLen+len(f.Payload)))
-	binary.BigEndian.PutUint16(hdr[4:], Magic)
-	hdr[6] = Version
-	hdr[7] = byte(f.Type)
-	binary.BigEndian.PutUint64(hdr[8:], f.ReqID)
-	binary.BigEndian.PutUint64(hdr[16:], f.TraceID)
-	_, err := w.Write(hdr)
+	putHeader(hb.b, f)
+	_, err := w.Write(hb.b)
 	hb.release()
 	if err != nil {
 		return err
 	}
 	_, err = w.Write(f.Payload)
+	return err
+}
+
+// checkPayload rejects a payload too large for one frame.
+func checkPayload(f *Frame) error {
+	if len(f.Payload) > MaxFrameLen-headerLen {
+		return fmt.Errorf("server: payload %d bytes exceeds frame cap", len(f.Payload))
+	}
+	return nil
+}
+
+// putHeader writes f's length prefix and header, always at Version,
+// into the first 4+headerLen bytes of b.
+func putHeader(b []byte, f *Frame) {
+	binary.BigEndian.PutUint32(b[0:], uint32(headerLen+len(f.Payload)))
+	binary.BigEndian.PutUint16(b[4:], Magic)
+	b[6] = Version
+	b[7] = byte(f.Type)
+	binary.BigEndian.PutUint64(b[8:], f.ReqID)
+	binary.BigEndian.PutUint64(b[16:], f.TraceID)
+}
+
+// newConnReader reads a connection's frames through a 16 KiB buffer:
+// one read takes in a whole small frame (an 8 KiB request and its
+// header). A larger frame's body is read straight into its own buffer
+// once the buffered start is copied out, so a bigger buffer would only
+// copy more of every large frame.
+func newConnReader(conn io.Reader) *FrameReader {
+	return NewFrameReader(bufio.NewReaderSize(conn, 16<<10))
+}
+
+// frameWriter writes frames to a connection, header and payload as one
+// net.Buffers: on a TCP connection that is one writev, so no frame
+// leaves in two write(2) calls and the payload is never copied. Not
+// safe for concurrent use.
+type frameWriter struct {
+	w   io.Writer
+	hdr [4 + headerLen]byte
+	iov [2][]byte
+	vec net.Buffers // WriteTo consumes it: iov keeps the backing array
+}
+
+// write sends f in wire format.
+func (fw *frameWriter) write(f *Frame) error {
+	if err := checkPayload(f); err != nil {
+		return err
+	}
+	putHeader(fw.hdr[:], f)
+	fw.iov = [2][]byte{fw.hdr[:], f.Payload}
+	fw.vec = fw.iov[:]
+	_, err := fw.vec.WriteTo(fw.w)
 	return err
 }
 

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tensor"
@@ -269,4 +271,103 @@ func BenchmarkMatrixCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// countingConn counts the Write calls that reach a TCP connection and
+// the Read calls that return data. It keeps the connection's writev
+// (net.Buffers hands a TCP connection all of its buffers in one call),
+// so a frame that leaves whole makes no Write call at all.
+type countingConn struct {
+	*net.TCPConn
+	writes, reads atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.TCPConn.Write(b)
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	n, err := c.TCPConn.Read(b)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestOneWritePerFrame: a client request and a front-door reply each
+// reach the socket as one writev, never split into a header write and
+// a payload write, whatever their size (an 8 KiB request is twice a
+// default bufio buffer, 768 KiB route_mixed's largest frame); an 8 KiB
+// frame arrives in one Read. The peer echoes each request through the
+// reader and the ConnWriter of a front-door connection.
+func TestOneWritePerFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer := make(chan *countingConn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(peer)
+			return
+		}
+		sc := &countingConn{TCPConn: conn.(*net.TCPConn)}
+		peer <- sc
+		fr := newConnReader(sc)
+		w := &ConnWriter{fw: frameWriter{w: sc}}
+		for {
+			f, err := fr.Next()
+			if err != nil {
+				sc.Close()
+				return
+			}
+			w.Reply(f.ReqID, f.TraceID, MsgResult, f.Payload)
+			f.Release()
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{TCPConn: conn.(*net.TCPConn)}
+	cli := newClient(cc, RetryPolicy{})
+	defer cli.Close()
+	sc, ok := <-peer
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	for _, size := range []int{8 << 10, 768 << 10} {
+		payload := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(payload)
+		for _, c := range []*countingConn{cc, sc} {
+			c.writes.Store(0)
+			c.reads.Store(0)
+		}
+		f, err := cli.Forward(MsgGemm, payload, 9)
+		if err != nil {
+			t.Fatalf("%d B: %v", size, err)
+		}
+		if !bytes.Equal(f.Payload, payload) || f.TraceID != 9 {
+			t.Fatalf("%d B: echo differs", size)
+		}
+		f.Release()
+		if w := cc.writes.Load(); w != 0 {
+			t.Errorf("%d B request: %d Write calls, want one writev", size, w)
+		}
+		if w := sc.writes.Load(); w != 0 {
+			t.Errorf("%d B reply: %d Write calls, want one writev", size, w)
+		}
+		if size > 8<<10 {
+			continue
+		}
+		if r := sc.reads.Load(); r != 1 {
+			t.Errorf("%d B request: %d reads, want 1", size, r)
+		}
+		if r := cc.reads.Load(); r != 1 {
+			t.Errorf("%d B reply: %d reads, want 1", size, r)
+		}
+	}
 }
