@@ -144,7 +144,7 @@ func TestTimingOnlyMode(t *testing.T) {
 
 func TestAblationConfigsWireThrough(t *testing.T) {
 	ctx := Open(Config{DisableLocality: true, UseTFLiteCompiler: true, OnDeviceReduce: true, Sampled: true})
-	o := ctx.Core().Config()
+	o := ctx.Config()
 	if !o.DisableLocality || !o.UseTFLiteCompiler || !o.OnDeviceReduce || !o.Sampled || o.Devices != 1 {
 		t.Fatalf("ablation flags not honored: %+v", o)
 	}

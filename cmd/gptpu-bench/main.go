@@ -109,7 +109,7 @@ func main() {
 		cfg.Trace = cfg.Trace || tracing
 		ctx := gptpu.Open(cfg)
 		if tracing {
-			timelines = append(timelines, ctx.Core().TL)
+			timelines = append(timelines, ctx.TL)
 		}
 		return ctx
 	}

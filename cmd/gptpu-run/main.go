@@ -108,7 +108,7 @@ func main() {
 		st.QuantCacheHits, st.QuantCacheMisses)
 	fmt.Println("  resource occupancy:")
 	if *traceOut != "" {
-		for _, s := range trace.Summarize(ctx.Core().TL) {
+		for _, s := range trace.Summarize(ctx.TL) {
 			fmt.Printf("    %-22s busy %-14v %6.1f%%  (%d ops)\n",
 				s.Resource, s.Busy, 100*s.Utilization, s.Ops)
 		}
@@ -118,14 +118,14 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		nEvents, err := trace.Export(ctx.Core().TL, f)
+		nEvents, err := trace.Export(ctx.TL, f)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-run:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("  trace: %d events -> %s\n", nEvents, *traceOut)
 	} else {
-		for _, r := range ctx.Core().TL.Resources() {
+		for _, r := range ctx.TL.Resources() {
 			mk := ctx.Elapsed().Seconds()
 			util := 0.0
 			if mk > 0 {

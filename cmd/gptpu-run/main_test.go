@@ -73,7 +73,7 @@ func TestMetricsAndTraceSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.Export(ctx.Core().TL, f); err != nil {
+	if _, err := trace.Export(ctx.TL, f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

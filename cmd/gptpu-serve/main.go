@@ -120,7 +120,7 @@ func main() {
 	})
 	// -trace records the daemon's one runtime timeline from the first
 	// request on.
-	tl := srv.Runtime().Core().TL
+	tl := srv.Runtime().TL
 	if *tracePath != "" {
 		tl.EnableTrace()
 	}
@@ -129,7 +129,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d, batch-max %d)\n",
-		srv.Addr(), srv.Runtime().Core().Config().Devices, *maxInFlight, *batchMax)
+		srv.Addr(), srv.Runtime().Config().Devices, *maxInFlight, *batchMax)
 
 	exit := server.Process{
 		Name:        "gptpu-serve",

@@ -5,12 +5,12 @@
 // The package exposes the OpenCtpu programming interface of the
 // paper's section 5: a host program allocates dimensions, creates
 // buffers over raw float data, enqueues kernel functions that invoke
-// TPU operators, and synchronizes on their completion. Under the
-// hood, the GPTPU runtime (internal/core) rewrites each operator into
-// Edge TPU instructions at their optimal tile shapes (Tensorizer),
-// schedules them across the attached Edge TPUs with locality-aware
-// placement, and accounts virtual time and energy on the simulated
-// machine.
+// TPU operators, and synchronizes on their completion. Context, Op,
+// Buffer, Graph and Task are aliases of the GPTPU runtime's own types
+// (internal/core), which rewrites each operator into Edge TPU
+// instructions at their optimal tile shapes (Tensorizer), schedules
+// them across the attached Edge TPUs with locality-aware placement,
+// and accounts virtual time and energy on the simulated machine.
 //
 // A minimal program mirroring the paper's Figure 3:
 //
@@ -24,7 +24,7 @@
 //	})
 //	if err := ctx.Sync(); err != nil { ... }
 //
-// Performance experiments run with Functional disabled, in which case
+// Performance experiments run with Config.TimingOnly set, in which case
 // operators charge virtual time without computing results; accuracy
 // experiments run fully functionally. See DESIGN.md and EXPERIMENTS.md
 // for the experiment-by-experiment reproduction of the paper's tables

@@ -45,7 +45,7 @@ func main() {
 	// Resource breakdown: data movement dominates, the paper's
 	// explanation for HotSpot3D's 1.14x (section 9.1).
 	var link, compute float64
-	for _, r := range ctx.Core().TL.Resources() {
+	for _, r := range ctx.TL.Resources() {
 		name := r.Name
 		switch {
 		case len(name) >= 4 && name[:4] == "pcie":

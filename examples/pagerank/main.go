@@ -28,7 +28,7 @@ func main() {
 	// graph, then submit it in a single call.
 	ctx := gptpu.Open(gptpu.Config{Devices: 4})
 	bm := ctx.CreateMatrixBuffer(graph.Adj)
-	hostCost := ctx.Core().Params().AggTime(int64(cfg.N))
+	hostCost := ctx.Params().AggTime(int64(cfg.N))
 
 	init := make([]float32, cfg.N)
 	for i := range init {

@@ -59,7 +59,7 @@ func main() {
 		ref.Data[i] = float32(math.Tanh(float64(ref.Data[i] + rawC.Data[i])))
 	}
 
-	st := ctx.Core().Stats()
+	st := ctx.Stats()
 	var downloaded int64
 	for _, d := range st.PerDevice {
 		downloaded += d.DownloadBytes

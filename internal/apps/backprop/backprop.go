@@ -125,7 +125,7 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, w *Workload) (*Result, apps.
 // The whole pass enters the engine through a single Submit, and its
 // weight results are bit-identical to RunTPUSerial.
 func RunTPU(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics, error) {
-	functional := ctx.Core().Functional()
+	functional := ctx.Functional()
 	if w == nil {
 		w = &Workload{
 			X:      tensor.New(cfg.Batch, cfg.In),
@@ -134,8 +134,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics,
 			Target: tensor.New(cfg.Batch, cfg.out()),
 		}
 	}
-	core := ctx.Core()
-	params := core.Params()
+	params := ctx.Params()
 	agg := func(elems int64) timing.Duration { return params.AggTime(elems) }
 
 	bx := ctx.CreateMatrixBuffer(w.X)
@@ -221,7 +220,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics,
 // oracle for RunTPU and as the baseline the graph benchmark compares
 // against.
 func RunTPUSerial(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics, error) {
-	functional := ctx.Core().Functional()
+	functional := ctx.Functional()
 	if w == nil {
 		w = &Workload{
 			X:      tensor.New(cfg.Batch, cfg.In),
@@ -231,10 +230,9 @@ func RunTPUSerial(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Me
 		}
 	}
 	op := ctx.NewOp()
-	core := ctx.Core()
-	params := core.Params()
+	params := ctx.Params()
 	hostEpilogue := func(elems int64) {
-		core.ChargeHostWork(params.AggTime(elems))
+		ctx.ChargeHostWork(params.AggTime(elems))
 	}
 
 	bx := ctx.CreateMatrixBuffer(w.X)

@@ -82,7 +82,7 @@ func TestBackpropIsGemmHeavy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tpu, host float64
-	for _, r := range ctx.Core().TL.Resources() {
+	for _, r := range ctx.TL.Resources() {
 		switch {
 		case len(r.Name) >= 7 && r.Name[:7] == "edgetpu":
 			tpu += r.BusyTime().Seconds()

@@ -178,9 +178,8 @@ const batchSize = 1 << 18
 // polynomial with FullyConnected, and the host combines the final
 // price.
 func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metrics, error) {
-	functional := ctx.Core().Functional()
-	core := ctx.Core()
-	params := core.Params()
+	functional := ctx.Functional()
+	params := ctx.Params()
 	n := cfg.N
 	var prices []float32
 	if functional {
@@ -192,7 +191,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 			bn = n - b0
 		}
 		// Host: d1/d2 (one log, two sqrts, a few muls per option).
-		core.ChargeHostWork(params.CPUScalarTime(int64(bn) / 4))
+		ctx.ChargeHostWork(params.CPUScalarTime(int64(bn) / 4))
 		// One feature matrix serves both products: it holds the d1
 		// powers until Phi(d1) returns and is clamped, then the d2
 		// powers.
@@ -204,7 +203,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 			}
 		}
 		// Host: feature expansion (9 multiplies per option per d).
-		core.ChargeHostWork(params.QuantTime(int64(bn) * (PolyDegree + 1) * 2))
+		ctx.ChargeHostWork(params.QuantTime(int64(bn) * (PolyDegree + 1) * 2))
 
 		// The polynomial products run at ~16-bit precision (the lo*lo
 		// term of the dual-portion split is negligible at ~1e-5).
@@ -227,7 +226,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 			return nil, apps.Metrics{}, op.Err()
 		}
 		// Host: final price combination.
-		core.ChargeHostWork(params.CPUScalarTime(int64(bn) / 8))
+		ctx.ChargeHostWork(params.CPUScalarTime(int64(bn) / 8))
 		if functional {
 			for i := 0; i < bn; i++ {
 				o := opts[b0+i]

@@ -87,14 +87,14 @@ const panelSize = 64
 // RunTPU executes the GPTPU elimination. Returns the eliminated
 // matrix (fresh copy) or nil in timing-only mode.
 func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, apps.Metrics, error) {
-	functional := ctx.Core().Functional()
+	functional := ctx.Functional()
 	n := cfg.N
 	var work *tensor.Matrix
 	if functional {
 		work = a.Clone()
 	}
 	op := ctx.NewOp()
-	params := ctx.Core().Params()
+	params := ctx.Params()
 	// Every operand and product below is handed back to the context
 	// once its Mul or Gemm has returned and been subtracted, so the next
 	// step's matrices reuse the memory.
@@ -148,7 +148,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 			for _, m := range []*tensor.Matrix{mulA, mulB, prod} {
 				ctx.Release(m)
 			}
-			ctx.Core().ChargeHostWork(params.AggTime(int64(pr) * int64(pc)))
+			ctx.ChargeHostWork(params.AggTime(int64(pr) * int64(pc)))
 		}
 		if rem <= 0 {
 			continue
@@ -182,7 +182,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 			}
 		}
 		// Host multiplier derivation: rem * p^2 multiply-adds.
-		ctx.Core().ChargeHostWork(params.AggTime(int64(rem) * int64(p) * int64(p) / 2))
+		ctx.ChargeHostWork(params.AggTime(int64(rem) * int64(p) * int64(p) / 2))
 
 		prod := op.Gemm(ctx.CreateMatrixBuffer(elim), ctx.CreateMatrixBuffer(pivots))
 		if op.Err() != nil {
@@ -200,7 +200,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, a
 		for _, m := range []*tensor.Matrix{elim, pivots, prod} {
 			ctx.Release(m)
 		}
-		ctx.Core().ChargeHostWork(params.AggTime(int64(rem) * int64(cols)))
+		ctx.ChargeHostWork(params.AggTime(int64(rem) * int64(cols)))
 	}
 	return work, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
 }

@@ -194,11 +194,11 @@ func padInto(out, m *tensor.Matrix) {
 func RunTPU(ctx *gptpu.Context, cfg Config, temp, power []*tensor.Matrix) ([]*tensor.Matrix, apps.Metrics, error) {
 	nz := cfg.layers()
 	kb := ctx.CreateMatrixBuffer(stencilKernel())
-	functional := ctx.Core().Functional()
+	functional := ctx.Functional()
 	op := ctx.NewOp()
 	cpuAgg := func(elems int64) {
 		// Host-side vertical + power fold: ~4 flops per point.
-		ctx.Core().ChargeHostWork(ctx.Core().Params().AggTime(elems * 2))
+		ctx.ChargeHostWork(ctx.Params().AggTime(elems * 2))
 	}
 	pads := make([]*tensor.Matrix, nz)
 	bufs := make([]*gptpu.Buffer, nz)

@@ -67,7 +67,7 @@ func TestDataMovementDominates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var linkBusy, computeBusy float64
-	for _, r := range ctx.Core().TL.Resources() {
+	for _, r := range ctx.TL.Resources() {
 		switch {
 		case len(r.Name) > 4 && r.Name[:4] == "pcie":
 			linkBusy += r.BusyTime().Seconds()

@@ -131,7 +131,7 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, a *tensor.Matrix) (*tensor.M
 // logically (a fresh combined-LU matrix is returned); nil input runs
 // timing-only.
 func RunTPU(ctx *gptpu.Context, cfg Config, a *tensor.Matrix) (*tensor.Matrix, apps.Metrics, error) {
-	functional := ctx.Core().Functional()
+	functional := ctx.Functional()
 	var work *tensor.Matrix
 	if functional {
 		work = a.Clone()
@@ -156,8 +156,8 @@ type runner struct {
 // chargeHostFlops charges host time for triangular solves and leaf
 // factorizations at the CPU baseline's GEMM rate.
 func (r *runner) chargeHostFlops(flops float64) {
-	p := r.ctx.Core().Params()
-	r.ctx.Core().ChargeHostWork(timing.FromSeconds(flops / p.CPU.GemmFlops))
+	p := r.ctx.Params()
+	r.ctx.ChargeHostWork(timing.FromSeconds(flops / p.CPU.GemmFlops))
 }
 
 // factor computes the combined LU of a in place (recursively).

@@ -144,8 +144,7 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, g *Graph) ([]float32, apps.M
 // the per-op RunTPUSerial path.
 func RunTPU(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, error) {
 	bm := ctx.CreateMatrixBuffer(g.Adj)
-	core := ctx.Core()
-	hostCost := core.Params().AggTime(int64(cfg.N))
+	hostCost := ctx.Params().AggTime(int64(cfg.N))
 
 	gr := ctx.NewGraph()
 	var cur gptpu.GraphValue = ctx.CreateMatrixBuffer(tensor.FromSlice(1, cfg.N, initialRank(cfg.N)))
@@ -166,7 +165,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, 
 		return nil, apps.Metrics{}, err
 	}
 	rank := initialRank(cfg.N)
-	if core.Functional() {
+	if ctx.Functional() {
 		m, err := last.Result()
 		if err != nil {
 			return nil, apps.Metrics{}, err
@@ -182,22 +181,21 @@ func RunTPU(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, 
 func RunTPUSerial(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, error) {
 	bm := ctx.CreateMatrixBuffer(g.Adj)
 	op := ctx.NewOp()
-	core := ctx.Core()
 	rank := initialRank(cfg.N)
 	x := make([]float32, cfg.N)
 	for it := 0; it < cfg.iters(); it++ {
-		if core.Functional() {
+		if ctx.Functional() {
 			x = normalize(rank, g.OutDeg)
 		}
-		core.ChargeHostWork(core.Params().AggTime(int64(cfg.N)))
+		ctx.ChargeHostWork(ctx.Params().AggTime(int64(cfg.N)))
 		y := op.MatVec(bm, x)
 		if op.Err() != nil {
 			return nil, apps.Metrics{}, op.Err()
 		}
-		if core.Functional() {
+		if ctx.Functional() {
 			rank = damp(y, cfg.N)
 		}
-		core.ChargeHostWork(core.Params().AggTime(int64(cfg.N)))
+		ctx.ChargeHostWork(ctx.Params().AggTime(int64(cfg.N)))
 	}
 	return rank, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
 }

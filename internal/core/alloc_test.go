@@ -26,7 +26,7 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 	const n = 256
 	a := tensor.RandUniform(rng, n, n, -4, 4)
 	b := tensor.RandUniform(rng, n, n, -4, 4)
-	ba, bb := ctx.NewBuffer(a), ctx.NewBuffer(b)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
 	x := make([]float32, n)
 	for i := range x {
 		x[i] = rng.Float32()*8 - 4
@@ -34,10 +34,10 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 
 	// One untimed pass per op primes the buffer pools, quantization
 	// LUTs, and the lazily spawned dispatch workers.
-	warm := ctx.NewStream()
+	warm := ctx.NewOp()
 	_ = warm.MatVec(ba, x)
-	_ = warm.MatMul(ba, bb)
-	_ = warm.MatMulFC(ba, bb)
+	_ = warm.Gemm(ba, bb)
+	_ = warm.GemmFC(ba, bb)
 	if warm.Err() != nil {
 		t.Fatal(warm.Err())
 	}
@@ -56,7 +56,7 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 		// int32 pool and return once dequantized into the result; the
 		// plan (instruction slice, operand lists, batch tracker) is
 		// recycled storage.
-		{"MatMul", 80, func(s *Stream) { _ = s.MatMul(ba, bb) }},
+		{"MatMul", 80, func(s *Stream) { _ = s.Gemm(ba, bb) }},
 		// MatMulFC: one FC instruction per (row-chunk, column) pair —
 		// 512 instructions here, so per-instruction bookkeeping (plan
 		// entries, closures) dominates; the wide CPU-side
@@ -64,12 +64,12 @@ func TestGemmStreamAllocBudget(t *testing.T) {
 		// buffers and the operand lists are pooled.
 		// This is the paper's deliberately FC-bound comparison path,
 		// so the budget scales with instruction count, not tiles.
-		{"MatMulFC", 3200, func(s *Stream) { _ = s.MatMulFC(ba, bb) }},
+		{"MatMulFC", 3200, func(s *Stream) { _ = s.GemmFC(ba, bb) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := testing.AllocsPerRun(5, func() {
-				s := ctx.NewStream()
+				s := ctx.NewOp()
 				tc.run(s)
 				if s.Err() != nil {
 					t.Fatal(s.Err())
@@ -108,11 +108,11 @@ func TestGemmByteBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 512
 	a := tensor.RandUniform(rng, n, n, 0, 1)
-	bb := ctx.NewBuffer(tensor.RandUniform(rng, n, n, 0, 1))
+	bb := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, n, n, 0, 1))
 	got := bytesPerCall(func() {
-		s := ctx.NewStream()
-		if out := s.MatMul(ctx.NewBuffer(a), bb); out == nil || s.Err() != nil {
-			t.Fatal("MatMul failed:", s.Err())
+		s := ctx.NewOp()
+		if out := s.Gemm(ctx.CreateMatrixBuffer(a), bb); out == nil || s.Err() != nil {
+			t.Fatal("Gemm failed:", s.Err())
 		}
 	})
 	const budget = 1120 << 10
@@ -171,11 +171,11 @@ func TestPreciseAndPairwiseByteBudget(t *testing.T) {
 		budget int
 		call   func(s *Stream) bool
 	}{
-		{"MatVecPrecise", 448 << 10, func(s *Stream) bool { return s.MatVecPrecise(ctx.NewBuffer(feat), coef) != nil }},
-		{"Mul", 288 << 10, func(s *Stream) bool { return s.MulPair(ctx.NewBuffer(a), ctx.NewBuffer(b)) != nil }},
+		{"MatVecPrecise", 448 << 10, func(s *Stream) bool { return s.MatVecPrecise(ctx.CreateMatrixBuffer(feat), coef) != nil }},
+		{"Mul", 288 << 10, func(s *Stream) bool { return s.Mul(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)) != nil }},
 	} {
 		got := bytesPerCall(func() {
-			s := ctx.NewStream()
+			s := ctx.NewOp()
 			if !tc.call(s) || s.Err() != nil {
 				t.Fatal(tc.name, "failed:", s.Err())
 			}

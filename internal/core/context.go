@@ -88,9 +88,10 @@ type Config struct {
 	RefKernels bool
 }
 
-// Context is one GPTPU machine instance: a host CPU, a pool of Edge
-// TPUs behind PCIe switch cards, and the runtime state (buffer
-// registry, scheduler affinity table, task queue).
+// Context is one GPTPU machine instance, published as gptpu.Context: a
+// host CPU, a pool of Edge TPUs behind PCIe switch cards, and the
+// runtime state (buffer identities, recycled affinity tables, task
+// queue).
 type Context struct {
 	cfg    Config
 	params *timing.Params
@@ -118,14 +119,13 @@ type Context struct {
 	free   []*tensor.Matrix
 
 	mu sync.Mutex
-	// affinity is the scheduler's placement memory, one table per task
-	// ID: an entry can only ever match instructions of the task that
-	// made it, so a finished task's table is dead weight and
-	// dropAffinity removes it whole. Small dropped tables are cleared
-	// onto freeTabs for the next task, so a daemon running one task per
-	// request does not build a map per request.
-	affinity map[int]map[affinityKey]int
+	// freeTabs holds cleared affinity tables of finished tasks and
+	// graphs (see placements) for the next owner's first placement, so
+	// a daemon running one task per request does not build a map per
+	// request. resets counts Reset calls: a table filled before the
+	// last one is stale.
 	freeTabs []map[affinityKey]int
+	resets   uint64
 	rr       int
 	// inflight is the OPQ: the tasks whose kernels have not returned.
 	// syncErr is the first error a retired task reported since the last
@@ -168,7 +168,6 @@ func NewContext(cfg Config) *Context {
 		TL:       tl,
 		Pool:     edgetpu.NewPoolInjected(tl, params, cfg.Devices, met.reg, fault.New(cfg.Fault)),
 		Host:     tl.NewResource("cpu-core0"),
-		affinity: make(map[int]map[affinityKey]int),
 		inflight: make(map[*Task]struct{}),
 	}
 	return c
@@ -180,6 +179,10 @@ func NewContext(cfg Config) *Context {
 // and residency counters. Export it with the registry's WritePrometheus /
 // WriteJSON, or serve it over HTTP with telemetry.Serve.
 func (c *Context) Metrics() *telemetry.Registry { return c.met.reg }
+
+// Core returns c. The benchmark module still reaches the device pool
+// through it, from when the public context wrapped this one.
+func (c *Context) Core() *Context { return c }
 
 // Config returns the context configuration, with Devices normalized
 // to the count the pool actually holds.
@@ -242,7 +245,7 @@ func (c *Context) Reset() {
 		d.ResetState()
 	}
 	c.mu.Lock()
-	c.affinity = make(map[int]map[affinityKey]int)
+	c.resets++
 	c.rr = 0
 	c.mu.Unlock()
 }
@@ -338,14 +341,13 @@ func (c *Context) Stats() Stats {
 // nextTask allocates a task ID for the OPQ.
 func (c *Context) nextTask() int { return int(c.taskSeq.Add(1)) }
 
-// dropAffinity forgets the placements of a finished task. Task IDs are
-// never reused, so its entries could never match again; without this a
-// long-lived context (a daemon runs one task per request) grew its
-// table by every request's keys forever.
-func (c *Context) dropAffinity(task int) {
+// dropPlacements recycles the table of a finished task or graph: its
+// entries can never match again, and a later owner's first placement
+// takes the cleared map instead of building one.
+func (c *Context) dropPlacements(p *placements) {
 	c.mu.Lock()
-	if tab, ok := c.affinity[task]; ok {
-		delete(c.affinity, task)
+	if tab := p.tab; tab != nil {
+		p.tab = nil
 		// Recycle only small tables: clear keeps a map's buckets, and a
 		// paper-scale stream's table can hold hundreds of thousands.
 		if len(tab) <= maxRecycledKeys && len(c.freeTabs) < maxFreeTabs {
@@ -380,9 +382,10 @@ type Buffer struct {
 	// buffers from remote bytes outside any Enqueue recover.
 	invalid error
 	// calib is the quantization calibration of M and extent the range
-	// that gives its max|code|, found by the same pass that tested it for
-	// non-finite values (NewBuffer, Invalidate), so the Tensorizer never
-	// walks the data again to pick a scale or size an output stage.
+	// that gives its max|code|, found by the same pass that tested it
+	// for non-finite values (CreateMatrixBuffer, Invalidate), so the
+	// Tensorizer never walks the data again to pick a scale or size an
+	// output stage.
 	calib  quant.Params
 	extent quant.Extent
 
@@ -454,19 +457,52 @@ func (b *Buffer) calibration() quant.Params {
 	return b.calib
 }
 
-// NewBuffer registers host data with the runtime. The data is not
-// copied; the caller must not mutate it while operators are in
+// CreateMatrixBuffer registers host data with the runtime. The data is
+// not copied; the caller must not mutate it while operators are in
 // flight. Use Invalidate after intentional mutation. In a functional
 // context, data containing NaN or ±Inf yields a poisoned buffer: every
 // operator consuming it fails its stream with ErrBadInput. A
 // timing-only context never reads the data.
-func (c *Context) NewBuffer(m *tensor.Matrix) *Buffer {
+func (c *Context) CreateMatrixBuffer(m *tensor.Matrix) *Buffer {
 	if m == nil {
-		panic("core: NewBuffer(nil)")
+		panic("core: CreateMatrixBuffer(nil)")
 	}
 	b := &Buffer{M: m, key: c.nextKey()}
 	b.analyze(c.Functional())
 	return b
+}
+
+// Dimension describes the dimensionality of buffer data
+// (openctpu_alloc_dimension). Only 1- and 2-dimensional data is
+// supported, matching the operators of Table 1.
+type Dimension struct {
+	Rows, Cols int
+}
+
+// AllocDimension allocates a dimension descriptor: AllocDimension(1,
+// n) describes a vector, AllocDimension(2, rows, cols) a matrix.
+func AllocDimension(dims int, sizes ...int) *Dimension {
+	switch dims {
+	case 1:
+		if len(sizes) != 1 {
+			panic(fmt.Sprintf("core: AllocDimension(1) needs 1 size, got %d", len(sizes)))
+		}
+		return &Dimension{Rows: 1, Cols: sizes[0]}
+	case 2:
+		if len(sizes) != 2 {
+			panic(fmt.Sprintf("core: AllocDimension(2) needs 2 sizes, got %d", len(sizes)))
+		}
+		return &Dimension{Rows: sizes[0], Cols: sizes[1]}
+	default:
+		panic(fmt.Sprintf("core: unsupported dimensionality %d", dims))
+	}
+}
+
+// CreateBuffer creates an input/output buffer for TPU kernels over
+// the raw data (openctpu_create_buffer). The data is wrapped, not
+// copied; it must hold at least Rows*Cols elements.
+func (c *Context) CreateBuffer(d *Dimension, data []float32) *Buffer {
+	return c.CreateMatrixBuffer(tensor.FromSlice(d.Rows, d.Cols, data))
 }
 
 // Rows returns the buffer's logical row count.

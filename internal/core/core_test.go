@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,12 +35,12 @@ func TestPairwiseAddSubMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := tensor.RandUniform(rng, 200, 150, -10, 10)
 	b := tensor.RandUniform(rng, 200, 150, -10, 10)
-	ba, bb := ctx.NewBuffer(a), ctx.NewBuffer(b)
-	s := ctx.NewStream()
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
+	s := ctx.NewOp()
 
 	add := s.Add(ba, bb)
 	sub := s.Sub(ba, bb)
-	mul := s.MulPair(ba, bb)
+	mul := s.Mul(ba, bb)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -66,21 +67,21 @@ func TestPairwiseAddSubMul(t *testing.T) {
 
 func TestPairwiseShapeMismatchPanics(t *testing.T) {
 	ctx := testCtx(1)
-	s := ctx.NewStream()
+	s := ctx.NewOp()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Add(ctx.NewBuffer(tensor.New(2, 2)), ctx.NewBuffer(tensor.New(2, 3)))
+	s.Add(ctx.CreateMatrixBuffer(tensor.New(2, 2)), ctx.CreateMatrixBuffer(tensor.New(2, 3)))
 }
 
 func TestElementwise(t *testing.T) {
 	ctx := testCtx(1)
 	rng := rand.New(rand.NewSource(2))
 	a := tensor.RandUniform(rng, 100, 100, -2, 2)
-	ba := ctx.NewBuffer(a)
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	s := ctx.NewOp()
 
 	th := s.Tanh(ba)
 	re := s.ReLU(ba)
@@ -106,11 +107,11 @@ func TestReduceMeanMax(t *testing.T) {
 	ctx := testCtx(1)
 	rng := rand.New(rand.NewSource(3))
 	a := tensor.RandUniform(rng, 200, 130, 0, 50)
-	ba := ctx.NewBuffer(a)
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	s := ctx.NewOp()
 
 	mean := s.Mean(ba)
-	max := s.MaxReduce(ba)
+	max := s.Max(ba)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -140,9 +141,9 @@ func TestOnDeviceReduceMatchesCPUAggregation(t *testing.T) {
 	o.OnDeviceReduce = true
 	ctxDev := NewContext(o)
 
-	s1, s2 := ctxCPU.NewStream(), ctxDev.NewStream()
-	m1 := s1.Mean(ctxCPU.NewBuffer(a))
-	m2 := s2.Mean(ctxDev.NewBuffer(a))
+	s1, s2 := ctxCPU.NewOp(), ctxDev.NewOp()
+	m1 := s1.Mean(ctxCPU.CreateMatrixBuffer(a))
+	m2 := s2.Mean(ctxDev.CreateMatrixBuffer(a))
 	if s1.Err() != nil || s2.Err() != nil {
 		t.Fatal(s1.Err(), s2.Err())
 	}
@@ -160,8 +161,8 @@ func TestCropExt(t *testing.T) {
 	ctx := testCtx(1)
 	rng := rand.New(rand.NewSource(5))
 	a := tensor.RandUniform(rng, 64, 64, -8, 8)
-	ba := ctx.NewBuffer(a)
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	s := ctx.NewOp()
 
 	crop := s.Crop(ba, 10, 20, 30, 40)
 	if s.Err() != nil {
@@ -188,8 +189,8 @@ func TestConv2DStencil(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := tensor.RandUniform(rng, 200, 170, 0, 10)
 	k := tensor.FromSlice(3, 3, []float32{0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1, 0.1})
-	s := ctx.NewStream()
-	got := s.Conv2D(ctx.NewBuffer(a), ctx.NewBuffer(k))
+	s := ctx.NewOp()
+	got := s.Conv2D(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(k))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -218,8 +219,8 @@ func TestConv2DTilingSeamless(t *testing.T) {
 	a := tensor.New(8, 260)
 	a.Fill(1)
 	k := tensor.FromSlice(2, 2, []float32{1, 1, 1, 1})
-	s := ctx.NewStream()
-	got := s.Conv2D(ctx.NewBuffer(a), ctx.NewBuffer(k))
+	s := ctx.NewOp()
+	got := s.Conv2D(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(k))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -238,8 +239,8 @@ func TestMatVec(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float32()*2 - 1
 	}
-	s := ctx.NewStream()
-	got := s.MatVec(ctx.NewBuffer(a), x)
+	s := ctx.NewOp()
+	got := s.MatVec(ctx.CreateMatrixBuffer(a), x)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -266,8 +267,8 @@ func TestMatMulConvMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a := tensor.RandUniform(rng, 150, 130, -3, 3)
 	b := tensor.RandUniform(rng, 130, 170, -3, 3)
-	s := ctx.NewStream()
-	got := s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+	s := ctx.NewOp()
+	got := s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -282,8 +283,8 @@ func TestMatMulFCMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := tensor.RandUniform(rng, 140, 150, -3, 3)
 	b := tensor.RandUniform(rng, 150, 90, -3, 3)
-	s := ctx.NewStream()
-	got := s.MatMulFC(ctx.NewBuffer(a), ctx.NewBuffer(b))
+	s := ctx.NewOp()
+	got := s.GemmFC(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -301,13 +302,13 @@ func TestConvGemmFasterThanFCGemm(t *testing.T) {
 	b := tensor.RandUniform(rng, 512, 512, -3, 3)
 
 	ctx1 := testCtx(1)
-	s1 := ctx1.NewStream()
-	s1.MatMul(ctx1.NewBuffer(a), ctx1.NewBuffer(b))
+	s1 := ctx1.NewOp()
+	s1.Gemm(ctx1.CreateMatrixBuffer(a), ctx1.CreateMatrixBuffer(b))
 	convTime := ctx1.Elapsed()
 
 	ctx2 := testCtx(1)
-	s2 := ctx2.NewStream()
-	s2.MatMulFC(ctx2.NewBuffer(a), ctx2.NewBuffer(b))
+	s2 := ctx2.NewOp()
+	s2.GemmFC(ctx2.CreateMatrixBuffer(a), ctx2.CreateMatrixBuffer(b))
 	fcTime := ctx2.Elapsed()
 
 	if s1.Err() != nil || s2.Err() != nil {
@@ -327,8 +328,8 @@ func TestMultiDeviceScaling(t *testing.T) {
 	b := tensor.RandUniform(rng, 512, 512, -3, 3)
 	elapsed := func(devs int) float64 {
 		ctx := NewContext(Config{Devices: devs, TimingOnly: true})
-		s := ctx.NewStream()
-		s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+		s := ctx.NewOp()
+		s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 		if s.Err() != nil {
 			t.Fatal(s.Err())
 		}
@@ -348,9 +349,9 @@ func TestTimingIndependentOfFunctionalFlag(t *testing.T) {
 	b := tensor.RandUniform(rng, 256, 256, -3, 3)
 	run := func(functional bool) float64 {
 		ctx := NewContext(Config{TimingOnly: !functional})
-		s := ctx.NewStream()
-		s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
-		s.MatVec(ctx.NewBuffer(a), make([]float32, 256))
+		s := ctx.NewOp()
+		s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
+		s.MatVec(ctx.CreateMatrixBuffer(a), make([]float32, 256))
 		if s.Err() != nil {
 			t.Fatal(s.Err())
 		}
@@ -372,8 +373,8 @@ func TestBufferReuseIsCheaper(t *testing.T) {
 		x[i] = rng.Float32()
 	}
 	ctx := testCtx(1)
-	ba := ctx.NewBuffer(a)
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	s := ctx.NewOp()
 	s.MatVec(ba, x)
 	first := ctx.Elapsed()
 	s.MatVec(ba, x)
@@ -394,8 +395,8 @@ func TestLocalityAblation(t *testing.T) {
 	x := make([]float32, 1024)
 	iter := func(locality bool) float64 {
 		ctx := NewContext(Config{Devices: 4, TimingOnly: true, DisableLocality: !locality})
-		ba := ctx.NewBuffer(a)
-		s := ctx.NewStream()
+		ba := ctx.CreateMatrixBuffer(a)
+		s := ctx.NewOp()
 		for i := 0; i < 5; i++ {
 			s.MatVec(ba, x)
 		}
@@ -416,8 +417,8 @@ func TestFastModelPathAblation(t *testing.T) {
 	b := tensor.RandUniform(rng, 512, 512, -1, 1)
 	run := func(fast bool) float64 {
 		ctx := NewContext(Config{TimingOnly: true, UseTFLiteCompiler: !fast})
-		s := ctx.NewStream()
-		s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+		s := ctx.NewOp()
+		s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 		return ctx.Elapsed().Seconds()
 	}
 	fast, slow := run(true), run(false)
@@ -437,8 +438,8 @@ func TestTasksRunInParallel(t *testing.T) {
 	run := func(devices int) float64 {
 		ctx := NewContext(Config{Devices: devices, TimingOnly: true})
 		for i := 0; i < 2; i++ {
-			ba, bb := ctx.NewBuffer(a.Clone()), ctx.NewBuffer(b.Clone())
-			ctx.Enqueue(func(s *Stream) { s.MatMul(ba, bb) })
+			ba, bb := ctx.CreateMatrixBuffer(a.Clone()), ctx.CreateMatrixBuffer(b.Clone())
+			ctx.Enqueue(func(s *Stream) { s.Gemm(ba, bb) })
 		}
 		if err := ctx.Sync(); err != nil {
 			t.Fatal(err)
@@ -474,8 +475,8 @@ func TestDeviceFailureReroutes(t *testing.T) {
 	ctx := testCtx(4)
 	ctx.Pool.Devices[0].Fail()
 	ctx.Pool.Devices[2].Fail()
-	s := ctx.NewStream()
-	got := s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+	s := ctx.NewOp()
+	got := s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 	if s.Err() != nil {
 		t.Fatal("work should reroute to healthy devices:", s.Err())
 	}
@@ -492,13 +493,13 @@ func TestAllDevicesFailed(t *testing.T) {
 	for _, d := range ctx.Pool.Devices {
 		d.Fail()
 	}
-	s := ctx.NewStream()
-	s.Add(ctx.NewBuffer(tensor.New(4, 4)), ctx.NewBuffer(tensor.New(4, 4)))
+	s := ctx.NewOp()
+	s.Add(ctx.CreateMatrixBuffer(tensor.New(4, 4)), ctx.CreateMatrixBuffer(tensor.New(4, 4)))
 	if s.Err() == nil {
 		t.Fatal("expected ErrNoDevices")
 	}
 	// Sticky error: further ops are no-ops.
-	if out := s.Tanh(ctx.NewBuffer(tensor.New(4, 4))); out != nil {
+	if out := s.Tanh(ctx.CreateMatrixBuffer(tensor.New(4, 4))); out != nil {
 		t.Fatal("stream with error must return nil results")
 	}
 }
@@ -507,8 +508,8 @@ func TestInvalidateForcesRequantization(t *testing.T) {
 	ctx := testCtx(1)
 	a := tensor.New(64, 64)
 	a.Fill(1)
-	ba := ctx.NewBuffer(a)
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	s := ctx.NewOp()
 	if got := s.Mean(ba); math.Abs(float64(got)-1) > 0.02 {
 		t.Fatalf("mean %v want 1", got)
 	}
@@ -524,8 +525,8 @@ func TestEnergyAccounting(t *testing.T) {
 	ctx := testCtx(1)
 	rng := rand.New(rand.NewSource(18))
 	a := tensor.RandUniform(rng, 256, 256, -1, 1)
-	s := ctx.NewStream()
-	s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(a.Clone()))
+	s := ctx.NewOp()
+	s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(a.Clone()))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -541,8 +542,8 @@ func TestEnergyAccounting(t *testing.T) {
 func TestContextReset(t *testing.T) {
 	ctx := testCtx(1)
 	a := tensor.New(64, 64)
-	s := ctx.NewStream()
-	s.ReLU(ctx.NewBuffer(a))
+	s := ctx.NewOp()
+	s.ReLU(ctx.CreateMatrixBuffer(a))
 	if ctx.Elapsed() == 0 {
 		t.Fatal("work should advance the clock")
 	}
@@ -591,11 +592,11 @@ func TestMatMulPreciseBeatsPlain(t *testing.T) {
 	ref := refMatMul(a, b)
 
 	ctx1 := testCtx(1)
-	s1 := ctx1.NewStream()
-	plain := s1.MatMul(ctx1.NewBuffer(a), ctx1.NewBuffer(b))
+	s1 := ctx1.NewOp()
+	plain := s1.Gemm(ctx1.CreateMatrixBuffer(a), ctx1.CreateMatrixBuffer(b))
 	ctx2 := testCtx(1)
-	s2 := ctx2.NewStream()
-	precise := s2.MatMulPrecise(ctx2.NewBuffer(a), ctx2.NewBuffer(b))
+	s2 := ctx2.NewOp()
+	precise := s2.GemmPrecise(ctx2.CreateMatrixBuffer(a), ctx2.CreateMatrixBuffer(b))
 	if s1.Err() != nil || s2.Err() != nil {
 		t.Fatal(s1.Err(), s2.Err())
 	}
@@ -635,17 +636,17 @@ func TestPreciseOpsMatchFloatPortions(t *testing.T) {
 	split := func(ctx *Context, m *tensor.Matrix) (hi, lo *Buffer) {
 		h, l, _ := quant.SplitPortions(m)
 		ctx.ChargeHostWork(ctx.params.QuantTime(int64(m.Elems())))
-		return ctx.NewBuffer(h), ctx.NewBuffer(l)
+		return ctx.CreateMatrixBuffer(h), ctx.CreateMatrixBuffer(l)
 	}
 	for name, a := range map[string]*tensor.Matrix{
 		"compact": parent.View(0, 0, 290, 150).Clone(),
 		"view":    parent.View(7, 11, 290, 150),
 	} {
 		ctx := testCtx(2)
-		s := ctx.NewStream()
-		got := s.MatVecPrecise(ctx.NewBuffer(a), x)
+		s := ctx.NewOp()
+		got := s.MatVecPrecise(ctx.CreateMatrixBuffer(a), x)
 		ref := testCtx(2)
-		rs := ref.NewStream()
+		rs := ref.NewOp()
 		ah, al := split(ref, a)
 		xh, xl, _ := quant.SplitPortions(tensor.FromSlice(1, len(x), x))
 		hh, hl, lh := rs.MatVec(ah, xh.Data), rs.MatVec(ah, xl.Data), rs.MatVec(al, xh.Data)
@@ -662,11 +663,11 @@ func TestPreciseOpsMatchFloatPortions(t *testing.T) {
 		}
 
 		ctx, ref = testCtx(2), testCtx(2)
-		s, rs = ctx.NewStream(), ref.NewStream()
-		gotM := s.MatMulPrecise(ctx.NewBuffer(a), ctx.NewBuffer(w))
+		s, rs = ctx.NewOp(), ref.NewOp()
+		gotM := s.GemmPrecise(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(w))
 		ah, al = split(ref, a)
 		wh, wl := split(ref, w)
-		mh, ml, lm := rs.MatMul(ah, wh), rs.MatMul(ah, wl), rs.MatMul(al, wh)
+		mh, ml, lm := rs.Gemm(ah, wh), rs.Gemm(ah, wl), rs.Gemm(al, wh)
 		wantM := tensor.New(a.Rows, w.Cols)
 		for i := range wantM.Data {
 			wantM.Data[i] = mh.Data[i] + ml.Data[i] + lm.Data[i]
@@ -676,7 +677,7 @@ func TestPreciseOpsMatchFloatPortions(t *testing.T) {
 			t.Fatal(s.Err(), rs.Err())
 		}
 		if !same(gotM.Data, wantM.Data) || ctx.Elapsed() != ref.Elapsed() {
-			t.Errorf("%s MatMulPrecise: results equal %v, makespan %v want %v", name, same(gotM.Data, wantM.Data), ctx.Elapsed(), ref.Elapsed())
+			t.Errorf("%s GemmPrecise: results equal %v, makespan %v want %v", name, same(gotM.Data, wantM.Data), ctx.Elapsed(), ref.Elapsed())
 		}
 	}
 }
@@ -686,12 +687,12 @@ func TestPreciseOpsMatchFloatPortions(t *testing.T) {
 func TestMatVecPreciseKeepsSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	ctx := testCtx(1)
-	b := ctx.NewBuffer(tensor.RandUniform(rng, 256, 64, -1, 1))
+	b := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 256, 64, -1, 1))
 	x := make([]float32, 64)
 	for i := range x {
 		x[i] = rng.Float32()
 	}
-	s := ctx.NewStream()
+	s := ctx.NewOp()
 	first := s.MatVecPrecise(b, x)
 	hits := ctx.Stats().ResidencyHits
 	t0 := ctx.Elapsed()
@@ -722,8 +723,8 @@ func TestMatVecPreciseSharedBuffer(t *testing.T) {
 		x[i] = rng.Float32()*2 - 1
 	}
 	ctx := testCtx(2)
-	want := ctx.NewStream().MatVecPrecise(ctx.NewBuffer(m), x)
-	b := ctx.NewBuffer(m)
+	want := ctx.NewOp().MatVecPrecise(ctx.CreateMatrixBuffer(m), x)
+	b := ctx.CreateMatrixBuffer(m)
 	got := make([][]float32, 8)
 	for i := range got {
 		ctx.Enqueue(func(s *Stream) { got[i] = s.MatVecPrecise(b, x) })
@@ -749,16 +750,16 @@ func TestMatMulPreciseSharedBuffer(t *testing.T) {
 	m := tensor.RandUniform(rng, 96, 80, -2, 2)
 	w := tensor.RandUniform(rng, 80, 96, -1, 1)
 	ctx := testCtx(2)
-	left := ctx.NewStream().MatMulPrecise(ctx.NewBuffer(m), ctx.NewBuffer(w))
-	right := ctx.NewStream().MatMulPrecise(ctx.NewBuffer(w), ctx.NewBuffer(m))
-	b := ctx.NewBuffer(m)
+	left := ctx.NewOp().GemmPrecise(ctx.CreateMatrixBuffer(m), ctx.CreateMatrixBuffer(w))
+	right := ctx.NewOp().GemmPrecise(ctx.CreateMatrixBuffer(w), ctx.CreateMatrixBuffer(m))
+	b := ctx.CreateMatrixBuffer(m)
 	got := make([]*tensor.Matrix, 8)
 	for i := range got {
 		ctx.Enqueue(func(s *Stream) {
 			if i%2 == 0 {
-				got[i] = s.MatMulPrecise(b, ctx.NewBuffer(w))
+				got[i] = s.GemmPrecise(b, ctx.CreateMatrixBuffer(w))
 			} else {
-				got[i] = s.MatMulPrecise(ctx.NewBuffer(w), b)
+				got[i] = s.GemmPrecise(ctx.CreateMatrixBuffer(w), b)
 			}
 		})
 	}
@@ -780,8 +781,8 @@ func TestMatMulPreciseSharedBuffer(t *testing.T) {
 
 func TestMatMulPreciseTimingOnly(t *testing.T) {
 	ctx := NewContext(Config{TimingOnly: true})
-	s := ctx.NewStream()
-	out := s.MatMulPrecise(ctx.NewBuffer(tensor.ShapeOnly(256, 256)), ctx.NewBuffer(tensor.ShapeOnly(256, 256)))
+	s := ctx.NewOp()
+	out := s.GemmPrecise(ctx.CreateMatrixBuffer(tensor.ShapeOnly(256, 256)), ctx.CreateMatrixBuffer(tensor.ShapeOnly(256, 256)))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -803,8 +804,8 @@ func TestConv2DStridedGrouping(t *testing.T) {
 	}
 	k := tensor.New(3, 3)
 	k.Fill(1)
-	s := ctx.NewStream()
-	out := s.Conv2DStrided(ctx.NewBuffer(a), ctx.NewBuffer(k), 3, 3)
+	s := ctx.NewOp()
+	out := s.Conv2DStrided(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(k), 3, 3)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -823,8 +824,8 @@ func TestConv2DStridedMatchesDevice(t *testing.T) {
 	a := tensor.RandUniform(rng, 300, 40, 0, 4)
 	k := tensor.FromSlice(2, 2, []float32{0.5, 0.25, 0.25, 0.5})
 	ctx := testCtx(1)
-	s := ctx.NewStream()
-	got := s.Conv2DStrided(ctx.NewBuffer(a), ctx.NewBuffer(k), 2, 2)
+	s := ctx.NewOp()
+	got := s.Conv2DStrided(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(k), 2, 2)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -851,9 +852,9 @@ func TestConv2DStridedMatchesDevice(t *testing.T) {
 
 func TestConv2DStridedTimingOnly(t *testing.T) {
 	ctx := NewContext(Config{TimingOnly: true})
-	s := ctx.NewStream()
-	out := s.Conv2DStrided(ctx.NewBuffer(tensor.ShapeOnly(1024, 1024)),
-		ctx.NewBuffer(tensor.ShapeOnly(4, 4)), 4, 4)
+	s := ctx.NewOp()
+	out := s.Conv2DStrided(ctx.CreateMatrixBuffer(tensor.ShapeOnly(1024, 1024)),
+		ctx.CreateMatrixBuffer(tensor.ShapeOnly(4, 4)), 4, 4)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -864,41 +865,54 @@ func TestConv2DStridedTimingOnly(t *testing.T) {
 
 // TestAffinityTableDropsFinishedTasks is the leak regression for the
 // scheduler's placement memory: a finished task's affinity entries can
-// never match again (task IDs are not reused), and 10 000 sequential
-// one-op tasks on one context — a daemon's life — must leave the table
-// empty instead of 10 000 tasks deep. Dropping dead entries cannot move
-// a placement: the virtual makespan and the hit/fallback counts are
+// never match again (task IDs are not reused), so retiring a task, or
+// submitting a graph, hands its table back, and 10 000 sequential
+// one-op tasks on one context — a daemon's life — reuse one recycled
+// table instead of keeping 10 000. Dropping dead entries cannot move a
+// placement: the virtual makespan and the hit/fallback counts are
 // pinned to what the never-pruned table produced for this workload.
 func TestAffinityTableDropsFinishedTasks(t *testing.T) {
 	ctx := NewContext(Config{Devices: 2, TimingOnly: true})
 	defer ctx.Close()
 	const tasks = 10000
+	live := 0 // finished tasks and graphs still holding a table
+	held := func(p *placements) {
+		ctx.mu.Lock()
+		if p.tab != nil {
+			live++
+		}
+		ctx.mu.Unlock()
+	}
 	for i := 0; i < tasks; i++ {
-		// One MatMulFC: four instructions on one primary operand — one
+		// One GemmFC: four instructions on one primary operand — one
 		// FCFS placement, three affinity hits.
-		task := ctx.Enqueue(func(s *Stream) {
-			s.MatMulFC(ctx.NewBuffer(tensor.ShapeOnly(128, 128)), ctx.NewBuffer(tensor.ShapeOnly(128, 4)))
+		var s *Stream
+		task := ctx.Enqueue(func(st *Stream) {
+			s = st
+			st.GemmFC(ctx.CreateMatrixBuffer(tensor.ShapeOnly(128, 128)), ctx.CreateMatrixBuffer(tensor.ShapeOnly(128, 4)))
 		})
 		if err := task.Wait(); err != nil {
 			t.Fatal(err)
 		}
+		held(s.places)
 		if i == tasks/2 {
 			// Graphs end their task at Submit.
 			g := ctx.NewGraph()
-			g.Add(ctx.NewBuffer(tensor.ShapeOnly(256, 256)), ctx.NewBuffer(tensor.ShapeOnly(256, 256)))
+			g.Add(ctx.CreateMatrixBuffer(tensor.ShapeOnly(256, 256)), ctx.CreateMatrixBuffer(tensor.ShapeOnly(256, 256)))
 			if err := g.Submit(); err != nil {
 				t.Fatal(err)
 			}
+			held(&g.places)
 		}
 	}
-	ctx.mu.Lock()
-	live, free := len(ctx.affinity), len(ctx.freeTabs)
-	ctx.mu.Unlock()
 	if live != 0 {
-		t.Errorf("affinity table holds %d tasks after every task finished, want 0", live)
+		t.Errorf("%d finished tasks still hold an affinity table, want 0", live)
 	}
 	// Sequential tasks reuse one recycled table rather than building a
 	// map each.
+	ctx.mu.Lock()
+	free := len(ctx.freeTabs)
+	ctx.mu.Unlock()
 	if free != 1 {
 		t.Errorf("%d recycled affinity tables after sequential tasks, want 1", free)
 	}
@@ -907,10 +921,7 @@ func TestAffinityTableDropsFinishedTasks(t *testing.T) {
 	for i := 0; i <= maxRecycledKeys; i++ {
 		big[affinityKey{input: uint64(i)}] = 0
 	}
-	ctx.mu.Lock()
-	ctx.affinity[-1] = big
-	ctx.mu.Unlock()
-	ctx.dropAffinity(-1)
+	ctx.dropPlacements(&placements{tab: big})
 	if len(ctx.freeTabs) != 1 {
 		t.Errorf("a %d-key table was recycled", len(big))
 	}
@@ -920,5 +931,66 @@ func TestAffinityTableDropsFinishedTasks(t *testing.T) {
 	if ctx.Elapsed() != wantMakespan || st.AffinityHits != wantHits || st.FCFSFallbacks != wantFCFS {
 		t.Errorf("makespan %d, hits %d, fcfs %d; want %d, %d, %d", ctx.Elapsed(), st.AffinityHits, st.FCFSFallbacks,
 			wantMakespan, wantHits, wantFCFS)
+	}
+}
+
+// TestResetForgetsPlacements: Reset forgets every placement, also the
+// ones a live stream's table holds, so the stream's next instruction on
+// the same operand is placed first-come-first-serve again.
+func TestResetForgetsPlacements(t *testing.T) {
+	ctx := NewContext(Config{Devices: 2, TimingOnly: true})
+	defer ctx.Close()
+	a := ctx.CreateMatrixBuffer(tensor.ShapeOnly(64, 64))
+	s := ctx.NewOp()
+	s.ReLU(a)
+	s.ReLU(a)
+	before := ctx.Stats()
+	if before.AffinityHits != 1 || before.FCFSFallbacks != 1 {
+		t.Fatalf("hits %d, fcfs %d before Reset; want 1, 1", before.AffinityHits, before.FCFSFallbacks)
+	}
+	ctx.Reset()
+	s.ReLU(a)
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	after := ctx.Stats()
+	if after.AffinityHits != 1 || after.FCFSFallbacks != 2 {
+		t.Errorf("hits %d, fcfs %d after Reset; want 1, 2", after.AffinityHits, after.FCFSFallbacks)
+	}
+}
+
+// TestNewOpStreamsLeaveNoTable is the leak regression for bare streams:
+// a NewOp stream has no retire event, so while the context kept one
+// affinity table per task ID, every stream that placed an instruction
+// left its table behind for the context's whole life (10 000 one-op
+// streams kept ~2.9 MB). The stream owns its table now, so once the
+// streams are garbage the heap is back where it started.
+func TestNewOpStreamsLeaveNoTable(t *testing.T) {
+	ctx := NewContext(Config{Devices: 2, TimingOnly: true})
+	defer ctx.Close()
+	a, b := ctx.CreateMatrixBuffer(tensor.ShapeOnly(128, 128)), ctx.CreateMatrixBuffer(tensor.ShapeOnly(128, 128))
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			s := ctx.NewOp()
+			s.Gemm(a, b)
+			if err := s.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second collection empties the sync.Pool victim caches
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	run(100) // warm the operand caches and pools
+	before := heap()
+	const streams = 10000
+	run(streams)
+	if grew := heap() - before; grew > streams*32 {
+		t.Errorf("heap grew %d bytes over %d finished streams (%d per stream), want at most 32 per stream",
+			grew, streams, grew/streams)
 	}
 }

@@ -22,10 +22,10 @@ func engineWorkload(workers int) (makespan float64, gemm, add *tensor.Matrix) {
 	rng := rand.New(rand.NewSource(99))
 	a := tensor.RandUniform(rng, 300, 300, -1, 1)
 	b := tensor.RandUniform(rng, 300, 300, -1, 1)
-	ba, bb := ctx.NewBuffer(a), ctx.NewBuffer(b)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
 
-	s := ctx.NewStream()
-	gemm = s.MatMul(ba, bb)
+	s := ctx.NewOp()
+	gemm = s.Gemm(ba, bb)
 	add = s.Add(ba, bb)
 	s.Mean(ba)
 	if s.Err() != nil {
@@ -83,7 +83,7 @@ func TestDeviceLostRetryConcurrentStreams(t *testing.T) {
 	started.Add(tasks)
 	for i := 0; i < tasks; i++ {
 		i := i
-		ba, bb := ctx.NewBuffer(as[i]), ctx.NewBuffer(bs[i])
+		ba, bb := ctx.CreateMatrixBuffer(as[i]), ctx.CreateMatrixBuffer(bs[i])
 		ctx.Enqueue(func(s *Stream) {
 			started.Done()
 			outs[i] = s.Add(ba, bb)
@@ -158,9 +158,9 @@ func TestResetClearsDeviceResidency(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := tensor.RandUniform(rng, 200, 200, -1, 1)
 	b := tensor.RandUniform(rng, 200, 200, -1, 1)
-	ba, bb := ctx.NewBuffer(a), ctx.NewBuffer(b)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
 
-	s := ctx.NewStream()
+	s := ctx.NewOp()
 	s.Add(ba, bb)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
@@ -185,7 +185,7 @@ func TestResetClearsDeviceResidency(t *testing.T) {
 	}
 
 	// The rerun must re-upload: misses grow, because nothing survived.
-	s2 := ctx.NewStream()
+	s2 := ctx.NewOp()
 	s2.Add(ba, bb)
 	if s2.Err() != nil {
 		t.Fatal(s2.Err())
@@ -212,8 +212,8 @@ func TestCloseIdempotentAndConcurrentWithSubmits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				s := ctx.NewStream()
-				s.Add(ctx.NewBuffer(a), ctx.NewBuffer(b))
+				s := ctx.NewOp()
+				s.Add(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 				if err := s.Err(); err != nil && !errors.Is(err, ErrClosed) {
 					t.Errorf("submit racing Close: want nil or ErrClosed, got %v", err)
 					return
@@ -233,8 +233,8 @@ func TestCloseIdempotentAndConcurrentWithSubmits(t *testing.T) {
 	wg.Wait()
 
 	// After Close, operators must report ErrClosed, not panic.
-	s := ctx.NewStream()
-	s.Add(ctx.NewBuffer(a), ctx.NewBuffer(b))
+	s := ctx.NewOp()
+	s.Add(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 	if !errors.Is(s.Err(), ErrClosed) {
 		t.Fatalf("operator after Close: want ErrClosed, got %v", s.Err())
 	}
@@ -245,8 +245,8 @@ func TestEngineWorkersRetireWhenIdle(t *testing.T) {
 	// drains, so an idle context pins no goroutines and Close is
 	// optional.
 	ctx := testCtx(1)
-	s := ctx.NewStream()
-	s.Add(ctx.NewBuffer(tensor.New(32, 32)), ctx.NewBuffer(tensor.New(32, 32)))
+	s := ctx.NewOp()
+	s.Add(ctx.CreateMatrixBuffer(tensor.New(32, 32)), ctx.CreateMatrixBuffer(tensor.New(32, 32)))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}

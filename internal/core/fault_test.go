@@ -22,12 +22,12 @@ func faultWorkload(t *testing.T, fc *fault.Config, workers int) (float64, Stats,
 	rng := rand.New(rand.NewSource(99))
 	a := tensor.RandUniform(rng, 200, 200, -1, 1)
 	b := tensor.RandUniform(rng, 200, 200, -1, 1)
-	ba, bb := ctx.NewBuffer(a), ctx.NewBuffer(b)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
 
-	s := ctx.NewStream()
-	out := s.MatMul(ba, bb)
+	s := ctx.NewOp()
+	out := s.Gemm(ba, bb)
 	s.Add(ba, bb)
-	s.MulPair(ba, bb)
+	s.Mul(ba, bb)
 	s.Mean(ba)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
@@ -93,8 +93,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	ctx := NewContext(o)
 	defer ctx.Close()
 
-	s := ctx.NewStream()
-	s.Add(ctx.NewBuffer(tensor.New(8, 8)), ctx.NewBuffer(tensor.New(8, 8)))
+	s := ctx.NewOp()
+	s.Add(ctx.CreateMatrixBuffer(tensor.New(8, 8)), ctx.CreateMatrixBuffer(tensor.New(8, 8)))
 	if !errors.Is(s.Err(), ErrRetryBudget) {
 		t.Fatalf("err=%v, want ErrRetryBudget", s.Err())
 	}
@@ -113,9 +113,9 @@ func TestAffinityRebindOnDeviceLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.RandUniform(rng, 100, 100, -1, 1)
 	b := tensor.RandUniform(rng, 100, 100, -1, 1)
-	ba, bb := ctx.NewBuffer(a), ctx.NewBuffer(b)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
 
-	s := ctx.NewStream()
+	s := ctx.NewOp()
 	s.Add(ba, bb)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
@@ -164,16 +164,16 @@ func TestNonFiniteInputsPoisonBuffer(t *testing.T) {
 	defer ctx.Close()
 	bad := tensor.New(4, 4)
 	bad.Data[5] = float32(math.NaN())
-	good := ctx.NewBuffer(tensor.FromSlice(4, 4, make([]float32, 16)))
+	good := ctx.CreateMatrixBuffer(tensor.FromSlice(4, 4, make([]float32, 16)))
 
-	s := ctx.NewStream()
-	s.Add(ctx.NewBuffer(bad), good)
+	s := ctx.NewOp()
+	s.Add(ctx.CreateMatrixBuffer(bad), good)
 	if !errors.Is(s.Err(), ErrBadInput) {
 		t.Fatalf("NaN input: err=%v, want ErrBadInput", s.Err())
 	}
 
 	// The same classification applies through the OPQ task path.
-	task := ctx.Enqueue(func(s *Stream) { s.MulPair(ctx.NewBuffer(bad), good) })
+	task := ctx.Enqueue(func(s *Stream) { s.Mul(ctx.CreateMatrixBuffer(bad), good) })
 	if err := task.Wait(); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("task err=%v, want ErrBadInput", err)
 	}
@@ -181,22 +181,22 @@ func TestNonFiniteInputsPoisonBuffer(t *testing.T) {
 	// Invalidate rescans: mutating valid data to Inf poisons, and
 	// restoring it heals.
 	m := tensor.FromSlice(2, 2, []float32{1, 2, 3, 4})
-	buf := ctx.NewBuffer(m)
-	s2 := ctx.NewStream()
+	buf := ctx.CreateMatrixBuffer(m)
+	s2 := ctx.NewOp()
 	s2.Add(buf, buf)
 	if s2.Err() != nil {
 		t.Fatal(s2.Err())
 	}
 	m.Data[0] = float32(math.Inf(1))
 	ctx.Invalidate(buf)
-	s3 := ctx.NewStream()
+	s3 := ctx.NewOp()
 	s3.Add(buf, buf)
 	if !errors.Is(s3.Err(), ErrBadInput) {
 		t.Fatalf("post-Invalidate err=%v, want ErrBadInput", s3.Err())
 	}
 	m.Data[0] = 1
 	ctx.Invalidate(buf)
-	s4 := ctx.NewStream()
+	s4 := ctx.NewOp()
 	s4.Add(buf, buf)
 	if s4.Err() != nil {
 		t.Fatalf("healed buffer still fails: %v", s4.Err())
@@ -208,8 +208,8 @@ func TestShapeOnlyBuffersStayUsable(t *testing.T) {
 	// finiteness guard must not reject (or scan) them.
 	ctx := NewContext(Config{TimingOnly: true})
 	defer ctx.Close()
-	s := ctx.NewStream()
-	s.Add(ctx.NewBuffer(tensor.ShapeOnly(64, 64)), ctx.NewBuffer(tensor.ShapeOnly(64, 64)))
+	s := ctx.NewOp()
+	s.Add(ctx.CreateMatrixBuffer(tensor.ShapeOnly(64, 64)), ctx.CreateMatrixBuffer(tensor.ShapeOnly(64, 64)))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}

@@ -53,6 +53,7 @@ func (b *Buffer) asNode() *Node    { return nil }
 type Graph struct {
 	c         *Context
 	taskID    int
+	places    placements // the affinity table every node stream shares
 	nodes     []*Node
 	segLen    int // chip-chain segment length; 0 = never split
 	submitted bool
@@ -228,7 +229,7 @@ func (g *Graph) MatMul(a, b Value) *Node {
 	br, bc := b.dims()
 	checkShapes("graph.MatMul", ac == br, "inner dimensions %d vs %d", ac, br)
 	return g.device("tpuGemm", ar, bc, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.MatMul(in[0], in[1])
+		return s.Gemm(in[0], in[1])
 	}, a, b)
 }
 
@@ -240,7 +241,7 @@ func (g *Graph) MatMulFC(a, b Value) *Node {
 	br, bc := b.dims()
 	checkShapes("graph.MatMulFC", ac == br, "inner dimensions %d vs %d", ac, br)
 	n := g.device("tpuGemmFC", ar, bc, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.MatMulFC(in[0], in[1])
+		return s.GemmFC(in[0], in[1])
 	}, a, b)
 	n.fetch = true
 	return n
@@ -253,7 +254,7 @@ func (g *Graph) Add(a, b Value) *Node { return g.pairwise("add", a, b, (*Stream)
 func (g *Graph) Sub(a, b Value) *Node { return g.pairwise("sub", a, b, (*Stream).Sub) }
 
 // MulPair adds a pair-wise (Hadamard) multiplication node.
-func (g *Graph) MulPair(a, b Value) *Node { return g.pairwise("mul", a, b, (*Stream).MulPair) }
+func (g *Graph) MulPair(a, b Value) *Node { return g.pairwise("mul", a, b, (*Stream).Mul) }
 
 func (g *Graph) pairwise(op string, a, b Value, f func(*Stream, *Buffer, *Buffer) *tensor.Matrix) *Node {
 	ar, ac := a.dims()
@@ -424,7 +425,7 @@ func (g *Graph) SubmitObserved(obs TaskObserver) error {
 	c.met.graphNodes.Add(float64(len(g.nodes)))
 	g.analyze()
 	epoch := c.TL.Makespan()
-	defer c.dropAffinity(g.taskID) // a graph submits once: its task ends here
+	defer c.dropPlacements(&g.places) // a graph submits once: its task ends here
 
 	var firstErr error
 	for _, n := range g.nodes {
@@ -586,7 +587,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 		}
 
 	case kMatVec:
-		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs}
+		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places}
 		x := vectorData(c, bufs[1].M)
 		n.vec = s.MatVec(bufs[0], x)
 		if err := s.Err(); err != nil {
@@ -601,12 +602,12 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 		}
 
 	case kReduce:
-		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs}
+		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places}
 		var v float32
 		if n.op == "mean" {
 			v = s.Mean(bufs[0])
 		} else {
-			v = s.MaxReduce(bufs[0])
+			v = s.Max(bufs[0])
 		}
 		if err := s.Err(); err != nil {
 			n.err = err
@@ -623,7 +624,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 		}
 
 	default: // kDevice
-		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, pin: n.cell, onChip: n.chip}
+		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places, pin: n.cell, onChip: n.chip}
 		out := n.run(s, bufs)
 		if err := s.Err(); err != nil {
 			n.err = err
@@ -638,7 +639,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 	// current rebind generation); the float matrix is only the host
 	// shadow that keeps functional math bit-identical.
 	if n.out != nil {
-		n.buf = c.NewBuffer(n.out)
+		n.buf = c.CreateMatrixBuffer(n.out)
 		if n.chip {
 			c.mu.Lock()
 			gen := n.cell.gen

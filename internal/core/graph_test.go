@@ -22,28 +22,28 @@ func graphChainInputs(n int) (a, b, c *tensor.Matrix) {
 	return
 }
 
-// serialChain runs MatMul→Add→Tanh per-op: every intermediate
+// serialChain runs Gemm→Add→Tanh per-op: every intermediate
 // round-trips host memory through a fresh buffer, exactly what the
 // graph path must match bit-for-bit.
 func serialChain(ctx *Context, a, b, c *tensor.Matrix) (*tensor.Matrix, error) {
-	s := ctx.NewStream()
-	ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
-	m1 := s.MatMul(ba, bb)
+	s := ctx.NewOp()
+	ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
+	m1 := s.Gemm(ba, bb)
 	if s.Err() != nil {
 		return nil, s.Err()
 	}
-	m2 := s.Add(ctx.NewBuffer(m1), bc)
+	m2 := s.Add(ctx.CreateMatrixBuffer(m1), bc)
 	if s.Err() != nil {
 		return nil, s.Err()
 	}
-	out := s.Tanh(ctx.NewBuffer(m2))
+	out := s.Tanh(ctx.CreateMatrixBuffer(m2))
 	return out, s.Err()
 }
 
 // graphChain runs the same three ops as one graph submission.
 func graphChain(ctx *Context, a, b, c *tensor.Matrix) (*tensor.Matrix, *Graph, error) {
 	g := ctx.NewGraph()
-	ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
+	ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
 	leaf := g.MatMul(ba, bb).Add(bc).Tanh()
 	if err := g.Submit(); err != nil {
 		return nil, g, err
@@ -100,7 +100,7 @@ func TestGraphChainBitExactAndZeroIntermediateDownloads(t *testing.T) {
 		graphDown += d.DownloadBytes
 	}
 	// The leaf (n×n int8 tiles) must download; the two intermediates
-	// must not. Per-op downloads the MatMul partials and the add tiles
+	// must not. Per-op downloads the Gemm partials and the add tiles
 	// on top, so the graph total is exactly the leaf's bytes.
 	leafBytes := int64(n * n)
 	if graphDown != leafBytes {
@@ -130,7 +130,7 @@ func graphDeterminismRun(t *testing.T, workers int, fc *fault.Config) (float64, 
 
 	a, b, c := graphChainInputs(128)
 	g := ctx.NewGraph()
-	ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
+	ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
 	// Two independent chains (should overlap in virtual time on
 	// distinct devices) joined by a pairwise op, plus a reduce leaf.
 	left := g.MatMul(ba, bb).ReLU()
@@ -206,7 +206,7 @@ func TestGraphUpstreamPoisoning(t *testing.T) {
 	bad.Set(3, 3, float32(math.NaN()))
 
 	g := ctx.NewGraph()
-	ba, bb, bbad := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(bad)
+	ba, bb, bbad := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(bad)
 	poisoned := g.MatMul(bbad, bb) // fails: non-finite input
 	down := poisoned.Add(ba)       // must never execute
 	deeper := down.Tanh()
@@ -248,8 +248,8 @@ func TestStreamErrSticky(t *testing.T) {
 	for i := range goodM.Data {
 		goodM.Data[i] = float32(i%7) - 3
 	}
-	s := ctx.NewStream()
-	bg, bb := ctx.NewBuffer(goodM), ctx.NewBuffer(bad)
+	s := ctx.NewOp()
+	bg, bb := ctx.CreateMatrixBuffer(goodM), ctx.CreateMatrixBuffer(bad)
 	if out := s.Add(bg, bb); out != nil {
 		t.Fatal("failed op must return nil")
 	}
@@ -258,7 +258,7 @@ func TestStreamErrSticky(t *testing.T) {
 		t.Fatalf("Err = %v, want ErrBadInput", first)
 	}
 	// Subsequent operations are no-ops and do not replace the error.
-	if out := s.MatMul(bg, bg); out != nil {
+	if out := s.Gemm(bg, bg); out != nil {
 		t.Fatal("op on failed stream must be a no-op")
 	}
 	if s.Err() != first {
@@ -289,7 +289,7 @@ func TestGraphSubmitObservedNodeSpans(t *testing.T) {
 	defer ctx.Close()
 	a, b, c := graphChainInputs(64)
 	g := ctx.NewGraph()
-	ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
+	ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
 	g.MatMul(ba, bb).Add(bc).Tanh()
 	rec := &spanRecorder{}
 	if err := g.SubmitObserved(rec); err != nil {
@@ -331,7 +331,7 @@ func TestGraphSegmentation(t *testing.T) {
 		defer ctx.Close()
 		a, b, c := graphChainInputs(96)
 		g := ctx.NewGraph().SegmentChains(segLen)
-		ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
+		ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
 		leaf := g.MatMul(ba, bb).Add(bc).MulPair(bc).Tanh()
 		if err := g.Submit(); err != nil {
 			t.Fatal(err)
@@ -395,7 +395,7 @@ func TestGraphHostOpAndMatVec(t *testing.T) {
 	vec := tensor.RandUniform(rng, 1, n, 0, 1)
 
 	g := ctx.NewGraph()
-	badj := ctx.NewBuffer(adj)
+	badj := ctx.CreateMatrixBuffer(adj)
 	scaled := g.HostOp("halve", 1, n, ctx.Params().AggTime(n),
 		func(in []*tensor.Matrix) *tensor.Matrix {
 			out := tensor.New(1, n)
@@ -403,7 +403,7 @@ func TestGraphHostOpAndMatVec(t *testing.T) {
 				out.Data[i] = in[0].Data[i] / 2
 			}
 			return out
-		}, ctx.NewBuffer(vec))
+		}, ctx.CreateMatrixBuffer(vec))
 	mv := g.MatVec(badj, scaled)
 	if err := g.Submit(); err != nil {
 		t.Fatal(err)
@@ -420,8 +420,8 @@ func TestGraphHostOpAndMatVec(t *testing.T) {
 	for i := range half {
 		half[i] = vec.Data[i] / 2
 	}
-	s := ctx2.NewStream()
-	want := s.MatVec(ctx2.NewBuffer(adj), half)
+	s := ctx2.NewOp()
+	want := s.MatVec(ctx2.CreateMatrixBuffer(adj), half)
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -444,7 +444,7 @@ func TestGraphIsolatedNodesNotPinned(t *testing.T) {
 	a, b, c := graphChainInputs(n)
 	ctx := NewContext(Config{})
 	defer ctx.Close()
-	ba, bb, bc := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(c)
+	ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
 
 	g := ctx.NewGraph()
 	fetched := g.MatMul(ba, bb).Fetch() // host-materialized: no chip edge out
@@ -487,8 +487,8 @@ func TestGraphTimingOnlyReduceChain(t *testing.T) {
 	defer ctx.Close()
 
 	g := ctx.NewGraph()
-	a := ctx.NewBuffer(tensor.ShapeOnly(96, 96))
-	one := ctx.NewBuffer(tensor.ShapeOnly(1, 1))
+	a := ctx.CreateMatrixBuffer(tensor.ShapeOnly(96, 96))
+	one := ctx.CreateMatrixBuffer(tensor.ShapeOnly(1, 1))
 	mean := g.Mean(a)
 	down := mean.Add(one).Fetch() // consumes the reduce output on-device
 	if err := g.Submit(); err != nil {
@@ -521,7 +521,7 @@ func TestGraphTimingOnlyReduceChain(t *testing.T) {
 // check, not deep inside Stream at Submit.
 func TestGraphConv2DKernelValidation(t *testing.T) {
 	ctx := testCtx(1)
-	in := ctx.NewBuffer(tensor.New(8, 8))
+	in := ctx.CreateMatrixBuffer(tensor.New(8, 8))
 	for _, tc := range []struct {
 		name    string
 		kr, kc  int
@@ -540,7 +540,7 @@ func TestGraphConv2DKernelValidation(t *testing.T) {
 					t.Fatal("expected node-construction panic")
 				}
 			}()
-			k := ctx.NewBuffer(tensor.New(tc.kr, tc.kc))
+			k := ctx.CreateMatrixBuffer(tensor.New(tc.kr, tc.kc))
 			if tc.strided {
 				g.Conv2DStrided(in, k, 2, 2)
 			} else {
@@ -550,7 +550,7 @@ func TestGraphConv2DKernelValidation(t *testing.T) {
 	}
 	// The same shapes must still be accepted when valid.
 	g := ctx.NewGraph()
-	k := ctx.NewBuffer(tensor.FromSlice(3, 3, make([]float32, 9)))
+	k := ctx.CreateMatrixBuffer(tensor.FromSlice(3, 3, make([]float32, 9)))
 	g.Conv2D(in, k)
 	g.Conv2DStrided(in, k, 2, 2)
 	if err := g.Submit(); err != nil {
@@ -570,8 +570,8 @@ func TestGraphUpstreamPoisoningMixedKinds(t *testing.T) {
 	bad.Set(1, 2, float32(math.NaN()))
 
 	g := ctx.NewGraph()
-	ba, bb, bbad := ctx.NewBuffer(a), ctx.NewBuffer(b), ctx.NewBuffer(bad)
-	vec := ctx.NewBuffer(tensor.RandUniform(rand.New(rand.NewSource(7)), 1, 64, -1, 1))
+	ba, bb, bbad := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(bad)
+	vec := ctx.CreateMatrixBuffer(tensor.RandUniform(rand.New(rand.NewSource(7)), 1, 64, -1, 1))
 
 	root := g.MatMul(bbad, bb) // fails with ErrBadInput
 	host := g.HostOp("scale", 64, 64, time.Microsecond, func(in []*tensor.Matrix) *tensor.Matrix {

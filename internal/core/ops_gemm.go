@@ -179,13 +179,13 @@ func segLen(n, idx, tile int) int {
 	return tile
 }
 
-// MatMulFC multiplies a (M x N) by b (N x K) using only
+// GemmFC multiplies a (M x N) by b (N x K) using only
 // FullyConnected instructions: the section 7.1.1 algorithm that
 // "iterates through a column or row of the other matrix", performing
 // the multiplication via K FullyConnected operators. The paper's
 // Figure 6 shows this implementation cannot beat the CPU baseline —
 // reproducing that result is the point of keeping it.
-func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
+func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 	if s.err != nil {
 		return nil
 	}
@@ -275,7 +275,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 	return out
 }
 
-// MatMul is tpuGemm, the optimized GEMM library function of section
+// Gemm is tpuGemm, the optimized GEMM library function of section
 // 7.1.2: both inputs are re-laid-out so that each row of a becomes an
 // s x s sub-matrix (s = ceil(sqrt(N))) and each column of b becomes an
 // s x s kernel; conv2D with stride (s, s) then performs exactly the
@@ -289,7 +289,7 @@ func (s *Stream) MatMulFC(a, b *Buffer) *tensor.Matrix {
 // CPU-side aggregation ("the CPU code only needs to add received
 // values"), which also reduces precision loss because CPU registers
 // are wider than the device's data paths.
-func (s *Stream) MatMul(a, b *Buffer) *tensor.Matrix {
+func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 	if s.err != nil {
 		return nil
 	}

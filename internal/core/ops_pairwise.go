@@ -17,10 +17,10 @@ func (s *Stream) Add(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Add, a
 // Sub performs pair-wise matrix subtraction.
 func (s *Stream) Sub(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Sub, a, b) }
 
-// MulPair performs pair-wise matrix multiplication (Hadamard
+// Mul performs pair-wise matrix multiplication (Hadamard
 // product); Gaussian elimination's row reductions use it (section
 // 7.2.4).
-func (s *Stream) MulPair(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Mul, a, b) }
+func (s *Stream) Mul(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Mul, a, b) }
 
 // pairwise implements the section 6.2.1 rule for pair-wise operators:
 // divide both inputs into optimally-shaped sub-matrices and rewrite
@@ -228,8 +228,8 @@ func elementwiseTile(k *edgetpu.KernelTable, op isa.OpCode, oa operand, out *ten
 // Mean counts the average value of all elements (Table 1).
 func (s *Stream) Mean(a *Buffer) float32 { return s.reduce(isa.Mean, a) }
 
-// MaxReduce finds the maximum value within the matrix (Table 1).
-func (s *Stream) MaxReduce(a *Buffer) float32 { return s.reduce(isa.Max, a) }
+// Max finds the maximum value within the matrix (Table 1).
+func (s *Stream) Max(a *Buffer) float32 { return s.reduce(isa.Max, a) }
 
 // reduce implements the matrix-wise operator rule of section 6.2.1:
 // 64x64 tiles each produce one value; by default CPU code aggregates

@@ -18,9 +18,9 @@ import (
 // The cost is three device passes plus a host combination pass — the
 // explicit accuracy/latency trade the framework exposes.
 
-// MatMulPrecise is the high-precision GEMM library function: tpuGemm
+// GemmPrecise is the high-precision GEMM library function: tpuGemm
 // over the dual-portion split of both operands.
-func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
+func (s *Stream) GemmPrecise(a, b *Buffer) *tensor.Matrix {
 	if s.err != nil {
 		return nil
 	}
@@ -38,12 +38,12 @@ func (s *Stream) MatMulPrecise(a, b *Buffer) *tensor.Matrix {
 		sb = c.portions(b)
 	}
 	// The sum accumulates into the first product; the other two go back
-	// to the context's free list. Each MatMul has collected its passes
+	// to the context's free list. Each Gemm has collected its passes
 	// when it returns, failed or not, so no instruction reads the codes
 	// once the portions are done.
-	out := s.MatMul(sa.hi, sb.hi)
-	hl := s.MatMul(sa.hi, sb.lo)
-	lh := s.MatMul(sa.lo, sb.hi)
+	out := s.Gemm(sa.hi, sb.hi)
+	hl := s.Gemm(sa.hi, sb.lo)
+	lh := s.Gemm(sa.lo, sb.hi)
 	c.donePortions(a, sa)
 	if b != a {
 		c.donePortions(b, sb)

@@ -38,9 +38,9 @@ func data(m *tensor.Matrix) []float32 {
 // they ship, each over the buffer under test (200x300, several tiles
 // per operator) and fixed partner operands.
 func tileOps(ctx *Context, rng *rand.Rand) map[string]func(s *Stream, b *Buffer) []float32 {
-	other := ctx.NewBuffer(tensor.RandUniform(rng, 200, 300, -7, 7))
-	w := ctx.NewBuffer(tensor.RandUniform(rng, 300, 40, -1, 1))
-	k := ctx.NewBuffer(tensor.RandUniform(rng, 3, 3, -1, 1))
+	other := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 200, 300, -7, 7))
+	w := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 300, 40, -1, 1))
+	k := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 3, 3, -1, 1))
 	x := make([]float32, 300)
 	for i := range x {
 		x[i] = rng.Float32()*2 - 1
@@ -48,15 +48,15 @@ func tileOps(ctx *Context, rng *rand.Rand) map[string]func(s *Stream, b *Buffer)
 	return map[string]func(s *Stream, b *Buffer) []float32{
 		"Add":           func(s *Stream, b *Buffer) []float32 { return data(s.Add(b, other)) },
 		"Sub":           func(s *Stream, b *Buffer) []float32 { return data(s.Sub(other, b)) },
-		"Mul":           func(s *Stream, b *Buffer) []float32 { return data(s.MulPair(b, other)) },
+		"Mul":           func(s *Stream, b *Buffer) []float32 { return data(s.Mul(b, other)) },
 		"Tanh":          func(s *Stream, b *Buffer) []float32 { return data(s.Tanh(b)) },
 		"ReLU":          func(s *Stream, b *Buffer) []float32 { return data(s.ReLU(b)) },
 		"Mean":          func(s *Stream, b *Buffer) []float32 { return []float32{s.Mean(b)} },
-		"Max":           func(s *Stream, b *Buffer) []float32 { return []float32{s.MaxReduce(b)} },
+		"Max":           func(s *Stream, b *Buffer) []float32 { return []float32{s.Max(b)} },
 		"Conv2D":        func(s *Stream, b *Buffer) []float32 { return data(s.Conv2D(b, k)) },
 		"Conv2DStrided": func(s *Stream, b *Buffer) []float32 { return data(s.Conv2DStrided(b, k, 2, 3)) },
 		"MatVec":        func(s *Stream, b *Buffer) []float32 { return s.MatVec(b, x) },
-		"MatMul":        func(s *Stream, b *Buffer) []float32 { return data(s.MatMul(b, w)) },
+		"MatMul":        func(s *Stream, b *Buffer) []float32 { return data(s.Gemm(b, w)) },
 	}
 }
 
@@ -70,10 +70,10 @@ func TestWholeFormOnSecondUse(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		ctx := NewContext(Config{Devices: 2, RefKernels: ref})
 		for name, run := range tileOps(ctx, rand.New(rand.NewSource(4))) {
-			b := ctx.NewBuffer(a)
+			b := ctx.CreateMatrixBuffer(a)
 			var kept []*tensor.MatrixI8
 			for use := 1; use <= 3; use++ {
-				s := ctx.NewStream()
+				s := ctx.NewOp()
 				got := run(s, b)
 				if s.Err() != nil {
 					t.Fatalf("%s use %d: %v", name, use, s.Err())
@@ -102,16 +102,16 @@ func TestWholeFormOnSecondUse(t *testing.T) {
 // preciseOps are the dual-portion operators over the buffer under test
 // (200x300, as tileOps), as the left operand and as the right one.
 func preciseOps(ctx *Context, rng *rand.Rand) map[string]func(s *Stream, b *Buffer) []float32 {
-	w := ctx.NewBuffer(tensor.RandUniform(rng, 300, 40, -1, 1))
-	v := ctx.NewBuffer(tensor.RandUniform(rng, 40, 200, -1, 1))
+	w := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 300, 40, -1, 1))
+	v := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 40, 200, -1, 1))
 	x := make([]float32, 300)
 	for i := range x {
 		x[i] = rng.Float32()*2 - 1
 	}
 	return map[string]func(s *Stream, b *Buffer) []float32{
 		"MatVecPrecise":      func(s *Stream, b *Buffer) []float32 { return s.MatVecPrecise(b, x) },
-		"MatMulPrecise":      func(s *Stream, b *Buffer) []float32 { return data(s.MatMulPrecise(b, w)) },
-		"MatMulPreciseRight": func(s *Stream, b *Buffer) []float32 { return data(s.MatMulPrecise(v, b)) },
+		"MatMulPrecise":      func(s *Stream, b *Buffer) []float32 { return data(s.GemmPrecise(b, w)) },
+		"MatMulPreciseRight": func(s *Stream, b *Buffer) []float32 { return data(s.GemmPrecise(v, b)) },
 	}
 }
 
@@ -141,10 +141,10 @@ func TestSplitCodesOnSecondUse(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		ctx := NewContext(Config{Devices: 2, RefKernels: ref})
 		for name, run := range preciseOps(ctx, rand.New(rand.NewSource(4))) {
-			b := ctx.NewBuffer(a)
+			b := ctx.CreateMatrixBuffer(a)
 			var kept []*tensor.MatrixI8
 			for use := 1; use <= 3; use++ {
-				s := ctx.NewStream()
+				s := ctx.NewOp()
 				got := run(s, b)
 				if s.Err() != nil {
 					t.Fatalf("%s use %d: %v", name, use, s.Err())
@@ -189,9 +189,9 @@ func TestTimingOnlyMatchesFunctional(t *testing.T) {
 		for i, timingOnly := range []bool{false, true} {
 			ctx := NewContext(Config{Devices: 2, TimingOnly: timingOnly})
 			run := ops(ctx)[name]
-			b := ctx.NewBuffer(a)
+			b := ctx.CreateMatrixBuffer(a)
 			for use := 0; use < 2; use++ {
-				s := ctx.NewStream()
+				s := ctx.NewOp()
 				run(s, b)
 				if s.Err() != nil {
 					t.Fatalf("%s (timing-only %v): %v", name, timingOnly, s.Err())
@@ -223,13 +223,13 @@ func TestConcurrentFirstUse(t *testing.T) {
 		}
 		return out
 	}
-	solo := ctx.NewStream()
-	want := chain(solo, ctx.NewBuffer(a))
+	solo := ctx.NewOp()
+	want := chain(solo, ctx.CreateMatrixBuffer(a))
 	if solo.Err() != nil {
 		t.Fatal(solo.Err())
 	}
 	for round := 0; round < 3; round++ {
-		b := ctx.NewBuffer(a)
+		b := ctx.CreateMatrixBuffer(a)
 		var got [2][][]float32
 		t0 := ctx.Enqueue(func(s *Stream) { got[0] = chain(s, b) })
 		t1 := ctx.Enqueue(func(s *Stream) { got[1] = chain(s, b) })

@@ -25,9 +25,9 @@ func TestReleaseBacksNextResult(t *testing.T) {
 	ctx := testCtx(2)
 	defer ctx.Close()
 	rng := rand.New(rand.NewSource(3))
-	a := ctx.NewBuffer(tensor.RandUniform(rng, 40, 30, -2, 2))
-	b := ctx.NewBuffer(tensor.RandUniform(rng, 40, 30, -2, 2))
-	s := ctx.NewStream()
+	a := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 40, 30, -2, 2))
+	b := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 40, 30, -2, 2))
+	s := ctx.NewOp()
 	first := s.Add(a, b)
 	want := s.Add(a, b).Clone()
 	ctx.Release(first)
@@ -141,8 +141,8 @@ func TestReleaseHammer(t *testing.T) {
 	ctx := testCtx(2)
 	defer ctx.Close()
 	rng := rand.New(rand.NewSource(11))
-	a := ctx.NewBuffer(tensor.RandUniform(rng, 24, 24, -2, 2))
-	b := ctx.NewBuffer(tensor.RandUniform(rng, 24, 24, -2, 2))
+	a := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 24, 24, -2, 2))
+	b := ctx.CreateMatrixBuffer(tensor.RandUniform(rng, 24, 24, -2, 2))
 	const tasks, rounds = 16, 20
 	var mu sync.Mutex
 	var failed string
@@ -155,7 +155,7 @@ func TestReleaseHammer(t *testing.T) {
 		mark := float32(k + 1)
 		ctx.Enqueue(func(s *Stream) {
 			for r := 0; r < rounds; r++ {
-				out := s.MulPair(a, b)
+				out := s.Mul(a, b)
 				if out == nil {
 					return
 				}

@@ -70,6 +70,9 @@ type instrWork struct {
 	ready    timing.Duration // earliest issue time (host data ready)
 	fn       func()
 	obs      TaskObserver // per-request observer, nil for unobserved tasks
+	// places is the owning stream's or graph's affinity table (nil = no
+	// placement memory).
+	places *placements
 	// home pins the instruction to its graph chain's device (nil = the
 	// normal affinity/FCFS placement). rehomed is set by pickDevice
 	// when the pinned device left the pool and the cell rebound: the
@@ -86,12 +89,24 @@ func (w *instrWork) n() int {
 	return w.count
 }
 
+// placements is the scheduler's placement memory for one task ID: the
+// device each (primary input, quantization flags) key of the task went
+// to. Its owner holds it — the Stream, or the Graph whose node streams
+// share the task ID — so a stream nobody retires (NewOp) takes its
+// table with it when it is collected, and a finished task or graph
+// hands it to dropPlacements. Read and written only under Context.mu.
+type placements struct {
+	tab map[affinityKey]int // nil until the owner's first placement
+	gen uint64              // Context.resets when tab was last used
+}
+
 // pickDevice implements the section 6.1 policy: an instruction whose
 // (input, quantization flags, task ID) triple matches a previous
 // assignment is sent to the same Edge TPU — "a scheduling approach
 // that reduces movement overhead and the number of data
 // transformations required". Other instructions are assigned
-// first-come-first-serve to the earliest-available device.
+// first-come-first-serve to the earliest-available device. The task ID
+// is implicit: w.places is the table of the instruction's own task.
 func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.Device {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,13 +140,17 @@ func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.D
 	// input); keying on small shared operands like an iteration vector
 	// would collapse every instruction onto one device.
 	var k affinityKey
-	var tab map[affinityKey]int // the task's table; nil until its first placement
-	keyed := !c.cfg.DisableLocality && len(w.inputs) > 0
+	p := w.places
+	keyed := p != nil && !c.cfg.DisableLocality && len(w.inputs) > 0
 	rebinding := false
 	if keyed {
+		if p.gen != c.resets {
+			// Reset forgot every placement made before it.
+			clear(p.tab)
+			p.gen = c.resets
+		}
 		k = affinityKey{input: w.inputs[0].key, flags: w.instr.QuantFlags}
-		tab = c.affinity[w.instr.TaskID]
-		if id, ok := tab[k]; ok {
+		if id, ok := p.tab[k]; ok {
 			for _, d := range healthy {
 				if d.ID == id {
 					c.met.affinityHits.Inc()
@@ -153,16 +172,15 @@ func (c *Context) pickDevice(w *instrWork, healthy []*edgetpu.Device) *edgetpu.D
 	}
 	best := c.fcfsLocked(healthy)
 	if keyed {
-		if tab == nil {
+		if p.tab == nil {
 			if n := len(c.freeTabs); n > 0 {
-				tab = c.freeTabs[n-1]
+				p.tab = c.freeTabs[n-1]
 				c.freeTabs = c.freeTabs[:n-1]
 			} else {
-				tab = make(map[affinityKey]int)
+				p.tab = make(map[affinityKey]int)
 			}
-			c.affinity[w.instr.TaskID] = tab
 		}
-		tab[k] = best.ID
+		p.tab[k] = best.ID
 	}
 	return best
 }

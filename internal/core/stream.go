@@ -9,11 +9,12 @@ import (
 	"repro/internal/timing"
 )
 
-// Stream is one serial chain of TPU operations: the execution context
-// of a single OPQ task. Operations on a stream are serialized with
-// respect to each other ("all TPU operations within a task will
-// perform in serial", paper section 5), while separate streams — like
-// separate tasks — run concurrently on the machine's resources.
+// Stream is one serial chain of TPU operations, published as gptpu.Op:
+// the execution context of a single OPQ task. Operations on a stream
+// are serialized with respect to each other ("all TPU operations
+// within a task will perform in serial", paper section 5), while
+// separate streams — like separate tasks — run concurrently on the
+// machine's resources.
 //
 // Errors are sticky: after a failure every subsequent operation is a
 // no-op and Err returns the first error.
@@ -23,6 +24,7 @@ type Stream struct {
 	now    timing.Duration
 	err    error
 	obs    TaskObserver // nil unless the task was enqueued observed
+	places *placements  // affinity table, shared by a graph's node streams
 
 	// Graph-node execution mode (set by Graph.Submit, never by user
 	// code). pin routes every instruction of the node to its chain's
@@ -33,9 +35,10 @@ type Stream struct {
 	onChip bool
 }
 
-// NewStream opens an independent serial operation chain.
-func (c *Context) NewStream() *Stream {
-	return &Stream{c: c, taskID: c.nextTask()}
+// NewOp opens a serial operator chain outside any task, for
+// straight-line host code.
+func (c *Context) NewOp() *Stream {
+	return &Stream{c: c, taskID: c.nextTask(), places: new(placements)}
 }
 
 // Now returns the stream's virtual clock: the completion time of its
@@ -55,9 +58,6 @@ func (s *Stream) Now() timing.Duration { return s.now }
 // dependents fail with ErrUpstream instead of computing on garbage.
 func (s *Stream) Err() error { return s.err }
 
-// Context returns the owning context.
-func (s *Stream) Context() *Context { return s.c }
-
 // fail records a sticky error.
 func (s *Stream) fail(err error) {
 	if s.err == nil {
@@ -66,9 +66,9 @@ func (s *Stream) fail(err error) {
 }
 
 // inputs validates operand buffers at operator entry. A poisoned
-// buffer (non-finite host data, see NewBuffer) fails the stream with
-// its sticky ErrBadInput and reports false, so the operator becomes a
-// no-op instead of quantizing NaN/Inf garbage.
+// buffer (non-finite host data, see CreateMatrixBuffer) fails the
+// stream with its sticky ErrBadInput and reports false, so the
+// operator becomes a no-op instead of quantizing NaN/Inf garbage.
 func (s *Stream) inputs(bufs ...*Buffer) bool {
 	for _, b := range bufs {
 		if b == nil {
@@ -158,24 +158,17 @@ func (p *plan) inputs(refs ...inputRef) []inputRef {
 // and executes this one. A plan's instructions enter the charge order as
 // one contiguous run, in plan order.
 func (p *plan) submit() *plan {
-	if p.s.obs != nil {
-		for i := range p.works {
-			p.works[i].obs = p.s.obs
+	s := p.s
+	for i := range p.works {
+		w := &p.works[i]
+		w.obs, w.places, w.home = s.obs, s.places, s.pin
+		if s.onChip {
+			// The node's result feeds another on-device node: it stays in
+			// on-chip memory, so no result bytes cross the interconnect.
+			w.outBytes = 0
 		}
 	}
-	if p.s.pin != nil {
-		for i := range p.works {
-			p.works[i].home = p.s.pin
-		}
-	}
-	if p.s.onChip {
-		// The node's result feeds another on-device node: it stays in
-		// on-chip memory, so no result bytes cross the interconnect.
-		for i := range p.works {
-			p.works[i].outBytes = 0
-		}
-	}
-	p.s.c.engine().submit(p.works, &p.bt)
+	s.c.engine().submit(p.works, &p.bt)
 	return p
 }
 
@@ -307,7 +300,7 @@ const (
 )
 
 // wides recycles the 64-bit scratch accumulators operators aggregate
-// device partials in (MatVec, MatMulFC, a segmented MatMul).
+// device partials in (MatVec, GemmFC, a segmented Gemm).
 var wides sync.Pool // *[]int64
 
 // maxWide caps what putWide keeps, so one huge GEMM cannot pin its

@@ -16,9 +16,9 @@ func TestStreamSerializesOps(t *testing.T) {
 	// TPU operations within a task will perform in serial").
 	ctx := testCtx(4)
 	a := tensor.New(256, 256)
-	ba := ctx.NewBuffer(a)
-	bb := ctx.NewBuffer(a.Clone())
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	bb := ctx.CreateMatrixBuffer(a.Clone())
+	s := ctx.NewOp()
 	s.Add(ba, bb)
 	mid := s.Now()
 	s.Sub(ba, bb)
@@ -37,8 +37,8 @@ func TestStreamsShareDevicesFairly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := ctx.NewStream()
-			s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(a))
+			s := ctx.NewOp()
+			s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(a))
 		}()
 	}
 	wg.Wait()
@@ -52,7 +52,7 @@ func TestStreamsShareDevicesFairly(t *testing.T) {
 func TestDerivedQuantCaches(t *testing.T) {
 	ctx := testCtx(1)
 	a := tensor.New(64, 64)
-	b := ctx.NewBuffer(a)
+	b := ctx.CreateMatrixBuffer(a)
 	d1 := ctx.derivedQuant(b, derivedTag{kind: "tag"}, 4096, 0, 1, func(bool) *tensor.MatrixI8 { return tensor.NewI8(64, 64) })
 	host1 := ctx.Host.BusyTime()
 	d2 := ctx.derivedQuant(b, derivedTag{kind: "tag"}, 4096, 0, 1, func(bool) *tensor.MatrixI8 {
@@ -74,7 +74,7 @@ func TestDerivedQuantCaches(t *testing.T) {
 
 func TestDerivedQuantLaterReady(t *testing.T) {
 	ctx := testCtx(1)
-	b := ctx.NewBuffer(tensor.New(8, 8))
+	b := ctx.CreateMatrixBuffer(tensor.New(8, 8))
 	d1 := ctx.derivedQuant(b, derivedTag{kind: "t"}, 64, 0, 1, func(bool) *tensor.MatrixI8 { return tensor.NewI8(8, 8) })
 	// A caller arriving later must see its own ready time, not the
 	// cache-fill time.
@@ -102,8 +102,8 @@ func TestQuickStreamErrorsSticky(t *testing.T) {
 	f := func(seed int64) bool {
 		ctx := testCtx(1)
 		ctx.Pool.Devices[0].Fail()
-		s := ctx.NewStream()
-		a := ctx.NewBuffer(tensor.New(4, 4))
+		s := ctx.NewOp()
+		a := ctx.CreateMatrixBuffer(tensor.New(4, 4))
 		s.ReLU(a)
 		if s.Err() == nil {
 			return false
@@ -125,8 +125,8 @@ func TestQuickMatMulAccuracy(t *testing.T) {
 		a := tensor.RandUniform(rng, m, n, -4, 4)
 		b := tensor.RandUniform(rng, n, k, -4, 4)
 		ctx := testCtx(1)
-		s := ctx.NewStream()
-		got := s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+		s := ctx.NewOp()
+		got := s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 		if s.Err() != nil {
 			return false
 		}
@@ -145,8 +145,8 @@ func TestQuickIntegerGemmExact(t *testing.T) {
 		a := tensor.RandPositiveInts(rng, 48, 48, 9)
 		b := tensor.RandPositiveInts(rng, 48, 48, 9)
 		ctx := testCtx(1)
-		s := ctx.NewStream()
-		got := s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+		s := ctx.NewOp()
+		got := s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 		if s.Err() != nil {
 			return false
 		}
@@ -171,8 +171,8 @@ func TestKSplitGemmLargeInner(t *testing.T) {
 	a := tensor.RandUniform(rng, 24, 9000, -1, 1)
 	b := tensor.RandUniform(rng, 9000, 16, -1, 1)
 	ctx := testCtx(1)
-	s := ctx.NewStream()
-	got := s.MatMul(ctx.NewBuffer(a), ctx.NewBuffer(b))
+	s := ctx.NewOp()
+	got := s.Gemm(ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b))
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
@@ -184,8 +184,8 @@ func TestKSplitGemmLargeInner(t *testing.T) {
 func TestStatsTrackResidency(t *testing.T) {
 	ctx := testCtx(1)
 	a := tensor.New(512, 512)
-	ba := ctx.NewBuffer(a)
-	s := ctx.NewStream()
+	ba := ctx.CreateMatrixBuffer(a)
+	s := ctx.NewOp()
 	x := make([]float32, 512)
 	s.MatVec(ba, x)
 	first := ctx.Stats()

@@ -39,7 +39,7 @@ func (c *Context) Enqueue(kernel func(s *Stream)) *Task {
 // charge and exec spans (plus fault retry events) to obs. A nil
 // observer makes this identical to Enqueue.
 func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Task {
-	s := c.NewStream()
+	s := c.NewOp()
 	s.obs = obs
 	t := &Task{ID: s.taskID, done: make(chan struct{})}
 	c.mu.Lock()
@@ -52,7 +52,7 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	go func() {
 		defer c.met.opqDepth.Add(-1)
 		defer close(t.done)
-		defer c.retire(t) // the kernel has returned: the task's stream is finished
+		defer c.retire(t, s) // the kernel has returned: the task's stream is finished
 		defer func() {
 			if r := recover(); r != nil {
 				t.err = fmt.Errorf("core: task %d panicked: %v", t.ID, r)
@@ -66,12 +66,12 @@ func (c *Context) EnqueueObserved(obs TaskObserver, kernel func(s *Stream)) *Tas
 	return t
 }
 
-// retire takes a returned task off the OPQ: the context keeps only its
-// error, if it is the first since the last Sync. A daemon enqueues a
-// task per request and never syncs until shutdown, so the OPQ must not
-// hold finished tasks.
-func (c *Context) retire(t *Task) {
-	c.dropAffinity(t.ID)
+// retire takes a returned task off the OPQ, recycling its stream's
+// affinity table: the context keeps only its error, if it is the first
+// since the last Sync. A daemon enqueues a task per request and never
+// syncs until shutdown, so the OPQ must not hold finished tasks.
+func (c *Context) retire(t *Task, s *Stream) {
+	c.dropPlacements(s.places)
 	c.mu.Lock()
 	delete(c.inflight, t)
 	if t.err != nil && c.syncErr == nil {

@@ -33,7 +33,7 @@ func benchMatrix(rows, cols int, seed uint32) *tensor.MatrixI8 {
 	return m
 }
 
-// gemmOperands builds the exact operand layout the MatMul closure
+// gemmOperands builds the exact operand layout the Gemm closure
 // derives for an inner dimension of benchTile: each row holds segN
 // live int8 values zero-padded to n2 = s*s (the padded row *is* one
 // flattened s x s window / kernel).
@@ -57,7 +57,7 @@ func gemmOperands() (wins, kers *tensor.MatrixI8, side, segN int) {
 	return wins, kers, side, segN
 }
 
-// Naive measures what the pre-substrate MatMul closure ran per
+// Naive measures what the pre-substrate Gemm closure ran per
 // instruction: build the stacked-window and per-channel kernel
 // headers, then the reference strided conv2D over the full padded
 // layout (the device semantics compute the zero-tail products too).

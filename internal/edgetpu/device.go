@@ -318,13 +318,8 @@ func (d *Device) ExecN(in *isa.Instruction, n int, ready timing.Duration) (timin
 	return end, nil
 }
 
-// Download transfers result bytes back to the host and returns the
-// completion time.
-func (d *Device) Download(bytes int64, ready timing.Duration) (timing.Duration, error) {
-	return d.DownloadSpan(bytes, ready, timing.Span{Phase: "download"})
-}
-
-// DownloadSpan is Download with task-lifecycle annotation.
+// DownloadSpan transfers result bytes back to the host and returns
+// the completion time; sp annotates the task-lifecycle trace span.
 func (d *Device) DownloadSpan(bytes int64, ready timing.Duration, sp timing.Span) (timing.Duration, error) {
 	d.mu.Lock()
 	if d.failed || d.quarantined {

@@ -111,7 +111,7 @@ func TestFailedDeviceRefusesWork(t *testing.T) {
 	if _, err := d.Exec(&isa.Instruction{Op: isa.Add, InRows: 1, InCols: 1}, 0); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("exec err=%v", err)
 	}
-	if _, err := d.Download(100, 0); !errors.Is(err, ErrDeviceLost) {
+	if _, err := d.DownloadSpan(100, 0, timing.Span{}); !errors.Is(err, ErrDeviceLost) {
 		t.Fatalf("download err=%v", err)
 	}
 	if len(pool.AppendHealthy(nil)) != 1 {

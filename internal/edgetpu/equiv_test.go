@@ -179,7 +179,7 @@ func TestConv2DGemmGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	// Inner dimensions around the 32-term lane chunks (one short, exact,
 	// one over; the same at two chunks), the gemm_lib panel width, and
-	// the longest unsegmented MatMul inner dimension.
+	// the longest unsegmented Gemm inner dimension.
 	for _, n := range []int{1, 31, 32, 33, 63, 64, 65, 512, 4300} {
 		for nw := 1; nw <= 7; nw++ {
 			for nch := 1; nch <= 8; nch++ {
@@ -197,7 +197,7 @@ func TestConv2DGemmGeometry(t *testing.T) {
 	checkConv2DGemm(t, "Conv2DGemm 3x0x5", randI8(rng, 3, 5), tensor.NewI8(0, 5))
 }
 
-// TestConv2DGemmZeroTailEquivalence pins the MatMul closure's
+// TestConv2DGemmZeroTailEquivalence pins the Gemm closure's
 // truncated-view optimization: when inner dimension n pads up to
 // n2 = s*s, columns n..n2 of every window and kernel row are zero, and
 // Conv2DGemm over views truncated to n columns must match the full
@@ -397,7 +397,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 		}
 	}
 
-	// FullyConnected: the dot path behind MatMulFC.
+	// FullyConnected: the dot path behind GemmFC.
 	for _, sh := range [][2]int{{256, 256}, {61, 67}, {3, 129}, {1, 1}} {
 		w := randI8Operand(rng, sh[0], sh[1])
 		vec := make([]int8, sh[1])

@@ -83,11 +83,6 @@ func (r Report) TotalJoules() float64 { return r.ActiveJoules + r.IdleJoules }
 // EDP is the energy-delay product (joule-seconds) of Figure 7.
 func (r Report) EDP() float64 { return r.TotalJoules() * timing.Seconds(r.Makespan) }
 
-// ActiveEDP is the energy-delay product excluding idle power, the
-// variant section 9.4 discusses ("if we only consider the active
-// power consumption").
-func (r Report) ActiveEDP() float64 { return r.ActiveJoules * timing.Seconds(r.Makespan) }
-
 // Measure integrates power over a finished timeline: every resource
 // contributes its busy time at PowerFor(name), and the platform idle
 // floor applies across the makespan.

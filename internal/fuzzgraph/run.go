@@ -72,7 +72,7 @@ func buildGraph(ctx *core.Context, cs *Case, ins []*tensor.Matrix, fetchAll bool
 	}
 	leaves := make([]*core.Buffer, len(ins))
 	for i, m := range ins {
-		leaves[i] = ctx.NewBuffer(m)
+		leaves[i] = ctx.CreateMatrixBuffer(m)
 	}
 	nodes := make([]*core.Node, 0, len(cs.Nodes))
 	arg := func(a int) core.Value {

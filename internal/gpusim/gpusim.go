@@ -109,10 +109,6 @@ func New(m *Model) *GPU {
 	}
 }
 
-// Fits reports whether a working set of the given bytes fits device
-// memory.
-func (g *GPU) Fits(bytes int64) bool { return bytes <= g.M.MemBytes }
-
 // Transfer charges a host<->device copy and returns its completion.
 func (g *GPU) Transfer(ready timing.Duration, bytes int64) timing.Duration {
 	if bytes <= 0 {

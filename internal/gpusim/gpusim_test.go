@@ -46,19 +46,6 @@ func TestTransfer(t *testing.T) {
 	}
 }
 
-func TestJetsonMemoryLimitForcesScaling(t *testing.T) {
-	j := New(JetsonNano())
-	// Table 3's PageRank input is 4 GB; with runtime overhead it does
-	// not fit the Nano's 4 GB unified memory (the paper scales such
-	// inputs down 25-50%).
-	if j.Fits(5 << 30) {
-		t.Fatal("5GB must not fit Jetson Nano")
-	}
-	if !j.Fits(1 << 30) {
-		t.Fatal("1GB should fit")
-	}
-}
-
 func TestRelativeSpeedRTXvsJetson(t *testing.T) {
 	flops := 2.0 * 4096 * 4096 * 4096
 	r := New(RTX2080())

@@ -109,8 +109,8 @@ func TestLUDSurvivesDeviceLoss(t *testing.T) {
 	ctx := gptpu.Open(gptpu.Config{Devices: 4})
 	// Lose two devices before the run (mid-run losses are exercised in
 	// the core package; this checks the app level end to end).
-	ctx.Core().Pool.Devices[1].Fail()
-	ctx.Core().Pool.Devices[3].Fail()
+	ctx.Pool.Devices[1].Fail()
+	ctx.Pool.Devices[3].Fail()
 	luOut, _, err := lud.RunTPU(ctx, cfg, a)
 	if err != nil {
 		t.Fatal(err)
@@ -127,16 +127,16 @@ func TestTraceReconcilesWithTimeline(t *testing.T) {
 	cfg := pagerank.Config{N: 512, Iters: 5, Seed: 5}
 	g := cfg.Generate()
 	ctx := gptpu.Open(gptpu.Config{Devices: 2})
-	ctx.Core().TL.EnableTrace()
+	ctx.TL.EnableTrace()
 	if _, _, err := pagerank.RunTPU(ctx, cfg, g); err != nil {
 		t.Fatal(err)
 	}
-	sums := trace.Summarize(ctx.Core().TL)
+	sums := trace.Summarize(ctx.TL)
 	byName := map[string]float64{}
 	for _, s := range sums {
 		byName[s.Resource] = s.Busy.Seconds()
 	}
-	for _, r := range ctx.Core().TL.Resources() {
+	for _, r := range ctx.TL.Resources() {
 		if r.BusyTime() == 0 {
 			continue
 		}

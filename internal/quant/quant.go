@@ -46,14 +46,11 @@ type Params struct {
 	Scale float32
 }
 
-// Dequant returns the raw value a stored int8 q represents.
-func (p Params) Dequant(q int8) float32 { return float32(q) / p.Scale }
-
 // ScaleFor returns the symmetric scale factor for data whose absolute
 // maximum is absMax. Zero-range data quantizes with scale 1 so that
 // all-zero tensors round-trip exactly. Non-finite ranges (NaN or
 // ±Inf absMax) also map to scale 1: QMax/+Inf would yield scale 0 and
-// every later Dequant would divide by zero, poisoning results with
+// every later dequantization would divide by zero, poisoning results with
 // NaN from a single bad input value.
 func ScaleFor(absMax float32) float32 {
 	if absMax <= 0 || math.IsNaN(float64(absMax)) || math.IsInf(float64(absMax), 0) {

@@ -21,7 +21,7 @@ func TestScaleFor(t *testing.T) {
 		t.Fatal("NaN absmax must fall back to scale 1")
 	}
 	// Regression: +Inf absmax yielded QMax/+Inf = scale 0, and every
-	// later Dequant divided by zero, poisoning results with NaN.
+	// later dequantization divided by zero, poisoning results with NaN.
 	if ScaleFor(float32(math.Inf(1))) != 1 {
 		t.Fatal("+Inf absmax must fall back to scale 1")
 	}

@@ -152,7 +152,7 @@ func (s *Server) Abort() { s.door.Abort() }
 
 // health snapshots the daemon's probe-visible identity and capacity.
 func (s *Server) health() HealthInfo {
-	return HealthInfo{ShardID: s.cfg.ShardID, Devices: s.gx.Core().Config().Devices}
+	return HealthInfo{ShardID: s.cfg.ShardID, Devices: s.gx.Config().Devices}
 }
 
 // reqCtx carries one request's reply coordinates and trace through

@@ -15,17 +15,6 @@ func RandUniform(rng *rand.Rand, rows, cols int, lo, hi float32) *Matrix {
 	return m
 }
 
-// RandNormal fills a new rows x cols matrix with normal(mu, sigma)
-// values. The paper notes synthetic inputs "are typically normally
-// distributed" (section 9.1).
-func RandNormal(rng *rand.Rand, rows, cols int, mu, sigma float32) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = mu + sigma*float32(rng.NormFloat64())
-	}
-	return m
-}
-
 // RandPositiveInts fills a new rows x cols matrix with integer values
 // drawn uniformly from [0, max], matching the Table 5 workload
 // ("1024x1024 matrices with positive integers and maximum input values

@@ -250,19 +250,6 @@ func (p *Params) CPUNaiveGemmTime(m, n, k int64) Duration {
 	return FromSeconds(2 * float64(m) * float64(n) * float64(k) / p.CPU.NaiveGemmFlops)
 }
 
-// CPUStreamTime returns the single-core latency for elems streaming
-// element operations with the given bytes touched; it is the max of
-// the compute-rate bound and the memory-bandwidth bound so multicore
-// runs saturate DRAM, reproducing the paper's modest OpenMP scaling.
-func (p *Params) CPUStreamTime(elems, bytes int64) Duration {
-	compute := float64(elems) / p.CPU.ElemRate
-	mem := float64(bytes) / p.CPU.MemBandwidth
-	if mem > compute {
-		compute = mem
-	}
-	return FromSeconds(compute)
-}
-
 // CPUScalarTime returns the single-core latency for n
 // transcendental-heavy scalar operations.
 func (p *Params) CPUScalarTime(n int64) Duration {

@@ -212,13 +212,6 @@ func TestCPUTimeHelpers(t *testing.T) {
 	if p.CPUGemmTime(1024, 1024, 1024) <= 0 {
 		t.Fatal("gemm time must be positive")
 	}
-	// Memory-bound streaming: doubling bytes with constant elems must
-	// increase latency once past the compute bound.
-	a := p.CPUStreamTime(1000, 1<<30)
-	b := p.CPUStreamTime(1000, 2<<30)
-	if b <= a {
-		t.Fatal("stream time must grow with bytes in the memory-bound regime")
-	}
 	if p.CPUScalarTime(0) != 0 || p.QuantTime(0) != 0 || p.AggTime(0) != 0 {
 		t.Fatal("zero work must cost zero time")
 	}

@@ -2,8 +2,8 @@
 // of the paper's Table 2 and Figure 3, for porting code written
 // against the original framework. Each function keeps the C name and
 // call shape (AllocDimension <-> openctpu_alloc_dimension, and so on);
-// idiomatic Go code should use the root gptpu package instead, which
-// this layer wraps.
+// idiomatic Go code should use the root gptpu package instead, whose
+// Context this layer wraps.
 //
 // The Figure 3 program maps one-to-one:
 //
@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	gptpu "repro"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -123,21 +122,11 @@ func InitConfig(cfg gptpu.Config) *Context {
 	}
 }
 
-// Context returns the underlying gptpu context, through which ported
-// code reaches the runtime's telemetry (Metrics, Stats, ServeMetrics)
-// and timing surfaces without leaving the transliterated API.
+// Context returns the underlying gptpu context: the escape hatch
+// through which ported code reaches what the C API never had —
+// telemetry (Metrics, Stats), dataflow graphs (NewGraph) and the
+// virtual clock — without leaving the transliterated API.
 func (c *Context) Context() *gptpu.Context { return c.ctx }
-
-// Metrics exposes the runtime telemetry registry (see
-// gptpu.Context.Metrics); the C API has no equivalent, but ported
-// code needs the same observability as idiomatic code.
-func (c *Context) Metrics() *telemetry.Registry { return c.ctx.Metrics() }
-
-// NewGraph opens a dataflow graph on the underlying runtime: the
-// whole-DAG submission path (intermediates stay on-chip, one Submit).
-// The C API predates graphs, so this is an escape hatch in the style
-// of Context()/Metrics(); build and submit via the gptpu.Graph API.
-func (c *Context) NewGraph() *gptpu.Graph { return c.ctx.NewGraph() }
 
 // CreateBuffer mirrors openctpu_create_buffer: "creates an input data
 // buffer for TPU kernels" over raw host data.

@@ -134,9 +134,10 @@ func TestWaitUnknownTask(t *testing.T) {
 	}
 }
 
-// TestGraphEscapeHatch: the NewGraph escape hatch submits a whole DAG
-// through the transliterated context and matches the per-op shim
-// result bit-for-bit (same runtime, same quantization path).
+// TestGraphEscapeHatch: a graph opened through the Context escape
+// hatch submits a whole DAG on the transliterated context's runtime and
+// matches the per-op shim result bit-for-bit (same runtime, same
+// quantization path).
 func TestGraphEscapeHatch(t *testing.T) {
 	const size = 96
 	rng := rand.New(rand.NewSource(9))
@@ -172,7 +173,7 @@ func TestGraphEscapeHatch(t *testing.T) {
 	ctx := Init(1)
 	ga := ctx.CreateBuffer(ad, am.Data)
 	gb := ctx.CreateBuffer(ad, bm.Data)
-	g := ctx.NewGraph()
+	g := ctx.Context().NewGraph()
 	leaf := g.MatMul(ga.buf, gb.buf).Tanh()
 	if err := g.Submit(); err != nil {
 		t.Fatal(err)
