@@ -14,10 +14,13 @@ test:
 # benchmark module, which builds the internal config structs by field
 # name: a renamed field fails here, not only in bench-test. It first
 # guards against Core() escapes creeping back outside benchmark/: the
-# public Context is the runtime's own, so nothing else needs one (the
-# brackets keep the guard from matching itself).
+# public Context is the runtime's own, so nothing else needs one. It
+# also keeps every HTTP mux inside internal/telemetry: commands mount
+# their one metrics listener through telemetry.Listen. (The brackets
+# keep both guards from matching themselves.)
 vet:
 	! grep -rn --include='*.go' --exclude-dir=benchmark '\.Cor[e]()' .
+	! grep -rn --include='*.go' --exclude-dir=benchmark --exclude-dir=telemetry 'http\.NewServeMu[x]' .
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi

@@ -13,8 +13,8 @@
 //
 // With -metrics the sweep's telemetry accumulates into one shared
 // registry (every context the experiments open records into it) and a
-// snapshot is written after the last experiment: Prometheus text, or
-// expvar JSON for .json paths. With -trace every context records its
+// snapshot is written after the last experiment in the Prometheus text
+// format. With -trace every context records its
 // schedule and the merged Chrome trace is written at the end, one
 // process group per context. The -fault-* flags give every context the
 // same fault plan. All of them reach the experiments' contexts through
@@ -24,7 +24,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -41,7 +40,7 @@ func main() {
 	full := flag.Bool("full", false, "run paper-scale configurations (slower)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	exp := flag.String("exp", "", "comma-separated experiment ids (default: all)")
-	metricsOut := flag.String("metrics", "", "write the sweep-wide telemetry snapshot to this file (Prometheus text; expvar JSON if the name ends in .json)")
+	metricsOut := flag.String("metrics", "", "write the sweep-wide telemetry snapshot to this file (Prometheus text)")
 	traceOut := flag.String("trace", "", "write the merged Chrome trace of every context to this file")
 	pprofAddr := flag.String("pprof", "", "serve live metrics and net/http/pprof on this address while the sweep runs (e.g. :6060)")
 	var ff fault.Flags
@@ -81,10 +80,7 @@ func main() {
 		reg = telemetry.NewRegistry()
 	}
 	if *pprofAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", reg.Handler())
-		telemetry.AttachPprof(mux)
-		ps, err := telemetry.ServeMux(*pprofAddr, mux)
+		ps, err := telemetry.Listen(*pprofAddr, reg, true, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-bench: pprof:", err)
 			os.Exit(1)
@@ -132,11 +128,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
 			os.Exit(1)
 		}
-		if strings.HasSuffix(*metricsOut, ".json") {
-			err = reg.WriteJSON(f)
-		} else {
-			err = reg.WritePrometheus(f)
-		}
+		err = reg.WritePrometheus(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -152,7 +144,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
 			os.Exit(1)
 		}
-		n, err := trace.ExportAll(timelines, f)
+		n, err := trace.Write(f, timelines, nil)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

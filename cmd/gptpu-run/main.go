@@ -4,9 +4,9 @@
 // resource schedule as Chrome trace-event JSON (load it in
 // chrome://tracing or Perfetto) — the profile view behind the paper's
 // bottleneck analyses. With -metrics it dumps the runtime telemetry
-// snapshot (Prometheus text exposition, or expvar JSON for .json
-// paths): scheduler counters, per-operator latency histograms, and
-// per-device transfer/residency counters.
+// snapshot in the Prometheus text format: scheduler counters,
+// per-operator latency histograms, and per-device transfer/residency
+// counters.
 //
 // Usage:
 //
@@ -19,9 +19,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"strings"
+	"sort"
 
 	gptpu "repro"
 	"repro/internal/apps"
@@ -36,6 +35,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
+	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
@@ -48,7 +48,7 @@ func main() {
 	functional := flag.Bool("functional", true, "compute real results (disable for paper-scale timing sweeps)")
 	seed := flag.Int64("seed", 42, "workload seed")
 	traceOut := flag.String("trace", "", "write Chrome trace JSON to this file")
-	metricsOut := flag.String("metrics", "", "write a telemetry snapshot to this file (Prometheus text; expvar JSON if the name ends in .json)")
+	metricsOut := flag.String("metrics", "", "write a telemetry snapshot to this file (Prometheus text)")
 	pprofAddr := flag.String("pprof", "", "serve live metrics and net/http/pprof on this address while the run executes (e.g. :6060)")
 	retryBudget := flag.Int("retry-budget", 0, "dispatch retries per instruction under faults (0 = default 8)")
 	var ff fault.Flags
@@ -71,10 +71,7 @@ func main() {
 	})
 
 	if *pprofAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", ctx.Metrics().Handler())
-		telemetry.AttachPprof(mux)
-		ps, err := telemetry.ServeMux(*pprofAddr, mux)
+		ps, err := telemetry.Listen(*pprofAddr, ctx.Metrics(), true, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-run: pprof:", err)
 			os.Exit(1)
@@ -107,33 +104,30 @@ func main() {
 	fmt.Printf("  tensorizer: %d quant-cache hits / %d misses\n",
 		st.QuantCacheHits, st.QuantCacheMisses)
 	fmt.Println("  resource occupancy:")
-	if *traceOut != "" {
-		for _, s := range trace.Summarize(ctx.TL) {
-			fmt.Printf("    %-22s busy %-14v %6.1f%%  (%d ops)\n",
-				s.Resource, s.Busy, 100*s.Utilization, s.Ops)
+	res := ctx.TL.Resources()
+	sort.Slice(res, func(i, j int) bool { return res[i].Name < res[j].Name })
+	mk := ctx.Elapsed().Seconds()
+	for _, r := range res {
+		util := 0.0
+		if mk > 0 {
+			util = r.BusyTime().Seconds() / mk
 		}
+		fmt.Printf("    %-22s busy %-14v %6.1f%%  (%d ops)\n",
+			r.Name, r.BusyTime(), 100*util, r.Ops())
+	}
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-run:", err)
 			os.Exit(1)
 		}
 		defer f.Close()
-		nEvents, err := trace.Export(ctx.TL, f)
+		nEvents, err := trace.Write(f, []*timing.Timeline{ctx.TL}, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-run:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("  trace: %d events -> %s\n", nEvents, *traceOut)
-	} else {
-		for _, r := range ctx.TL.Resources() {
-			mk := ctx.Elapsed().Seconds()
-			util := 0.0
-			if mk > 0 {
-				util = r.BusyTime().Seconds() / mk
-			}
-			fmt.Printf("    %-22s busy %-14v %6.1f%%  (%d ops)\n",
-				r.Name, r.BusyTime(), 100*util, r.Ops())
-		}
 	}
 
 	if *metricsOut != "" {
@@ -145,21 +139,15 @@ func main() {
 	}
 }
 
-// writeMetrics dumps a registry snapshot to path: Prometheus text
-// exposition by default, expvar-style JSON when the name ends in
-// ".json".
+// writeMetrics dumps a registry snapshot to path in the Prometheus
+// text exposition format.
 func writeMetrics(reg *telemetry.Registry, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		err = reg.WriteJSON(f)
-	} else {
-		err = reg.WritePrometheus(f)
-	}
-	return err
+	return reg.WritePrometheus(f)
 }
 
 // run executes the selected workload on both the GPTPU context and a

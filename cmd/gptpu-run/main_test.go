@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	gptpu "repro"
+	"repro/internal/timing"
 	"repro/internal/trace"
 )
 
@@ -73,7 +74,7 @@ func TestMetricsAndTraceSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.Export(ctx.TL, f); err != nil {
+	if _, err := trace.Write(f, []*timing.Timeline{ctx.TL}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -157,11 +157,10 @@ func writeTrace(tl *timing.Timeline, rec *obs.Recorder, path string) error {
 	if err != nil {
 		return err
 	}
-	var lanes []trace.ReqLane
-	if rec != nil {
-		lanes = rec.RequestLanes()
-	}
-	n, err := trace.ExportAllWithRequests([]*timing.Timeline{tl}, lanes, f)
+	// The completed ring plus what is still in flight (a nil recorder
+	// dumps neither).
+	d := rec.Dump()
+	n, err := trace.Write(f, []*timing.Timeline{tl}, append(d.Completed, d.InFlight...))
 	if err != nil {
 		f.Close()
 		return err

@@ -133,7 +133,12 @@ func New(cfg Config) *Router {
 		rec: cfg.Obs,
 		log: logger,
 	}
-	r.door = server.NewFrontDoor("gptpu_cluster", reg, cfg.Obs, logger, r.health, r.handleRequest)
+	r.door = server.NewFrontDoor("gptpu_cluster", reg, cfg.Obs, logger, server.DoorOwner{
+		Health:  r.health,
+		Handle:  r.handleRequest,
+		Settle:  func() { r.met.inflight.Add(-1) },
+		TraceOp: "route:",
+	})
 	r.updateStateGauges()
 	return r
 }

@@ -172,6 +172,12 @@ func familyTotal(reg *telemetry.Registry, name string) float64 {
 	return total
 }
 
+// replies is the router front door's reply counter, read back through
+// the registry (registering a family again returns it).
+func replies(r *Router) *telemetry.CounterVec {
+	return r.Metrics().Counter("gptpu_cluster_replies_total", "", "status")
+}
+
 // TestRouterHealthAggregate: pinging the router answers with the
 // router's own identity and the healthy members' summed device count —
 // `gptpu-serve -check <router>` works against a router unchanged.

@@ -227,7 +227,7 @@ func TestRouterReplyIsLast(t *testing.T) {
 		if got := r.met.inflight.Value(); got != 0 {
 			t.Fatalf("after reply %d: router in-flight gauge %v", i, got)
 		}
-		if got := r.met.replies.With("ok").Value() + r.met.replies.With("bad_request").Value(); got != float64(i) {
+		if got := replies(r).With("ok").Value() + replies(r).With("bad_request").Value(); got != float64(i) {
 			t.Fatalf("after reply %d: router counted %v replies", i, got)
 		}
 	}

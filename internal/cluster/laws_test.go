@@ -76,7 +76,7 @@ func TestRouterRequestsConserved(t *testing.T) {
 
 	reg := r.Metrics()
 	for _, status := range []string{"ok", "bad_request", "overloaded", "deadline"} {
-		if got := r.met.replies.With(status).Value(); got != 1 {
+		if got := replies(r).With(status).Value(); got != 1 {
 			t.Errorf("replies{status=%q} = %v, want 1", status, got)
 		}
 	}

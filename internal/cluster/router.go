@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"repro/internal/obs"
@@ -13,71 +11,34 @@ import (
 
 // handleRequest is the router's operator-frame handler, which the
 // front door runs on a goroutine per frame: derive the placement key,
-// walk the candidate list, relay the winning reply under the client's
-// request ID.
-func (r *Router) handleRequest(cw *server.ConnWriter, f *server.Frame) {
+// walk the candidate list, hand the winning reply back for relay under
+// the client's request ID. The trace ID survives the hop: the ID the
+// door attached (the client's, or one the router's recorder assigned)
+// goes out in the backend frame, so the router's waterfall and the
+// daemon's correlate.
+func (r *Router) handleRequest(f *server.Frame, rt *obs.Trace, _ time.Time) server.Reply {
 	r.met.inflight.Add(1)
-	arrived := time.Now()
-	op := f.Type
-	r.met.requests.With(op.String()).Inc()
-
-	// The trace ID survives the hop: the same ID the client attached
-	// (or the router's recorder assigned) goes out in the backend frame,
-	// so the router's waterfall and the daemon's correlate.
-	rt := r.rec.Start(f.TraceID, f.ReqID, "route:"+op.String())
-	traceID := f.TraceID
-	if rt != nil {
-		traceID = rt.ID()
-	}
-
 	// The placement key is the weight operand's content hash (B for
 	// binary operators, A for the unary reductions), folded over the
 	// payload bytes where they lie: the router never materializes a
 	// matrix, and a malformed payload is refused here with the same
 	// typed error the daemon's decoder would give.
 	dst := time.Now()
-	key, err := server.WireWeightKey(op, f.Payload)
+	key, err := server.WireWeightKey(f.Type, f.Payload)
 	rt.ObserveSpan(obs.StageRouteDecode, dst, time.Since(dst), "")
 	var resp *server.Frame
 	if err == nil {
-		resp, err = r.forward(key, op, f.Payload, traceID, rt)
+		resp, err = r.forward(key, f.Type, f.Payload, f.TraceID, rt)
 	}
-	r.finishReply(cw, f.ReqID, traceID, op, arrived, rt, resp, err)
-	// Both frames are pooled: the client's payload was resent on every
-	// forward attempt and the backend's was the reply just written, so
-	// neither has a reader left.
-	resp.Release()
+	// The client's payload was resent on every forward attempt: it has
+	// no reader left.
 	f.Release()
-}
-
-// finishReply relays the backend's reply frame (its payload passes
-// through verbatim) or renders err as a typed error. The socket write
-// is the last thing an observer can see: the counters, the route
-// latency, the sealed trace and the in-flight gauge are all settled
-// before it, so a client holding its answer finds the request finished
-// in the router's flight recorder.
-func (r *Router) finishReply(cw *server.ConnWriter, reqID, traceID uint64,
-	op server.MsgType, arrived time.Time, rt *obs.Trace, resp *server.Frame, err error) {
-	status, typ := "ok", server.MsgError
-	var payload []byte
 	if err != nil {
-		status = server.ErrStatus(err)
-		payload = server.ErrorPayload(err)
-		lvl := slog.LevelDebug
-		if status == "internal" || status == "bad_request" {
-			lvl = slog.LevelWarn
-		}
-		r.log.Log(context.Background(), lvl, "routed request failed",
-			"trace_id", obs.FormatID(traceID), "req_id", reqID,
-			"op", op.String(), "code", status, "err", err.Error())
-	} else {
-		typ, payload = resp.Type, resp.Payload
+		return server.Reply{Err: err, Held: true}
 	}
-	r.met.replies.With(status).Inc()
-	r.met.routeLat.With(op.String()).Observe(time.Since(arrived).Seconds())
-	rt.Finish(status)
-	r.met.inflight.Add(-1)
-	cw.Reply(reqID, traceID, typ, payload)
+	rep := server.Relay(resp)
+	rep.Held = true
+	return rep
 }
 
 // candidates orders the members to try for key: the affinity-table

@@ -176,8 +176,8 @@ func NewContext(cfg Config) *Context {
 // Metrics returns the telemetry registry every layer of this context
 // records into: scheduler counters, Tensorizer cache statistics,
 // per-operator virtual-latency histograms, and the per-device transfer
-// and residency counters. Export it with the registry's WritePrometheus /
-// WriteJSON, or serve it over HTTP with telemetry.Serve.
+// and residency counters. Export it with the registry's WritePrometheus,
+// or serve it over HTTP with telemetry.Listen.
 func (c *Context) Metrics() *telemetry.Registry { return c.met.reg }
 
 // Core returns c. The benchmark module still reaches the device pool

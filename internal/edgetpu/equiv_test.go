@@ -90,9 +90,10 @@ func TestConv2DEquivalence(t *testing.T) {
 	}
 }
 
-// TestConv2DEquivalenceGemmShape drives the contiguous-window fast
-// path specifically: kernel width == input width == column stride, the
-// configuration tpuGemm emits.
+// TestConv2DEquivalenceGemmShape drives the strided general path with
+// GEMM-shaped operands: kernel width == input width == column stride,
+// one output column per channel (the layout Conv2DGemm's panel form
+// replaced as the GEMM kernel).
 func TestConv2DEquivalenceGemmShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -434,7 +435,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 }
 
 // FuzzConv2DEquiv fuzzes conv2D shape and stride parameters: the
-// optimized path selection (contiguous / stride-1 / general) must stay
+// optimized path selection (stride-1 / general) must stay
 // bit-identical to the reference for any geometry the fuzzer invents.
 func FuzzConv2DEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(8), uint8(3), uint8(3), uint8(1), uint8(1), uint8(2))

@@ -48,24 +48,7 @@ func Conv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC in
 		return outs
 	}
 
-	// GEMM-as-strided-conv2D fast path: every window is one flat
-	// contiguous run of in.Data, every kernel one flat []int8 — the
-	// configuration tpuGemm emits (Table 1's highest-RPS instruction).
-	contig := outC <= 1
-	if contig {
-		for _, k := range kernels {
-			if k.Rows != kernels[0].Rows || !contigWindows(in, k, strideC) {
-				contig = false
-				break
-			}
-		}
-	}
 	switch {
-	case contig:
-		for ch := range kernels {
-			outs[ch] = tensor.GetI32ForOverwrite(outR, outC)
-		}
-		conv2DContig(in, kernels, strideR, outs)
 	case strideR == 1 && strideC == 1:
 		// Stencil fast path: row-axpy sweeps (needs zeroed output).
 		for ch, k := range kernels {

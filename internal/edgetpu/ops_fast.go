@@ -21,12 +21,9 @@ import (
 //   - dot products over contiguous []int8 rows with 4 independent
 //     int32 accumulators, 8-wide unrolled, so the CPU pipelines the
 //     multiply-adds instead of serializing on one register;
-//   - operand reuse across output channels: dot4I8 streams one window
-//     against four kernels per pass, quartering input loads (the
-//     register-tiling step of a blocked GEMM);
-//   - a contiguous-window fast path for the GEMM-as-strided-conv2D
-//     configuration tpuGemm emits (kernel width == input width ==
-//     stride: every window is one flat []int8 run);
+//   - operand reuse across weight rows: dot4I8 streams one input
+//     vector against four FullyConnected rows per pass, quartering
+//     input loads (the register-tiling step of a blocked GEMM);
 //   - a bias-packed, row-interleaved micro-kernel for the Conv2DGemm
 //     panel form: three window rows share one 64-bit word in 21-bit
 //     lanes, w = x0 + x1·2²¹ + x2·2⁴² with every x biased to [0, 255],
@@ -89,50 +86,6 @@ func axpyI8(acc []int32, v int32, src []int8) {
 	}
 	for ; i < n; i++ {
 		acc[i] += v * int32(src[i])
-	}
-}
-
-// contigWindows reports whether the conv2D configuration produces one
-// output column whose windows are flat contiguous runs of in.Data: the
-// kernel spans the full (compact) input width, so window (i, 0) is the
-// byte range [i*sr*cols, (i*sr+kRows)*cols) clipped at the input's
-// end. This is exactly the layout tpuGemm's GEMM-as-strided-conv2D
-// emits (each padded row of A is one s x s block, each kernel one s x
-// s column block of B).
-func contigWindows(in *tensor.MatrixI8, k *tensor.MatrixI8, strideC int) bool {
-	return in.Stride == in.Cols && k.Stride == k.Cols &&
-		k.Cols == in.Cols && strideC >= in.Cols && in.Cols > 0
-}
-
-// conv2DContig computes every channel of a contiguous-window conv2D,
-// register-tiling four kernels per input pass: output row i reads one
-// flat window and writes outs[ch].Data[i].
-func conv2DContig(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR int, outs []*tensor.MatrixI32) {
-	outR := (in.Rows + strideR - 1) / strideR
-	cols := in.Cols
-	kRows := kernels[0].Rows
-	nch := len(kernels)
-	for i := 0; i < outR; i++ {
-		base := i * strideR
-		rEnd := base + kRows
-		if rEnd > in.Rows {
-			rEnd = in.Rows
-		}
-		win := in.Data[base*cols : rEnd*cols]
-		wl := len(win)
-		ch := 0
-		for ; ch+4 <= nch; ch += 4 {
-			s0, s1, s2, s3 := dot4I8(win,
-				kernels[ch].Data[:wl], kernels[ch+1].Data[:wl],
-				kernels[ch+2].Data[:wl], kernels[ch+3].Data[:wl])
-			outs[ch].Data[i] = s0
-			outs[ch+1].Data[i] = s1
-			outs[ch+2].Data[i] = s2
-			outs[ch+3].Data[i] = s3
-		}
-		for ; ch < nch; ch++ {
-			outs[ch].Data[i] = dotI8(win, kernels[ch].Data[:wl])
-		}
 	}
 }
 

@@ -44,7 +44,7 @@ const (
 	StageExec         = "exec"          // engine: functional execution
 	StageNode         = "node"          // engine: one dataflow-graph node, end to end
 	StageRuntime      = "runtime"       // server: enqueue → task completion wall time
-	StageReplyEncode  = "reply_encode"  // server: reply frame build + write
+	StageReplyEncode  = "reply_encode"  // server: result reply encode
 	StageTotal        = "total"         // arrival → reply written
 )
 

@@ -75,7 +75,7 @@ func TestLoopbackGemmDiet(t *testing.T) {
 			}
 			// Every reply's socket write is timed where e2e latency no
 			// longer sees it.
-			if writes, replies := srv.met.replyWrite.Count(), srv.met.replies.With("ok").Value(); float64(writes) != replies {
+			if writes, replies := srv.met.replyWrite.Count(), srv.door.replies.With("ok").Value(); float64(writes) != replies {
 				t.Errorf("reply write histogram has %d samples for %v replies", writes, replies)
 			}
 		})
@@ -421,8 +421,8 @@ func TestReplyIsLast(t *testing.T) {
 		if got := srv.met.inflight.Value(); got != 0 {
 			t.Fatalf("after reply %d: in-flight gauge %v", i, got)
 		}
-		replies := srv.met.replies.With("ok").Value() + srv.met.replies.With("bad_request").Value()
-		if lat := srv.met.e2eLat.With("gemm").Count(); replies != float64(i) || lat != uint64(i) {
+		replies := srv.door.replies.With("ok").Value() + srv.door.replies.With("bad_request").Value()
+		if lat := srv.door.latency.With("gemm").Count(); replies != float64(i) || lat != uint64(i) {
 			t.Fatalf("after reply %d: %v replies counted, %d latencies observed", i, replies, lat)
 		}
 	}

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -17,49 +19,104 @@ import (
 // listener, the accept loop and the live connections; runs every
 // connection's read loop; answers Ping, version skew, malformed
 // frames and unexpected frame types itself; refuses operator frames
-// once draining; and hands every other operator frame to its owner's
-// handler on a goroutine of its own. The owner supplies only its
-// health snapshot and that handler.
+// once draining; and runs every other operator frame's request on a
+// goroutine of its own, from arrival to the reply write. The owner
+// supplies its health snapshot, the handler that turns a frame into a
+// Reply, and the step that gives back what a request held.
 type FrontDoor struct {
-	health func() HealthInfo
-	serve  func(w *ConnWriter, f *Frame)
-	rec    *obs.Recorder
-	log    *slog.Logger
+	owner    DoorOwner
+	rec      *obs.Recorder
+	log      *slog.Logger
+	traceOps [MsgMax - MsgGemm + 1]string // trace op name per operator
 
 	connections  *telemetry.Gauge
 	bytesRead    *telemetry.Counter
 	bytesWritten *telemetry.Counter
+	requests     *telemetry.CounterVec   // by op
+	replies      *telemetry.CounterVec   // by status (ok / error class)
+	latency      *telemetry.HistogramVec // arrival to reply sealed, by op
 
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
 	draining bool
 	aborted  bool           // hard-kill: listener dropped without drain
-	reqWG    sync.WaitGroup // in-flight operator handlers
+	reqWG    sync.WaitGroup // in-flight operator requests
 	connWG   sync.WaitGroup // connection read loops
 }
 
-// NewFrontDoor builds a front door that records into reg under prefix
-// (prefix_connections, prefix_bytes_read_total,
-// prefix_bytes_written_total). health snapshots the owner's
-// probe-visible identity and capacity (the door fills in Draining);
-// serve handles one operator frame, owns it (it must Release it), and
-// answers it exactly once through w.
-func NewFrontDoor(prefix string, reg *telemetry.Registry, rec *obs.Recorder, log *slog.Logger,
-	health func() HealthInfo, serve func(w *ConnWriter, f *Frame)) *FrontDoor {
-	return &FrontDoor{
-		health: health,
-		serve:  serve,
-		rec:    rec,
-		log:    log,
+// DoorOwner is what the daemon or the router plugs into its front door.
+type DoorOwner struct {
+	// Health snapshots the owner's probe-visible identity and capacity
+	// (the door fills in Draining).
+	Health func() HealthInfo
+	// Handle answers one operator frame that arrived at arrived, under
+	// trace rt (nil when tracing is off). f.TraceID is the ID the reply
+	// will carry. Handle owns f and must Release it.
+	Handle func(f *Frame, rt *obs.Trace, arrived time.Time) Reply
+	// Settle gives back the slot a Held reply's request holds. The door
+	// calls it after the reply is counted and its trace sealed, just
+	// before the write.
+	Settle func()
+	// TraceOp prefixes every trace's op name ("route:" on the router).
+	TraceOp string
+	// WriteSeconds, when set, observes each reply frame's socket write.
+	WriteSeconds *telemetry.Histogram
+}
+
+// Reply is an owner's answer to one operator frame. The front door
+// seals it and writes it last.
+type Reply struct {
+	Type    MsgType // the reply frame's type (unused when Err is set)
+	Payload []byte
+	Err     error // set: the door writes it as a typed error reply
+	// Held marks a request holding one of the owner's slots: an
+	// admission slot on the daemon, an in-flight count on the router.
+	Held bool
+	buf  *wireBuf // the pooled buffer Payload lies in, released after the write
+}
+
+// Relay is the reply that passes a backend's reply frame through
+// verbatim. The frame's pooled buffer goes with it and is released
+// after the write.
+func Relay(resp *Frame) Reply {
+	rep := Reply{Type: resp.Type, Payload: resp.Payload, buf: resp.buf}
+	resp.buf, resp.Payload = nil, nil
+	return rep
+}
+
+// latBuckets ladder end-to-end request wall time from 100 µs to 100 s.
+var latBuckets = telemetry.ExpBuckets(1e-4, 10, 7)
+
+// NewFrontDoor builds a front door that records into reg under prefix:
+// prefix_connections, prefix_bytes_read_total,
+// prefix_bytes_written_total, and the request path's
+// prefix_requests_total, prefix_replies_total and
+// prefix_request_seconds.
+func NewFrontDoor(prefix string, reg *telemetry.Registry, rec *obs.Recorder, log *slog.Logger, owner DoorOwner) *FrontDoor {
+	d := &FrontDoor{
+		owner: owner,
+		rec:   rec,
+		log:   log,
 		connections: reg.Gauge(prefix+"_connections",
 			"Open client connections.").With(),
 		bytesRead: reg.Counter(prefix+"_bytes_read_total",
 			"Wire bytes read from clients (frames incl. headers).").With(),
 		bytesWritten: reg.Counter(prefix+"_bytes_written_total",
 			"Wire bytes written to clients (frames incl. headers).").With(),
+		requests: reg.Counter(prefix+"_requests_total",
+			"Operator requests received, by operator.", "op"),
+		replies: reg.Counter(prefix+"_replies_total",
+			"Replies written, by status (ok or error class).", "status"),
+		latency: reg.Histogram(prefix+"_request_seconds",
+			"Wall seconds from request arrival to reply sealed (the socket write follows), by operator.",
+			latBuckets, "op"),
 		conns: make(map[net.Conn]struct{}),
 	}
+	for op := MsgGemm; op <= MsgMax; op++ {
+		d.traceOps[op-MsgGemm] = owner.TraceOp + op.String()
+	}
+	return d
 }
 
 // Listen binds the TCP listener (addr like ":8477" or "127.0.0.1:0"
@@ -216,7 +273,7 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 		case f.Type == MsgPing:
 			// The Pong carries the health payload (drain state, shard
 			// identity, device count).
-			h := d.health()
+			h := d.owner.Health()
 			d.mu.Lock()
 			h.Draining = d.draining
 			d.mu.Unlock()
@@ -242,10 +299,54 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 	}
 }
 
-// handle runs the owner's handler for one admitted operator frame.
+// handle runs one admitted operator request from arrival to reply,
+// and makes the socket write the last thing an observer can see: the
+// request is counted and its trace started, the owner's handler
+// answers it, the reply is counted, its latency recorded, its trace
+// sealed and the owner's slot given back — and only then is the frame
+// written. A client that has read its answer therefore finds the
+// request finished in the flight recorder and its slot free.
 func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 	defer d.reqWG.Done()
-	d.serve(w, f)
+	arrived := time.Now()
+	op, reqID := f.Type, f.ReqID
+	d.requests.With(op.String()).Inc()
+	// The trace ID is client-generated; the recorder assigns one when
+	// the client sent none (a zero field). The reply, error replies
+	// included, echoes whichever ID ends up attached, so the client can
+	// correlate, and the router forwards it to the next hop.
+	rt := d.rec.Start(f.TraceID, reqID, d.traceOps[op-MsgGemm])
+	if rt != nil {
+		f.TraceID = rt.ID()
+	}
+	traceID := f.TraceID
+
+	rep := d.owner.Handle(f, rt, arrived)
+	status := "ok"
+	if rep.Err != nil {
+		code := codeFromErr(rep.Err)
+		status, rep.Type, rep.Payload = errStatus(code), MsgError, encodeError(code, rep.Err.Error())
+		// Client-fault and internal failures are operator-actionable;
+		// sheds and deadline misses are expected load-control outcomes
+		// and stay at debug so a chaos soak does not drown the log.
+		lvl := slog.LevelDebug
+		if code == CodeInternal || code == CodeBadRequest {
+			lvl = slog.LevelWarn
+		}
+		d.log.Log(context.Background(), lvl, "request failed",
+			"trace_id", obs.FormatID(traceID), "req_id", reqID,
+			"op", op.String(), "code", status, "err", rep.Err.Error())
+	}
+	d.replies.With(status).Inc()
+	d.latency.With(op.String()).Observe(time.Since(arrived).Seconds())
+	rt.Finish(status)
+	if rep.Held {
+		d.owner.Settle()
+	}
+	wst := time.Now()
+	w.Reply(reqID, traceID, rep.Type, rep.Payload)
+	d.owner.WriteSeconds.Observe(time.Since(wst).Seconds())
+	rep.buf.release()
 }
 
 // ConnWriter serializes whole-frame writes from the request goroutines

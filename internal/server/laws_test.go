@@ -74,7 +74,7 @@ func TestServeRequestsConserved(t *testing.T) {
 		return sum
 	}
 	for status, want := range map[string]float64{"ok": 2, "bad_request": 1, "overloaded": 1, "deadline": 1} {
-		if got := srv.met.replies.With(status).Value(); got != want {
+		if got := srv.door.replies.With(status).Value(); got != want {
 			t.Errorf("replies{status=%q} = %v, want %v", status, got, want)
 		}
 	}

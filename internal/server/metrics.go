@@ -6,29 +6,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// latBuckets ladder end-to-end request wall time from 100 µs to 100 s.
-var latBuckets = telemetry.ExpBuckets(1e-4, 10, 7)
-
 // waitBuckets ladder reply-write wall time from 10 µs to 10 s.
 var waitBuckets = telemetry.ExpBuckets(1e-5, 10, 7)
 
 // serverMetrics holds the serving layer's telemetry handles. They live
 // in the same registry as the runtime's scheduler and device counters
 // (Server.Metrics), so one -metrics endpoint exports the whole stack.
-// The connection gauge and the wire-byte counters belong to the
-// daemon's FrontDoor.
+// The connection gauge, the wire-byte counters and the request,
+// reply and latency families belong to the daemon's FrontDoor.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	inflight    *telemetry.Gauge        // admitted requests being served
-	requests    *telemetry.CounterVec   // by op
-	replies     *telemetry.CounterVec   // by status (ok / error name)
-	shed        *telemetry.Counter      // admission rejections (ErrOverloaded)
-	e2eLat      *telemetry.HistogramVec // arrival to reply encoded, by op
-	replyWrite  *telemetry.Histogram    // reply frame socket write
-	batches     *telemetry.Counter      // micro-batch flushes
-	batchedReqs *telemetry.Counter      // requests served via a batch
-	weightHits  *telemetry.Counter      // batcher weight-buffer cache hits
+	inflight    *telemetry.Gauge     // admitted requests being served
+	shed        *telemetry.Counter   // admission rejections (ErrOverloaded)
+	replyWrite  *telemetry.Histogram // reply frame socket write
+	batches     *telemetry.Counter   // micro-batch flushes
+	batchedReqs *telemetry.Counter   // requests served via a batch
+	weightHits  *telemetry.Counter   // batcher weight-buffer cache hits
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
@@ -39,15 +33,8 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		reg: reg,
 		inflight: reg.Gauge("gptpu_serve_inflight",
 			"Requests admitted and currently being served.").With(),
-		requests: reg.Counter("gptpu_serve_requests_total",
-			"Operator requests received, by operator.", "op"),
-		replies: reg.Counter("gptpu_serve_replies_total",
-			"Replies written, by status (ok or error class).", "status"),
 		shed: reg.Counter("gptpu_serve_shed_total",
 			"Requests shed by the admission controller (ErrOverloaded).").With(),
-		e2eLat: reg.Histogram("gptpu_serve_request_seconds",
-			"Wall seconds from request arrival to reply encoded (the socket write follows, see gptpu_serve_reply_write_seconds), by operator.",
-			latBuckets, "op"),
 		replyWrite: reg.Histogram("gptpu_serve_reply_write_seconds",
 			"Wall seconds writing one reply frame to its connection (lock wait + write + flush).",
 			waitBuckets).With(),

@@ -44,19 +44,19 @@ type Process struct {
 // Run mounts the metrics exporter, dumps the flight recorder to stderr
 // on SIGQUIT without stopping, serves until SIGINT/SIGTERM drains the
 // owner (or Serve fails), writes the flight dump, and returns the
-// process exit code.
+// process exit code: 2 when the flags contradict each other.
 func (p Process) Run(o Owner) int {
+	if p.Pprof && p.MetricsAddr == "" {
+		fmt.Fprintf(os.Stderr, "%s: -pprof needs -metrics: profiles mount on the metrics listener\n", p.Name)
+		return 2
+	}
 	rec := o.Flight()
 	if p.MetricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/", o.Metrics().Handler())
+		var routes map[string]http.Handler
 		if rec != nil {
-			mux.Handle("/debug/flight", rec.Handler())
+			routes = map[string]http.Handler{"/debug/flight": rec.Handler()}
 		}
-		if p.Pprof {
-			telemetry.AttachPprof(mux)
-		}
-		ms, err := telemetry.ServeMux(p.MetricsAddr, mux)
+		ms, err := telemetry.Listen(p.MetricsAddr, o.Metrics(), p.Pprof, routes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: metrics: %v\n", p.Name, err)
 			return 1

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -66,7 +65,6 @@ type Server struct {
 	adm  *admission
 	bat  *batcher
 	rec  *obs.Recorder
-	log  *slog.Logger
 	door *FrontDoor
 }
 
@@ -100,10 +98,14 @@ func New(cfg Config) *Server {
 		met: met,
 		adm: newAdmission(cfg.MaxInFlight, met),
 		rec: cfg.Obs,
-		log: logger,
 		bat: newBatcher(gx, met, cfg.BatchMaxRequests),
 	}
-	s.door = NewFrontDoor("gptpu_serve", reg, cfg.Obs, logger, s.health, s.handleRequest)
+	s.door = NewFrontDoor("gptpu_serve", reg, cfg.Obs, logger, DoorOwner{
+		Health:       s.health,
+		Handle:       s.handleRequest,
+		Settle:       s.adm.release,
+		WriteSeconds: met.replyWrite,
+	})
 	return s
 }
 
@@ -115,7 +117,7 @@ func (s *Server) Listen(addr string) error { return s.door.Listen(addr) }
 func (s *Server) Addr() string { return s.door.Addr() }
 
 // Metrics returns the registry the daemon and its runtime record
-// into, for the HTTP exporter (telemetry.Serve).
+// into, for the metrics listener (Process, telemetry.Listen).
 func (s *Server) Metrics() *telemetry.Registry { return s.met.reg }
 
 // Runtime exposes the shared context (virtual-time and scheduler
@@ -155,45 +157,17 @@ func (s *Server) health() HealthInfo {
 	return HealthInfo{ShardID: s.cfg.ShardID, Devices: s.gx.Config().Devices}
 }
 
-// reqCtx carries one request's reply coordinates and trace through
-// the serving path.
-type reqCtx struct {
-	cw      *ConnWriter
-	reqID   uint64
-	traceID uint64
-	op      MsgType
-	arrived time.Time
-	rt      *obs.Trace // nil when tracing is disabled
-	// admitted is set once the request holds an admission slot;
-	// finishReply gives the slot back before it writes the reply.
-	admitted bool
-}
-
-// handleRequest serves one operator request end to end: decode,
-// validate, admit (or shed), honor the deadline, execute directly or
-// through the micro-batcher, reply.
-func (s *Server) handleRequest(cw *ConnWriter, f *Frame) {
-	arrived := time.Now()
-	op := f.Type
-	s.met.requests.With(op.String()).Inc()
-
-	// The trace ID is client-generated; the recorder assigns one when
-	// the client sent none (a zero field). Error replies echo
-	// whichever ID ends up attached, so the client can correlate.
-	rt := s.rec.Start(f.TraceID, f.ReqID, op.String())
-	traceID := f.TraceID
-	if rt != nil {
-		traceID = rt.ID()
-	}
-	rc := &reqCtx{cw: cw, reqID: f.ReqID, traceID: traceID, op: op, arrived: arrived, rt: rt}
-
+// handleRequest serves one operator request for the front door:
+// decode, validate, admit (or shed), honor the deadline, execute
+// directly or through the micro-batcher, encode the result.
+func (s *Server) handleRequest(f *Frame, rt *obs.Trace, arrived time.Time) Reply {
 	// The operands decode into pooled matrices that never alias the
 	// frame, so the frame's last reader is the decoder. The request owns
 	// the matrices until this handler returns — by then the batch it
 	// rode has stacked A, or its own task has completed — except for a B
 	// the batcher took over.
 	dst := time.Now()
-	req, err := decodeOpRequestTo(op, f.Payload, tensor.GetF32ForOverwrite)
+	req, err := decodeOpRequestTo(f.Type, f.Payload, tensor.GetF32ForOverwrite)
 	f.Release()
 	if err == nil {
 		defer req.release()
@@ -201,23 +175,26 @@ func (s *Server) handleRequest(cw *ConnWriter, f *Frame) {
 	}
 	rt.ObserveSpan(obs.StageDecode, dst, time.Since(dst), "")
 	if err != nil {
-		s.finishReply(rc, nil, err)
-		return
+		return Reply{Err: err}
 	}
 	ast := time.Now()
 	if err := s.adm.tryAcquire(); err != nil {
 		rt.ObserveSpan(obs.StageAdmission, ast, time.Since(ast), "shed")
-		s.finishReply(rc, nil, err)
-		return
+		return Reply{Err: err}
 	}
 	rt.ObserveSpan(obs.StageAdmission, ast, time.Since(ast), "")
-	rc.admitted = true
-	if expired(arrived, req.DeadlineMillis, time.Now()) {
-		s.finishReply(rc, nil, ErrDeadlineExceeded)
-		return
-	}
+	rep := encodeReply(s.serveAdmitted(req, rt, arrived), rt)
+	rep.Held = true
+	return rep
+}
 
-	// Small GEMMs that did not opt out go through the micro-batcher.
+// serveAdmitted runs an admitted request: the micro-batcher takes
+// small GEMMs that did not opt out, everything else runs as its own
+// task.
+func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, arrived time.Time) callResult {
+	if expired(arrived, req.DeadlineMillis, time.Now()) {
+		return callResult{err: ErrDeadlineExceeded}
+	}
 	if req.Op == MsgGemm && req.Flags&FlagNoBatch == 0 &&
 		req.A.Elems() <= batchMaxElems && req.B.Elems() <= batchMaxElems {
 		key := batchKey{n: req.A.Cols, k: req.B.Cols, bhash: WeightKey(req.B)}
@@ -230,71 +207,36 @@ func (s *Server) handleRequest(cw *ConnWriter, f *Frame) {
 			req.B = nil
 			res := <-call.done
 			rt.End(obs.StageBatchWait)
-			s.finishReply(rc, res.m, res.err)
-			return
+			return res
 		}
 		// The weight matrix hash-collided with a pending batch group's:
 		// fall through to the unbatched path rather than batch against
 		// the wrong weights.
 		rt.End(obs.StageBatchWait)
 	}
-
 	m, err := s.execute(req, rt)
-	s.finishReply(rc, m, err)
+	return callResult{m: m, err: err}
 }
 
-// finishReply answers the request with m or a typed error, with its
-// trace ID, and makes the socket write the last thing an observer can
-// see: the reply is encoded into a pooled buffer (m, which the daemon
-// owns and nothing else reads, goes back to the float32 pool), the
-// reply-class counter and end-to-end latency are recorded, the trace is
-// sealed, the admission slot is returned — and only then is the frame
-// written. A client that has read its answer therefore finds the
-// request finished in the flight recorder and its slot free. A result
-// that cannot fit one frame (validateShapes should prevent this)
-// degrades to a typed error reply — the request ID is always answered,
-// so the client never blocks on a silently-dropped encode.
-func (s *Server) finishReply(rc *reqCtx, m *tensor.Matrix, err error) {
-	if err == nil && m.Elems() > MaxResultElems {
-		err = fmt.Errorf("%w: result %dx%d exceeds reply frame cap", ErrInternal, m.Rows, m.Cols)
+// encodeReply renders a result as the reply payload: the matrix is
+// encoded into a pooled buffer and goes back to the float32 pool (the
+// daemon owns it and nothing else reads it). A result that cannot fit
+// one frame (validateShapes should prevent this) degrades to a typed
+// error reply — the request ID is always answered, so the client never
+// blocks on a silently-dropped encode.
+func encodeReply(res callResult, rt *obs.Trace) Reply {
+	m := res.m
+	defer tensor.PutF32(m)
+	if res.err != nil {
+		return Reply{Err: res.err}
+	}
+	if m.Elems() > MaxResultElems {
+		return Reply{Err: fmt.Errorf("%w: result %dx%d exceeds reply frame cap", ErrInternal, m.Rows, m.Cols)}
 	}
 	est := time.Now()
-	var (
-		status  = "ok"
-		typ     = MsgResult
-		payload []byte
-		wb      *wireBuf
-	)
-	if err != nil {
-		code := codeFromErr(err)
-		status, typ, payload = errStatus(code), MsgError, encodeError(code, err.Error())
-		rc.rt.ObserveSpan(obs.StageReplyEncode, est, time.Since(est), status)
-		// Client-fault and internal failures are operator-actionable;
-		// sheds and deadline misses are expected load-control outcomes
-		// and stay at debug so a chaos soak does not drown the log.
-		lvl := slog.LevelDebug
-		if code == CodeInternal || code == CodeBadRequest {
-			lvl = slog.LevelWarn
-		}
-		s.log.Log(context.Background(), lvl, "request failed",
-			"trace_id", obs.FormatID(rc.traceID), "req_id", rc.reqID,
-			"op", rc.op.String(), "code", status, "err", err.Error())
-	} else {
-		wb = encodeMatrix(m)
-		payload = wb.b
-		rc.rt.ObserveSpan(obs.StageReplyEncode, est, time.Since(est), "")
-	}
-	tensor.PutF32(m)
-	s.met.replies.With(status).Inc()
-	s.met.e2eLat.With(rc.op.String()).Observe(time.Since(rc.arrived).Seconds())
-	rc.rt.Finish(status)
-	if rc.admitted {
-		s.adm.release()
-	}
-	wst := time.Now()
-	rc.cw.Reply(rc.reqID, rc.traceID, typ, payload)
-	s.met.replyWrite.Observe(time.Since(wst).Seconds())
-	wb.release()
+	wb := encodeMatrix(m)
+	rt.ObserveSpan(obs.StageReplyEncode, est, time.Since(est), "")
+	return Reply{Type: MsgResult, Payload: wb.b, buf: wb}
 }
 
 // ErrStatus names a typed error's failure class for status-labeled

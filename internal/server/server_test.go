@@ -212,7 +212,7 @@ func TestDeadlinePropagates(t *testing.T) {
 	if err := <-leader; err != nil {
 		t.Fatalf("in-flight leader failed: %v", err)
 	}
-	if srv.met.replies.With("deadline").Value() == 0 {
+	if srv.door.replies.With("deadline").Value() == 0 {
 		t.Error(`replies{status="deadline"} did not move`)
 	}
 }
@@ -310,7 +310,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	// Wait until the daemon has actually admitted the request before
 	// pulling the plug (the wire transfer itself takes a while under
 	// the race detector).
-	for deadline := time.Now().Add(10 * time.Second); srv.met.requests.With("gemm").Value() == 0; {
+	for deadline := time.Now().Add(10 * time.Second); srv.door.requests.With("gemm").Value() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("request never reached the daemon")
 		}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -103,59 +102,10 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteJSON renders the registry as an expvar-style JSON object:
-// metric name -> scalar value, or -> {count, sum, buckets} for
-// histograms. Labelled members key as name{a=b,c=d}.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	type histJSON struct {
-		Count   uint64            `json:"count"`
-		Sum     float64           `json:"sum"`
-		Buckets map[string]uint64 `json:"buckets"`
-	}
-	obj := make(map[string]any)
-	for _, ms := range r.Snapshot() {
-		for _, s := range ms.Samples {
-			key := ms.Name
-			if len(s.Labels) > 0 {
-				var parts []string
-				for _, l := range s.Labels {
-					parts = append(parts, l.Name+"="+l.Value)
-				}
-				key += "{" + strings.Join(parts, ",") + "}"
-			}
-			if s.Hist != nil {
-				h := histJSON{Count: s.Hist.Count, Sum: s.Hist.Sum, Buckets: map[string]uint64{}}
-				for i, c := range s.Hist.Counts {
-					le := "+Inf"
-					if i < len(s.Hist.Bounds) {
-						le = formatValue(s.Hist.Bounds[i])
-					}
-					h.Buckets[le] = c
-				}
-				obj[key] = h
-			} else {
-				obj[key] = s.Value
-			}
-		}
-	}
-	// encoding/json sorts map keys, so output is deterministic.
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(obj)
-}
-
-// Handler returns an http.Handler exposing the registry: Prometheus
-// text format at the root (and /metrics), expvar-style JSON at
-// /metrics.json or when the client asks for application/json.
+// Handler returns an http.Handler exposing the registry in the
+// Prometheus text format.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		wantJSON := strings.HasSuffix(req.URL.Path, ".json") ||
-			strings.Contains(req.Header.Get("Accept"), "application/json")
-		if wantJSON {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_ = r.WriteJSON(w)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
@@ -163,7 +113,6 @@ func (r *Registry) Handler() http.Handler {
 
 // Server is a running metrics endpoint; Close shuts it down.
 type Server struct {
-	l    net.Listener
 	srv  *http.Server
 	addr string
 }
@@ -174,37 +123,31 @@ func (s *Server) Addr() string { return s.addr }
 // Close stops serving.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Serve starts an HTTP server on addr exposing the registry via
-// Handler. It returns once the listener is bound; serving continues in
-// the background until Close.
-func Serve(addr string, r *Registry) (*Server, error) {
+// Listen starts the one HTTP listener a command mounts: the registry
+// at / (so /metrics too), net/http/pprof under /debug/pprof/ with
+// withPprof, and any extra routes (a daemon's /debug/flight). The
+// default-mux side effect of importing net/http/pprof is contained
+// here: commands opt in per listener instead of always exposing
+// profiles. It returns once the listener is bound; serving continues
+// in the background until Close.
+func Listen(addr string, reg *Registry, withPprof bool, routes map[string]http.Handler) (*Server, error) {
 	mux := http.NewServeMux()
-	mux.Handle("/", r.Handler())
-	return ServeMux(addr, mux)
-}
-
-// ServeMux starts an HTTP server on addr with a caller-built mux, for
-// daemons that mount extra debug surfaces (pprof, /debug/flight)
-// alongside the metrics handler. It returns once the listener is
-// bound; serving continues in the background until Close.
-func ServeMux(addr string, mux *http.ServeMux) (*Server, error) {
+	mux.Handle("/", reg.Handler())
+	if withPprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	for path, h := range routes {
+		mux.Handle(path, h)
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(l) }()
-	return &Server{l: l, srv: srv, addr: l.Addr().String()}, nil
-}
-
-// AttachPprof mounts the net/http/pprof handlers (/debug/pprof/...)
-// on mux. The default-mux side effect of importing net/http/pprof is
-// contained here: daemons opt in per listener with a -pprof flag
-// instead of always exposing profiles.
-func AttachPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return &Server{srv: srv, addr: l.Addr().String()}, nil
 }

@@ -2,7 +2,7 @@
 // reproduction: a stdlib-only registry of counters, gauges and
 // fixed-bucket histograms that every layer of the stack (scheduler,
 // Tensorizer, Edge TPU devices, PCIe links) records into, with
-// snapshot export in Prometheus text format and expvar-style JSON.
+// snapshot export in the Prometheus text format.
 //
 // The paper diagnoses each application through exactly these numbers —
 // per-instruction RPS/OPS counts (Table 1), data-exchange occupancy

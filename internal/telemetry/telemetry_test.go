@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -128,27 +127,6 @@ func TestPrometheusHistogramLabelSchemaConflictPanics(t *testing.T) {
 	r.Histogram("h", "h", []float64{1}, "op")
 }
 
-func TestJSONExport(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("execs_total", "", "device").With("1").Add(9)
-	r.Histogram("lat", "", []float64{0.5}).With().Observe(0.25)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatal(err)
-	}
-	if obj["execs_total{device=1}"].(float64) != 9 {
-		t.Fatalf("json: %v", obj)
-	}
-	h := obj["lat"].(map[string]any)
-	if h["count"].(float64) != 1 || h["sum"].(float64) != 0.25 {
-		t.Fatalf("json histogram: %v", h)
-	}
-}
-
 func TestSnapshotDeterminism(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "").With().Inc()
@@ -236,37 +214,33 @@ func TestConcurrentRegistry(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total", "").With().Add(7)
-	srv, err := Serve("127.0.0.1:0", r)
+	extra := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { io.WriteString(w, "extra route") })
+	srv, err := Listen("127.0.0.1:0", r, true, map[string]http.Handler{"/debug/extra": extra})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	get := func(path, accept string) string {
-		req, _ := http.NewRequest("GET", "http://"+srv.Addr()+path, nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := http.DefaultClient.Do(req)
+	get := func(path string) string {
+		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
 		b, _ := io.ReadAll(resp.Body)
 		return string(b)
 	}
-	if text := get("/metrics", ""); !strings.Contains(text, "hits_total 7") {
+	if text := get("/metrics"); !strings.Contains(text, "hits_total 7") {
 		t.Fatalf("prometheus endpoint: %q", text)
 	}
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(get("/metrics.json", "")), &obj); err != nil {
-		t.Fatal(err)
+	if text := get("/debug/extra"); text != "extra route" {
+		t.Fatalf("extra route: %q", text)
 	}
-	if obj["hits_total"].(float64) != 7 {
-		t.Fatalf("json endpoint: %v", obj)
-	}
-	if text := get("/metrics", "application/json"); !strings.HasPrefix(strings.TrimSpace(text), "{") {
-		t.Fatalf("accept-negotiated json: %q", text)
+	if text := get("/debug/pprof/"); !strings.Contains(text, "goroutine") {
+		t.Fatalf("pprof index: %q", text)
 	}
 }
 

@@ -13,6 +13,10 @@
 // upload → exec → download — as named spans. Every annotated event
 // carries an args object (phase, op, task, bytes) so Perfetto's slice
 // details identify which operator and task the occupancy belongs to.
+// A serving daemon's flight-recorder records join the same file as a
+// third group of request lanes, so one view correlates device charging
+// with request lifecycles. Write is the one writer; Summarize is the
+// textual counterpart.
 package trace
 
 import (
@@ -22,13 +26,8 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/obs"
 	"repro/internal/timing"
-)
-
-// machinePID and taskPID are the two process groups of the export.
-const (
-	machinePID = 0
-	taskPID    = 1
 )
 
 // chromeEvent is one trace record; fields beyond name/ph/pid/tid are
@@ -84,17 +83,33 @@ func eventName(e timing.Event) string {
 	return e.Resource
 }
 
-// Export writes the recorded events of tl as a Chrome trace JSON
-// array: process-name metadata, one machine lane per resource, one
-// task lane per annotated OPQ task, and args metadata on every
-// annotated slice. Returns the number of events written (metadata
-// records excluded).
-func Export(tl *timing.Timeline, w io.Writer) (int, error) {
-	events := tl.Trace()
-	if events == nil {
-		return 0, fmt.Errorf("trace: tracing was not enabled on this timeline (call EnableTrace before running)")
+// Write renders traced timelines and request records as one Chrome
+// trace JSON array. Each traced timeline gets a pair of process groups
+// (machine lanes and task lanes); with more than one, the pairs are
+// numbered ("gptpu machine #k" / "tasks #k") so runs stay visually
+// separate in Perfetto. Untraced timelines are skipped. The request
+// records (a flight recorder's Dump) follow in one "requests (wall
+// clock)" process group with one thread lane per record. Returns the
+// number of events written (metadata records excluded).
+func Write(w io.Writer, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error) {
+	var traced [][]timing.Event
+	for _, tl := range tls {
+		if events := tl.Trace(); events != nil {
+			traced = append(traced, events)
+		}
 	}
-	out := appendTimeline(nil, events, machinePID, taskPID, "")
+	if len(traced) == 0 && len(reqs) == 0 {
+		return 0, fmt.Errorf("trace: no traced timelines or request records to export (call EnableTrace before running)")
+	}
+	var out []any
+	for k, events := range traced {
+		suffix := ""
+		if len(traced) > 1 {
+			suffix = " #" + strconv.Itoa(k)
+		}
+		out = appendTimeline(out, events, 2*k, 2*k+1, suffix)
+	}
+	out = appendRequests(out, reqs, 2*len(traced))
 	n := 0
 	for _, rec := range out {
 		if rec.(chromeEvent).Ph != "M" {
@@ -107,97 +122,53 @@ func Export(tl *timing.Timeline, w io.Writer) (int, error) {
 	return n, nil
 }
 
-// ExportAll merges several traced timelines — e.g. every context a
-// benchmark sweep opened — into one Chrome trace. Each timeline gets
-// its own pair of process groups ("gptpu machine #k" / "tasks #k") so
-// runs stay visually separate in Perfetto. Untraced timelines are
-// skipped. Returns the number of events written (metadata excluded).
-func ExportAll(tls []*timing.Timeline, w io.Writer) (int, error) {
-	return ExportAllWithRequests(tls, nil, w)
-}
-
-// ReqSpan is one stage interval on a request lane, in wall-clock
-// microseconds relative to the lane group's epoch.
-type ReqSpan struct {
-	Name    string
-	StartUS float64
-	DurUS   float64
-	Args    map[string]any
-}
-
-// ReqMark is a zero-duration instant (fault annotation, retry note)
-// on a request lane.
-type ReqMark struct {
-	Name string
-	AtUS float64
-	Args map[string]any
-}
-
-// ReqLane is one request's lifecycle lane: the span waterfall a
-// serving-path trace recorded. Lanes live in their own process group
-// ("requests") next to the machine/task groups so one Perfetto view
-// correlates device charging with request lifecycles. Request lanes
-// are wall-clock time while machine lanes are virtual time — the two
-// share a file, not a clock, which the process names call out.
-type ReqLane struct {
-	Name  string
-	Spans []ReqSpan
-	Marks []ReqMark
-}
-
-// ExportAllWithRequests is ExportAll plus request lanes: after the
-// per-timeline machine/task process pairs it emits one "requests
-// (wall clock)" process group with one thread lane per request.
-// Returns the number of events written (metadata excluded).
-func ExportAllWithRequests(tls []*timing.Timeline, lanes []ReqLane, w io.Writer) (int, error) {
-	var out []any
-	n, k := 0, 0
-	for _, tl := range tls {
-		events := tl.Trace()
-		if events == nil {
-			continue
-		}
-		suffix := " #" + strconv.Itoa(k)
-		recs := appendTimeline(nil, events, 2*k, 2*k+1, suffix)
-		for _, rec := range recs {
-			if rec.(chromeEvent).Ph != "M" {
-				n++
-			}
-		}
-		out = append(out, recs...)
-		k++
+// appendRequests renders request records as lanes of process pid, one
+// thread per record in start order. Lane timestamps are wall-clock
+// microseconds relative to the earliest start, so arrival spacing is
+// preserved and the lanes line up with each other; machine lanes in
+// the same file run on virtual time — the two share a file, not a
+// clock, which the process name calls out.
+func appendRequests(out []any, reqs []obs.TraceRec, pid int) []any {
+	if len(reqs) == 0 {
+		return out
 	}
-	if len(lanes) > 0 {
-		reqPID := 2 * k
-		out = append(out, chromeEvent{Name: "process_name", Ph: "M", Pid: reqPID,
-			Args: map[string]any{"name": "requests (wall clock)"}})
-		for tid, lane := range lanes {
-			out = append(out, chromeEvent{Name: "thread_name", Ph: "M", Pid: reqPID, Tid: tid,
-				Args: map[string]any{"name": lane.Name}})
-			for _, sp := range lane.Spans {
-				out = append(out, chromeEvent{
-					Name: sp.Name, Ph: "X",
-					Ts: ptr(sp.StartUS), Dur: ptr(sp.DurUS),
-					Pid: reqPID, Tid: tid, Args: sp.Args,
-				})
-				n++
+	reqs = append([]obs.TraceRec(nil), reqs...)
+	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Start.Before(reqs[j].Start) })
+	epoch := reqs[0].Start
+	out = append(out, chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]any{"name": "requests (wall clock)"}})
+	for tid, rec := range reqs {
+		off := float64(rec.Start.Sub(epoch).Nanoseconds()) / 1e3
+		status := rec.Status
+		if status == "" {
+			status = "in-flight"
+		}
+		out = append(out, chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+			Args: map[string]any{"name": "req " + rec.TraceID[8:] + " " + rec.Op + " [" + status + "]"}})
+		for _, sp := range rec.Spans {
+			args := map[string]any{"trace_id": rec.TraceID, "stage": sp.Stage}
+			if sp.Attr != "" {
+				args["attr"] = sp.Attr
 			}
-			for _, m := range lane.Marks {
-				out = append(out, chromeEvent{
-					Name: m.Name, Ph: "i", Ts: ptr(m.AtUS),
-					Pid: reqPID, Tid: tid, S: "t", Args: m.Args,
-				})
-				n++
+			if sp.Open {
+				args["open"] = true
 			}
+			out = append(out, chromeEvent{Name: sp.Stage, Ph: "X",
+				Ts: ptr(off + sp.StartUS), Dur: ptr(sp.DurUS), Pid: pid, Tid: tid, Args: args})
+		}
+		for _, e := range rec.Events {
+			args := map[string]any{"trace_id": rec.TraceID}
+			if e.Attr != "" {
+				args["attr"] = e.Attr
+			}
+			if e.Fault {
+				args["fault"] = true
+			}
+			out = append(out, chromeEvent{Name: e.Name, Ph: "i",
+				Ts: ptr(off + e.AtUS), Pid: pid, Tid: tid, S: "t", Args: args})
 		}
 	}
-	if k == 0 && len(lanes) == 0 {
-		return 0, fmt.Errorf("trace: no traced timelines or request lanes to export")
-	}
-	if err := json.NewEncoder(w).Encode(out); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return out
 }
 
 // appendTimeline renders one timeline's events into chrome records

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/timing"
 )
 
@@ -35,7 +36,7 @@ func decode(t *testing.T, buf *bytes.Buffer) []map[string]any {
 func TestExportChromeFormat(t *testing.T) {
 	tl := tracedTimeline(t)
 	var buf bytes.Buffer
-	n, err := Export(tl, &buf)
+	n, err := Write(&buf, []*timing.Timeline{tl}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestExportWithoutTracing(t *testing.T) {
 	tl := timing.NewTimeline()
 	tl.NewResource("x").Acquire(0, 1)
 	var buf bytes.Buffer
-	if _, err := Export(tl, &buf); err == nil {
+	if _, err := Write(&buf, []*timing.Timeline{tl}, nil); err == nil {
 		t.Fatal("expected error when tracing disabled")
 	}
 }
@@ -82,7 +83,7 @@ func TestExportEmptyTimeline(t *testing.T) {
 	tl := timing.NewTimeline()
 	tl.EnableTrace()
 	var buf bytes.Buffer
-	n, err := Export(tl, &buf)
+	n, err := Write(&buf, []*timing.Timeline{tl}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestExportSpanArgs(t *testing.T) {
 		timing.Span{Phase: "exec", Op: "conv2D", Task: 7})
 
 	var buf bytes.Buffer
-	if _, err := Export(tl, &buf); err != nil {
+	if _, err := Write(&buf, []*timing.Timeline{tl}, nil); err != nil {
 		t.Fatal(err)
 	}
 	arr := decode(t, &buf)
@@ -178,12 +179,12 @@ func TestExportDeterministicLanes(t *testing.T) {
 			timing.Span{Phase: "exec", Op: "add", Task: i + 1})
 	}
 	var first bytes.Buffer
-	if _, err := Export(tl, &first); err != nil {
+	if _, err := Write(&first, []*timing.Timeline{tl}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		var again bytes.Buffer
-		if _, err := Export(tl, &again); err != nil {
+		if _, err := Write(&again, []*timing.Timeline{tl}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), again.Bytes()) {
@@ -200,6 +201,98 @@ func TestExportDeterministicLanes(t *testing.T) {
 				t.Fatalf("lanes out of order: %q after %q", name, lastName)
 			}
 			lastName = name
+		}
+	}
+}
+
+// TestWriteRequestLanes: request records written after a timeline form
+// the "requests (wall clock)" process group — one thread per record in
+// start order, named with its status or [in-flight], every span and
+// mark offset from the earliest start and tagged with its trace ID.
+func TestWriteRequestLanes(t *testing.T) {
+	t0 := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	at := func(us int) time.Time { return t0.Add(time.Duration(us) * time.Microsecond) }
+	reqs := []obs.TraceRec{
+		{TraceID: "00000000aaaaaaaa", Op: "gemm", Start: at(100), Status: "ok", Spans: []obs.Span{
+			{Stage: "decode", StartUS: 0, DurUS: 5},
+			{Stage: "runtime", StartUS: 10, DurUS: 50},
+		}},
+		{TraceID: "00000000bbbbbbbb", Op: "route:add", Start: at(0), Spans: []obs.Span{
+			{Stage: "route_forward", StartUS: 2, DurUS: 30, Attr: "m1", Open: true},
+		}},
+		{TraceID: "00000000cccccccc", Op: "conv2d", Start: at(50), Status: "transient",
+			Spans:  []obs.Span{{Stage: "charge", StartUS: 1, DurUS: 4}},
+			Events: []obs.Event{{AtUS: 3, Name: "transient_fault", Attr: "dev=0", Fault: true}}},
+	}
+	var buf bytes.Buffer
+	n, err := Write(&buf, []*timing.Timeline{tracedTimeline(t)}, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 3+5 { // the timeline's three slices, four spans, one mark
+		t.Fatalf("exported %d events, want 8", n)
+	}
+	type slice struct {
+		name    string
+		tid     int
+		ts, dur float64
+		args    map[string]any
+		instant bool
+	}
+	var process string
+	threads := map[int]string{}
+	var got []slice
+	for _, rec := range decode(t, &buf) {
+		if rec["pid"].(float64) != 2 {
+			continue
+		}
+		args, _ := rec["args"].(map[string]any)
+		tid := int(rec["tid"].(float64))
+		switch {
+		case rec["name"] == "process_name":
+			process = args["name"].(string)
+		case rec["name"] == "thread_name":
+			threads[tid] = args["name"].(string)
+		default:
+			s := slice{name: rec["name"].(string), tid: tid, ts: rec["ts"].(float64), args: args, instant: rec["ph"] == "i"}
+			if d, ok := rec["dur"].(float64); ok {
+				s.dur = d
+			}
+			got = append(got, s)
+		}
+	}
+	if process != "requests (wall clock)" {
+		t.Fatalf("request process name %q", process)
+	}
+	wantThreads := map[int]string{
+		0: "req bbbbbbbb route:add [in-flight]",
+		1: "req cccccccc conv2d [transient]",
+		2: "req aaaaaaaa gemm [ok]",
+	}
+	for tid, name := range wantThreads {
+		if threads[tid] != name {
+			t.Fatalf("thread %d named %q, want %q (all: %v)", tid, threads[tid], name, threads)
+		}
+	}
+	want := []slice{
+		{name: "route_forward", tid: 0, ts: 2, dur: 30, args: map[string]any{"trace_id": "00000000bbbbbbbb", "stage": "route_forward", "attr": "m1", "open": true}},
+		{name: "charge", tid: 1, ts: 51, dur: 4, args: map[string]any{"trace_id": "00000000cccccccc", "stage": "charge"}},
+		{name: "transient_fault", tid: 1, ts: 53, instant: true, args: map[string]any{"trace_id": "00000000cccccccc", "attr": "dev=0", "fault": true}},
+		{name: "decode", tid: 2, ts: 100, dur: 5, args: map[string]any{"trace_id": "00000000aaaaaaaa", "stage": "decode"}},
+		{name: "runtime", tid: 2, ts: 110, dur: 50, args: map[string]any{"trace_id": "00000000aaaaaaaa", "stage": "runtime"}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d request slices, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.name != w.name || g.tid != w.tid || g.ts != w.ts || g.dur != w.dur || g.instant != w.instant || len(g.args) != len(w.args) {
+			t.Fatalf("slice %d = %+v, want %+v", i, g, w)
+		}
+		for k, v := range w.args {
+			if g.args[k] != v {
+				t.Fatalf("slice %d arg %s = %v, want %v", i, k, g.args[k], v)
+			}
 		}
 	}
 }
