@@ -16,11 +16,15 @@ test:
 # guards against Core() escapes creeping back outside benchmark/: the
 # public Context is the runtime's own, so nothing else needs one. It
 # also keeps every HTTP mux inside internal/telemetry: commands mount
-# their one metrics listener through telemetry.Listen. (The brackets
-# keep both guards from matching themselves.)
+# their one metrics listener through telemetry.Listen. And it keeps
+# buffer recycling in internal/tensor's one recycler: outside it, the
+# only sync.Pools in non-test code are the two object pools, core's
+# plan storage and edgetpu's GEMM scratch. (The brackets keep the
+# guards from matching themselves.)
 vet:
 	! grep -rn --include='*.go' --exclude-dir=benchmark '\.Cor[e]()' .
 	! grep -rn --include='*.go' --exclude-dir=benchmark --exclude-dir=telemetry 'http\.NewServeMu[x]' .
+	! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tensor 'sync\.Poo[l]' . | grep -v -e '^./internal/core/context.go:[0-9]*:	plans sync.Pool ' -e '^./internal/edgetpu/ops_fast.go:[0-9]*:var gemmScratchPool = sync.Pool{'
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi

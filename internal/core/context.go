@@ -544,7 +544,7 @@ func (o operand) window(r0, c0, rows, cols int) *tensor.MatrixI8 {
 	if o.q != nil {
 		return o.q.View(r0, c0, rows, cols)
 	}
-	w := tensor.GetI8ForOverwrite(rows, cols)
+	w := tensor.GetForOverwrite[int8](rows, cols)
 	quant.QuantizeInto(w, o.m.View(r0, c0, rows, cols), o.p)
 	return w
 }
@@ -552,7 +552,7 @@ func (o operand) window(r0, c0, rows, cols int) *tensor.MatrixI8 {
 // release returns a window's scratch to the pool.
 func (o operand) release(w *tensor.MatrixI8) {
 	if o.q == nil {
-		tensor.PutI8(w)
+		tensor.Put(w)
 	}
 }
 

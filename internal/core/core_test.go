@@ -76,6 +76,52 @@ func TestPairwiseShapeMismatchPanics(t *testing.T) {
 	s.Add(ctx.CreateMatrixBuffer(tensor.New(2, 2)), ctx.CreateMatrixBuffer(tensor.New(2, 3)))
 }
 
+// TestReduceRejectsEmptyOperand: Mean and Max of a 0xN or Nx0 operand
+// have no value to report. The stream operator panics like any other
+// shape check, Enqueue turns that into the task's error, and a graph
+// refuses the node at construction.
+func TestReduceRejectsEmptyOperand(t *testing.T) {
+	ctx := testCtx(1)
+	for _, shape := range [][2]int{{0, 4}, {4, 0}} {
+		for _, op := range []string{"mean", "max"} {
+			a := ctx.CreateMatrixBuffer(tensor.New(shape[0], shape[1]))
+			reduce := func(s *Stream) {
+				if op == "mean" {
+					s.Mean(a)
+				} else {
+					s.Max(a)
+				}
+			}
+			name := fmt.Sprintf("%s %dx%d", op, shape[0], shape[1])
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: stream operator did not panic", name)
+					}
+				}()
+				reduce(ctx.NewOp())
+			}()
+			if err := ctx.Enqueue(reduce).Wait(); err == nil {
+				t.Errorf("%s: Enqueue reported no error", name)
+			}
+			_ = ctx.Sync()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: graph node construction did not panic", name)
+					}
+				}()
+				g := ctx.NewGraph()
+				if op == "mean" {
+					g.Mean(a)
+				} else {
+					g.MaxReduce(a)
+				}
+			}()
+		}
+	}
+}
+
 func TestElementwise(t *testing.T) {
 	ctx := testCtx(1)
 	rng := rand.New(rand.NewSource(2))

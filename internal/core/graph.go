@@ -344,6 +344,8 @@ func (g *Graph) Mean(a Value) *Node { return g.reduce("mean", a) }
 func (g *Graph) MaxReduce(a Value) *Node { return g.reduce("max", a) }
 
 func (g *Graph) reduce(op string, a Value) *Node {
+	ar, ac := a.dims()
+	checkShapes("graph."+op, ar > 0 && ac > 0, "empty operand %dx%d", ar, ac)
 	n := g.add(&Node{kind: kReduce, op: op, rows: 1, cols: 1, args: []Value{a}})
 	n.fetch = true
 	return n

@@ -77,7 +77,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 				acc := c.kern.Conv2D(in, kers, 1, 1)[0]
 				oa.release(in)
 				requantize(out.View(sp.R0, sp.C0, sp.Rows, sp.Cols), acc, div, dq)
-				tensor.PutI32(acc)
+				tensor.Put(acc)
 			}
 		}
 		pl.add(w)
@@ -155,7 +155,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 				acc := c.kern.Conv2D(in, kers, strideR, strideC)[0]
 				oa.release(in)
 				requantize(out.View(o0, 0, oEnd-o0, outCols), acc, div, dq)
-				tensor.PutI32(acc)
+				tensor.Put(acc)
 			}
 		}
 		pl.add(w)

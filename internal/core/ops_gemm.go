@@ -34,8 +34,8 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 	var xq quant.Portion // no codes in timing-only mode
 	if s.c.Functional() {
 		xq.P = quant.ParamsFor(tensor.FromSlice(1, len(x), x))
-		xq.Q = tensor.GetI8ForOverwrite(1, len(x))
-		defer tensor.PutI8(xq.Q)
+		xq.Q = tensor.GetForOverwrite[int8](1, len(x))
+		defer tensor.Put(xq.Q)
 		for i, v := range x {
 			xq.Q.Data[i] = quant.RoundToI8(v, xq.P.Scale)
 		}
@@ -85,9 +85,9 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 
 	var acc []int64
 	if c.Functional() {
-		wide := getWide(m)
-		defer putWide(wide)
-		acc = *wide
+		wide := tensor.Get[int64](1, m)
+		defer tensor.Put(wide)
+		acc = wide.Data
 	}
 	pl := s.plan((m + blockRows - 1) / blockRows)
 	inCols := tile
@@ -135,7 +135,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 		if c.Functional() {
 			r0, rows := r0, rows
 			w.fn = func() {
-				part := tensor.GetI32ForOverwrite(1, rows)
+				part := tensor.GetForOverwrite[int32](1, rows)
 				block := oa.window(r0, 0, rows, n)
 				for ct := 0; ct < colTiles; ct++ {
 					c0 := ct * tile
@@ -147,7 +147,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 					}
 				}
 				oa.release(block)
-				tensor.PutI32(part)
+				tensor.Put(part)
 			}
 		}
 		pl.add(w)
@@ -238,10 +238,10 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 			if c.Functional() {
 				j, r0, rows := j, r0, rows
 				w.fn = func() {
-					wide := getWide(rows)
-					acc := *wide
-					colBuf := tensor.GetI8ForOverwrite(1, tile)
-					part := tensor.GetI32ForOverwrite(1, rows)
+					wide := tensor.Get[int64](1, rows)
+					acc := wide.Data
+					colBuf := tensor.GetForOverwrite[int8](1, tile)
+					part := tensor.GetForOverwrite[int32](1, rows)
 					for ct := 0; ct < colTiles; ct++ {
 						c0 := ct * tile
 						cols := segLen(n, ct, tile)
@@ -255,13 +255,13 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 							acc[i] += int64(v)
 						}
 					}
-					tensor.PutI32(part)
-					tensor.PutI8(colBuf)
+					tensor.Put(part)
+					tensor.Put(colBuf)
 					inv := 1 / (float64(oa.p.Scale) * float64(ob.p.Scale))
 					for i, v := range acc {
 						out.Set(r0+i, j, float32(float64(v)*inv))
 					}
-					putWide(wide)
+					tensor.Put(wide)
 				}
 			}
 			pl.add(w)
@@ -347,9 +347,9 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 	var acc []int64
 	var rectMu []sync.Mutex
 	if c.Functional() && ks > 1 {
-		wide := getWide(m * k)
-		defer putWide(wide)
-		acc = *wide
+		wide := tensor.Get[int64](1, m*k)
+		defer tensor.Put(wide)
+		acc = wide.Data
 		rectMu = make([]sync.Mutex, ((m+chunkRows-1)/chunkRows)*ncc)
 	}
 
@@ -486,7 +486,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 							}
 							rectMu[rect].Unlock()
 						}
-						tensor.PutI32(outs)
+						tensor.Put(outs)
 					}
 				}
 				pl.add(w)

@@ -134,7 +134,7 @@ func pairwiseTile(k *edgetpu.KernelTable, op isa.OpCode, oa, ob operand, out *te
 	oa.release(va)
 	ob.release(vb)
 	requantize(out.View(sp.R0, sp.C0, sp.Rows, sp.Cols), wide, div, dq)
-	tensor.PutI32(wide)
+	tensor.Put(wide)
 }
 
 // requantDivisor is the output stage's divisor for wide results whose
@@ -222,7 +222,7 @@ func elementwiseTile(k *edgetpu.KernelTable, op isa.OpCode, oa operand, out *ten
 			out.Set(sp.R0+r, sp.C0+cix, float32(v)*dequant)
 		}
 	}
-	tensor.PutI8(res)
+	tensor.Put(res)
 }
 
 // Mean counts the average value of all elements (Table 1).
@@ -245,6 +245,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 		return 0
 	}
 	defer s.opTimer(op.String())()
+	checkShapes(op.String(), a.Rows() > 0 && a.Cols() > 0, "empty operand %dx%d", a.Rows(), a.Cols())
 	c := s.c
 	oa, ready := c.ensureQuantized(a, s.now, s.taskID)
 	tile := isa.TileFor(op)
@@ -374,7 +375,7 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 		w.fn = func() {
 			sub := c.kern.Crop(oa.q, r0, c0, rows, cols)
 			out = quant.Dequantize(sub, oa.p)
-			tensor.PutI8(sub)
+			tensor.Put(sub)
 		}
 	}
 	pl.add(w)
@@ -415,7 +416,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 		w.fn = func() {
 			padded := c.kern.Ext(oa.q, rows, cols)
 			out = quant.Dequantize(padded, oa.p)
-			tensor.PutI8(padded)
+			tensor.Put(padded)
 		}
 	}
 	pl.add(w)

@@ -98,8 +98,8 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 	hl := s.matVec(sp.hi, xLo, len(x))
 	lh := s.matVec(sp.lo, xHi, len(x))
 	c.donePortions(a, sp)
-	tensor.PutI8(xHi.Q)
-	tensor.PutI8(xLo.Q)
+	tensor.Put(xHi.Q)
+	tensor.Put(xLo.Q)
 	if s.err != nil {
 		return nil
 	}
@@ -165,8 +165,8 @@ func (c *Context) donePortions(b *Buffer, sp *split) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if sp.uses == 1 {
-		tensor.PutI8(sp.hi.q)
-		tensor.PutI8(sp.lo.q)
+		tensor.Put(sp.hi.q)
+		tensor.Put(sp.lo.q)
 		sp.hi.q, sp.lo.q = nil, nil
 	}
 }

@@ -11,7 +11,7 @@ const maxFreeResults = 32
 
 // Matrix returns a compact rows x cols float32 matrix whose contents
 // are unspecified — the ForOverwrite contract of
-// tensor.GetF32ForOverwrite: the caller stores every element before it
+// tensor.GetForOverwrite: the caller stores every element before it
 // reads any. It is the smallest matrix on the context's free list that
 // fits (memory the caller handed back with Release), or else a fresh
 // one from tensor.GetF32Exact, so a caller that never releases pays

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -298,30 +297,3 @@ const (
 	tagConvB = "convB"
 	tagJoint = "joint"
 )
-
-// wides recycles the 64-bit scratch accumulators operators aggregate
-// device partials in (MatVec, GemmFC, a segmented Gemm).
-var wides sync.Pool // *[]int64
-
-// maxWide caps what putWide keeps, so one huge GEMM cannot pin its
-// accumulator.
-const maxWide = 1 << 24
-
-// getWide returns a zeroed accumulator of n values.
-func getWide(n int) *[]int64 {
-	w, _ := wides.Get().(*[]int64)
-	if w == nil || cap(*w) < n {
-		v := make([]int64, n)
-		return &v
-	}
-	*w = (*w)[:n]
-	clear(*w)
-	return w
-}
-
-// putWide hands an accumulator back; the caller must not use it again.
-func putWide(w *[]int64) {
-	if cap(*w) <= maxWide {
-		wides.Put(w)
-	}
-}

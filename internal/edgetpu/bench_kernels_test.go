@@ -86,7 +86,7 @@ func BenchmarkConv2DGemmFast(b *testing.B) {
 	b.SetBytes(int64(benchTile*n2)*2 + int64(benchTile*benchTile)*4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tensor.PutI32(Conv2DGemm(wins.View(0, 0, benchTile, segN), kers.View(0, 0, benchTile, segN)))
+		tensor.Put(Conv2DGemm(wins.View(0, 0, benchTile, segN), kers.View(0, 0, benchTile, segN)))
 	}
 }
 
@@ -106,7 +106,7 @@ func BenchmarkConv2DGemmShapes(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", nw, nch, n, k.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tensor.PutI32(k.fn(wins, kers))
+					tensor.Put(k.fn(wins, kers))
 				}
 				macs := float64(nw) * float64(nch) * float64(n) * float64(b.N)
 				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
@@ -132,7 +132,7 @@ func BenchmarkConv2DStencilFast(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, o := range Conv2D(in, []*tensor.MatrixI8{k}, 1, 1) {
-			tensor.PutI32(o)
+			tensor.Put(o)
 		}
 	}
 }
@@ -176,7 +176,7 @@ func BenchmarkAddFast(b *testing.B) {
 	b.SetBytes(int64(benchTile*benchTile) * 6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tensor.PutI32(Add(x, y))
+		tensor.Put(Add(x, y))
 	}
 }
 
@@ -194,7 +194,7 @@ func BenchmarkTanhFast(b *testing.B) {
 	b.SetBytes(int64(benchTile*benchTile) * 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tensor.PutI8(TanhLUT(in, 11.7))
+		tensor.Put(TanhLUT(in, 11.7))
 	}
 }
 
@@ -212,7 +212,7 @@ func BenchmarkCropFast(b *testing.B) {
 	b.SetBytes(int64(96*96) * 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tensor.PutI8(Crop(in, 16, 16, 96, 96))
+		tensor.Put(Crop(in, 16, 16, 96, 96))
 	}
 }
 

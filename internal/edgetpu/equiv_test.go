@@ -85,7 +85,7 @@ func TestConv2DEquivalence(t *testing.T) {
 		want := RefConv2D(in, kernels, sr, sc)
 		for ch := range kernels {
 			sameI32(t, "Conv2D", got[ch], want[ch])
-			tensor.PutI32(got[ch])
+			tensor.Put(got[ch])
 		}
 	}
 }
@@ -112,7 +112,7 @@ func TestConv2DEquivalenceGemmShape(t *testing.T) {
 		want := RefConv2D(in, kernels, s, s)
 		for ch := range kernels {
 			sameI32(t, "Conv2D(gemm-shape)", got[ch], want[ch])
-			tensor.PutI32(got[ch])
+			tensor.Put(got[ch])
 		}
 	}
 }
@@ -139,7 +139,7 @@ func TestConv2DGemmEquivalence(t *testing.T) {
 				}
 			}
 		}
-		tensor.PutI32(got)
+		tensor.Put(got)
 	}
 }
 
@@ -157,7 +157,7 @@ func checkConv2DGemm(t *testing.T, name string, wins, kers *tensor.MatrixI8) {
 	t.Helper()
 	got := Conv2DGemm(wins, kers)
 	sameI32(t, name, got, RefConv2DGemm(wins, kers))
-	tensor.PutI32(got)
+	tensor.Put(got)
 }
 
 // checkConv2DGemmSaturated drives the lane-overflow corners: every
@@ -241,8 +241,8 @@ func TestConv2DGemmZeroTailEquivalence(t *testing.T) {
 				}
 			}
 		}
-		tensor.PutI32(got)
-		tensor.PutI32(want)
+		tensor.Put(got)
+		tensor.Put(want)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestPairwiseEquivalence(t *testing.T) {
 		for _, op := range ops {
 			got := op.fast(a, b)
 			sameI32(t, op.name, got, op.ref(a, b))
-			tensor.PutI32(got)
+			tensor.Put(got)
 		}
 	}
 }
@@ -296,12 +296,12 @@ func TestCropExtEquivalence(t *testing.T) {
 		r0, c0 := rng.Intn(rows-cr+1), rng.Intn(cols-cc+1)
 		got := Crop(in, r0, c0, cr, cc)
 		sameI8(t, "Crop", got, RefCrop(in, r0, c0, cr, cc))
-		tensor.PutI8(got)
+		tensor.Put(got)
 
 		er, ec := rows+rng.Intn(8), cols+rng.Intn(8)
 		gotE := Ext(in, er, ec)
 		sameI8(t, "Ext", gotE, RefExt(in, er, ec))
-		tensor.PutI8(gotE)
+		tensor.Put(gotE)
 	}
 }
 
@@ -338,11 +338,11 @@ func TestActivationEquivalence(t *testing.T) {
 		scale := float32(rng.Float64()*100 + 0.5)
 		gotT := TanhLUT(in, scale)
 		sameI8(t, "TanhLUT", gotT, RefTanhLUT(in, scale))
-		tensor.PutI8(gotT)
+		tensor.Put(gotT)
 
 		gotR := ReLU(in)
 		sameI8(t, "ReLU", gotR, RefReLU(in))
-		tensor.PutI8(gotR)
+		tensor.Put(gotR)
 	}
 }
 
@@ -373,7 +373,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 				}
 			}
 		}
-		tensor.PutI32(got)
+		tensor.Put(got)
 	}
 	// Window counts in every residue mod 3 (a ragged last row group),
 	// kernel counts in every residue mod 4, inner dimensions around the
@@ -394,7 +394,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 		want := RefConv2D(in, kernels, sh[2], sh[3])
 		for ch := range kernels {
 			sameI32(t, "Conv2D", got[ch], want[ch])
-			tensor.PutI32(got[ch])
+			tensor.Put(got[ch])
 		}
 	}
 
@@ -425,12 +425,12 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 		} {
 			got := fn.fast(a, b)
 			sameI32(t, fn.op, got, fn.ref(a, b))
-			tensor.PutI32(got)
+			tensor.Put(got)
 		}
 		scale := float32(rng.Float64()*100 + 0.5)
 		gotT := TanhLUT(a, scale)
 		sameI8(t, "TanhLUT", gotT, RefTanhLUT(a, scale))
-		tensor.PutI8(gotT)
+		tensor.Put(gotT)
 	}
 }
 
@@ -455,7 +455,7 @@ func FuzzConv2DEquiv(f *testing.F) {
 		want := RefConv2D(in, kernels, int(sr)%6, int(sc)%6)
 		for ch := range kernels {
 			sameI32(t, "Conv2D(fuzz)", got[ch], want[ch])
-			tensor.PutI32(got[ch])
+			tensor.Put(got[ch])
 		}
 	})
 }

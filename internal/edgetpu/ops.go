@@ -12,9 +12,9 @@
 // The entry points below run the blocked kernels of ops_fast.go;
 // ops_ref.go keeps the naive reference implementations that define
 // the semantics, and equiv_test.go pins the two bit-identical.
-// Output matrices come from the tensor buffer pools — callers that
-// fully consume a result should hand it back via tensor.PutI32 /
-// tensor.PutI8 (dropping it is always safe, see tensor/pool.go).
+// Output matrices come from the tensor recycler — callers that fully
+// consume a result should hand it back via tensor.Put (dropping it is
+// always safe, see tensor/pool.go).
 package edgetpu
 
 import (
@@ -52,12 +52,12 @@ func Conv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC in
 	case strideR == 1 && strideC == 1:
 		// Stencil fast path: row-axpy sweeps (needs zeroed output).
 		for ch, k := range kernels {
-			outs[ch] = tensor.GetI32(outR, outC)
+			outs[ch] = tensor.Get[int32](outR, outC)
 			conv2DStride1(in, k, outs[ch])
 		}
 	default:
 		for ch, k := range kernels {
-			outs[ch] = tensor.GetI32ForOverwrite(outR, outC)
+			outs[ch] = tensor.GetForOverwrite[int32](outR, outC)
 			conv2DGeneral(in, k, outs[ch], strideR, strideC)
 		}
 	}
@@ -112,7 +112,7 @@ const (
 // pairwise runs one elementwise slab into a pooled output.
 func pairwise(op int, a, b *tensor.MatrixI8) *tensor.MatrixI32 {
 	checkPairwise(a, b)
-	out := tensor.GetI32ForOverwrite(a.Rows, a.Cols)
+	out := tensor.GetForOverwrite[int32](a.Rows, a.Cols)
 	for r := 0; r < a.Rows; r++ {
 		ra, rb, ro := a.Row(r), b.Row(r), out.Row(r)
 		rb, ro = rb[:len(ra)], ro[:len(ra)]
@@ -146,7 +146,7 @@ func checkPairwise(a, b *tensor.MatrixI8) {
 // once zeroing, once copying).
 func Crop(in *tensor.MatrixI8, r0, c0, rows, cols int) *tensor.MatrixI8 {
 	v := in.View(r0, c0, rows, cols) // bounds check; no copy
-	out := tensor.GetI8ForOverwrite(rows, cols)
+	out := tensor.GetForOverwrite[int8](rows, cols)
 	for r := 0; r < rows; r++ {
 		copy(out.Row(r), v.Row(r))
 	}
@@ -159,7 +159,7 @@ func Ext(in *tensor.MatrixI8, rows, cols int) *tensor.MatrixI8 {
 	if rows < in.Rows || cols < in.Cols {
 		panic(fmt.Sprintf("tensor: Pad target %dx%d smaller than %dx%d", rows, cols, in.Rows, in.Cols))
 	}
-	out := tensor.GetI8(rows, cols) // zeroed: the padding
+	out := tensor.Get[int8](rows, cols) // zeroed: the padding
 	for r := 0; r < in.Rows; r++ {
 		copy(out.Row(r)[:in.Cols], in.Row(r))
 	}
@@ -208,7 +208,7 @@ func MaxVal(in *tensor.MatrixI8) int8 {
 // walk.
 func TanhLUT(in *tensor.MatrixI8, inScale float32) *tensor.MatrixI8 {
 	lut := tanhTableFor(inScale)
-	out := tensor.GetI8ForOverwrite(in.Rows, in.Cols)
+	out := tensor.GetForOverwrite[int8](in.Rows, in.Cols)
 	for r := 0; r < in.Rows; r++ {
 		src, dst := in.Row(r), out.Row(r)
 		dst = dst[:len(src)]
@@ -225,7 +225,7 @@ func TanhLUT(in *tensor.MatrixI8, inScale float32) *tensor.MatrixI8 {
 // element is stored, with no data-dependent branch, and the output
 // needs no zeroing pass.
 func ReLU(in *tensor.MatrixI8) *tensor.MatrixI8 {
-	out := tensor.GetI8ForOverwrite(in.Rows, in.Cols)
+	out := tensor.GetForOverwrite[int8](in.Rows, in.Cols)
 	for r := 0; r < in.Rows; r++ {
 		src, dst := in.Row(r), out.Row(r)
 		dst = dst[:len(src)]

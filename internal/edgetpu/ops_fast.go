@@ -112,7 +112,7 @@ func conv3x3RowI8(acc []int32, r0, r1, r2 []int8, k0, k1, k2 []int8) {
 // common 3x3 stencil runs all nine taps fused per interior output row
 // (conv3x3RowI8) with scalar right-edge tails; other shapes and the
 // bottom edge fall back to one axpy per tap. out must arrive zeroed
-// (GetI32 guarantees it).
+// (tensor.Get guarantees it).
 func conv2DStride1(in, k *tensor.MatrixI8, out *tensor.MatrixI32) {
 	outC := out.Cols
 	three := k.Rows == 3 && k.Cols == 3 && in.Cols >= 3
@@ -334,13 +334,13 @@ func laneDot1(pw []uint64, b []uint8) (d [3]uint64) {
 //	Σ x·c = Σ (x'−128)(c'−128) = Σ x'c' + (n·2¹⁴ − 128·Σx') − 128·Σc'
 //
 // with every term exact in int64. The result matrix is pooled; pass
-// it to tensor.PutI32 when the accumulators have been consumed.
+// it to tensor.Put when the accumulators have been consumed.
 func Conv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	if wins.Cols != kers.Cols {
 		panic("edgetpu: Conv2DGemm operand width mismatch")
 	}
 	nw, nch, n := wins.Rows, kers.Rows, wins.Cols
-	out := tensor.GetI32ForOverwrite(nw, nch)
+	out := tensor.GetForOverwrite[int32](nw, nch)
 	groups := (nw + 2) / 3
 	sc := gemmScratchPool.Get().(*gemmScratch)
 	sc.pw, sc.kb = grow(sc.pw, groups*n), grow(sc.kb, nch*n)

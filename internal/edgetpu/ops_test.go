@@ -203,7 +203,7 @@ func TestTanhCacheConcurrent(t *testing.T) {
 						}
 					}
 				}
-				tensor.PutI8(got)
+				tensor.Put(got)
 			}
 		}(w)
 	}
@@ -221,16 +221,16 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	a, b := randI8(rng, 128, 128), randI8(rng, 128, 128)
 	wins, kers := randI8(rng, 128, 144), randI8(rng, 128, 144)
 	for i := 0; i < 3; i++ {
-		tensor.PutI32(Add(a, b))
-		tensor.PutI32(Conv2DGemm(wins, kers))
+		tensor.Put(Add(a, b))
+		tensor.Put(Conv2DGemm(wins, kers))
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		tensor.PutI32(Add(a, b))
+		tensor.Put(Add(a, b))
 	}); n > 0 {
 		t.Errorf("Add: %.1f allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() {
-		tensor.PutI32(Conv2DGemm(wins, kers))
+		tensor.Put(Conv2DGemm(wins, kers))
 	}); n > 0 {
 		t.Errorf("Conv2DGemm: %.1f allocs/op, want 0", n)
 	}

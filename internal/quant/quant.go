@@ -238,19 +238,7 @@ func QuantizeInto(q *tensor.MatrixI8, m *tensor.Matrix, p Params) {
 }
 
 // Dequantize reconstructs a float matrix from quantized data.
-func Dequantize(q *tensor.MatrixI8, p Params) *tensor.Matrix {
-	m := tensor.New(q.Rows, q.Cols)
-	inv := 1 / p.Scale
-	src := q.Flat()
-	for r := 0; r < src.Rows; r++ {
-		row := src.Row(r)
-		dst := m.Data[r*src.Cols:][:len(row)]
-		for i, v := range row {
-			dst[i] = float32(v) * inv
-		}
-	}
-	return m
-}
+func Dequantize(q *tensor.MatrixI8, p Params) *tensor.Matrix { return dequantize(q, p.Scale) }
 
 // DequantizeI32 reconstructs a float matrix from a 32-bit accumulator
 // matrix produced by a product of two quantized operands: the combined
@@ -258,9 +246,14 @@ func Dequantize(q *tensor.MatrixI8, p Params) *tensor.Matrix {
 // GPTPU works on these wide accumulators precisely so this conversion
 // happens once, after aggregation (paper section 6.2.1).
 func DequantizeI32(acc *tensor.MatrixI32, combined float32) *tensor.Matrix {
-	m := tensor.New(acc.Rows, acc.Cols)
-	inv := 1 / combined
-	src := acc.Flat()
+	return dequantize(acc, combined)
+}
+
+// dequantize divides every code of q by scale into a fresh matrix.
+func dequantize[T int8 | int32](q *tensor.Mat[T], scale float32) *tensor.Matrix {
+	m := tensor.New(q.Rows, q.Cols)
+	inv := 1 / scale
+	src := q.Flat()
 	for r := 0; r < src.Rows; r++ {
 		row := src.Row(r)
 		dst := m.Data[r*src.Cols:][:len(row)]
@@ -406,10 +399,10 @@ func EstimateChainedScale(ops []Op, min, max float32, n int) float32 {
 // definition by test.
 func SplitPortions(m *tensor.Matrix) (hi, lo *tensor.Matrix, p Params) {
 	p = ParamsFor(m)
-	q := tensor.GetI8ForOverwrite(m.Rows, m.Cols) // scratch: only hi is kept
+	q := tensor.GetForOverwrite[int8](m.Rows, m.Cols) // scratch: only hi is kept
 	QuantizeInto(q, m, p)
 	hi = Dequantize(q, p)
-	tensor.PutI8(q)
+	tensor.Put(q)
 	lo = tensor.New(m.Rows, m.Cols)
 	src := m.Flat()
 	for r := 0; r < src.Rows; r++ {
@@ -442,8 +435,8 @@ type Portion struct {
 // quantizes m and calibrates the residual, the second recomputes the
 // residual, quantizes it and maps the codes through the table.
 //
-// Both int8 forms are pooled scratch (tensor.GetI8ForOverwrite): a
-// caller done with them may hand them back with tensor.PutI8.
+// Both int8 forms are pooled scratch (tensor.GetForOverwrite): a
+// caller done with them may hand them back with tensor.Put.
 func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
 	inv := 1 / p.Scale
 	// coarse is Dequantize's value for code c. The conversion keeps the
@@ -451,7 +444,7 @@ func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
 	// the coarse portion is stored.
 	coarse := func(c int8) float32 { return float32(float32(c) * inv) }
 
-	q := tensor.GetI8ForOverwrite(m.Rows, m.Cols)
+	q := tensor.GetForOverwrite[int8](m.Rows, m.Cols)
 	src := m.Flat()
 	var cLo, cHi int32 // range of the codes
 	var resTop uint32
@@ -488,7 +481,7 @@ func SplitQuantize(m *tensor.Matrix, p Params) (hi, lo Portion) {
 		lo.P.Scale = ScaleFor(math.Float32frombits(resTop))
 	}
 
-	l := tensor.GetI8ForOverwrite(m.Rows, m.Cols)
+	l := tensor.GetForOverwrite[int8](m.Rows, m.Cols)
 	for r := 0; r < src.Rows; r++ {
 		row := src.Row(r)
 		qs := q.Data[r*src.Cols:][:len(row)]

@@ -147,7 +147,7 @@ func (b *batcher) submit(key batchKey, weight *tensor.Matrix, call *gemmCall) bo
 		b.mu.Unlock()
 		return false
 	} else if weight != g.b {
-		tensor.PutF32(weight)
+		tensor.Put(weight)
 	}
 	g.calls = append(g.calls, call)
 	g.rows += call.a.Rows
@@ -254,9 +254,9 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	}
 	// The task is over: nothing reads the stacked activations any more,
 	// nor the group's weight matrix unless the weight cache kept it.
-	tensor.PutF32(stacked)
+	tensor.Put(stacked)
 	if !weightKept {
-		tensor.PutF32(g.b)
+		tensor.Put(g.b)
 	}
 
 	b.met.batches.Inc()
@@ -277,19 +277,19 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	// it and returns it to the pool); only then may the stacked result go.
 	r0 := 0
 	for _, c := range live {
-		band := tensor.GetF32ForOverwrite(c.a.Rows, key.k)
+		band := tensor.GetForOverwrite[float32](c.a.Rows, key.k)
 		band.CopyFrom(out.View(r0, 0, c.a.Rows, key.k))
 		r0 += c.a.Rows
 		c.done <- callResult{m: band}
 	}
-	tensor.PutF32(out)
+	tensor.Put(out)
 }
 
 // stackRows copies the calls' A matrices (rows in all), in order, into
 // one pooled matrix, so one GEMM computes every call:
 // [A1; A2; ...] x B = [C1; C2; ...].
 func stackRows(calls []*gemmCall, rows, cols int) *tensor.Matrix {
-	stacked := tensor.GetF32ForOverwrite(rows, cols) // every row is copied over
+	stacked := tensor.GetForOverwrite[float32](rows, cols) // every row is copied over
 	r0 := 0
 	for _, c := range calls {
 		stacked.View(r0, 0, c.a.Rows, cols).CopyFrom(c.a)

@@ -303,11 +303,11 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 	payload := encodeOpRequest(req)
 	// Released only once the retry loop is over: every retry reads it
 	// again.
-	defer payload.release()
+	defer tensor.Put(payload)
 	var f *Frame
 	var err error
 	for attempt := 0; ; attempt++ {
-		f, err = c.roundTrip(op, payload.b, traceID)
+		f, err = c.roundTrip(op, payload.Data, traceID)
 		if err == nil || attempt >= c.retry.Max || !Retryable(err) {
 			break
 		}

@@ -169,11 +169,11 @@ func TestWireWeightKey(t *testing.T) {
 			req.B = parent.View(rng.Intn(10), rng.Intn(10), 1+rng.Intn(40), 1+rng.Intn(40))
 		}
 		wb := encodeOpRequest(req)
-		got, err := WireWeightKey(op, wb.b)
+		got, err := WireWeightKey(op, wb.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := DecodeOpRequest(op, wb.b)
+		dec, err := DecodeOpRequest(op, wb.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestWireWeightKey(t *testing.T) {
 		if want := refWeightKey(weight); got != want {
 			t.Fatalf("%s: key %#x, hash/fnv reference %#x", op, got, want)
 		}
-		wb.release()
+		tensor.Put(wb)
 	}
 }
 
@@ -214,7 +214,7 @@ func TestWireWeightKeyMalformed(t *testing.T) {
 		}
 	}
 	for _, req := range []*OpRequest{{Op: MsgGemm, A: a, B: b}, {Op: MsgMean, A: a}} {
-		full := append([]byte(nil), encodeOpRequest(req).b...)
+		full := append([]byte(nil), encodeOpRequest(req).Data...)
 		for n := 0; n <= len(full); n++ {
 			same(req.Op, full[:n])
 		}
@@ -229,8 +229,8 @@ func TestWireWeightKeyMalformed(t *testing.T) {
 		same(MsgPing, full)
 	}
 	// A unary payload under a binary type and the reverse.
-	same(MsgGemm, encodeOpRequest(&OpRequest{Op: MsgMean, A: a}).b)
-	same(MsgMean, encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b)
+	same(MsgGemm, encodeOpRequest(&OpRequest{Op: MsgMean, A: a}).Data)
+	same(MsgMean, encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).Data)
 }
 
 // TestFrameReaderRecycles: the pooled reader decodes what DecodeFrame

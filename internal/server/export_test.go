@@ -25,7 +25,7 @@ func (g *flushGate) Open() { g.open() }
 
 // GemmPayload encodes a GEMM request payload for a raw frame.
 func GemmPayload(a, b *tensor.Matrix) []byte {
-	return encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b
+	return encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).Data
 }
 
 // DecodeResult decodes a MsgResult payload.

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/tensor"
 )
 
 // FrontDoor is the wire front door both serving processes share: the
@@ -73,7 +74,7 @@ type Reply struct {
 	// Held marks a request holding one of the owner's slots: an
 	// admission slot on the daemon, an in-flight count on the router.
 	Held bool
-	buf  *wireBuf // the pooled buffer Payload lies in, released after the write
+	buf  *tensor.Mat[byte] // the recycled buffer Payload lies in, released after the write
 }
 
 // Relay is the reply that passes a backend's reply frame through
@@ -324,13 +325,13 @@ func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 	rep := d.owner.Handle(f, rt, arrived)
 	status := "ok"
 	if rep.Err != nil {
-		code := codeFromErr(rep.Err)
-		status, rep.Type, rep.Payload = errStatus(code), MsgError, encodeError(code, rep.Err.Error())
+		class := classOf(rep.Err)
+		status, rep.Type, rep.Payload = class.status, MsgError, encodeError(class.code, rep.Err.Error())
 		// Client-fault and internal failures are operator-actionable;
 		// sheds and deadline misses are expected load-control outcomes
 		// and stay at debug so a chaos soak does not drown the log.
 		lvl := slog.LevelDebug
-		if code == CodeInternal || code == CodeBadRequest {
+		if class.code == CodeInternal || class.code == CodeBadRequest {
 			lvl = slog.LevelWarn
 		}
 		d.log.Log(context.Background(), lvl, "request failed",
@@ -346,7 +347,7 @@ func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 	wst := time.Now()
 	w.Reply(reqID, traceID, rep.Type, rep.Payload)
 	d.owner.WriteSeconds.Observe(time.Since(wst).Seconds())
-	rep.buf.release()
+	tensor.Put(rep.buf)
 }
 
 // ConnWriter serializes whole-frame writes from the request goroutines

@@ -20,7 +20,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	b := tensor.FromSlice(3, 2, []float32{1, 0, 0, 1, 1, 1})
 	var good bytes.Buffer
 	_ = EncodeFrame(&good, &Frame{Version: Version, Type: MsgGemm, ReqID: 42,
-		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b})
+		Payload: encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).Data})
 	f.Add(good.Bytes())
 
 	// Truncated: the same frame cut mid-payload.
@@ -43,7 +43,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	// Retired v1 frame (no trace field): a version mismatch that must
 	// still surface its request ID.
-	f.Add(forgeFrame(1, MsgGemm, 43, encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b))
+	f.Add(forgeFrame(1, MsgGemm, 43, encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).Data))
 
 	// v2 frame whose length claim covers only the shared header prefix:
 	// the trace field is missing and the decoder must reject, not
@@ -77,7 +77,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1})
 	var nfb bytes.Buffer
 	_ = EncodeFrame(&nfb, &Frame{Version: Version, Type: MsgAdd, ReqID: 7,
-		Payload: encodeOpRequest(&OpRequest{Op: MsgAdd, A: nf, B: nf}).b})
+		Payload: encodeOpRequest(&OpRequest{Op: MsgAdd, A: nf, B: nf}).Data})
 	f.Add(nfb.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -36,10 +36,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"net"
 	"strings"
-	"sync"
 
 	"repro/internal/tensor"
 )
@@ -190,6 +188,48 @@ var (
 	ErrTransient = errors.New("server: transient device fault, retry")
 )
 
+// errClass is one failure class: its wire code, the typed sentinel a
+// client errors.Is against, and the status label of the
+// replies{status=…} counters (the runbook reads those labels).
+type errClass struct {
+	code   uint16
+	err    error
+	status string
+}
+
+// errClasses is the one table of failure classes. The internal class
+// comes last: it is also the class of an unknown code and of an error
+// that wraps no sentinel.
+var errClasses = [...]errClass{
+	{CodeOverloaded, ErrOverloaded, "overloaded"},
+	{CodeDeadline, ErrDeadlineExceeded, "deadline"},
+	{CodeBadRequest, ErrBadRequest, "bad_request"},
+	{CodeShuttingDown, ErrShuttingDown, "shutting_down"},
+	{CodeVersion, ErrVersionMismatch, "version"},
+	{CodeTransient, ErrTransient, "transient"},
+	{CodeInternal, ErrInternal, "internal"},
+}
+
+// classOfCode returns the class a wire code names.
+func classOfCode(code uint16) errClass {
+	for _, c := range errClasses {
+		if c.code == code {
+			return c
+		}
+	}
+	return errClasses[len(errClasses)-1]
+}
+
+// classOf returns the class of the first sentinel err wraps.
+func classOf(err error) errClass {
+	for _, c := range errClasses {
+		if errors.Is(err, c.err) {
+			return c
+		}
+	}
+	return errClasses[len(errClasses)-1]
+}
+
 // errFromCode converts a wire error code + message into a typed error.
 // Senders put err.Error() on the wire, which already begins with the
 // class text of the sentinel the code names (and a relaying router
@@ -197,21 +237,7 @@ var (
 // copies are stripped before the sentinel is wrapped again: the class
 // text reads once however many hops the error crossed.
 func errFromCode(code uint16, msg string) error {
-	base := ErrInternal
-	switch code {
-	case CodeOverloaded:
-		base = ErrOverloaded
-	case CodeDeadline:
-		base = ErrDeadlineExceeded
-	case CodeBadRequest:
-		base = ErrBadRequest
-	case CodeShuttingDown:
-		base = ErrShuttingDown
-	case CodeVersion:
-		base = ErrVersionMismatch
-	case CodeTransient:
-		base = ErrTransient
-	}
+	base := classOfCode(code).err
 	class := base.Error()
 	for msg == class || strings.HasPrefix(msg, class+": ") {
 		msg = strings.TrimPrefix(msg[len(class):], ": ")
@@ -220,25 +246,6 @@ func errFromCode(code uint16, msg string) error {
 		return base
 	}
 	return fmt.Errorf("%w: %s", base, msg)
-}
-
-// codeFromErr maps a typed error back to its wire code.
-func codeFromErr(err error) uint16 {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, ErrDeadlineExceeded):
-		return CodeDeadline
-	case errors.Is(err, ErrBadRequest):
-		return CodeBadRequest
-	case errors.Is(err, ErrShuttingDown):
-		return CodeShuttingDown
-	case errors.Is(err, ErrVersionMismatch):
-		return CodeVersion
-	case errors.Is(err, ErrTransient):
-		return CodeTransient
-	}
-	return CodeInternal
 }
 
 // Frame is one wire message. Version is the version byte a decoded
@@ -250,9 +257,9 @@ type Frame struct {
 	TraceID uint64
 	Payload []byte
 
-	// buf is the pooled buffer Payload points into, nil for frames the
-	// caller owns outright (DecodeFrame, literals).
-	buf *wireBuf
+	// buf is the recycled buffer Payload points into, nil for frames
+	// the caller owns outright (DecodeFrame, literals).
+	buf *tensor.Mat[byte]
 }
 
 // Release returns a pooled frame's buffer for reuse; Payload is invalid
@@ -266,53 +273,8 @@ func (f *Frame) Release() {
 	if f == nil || f.buf == nil {
 		return
 	}
-	f.buf.release()
+	tensor.Put(f.buf)
 	f.buf, f.Payload = nil, nil
-}
-
-// wireBuf is one recycled byte buffer of the wire path: a frame body
-// read off a socket, or a payload encoded for one. Buffers are
-// size-classed like internal/tensor's tile pools (power-of-two
-// capacities, one sync.Pool per class) and capped at 1<<maxWireBits
-// bytes, so one 64 MiB frame cannot pin memory in the pool; larger
-// buffers are allocated exactly and collected normally.
-type wireBuf struct{ b []byte }
-
-const (
-	minWireBits = 6
-	maxWireBits = 24
-)
-
-var wirePools [maxWireBits + 1]sync.Pool // class c holds *wireBuf with cap(b) == 1<<c
-
-// getWireBuf returns a buffer of length n with unspecified contents.
-func getWireBuf(n int) *wireBuf {
-	if n <= 0 || n > 1<<maxWireBits {
-		return &wireBuf{b: make([]byte, n)}
-	}
-	c := bits.Len(uint(n - 1))
-	if c < minWireBits {
-		c = minWireBits
-	}
-	if w, _ := wirePools[c].Get().(*wireBuf); w != nil {
-		w.b = w.b[:n]
-		return w
-	}
-	return &wireBuf{b: make([]byte, n, 1<<c)}
-}
-
-// release hands the buffer back; the caller must not touch it again.
-// Safe on nil and on buffers outside the pooled range (no-op).
-func (w *wireBuf) release() {
-	if w == nil {
-		return
-	}
-	c := cap(w.b)
-	if c&(c-1) != 0 || c < 1<<minWireBits || c > 1<<maxWireBits {
-		return
-	}
-	w.b = w.b[:c]
-	wirePools[bits.Len(uint(c))-1].Put(w)
 }
 
 // EncodeFrame writes f to w in wire format, header and payload in two
@@ -323,10 +285,10 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 	}
 	// The header goes through a recycled buffer: a stack array would
 	// escape through the io.Writer and cost an allocation per frame.
-	hb := getWireBuf(4 + headerLen)
-	putHeader(hb.b, f)
-	_, err := w.Write(hb.b)
-	hb.release()
+	hb := tensor.GetForOverwrite[byte](1, 4+headerLen)
+	putHeader(hb.Data, f)
+	_, err := w.Write(hb.Data)
+	tensor.Put(hb)
 	if err != nil {
 		return err
 	}
@@ -433,21 +395,21 @@ func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, err
 		return nil, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrBadRequest, n, max)
 	}
 	var (
-		wb  *wireBuf
+		wb  *tensor.Mat[byte]
 		buf []byte
 	)
 	if pooled {
-		wb = getWireBuf(int(n))
-		buf = wb.b
+		wb = tensor.GetForOverwrite[byte](1, int(n))
+		buf = wb.Data
 	} else {
 		buf = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r, buf); err != nil {
-		wb.release()
+		tensor.Put(wb)
 		return nil, err
 	}
 	if got := binary.BigEndian.Uint16(buf[0:]); got != Magic {
-		wb.release()
+		tensor.Put(wb)
 		return nil, fmt.Errorf("%w: bad magic %#04x", ErrBadRequest, got)
 	}
 	f := &Frame{
@@ -461,7 +423,7 @@ func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, err
 		return f, fmt.Errorf("%w: frame version %d, want %d", ErrVersionMismatch, f.Version, Version)
 	}
 	if n < headerLen {
-		wb.release()
+		tensor.Put(wb)
 		return nil, fmt.Errorf("%w: frame length %d below header size", ErrBadRequest, n)
 	}
 	f.TraceID = binary.BigEndian.Uint64(buf[idLen:])
@@ -509,9 +471,9 @@ func matrixWireLen(m *tensor.Matrix) int { return 8 + m.Elems()*4 }
 
 // encodeMatrix renders m into a pooled, exactly pre-sized buffer; the
 // caller releases it once the bytes are on the socket.
-func encodeMatrix(m *tensor.Matrix) *wireBuf {
-	wb := getWireBuf(matrixWireLen(m))
-	appendMatrix(wb.b[:0], m)
+func encodeMatrix(m *tensor.Matrix) *tensor.Mat[byte] {
+	wb := tensor.GetForOverwrite[byte](1, matrixWireLen(m))
+	appendMatrix(wb.Data[:0], m)
 	return wb
 }
 
@@ -581,13 +543,13 @@ type OpRequest struct {
 
 // encodeOpRequest renders an operator request payload into a pooled,
 // exactly pre-sized buffer; the caller releases it after the last send.
-func encodeOpRequest(req *OpRequest) *wireBuf {
+func encodeOpRequest(req *OpRequest) *tensor.Mat[byte] {
 	n := 5 + matrixWireLen(req.A)
 	if req.B != nil {
 		n += matrixWireLen(req.B)
 	}
-	wb := getWireBuf(n)
-	dst := binary.BigEndian.AppendUint32(wb.b[:0], req.DeadlineMillis)
+	wb := tensor.GetForOverwrite[byte](1, n)
+	dst := binary.BigEndian.AppendUint32(wb.Data[:0], req.DeadlineMillis)
 	dst = append(dst, req.Flags)
 	dst = appendMatrix(dst, req.A)
 	if req.B != nil {
@@ -640,11 +602,11 @@ func decodeOpRequestTo(op MsgType, payload []byte, alloc func(rows, cols int) *t
 
 // release returns the request's operand matrices to the float32 pool.
 // Only the daemon calls it, on requests it decoded into pooled
-// matrices, once nothing reads them any more; PutF32 ignores matrices
+// matrices, once nothing reads them any more; tensor.Put ignores matrices
 // that are not pool-shaped.
 func (req *OpRequest) release() {
-	tensor.PutF32(req.A)
-	tensor.PutF32(req.B)
+	tensor.Put(req.A)
+	tensor.Put(req.B)
 	req.A, req.B = nil, nil
 }
 
@@ -665,7 +627,7 @@ func DecodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
 // cluster router uses it to relay and originate typed failures in the
 // daemon's own vocabulary.
 func ErrorPayload(err error) []byte {
-	return encodeError(codeFromErr(err), err.Error())
+	return encodeError(classOf(err).code, err.Error())
 }
 
 // WireLen returns the full on-wire size of f (length prefix + header +

@@ -78,7 +78,7 @@ func TestOpRequestRoundTrip(t *testing.T) {
 		{Op: MsgGemm, DeadlineMillis: 250, Flags: FlagNoBatch, A: a, B: b},
 		{Op: MsgMean, A: a},
 	} {
-		got, err := decodeOpRequest(tc.Op, encodeOpRequest(tc).b)
+		got, err := decodeOpRequest(tc.Op, encodeOpRequest(tc).Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,9 +178,16 @@ func TestDecodeMatrixRejectsOverclaimedDims(t *testing.T) {
 // the wrapped error's own text (what the daemon sends), or a relayed
 // client-side error (what the router sends) on the wire.
 func TestErrorCodeRoundTrip(t *testing.T) {
+	// The status labels are runbook-visible as replies{status=…}.
+	labels := map[error]string{ErrOverloaded: "overloaded", ErrDeadlineExceeded: "deadline",
+		ErrBadRequest: "bad_request", ErrInternal: "internal", ErrShuttingDown: "shutting_down",
+		ErrVersionMismatch: "version", ErrTransient: "transient"}
 	for _, e := range []error{ErrOverloaded, ErrDeadlineExceeded, ErrBadRequest,
 		ErrInternal, ErrShuttingDown, ErrVersionMismatch, ErrTransient} {
-		code := codeFromErr(e)
+		if got := ErrStatus(e); got != labels[e] {
+			t.Fatalf("ErrStatus(%v) = %q, want %q", e, got, labels[e])
+		}
+		code := classOf(e).code
 		sent := fmt.Errorf("%w: ctx", e)
 		relayed := errFromCode(code, sent.Error())
 		for _, msg := range []string{"", "ctx", e.Error(), sent.Error(), relayed.Error()} {

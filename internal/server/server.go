@@ -167,7 +167,7 @@ func (s *Server) handleRequest(f *Frame, rt *obs.Trace, arrived time.Time) Reply
 	// rode has stacked A, or its own task has completed — except for a B
 	// the batcher took over.
 	dst := time.Now()
-	req, err := decodeOpRequestTo(f.Type, f.Payload, tensor.GetF32ForOverwrite)
+	req, err := decodeOpRequestTo(f.Type, f.Payload, tensor.GetForOverwrite[float32])
 	f.Release()
 	if err == nil {
 		defer req.release()
@@ -226,7 +226,7 @@ func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, arrived time.Time)
 // blocks on a silently-dropped encode.
 func encodeReply(res callResult, rt *obs.Trace) Reply {
 	m := res.m
-	defer tensor.PutF32(m)
+	defer tensor.Put(m)
 	if res.err != nil {
 		return Reply{Err: res.err}
 	}
@@ -236,33 +236,14 @@ func encodeReply(res callResult, rt *obs.Trace) Reply {
 	est := time.Now()
 	wb := encodeMatrix(m)
 	rt.ObserveSpan(obs.StageReplyEncode, est, time.Since(est), "")
-	return Reply{Type: MsgResult, Payload: wb.b, buf: wb}
+	return Reply{Type: MsgResult, Payload: wb.Data, buf: wb}
 }
 
 // ErrStatus names a typed error's failure class for status-labeled
 // telemetry ("ok" is the caller's convention for nil). The cluster
 // router labels its reply counters with it so router and daemon
 // status breakdowns use one vocabulary.
-func ErrStatus(err error) string { return errStatus(codeFromErr(err)) }
-
-// errStatus names an error code for the replies-by-status counter.
-func errStatus(code uint16) string {
-	switch code {
-	case CodeOverloaded:
-		return "overloaded"
-	case CodeDeadline:
-		return "deadline"
-	case CodeBadRequest:
-		return "bad_request"
-	case CodeShuttingDown:
-		return "shutting_down"
-	case CodeVersion:
-		return "version"
-	case CodeTransient:
-		return "transient"
-	}
-	return "internal"
-}
+func ErrStatus(err error) string { return classOf(err).status }
 
 // validateShapes rejects dimension mismatches up front with a typed
 // bad-request error (the runtime's own checks panic, which Enqueue

@@ -451,7 +451,7 @@ func TestLegacyClientAgainstCurrentServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := tensor.RandUniform(rng, 16, 16, -1, 1)
 	b := tensor.RandUniform(rng, 16, 16, -1, 1)
-	payload := encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).b
+	payload := encodeOpRequest(&OpRequest{Op: MsgGemm, A: a, B: b}).Data
 
 	if _, err := conn.Write(forgeFrame(1, MsgGemm, 5, payload)); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
-// Package tensor provides the dense matrix and tensor types used
-// throughout the GPTPU reproduction: float32 host-side matrices, int8
-// device-side matrices, views, tiling, padding, and the error metrics
+// Package tensor provides the dense matrix type used throughout the
+// GPTPU reproduction — one generic Mat at every element width the
+// runtime stores (float32 host values, int8 device data, int32
+// accumulators, byte wire buffers, int64 aggregation scratch) — with
+// views, tiling, padding, the buffer recycler, and the error metrics
 // (MAPE, RMSE) the paper reports in Tables 4 and 5.
 //
 // Matrices are row-major with an explicit stride so that sub-matrix
@@ -12,24 +14,39 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
-// Matrix is a dense row-major float32 matrix. The element at (r, c)
-// lives at Data[r*Stride+c]. A Matrix may be a view into a larger
-// matrix, in which case Stride > Cols.
-type Matrix struct {
-	Rows, Cols int
-	Stride     int
-	Data       []float32
+// Elem is the set of element types a Mat holds: int8 device data,
+// int32 accumulators, float32 host values, byte wire buffers and int64
+// aggregation scratch. The set is closed (no ~): the recycler in
+// pool.go keeps one size-classed pool array per member.
+type Elem interface {
+	int8 | int32 | float32 | byte | int64
 }
 
-// New allocates a zeroed rows x cols matrix with a compact layout.
-func New(rows, cols int) *Matrix {
+// Mat is a dense row-major matrix. The element at (r, c) lives at
+// Data[r*Stride+c]. A Mat may be a view into a larger matrix, in which
+// case Stride > Cols.
+type Mat[T Elem] struct {
+	Rows, Cols int
+	Stride     int
+	Data       []T
+}
+
+// Matrix is the host-side float32 matrix.
+type Matrix = Mat[float32]
+
+// newMat allocates a zeroed rows x cols matrix with a compact layout.
+func newMat[T Elem](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: make([]float32, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Stride: cols, Data: make([]T, rows*cols)}
 }
+
+// New allocates a zeroed rows x cols float32 matrix.
+func New(rows, cols int) *Matrix { return newMat[float32](rows, cols) }
 
 // FromSlice wraps data (row-major, len rows*cols) in a Matrix without
 // copying. It panics if the slice is too short.
@@ -41,19 +58,19 @@ func FromSlice(rows, cols int, data []float32) *Matrix {
 }
 
 // At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Stride+c] }
+func (m *Mat[T]) At(r, c int) T { return m.Data[r*m.Stride+c] }
 
 // Set assigns the element at (r, c).
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Stride+c] = v }
+func (m *Mat[T]) Set(r, c int, v T) { m.Data[r*m.Stride+c] = v }
 
 // Row returns row r as a slice sharing storage with m.
-func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Stride : r*m.Stride+m.Cols] }
+func (m *Mat[T]) Row(r int) []T { return m.Data[r*m.Stride : r*m.Stride+m.Cols] }
 
 // IsCompact reports whether the matrix occupies contiguous storage.
-func (m *Matrix) IsCompact() bool { return m.Stride == m.Cols }
+func (m *Mat[T]) IsCompact() bool { return m.Stride == m.Cols }
 
 // Elems returns the number of logical elements (Rows*Cols).
-func (m *Matrix) Elems() int { return m.Rows * m.Cols }
+func (m *Mat[T]) Elems() int { return m.Rows * m.Cols }
 
 // Flat returns m as one row of all its elements when its storage is
 // compact, and m unchanged when it is a strided view, so a pass over
@@ -61,22 +78,24 @@ func (m *Matrix) Elems() int { return m.Rows * m.Cols }
 // operand would otherwise pay a loop set-up every ten elements). Row r
 // of the flat form covers elements r*f.Cols onward of any compact
 // matrix of m's shape, which is how a pass indexes its destination.
-func (m *Matrix) Flat() Matrix {
+func (m *Mat[T]) Flat() Mat[T] {
 	if m.Stride != m.Cols || m.Rows <= 1 {
 		return *m
 	}
 	n := m.Rows * m.Cols
-	return Matrix{Rows: 1, Cols: n, Stride: n, Data: m.Data[:n]}
+	return Mat[T]{Rows: 1, Cols: n, Stride: n, Data: m.Data[:n]}
 }
 
-// Bytes returns the storage footprint of the logical elements in bytes
-// assuming float32 encoding. Device-side int8 footprints are computed
-// by the quant package.
-func (m *Matrix) Bytes() int { return m.Elems() * 4 }
+// Bytes returns the storage footprint of the logical elements: 4 bytes
+// each for float32, 1 for the int8 device layout.
+func (m *Mat[T]) Bytes() int {
+	var z T
+	return m.Elems() * int(unsafe.Sizeof(z))
+}
 
 // View returns an (rows x cols) sub-matrix view rooted at (r0, c0)
 // sharing storage with m. It panics if the view exceeds m's bounds.
-func (m *Matrix) View(r0, c0, rows, cols int) *Matrix {
+func (m *Mat[T]) View(r0, c0, rows, cols int) *Mat[T] {
 	if r0 < 0 || c0 < 0 || rows < 0 || cols < 0 || r0+rows > m.Rows || c0+cols > m.Cols {
 		panic(fmt.Sprintf("tensor: view (%d,%d)+%dx%d out of bounds of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols))
 	}
@@ -85,12 +104,12 @@ func (m *Matrix) View(r0, c0, rows, cols int) *Matrix {
 	if rows > 0 && cols > 0 {
 		end = off + (rows-1)*m.Stride + cols
 	}
-	return &Matrix{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[off:end]}
+	return &Mat[T]{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[off:end]}
 }
 
 // Clone returns a compact deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	out := newMat[T](m.Rows, m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		copy(out.Row(r), m.Row(r))
 	}
@@ -98,7 +117,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // CopyFrom copies src's elements into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
+func (m *Mat[T]) CopyFrom(src *Mat[T]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
@@ -108,7 +127,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
+func (m *Mat[T]) Fill(v T) {
 	for r := 0; r < m.Rows; r++ {
 		row := m.Row(r)
 		for i := range row {
@@ -118,16 +137,30 @@ func (m *Matrix) Fill(v float32) {
 }
 
 // Zero clears the matrix.
-func (m *Matrix) Zero() { m.Fill(0) }
+func (m *Mat[T]) Zero() { m.Fill(0) }
+
+// AddInto accumulates o into m element-wise, wrapping on overflow.
+// Shapes must match.
+func (m *Mat[T]) AddInto(o *Mat[T]) {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		panic("tensor: AddInto shape mismatch")
+	}
+	for r := 0; r < m.Rows; r++ {
+		a, b := m.Row(r), o.Row(r)
+		for i := range a {
+			a[i] += b[i]
+		}
+	}
+}
 
 // Pad returns a compact (rows x cols) copy of m zero-padded on the
 // bottom/right, reproducing the Edge TPU compiler behaviour of padding
 // inputs to the hardware tile shape (paper section 3.3).
-func (m *Matrix) Pad(rows, cols int) *Matrix {
+func (m *Mat[T]) Pad(rows, cols int) *Mat[T] {
 	if rows < m.Rows || cols < m.Cols {
 		panic(fmt.Sprintf("tensor: Pad target %dx%d smaller than %dx%d", rows, cols, m.Rows, m.Cols))
 	}
-	out := New(rows, cols)
+	out := newMat[T](rows, cols)
 	for r := 0; r < m.Rows; r++ {
 		copy(out.Row(r)[:m.Cols], m.Row(r))
 	}
@@ -137,13 +170,13 @@ func (m *Matrix) Pad(rows, cols int) *Matrix {
 // Crop returns a compact copy of the (rows x cols) sub-matrix rooted at
 // (r0, c0). It mirrors the Edge TPU "crop" instruction semantics
 // (Table 1: remove all unwanted elements outside of a sub-matrix).
-func (m *Matrix) Crop(r0, c0, rows, cols int) *Matrix {
+func (m *Mat[T]) Crop(r0, c0, rows, cols int) *Mat[T] {
 	return m.View(r0, c0, rows, cols).Clone()
 }
 
 // Transpose returns a compact transposed copy.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
+func (m *Mat[T]) Transpose() *Mat[T] {
+	out := newMat[T](m.Cols, m.Rows)
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
 			out.Set(c, r, m.At(r, c))
@@ -153,7 +186,7 @@ func (m *Matrix) Transpose() *Matrix {
 }
 
 // Equal reports exact element-wise equality of shape and contents.
-func (m *Matrix) Equal(o *Matrix) bool {
+func (m *Mat[T]) Equal(o *Mat[T]) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
@@ -170,7 +203,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 
 // MinMax returns the minimum and maximum element values. It returns
 // (0, 0) for an empty matrix.
-func (m *Matrix) MinMax() (min, max float32) {
+func (m *Mat[T]) MinMax() (min, max T) {
 	if m.Elems() == 0 {
 		return 0, 0
 	}
@@ -189,8 +222,9 @@ func (m *Matrix) MinMax() (min, max float32) {
 	return min, max
 }
 
-// AbsMax returns max(|v|) over all elements (0 for empty).
-func (m *Matrix) AbsMax() float32 {
+// AbsMax returns max(|v|) over all elements (0 for empty). It is for
+// float matrices: an integer type's minimum has no positive twin.
+func (m *Mat[T]) AbsMax() T {
 	min, max := m.MinMax()
 	if -min > max {
 		return -min
@@ -199,7 +233,7 @@ func (m *Matrix) AbsMax() float32 {
 }
 
 // Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float32) {
+func (m *Mat[T]) Scale(s T) {
 	for r := 0; r < m.Rows; r++ {
 		row := m.Row(r)
 		for i := range row {
@@ -220,16 +254,18 @@ func ShapeOnly(rows, cols int) *Matrix {
 }
 
 // IsShapeOnly reports whether the matrix has no backing storage.
-func (m *Matrix) IsShapeOnly() bool { return m.Data == nil && m.Rows*m.Cols > 0 }
+func (m *Mat[T]) IsShapeOnly() bool { return m.Data == nil && m.Rows*m.Cols > 0 }
 
-// Span is tile geometry without data: the dual of Tile for
-// shape-only matrices.
+// Span is one tile's geometry, touching no data: View(R0, C0, Rows,
+// Cols) over a span yields the tile itself.
 type Span struct {
 	R0, C0, Rows, Cols int
 }
 
 // TileSpans partitions a rows x cols shape into tileR x tileC spans
-// in row-major tile order, touching no data.
+// (edge spans may be smaller) in row-major tile order. This is the
+// partitioning step the Tensorizer applies before instruction
+// rewriting (paper section 6.2.1).
 func TileSpans(rows, cols, tileR, tileC int) []Span {
 	if tileR <= 0 || tileC <= 0 {
 		panic("tensor: non-positive tile shape")
@@ -251,39 +287,9 @@ func TileSpans(rows, cols, tileR, tileC int) []Span {
 	return spans
 }
 
-// Tile describes one sub-matrix produced by Tiles.
-type Tile struct {
-	R0, C0 int     // origin in the parent matrix
-	M      *Matrix // view into the parent
-}
-
-// Tiles partitions m into tileR x tileC views (edge tiles may be
-// smaller) in row-major tile order. This is the partitioning step the
-// Tensorizer applies before instruction rewriting (paper section 6.2.1).
-func (m *Matrix) Tiles(tileR, tileC int) []Tile {
-	if tileR <= 0 || tileC <= 0 {
-		panic("tensor: non-positive tile shape")
-	}
-	var tiles []Tile
-	for r := 0; r < m.Rows; r += tileR {
-		h := tileR
-		if r+h > m.Rows {
-			h = m.Rows - r
-		}
-		for c := 0; c < m.Cols; c += tileC {
-			w := tileC
-			if c+w > m.Cols {
-				w = m.Cols - c
-			}
-			tiles = append(tiles, Tile{R0: r, C0: c, M: m.View(r, c, h, w)})
-		}
-	}
-	return tiles
-}
-
 // String renders small matrices for debugging; large matrices render as
 // a shape summary.
-func (m *Matrix) String() string {
+func (m *Mat[T]) String() string {
 	if m.Rows*m.Cols > 64 {
 		return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 	}
@@ -296,7 +302,7 @@ func (m *Matrix) String() string {
 			if c > 0 {
 				s += " "
 			}
-			s += fmt.Sprintf("%g", m.At(r, c))
+			s += fmt.Sprint(m.At(r, c))
 		}
 	}
 	return s + "]"

@@ -157,10 +157,11 @@ func TestMinMaxAbsMax(t *testing.T) {
 func TestTilesCoverExactlyOnce(t *testing.T) {
 	m := New(130, 257)
 	seen := New(130, 257)
-	for _, tl := range m.Tiles(128, 128) {
-		for r := 0; r < tl.M.Rows; r++ {
-			for c := 0; c < tl.M.Cols; c++ {
-				seen.Set(tl.R0+r, tl.C0+c, seen.At(tl.R0+r, tl.C0+c)+1)
+	for _, sp := range TileSpans(m.Rows, m.Cols, 128, 128) {
+		tile := seen.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
+		for r := 0; r < tile.Rows; r++ {
+			for c := 0; c < tile.Cols; c++ {
+				tile.Set(r, c, tile.At(r, c)+1)
 			}
 		}
 	}
@@ -173,13 +174,13 @@ func TestTilesCoverExactlyOnce(t *testing.T) {
 
 func TestTilesShape(t *testing.T) {
 	m := New(256, 256)
-	tiles := m.Tiles(128, 128)
-	if len(tiles) != 4 {
-		t.Fatalf("got %d tiles, want 4", len(tiles))
+	spans := TileSpans(m.Rows, m.Cols, 128, 128)
+	if len(spans) != 4 {
+		t.Fatalf("got %d tiles, want 4", len(spans))
 	}
-	for _, tl := range tiles {
-		if tl.M.Rows != 128 || tl.M.Cols != 128 {
-			t.Fatalf("uneven tile %dx%d", tl.M.Rows, tl.M.Cols)
+	for _, sp := range spans {
+		if tile := m.View(sp.R0, sp.C0, sp.Rows, sp.Cols); tile.Rows != 128 || tile.Cols != 128 {
+			t.Fatalf("uneven tile %dx%d", tile.Rows, tile.Cols)
 		}
 	}
 }
@@ -245,7 +246,7 @@ func TestQuickPadCropRoundTrip(t *testing.T) {
 }
 
 // Property: every element of a tiling belongs to exactly one tile and
-// tile views agree with the parent.
+// views over the spans agree with the parent.
 func TestQuickTilesAgree(t *testing.T) {
 	f := func(rows, cols, tr, tc uint8, seed int64) bool {
 		r, c := int(rows)%50+1, int(cols)%50+1
@@ -253,11 +254,12 @@ func TestQuickTilesAgree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := RandUniform(rng, r, c, -1, 1)
 		count := 0
-		for _, tl := range m.Tiles(th, tw) {
-			count += tl.M.Elems()
-			for rr := 0; rr < tl.M.Rows; rr++ {
-				for cc := 0; cc < tl.M.Cols; cc++ {
-					if tl.M.At(rr, cc) != m.At(tl.R0+rr, tl.C0+cc) {
+		for _, sp := range TileSpans(r, c, th, tw) {
+			tile := m.View(sp.R0, sp.C0, sp.Rows, sp.Cols)
+			count += tile.Elems()
+			for rr := 0; rr < tile.Rows; rr++ {
+				for cc := 0; cc < tile.Cols; cc++ {
+					if tile.At(rr, cc) != m.At(sp.R0+rr, sp.C0+cc) {
 						return false
 					}
 				}
