@@ -10,21 +10,17 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also fails on any file gofmt would rewrite, and vets the
-# benchmark module, which builds the internal config structs by field
-# name: a renamed field fails here, not only in bench-test. It first
-# guards against Core() escapes creeping back outside benchmark/: the
-# public Context is the runtime's own, so nothing else needs one. It
-# also keeps every HTTP mux inside internal/telemetry: commands mount
-# their one metrics listener through telemetry.Listen. And it keeps
-# buffer recycling in internal/tensor's one recycler: outside it, the
-# only sync.Pools in non-test code are the two object pools, core's
-# plan storage and edgetpu's GEMM scratch. (The brackets keep the
-# guards from matching themselves.)
+# vet first runs the source rules (TestSourceRules in the root
+# package): every config field has a caller outside its package, no
+# deleted flag reappears in this file, the scripts or the docs, no
+# Core() escape outside benchmark/, every HTTP mux inside
+# internal/telemetry, and no sync.Pool outside internal/tensor's one
+# recycler but core's plan storage and edgetpu's GEMM scratch. It also
+# fails on any file gofmt would rewrite, and vets the benchmark module,
+# which builds the internal config structs by field name: a renamed
+# field fails here, not only in bench-test.
 vet:
-	! grep -rn --include='*.go' --exclude-dir=benchmark '\.Cor[e]()' .
-	! grep -rn --include='*.go' --exclude-dir=benchmark --exclude-dir=telemetry 'http\.NewServeMu[x]' .
-	! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=tensor 'sync\.Poo[l]' . | grep -v -e '^./internal/core/context.go:[0-9]*:	plans sync.Pool ' -e '^./internal/edgetpu/ops_fast.go:[0-9]*:var gemmScratchPool = sync.Pool{'
+	$(GO) test -count=1 -run '^TestSourceRules$$' .
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
@@ -78,12 +74,8 @@ graph-fuzz-soak:
 
 # serve-smoke builds the gptpu-serve daemon, boots it on an ephemeral
 # port, round-trips a client GEMM, and asserts a clean drain on
-# SIGTERM — the serving layer's end-to-end liveness gate. It first
-# guards against the deleted batch-window and pace flags creeping back
-# into the smoke scripts or this file (the brackets keep the guard from
-# matching itself).
+# SIGTERM — the serving layer's end-to-end liveness gate.
 serve-smoke:
-	! grep -n -e '-batch[-]window' -e '-pac[e]' Makefile scripts/*.sh
 	GO="$(GO)" sh scripts/serve-smoke.sh
 
 # cluster-smoke is the cluster serving layer's end-to-end gate: three
@@ -93,8 +85,8 @@ serve-smoke:
 # failover absorption, the membership census and metric families
 # (among them the router front door's gptpu_cluster_bytes_read_total,
 # whose sample must be non-zero, and gptpu_cluster_bytes_written_total),
-# and trace-ID propagation through the router hop (router and backend
-# flight dumps share IDs).
+# and trace-ID propagation through the router hop (the router's flight
+# dump shares IDs with the union of the three daemons' dumps).
 cluster-smoke:
 	GO="$(GO)" sh scripts/cluster-smoke.sh
 

@@ -143,9 +143,9 @@ func TestTimingOnlyMode(t *testing.T) {
 }
 
 func TestAblationConfigsWireThrough(t *testing.T) {
-	ctx := Open(Config{DisableLocality: true, UseTFLiteCompiler: true, OnDeviceReduce: true, Sampled: true})
+	ctx := Open(Config{DisableLocality: true, UseTFLiteCompiler: true, OnDeviceReduce: true})
 	o := ctx.Config()
-	if !o.DisableLocality || !o.UseTFLiteCompiler || !o.OnDeviceReduce || !o.Sampled || o.Devices != 1 {
+	if !o.DisableLocality || !o.UseTFLiteCompiler || !o.OnDeviceReduce || o.Devices != 1 {
 		t.Fatalf("ablation flags not honored: %+v", o)
 	}
 }

@@ -27,20 +27,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "first seed of the sweep")
 	cases := flag.Int("cases", 200, "number of consecutive seeds to check")
 	one := flag.Int64("case", 0, "replay a single seed and exit (overrides -seed/-cases)")
-	nowire := flag.Bool("nowire", false, "skip the wire leg (no loopback daemon)")
 	verbose := flag.Bool("v", false, "print progress every 50 seeds")
 	flag.Parse()
 
-	var h *fuzzgraph.Harness
-	if !*nowire {
-		var err error
-		h, err = fuzzgraph.NewHarness()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gptpu-fuzz: harness: %v\n", err)
-			os.Exit(2)
-		}
-		defer h.Close()
+	h, err := fuzzgraph.NewHarness()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gptpu-fuzz: harness: %v\n", err)
+		os.Exit(2)
 	}
+	defer h.Close()
 
 	start, n := *seed, *cases
 	if *one != 0 {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -34,14 +33,7 @@ func main() {
 	members := flag.String("members", "", "comma-separated backend gptpu-serve addresses (required)")
 	shard := flag.String("shard", "router", "identity reported in this router's own health replies")
 	probeInterval := flag.Duration("probe-interval", time.Second, "member health-probe period")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "per-member health-probe timeout")
-	deadStrikes := flag.Int("dead-strikes", 2, "consecutive probe/forward failures before a member is ejected")
-	affinityCap := flag.Int("affinity-cap", 4096, "weight-affinity table capacity (placement keys)")
-	metricsAddr := flag.String("metrics", "", "serve the telemetry HTTP exporter on this address (e.g. :9091)")
-	obsOn := flag.Bool("obs", true, "per-request routing traces and the flight recorder")
-	flightN := flag.Int("flight", 256, "flight recorder capacity")
-	flightDump := flag.String("flight-dump", "", "write the flight recorder as JSON to this file at exit")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
+	proc := server.NewProcess("gptpu-router", flag.CommandLine)
 	flag.Parse()
 
 	addrs := splitMembers(*members)
@@ -50,21 +42,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	logger := server.NewLogger(*logJSON)
-
-	var rec *obs.Recorder
-	if *obsOn {
-		rec = obs.New(obs.Config{Capacity: *flightN})
-	}
-
+	logger, rec := proc.Start()
 	rt := cluster.New(cluster.Config{
 		Members:       addrs,
 		ShardID:       *shard,
 		ProbeInterval: *probeInterval,
-		ProbeTimeout:  *probeTimeout,
-		DeadStrikes:   *deadStrikes,
-		AffinityCap:   *affinityCap,
-		Retry:         server.RetryPolicy{Max: 1, Base: 5 * time.Millisecond},
 		Obs:           rec,
 		Logger:        logger,
 	})
@@ -74,12 +56,7 @@ func main() {
 	}
 	fmt.Printf("gptpu-router: listening on %s (%d member(s))\n", rt.Addr(), len(addrs))
 
-	os.Exit(server.Process{
-		Name:        "gptpu-router",
-		Log:         logger,
-		MetricsAddr: *metricsAddr,
-		FlightDump:  *flightDump,
-	}.Run(rt))
+	os.Exit(proc.Run(rt))
 }
 
 // splitMembers parses the -members list, dropping empty entries so a

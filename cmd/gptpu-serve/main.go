@@ -61,18 +61,12 @@ import (
 func main() {
 	addr := flag.String("addr", ":8477", "TCP listen address (use :0 for an ephemeral port)")
 	devices := flag.Int("devices", 1, "simulated Edge TPUs behind the daemon (1-8)")
-	workers := flag.Int("workers", 0, "IQ dispatch-engine worker goroutines (0 = one per host core)")
 	maxInFlight := flag.Int("max-inflight", 64, "admission bound: requests beyond this are shed with an overloaded reply")
-	batchMax := flag.Int("batch-max", 16, "a GEMM micro-batch flushes early at this many coalesced requests")
-	metricsAddr := flag.String("metrics", "", "also serve the telemetry HTTP exporter on this address (e.g. :9090)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics listener")
+	proc := server.NewProcess("gptpu-serve", flag.CommandLine)
+	flag.BoolVar(&proc.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the -metrics listener")
 	check := flag.String("check", "", "client mode: round-trip a GEMM against the daemon at this address and exit")
 	retryBudget := flag.Int("retry-budget", 0, "runtime dispatch retries per instruction under faults (0 = default 8)")
-	obsOn := flag.Bool("obs", true, "per-request tracing, stage quantiles, and the flight recorder")
-	flightN := flag.Int("flight", 256, "flight recorder capacity: completed request waterfalls kept for postmortems")
-	flightDump := flag.String("flight-dump", "", "write the flight recorder as JSON to this file at exit")
 	tracePath := flag.String("trace", "", "write a merged Chrome trace (device timelines + request lanes) to this file at exit")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	soak := flag.String("soak", "", "client mode: drive GEMM traffic against the daemon at this address and exit")
 	soakClients := flag.Int("soak-clients", 4, "concurrent clients in -soak mode")
 	soakReqs := flag.Int("soak-reqs", 200, "requests per client in -soak mode")
@@ -83,8 +77,6 @@ func main() {
 	var ff fault.Flags
 	ff.Register(flag.CommandLine)
 	flag.Parse()
-
-	logger := server.NewLogger(*logJSON)
 
 	if *flightVerify != "" {
 		os.Exit(runFlightVerify(*flightVerify, *expectFault))
@@ -102,21 +94,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	var rec *obs.Recorder
-	if *obsOn {
-		rec = obs.New(obs.Config{Capacity: *flightN})
-	}
-
+	logger, rec := proc.Start()
 	srv := server.New(server.Config{
-		Devices:          *devices,
-		DispatchWorkers:  *workers,
-		MaxInFlight:      *maxInFlight,
-		BatchMaxRequests: *batchMax,
-		Fault:            fc,
-		RetryBudget:      *retryBudget,
-		Obs:              rec,
-		Logger:           logger,
-		ShardID:          *shard,
+		Devices:     *devices,
+		MaxInFlight: *maxInFlight,
+		Fault:       fc,
+		RetryBudget: *retryBudget,
+		Obs:         rec,
+		Logger:      logger,
+		ShardID:     *shard,
 	})
 	// -trace records the daemon's one runtime timeline from the first
 	// request on.
@@ -128,16 +114,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gptpu-serve:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d, batch-max %d)\n",
-		srv.Addr(), srv.Runtime().Config().Devices, *maxInFlight, *batchMax)
+	fmt.Printf("gptpu-serve: listening on %s (%d device(s), max-inflight %d)\n",
+		srv.Addr(), srv.Runtime().Config().Devices, *maxInFlight)
 
-	exit := server.Process{
-		Name:        "gptpu-serve",
-		Log:         logger,
-		MetricsAddr: *metricsAddr,
-		Pprof:       *pprofOn,
-		FlightDump:  *flightDump,
-	}.Run(srv)
+	exit := proc.Run(srv)
 	if *tracePath != "" {
 		if err := writeTrace(tl, rec, *tracePath); err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-serve: trace:", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/edgetpu"
+	"repro/internal/energy"
 	"repro/internal/isa"
 	"repro/internal/model"
 	"repro/internal/quant"
@@ -156,10 +157,18 @@ func Table6(_ Opts) *Report {
 		Title:  "cost and power consumption of compared accelerators",
 		Header: []string{"accelerator", "cost(USD)", "power", "comment"},
 	}
-	rep.AddRow("Single Edge TPU", "24.99", "2W", "")
-	rep.AddRow("RTX 2080", "699.66", "215W", "now USD 1399 (paper note)")
-	rep.AddRow("Jetson Nano", "123.99", "10W", "")
-	rep.AddRow("8x Edge TPU", "159.96", "16W", "using 4x dual Edge TPU modules")
+	for _, r := range []struct {
+		name        string
+		cost, watts float64
+		comment     string
+	}{
+		{"Single Edge TPU", energy.EdgeTPUCost, energy.EdgeTPUWattsTP, ""},
+		{"RTX 2080", energy.RTX2080Cost, energy.RTX2080Watts, "now USD 1399 (paper note)"},
+		{"Jetson Nano", energy.JetsonNanoCost, energy.JetsonNanoWatts, ""},
+		{"8x Edge TPU", energy.EdgeTPU8Cost, energy.EdgeTPU8WattsTP, "using 4x dual Edge TPU modules"},
+	} {
+		rep.AddRow(r.name, fmt.Sprintf("%.2f", r.cost), fmt.Sprintf("%gW", r.watts), r.comment)
+	}
 	rep.AddNote("static inventory (Table 6); the energy model draws its constants from these figures")
 	return rep
 }

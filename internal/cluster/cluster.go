@@ -49,6 +49,16 @@ import (
 	"repro/internal/telemetry"
 )
 
+const (
+	// probeTimeout bounds one member health probe.
+	probeTimeout = 2 * time.Second
+	// deadStrikes is how many consecutive failures (probe or forward)
+	// eject a member from suspect to dead.
+	deadStrikes = 2
+	// affinityCap bounds the weight-affinity table, in placement keys.
+	affinityCap = 4096
+)
+
 // Config configures a cluster router.
 type Config struct {
 	// Members lists the backend daemon addresses. Membership is static
@@ -60,18 +70,6 @@ type Config struct {
 	// ProbeInterval is the health-probe period (0 = 1s, negative
 	// disables background probing — tests drive ProbeNow directly).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one member probe (0 = 2s).
-	ProbeTimeout time.Duration
-	// DeadStrikes is how many consecutive failures eject a member from
-	// suspect to dead (0 = 2).
-	DeadStrikes int
-	// AffinityCap bounds the weight-affinity table (0 = 4096 keys).
-	AffinityCap int
-	// Retry is the per-member connection policy (server.DialRetry):
-	// retryable typed errors returned by a member are NOT retried on
-	// that member — failover advances to the next candidate instead —
-	// so keep Max small; it mainly smooths dial-time races.
-	Retry server.RetryPolicy
 	// Metrics is the registry for gptpu_cluster_ telemetry (nil = a
 	// fresh registry, exposed via Metrics).
 	Metrics *telemetry.Registry
@@ -108,12 +106,6 @@ func New(cfg Config) *Router {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.DeadStrikes <= 0 {
-		cfg.DeadStrikes = 2
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -128,7 +120,7 @@ func New(cfg Config) *Router {
 	r := &Router{
 		cfg: cfg,
 		set: newMemberSet(cfg.Members),
-		aff: newAffinity(cfg.AffinityCap),
+		aff: newAffinity(affinityCap),
 		met: newClusterMetrics(reg),
 		rec: cfg.Obs,
 		log: logger,

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/server"
@@ -264,14 +263,14 @@ func TestRouterBadRequestNoFailover(t *testing.T) {
 }
 
 // TestProbeEjectionAndReadmission: a dead daemon is ejected after
-// DeadStrikes probe rounds and the ring keeps serving; when it is
+// deadStrikes probe rounds and the ring keeps serving; when it is
 // "replaced" (a healthy daemon at a fresh address is not expressible
 // with static membership, so the test re-admits via a live probe on a
 // struck member) the member rejoins without losing affinity state.
 func TestProbeEjectionAndReadmission(t *testing.T) {
 	d1 := startDaemon(t, server.Config{Devices: 1, ShardID: "s1"})
 	d2 := startDaemon(t, server.Config{Devices: 1, ShardID: "s2"})
-	r := startRouter(t, Config{DeadStrikes: 2, ProbeTimeout: time.Second}, d1, d2)
+	r := startRouter(t, Config{}, d1, d2)
 
 	// Strike d1's member to dead by hand (the deterministic equivalent
 	// of two failed probe rounds), then verify a live probe re-admits.

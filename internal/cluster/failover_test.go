@@ -58,7 +58,7 @@ func TestChaosFailover(t *testing.T) {
 	d0 := startDaemon(t, server.Config{Devices: 1, ShardID: "s0", MaxInFlight: 128})
 	d1 := startDaemon(t, server.Config{Devices: 1, ShardID: "s1", MaxInFlight: 128})
 	d2 := startDaemon(t, server.Config{Devices: 1, ShardID: "s2", MaxInFlight: 128})
-	r := startRouter(t, Config{DeadStrikes: 2}, d0, d1, d2)
+	r := startRouter(t, Config{}, d0, d1, d2)
 
 	const (
 		workers    = 8
@@ -192,7 +192,7 @@ func TestHardKillInFlight(t *testing.T) {
 	d1 := startDaemon(t, server.Config{Devices: 1, ShardID: "s1"})
 	const reqs = 12
 	hole := newReplyHole(t, d0.Addr(), reqs)
-	r := startRouter(t, Config{Members: []string{hole.addr()}, DeadStrikes: 2}, d1)
+	r := startRouter(t, Config{Members: []string{hole.addr()}}, d1)
 	t.Cleanup(hole.close) // before the router drains: a failed run must not hang it
 	c := dialRouter(t, r)
 
@@ -331,4 +331,81 @@ func (h *replyHole) relay(down net.Conn, backend string) {
 		}
 	}()
 	io.Copy(io.Discard, up) // the replies, until the daemon hangs up
+}
+
+// TestShedMemberFailsOverOnce: a member that sheds every operator frame
+// receives each request once and the router fails it over to the next
+// replica. The router's member client sends once (Forward never
+// retries), so the shedding member's frame count equals the shed
+// failovers and no trace ID reaches it twice.
+func TestShedMemberFailsOverOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var (
+		mu     sync.Mutex
+		frames int
+		seen   = make(map[uint64]int) // trace ID → frames carrying it
+	)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					f, err := server.DecodeFrame(conn, 0)
+					if err != nil {
+						return
+					}
+					mu.Lock()
+					frames++
+					seen[f.TraceID]++
+					mu.Unlock()
+					shed := &server.Frame{Type: server.MsgError, ReqID: f.ReqID, TraceID: f.TraceID,
+						Payload: server.ErrorPayload(server.ErrOverloaded)}
+					if server.EncodeFrame(conn, shed) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	d := startDaemon(t, server.Config{Devices: 1})
+	r := startRouter(t, Config{Members: []string{ln.Addr().String()}}, d)
+	c := dialRouter(t, r)
+
+	// Distinct weights are distinct placement keys, so rendezvous ranks
+	// the shedding member first for about half of them.
+	const n = 32
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < n; i++ {
+		a := tensor.RandUniform(rng, 4, 8, -1, 1)
+		b := tensor.RandUniform(rng, 8, 8, -1, 1)
+		got, err := c.Gemm(a, b, nil)
+		if err != nil {
+			t.Fatalf("GEMM %d: %v", i, err)
+		}
+		if e := tensor.RMSE(blas.NaiveGemm(a, b), got); e > 0.05 {
+			t.Fatalf("GEMM %d: RMSE %v", i, e)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if frames == 0 {
+		t.Fatalf("the shedding member ranked first for none of %d keys", n)
+	}
+	if shed := r.met.failovers.With("shed").Value(); float64(frames) != shed {
+		t.Fatalf("shedding member got %d frames, router counted %v shed failovers", frames, shed)
+	}
+	for id, k := range seen {
+		if k > 1 {
+			t.Fatalf("trace %016x reached the shedding member %d times", id, k)
+		}
+	}
+	t.Logf("%d of %d requests shed once and failed over", frames, n)
 }

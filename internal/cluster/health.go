@@ -14,7 +14,7 @@ import (
 //	ok       → readmit (healthy, strikes reset)
 //	draining → draining (out of the ring, no strikes — the daemon is
 //	           behaving correctly, it just asked for no new work)
-//	fail     → strike   (suspect, then dead at DeadStrikes)
+//	fail     → strike   (suspect, then dead at deadStrikes)
 //	timeout  → strike   (plus the member's connection is dropped, which
 //	           also unblocks the stuck probe goroutine)
 //
@@ -82,9 +82,9 @@ func (r *Router) ProbeNow() {
 // drops the member's connection, which both strikes the member and
 // fails the in-flight Health call so its goroutine exits.
 func (r *Router) probeMember(m *member) {
-	cli, err := m.conn(r.cfg.Retry)
+	cli, err := m.conn()
 	if err != nil {
-		m.strike(r.cfg.DeadStrikes)
+		m.strike(deadStrikes)
 		r.met.probes.With("fail").Inc()
 		return
 	}
@@ -97,13 +97,13 @@ func (r *Router) probeMember(m *member) {
 		h, err := cli.Health()
 		ch <- result{h, err}
 	}()
-	timer := time.NewTimer(r.cfg.ProbeTimeout)
+	timer := time.NewTimer(probeTimeout)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
 		switch {
 		case res.err != nil:
-			st := m.strike(r.cfg.DeadStrikes)
+			st := m.strike(deadStrikes)
 			m.dropConn(cli)
 			r.met.probes.With("fail").Inc()
 			if st == stateDead {
@@ -121,7 +121,7 @@ func (r *Router) probeMember(m *member) {
 			}
 		}
 	case <-timer.C:
-		m.strike(r.cfg.DeadStrikes)
+		m.strike(deadStrikes)
 		m.dropConn(cli)
 		r.met.probes.With("timeout").Inc()
 	}

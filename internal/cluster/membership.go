@@ -20,7 +20,7 @@ import (
 // and will re-admit if they come back (a rolling restart). Suspect
 // members failed once — one strike is not ejection, because a single
 // timed-out probe under load must not dump a member's whole key range
-// onto its neighbors. Dead members took DeadStrikes consecutive
+// onto its neighbors. Dead members took deadStrikes consecutive
 // failures; they rejoin the moment a probe succeeds, and the affinity
 // table (not the ring) decides whether traffic moves back.
 type memberState int
@@ -76,14 +76,17 @@ func addrHash(addr string) uint64 {
 
 // conn returns the member's client, dialing on first use (and after a
 // dropConn). The client multiplexes, so every router goroutine shares
-// this one connection per member.
-func (m *member) conn(p server.RetryPolicy) (*server.Client, error) {
+// this one connection per member. It carries no retry policy: the
+// router reaches a member only through Forward and Health, which never
+// retry (only Client.Call does); a shed or transient answer fails over
+// to the next candidate instead.
+func (m *member) conn() (*server.Client, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cli != nil {
 		return m.cli, nil
 	}
-	c, err := server.DialRetry(m.addr, p)
+	c, err := server.Dial(m.addr)
 	if err != nil {
 		return nil, err
 	}

@@ -75,9 +75,6 @@ type affinity struct {
 }
 
 func newAffinity(capacity int) *affinity {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &affinity{capacity: capacity, m: make(map[uint64]string, capacity)}
 }
 

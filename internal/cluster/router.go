@@ -84,7 +84,7 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 	}
 	var lastErr error
 	for _, m := range cands {
-		cli, err := m.conn(r.cfg.Retry)
+		cli, err := m.conn()
 		if err != nil {
 			r.memberFailed(m, cli, rt, "dial", err)
 			lastErr = fmt.Errorf("%w: member %s unreachable: %v", server.ErrTransient, m.addr, err)
@@ -152,7 +152,7 @@ func (r *Router) failover(rt *obs.Trace, m *member, reason string, err error) {
 // or mid-conversation loss), drops its client so the next use redials,
 // and records the failover.
 func (r *Router) memberFailed(m *member, cli *server.Client, rt *obs.Trace, reason string, err error) {
-	st := m.strike(r.cfg.DeadStrikes)
+	st := m.strike(deadStrikes)
 	m.dropConn(cli)
 	r.updateStateGauges()
 	r.failover(rt, m, reason, err)

@@ -99,7 +99,7 @@ func TestMalformedPongStrikes(t *testing.T) {
 			}()
 		}
 	}()
-	r := startRouter(t, Config{Members: []string{ln.Addr().String()}, DeadStrikes: 2})
+	r := startRouter(t, Config{Members: []string{ln.Addr().String()}})
 	for i, want := range []string{"suspect", "dead"} {
 		r.ProbeNow()
 		if st := r.Snapshot()[0].State; st != want {

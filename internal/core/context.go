@@ -54,8 +54,6 @@ type Config struct {
 	// second round of device instructions instead of CPU code, the
 	// alternative section 6.2.1 considers and rejects.
 	OnDeviceReduce bool
-	// Sampled selects sampling-based range calibration (default SCALE).
-	Sampled bool
 	// DispatchWorkers is the worker count of the back-end IQ dispatch
 	// engine (0 = one worker per host core, GOMAXPROCS). Workers run
 	// functional closures wall-clock-parallel; virtual-time results
@@ -627,13 +625,8 @@ func (c *Context) tensorize(elems int64, ready timing.Duration, task int) timing
 	return end
 }
 
-// quantFlagsFor encodes the context's quantization configuration into
-// the instruction's flag word (instructions only share a device
-// placement when these match, section 6.1).
-func (c *Context) quantFlagsFor() uint32 {
-	m := quant.MethodScale
-	if c.cfg.Sampled {
-		m = quant.MethodSampled
-	}
-	return uint32(m) + 1
-}
+// quantFlags is every instruction's quantization flag word: SCALE
+// (section 6.2.2, Eqs. 4-8) is the one calibration the runtime
+// implements. Instructions only share a device placement when their
+// flags match (section 6.1).
+const quantFlags = uint32(quant.MethodScale) + 1

@@ -61,7 +61,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 			instr: isa.Instruction{
 				Op: isa.Conv2D, InRows: sp.Rows, InCols: sp.Cols,
 				KRows: kernel.Rows(), KCols: kernel.Cols(), Channels: 1,
-				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
+				TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags,
 			},
 			inputs: pl.inputs(
 				inputRef{key: mix(a.key, 2000000+uint64(i)), bytes: int64(exR * exC), chip: a.chipRef()},
@@ -139,7 +139,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 				Op: isa.Conv2D, InRows: bandRows, InCols: a.Cols(),
 				KRows: kernel.Rows(), KCols: kernel.Cols(),
 				StrideR: strideR, StrideC: strideC, Channels: 1,
-				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
+				TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags,
 			},
 			inputs: pl.inputs(
 				inputRef{key: mix(a.key, 5000000+uint64(o0)), bytes: int64(bandRows) * int64(a.Cols()), chip: a.chipRef()},

@@ -109,7 +109,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 		)
 		instr := isa.Instruction{
 			Op: isa.FullyConnected, InRows: tile, InCols: inCols,
-			TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
+			TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags,
 		}
 		count := rowTiles * colTiles
 		outBytes := int64(rows) * 4 * int64(colTiles)
@@ -228,7 +228,7 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 			w := instrWork{
 				instr: isa.Instruction{
 					Op: isa.FullyConnected, InRows: rows, InCols: tile,
-					TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
+					TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags,
 				},
 				count:    colTiles,
 				inputs:   pl.inputs(inputs...),
@@ -433,7 +433,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 					instr: isa.Instruction{
 						Op: isa.Conv2D, InRows: rows * side, InCols: side,
 						KRows: side, KCols: side, StrideR: side, StrideC: side, Channels: nch,
-						TaskID: s.taskID, InputKey: da.key, QuantFlags: c.quantFlagsFor(),
+						TaskID: s.taskID, InputKey: da.key, QuantFlags: quantFlags,
 					},
 					// Derived conv layouts of an on-chip intermediate
 					// inherit its residency: the reshaping is the

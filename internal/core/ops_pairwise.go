@@ -90,7 +90,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 		w := instrWork{
 			instr: isa.Instruction{
 				Op: op, InRows: sp.Rows, InCols: sp.Cols,
-				TaskID: s.taskID, InputKey: keyA, QuantFlags: c.quantFlagsFor(),
+				TaskID: s.taskID, InputKey: keyA, QuantFlags: quantFlags,
 			},
 			inputs: pl.inputs(
 				inputRef{key: mix(keyA, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()},
@@ -182,7 +182,7 @@ func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
 		w := instrWork{
 			instr: isa.Instruction{
 				Op: op, InRows: sp.Rows, InCols: sp.Cols,
-				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
+				TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags,
 			},
 			inputs:   pl.inputs(inputRef{key: mix(a.key, uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()}),
 			outBytes: int64(sp.Rows * sp.Cols),
@@ -267,7 +267,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 		w := instrWork{
 			instr: isa.Instruction{
 				Op: op, InRows: sp.Rows, InCols: sp.Cols,
-				TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor(),
+				TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags,
 			},
 			inputs:   pl.inputs(inputRef{key: mix(a.key, 1000000+uint64(i)), bytes: int64(sp.Rows * sp.Cols), chip: a.chipRef()}),
 			outBytes: outBytes,
@@ -308,7 +308,7 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 			rp := s.plan(1)
 			rp.add(instrWork{
 				instr: isa.Instruction{Op: op, InRows: rows, InCols: cols,
-					TaskID: s.taskID, InputKey: c.nextKey(), QuantFlags: c.quantFlagsFor()},
+					TaskID: s.taskID, InputKey: c.nextKey(), QuantFlags: quantFlags},
 				inputs:   rp.inputs(inputRef{key: c.nextKey(), bytes: int64(n)}),
 				outBytes: outBytes,
 				ready:    end,
@@ -365,7 +365,7 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 	pl := s.plan(1)
 	w := instrWork{
 		instr: isa.Instruction{Op: isa.Crop, InRows: a.Rows(), InCols: a.Cols(),
-			TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor()},
+			TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags},
 		inputs:   pl.inputs(inputRef{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}),
 		outBytes: int64(rows * cols),
 		ready:    ready,
@@ -406,7 +406,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 	pl := s.plan(1)
 	w := instrWork{
 		instr: isa.Instruction{Op: isa.Ext, InRows: a.Rows(), InCols: a.Cols(),
-			TaskID: s.taskID, InputKey: a.key, QuantFlags: c.quantFlagsFor()},
+			TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags},
 		inputs:   pl.inputs(inputRef{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}),
 		outBytes: int64(rows * cols),
 		ready:    ready,

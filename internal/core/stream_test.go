@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/isa"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -157,10 +159,27 @@ func TestQuickIntegerGemmExact(t *testing.T) {
 	}
 }
 
+// TestQuantFlagsAffectPlacementKey: the section 6.1 rule keys on
+// input, quantization flags and task, so two instructions on one input
+// whose flag words differ take separate affinity entries, and a repeat
+// of either returns to its own device.
 func TestQuantFlagsAffectPlacementKey(t *testing.T) {
-	c := NewContext(Config{Sampled: true})
-	if c.quantFlagsFor() == NewContext(Config{}).quantFlagsFor() {
-		t.Fatal("different quantization methods must have distinct flags")
+	c := testCtx(2)
+	healthy := c.Pool.AppendHealthy(nil)
+	p := &placements{}
+	in := []inputRef{{key: c.nextKey()}}
+	pick := func(flags uint32) int {
+		w := &instrWork{instr: isa.Instruction{QuantFlags: flags}, inputs: in, places: p}
+		return c.pickDevice(w, healthy).ID
+	}
+	other := uint32(quant.MethodSampled) + 1
+	first := pick(quantFlags)
+	second := pick(other)
+	if len(p.tab) != 2 {
+		t.Fatalf("%d affinity entries for one input under two flag words, want 2", len(p.tab))
+	}
+	if pick(quantFlags) != first || pick(other) != second || len(p.tab) != 2 {
+		t.Fatal("a repeated (input, flags) key left its device")
 	}
 }
 

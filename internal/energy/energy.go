@@ -39,12 +39,14 @@ const (
 	JetsonIdleWatts = 0.5
 )
 
-// Hardware cost table (Table 6, USD).
+// Hardware cost table (Table 6, USD) and the Edge TPU ratings it
+// lists (watts; the GPUs' ratings are the power constants above).
 const (
 	EdgeTPUCost     = 24.99
 	RTX2080Cost     = 699.66
 	JetsonNanoCost  = 123.99
 	EdgeTPU8Cost    = 159.96 // 4x dual Edge TPU modules
+	EdgeTPUWattsTP  = 2.0
 	EdgeTPU8WattsTP = 16.0
 )
 

@@ -111,10 +111,12 @@ type cachedWeight struct {
 // matrix reaches this many rows.
 const batchMaxRows = 4096
 
+// batchMaxRequests flushes a group early once this many requests
+// coalesced. No GEMM waits for company: one whose key has no batch
+// running flushes at once.
+const batchMaxRequests = 16
+
 func newBatcher(gx *gptpu.Context, met *serverMetrics, maxReqs int) *batcher {
-	if maxReqs <= 0 {
-		maxReqs = 16
-	}
 	return &batcher{
 		gx: gx, met: met,
 		maxReqs: maxReqs, maxRows: batchMaxRows,

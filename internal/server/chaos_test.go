@@ -69,7 +69,6 @@ func TestChaosSoak(t *testing.T) {
 			c, err := DialRetry(srv.Addr(), RetryPolicy{
 				Max:  maxRetry,
 				Base: time.Millisecond,
-				Cap:  20 * time.Millisecond,
 			})
 			if err != nil {
 				errs <- err

@@ -35,43 +35,40 @@ type Client struct {
 	err     error
 }
 
-// RetryPolicy governs client-side retries of retryable typed errors
+// RetryPolicy governs Call's retries of retryable typed errors
 // (ErrOverloaded sheds, ErrTransient device faults). Each retry backs
-// off exponentially with jitter, the standard defense against
-// synchronized retry storms from many clients shed at once.
+// off exponentially, at most backoffCap, with jitter: the standard
+// defense against synchronized retry storms from many clients shed at
+// once. Only Call retries; Forward and Health send once, which is why
+// the cluster router's member clients carry no policy.
 type RetryPolicy struct {
 	// Max is the number of retries after the first attempt (0 = no
 	// retries: Dial's default, preserving strict shed semantics).
 	Max int
 	// Base is the first backoff (0 = 2ms); it doubles per retry.
 	Base time.Duration
-	// Cap bounds one backoff (0 = 250ms).
-	Cap time.Duration
-	// Jitter is the randomized fraction of each backoff in [0,1]
-	// (0 = 0.5): sleep = backoff*(1-Jitter) + rand*backoff*Jitter.
-	Jitter float64
 }
+
+const (
+	// backoffCap bounds one retry's backoff.
+	backoffCap = 250 * time.Millisecond
+	// backoffJitter is the randomized fraction of each backoff:
+	// sleep = backoff*(1-backoffJitter) + rand*backoff*backoffJitter.
+	backoffJitter = 0.5
+)
 
 // backoff returns the nth (0-based) retry's sleep with jitter applied.
 func (p RetryPolicy) backoff(n int) time.Duration {
-	base, cap, jitter := p.Base, p.Cap, p.Jitter
+	base := p.Base
 	if base <= 0 {
 		base = 2 * time.Millisecond
 	}
-	if cap <= 0 {
-		cap = 250 * time.Millisecond
-	}
-	if jitter <= 0 {
-		jitter = 0.5
-	} else if jitter > 1 {
-		jitter = 1
-	}
 	d := base << n
-	if d > cap || d <= 0 { // <= 0 guards shift overflow
-		d = cap
+	if d > backoffCap || d <= 0 { // <= 0 guards shift overflow
+		d = backoffCap
 	}
 	f := float64(d)
-	return time.Duration(f*(1-jitter) + rand.Float64()*f*jitter)
+	return time.Duration(f*(1-backoffJitter) + rand.Float64()*f*backoffJitter)
 }
 
 // Retryable reports whether err is a failure class worth resending an
@@ -111,9 +108,11 @@ func Dial(addr string) (*Client, error) {
 	return DialRetry(addr, RetryPolicy{})
 }
 
-// DialRetry is Dial with a retry policy: calls answered with a
-// retryable typed error (ErrOverloaded, ErrTransient) are resent up to
-// p.Max times with exponential backoff and jitter.
+// DialRetry is Dial with a retry policy: Call (and the operator
+// methods built on it) resends a request answered with a retryable
+// typed error (ErrOverloaded, ErrTransient) up to p.Max times with
+// exponential backoff and jitter. It dials once; Forward and Health
+// never retry, so the policy does nothing for them.
 func DialRetry(addr string, p RetryPolicy) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -239,7 +238,9 @@ func (c *Client) roundTrip(t MsgType, payload []byte, traceID uint64) (*Frame, e
 // derive a placement key, then forwards the client's payload bytes
 // verbatim. Typed error replies surface as
 // errors exactly like Call's, so the router's failover logic can
-// classify them with errors.Is. The reply frame is pooled: Release it
+// classify them with errors.Is. Forward sends once whatever the
+// client's RetryPolicy: only Call retries, and the router fails over
+// to the next member instead. The reply frame is pooled: Release it
 // after the last read of its payload (a frame never released is
 // collected normally).
 func (c *Client) Forward(op MsgType, payload []byte, traceID uint64) (*Frame, error) {
@@ -248,7 +249,8 @@ func (c *Client) Forward(op MsgType, payload []byte, traceID uint64) (*Frame, er
 
 // Health round-trips a liveness probe and decodes the Pong payload
 // (draining state, shard identity, device count). A malformed payload
-// is an error, like a lost connection.
+// is an error, like a lost connection. Like Forward it sends once:
+// only Call retries.
 func (c *Client) Health() (HealthInfo, error) {
 	f, err := c.roundTrip(MsgPing, nil, 0)
 	if err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -12,16 +13,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// NewLogger builds a serving command's structured logger: text on
-// stderr, or JSON with jsonOut.
-func NewLogger(jsonOut bool) *slog.Logger {
-	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
-	if jsonOut {
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts))
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, opts))
-}
-
 // Owner is what a serving process runs behind its front door: the
 // daemon (*Server) or the cluster router.
 type Owner interface {
@@ -31,32 +22,66 @@ type Owner interface {
 	Flight() *obs.Recorder
 }
 
-// Process is the lifecycle gptpu-serve and gptpu-router share once
-// their front door is bound.
+// Process is what gptpu-serve and gptpu-router share: the process
+// flags both bind, the logger and flight recorder built from them, and
+// the lifecycle once their front door is bound.
 type Process struct {
-	Name        string // command name: the prefix of every line printed
-	Log         *slog.Logger
-	MetricsAddr string // serve the exporter and /debug/flight here ("" = off)
-	Pprof       bool   // also mount net/http/pprof on the exporter
-	FlightDump  string // write the flight recorder here at exit ("" = off)
+	Name  string       // command name: the prefix of every line printed
+	Log   *slog.Logger // built by Start
+	Pprof bool         // also mount net/http/pprof on the exporter
+
+	metricsAddr string // serve the exporter and /debug/flight here ("" = off)
+	obsOn       bool
+	flightN     int
+	flightDump  string // write the flight recorder here at exit ("" = off)
+	logJSON     bool
+}
+
+// NewProcess binds the flags every serving command shares on fs:
+// -metrics, -obs, -flight, -flight-dump and -log-json.
+func NewProcess(name string, fs *flag.FlagSet) *Process {
+	p := &Process{Name: name}
+	fs.StringVar(&p.metricsAddr, "metrics", "", "also serve the telemetry HTTP exporter and /debug/flight on this address (e.g. :9090)")
+	fs.BoolVar(&p.obsOn, "obs", true, "per-request tracing, stage quantiles, and the flight recorder")
+	fs.IntVar(&p.flightN, "flight", 256, "flight recorder capacity: completed request waterfalls kept for postmortems")
+	fs.StringVar(&p.flightDump, "flight-dump", "", "write the flight recorder as JSON to this file at exit")
+	fs.BoolVar(&p.logJSON, "log-json", false, "emit structured logs as JSON instead of text")
+	return p
+}
+
+// Start builds, from the parsed flags, the structured logger (text on
+// stderr, or JSON with -log-json; also kept in p.Log) and the flight
+// recorder (nil with -obs=false).
+func (p *Process) Start() (*slog.Logger, *obs.Recorder) {
+	opts := &slog.HandlerOptions{Level: slog.LevelInfo}
+	if p.logJSON {
+		p.Log = slog.New(slog.NewJSONHandler(os.Stderr, opts))
+	} else {
+		p.Log = slog.New(slog.NewTextHandler(os.Stderr, opts))
+	}
+	var rec *obs.Recorder
+	if p.obsOn {
+		rec = obs.New(obs.Config{Capacity: p.flightN})
+	}
+	return p.Log, rec
 }
 
 // Run mounts the metrics exporter, dumps the flight recorder to stderr
 // on SIGQUIT without stopping, serves until SIGINT/SIGTERM drains the
 // owner (or Serve fails), writes the flight dump, and returns the
 // process exit code: 2 when the flags contradict each other.
-func (p Process) Run(o Owner) int {
-	if p.Pprof && p.MetricsAddr == "" {
+func (p *Process) Run(o Owner) int {
+	if p.Pprof && p.metricsAddr == "" {
 		fmt.Fprintf(os.Stderr, "%s: -pprof needs -metrics: profiles mount on the metrics listener\n", p.Name)
 		return 2
 	}
 	rec := o.Flight()
-	if p.MetricsAddr != "" {
+	if p.metricsAddr != "" {
 		var routes map[string]http.Handler
 		if rec != nil {
 			routes = map[string]http.Handler{"/debug/flight": rec.Handler()}
 		}
-		ms, err := telemetry.Listen(p.MetricsAddr, o.Metrics(), p.Pprof, routes)
+		ms, err := telemetry.Listen(p.metricsAddr, o.Metrics(), p.Pprof, routes)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: metrics: %v\n", p.Name, err)
 			return 1
@@ -110,12 +135,12 @@ func (p Process) Run(o Owner) int {
 		}
 	}
 
-	if rec != nil && p.FlightDump != "" {
-		if err := writeFlightDump(rec, p.FlightDump); err != nil {
+	if rec != nil && p.flightDump != "" {
+		if err := writeFlightDump(rec, p.flightDump); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: flight-dump: %v\n", p.Name, err)
 			exit = 1
 		} else {
-			fmt.Printf("%s: flight recorder written to %s\n", p.Name, p.FlightDump)
+			fmt.Printf("%s: flight recorder written to %s\n", p.Name, p.flightDump)
 		}
 	}
 	return exit

@@ -20,16 +20,9 @@ type Config struct {
 	// Devices is the simulated Edge TPU count behind the daemon
 	// (0 = 1).
 	Devices int
-	// DispatchWorkers is the IQ dispatch-engine worker count
-	// (0 = one per host core).
-	DispatchWorkers int
 	// MaxInFlight bounds admitted requests; arrivals beyond it are
 	// shed with ErrOverloaded (0 = 64).
 	MaxInFlight int
-	// BatchMaxRequests flushes a group early once this many requests
-	// coalesced (0 = 16). No GEMM waits for company: one whose key has
-	// no batch running flushes at once.
-	BatchMaxRequests int
 	// Metrics is the telemetry registry the daemon and its runtime
 	// record into (nil = a fresh registry, exposed via Metrics).
 	Metrics *telemetry.Registry
@@ -79,11 +72,10 @@ func New(cfg Config) *Server {
 	}
 	met := newServerMetrics(reg)
 	gx := gptpu.Open(gptpu.Config{
-		Devices:         cfg.Devices,
-		DispatchWorkers: cfg.DispatchWorkers,
-		Metrics:         reg,
-		Fault:           cfg.Fault,
-		RetryBudget:     cfg.RetryBudget,
+		Devices:     cfg.Devices,
+		Metrics:     reg,
+		Fault:       cfg.Fault,
+		RetryBudget: cfg.RetryBudget,
 	})
 	logger := cfg.Logger
 	if logger == nil {
@@ -98,7 +90,7 @@ func New(cfg Config) *Server {
 		met: met,
 		adm: newAdmission(cfg.MaxInFlight, met),
 		rec: cfg.Obs,
-		bat: newBatcher(gx, met, cfg.BatchMaxRequests),
+		bat: newBatcher(gx, met, batchMaxRequests),
 	}
 	s.door = NewFrontDoor("gptpu_serve", reg, cfg.Obs, logger, DoorOwner{
 		Health:       s.health,

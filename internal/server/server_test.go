@@ -544,7 +544,8 @@ func TestGemmResultCapRejected(t *testing.T) {
 // pending group, and a later group under the same key is not served
 // from the poisoned weight-buffer cache.
 func TestBatcherHashCollisionSafe(t *testing.T) {
-	srv := New(Config{Devices: 1, BatchMaxRequests: 2})
+	srv := New(Config{Devices: 1})
+	srv.bat.maxReqs = 2
 	gate := holdFlushes(srv.bat)
 	serveOn(t, srv)
 	bat := srv.bat
@@ -575,7 +576,7 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 		t.Fatal("colliding weights joined a pending group — would compute against wrong matrix")
 	}
 	c2 := newCall()
-	if !bat.submit(key, w1.Clone(), c2) { // hits BatchMaxRequests, cap-flushes
+	if !bat.submit(key, w1.Clone(), c2) { // hits maxReqs, cap-flushes
 		t.Fatal("same-weight submit refused")
 	}
 	gate.open()

@@ -50,11 +50,13 @@ const (
 	Gemm
 )
 
-// Quantization flag bits for openctpu_invoke_operator.
+// Quantization flag bits for openctpu_invoke_operator, mirroring the
+// paper's API enum; InvokeOperator ignores them.
 const (
-	// SCALE selects the default scale-factor quantization (Figure 3).
+	// SCALE names the scale-factor quantization (Figure 3), the one the
+	// runtime implements.
 	SCALE uint = 1 << iota
-	// SAMPLED selects sampling-based calibration for large inputs.
+	// SAMPLED names sampling-based calibration for large inputs.
 	SAMPLED
 )
 
@@ -182,7 +184,9 @@ type Invoker struct {
 // InvokeOperator mirrors openctpu_invoke_operator: it "invokes a
 // supported TPU operator (with operator arguments)". The final Buffer
 // argument receives the output. Binary operators take (in, in, out);
-// unary operators take (in, out).
+// unary operators take (in, out). flags is taken only to mirror the
+// paper's API and is ignored: SCALE (section 6.2.2, Eqs. 4-8) is the
+// one calibration the runtime implements, whatever the caller passes.
 func (iv *Invoker) InvokeOperator(op TPUOp, flags uint, args ...*Buffer) error {
 	bin := func() (a, b, out *Buffer, err error) {
 		if len(args) != 3 {
