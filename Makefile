@@ -14,8 +14,12 @@ test:
 # package): every config field has a caller outside its package, no
 # deleted flag reappears in this file, the scripts or the docs, no
 # Core() escape outside benchmark/, every HTTP mux inside
-# internal/telemetry, and no sync.Pool outside internal/tensor's one
-# recycler but core's plan storage and edgetpu's GEMM scratch. It also
+# internal/telemetry, no sync.Pool outside internal/tensor's one
+# recycler but core's plan storage and edgetpu's GEMM scratch, every
+# span stage an obs.Stage* constant and every such constant emitted,
+# Accept(), frame readers and bufio only in the server's front door,
+# client and framing, and no package-level var without a stated
+# reason (error sentinels aside). It also
 # fails on any file gofmt would rewrite, and vets the benchmark module,
 # which builds the internal config structs by field name: a renamed
 # field fails here, not only in bench-test.

@@ -123,31 +123,14 @@ func main() {
 	}
 
 	if reg != nil && *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
-			os.Exit(1)
-		}
-		err = reg.WritePrometheus(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := reg.WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("metrics: %d families -> %s\n", len(reg.Catalog()), *metricsOut)
 	}
 	if tracing {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
-			os.Exit(1)
-		}
-		n, err := trace.Write(f, timelines, nil)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+		n, err := trace.WriteFile(*traceOut, timelines, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-bench:", err)
 			os.Exit(1)

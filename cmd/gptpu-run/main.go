@@ -116,13 +116,7 @@ func main() {
 			r.Name, r.BusyTime(), 100*util, r.Ops())
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gptpu-run:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		nEvents, err := trace.Write(f, []*timing.Timeline{ctx.TL}, nil)
+		nEvents, err := trace.WriteFile(*traceOut, []*timing.Timeline{ctx.TL}, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-run:", err)
 			os.Exit(1)
@@ -131,23 +125,12 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		if err := writeMetrics(ctx.Metrics(), *metricsOut); err != nil {
+		if err := ctx.Metrics().WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-run:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("  metrics: %d families -> %s\n", len(ctx.Metrics().Catalog()), *metricsOut)
 	}
-}
-
-// writeMetrics dumps a registry snapshot to path in the Prometheus
-// text exposition format.
-func writeMetrics(reg *telemetry.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return reg.WritePrometheus(f)
 }
 
 // run executes the selected workload on both the GPTPU context and a

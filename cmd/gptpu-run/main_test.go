@@ -67,17 +67,10 @@ func TestMetricsAndTraceSnapshots(t *testing.T) {
 	if _, _, err := run("gemm", ctx, 256, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMetrics(ctx.Metrics(), promPath); err != nil {
+	if err := ctx.Metrics().WriteFile(promPath); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.Write(f, []*timing.Timeline{ctx.TL}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if _, err := trace.WriteFile(tracePath, []*timing.Timeline{ctx.TL}, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -119,34 +119,18 @@ func main() {
 
 	exit := proc.Run(srv)
 	if *tracePath != "" {
-		if err := writeTrace(tl, rec, *tracePath); err != nil {
+		// The completed ring plus what is still in flight (a nil
+		// recorder dumps neither).
+		d := rec.Dump()
+		if n, err := trace.WriteFile(*tracePath, []*timing.Timeline{tl}, append(d.Completed, d.InFlight...)); err != nil {
 			fmt.Fprintln(os.Stderr, "gptpu-serve: trace:", err)
 			exit = 1
 		} else {
+			fmt.Printf("gptpu-serve: %d trace events exported\n", n)
 			fmt.Printf("gptpu-serve: chrome trace written to %s\n", *tracePath)
 		}
 	}
 	os.Exit(exit)
-}
-
-// writeTrace exports the runtime's virtual-time device timeline
-// merged with the flight recorder's wall-clock request lanes as one
-// Chrome trace-event file.
-func writeTrace(tl *timing.Timeline, rec *obs.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	// The completed ring plus what is still in flight (a nil recorder
-	// dumps neither).
-	d := rec.Dump()
-	n, err := trace.Write(f, []*timing.Timeline{tl}, append(d.Completed, d.InFlight...))
-	if err != nil {
-		f.Close()
-		return err
-	}
-	fmt.Printf("gptpu-serve: %d trace events exported\n", n)
-	return f.Close()
 }
 
 // runCheck is the -check client mode: one GEMM round trip verified

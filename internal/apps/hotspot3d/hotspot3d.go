@@ -73,8 +73,8 @@ func (c Config) Generate() (temp, power []*tensor.Matrix) {
 			for h := 0; h < c.Hotspots; h++ {
 				hw := c.N/8 + rng.Intn(c.N/8+1)
 				hh := c.N/8 + rng.Intn(c.N/8+1)
-				r0 := rng.Intn(maxInt(c.N-hh, 1))
-				c0 := rng.Intn(maxInt(c.N-hw, 1))
+				r0 := rng.Intn(max(c.N-hh, 1))
+				c0 := rng.Intn(max(c.N-hw, 1))
 				level := 6 + 4*rng.Float32()
 				for r := r0; r < r0+hh && r < c.N; r++ {
 					row := p.Row(r)
@@ -90,13 +90,6 @@ func (c Config) Generate() (temp, power []*tensor.Matrix) {
 		power = append(power, p)
 	}
 	return temp, power
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // stencilKernel is the centered 3x3 weighted-average kernel. The Edge

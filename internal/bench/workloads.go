@@ -65,7 +65,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "Backprop", paperSpeedup: "4.08", jetsonScale: 0.5,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := backprop.RunCPU(cpu, th, backprop.Config{Batch: bpB, In: bpIO, Hidden: bpIO}, nil)
 				return m
 			},
@@ -83,7 +83,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "BlackScholes", paperSpeedup: "~2.5", jetsonScale: 0.5,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := blackscholes.RunCPU(cpu, th, blackscholes.Config{N: bsN}, nil)
 				return m
 			},
@@ -99,7 +99,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "Gaussian", paperSpeedup: "~2.2", jetsonScale: 0.5,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := gaussian.RunCPU(cpu, th, gaussian.Config{N: gaN}, nil)
 				return m
 			},
@@ -115,7 +115,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "GEMM", paperSpeedup: "~2.2", jetsonScale: 0.5,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := gemm.RunCPU(cpu, th, gemm.Config{N: gemmN}, nil, nil)
 				return m
 			},
@@ -136,7 +136,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "HotSpot3D", paperSpeedup: "1.14", jetsonScale: 1,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := hotspot3d.RunCPU(cpu, th, hotspot3d.Config{N: hsN, Layers: hsLayers, Iters: hsIters}, nil, nil)
 				return m
 			},
@@ -152,7 +152,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "LUD", paperSpeedup: "~2.2", jetsonScale: 0.5,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := lud.RunCPU(cpu, th, lud.Config{N: ludN}, nil)
 				return m
 			},
@@ -168,7 +168,7 @@ func workloads(o Opts) []workload {
 		{
 			name: "PageRank", paperSpeedup: "~2.2", jetsonScale: 0.25,
 			cpu: func(th int) apps.Metrics {
-				cpu := blas.NewCPU(nil, maxI(th, 1))
+				cpu := blas.NewCPU(nil, max(th, 1))
 				_, m := pagerank.RunCPU(cpu, th, pagerank.Config{N: prN, Iters: prIters}, nil)
 				return m
 			},
@@ -183,13 +183,6 @@ func workloads(o Opts) []workload {
 			},
 		},
 	}
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func scaleDim(n int, sc float64) int {

@@ -42,7 +42,7 @@ func Int8Gemm(a, b *tensor.Matrix) *tensor.Matrix {
 		for j := 0; j < k; j++ {
 			var wide int32
 			for l0 := 0; l0 < n; l0 += acc16Depth {
-				lMax := minInt(l0+acc16Depth, n)
+				lMax := min(l0+acc16Depth, n)
 				var acc int16
 				for l := l0; l < lMax; l++ {
 					acc = satAddI16(acc, int16(ra[l])*int16(qb.At(l, j)))

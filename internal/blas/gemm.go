@@ -22,11 +22,11 @@ func Gemm(a, b *tensor.Matrix) *tensor.Matrix {
 	m, n, k := a.Rows, a.Cols, b.Cols
 	out := tensor.New(m, k)
 	for i0 := 0; i0 < m; i0 += gemmBlock {
-		iMax := minInt(i0+gemmBlock, m)
+		iMax := min(i0+gemmBlock, m)
 		for l0 := 0; l0 < n; l0 += gemmBlock {
-			lMax := minInt(l0+gemmBlock, n)
+			lMax := min(l0+gemmBlock, n)
 			for j0 := 0; j0 < k; j0 += gemmBlock {
-				jMax := minInt(j0+gemmBlock, k)
+				jMax := min(j0+gemmBlock, k)
 				for i := i0; i < iMax; i++ {
 					ar := a.Row(i)
 					or := out.Row(i)
@@ -84,13 +84,6 @@ func MatVec(a *tensor.Matrix, x []float32) []float32 {
 	return y
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // GemmParallel computes C = A*B with the blocked kernel fanned out
 // across the real machine's cores. It is the oracle-side counterpart
 // used by the experiment harness for large reference products; the
@@ -114,7 +107,7 @@ func GemmParallel(a, b *tensor.Matrix) *tensor.Matrix {
 		if r0 >= a.Rows {
 			break
 		}
-		r1 := minInt(r0+chunk, a.Rows)
+		r1 := min(r0+chunk, a.Rows)
 		wg.Add(1)
 		go func(r0, r1 int) {
 			defer wg.Done()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -331,6 +332,144 @@ func (h *replyHole) relay(down net.Conn, backend string) {
 		}
 	}()
 	io.Copy(io.Discard, up) // the replies, until the daemon hangs up
+}
+
+// delayedShedMember listens on a loopback port and answers every frame
+// with ErrOverloaded after delay. budgets returns the deadline millis
+// of each frame it got, in arrival order.
+func delayedShedMember(t *testing.T, delay time.Duration) (addr string, budgets func() []uint32) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var (
+		mu  sync.Mutex
+		got []uint32
+	)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					f, err := server.DecodeFrame(conn, 0)
+					if err != nil {
+						return
+					}
+					mu.Lock()
+					got = append(got, binary.BigEndian.Uint32(f.Payload))
+					mu.Unlock()
+					time.Sleep(delay)
+					shed := &server.Frame{Type: server.MsgError, ReqID: f.ReqID, TraceID: f.TraceID,
+						Payload: server.ErrorPayload(server.ErrOverloaded)}
+					if server.EncodeFrame(conn, shed) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), func() []uint32 {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]uint32(nil), got...)
+	}
+}
+
+// TestFailoverKeepsDeadline: the client's deadline is one budget across
+// the router hop. A member that sheds each frame only after 60 ms,
+// ranked first, spends a 30 ms budget: the router forwards the frame
+// with at most the 30 ms left, then answers ErrDeadlineExceeded
+// instead of restarting the budget on the next replica.
+func TestFailoverKeepsDeadline(t *testing.T) {
+	slow, budgets := delayedShedMember(t, 60*time.Millisecond)
+	d := startDaemon(t, server.Config{Devices: 1})
+	r := startRouter(t, Config{Members: []string{slow}}, d)
+	c := dialRouter(t, r)
+	forwards := r.met.forwards.With(d.Addr())
+
+	// Distinct weights are distinct placement keys; stop after three
+	// that rank the slow member first.
+	rng := rand.New(rand.NewSource(37))
+	hits := 0
+	for i := 0; i < 32 && hits < 3; i++ {
+		a := tensor.RandUniform(rng, 4, 8, -1, 1)
+		b := tensor.RandUniform(rng, 8, 8, -1, 1)
+		before := len(budgets())
+		fwd := forwards.Value()
+		_, err := c.Call(server.MsgGemm, a, b, &server.CallOpts{Deadline: 30 * time.Millisecond})
+		if len(budgets()) == before {
+			continue // the daemon ranked first
+		}
+		hits++
+		if !errors.Is(err, server.ErrDeadlineExceeded) {
+			t.Fatalf("GEMM %d after a 60 ms shed: got %v, want ErrDeadlineExceeded", i, err)
+		}
+		if forwards.Value() != fwd {
+			t.Fatalf("GEMM %d reached the daemon after its budget was spent", i)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("the slow member ranked first for none of 32 keys")
+	}
+	for _, ms := range budgets() {
+		if ms < 1 || ms > 30 {
+			t.Fatalf("the member got a %d ms budget, want 1..30", ms)
+		}
+	}
+}
+
+// TestFailoverDeadlineSpansAttempts: the time spent on each attempt is
+// taken from the client's budget once. Two members that each shed
+// after 0.35 of a 300 ms budget, ranked ahead of a real daemon, leave
+// it about 90 ms, so the request succeeds; the second member is handed
+// what the first left, not the full budget.
+func TestFailoverDeadlineSpansAttempts(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	slow1, budgets1 := delayedShedMember(t, budget*35/100)
+	slow2, budgets2 := delayedShedMember(t, budget*35/100)
+	d := startDaemon(t, server.Config{Devices: 1})
+	r := startRouter(t, Config{Members: []string{slow1, slow2}}, d)
+	c := dialRouter(t, r)
+	forwards := r.met.forwards.With(d.Addr())
+
+	// Distinct weights are distinct placement keys; stop after two that
+	// rank both slow members ahead of the daemon.
+	rng := rand.New(rand.NewSource(41))
+	hits := 0
+	for i := 0; i < 48 && hits < 2; i++ {
+		a := tensor.RandUniform(rng, 4, 8, -1, 1)
+		b := tensor.RandUniform(rng, 8, 8, -1, 1)
+		n1, n2 := len(budgets1()), len(budgets2())
+		fwd := forwards.Value()
+		got, err := c.Call(server.MsgGemm, a, b, &server.CallOpts{Deadline: budget})
+		if err != nil {
+			t.Fatalf("GEMM %d: %v", i, err)
+		}
+		if e := tensor.RMSE(blas.NaiveGemm(a, b), got); e > 0.05 {
+			t.Fatalf("GEMM %d: RMSE %v", i, e)
+		}
+		if forwards.Value() != fwd+1 {
+			t.Fatalf("GEMM %d was not answered by the daemon", i)
+		}
+		b1, b2 := budgets1(), budgets2()
+		if len(b1) == n1 || len(b2) == n2 {
+			continue // the daemon ranked ahead of a slow member
+		}
+		hits++
+		// The member asked second got what the first shed left.
+		if later := min(b1[n1], b2[n2]); later > uint32(budget.Milliseconds()*65/100) {
+			t.Fatalf("GEMM %d: the later member got %d ms of a %v budget after a %v shed",
+				i, later, budget, budget*35/100)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("both slow members ranked ahead of the daemon for none of 48 keys")
+	}
 }
 
 // TestShedMemberFailsOverOnce: a member that sheds every operator frame

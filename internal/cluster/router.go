@@ -16,7 +16,7 @@ import (
 // door attached (the client's, or one the router's recorder assigned)
 // goes out in the backend frame, so the router's waterfall and the
 // daemon's correlate.
-func (r *Router) handleRequest(f *server.Frame, rt *obs.Trace, _ time.Time) server.Reply {
+func (r *Router) handleRequest(f *server.Frame, rt *obs.Trace, arrived time.Time) server.Reply {
 	r.met.inflight.Add(1)
 	// The placement key is the weight operand's content hash (B for
 	// binary operators, A for the unary reductions), folded over the
@@ -28,7 +28,7 @@ func (r *Router) handleRequest(f *server.Frame, rt *obs.Trace, _ time.Time) serv
 	rt.ObserveSpan(obs.StageRouteDecode, dst, time.Since(dst), "")
 	var resp *server.Frame
 	if err == nil {
-		resp, err = r.forward(key, f.Type, f.Payload, f.TraceID, rt)
+		resp, err = r.forward(key, f.Type, f.Payload, f.TraceID, arrived, rt)
 	}
 	// The client's payload was resent on every forward attempt: it has
 	// no reader left.
@@ -68,6 +68,10 @@ func (r *Router) candidates(key uint64) []*member {
 }
 
 // forward walks the candidate list for key until a member answers.
+// The client's deadline is read once, as an absolute time from the
+// request's arrival; each attempt carries the budget left before it,
+// and once that is spent forward answers ErrDeadlineExceeded without
+// another attempt.
 // Failover advances on the failure classes where another replica can
 // do better — sheds, transient device faults, draining members, dial
 // failures, lost connections (operators are pure, so a resend cannot
@@ -77,11 +81,12 @@ func (r *Router) candidates(key uint64) []*member {
 // last candidate is always a typed error, so the client's retry
 // machinery sees a classified failure, never a raw socket error.
 func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
-	traceID uint64, rt *obs.Trace) (*server.Frame, error) {
+	traceID uint64, arrived time.Time, rt *obs.Trace) (*server.Frame, error) {
 	cands := r.candidates(key)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no cluster members configured", server.ErrInternal)
 	}
+	deadline := server.WireDeadline(payload, arrived)
 	var lastErr error
 	for _, m := range cands {
 		cli, err := m.conn()
@@ -91,6 +96,9 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 			continue
 		}
 		fst := time.Now()
+		if err := server.RebaseDeadline(payload, deadline, fst); err != nil {
+			return nil, err
+		}
 		resp, err := cli.Forward(op, payload, traceID)
 		if err == nil {
 			r.met.forwards.With(m.addr).Inc()

@@ -605,7 +605,7 @@ func (c *Context) quantize(b *Buffer, ready timing.Duration, task int, whole boo
 	if c.Functional() && b.q == nil && (reused || whole) {
 		b.q = quant.QuantizeWith(b.M, b.qp)
 	}
-	return operand{p: b.qp, m: b.M, q: b.q, max: b.extent.MaxCode(b.qp.Scale)}, maxDur(b.readyAt, ready)
+	return operand{p: b.qp, m: b.M, q: b.q, max: b.extent.MaxCode(b.qp.Scale)}, max(b.readyAt, ready)
 }
 
 // tensorize charges the Tensorizer's host pass over elems values from

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/edgetpu"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/timing"
 )
 
@@ -202,10 +203,9 @@ func (e *engine) worker() {
 		ob := item.w.obs
 		var start time.Time
 		if ob != nil {
-			// Stage names match the obs package's constants; see the
-			// TaskObserver contract for why these fire under e.mu.
+			// See the TaskObserver contract for why these fire under e.mu.
 			start = time.Now()
-			ob.ObserveSpan("queue_wait", item.enq, start.Sub(item.enq), "")
+			ob.ObserveSpan(obs.StageQueueWait, item.enq, start.Sub(item.enq), "")
 		}
 		var (
 			end timing.Duration
@@ -214,7 +214,7 @@ func (e *engine) worker() {
 		if !item.b.failed() {
 			end, err = e.c.chargeInstr(item.w)
 			if ob != nil {
-				ob.ObserveSpan("charge", start, time.Since(start), "")
+				ob.ObserveSpan(obs.StageCharge, start, time.Since(start), "")
 			}
 		}
 		e.mu.Unlock()
@@ -225,7 +225,7 @@ func (e *engine) worker() {
 			}
 			item.w.fn()
 			if ob != nil {
-				ob.ObserveSpan("exec", start, time.Since(start), "")
+				ob.ObserveSpan(obs.StageExec, start, time.Since(start), "")
 			}
 		}
 		item.b.complete(end, err)

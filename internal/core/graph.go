@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/tensor"
 	"repro/internal/timing"
 )
@@ -410,14 +411,14 @@ func (g *Graph) Submit() error { return g.SubmitObserved(nil) }
 // chain's home device; everything the user (or a host node) needs is
 // materialized exactly as per-op execution would.
 //
-// obs, when non-nil, receives one "node" span per node plus the usual
-// per-instruction queue_wait/charge/exec spans.
+// ob, when non-nil, receives one obs.StageNode span per node plus the
+// usual per-instruction queue_wait/charge/exec spans.
 //
 // A failed node does not abort the walk: independent subgraphs still
 // run, while the failure's downstream nodes are poisoned with
 // ErrUpstream. The returned error is the first root failure in walk
 // order; per-node outcomes are on Node.Err.
-func (g *Graph) SubmitObserved(obs TaskObserver) error {
+func (g *Graph) SubmitObserved(ob TaskObserver) error {
 	if g.submitted {
 		return errors.New("core: graph already submitted")
 	}
@@ -432,9 +433,9 @@ func (g *Graph) SubmitObserved(obs TaskObserver) error {
 	var firstErr error
 	for _, n := range g.nodes {
 		start := time.Now()
-		g.runNode(n, epoch, obs)
-		if obs != nil {
-			obs.ObserveSpan("node", start, time.Since(start), fmt.Sprintf("%s#%d", n.op, n.id))
+		g.runNode(n, epoch, ob)
+		if ob != nil {
+			ob.ObserveSpan(obs.StageNode, start, time.Since(start), fmt.Sprintf("%s#%d", n.op, n.id))
 		}
 		if n.err != nil && firstErr == nil && !errors.Is(n.err, ErrUpstream) {
 			firstErr = n.err

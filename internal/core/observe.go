@@ -14,9 +14,8 @@ import "time"
 // deterministic virtual makespan. Observers see wall-clock time only
 // and must not feed anything back into virtual-time accounting.
 //
-// Stage names delivered by the engine: "queue_wait", "charge",
-// "exec" (package obs defines matching constants; core keeps string
-// literals so it does not depend on the observability layer).
+// The engine delivers the obs.StageQueueWait, StageCharge and
+// StageExec stages; a graph adds StageNode.
 type TaskObserver interface {
 	ObserveSpan(stage string, start time.Time, d time.Duration, attr string)
 	ObserveEvent(name, attr string, fault bool)

@@ -29,7 +29,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 	c := s.c
 	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)
-	ready := maxDur(readyA, readyK)
+	ready := max(readyA, readyK)
 
 	out := c.Matrix(a.Rows(), a.Cols())
 	tile := isa.ArithTile
@@ -112,7 +112,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 	c := s.c
 	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)
-	ready := maxDur(readyA, readyK)
+	ready := max(readyA, readyK)
 
 	outRows := (a.Rows() + strideR - 1) / strideR
 	outCols := (a.Cols() + strideC - 1) / strideC
@@ -125,14 +125,14 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 	// Row bands aligned to the stride, sized so a band plus kernel
 	// stays well inside on-chip memory.
 	bandOut := isa.ArithTile
-	if cap := int(c.params.TPUMemBytes/2) / maxInt(a.Cols()*strideR, 1); cap > 0 && cap < bandOut {
-		bandOut = maxInt(cap, 1)
+	if cap := int(c.params.TPUMemBytes/2) / max(a.Cols()*strideR, 1); cap > 0 && cap < bandOut {
+		bandOut = max(cap, 1)
 	}
 	pl := s.plan((outRows + bandOut - 1) / bandOut)
 	for o0 := 0; o0 < outRows; o0 += bandOut {
-		oEnd := minInt(o0+bandOut, outRows)
+		oEnd := min(o0+bandOut, outRows)
 		r0 := o0 * strideR
-		rEnd := minInt((oEnd-1)*strideR+maxInt(kernel.Rows(), strideR), a.Rows())
+		rEnd := min((oEnd-1)*strideR+max(kernel.Rows(), strideR), a.Rows())
 		bandRows := rEnd - r0
 		w := instrWork{
 			instr: isa.Instruction{

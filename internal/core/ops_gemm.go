@@ -58,7 +58,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 	}
 	sx := x.P.Scale
 	xKey := c.nextKey()
-	ready := c.chargeHost(maxDur(readyA, s.now),
+	ready := c.chargeHost(max(readyA, s.now),
 		c.params.QuantTime(int64(n))+c.params.TensorizerEncodeTime(int64(n)))
 
 	m := a.Rows()
@@ -74,7 +74,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 	if blockRows < tile {
 		blockRows = tile
 	}
-	if memCap := int(c.params.TPUMemBytes / 2 / int64(maxInt(n, 1))); memCap >= tile {
+	if memCap := int(c.params.TPUMemBytes / 2 / int64(max(n, 1))); memCap >= tile {
 		memCap = memCap / tile * tile
 		if blockRows > memCap {
 			blockRows = memCap
@@ -199,7 +199,7 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 	oa, readyA := c.wholeQuantized(a, s.now, s.taskID)
 	ob, readyB := c.wholeQuantized(b, s.now, s.taskID)
 	qa, qb := oa.q, ob.q
-	ready := maxDur(readyA, readyB)
+	ready := max(readyA, readyB)
 
 	m, n, k := a.Rows(), a.Cols(), b.Cols()
 	tile := isa.ArithTile
@@ -330,7 +330,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 	side0 := int(math.Ceil(math.Sqrt(float64(segLenN))))
 	n2max := side0 * side0
 	parallel := (m + 2*c.cfg.Devices - 1) / (2 * c.cfg.Devices)
-	chunkRows := clampChunk(minInt(int(half/int64(n2max)), parallel), m)
+	chunkRows := clampChunk(min(int(half/int64(n2max)), parallel), m)
 	chanBatch := clampChunk(int(half/int64(n2max)), k)
 	ncc := (k + chanBatch - 1) / chanBatch
 
@@ -392,7 +392,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 			layoutA = nil
 		}
 		da := c.derivedQuant(a, derivedTag{kind: tagConvA, seg: seg, side: side}, int64(m)*int64(n2),
-			maxDur(readyA, s.now), s.taskID, layoutA)
+			max(readyA, s.now), s.taskID, layoutA)
 		wa := oa
 		if segN != n {
 			wa = operand{q: da.q}
@@ -400,7 +400,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 		// Derived layout for b's segment: kernel j holds rows
 		// segStart..segStart+segN of column j, padded to n2.
 		db := c.derivedQuant(b, derivedTag{kind: tagConvB, seg: seg, side: side}, int64(k)*int64(n2),
-			maxDur(readyB, s.now), s.taskID, func(bool) *tensor.MatrixI8 {
+			max(readyB, s.now), s.taskID, func(bool) *tensor.MatrixI8 {
 				w := ob.window(segStart, 0, segN, k)
 				o := tensor.NewI8(k, n2)
 				for i := 0; i < segN; i++ {
@@ -411,7 +411,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 				ob.release(w)
 				return o
 			})
-		ready := maxDur(da.readyAt, db.readyAt)
+		ready := max(da.readyAt, db.readyAt)
 
 		// Rows of a and kernels of b partition along the hoisted chunk
 		// geometry: one instruction's operands fit the on-chip memory,
@@ -533,18 +533,4 @@ func clampChunk(v, max int) int {
 		return max
 	}
 	return v
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -49,7 +49,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 		oa, ta = c.ensureQuantized(a, s.now, s.taskID)
 		ob, tb = c.ensureQuantized(b, s.now, s.taskID)
 		keyA, keyB = a.key, b.key
-		ready = maxDur(ta, tb)
+		ready = max(ta, tb)
 	} else {
 		// Joint symmetric scale over both operands: the smaller of the
 		// per-operand scales covers the wider range (and preserves the
@@ -66,7 +66,7 @@ func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
 		oa, da = c.jointQuant(a, joint, s.now, s.taskID)
 		ob, db = c.jointQuant(b, joint, s.now, s.taskID)
 		keyA, keyB = da.key, db.key
-		ready = maxDur(da.readyAt, db.readyAt)
+		ready = max(da.readyAt, db.readyAt)
 	}
 
 	// The device's output stage requantizes wide results back to int8.
@@ -429,11 +429,4 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 		return tensor.ShapeOnly(rows, cols)
 	}
 	return out
-}
-
-func maxDur(a, b timing.Duration) timing.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

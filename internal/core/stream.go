@@ -246,7 +246,7 @@ func (c *Context) derivedQuant(b *Buffer, tag derivedTag, elems int64, ready tim
 		// ensureQuantized). The int8 form still comes from the host
 		// shadow for bit-exact functional equivalence with the per-op
 		// path.
-		d = &derived{key: c.nextKey(), readyAt: maxDur(b.chip.ready, ready)}
+		d = &derived{key: c.nextKey(), readyAt: max(b.chip.ready, ready)}
 	default:
 		c.met.quantCacheMisses.Inc()
 		d = &derived{key: c.nextKey(), readyAt: c.tensorize(elems, ready, task)}

@@ -240,7 +240,7 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		a := operands[0]
 		sum, n := MeanSum(a.Data)
 		wide := tensor.NewI32(1, 1)
-		wide.Set(0, 0, int32(sum/int64(maxIntI(n, 1))))
+		wide.Set(0, 0, int32(sum/int64(max(n, 1))))
 		return requant(wide, a.Scale).Encode(), nil
 	case op == isa.Max:
 		if err := need(1); err != nil {
@@ -264,11 +264,4 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		return model.FromI8(ReLU(a.Data), a.Scale).Encode(), nil
 	}
 	return nil, fmt.Errorf("%w: unhandled opcode %v", ErrBadInstruction, op)
-}
-
-func maxIntI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

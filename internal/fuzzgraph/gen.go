@@ -244,8 +244,8 @@ func Generate(seed int64) *Case {
 		case OpReLU:
 			addNode(NodeSpec{Op: op, Args: []int{ref(a)}}, av.rows, av.cols, av.est)
 		case OpConv2D, OpConv2DStrided:
-			kr := 1 + rng.Intn(minInt(4, av.rows))
-			kc := 1 + rng.Intn(minInt(4, av.cols))
+			kr := 1 + rng.Intn(min(4, av.rows))
+			kc := 1 + rng.Intn(min(4, av.cols))
 			k := operand(kr, kc)
 			est := av.est * vals[k].est * float64(kr*kc)
 			if est > estCap {
@@ -415,11 +415,4 @@ func (sp *InputSpec) materialize() *tensor.Matrix {
 	m := tensor.New(sp.Rows, sp.Cols)
 	fill(m)
 	return m
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

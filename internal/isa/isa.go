@@ -156,7 +156,7 @@ func (in *Instruction) OutCols() int {
 		if s <= 0 {
 			s = 1
 		}
-		return ((in.InCols + s - 1) / s) * maxInt(in.Channels, 1)
+		return ((in.InCols + s - 1) / s) * max(in.Channels, 1)
 	case in.Op.MatrixWise():
 		return 1
 	default:
@@ -187,16 +187,9 @@ func (in *Instruction) MACs() int64 {
 		if sc <= 0 {
 			sc = 1
 		}
-		outs := int64((in.InRows+sr-1)/sr) * int64((in.InCols+sc-1)/sc) * int64(maxInt(in.Channels, 1))
+		outs := int64((in.InRows+sr-1)/sr) * int64((in.InCols+sc-1)/sc) * int64(max(in.Channels, 1))
 		return outs * k
 	default:
 		return int64(in.InRows) * int64(in.InCols)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

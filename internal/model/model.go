@@ -108,24 +108,33 @@ func (m *Model) Encode() []byte {
 	return buf
 }
 
-// Decode parses an encoded model, validating structure the way the
-// device firmware would.
-func Decode(buf []byte) (*Model, error) {
-	if len(buf) < HeaderSize+metadataSize {
-		return nil, fmt.Errorf("model: truncated buffer (%d bytes)", len(buf))
-	}
+// checkHeader checks the magic and the reserved bytes of a model's
+// general header; the data-section length is the caller's to check.
+func checkHeader(header []byte) error {
 	for i, b := range magic {
-		if buf[i] != b {
-			return nil, errors.New("model: unrecognized model-format version")
+		if header[i] != b {
+			return errors.New("model: unrecognized model-format version")
 		}
 	}
 	// Reserved header bytes must be zero: strict parsing keeps every
 	// accepted buffer byte-identical to its canonical re-encoding
 	// (guaranteed by the decoder fuzz tests).
 	for i := len(magic); i < HeaderSize-4; i++ {
-		if buf[i] != 0 {
-			return nil, fmt.Errorf("model: non-zero reserved header byte at %d", i)
+		if header[i] != 0 {
+			return fmt.Errorf("model: non-zero reserved header byte at %d", i)
 		}
+	}
+	return nil
+}
+
+// Decode parses an encoded model, validating structure the way the
+// device firmware would.
+func Decode(buf []byte) (*Model, error) {
+	if len(buf) < HeaderSize+metadataSize {
+		return nil, fmt.Errorf("model: truncated buffer (%d bytes)", len(buf))
+	}
+	if err := checkHeader(buf[:HeaderSize]); err != nil {
+		return nil, err
 	}
 	dataLen := int(binary.LittleEndian.Uint32(buf[HeaderSize-4 : HeaderSize]))
 	if len(buf) != HeaderSize+dataLen+metadataSize {

@@ -243,6 +243,31 @@ func TestDecodeFromErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeFromStream: DecodeFrom consumes exactly one model, so two
+// models written back to back decode in turn from one stream.
+func TestDecodeFromStream(t *testing.T) {
+	first, _ := buildRandom(t, 22, 8, 16, 8)
+	second, _ := buildRandom(t, 23, 24, 8, 8)
+	var buf bytes.Buffer
+	for _, m := range []*Model{first, second} {
+		if _, err := m.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []*Model{first, second} {
+		got, err := DecodeFrom(&buf)
+		if err != nil {
+			t.Fatalf("model %d: %v", i, err)
+		}
+		if !got.Data.Equal(want.Data) || got.Scale != want.Scale {
+			t.Fatalf("model %d does not round-trip", i)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("%d bytes left after both models", buf.Len())
+	}
+}
+
 // Property: streamed and in-memory encodings agree for all shapes.
 func TestQuickStreamAgrees(t *testing.T) {
 	f := func(rows, cols uint8, seed int64) bool {

@@ -1,105 +1,40 @@
 package model
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-
-	"repro/internal/tensor"
 )
 
-// EncodeTo streams the model's on-wire form into w without
-// materializing the full byte slice — the path a runtime takes when
-// writing models directly into a DMA ring or a file-backed cache.
-// It returns the number of bytes written.
+// EncodeTo writes the model's on-wire form (Encode's bytes) to w and
+// returns the number of bytes written.
 func (m *Model) EncodeTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-
-	// Header.
-	header := make([]byte, HeaderSize)
-	copy(header[:8], magic[:])
-	binary.LittleEndian.PutUint32(header[HeaderSize-4:], uint32(m.Rows*m.Cols))
-	n, err := bw.Write(header)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-
-	// Data section, row by row (views stream without copying).
-	rowBuf := make([]byte, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		src := m.Data.Row(r)
-		for i, v := range src {
-			rowBuf[i] = byte(v)
-		}
-		n, err := bw.Write(rowBuf)
-		written += int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-
-	// Metadata.
-	meta := make([]byte, metadataSize)
-	binary.LittleEndian.PutUint32(meta[0:4], uint32(m.Rows))
-	binary.LittleEndian.PutUint32(meta[4:8], uint32(m.Cols))
-	binary.LittleEndian.PutUint32(meta[8:12], math.Float32bits(m.Scale))
-	n, err = bw.Write(meta)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	return written, bw.Flush()
+	n, err := w.Write(m.Encode())
+	return int64(n), err
 }
 
-// DecodeFrom reads one model from r (the exact byte count EncodeTo
-// produced). Unlike Decode it does not need the whole buffer up
-// front, but it must trust the header's data-section length.
+// DecodeFrom reads exactly one model from r, leaving r positioned at
+// the byte after it, so a stream can carry models back to back. The
+// header is checked and its data-section length bounded before the
+// body is allocated; Decode validates the rest.
 func DecodeFrom(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
 	header := make([]byte, HeaderSize)
-	if _, err := io.ReadFull(br, header); err != nil {
+	if _, err := io.ReadFull(r, header); err != nil {
 		return nil, fmt.Errorf("model: reading header: %w", err)
 	}
-	for i, b := range magic {
-		if header[i] != b {
-			return nil, fmt.Errorf("model: unrecognized model-format version")
-		}
+	if err := checkHeader(header); err != nil {
+		return nil, err
 	}
-	for i := len(magic); i < HeaderSize-4; i++ {
-		if header[i] != 0 {
-			return nil, fmt.Errorf("model: non-zero reserved header byte at %d", i)
-		}
-	}
-	dataLen := int(binary.LittleEndian.Uint32(header[HeaderSize-4:]))
-	if dataLen < 0 || dataLen > maxStreamData {
+	dataLen := binary.LittleEndian.Uint32(header[HeaderSize-4:])
+	if dataLen > maxStreamData {
 		return nil, fmt.Errorf("model: implausible data-section size %d", dataLen)
 	}
-	data := make([]byte, dataLen)
-	if _, err := io.ReadFull(br, data); err != nil {
-		return nil, fmt.Errorf("model: reading data section: %w", err)
+	buf := make([]byte, HeaderSize+int(dataLen)+metadataSize)
+	copy(buf, header)
+	if _, err := io.ReadFull(r, buf[HeaderSize:]); err != nil {
+		return nil, fmt.Errorf("model: reading data and metadata: %w", err)
 	}
-	meta := make([]byte, metadataSize)
-	if _, err := io.ReadFull(br, meta); err != nil {
-		return nil, fmt.Errorf("model: reading metadata: %w", err)
-	}
-	rows := int(binary.LittleEndian.Uint32(meta[0:4]))
-	cols := int(binary.LittleEndian.Uint32(meta[4:8]))
-	scale := math.Float32frombits(binary.LittleEndian.Uint32(meta[8:12]))
-	if rows < 0 || cols < 0 || rows*cols != dataLen {
-		return nil, fmt.Errorf("model: metadata %dx%d inconsistent with %d data bytes", rows, cols, dataLen)
-	}
-	if scale <= 0 || scale != scale {
-		return nil, fmt.Errorf("model: invalid scale factor %v", scale)
-	}
-	q := tensor.NewI8(rows, cols)
-	for i, b := range data {
-		q.Data[i] = int8(b)
-	}
-	return &Model{Rows: rows, Cols: cols, Scale: scale, Data: q}, nil
+	return Decode(buf)
 }
 
 // maxStreamData bounds a streamed data section at 1 GiB (a 32K x 32K

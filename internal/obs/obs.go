@@ -30,9 +30,8 @@ import (
 )
 
 // Stage names of the request waterfall, in pipeline order. Core
-// records queue_wait/charge/exec through the TaskObserver interface
-// using these same strings (kept as literals there so core does not
-// depend on obs).
+// records queue_wait/charge/exec/node through its TaskObserver
+// interface.
 const (
 	StageRouteDecode  = "route_decode"  // router: placement key from the payload
 	StageRouteForward = "route_forward" // router: one forward attempt to a member

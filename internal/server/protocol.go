@@ -38,6 +38,7 @@ import (
 	"math"
 	"net"
 	"strings"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -568,6 +569,35 @@ func opRequestBody(op MsgType, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: truncated request header", ErrBadRequest)
 	}
 	return payload[5:], nil
+}
+
+// WireDeadline is the absolute deadline of an operator request payload
+// that arrived at arrived, or the zero Time when the client set none.
+// payload must hold the request header (WireWeightKey has accepted it).
+func WireDeadline(payload []byte, arrived time.Time) time.Time {
+	ms := binary.BigEndian.Uint32(payload)
+	if ms == 0 {
+		return time.Time{}
+	}
+	return arrived.Add(time.Duration(ms) * time.Millisecond)
+}
+
+// RebaseDeadline rewrites, in place, the deadline of an operator
+// request payload to the budget left at now before deadline (from
+// WireDeadline), in whole milliseconds and at least 1, so a hop that
+// forwards the payload passes on the client's end-to-end budget
+// instead of restarting it. A zero deadline leaves the payload as it
+// is; a spent budget is ErrDeadlineExceeded.
+func RebaseDeadline(payload []byte, deadline, now time.Time) error {
+	if deadline.IsZero() {
+		return nil
+	}
+	left := deadline.Sub(now)
+	if left <= 0 {
+		return ErrDeadlineExceeded
+	}
+	binary.BigEndian.PutUint32(payload, uint32(max(left.Milliseconds(), 1)))
+	return nil
 }
 
 // decodeOpRequestTo parses an operator request payload for op, taking

@@ -1,12 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -32,6 +34,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile writes the registry's Prometheus text to the file at path,
+// replacing it.
+func (r *Registry) WriteFile(path string) error {
+	var b bytes.Buffer
+	if err := r.WritePrometheus(&b); err != nil {
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o666)
 }
 
 func writeSample(w io.Writer, name string, s Sample) error {

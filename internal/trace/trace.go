@@ -20,9 +20,11 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 
@@ -120,6 +122,17 @@ func Write(w io.Writer, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error
 		return 0, err
 	}
 	return n, nil
+}
+
+// WriteFile writes Write's trace to the file at path, replacing it,
+// and returns the number of events written.
+func WriteFile(path string, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error) {
+	var b bytes.Buffer
+	n, err := Write(&b, tls, reqs)
+	if err != nil {
+		return 0, err
+	}
+	return n, os.WriteFile(path, b.Bytes(), 0o666)
 }
 
 // appendRequests renders request records as lanes of process pid, one

@@ -38,12 +38,52 @@ var deletedFlags = []string{
 	"-probe-timeout", "-batch-max", "-nowire",
 }
 
-// poolOwners are the only non-test sync.Pools outside internal/tensor's
-// one buffer recycler, keyed by file and the name the pool is declared
-// under. Both recycle objects, not buffers.
+// poolOwners are the only struct-field sync.Pools in non-test Go
+// outside internal/tensor's one buffer recycler, keyed by file and
+// field name. A package-level pool is allowed by its globalOwners
+// entry. Each recycles objects, not buffers.
 var poolOwners = map[[2]string]string{
-	{"internal/core/context.go", "plans"}:               "per-context instruction-plan storage",
-	{"internal/edgetpu/ops_fast.go", "gemmScratchPool"}: "the GEMM kernel's scratch structs",
+	{"internal/core/context.go", "plans"}: "per-context instruction-plan storage",
+}
+
+// doorFiles are the only non-test files outside benchmark/ that may
+// accept connections, build a frame reader or a bufio reader or
+// writer: one accept loop and one read loop in the front door, one
+// read loop in the client, and the framing they share.
+var doorFiles = map[string]bool{
+	"internal/server/frontdoor.go": true,
+	"internal/server/client.go":    true,
+	"internal/server/protocol.go":  true,
+}
+
+// globalOwners are the package-level vars of non-test Go outside
+// benchmark/ and examples/, keyed by file and name, each with the
+// reason it is process-wide. Error sentinels need no entry.
+var globalOwners = map[[2]string]string{
+	{"internal/tensor/pool.go", "i8Pools"}:                       "the one buffer recycler's int8 size classes",
+	{"internal/tensor/pool.go", "i32Pools"}:                      "the one buffer recycler's int32 size classes",
+	{"internal/tensor/pool.go", "f32Pools"}:                      "the one buffer recycler's float32 size classes",
+	{"internal/tensor/pool.go", "bytePools"}:                     "the one buffer recycler's byte size classes",
+	{"internal/tensor/pool.go", "i64Pools"}:                      "the one buffer recycler's int64 size classes",
+	{"internal/edgetpu/ops_fast.go", "gemmScratchPool"}:          "recycles the GEMM kernel's scratch structs",
+	{"internal/edgetpu/ops_fast.go", "tanhCache"}:                "tanh LUTs by input scale: pure functions of the key, shared by every device",
+	{"internal/edgetpu/kernels.go", "Fast"}:                      "the optimized kernel table, never written after init",
+	{"internal/edgetpu/kernels.go", "Ref"}:                       "the reference kernel table, never written after init",
+	{"internal/obs/obs.go", "idSeq"}:                             "trace IDs are unique per process",
+	{"internal/obs/obs.go", "idBase"}:                            "trace IDs are unique per process",
+	{"internal/core/metrics.go", "vlatBuckets"}:                  "histogram bucket bounds, read only",
+	{"internal/server/frontdoor.go", "latBuckets"}:               "histogram bucket bounds, read only",
+	{"internal/server/metrics.go", "waitBuckets"}:                "histogram bucket bounds, read only",
+	{"internal/server/protocol.go", "errClasses"}:                "the wire's error-class table, read only",
+	{"internal/isa/isa.go", "opNames"}:                           "opcode names, read only",
+	{"internal/fuzzgraph/gen.go", "opNames"}:                     "node-kind names, read only",
+	{"internal/fuzzgraph/gen.go", "dimAlphabet"}:                 "the generator's shape alphabet, read only",
+	{"internal/fuzzgraph/corpus.go", "CorpusSeeds"}:              "the committed regression seeds, read only",
+	{"internal/obs/quantile.go", "quantileLabels"}:               "published quantile labels, read only",
+	{"internal/cluster/membership.go", "memberStates"}:           "membership states in export order, read only",
+	{"internal/apps/blackscholes/blackscholes.go", "polyCoeffs"}: "CNDF polynomial fitted once at start-up, read only",
+	{"internal/model/model.go", "magic"}:                         "the model-format magic, read only",
+	{"internal/edgetpu/interp.go", "instrMagic"}:                 "the instruction-packet magic, read only",
 }
 
 // sourceRules are the rules TestSourceRules applies, each returning
@@ -57,6 +97,9 @@ var sourceRules = []struct {
 	{"core-escape", coreEscapes},
 	{"http-mux", muxOutsideTelemetry},
 	{"sync-pool", strayPools},
+	{"stages", literalStages},
+	{"one-door", doorsOutsideServer},
+	{"globals", unlistedGlobals},
 }
 
 // seededViolations gives each rule a small source tree it must reject.
@@ -130,12 +173,95 @@ type Context struct {
 	plans sync.Pool
 	spare sync.Pool
 }`,
+		"internal/edgetpu/ops_fast.go": `package edgetpu
+import "sync"
+var gemmScratchPool sync.Pool
+var spare sync.Pool`,
 		"internal/tensor/pool.go": `package tensor
 import "sync"
 var p sync.Pool`,
 		"internal/server/x_test.go": `package server
 import "sync"
 var p sync.Pool`,
+	},
+	"stages": {
+		"internal/obs/obs.go": `package obs
+const (
+	StageUsed = "used"
+	StageIdle = "idle"
+	StageSelf = "self"
+)
+var total = StageSelf`,
+		"internal/core/engine.go": `package core
+import "repro/internal/obs"
+type ob interface {
+	ObserveSpan(stage string, n int)
+	Begin(stage, attr string)
+	End(stage string)
+}
+func f(o ob) {
+	o.ObserveSpan("queue_wait", 1)
+	o.ObserveSpan(obs.StageUsed, 1)
+	o.Begin("batch_wait", "")
+	o.End(obs.StageUsed)
+}`,
+		"internal/core/engine_test.go": `package core
+func g(o ob) { o.End("a test may") }`,
+		"examples/x/main.go": `package main
+type t struct{}
+func (t) End() int { return 0 }
+var _ = t{}.End()`,
+	},
+	"one-door": {
+		"internal/server/frontdoor.go": `package server
+import (
+	"bufio"
+	"net"
+)
+func serve(ln net.Listener) {
+	ln.Accept()
+	_ = bufio.NewReader(nil)
+	_ = newConnReader(nil)
+}`,
+		"internal/server/loopback.go": `package server
+import "net"
+func accept(ln net.Listener) { ln.Accept() }`,
+		"internal/model/stream.go": `package model
+import buf "bufio"
+var w = buf.NewWriterSize(nil, 1)`,
+		"cmd/x/main.go": `package main
+import "repro/internal/server"
+var r = server.NewFrameReader(nil)`,
+		"cmd/x/main_test.go": `package main
+import "bufio"
+var s = bufio.NewScanner(nil)`,
+		"benchmark/main.go": `package main
+import "bufio"
+var s = bufio.NewScanner(nil)`,
+	},
+	"globals": {
+		"internal/tensor/pool.go": `package tensor
+var i8Pools, i32Pools [2]int`,
+		"internal/x/x.go": `package x
+import (
+	"errors"
+	"fmt"
+	"repro/internal/core"
+)
+var (
+	ErrA   = errors.New("a")
+	ErrB   = fmt.Errorf("b")
+	ErrC   = core.ErrClosed
+	cache  = map[string]int{}
+	lo, hi = 1, 2
+)
+func f() { var local int; _ = local }`,
+		"internal/x/x_test.go": `package x
+var fixture = 1`,
+		"examples/y/main.go": `package main
+var state int`,
+		"benchmark/main.go": `package main
+var state int`,
 	},
 }
 
@@ -146,7 +272,10 @@ var seededWant = map[string][]string{
 	"deleted-flags": {"DESIGN.md: -pace", "Makefile: -nowire", "README.md: -dead-strikes", "scripts/x.sh: -batch-max"},
 	"core-escape":   {"cmd/x/main.go:3", "cmd/x/main.go:4", "internal/x/x_test.go:2"},
 	"http-mux":      {"cmd/x/main.go:3"},
-	"sync-pool":     {"internal/core/context.go:5", "internal/server/x.go:3"},
+	"sync-pool":     {"internal/core/context.go:5", "internal/edgetpu/ops_fast.go:4", "internal/server/x.go:3"},
+	"stages":        {"internal/core/engine.go:9: ObserveSpan", "internal/core/engine.go:11: Begin", "obs.StageIdle"},
+	"one-door":      {"cmd/x/main.go:3", "internal/model/stream.go:3", "internal/server/loopback.go:3"},
+	"globals":       {"internal/x/x.go:11: cache", "internal/x/x.go:12: lo", "internal/x/x.go:12: hi"},
 }
 
 func TestSourceRules(t *testing.T) {
@@ -503,7 +632,7 @@ func muxOutsideTelemetry(s *source) []string {
 }
 
 // strayPools reports any sync.Pool in non-test Go outside
-// internal/tensor and benchmark/ that poolOwners does not list (or a
+// internal/tensor and benchmark/ that no allowlist names (or a
 // comment there naming sync.Pool): buffers recycle through tensor's
 // one size-classed recycler.
 func strayPools(s *source) []string {
@@ -542,15 +671,159 @@ func strayPools(s *source) []string {
 }
 
 // ownsPool reports whether the innermost named declaration enclosing a
-// sync.Pool in rel is one poolOwners lists.
+// sync.Pool in rel is one poolOwners or globalOwners lists.
 func ownsPool(rel string, owner []string) bool {
 	for i := len(owner) - 1; i >= 0; i-- {
 		if owner[i] != "" {
-			_, ok := poolOwners[[2]string{rel, owner[i]}]
-			return ok
+			k := [2]string{rel, owner[i]}
+			return poolOwners[k] != "" || globalOwners[k] != ""
 		}
 	}
 	return false
+}
+
+// literalStages reports, in non-test Go, every ObserveSpan, Begin or
+// End call whose stage is a string literal, and every obs.Stage*
+// constant that nothing names outside its own declaration: a stage is
+// spelled once, in package obs.
+func literalStages(s *source) []string {
+	var out []string
+	consts := make(map[string]*ast.Ident) // name → declaring ident
+	var order []string
+	for _, gf := range s.files {
+		if gf.test || gf.pkg != "repro/internal/obs" {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+				for _, spec := range gd.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						if strings.HasPrefix(id.Name, "Stage") {
+							consts[id.Name] = id
+							order = append(order, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	named := make(map[string]bool)
+	for _, gf := range s.files {
+		if gf.test {
+			continue
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || len(n.Args) == 0 {
+					break
+				}
+				switch sel.Sel.Name {
+				case "ObserveSpan", "Begin", "End":
+					if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						out = append(out, fmt.Sprintf("%s: %s stage %s is a string literal (use an obs.Stage* constant)",
+							s.pos(lit), sel.Sel.Name, lit.Value))
+					}
+				}
+			case *ast.SelectorExpr:
+				if s.typeOf(gf, n) == "repro/internal/obs."+n.Sel.Name {
+					named[n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if gf.pkg == "repro/internal/obs" && consts[n.Name] != nil && consts[n.Name] != n {
+					named[n.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, name := range order {
+		if !named[name] {
+			out = append(out, fmt.Sprintf("%s: obs.%s is never emitted (emit it or delete it)", s.pos(consts[name]), name))
+		}
+	}
+	return out
+}
+
+// doorsOutsideServer reports, in non-test Go outside benchmark/ and
+// doorFiles, any Accept() call, any use of NewFrameReader or
+// newConnReader, and any bufio constructor: connections are accepted
+// and read in the front door and the client only.
+func doorsOutsideServer(s *source) []string {
+	var out []string
+	for _, gf := range s.files {
+		if gf.test || strings.HasPrefix(gf.rel, "benchmark/") || doorFiles[gf.rel] {
+			continue
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			what := ""
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Accept" && len(n.Args) == 0 {
+					what = "Accept()"
+				}
+			case *ast.SelectorExpr:
+				if name := s.typeOf(gf, n); strings.HasPrefix(name, "bufio.New") {
+					what = name
+				}
+			case *ast.Ident:
+				if n.Name == "NewFrameReader" || n.Name == "newConnReader" {
+					what = n.Name
+				}
+			}
+			if what != "" {
+				out = append(out, s.pos(n)+": "+what+" outside the front door and the client")
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// unlistedGlobals reports each package-level var of non-test Go outside
+// benchmark/ and examples/ that globalOwners does not list with a
+// reason. A var initialized by errors.New, fmt.Errorf or another
+// package's Err* sentinel is exempt.
+func unlistedGlobals(s *source) []string {
+	var out []string
+	for _, gf := range s.files {
+		if gf.test || strings.HasPrefix(gf.rel, "benchmark/") || strings.HasPrefix(gf.rel, "examples/") {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if i < len(vs.Values) && s.isSentinel(gf, vs.Values[i]) {
+						continue
+					}
+					if globalOwners[[2]string{gf.rel, id.Name}] == "" {
+						out = append(out, fmt.Sprintf("%s: %s is package-level state with no reason in globalOwners", s.pos(id), id.Name))
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// isSentinel reports whether e is errors.New(...), fmt.Errorf(...) or
+// another package's Err* value.
+func (s *source) isSentinel(gf *goFile, e ast.Expr) bool {
+	if call, ok := e.(*ast.CallExpr); ok {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			name := s.typeOf(gf, sel)
+			return name == "errors.New" || name == "fmt.Errorf"
+		}
+		return false
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && strings.HasPrefix(sel.Sel.Name, "Err") && s.typeOf(gf, sel) != ""
 }
 
 // commentHits reports each comment in gf that contains text.
