@@ -104,13 +104,12 @@ type Node struct {
 	args       []Value
 	rows, cols int
 
-	// kDevice: the operator invocation, given the resolved operand
-	// buffers in args order.
+	// kDevice/kMatVec/kReduce: the operator invocation, given the
+	// resolved operand buffers in args order.
 	run func(s *Stream, in []*Buffer) *tensor.Matrix
 	// kHost: application closure + its charged CPU cost.
 	hostFn   func(in []*tensor.Matrix) *tensor.Matrix
 	hostCost timing.Duration
-	// kReduce/kMatVec executions are dispatched on kind+op.
 
 	fetch bool // host materialization requested (or forced)
 
@@ -224,71 +223,52 @@ func (g *Graph) device(op string, rows, cols int, run func(s *Stream, in []*Buff
 	return g.add(&Node{kind: kDevice, op: op, rows: rows, cols: cols, run: run, args: args})
 }
 
-// MatMul adds a tpuGemm node: a (M×N) times b (N×K).
-func (g *Graph) MatMul(a, b Value) *Node {
-	ar, ac := a.dims()
-	br, bc := b.dims()
-	checkShapes("graph.MatMul", ac == br, "inner dimensions %d vs %d", ac, br)
-	return g.device("tpuGemm", ar, bc, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.Gemm(in[0], in[1])
-	}, a, b)
+// Apply adds a node that applies a table operator to its operands, as
+// many as the operator takes. The table's shape rule gives the node its
+// shape and panics on operands that do not fit; Submit runs the
+// operator's Stream call. A result the CPU aggregates (the
+// FullyConnected GEMM, Mean, Max) always materializes on the host; read
+// a reduction with Scalar.
+func (g *Graph) Apply(op Operator, args ...Value) *Node {
+	if len(args) != op.Arity() {
+		panic(fmt.Sprintf("core: graph.%s takes %d operands, got %d", op, op.Arity(), len(args)))
+	}
+	ar, ac := args[0].dims()
+	var br, bc int
+	if len(args) > 1 {
+		br, bc = args[1].dims()
+	}
+	rows, cols := op.mustShape("graph.", ar, ac, br, bc)
+	n := &Node{kind: kDevice, op: op.String(), rows: rows, cols: cols, run: op.run, args: args}
+	if r := operators[op].result; r != deviceResult {
+		n.fetch = true
+		if r == scalarResult {
+			n.kind = kReduce
+		}
+	}
+	return g.add(n)
 }
 
-// MatMulFC adds the FullyConnected-only GEMM of section 7.1.1 (the
-// paper's slow baseline). Its per-column CPU aggregation always
-// materializes on the host.
-func (g *Graph) MatMulFC(a, b Value) *Node {
-	ar, ac := a.dims()
-	br, bc := b.dims()
-	checkShapes("graph.MatMulFC", ac == br, "inner dimensions %d vs %d", ac, br)
-	n := g.device("tpuGemmFC", ar, bc, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.GemmFC(in[0], in[1])
-	}, a, b)
-	n.fetch = true
-	return n
-}
+// MatMul adds a tpuGemm node: a (M×N) times b (N×K).
+func (g *Graph) MatMul(a, b Value) *Node { return g.Apply(OpGemm, a, b) }
 
 // Add adds a pair-wise addition node.
-func (g *Graph) Add(a, b Value) *Node { return g.pairwise("add", a, b, (*Stream).Add) }
+func (g *Graph) Add(a, b Value) *Node { return g.Apply(OpAdd, a, b) }
 
 // Sub adds a pair-wise subtraction node.
-func (g *Graph) Sub(a, b Value) *Node { return g.pairwise("sub", a, b, (*Stream).Sub) }
+func (g *Graph) Sub(a, b Value) *Node { return g.Apply(OpSub, a, b) }
 
 // MulPair adds a pair-wise (Hadamard) multiplication node.
-func (g *Graph) MulPair(a, b Value) *Node { return g.pairwise("mul", a, b, (*Stream).Mul) }
-
-func (g *Graph) pairwise(op string, a, b Value, f func(*Stream, *Buffer, *Buffer) *tensor.Matrix) *Node {
-	ar, ac := a.dims()
-	br, bc := b.dims()
-	checkShapes("graph."+op, ar == br && ac == bc, "shape mismatch %dx%d vs %dx%d", ar, ac, br, bc)
-	return g.device(op, ar, ac, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return f(s, in[0], in[1])
-	}, a, b)
-}
+func (g *Graph) MulPair(a, b Value) *Node { return g.Apply(OpMul, a, b) }
 
 // Tanh adds an element-wise tanh node.
-func (g *Graph) Tanh(a Value) *Node { return g.elementwise("tanh", a, (*Stream).Tanh) }
+func (g *Graph) Tanh(a Value) *Node { return g.Apply(OpTanh, a) }
 
 // ReLU adds an element-wise ReLU node.
-func (g *Graph) ReLU(a Value) *Node { return g.elementwise("relu", a, (*Stream).ReLU) }
-
-func (g *Graph) elementwise(op string, a Value, f func(*Stream, *Buffer) *tensor.Matrix) *Node {
-	ar, ac := a.dims()
-	return g.device(op, ar, ac, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return f(s, in[0])
-	}, a)
-}
+func (g *Graph) ReLU(a Value) *Node { return g.Apply(OpReLU, a) }
 
 // Conv2D adds a stride-(1,1) 2-D convolution node of a by kernel.
-func (g *Graph) Conv2D(a, kernel Value) *Node {
-	ar, ac := a.dims()
-	kr, kc := kernel.dims()
-	checkShapes("graph.conv2D", kr > 0 && kc > 0 && kr <= ar && kc <= ac,
-		"kernel %dx%d incompatible with input %dx%d", kr, kc, ar, ac)
-	return g.device("conv2D", ar, ac, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.Conv2D(in[0], in[1])
-	}, a, kernel)
-}
+func (g *Graph) Conv2D(a, kernel Value) *Node { return g.Apply(OpConv2D, a, kernel) }
 
 // Conv2DStrided adds a strided 2-D convolution node.
 func (g *Graph) Conv2DStrided(a, kernel Value, strideR, strideC int) *Node {
@@ -296,8 +276,9 @@ func (g *Graph) Conv2DStrided(a, kernel Value, strideR, strideC int) *Node {
 	kr, kc := kernel.dims()
 	checkShapes("graph.conv2DStrided", strideR > 0 && strideC > 0,
 		"strides must be positive (%d,%d)", strideR, strideC)
-	checkShapes("graph.conv2DStrided", kr > 0 && kc > 0 && kr <= ar && kc <= ac,
-		"kernel %dx%d incompatible with input %dx%d", kr, kc, ar, ac)
+	if _, _, err := kernelFits(ar, ac, kr, kc); err != nil {
+		panic("core: graph.conv2DStrided: " + err.Error())
+	}
 	return g.device("conv2DStrided", (ar+strideR-1)/strideR, (ac+strideC-1)/strideC,
 		func(s *Stream, in []*Buffer) *tensor.Matrix {
 			return s.Conv2DStrided(in[0], in[1], strideR, strideC)
@@ -333,24 +314,22 @@ func (g *Graph) MatVec(a, x Value) *Node {
 	xr, xc := x.dims()
 	checkShapes("graph.matVec", (xr == 1 || xc == 1) && xr*xc == ac,
 		"vector %dx%d incompatible with matrix cols %d", xr, xc, ac)
-	n := g.add(&Node{kind: kMatVec, op: "matVec", rows: 1, cols: ar, args: []Value{a, x}})
+	n := g.add(&Node{kind: kMatVec, op: "matVec", rows: 1, cols: ar, run: matVecNode, args: []Value{a, x}})
 	n.fetch = true
 	return n
+}
+
+// matVecNode runs a MatVec node: its result is the 1×M vector.
+func matVecNode(s *Stream, in []*Buffer) *tensor.Matrix {
+	y := s.MatVec(in[0], vectorData(s.c, in[1].M))
+	return tensor.FromSlice(1, len(y), y)
 }
 
 // Mean adds a matrix-wise mean-reduction node; read it with Scalar.
-func (g *Graph) Mean(a Value) *Node { return g.reduce("mean", a) }
+func (g *Graph) Mean(a Value) *Node { return g.Apply(OpMean, a) }
 
 // MaxReduce adds a matrix-wise max-reduction node; read it with Scalar.
-func (g *Graph) MaxReduce(a Value) *Node { return g.reduce("max", a) }
-
-func (g *Graph) reduce(op string, a Value) *Node {
-	ar, ac := a.dims()
-	checkShapes("graph."+op, ar > 0 && ac > 0, "empty operand %dx%d", ar, ac)
-	n := g.add(&Node{kind: kReduce, op: op, rows: 1, cols: 1, args: []Value{a}})
-	n.fetch = true
-	return n
-}
+func (g *Graph) MaxReduce(a Value) *Node { return g.Apply(OpMax, a) }
 
 // HostOp adds an application CPU node: fn runs on the host between
 // device nodes (e.g. PageRank's damping or backprop's error scaling),
@@ -589,44 +568,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 			n.out = tensor.ShapeOnly(n.rows, n.cols)
 		}
 
-	case kMatVec:
-		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places}
-		x := vectorData(c, bufs[1].M)
-		n.vec = s.MatVec(bufs[0], x)
-		if err := s.Err(); err != nil {
-			n.err = err
-			return
-		}
-		n.end = s.now
-		if c.Functional() {
-			n.out = tensor.FromSlice(1, n.cols, n.vec)
-		} else {
-			n.out = tensor.ShapeOnly(1, n.cols)
-		}
-
-	case kReduce:
-		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places}
-		var v float32
-		if n.op == "mean" {
-			v = s.Mean(bufs[0])
-		} else {
-			v = s.Max(bufs[0])
-		}
-		if err := s.Err(); err != nil {
-			n.err = err
-			return
-		}
-		n.end = s.now
-		n.scalar = v
-		if c.Functional() {
-			n.out = tensor.FromSlice(1, 1, []float32{v})
-		} else {
-			// Shape descriptor like every other node kind: a timing-only
-			// downstream consumer must never compute on a real zero matrix.
-			n.out = tensor.ShapeOnly(1, 1)
-		}
-
-	default: // kDevice
+	default: // kDevice, kMatVec, kReduce
 		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places, pin: n.cell, onChip: n.chip}
 		out := n.run(s, bufs)
 		if err := s.Err(); err != nil {
@@ -635,6 +577,17 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 		}
 		n.end = s.now
 		n.out = out
+		switch n.kind {
+		case kMatVec:
+			n.vec = out.Data
+		case kReduce:
+			n.scalar = out.Data[0]
+		}
+		if n.kind != kDevice && !c.Functional() {
+			// Shape descriptor like every other node kind: a timing-only
+			// downstream consumer must never compute on a real zero matrix.
+			n.out = tensor.ShapeOnly(n.rows, n.cols)
+		}
 	}
 
 	// Publish the output as an operand for downstream nodes. A chip

@@ -16,16 +16,10 @@ import (
 // (kRows-1, kCols-1) halo so tile outputs match the monolithic
 // result, and downloads wide accumulators for precision.
 func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
-	if !s.inputs(a, kernel) {
+	if !s.enter(OpConv2D, a, kernel) {
 		return nil
 	}
 	defer s.opTimer("conv2D")()
-	checkShapes("conv2D", kernel.Rows() > 0 && kernel.Cols() > 0 &&
-		kernel.Rows() <= a.Rows() && kernel.Cols() <= a.Cols(),
-		"kernel %dx%d incompatible with input %dx%d", kernel.Rows(), kernel.Cols(), a.Rows(), a.Cols())
 	c := s.c
 	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)
@@ -98,17 +92,14 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 // applications that want custom grouped reductions (e.g. block
 // pooling).
 func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
 	if !s.inputs(a, kernel) {
 		return nil
 	}
 	defer s.opTimer("conv2DStrided")()
 	checkShapes("conv2D-strided", strideR > 0 && strideC > 0, "strides must be positive (%d,%d)", strideR, strideC)
-	checkShapes("conv2D-strided", kernel.Rows() > 0 && kernel.Cols() > 0 &&
-		kernel.Rows() <= a.Rows() && kernel.Cols() <= a.Cols(),
-		"kernel %dx%d incompatible with input %dx%d", kernel.Rows(), kernel.Cols(), a.Rows(), a.Cols())
+	if _, _, err := kernelFits(a.Rows(), a.Cols(), kernel.Rows(), kernel.Cols()); err != nil {
+		panic("core: conv2D-strided: " + err.Error())
+	}
 	c := s.c
 	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)

@@ -18,9 +18,6 @@ import (
 // 128x128 weight tiles whose wide partial results CPU code aggregates
 // (section 6.2.1).
 func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
-	if s.err != nil {
-		return nil
-	}
 	if !s.inputs(a) {
 		return nil
 	}
@@ -186,15 +183,10 @@ func segLen(n, idx, tile int) int {
 // Figure 6 shows this implementation cannot beat the CPU baseline —
 // reproducing that result is the point of keeping it.
 func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
-	if !s.inputs(a, b) {
+	if !s.enter(OpGemmFC, a, b) {
 		return nil
 	}
 	defer s.opTimer("tpuGemmFC")()
-	checkShapes("FullyConnected-GEMM", a.Cols() == b.Rows(),
-		"inner dimensions %d vs %d", a.Cols(), b.Rows())
 	c := s.c
 	oa, readyA := c.wholeQuantized(a, s.now, s.taskID)
 	ob, readyB := c.wholeQuantized(b, s.now, s.taskID)
@@ -290,15 +282,10 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 // values"), which also reduces precision loss because CPU registers
 // are wider than the device's data paths.
 func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
-	if !s.inputs(a, b) {
+	if !s.enter(OpGemm, a, b) {
 		return nil
 	}
 	defer s.opTimer("tpuGemm")()
-	checkShapes("tpuGemm", a.Cols() == b.Rows(),
-		"inner dimensions %d vs %d", a.Cols(), b.Rows())
 	c := s.c
 	m, n, k := a.Rows(), a.Cols(), b.Cols()
 	half := c.params.TPUMemBytes / 2

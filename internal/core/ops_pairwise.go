@@ -12,31 +12,26 @@ import (
 
 // Add performs pair-wise matrix addition on the Edge TPUs (the
 // overloaded matrix-add operator of section 5).
-func (s *Stream) Add(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Add, a, b) }
+func (s *Stream) Add(a, b *Buffer) *tensor.Matrix { return s.pairwise(OpAdd, isa.Add, a, b) }
 
 // Sub performs pair-wise matrix subtraction.
-func (s *Stream) Sub(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Sub, a, b) }
+func (s *Stream) Sub(a, b *Buffer) *tensor.Matrix { return s.pairwise(OpSub, isa.Sub, a, b) }
 
 // Mul performs pair-wise matrix multiplication (Hadamard
 // product); Gaussian elimination's row reductions use it (section
 // 7.2.4).
-func (s *Stream) Mul(a, b *Buffer) *tensor.Matrix { return s.pairwise(isa.Mul, a, b) }
+func (s *Stream) Mul(a, b *Buffer) *tensor.Matrix { return s.pairwise(OpMul, isa.Mul, a, b) }
 
 // pairwise implements the section 6.2.1 rule for pair-wise operators:
 // divide both inputs into optimally-shaped sub-matrices and rewrite
 // the task into one instruction per tile pair. add and sub require a
 // joint scale (sums only make sense in a common fixed-point unit);
 // mul composes the per-operand scales.
-func (s *Stream) pairwise(op isa.OpCode, a, b *Buffer) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
-	if !s.inputs(a, b) {
+func (s *Stream) pairwise(opr Operator, op isa.OpCode, a, b *Buffer) *tensor.Matrix {
+	if !s.enter(opr, a, b) {
 		return nil
 	}
 	defer s.opTimer(op.String())()
-	checkShapes(op.String(), a.Rows() == b.Rows() && a.Cols() == b.Cols(),
-		"shape mismatch %dx%d vs %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
 	c := s.c
 
 	var (
@@ -158,16 +153,13 @@ func requantize(out *tensor.Matrix, acc *tensor.MatrixI32, div quant.Divider, dq
 }
 
 // Tanh applies the tanh activation element-wise (Table 1).
-func (s *Stream) Tanh(a *Buffer) *tensor.Matrix { return s.elementwise(isa.Tanh, a) }
+func (s *Stream) Tanh(a *Buffer) *tensor.Matrix { return s.elementwise(OpTanh, isa.Tanh, a) }
 
 // ReLU leaves only non-negative values (Table 1's ReLu).
-func (s *Stream) ReLU(a *Buffer) *tensor.Matrix { return s.elementwise(isa.ReLU, a) }
+func (s *Stream) ReLU(a *Buffer) *tensor.Matrix { return s.elementwise(OpReLU, isa.ReLU, a) }
 
-func (s *Stream) elementwise(op isa.OpCode, a *Buffer) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
-	if !s.inputs(a) {
+func (s *Stream) elementwise(opr Operator, op isa.OpCode, a *Buffer) *tensor.Matrix {
+	if !s.enter(opr, a, nil) {
 		return nil
 	}
 	defer s.opTimer(op.String())()
@@ -226,10 +218,10 @@ func elementwiseTile(k *edgetpu.KernelTable, op isa.OpCode, oa operand, out *ten
 }
 
 // Mean counts the average value of all elements (Table 1).
-func (s *Stream) Mean(a *Buffer) float32 { return s.reduce(isa.Mean, a) }
+func (s *Stream) Mean(a *Buffer) float32 { return s.reduce(OpMean, isa.Mean, a) }
 
 // Max finds the maximum value within the matrix (Table 1).
-func (s *Stream) Max(a *Buffer) float32 { return s.reduce(isa.Max, a) }
+func (s *Stream) Max(a *Buffer) float32 { return s.reduce(OpMax, isa.Max, a) }
 
 // reduce implements the matrix-wise operator rule of section 6.2.1:
 // 64x64 tiles each produce one value; by default CPU code aggregates
@@ -237,15 +229,11 @@ func (s *Stream) Max(a *Buffer) float32 { return s.reduce(isa.Max, a) }
 // already shrinks the data by 4096x and data movement dominates);
 // with Config.OnDeviceReduce the runtime instead iterates additional
 // device rounds, the alternative the paper rejects.
-func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
-	if s.err != nil {
-		return 0
-	}
-	if !s.inputs(a) {
+func (s *Stream) reduce(opr Operator, op isa.OpCode, a *Buffer) float32 {
+	if !s.enter(opr, a, nil) {
 		return 0
 	}
 	defer s.opTimer(op.String())()
-	checkShapes(op.String(), a.Rows() > 0 && a.Cols() > 0, "empty operand %dx%d", a.Rows(), a.Cols())
 	c := s.c
 	oa, ready := c.ensureQuantized(a, s.now, s.taskID)
 	tile := isa.TileFor(op)
@@ -351,61 +339,38 @@ func (s *Stream) reduce(op isa.OpCode, a *Buffer) float32 {
 // Crop removes all elements outside the given sub-matrix and returns
 // it (Table 1); LUD's recursive partitioning uses it (section 7.2.3).
 func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
 	if !s.inputs(a) {
 		return nil
 	}
 	defer s.opTimer("crop")()
 	checkShapes("crop", r0 >= 0 && c0 >= 0 && rows >= 0 && cols >= 0 && r0+rows <= a.Rows() && c0+cols <= a.Cols(),
 		"window (%d,%d)+%dx%d outside %dx%d", r0, c0, rows, cols, a.Rows(), a.Cols())
-	c := s.c
-	oa, ready := c.wholeQuantized(a, s.now, s.taskID)
-	pl := s.plan(1)
-	w := instrWork{
-		instr: isa.Instruction{Op: isa.Crop, InRows: a.Rows(), InCols: a.Cols(),
-			TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags},
-		inputs:   pl.inputs(inputRef{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}),
-		outBytes: int64(rows * cols),
-		ready:    ready,
-	}
-	var out *tensor.Matrix
-	if c.Functional() {
-		w.fn = func() {
-			sub := c.kern.Crop(oa.q, r0, c0, rows, cols)
-			out = quant.Dequantize(sub, oa.p)
-			tensor.Put(sub)
-		}
-	}
-	pl.add(w)
-	end, ok := pl.submit().collect()
-	if !ok {
-		return nil
-	}
-	s.finish(end, c.params.QuantTime(int64(rows*cols)))
-	if !c.Functional() {
-		return tensor.ShapeOnly(rows, cols)
-	}
-	return out
+	return s.reshape(isa.Crop, a, rows, cols, func(k *edgetpu.KernelTable, q *tensor.MatrixI8) *tensor.MatrixI8 {
+		return k.Crop(q, r0, c0, rows, cols)
+	})
 }
 
 // Ext pads the matrix to the target dimensionality (Table 1).
 func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
 	if !s.inputs(a) {
 		return nil
 	}
 	defer s.opTimer("ext")()
 	checkShapes("ext", rows >= a.Rows() && cols >= a.Cols(),
 		"target %dx%d smaller than %dx%d", rows, cols, a.Rows(), a.Cols())
+	return s.reshape(isa.Ext, a, rows, cols, func(k *edgetpu.KernelTable, q *tensor.MatrixI8) *tensor.MatrixI8 {
+		return k.Ext(q, rows, cols)
+	})
+}
+
+// reshape runs Crop or Ext: one instruction over a's whole int8 form
+// whose rows×cols result kern computes.
+func (s *Stream) reshape(op isa.OpCode, a *Buffer, rows, cols int, kern func(*edgetpu.KernelTable, *tensor.MatrixI8) *tensor.MatrixI8) *tensor.Matrix {
 	c := s.c
 	oa, ready := c.wholeQuantized(a, s.now, s.taskID)
 	pl := s.plan(1)
 	w := instrWork{
-		instr: isa.Instruction{Op: isa.Ext, InRows: a.Rows(), InCols: a.Cols(),
+		instr: isa.Instruction{Op: op, InRows: a.Rows(), InCols: a.Cols(),
 			TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags},
 		inputs:   pl.inputs(inputRef{key: a.key, bytes: int64(a.M.Elems()), chip: a.chipRef()}),
 		outBytes: int64(rows * cols),
@@ -414,9 +379,9 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 	var out *tensor.Matrix
 	if c.Functional() {
 		w.fn = func() {
-			padded := c.kern.Ext(oa.q, rows, cols)
-			out = quant.Dequantize(padded, oa.p)
-			tensor.Put(padded)
+			q := kern(c.kern, oa.q)
+			out = quant.Dequantize(q, oa.p)
+			tensor.Put(q)
 		}
 	}
 	pl.add(w)

@@ -21,9 +21,6 @@ import (
 // GemmPrecise is the high-precision GEMM library function: tpuGemm
 // over the dual-portion split of both operands.
 func (s *Stream) GemmPrecise(a, b *Buffer) *tensor.Matrix {
-	if s.err != nil {
-		return nil
-	}
 	if !s.inputs(a, b) {
 		return nil
 	}
@@ -73,9 +70,6 @@ func (s *Stream) GemmPrecise(a, b *Buffer) *tensor.Matrix {
 // itself, it charges the split pass and the host combination on the
 // context's host core.
 func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
-	if s.err != nil {
-		return nil
-	}
 	if !s.inputs(a) {
 		return nil
 	}

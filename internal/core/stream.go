@@ -64,11 +64,15 @@ func (s *Stream) fail(err error) {
 	}
 }
 
-// inputs validates operand buffers at operator entry. A poisoned
-// buffer (non-finite host data, see CreateMatrixBuffer) fails the
-// stream with its sticky ErrBadInput and reports false, so the
-// operator becomes a no-op instead of quantizing NaN/Inf garbage.
+// inputs admits an operator call, validating its operand buffers. On a
+// failed stream it reports false, so the operator becomes a no-op; a
+// poisoned buffer (non-finite host data, see CreateMatrixBuffer) fails
+// the stream with its sticky ErrBadInput and reports false too, instead
+// of quantizing NaN/Inf garbage.
 func (s *Stream) inputs(bufs ...*Buffer) bool {
+	if s.err != nil {
+		return false
+	}
 	for _, b := range bufs {
 		if b == nil {
 			continue

@@ -214,82 +214,57 @@ func Generate(seed int64) *Case {
 		}[rng.Intn(20)]
 		a := pickVal()
 		av := vals[a]
+		ns := NodeSpec{Op: op, Args: []int{ref(a)}}
+		rows, cols, est := av.rows, av.cols, av.est
+		second := func(rows, cols int) *val {
+			b := operand(rows, cols)
+			ns.Args = append(ns.Args, ref(b))
+			return &vals[b]
+		}
 		switch op {
 		case OpMatMul, OpMatMulFC:
-			b := operand(av.cols, pickDim(rng))
-			est := av.est * vals[b].est * float64(av.cols)
-			if est > estCap {
-				squash(a)
-				continue
-			}
-			addNode(NodeSpec{Op: op, Args: []int{ref(a), ref(b)}}, av.rows, vals[b].cols, est)
+			b := second(av.cols, pickDim(rng))
+			cols, est = b.cols, av.est*b.est*float64(av.cols)
 		case OpAdd, OpSub:
-			b := operand(av.rows, av.cols)
-			est := av.est + vals[b].est
-			if est > estCap {
-				squash(a)
-				continue
-			}
-			addNode(NodeSpec{Op: op, Args: []int{ref(a), ref(b)}}, av.rows, av.cols, est)
+			est = av.est + second(av.rows, av.cols).est
 		case OpMul:
-			b := operand(av.rows, av.cols)
-			est := av.est * vals[b].est
-			if est > estCap {
-				squash(a)
-				continue
-			}
-			addNode(NodeSpec{Op: op, Args: []int{ref(a), ref(b)}}, av.rows, av.cols, est)
+			est = av.est * second(av.rows, av.cols).est
 		case OpTanh:
-			addNode(NodeSpec{Op: op, Args: []int{ref(a)}}, av.rows, av.cols, 1)
-		case OpReLU:
-			addNode(NodeSpec{Op: op, Args: []int{ref(a)}}, av.rows, av.cols, av.est)
+			est = 1
 		case OpConv2D, OpConv2DStrided:
 			kr := 1 + rng.Intn(min(4, av.rows))
 			kc := 1 + rng.Intn(min(4, av.cols))
-			k := operand(kr, kc)
-			est := av.est * vals[k].est * float64(kr*kc)
-			if est > estCap {
-				squash(a)
-				continue
-			}
-			ns := NodeSpec{Op: op, Args: []int{ref(a), ref(k)}}
-			rows, cols := av.rows, av.cols
-			if op == OpConv2DStrided {
+			est = av.est * second(kr, kc).est * float64(kr*kc)
+			if op == OpConv2DStrided && est <= estCap { // a squashed candidate draws no strides
 				ns.StrideR, ns.StrideC = 1+rng.Intn(3), 1+rng.Intn(3)
 				rows = (rows + ns.StrideR - 1) / ns.StrideR
 				cols = (cols + ns.StrideC - 1) / ns.StrideC
 			}
-			addNode(ns, rows, cols, est)
 		case OpCrop:
-			rows := 1 + rng.Intn(av.rows)
-			cols := 1 + rng.Intn(av.cols)
-			ns := NodeSpec{Op: op, Args: []int{ref(a)},
-				R0: rng.Intn(av.rows - rows + 1), C0: rng.Intn(av.cols - cols + 1),
-				Rows: rows, Cols: cols}
-			addNode(ns, rows, cols, av.est)
+			rows = 1 + rng.Intn(av.rows)
+			cols = 1 + rng.Intn(av.cols)
+			ns.R0, ns.C0 = rng.Intn(av.rows-rows+1), rng.Intn(av.cols-cols+1)
+			ns.Rows, ns.Cols = rows, cols
 		case OpExt:
-			rows := av.rows + rng.Intn(17)
-			cols := av.cols + rng.Intn(17)
-			addNode(NodeSpec{Op: op, Args: []int{ref(a)}, Rows: rows, Cols: cols},
-				rows, cols, av.est)
+			rows = av.rows + rng.Intn(17)
+			cols = av.cols + rng.Intn(17)
+			ns.Rows, ns.Cols = rows, cols
 		case OpMatVec:
-			x := operand(1, av.cols)
-			est := av.est * vals[x].est * float64(av.cols)
-			if est > estCap {
-				squash(a)
-				continue
-			}
-			addNode(NodeSpec{Op: op, Args: []int{ref(a), ref(x)}}, 1, av.rows, est)
+			est = av.est * second(1, av.cols).est * float64(av.cols)
+			rows, cols = 1, av.rows
 		case OpMean, OpMax:
-			addNode(NodeSpec{Op: op, Args: []int{ref(a)}}, 1, 1, av.est)
+			rows, cols = 1, 1
 		case OpHost:
-			kind := []string{"halve", "negate", "transpose"}[rng.Intn(3)]
-			rows, cols := av.rows, av.cols
-			if kind == "transpose" {
+			ns.Host = []string{"halve", "negate", "transpose"}[rng.Intn(3)]
+			if ns.Host == "transpose" {
 				rows, cols = cols, rows
 			}
-			addNode(NodeSpec{Op: op, Args: []int{ref(a)}, Host: kind}, rows, cols, av.est)
 		}
+		if est > estCap {
+			squash(a)
+			continue
+		}
+		addNode(ns, rows, cols, est)
 	}
 
 	for i := range cs.Nodes {

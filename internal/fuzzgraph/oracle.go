@@ -228,53 +228,31 @@ func (h *Harness) wireCheck(cs *Case, ins []*tensor.Matrix, fetched *outcome) er
 		if out.Label != "" || out.Bits == nil {
 			continue
 		}
-		switch ns.Op {
-		case OpMatMul, OpAdd, OpSub, OpMul, OpConv2D:
-			a, b := argMat(ns.Args[0]), argMat(ns.Args[1])
-			if a == nil || b == nil {
-				continue
-			}
-			var got *tensor.Matrix
-			var err error
-			switch ns.Op {
-			case OpMatMul:
-				got, err = h.cli.Gemm(a, b, &server.CallOpts{NoBatch: true})
-			case OpAdd:
-				got, err = h.cli.Add(a, b, nil)
-			case OpSub:
-				got, err = h.cli.Sub(a, b, nil)
-			case OpMul:
-				got, err = h.cli.Mul(a, b, nil)
-			case OpConv2D:
-				got, err = h.cli.Conv2D(a, b, nil)
-			}
-			if err != nil {
-				return fmt.Errorf("wire: n%d %s: %w", i, ns.Op, err)
-			}
-			if got.Rows != out.Rows || got.Cols != out.Cols {
-				return fmt.Errorf("wire: n%d %s: %dx%d, want %dx%d", i, ns.Op, got.Rows, got.Cols, out.Rows, out.Cols)
-			}
-			if err := diffBits(fmt.Sprintf("wire: n%d %s", i, ns.Op), out.Bits, matrixBits(got)); err != nil {
-				return err
-			}
-		case OpMean, OpMax:
-			a := argMat(ns.Args[0])
-			if a == nil {
-				continue
-			}
-			var got float32
-			var err error
-			if ns.Op == OpMean {
-				got, err = h.cli.Mean(a, nil)
-			} else {
-				got, err = h.cli.Max(a, nil)
-			}
-			if err != nil {
-				return fmt.Errorf("wire: n%d %s: %w", i, ns.Op, err)
-			}
-			if err := diffBits(fmt.Sprintf("wire: n%d %s", i, ns.Op), out.Bits, []uint32{math.Float32bits(got)}); err != nil {
-				return err
-			}
+		top, table := tableOps[ns.Op]
+		t, wire := server.MsgFor(top)
+		if !table || !wire {
+			continue
+		}
+		a, b := argMat(ns.Args[0]), (*tensor.Matrix)(nil)
+		if top.Arity() == 2 {
+			b = argMat(ns.Args[1])
+		}
+		if a == nil || (top.Arity() == 2 && b == nil) {
+			continue
+		}
+		var opts *server.CallOpts
+		if t == server.MsgGemm {
+			opts = &server.CallOpts{NoBatch: true}
+		}
+		got, err := h.cli.Call(t, a, b, opts)
+		if err != nil {
+			return fmt.Errorf("wire: n%d %s: %w", i, ns.Op, err)
+		}
+		if got.Rows != out.Rows || got.Cols != out.Cols {
+			return fmt.Errorf("wire: n%d %s: %dx%d, want %dx%d", i, ns.Op, got.Rows, got.Cols, out.Rows, out.Cols)
+		}
+		if err := diffBits(fmt.Sprintf("wire: n%d %s", i, ns.Op), out.Bits, matrixBits(got)); err != nil {
+			return err
 		}
 	}
 	return nil

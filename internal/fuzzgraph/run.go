@@ -64,6 +64,16 @@ func hostFn(kind string) func(in []*tensor.Matrix) *tensor.Matrix {
 	}
 }
 
+// tableOps maps the node kinds that are operators of core's operator
+// table onto it: buildGraph and the wire replay take their operand
+// counts and calls from the table.
+var tableOps = map[OpKind]core.Operator{
+	OpMatMul: core.OpGemm, OpMatMulFC: core.OpGemmFC,
+	OpAdd: core.OpAdd, OpSub: core.OpSub, OpMul: core.OpMul,
+	OpConv2D: core.OpConv2D, OpTanh: core.OpTanh, OpReLU: core.OpReLU,
+	OpMean: core.OpMean, OpMax: core.OpMax,
+}
+
 // buildGraph instantiates the case's DAG against a context.
 func buildGraph(ctx *core.Context, cs *Case, ins []*tensor.Matrix, fetchAll bool) (*core.Graph, []*core.Node) {
 	g := ctx.NewGraph()
@@ -83,36 +93,23 @@ func buildGraph(ctx *core.Context, cs *Case, ins []*tensor.Matrix, fetchAll bool
 	}
 	for _, ns := range cs.Nodes {
 		var n *core.Node
-		switch ns.Op {
-		case OpMatMul:
-			n = g.MatMul(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpMatMulFC:
-			n = g.MatMulFC(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpAdd:
-			n = g.Add(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpSub:
-			n = g.Sub(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpMul:
-			n = g.MulPair(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpTanh:
-			n = g.Tanh(arg(ns.Args[0]))
-		case OpReLU:
-			n = g.ReLU(arg(ns.Args[0]))
-		case OpConv2D:
-			n = g.Conv2D(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpConv2DStrided:
+		top, table := tableOps[ns.Op]
+		switch {
+		case table:
+			args := make([]core.Value, top.Arity())
+			for i := range args {
+				args[i] = arg(ns.Args[i])
+			}
+			n = g.Apply(top, args...)
+		case ns.Op == OpConv2DStrided:
 			n = g.Conv2DStrided(arg(ns.Args[0]), arg(ns.Args[1]), ns.StrideR, ns.StrideC)
-		case OpCrop:
+		case ns.Op == OpCrop:
 			n = g.Crop(arg(ns.Args[0]), ns.R0, ns.C0, ns.Rows, ns.Cols)
-		case OpExt:
+		case ns.Op == OpExt:
 			n = g.Ext(arg(ns.Args[0]), ns.Rows, ns.Cols)
-		case OpMatVec:
+		case ns.Op == OpMatVec:
 			n = g.MatVec(arg(ns.Args[0]), arg(ns.Args[1]))
-		case OpMean:
-			n = g.Mean(arg(ns.Args[0]))
-		case OpMax:
-			n = g.MaxReduce(arg(ns.Args[0]))
-		case OpHost:
+		case ns.Op == OpHost:
 			a := arg(ns.Args[0])
 			rows, cols := ns.declaredHostDims(a)
 			n = g.HostOp(ns.Host, rows, cols, hostCost, hostFn(ns.Host), a)
@@ -130,21 +127,14 @@ func buildGraph(ctx *core.Context, cs *Case, ins []*tensor.Matrix, fetchAll bool
 // declaredHostDims computes a host node's declared output shape from
 // its operand (transpose swaps).
 func (ns *NodeSpec) declaredHostDims(a core.Value) (int, int) {
-	type dimser interface{ Rows() int }
-	var rows, cols int
-	switch v := a.(type) {
-	case *core.Buffer:
-		rows, cols = v.Rows(), v.Cols()
-	case *core.Node:
-		rows, cols = v.Rows(), v.Cols()
-	default:
-		_ = dimser(nil)
-		panic("fuzzgraph: unknown value type")
-	}
+	v := a.(interface {
+		Rows() int
+		Cols() int
+	})
 	if ns.Host == "transpose" {
-		return cols, rows
+		return v.Cols(), v.Rows()
 	}
-	return rows, cols
+	return v.Rows(), v.Cols()
 }
 
 // errLabel normalizes an error into the sentinel chain it wraps, so
@@ -203,49 +193,27 @@ func runCase(cs *Case, ins []*tensor.Matrix, rc runCfg) *outcome {
 	out := &outcome{SubmitLabel: errLabel(g.Submit()), Nodes: make([]nodeOut, len(nodes))}
 	out.Makespan = ctx.Elapsed()
 
+	// Every node is inspected through Result, reduce and MatVec nodes
+	// included (their results are 1×1 and 1×N matrices), so a timing-only
+	// kind that wrongly publishes real data instead of a shape
+	// descriptor is caught.
 	for i, n := range nodes {
 		no := &out.Nodes[i]
-		op := cs.Nodes[i].Op
-		// Timing-only runs inspect every node through Result so a kind
-		// that wrongly publishes real data (instead of a shape
-		// descriptor) is caught, reduce and MatVec nodes included.
-		switch {
-		case rc.functional && op == OpMatVec:
-			vec, err := n.Vector()
-			if err != nil {
-				no.Label = errLabel(err)
-				continue
-			}
-			no.Rows, no.Cols = 1, len(vec)
-			no.Bits = make([]uint32, len(vec))
-			for j, v := range vec {
-				no.Bits[j] = math.Float32bits(v)
-			}
-		case rc.functional && (op == OpMean || op == OpMax):
-			v, err := n.Scalar()
-			if err != nil {
-				no.Label = errLabel(err)
-				continue
-			}
-			no.Rows, no.Cols = 1, 1
-			no.Bits = []uint32{math.Float32bits(v)}
-		default:
-			m, err := n.Result()
-			if errors.Is(err, core.ErrOnChip) {
-				no.OnChip = true
-				continue
-			}
-			if err != nil {
-				no.Label = errLabel(err)
-				continue
-			}
-			no.Rows, no.Cols = m.Rows, m.Cols
-			if m.IsShapeOnly() {
-				no.ShapeOnly = true
-				continue
-			}
-			no.Bits = matrixBits(m)
+		m, err := n.Result()
+		if errors.Is(err, core.ErrOnChip) {
+			no.OnChip = true
+			continue
 		}
+		if err != nil {
+			no.Label = errLabel(err)
+			continue
+		}
+		no.Rows, no.Cols = m.Rows, m.Cols
+		if m.IsShapeOnly() {
+			no.ShapeOnly = true
+			continue
+		}
+		no.Bits = matrixBits(m)
 	}
 	return out
 }

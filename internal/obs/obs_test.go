@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -281,6 +283,37 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 		t.Fatalf("FaultAttributed = %d after round trip", FaultAttributed(&d))
 	}
 	live.Finish("ok")
+}
+
+// TestWriteFile: the flight dump written to a file parses and passes
+// Validate, and a path that cannot be written is an error.
+func TestWriteFile(t *testing.T) {
+	r := New(Config{})
+	tr := r.Start(0, 7, "mean")
+	tr.ObserveSpan(StageDecode, time.Now(), 50*time.Microsecond, "")
+	tr.Finish("ok")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "flight.json")
+	if err := r.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d FlightDump
+	if err := json.Unmarshal(b, &d); err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(&d); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Completed) != 1 {
+		t.Fatalf("dump holds %d completed traces, want 1", len(d.Completed))
+	}
+	if err := r.WriteFile(filepath.Join(dir, "missing", "flight.json")); err == nil {
+		t.Fatal("WriteFile into a missing directory reported no error")
+	}
 }
 
 // TestQuantileNearestRank pins the quantile estimator to the

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -231,6 +233,17 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d)
+}
+
+// WriteFile writes the indented flight dump to path, rendered whole
+// before the file is created (like trace.WriteFile and
+// telemetry.Registry.WriteFile).
+func (r *Recorder) WriteFile(path string) error {
+	var b bytes.Buffer
+	if err := r.WriteJSON(&b); err != nil {
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o666)
 }
 
 // Handler serves the flight dump as JSON — mounted at /debug/flight

@@ -38,11 +38,10 @@ type callResult struct {
 
 // gemmCall is one request waiting in a batch group.
 type gemmCall struct {
-	a              *tensor.Matrix
-	arrived        time.Time
-	deadlineMillis uint32
-	rt             *obs.Trace // rider's request trace, nil when tracing is off
-	done           chan callResult
+	a        *tensor.Matrix
+	deadline time.Time  // the client's absolute deadline (zero = none)
+	rt       *obs.Trace // rider's request trace, nil when tracing is off
+	done     chan callResult
 }
 
 // fanObs fans one batched submission's engine observations out to
@@ -222,7 +221,7 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	live, rows := g.calls[:0], 0
 	var riders fanObs
 	for _, c := range g.calls {
-		if expired(c.arrived, c.deadlineMillis, now) {
+		if expired(c.deadline, now) {
 			c.done <- callResult{err: ErrDeadlineExceeded}
 			continue
 		}

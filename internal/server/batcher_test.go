@@ -218,7 +218,7 @@ func batcherOracle(t *testing.T, seed int64) {
 	newCall := func(rows int) *gemmCall {
 		// done has room for a second reply, so a duplicate answer is
 		// observable instead of blocking the flush forever.
-		return &gemmCall{a: tensor.RandUniform(rng, rows, n, -1, 1), arrived: time.Now(), done: make(chan callResult, 2)}
+		return &gemmCall{a: tensor.RandUniform(rng, rows, n, -1, 1), done: make(chan callResult, 2)}
 	}
 
 	// Deterministic collision: hold the forged key busy, open its
@@ -263,7 +263,6 @@ func batcherOracle(t *testing.T, seed int64) {
 			defer wg.Done()
 			for _, c := range cs {
 				i := wrng.Intn(len(w))
-				c.arrived = time.Now()
 				if b.submit(bk[i], w[i].Clone(), c) {
 					out[g] = append(out[g], sent{c, w[i]})
 				} else if i < keys {

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -270,29 +269,24 @@ func (c *Client) Ping() error {
 }
 
 // Call invokes one remote operator. b must be nil exactly for the
-// unary operators (Mean, Max).
+// unary operators (Mean, Max). The deadline is end to end across
+// retries: it is read once, as an absolute time, and each resend
+// carries only the budget left, so a retry never restarts it; once the
+// budget is spent Call returns ErrDeadlineExceeded without sending.
 func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.Matrix, error) {
 	if !op.isOp() {
 		return nil, fmt.Errorf("server client: %s is not an operator", op)
 	}
-	if a == nil || (b == nil) != op.unary() {
+	if a == nil || (b == nil) != (op.operator().Arity() == 1) {
 		return nil, fmt.Errorf("server client: wrong operand count for %s", op)
 	}
 	req := &OpRequest{Op: op, A: a, B: b}
 	traceID := uint64(0)
+	var deadline time.Time
 	if opts != nil {
 		if opts.Deadline > 0 {
-			millis := opts.Deadline.Milliseconds()
-			if millis < 1 {
-				millis = 1
-			}
-			// The wire field is u32 milliseconds (~49.7 days); clamp so
-			// a larger deadline saturates instead of wrapping around to
-			// a tiny accidental budget.
-			if millis > math.MaxUint32 {
-				millis = math.MaxUint32
-			}
-			req.DeadlineMillis = uint32(millis)
+			deadline = time.Now().Add(opts.Deadline)
+			req.DeadlineMillis = wireMillis(opts.Deadline)
 		}
 		if opts.NoBatch {
 			req.Flags |= FlagNoBatch
@@ -309,6 +303,11 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 	var f *Frame
 	var err error
 	for attempt := 0; ; attempt++ {
+		if attempt > 0 {
+			if err = RebaseDeadline(payload.Data, deadline, time.Now()); err != nil {
+				return nil, err
+			}
+		}
 		f, err = c.roundTrip(op, payload.Data, traceID)
 		if err == nil || attempt >= c.retry.Max || !Retryable(err) {
 			break
@@ -362,16 +361,16 @@ func (c *Client) Conv2D(a, k *tensor.Matrix, opts *CallOpts) (*tensor.Matrix, er
 
 // Mean reduces a to its average value remotely.
 func (c *Client) Mean(a *tensor.Matrix, opts *CallOpts) (float32, error) {
-	m, err := c.Call(MsgMean, a, nil, opts)
-	if err != nil {
-		return 0, err
-	}
-	return m.At(0, 0), nil
+	return scalarOf(c.Call(MsgMean, a, nil, opts))
 }
 
 // Max reduces a to its maximum value remotely.
 func (c *Client) Max(a *tensor.Matrix, opts *CallOpts) (float32, error) {
-	m, err := c.Call(MsgMax, a, nil, opts)
+	return scalarOf(c.Call(MsgMax, a, nil, opts))
+}
+
+// scalarOf reads a reduction's 1x1 result.
+func scalarOf(m *tensor.Matrix, err error) (float32, error) {
 	if err != nil {
 		return 0, err
 	}

@@ -135,6 +135,46 @@ func TestRepliesBitIdenticalToLibrary(t *testing.T) {
 	}
 }
 
+// TestEveryWireOperator: each operator request type computes over the
+// wire exactly what the runtime's named Stream method computes in
+// process, so the daemon's map from request types onto the operator
+// table sends every type to its own operator.
+func TestEveryWireOperator(t *testing.T) {
+	c := dial(t, startServer(t, Config{Devices: 1}))
+	lib := gptpu.Open(gptpu.Config{Devices: 1})
+	defer lib.Close()
+	rng := rand.New(rand.NewSource(45))
+	a := tensor.RandUniform(rng, 40, 24, -2, 2)
+	scalar := func(v float32) *tensor.Matrix { return tensor.FromSlice(1, 1, []float32{v}) }
+	cases := []struct {
+		t      MsgType
+		method func(op *gptpu.Op, a, b *gptpu.Buffer) *tensor.Matrix
+		b      *tensor.Matrix
+	}{
+		{MsgGemm, (*gptpu.Op).Gemm, tensor.RandUniform(rng, 24, 16, -1, 1)},
+		{MsgAdd, (*gptpu.Op).Add, tensor.RandUniform(rng, 40, 24, -1, 1)},
+		{MsgSub, (*gptpu.Op).Sub, tensor.RandUniform(rng, 40, 24, -1, 1)},
+		{MsgMul, (*gptpu.Op).Mul, tensor.RandUniform(rng, 40, 24, -1, 1)},
+		{MsgConv2D, (*gptpu.Op).Conv2D, tensor.RandUniform(rng, 3, 3, -1, 1)},
+		{MsgMean, func(op *gptpu.Op, a, _ *gptpu.Buffer) *tensor.Matrix { return scalar(op.Mean(a)) }, nil},
+		{MsgMax, func(op *gptpu.Op, a, _ *gptpu.Buffer) *tensor.Matrix { return scalar(op.Max(a)) }, nil},
+	}
+	for _, tc := range cases {
+		var b *gptpu.Buffer
+		if tc.b != nil {
+			b = lib.CreateMatrixBuffer(tc.b)
+		}
+		want := tc.method(lib.NewOp(), lib.CreateMatrixBuffer(a), b)
+		got, err := c.Call(tc.t, a, tc.b, &CallOpts{NoBatch: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.t, err)
+		}
+		if !WeightEqual(got, want) {
+			t.Errorf("%s: reply differs from the library's named method", tc.t)
+		}
+	}
+}
+
 // refWeightKey is WeightKey as it was first written: FNV-1a from
 // hash/fnv over one little-endian uint64 per value.
 func refWeightKey(m *tensor.Matrix) uint64 {
@@ -164,7 +204,7 @@ func TestWireWeightKey(t *testing.T) {
 		op := MsgType(int(MsgGemm) + rng.Intn(int(MsgMax-MsgGemm)+1))
 		a := tensor.RandUniform(rng, 1+rng.Intn(40), 1+rng.Intn(40), -8, 8)
 		req := &OpRequest{Op: op, DeadlineMillis: uint32(rng.Intn(100)), A: a}
-		if !op.unary() {
+		if op.operator().Arity() == 2 {
 			parent := tensor.RandUniform(rng, 50, 50, -8, 8)
 			req.B = parent.View(rng.Intn(10), rng.Intn(10), 1+rng.Intn(40), 1+rng.Intn(40))
 		}
@@ -338,7 +378,7 @@ func TestCollidingWeightUnderTraffic(t *testing.T) {
 			t.Fatal("no W1 call joined the pending group")
 		}
 	}
-	forged := &gemmCall{a: pairs[0].a, arrived: time.Now(), done: make(chan callResult, 1)}
+	forged := &gemmCall{a: pairs[0].a, done: make(chan callResult, 1)}
 	if srv.bat.submit(key, w2.Clone(), forged) {
 		t.Fatal("forged W2 joined W1's pending group")
 	}
@@ -348,7 +388,7 @@ func TestCollidingWeightUnderTraffic(t *testing.T) {
 		go func(f int) {
 			for i := 0; i < rounds*len(pairs); i++ {
 				p := &pairs[(i+f)%len(pairs)]
-				call := &gemmCall{a: p.a, arrived: time.Now(), done: make(chan callResult, 1)}
+				call := &gemmCall{a: p.a, done: make(chan callResult, 1)}
 				if !srv.bat.submit(key, w2.Clone(), call) {
 					refused.Add(1)
 					continue

@@ -268,7 +268,7 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		d.bytesRead.Add(float64(wireLen(f)))
+		d.bytesRead.Add(float64(WireLen(f)))
 
 		switch {
 		case f.Type == MsgPing:
@@ -367,5 +367,5 @@ func (w *ConnWriter) Reply(reqID, traceID uint64, t MsgType, payload []byte) {
 	if w.fw.write(&f) != nil {
 		return
 	}
-	w.written.Add(float64(wireLen(&f)))
+	w.written.Add(float64(WireLen(&f)))
 }

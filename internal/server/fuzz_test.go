@@ -98,7 +98,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("decoder over-allocated: %d byte payload above cap", len(fr.Payload))
 		}
 		if fr.Type.isOp() {
-			req, err := decodeOpRequest(fr.Type, fr.Payload)
+			req, err := DecodeOpRequest(fr.Type, fr.Payload)
 			if err != nil {
 				return
 			}
@@ -106,7 +106,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			if req.A == nil || req.A.Elems() == 0 {
 				t.Fatal("decoded request with empty matrix A")
 			}
-			if !fr.Type.unary() && req.B == nil {
+			if fr.Type.operator().Arity() == 2 && req.B == nil {
 				t.Fatal("decoded binary request without matrix B")
 			}
 		}

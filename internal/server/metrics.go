@@ -1,10 +1,6 @@
 package server
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // waitBuckets ladder reply-write wall time from 10 µs to 10 s.
 var waitBuckets = telemetry.ExpBuckets(1e-5, 10, 7)
@@ -81,12 +77,4 @@ func (a *admission) tryAcquire() error {
 func (a *admission) release() {
 	<-a.slots
 	a.met.inflight.Add(-1)
-}
-
-// expired reports whether a request's client deadline has passed.
-func expired(arrived time.Time, deadlineMillis uint32, now time.Time) bool {
-	if deadlineMillis == 0 {
-		return false
-	}
-	return now.After(arrived.Add(time.Duration(deadlineMillis) * time.Millisecond))
 }

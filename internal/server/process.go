@@ -136,7 +136,7 @@ func (p *Process) Run(o Owner) int {
 	}
 
 	if rec != nil && p.flightDump != "" {
-		if err := writeFlightDump(rec, p.flightDump); err != nil {
+		if err := rec.WriteFile(p.flightDump); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: flight-dump: %v\n", p.Name, err)
 			exit = 1
 		} else {
@@ -144,17 +144,4 @@ func (p *Process) Run(o Owner) int {
 		}
 	}
 	return exit
-}
-
-// writeFlightDump persists the flight recorder to path as JSON.
-func writeFlightDump(rec *obs.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -37,9 +37,11 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -117,11 +119,24 @@ const (
 	MsgMax    MsgType = 22 // 1x1 max of A
 )
 
-// unary reports whether the operator takes a single input matrix.
-func (t MsgType) unary() bool { return t == MsgMean || t == MsgMax }
+// wireOps maps the operator requests MsgGemm..MsgMax, in wire order,
+// onto the runtime's operator table: their operand counts, shape rules
+// and calls are the runtime's.
+var wireOps = [...]core.Operator{core.OpGemm, core.OpAdd, core.OpSub, core.OpMul, core.OpConv2D, core.OpMean, core.OpMax}
 
 // isOp reports whether the type is an operator request.
 func (t MsgType) isOp() bool { return t >= MsgGemm && t <= MsgMax }
+
+// operator returns the runtime operator an operator request type names
+// (t must satisfy isOp).
+func (t MsgType) operator() core.Operator { return wireOps[t-MsgGemm] }
+
+// MsgFor returns the request type that carries a runtime operator over
+// the wire, or false for an operator the wire does not carry.
+func MsgFor(op core.Operator) (MsgType, bool) {
+	i := slices.Index(wireOps[:], op)
+	return MsgGemm + MsgType(i), i >= 0
+}
 
 // String names the message type for telemetry labels.
 func (t MsgType) String() string {
@@ -432,9 +447,9 @@ func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, err
 	return f, nil
 }
 
-// wireLen returns the full on-wire size of f (length prefix + header
-// + payload), for byte-counter telemetry.
-func wireLen(f *Frame) int { return 4 + headerLen + len(f.Payload) }
+// WireLen returns the full on-wire size of f (length prefix + header +
+// payload), for byte-counter telemetry.
+func WireLen(f *Frame) int { return 4 + headerLen + len(f.Payload) }
 
 // appendMatrix appends the wire encoding of m (rows, cols, row-major
 // float32 bits) to dst: one grow to the exact final size up front (no
@@ -575,19 +590,37 @@ func opRequestBody(op MsgType, payload []byte) ([]byte, error) {
 // that arrived at arrived, or the zero Time when the client set none.
 // payload must hold the request header (WireWeightKey has accepted it).
 func WireDeadline(payload []byte, arrived time.Time) time.Time {
-	ms := binary.BigEndian.Uint32(payload)
+	return deadlineAt(arrived, binary.BigEndian.Uint32(payload))
+}
+
+// deadlineAt is the absolute deadline of a budget of ms milliseconds
+// that started at arrived, or the zero Time for ms = 0 (no deadline).
+func deadlineAt(arrived time.Time, ms uint32) time.Time {
 	if ms == 0 {
 		return time.Time{}
 	}
 	return arrived.Add(time.Duration(ms) * time.Millisecond)
 }
 
+// expired reports whether an absolute deadline (zero = none) has passed
+// at now.
+func expired(deadline, now time.Time) bool {
+	return !deadline.IsZero() && now.After(deadline)
+}
+
+// wireMillis renders a positive budget as the wire's u32 milliseconds:
+// at least 1, and saturating at ~49.7 days instead of wrapping around
+// to a tiny accidental budget.
+func wireMillis(d time.Duration) uint32 {
+	return uint32(min(max(d.Milliseconds(), 1), math.MaxUint32))
+}
+
 // RebaseDeadline rewrites, in place, the deadline of an operator
 // request payload to the budget left at now before deadline (from
-// WireDeadline), in whole milliseconds and at least 1, so a hop that
-// forwards the payload passes on the client's end-to-end budget
-// instead of restarting it. A zero deadline leaves the payload as it
-// is; a spent budget is ErrDeadlineExceeded.
+// WireDeadline), so a hop or a retry that resends the payload passes on
+// the client's end-to-end budget instead of restarting it. A zero
+// deadline leaves the payload as it is; a spent budget is
+// ErrDeadlineExceeded.
 func RebaseDeadline(payload []byte, deadline, now time.Time) error {
 	if deadline.IsZero() {
 		return nil
@@ -596,7 +629,7 @@ func RebaseDeadline(payload []byte, deadline, now time.Time) error {
 	if left <= 0 {
 		return ErrDeadlineExceeded
 	}
-	binary.BigEndian.PutUint32(payload, uint32(max(left.Milliseconds(), 1)))
+	binary.BigEndian.PutUint32(payload, wireMillis(left))
 	return nil
 }
 
@@ -616,7 +649,7 @@ func decodeOpRequestTo(op MsgType, payload []byte, alloc func(rows, cols int) *t
 	if req.A, rest, finiteA, err = decodeMatrixTo(rest, alloc); err != nil {
 		return nil, err
 	}
-	if !op.unary() {
+	if op.operator().Arity() == 2 {
 		if req.B, rest, finiteB, err = decodeMatrixTo(rest, alloc); err != nil {
 			req.release()
 			return nil, err
@@ -640,16 +673,10 @@ func (req *OpRequest) release() {
 	req.A, req.B = nil, nil
 }
 
-// decodeOpRequest parses an operator request payload for op into fresh
-// matrices the caller owns.
-func decodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
-	return decodeOpRequestTo(op, payload, tensor.New)
-}
-
 // DecodeOpRequest parses an operator request payload for op into fresh
 // matrices the caller owns.
 func DecodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
-	return decodeOpRequest(op, payload)
+	return decodeOpRequestTo(op, payload, tensor.New)
 }
 
 // ErrorPayload renders the MsgError payload for a typed error — the
@@ -659,10 +686,6 @@ func DecodeOpRequest(op MsgType, payload []byte) (*OpRequest, error) {
 func ErrorPayload(err error) []byte {
 	return encodeError(classOf(err).code, err.Error())
 }
-
-// WireLen returns the full on-wire size of f (length prefix + header +
-// payload), for byte-counter telemetry outside this package.
-func WireLen(f *Frame) int { return wireLen(f) }
 
 // HealthInfo is the MsgPong payload: what a router's health probe needs
 // to distinguish "draining, stop sending" (the daemon is finishing

@@ -78,7 +78,7 @@ func TestOpRequestRoundTrip(t *testing.T) {
 		{Op: MsgGemm, DeadlineMillis: 250, Flags: FlagNoBatch, A: a, B: b},
 		{Op: MsgMean, A: a},
 	} {
-		got, err := decodeOpRequest(tc.Op, encodeOpRequest(tc).Data)
+		got, err := DecodeOpRequest(tc.Op, encodeOpRequest(tc).Data)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,7 +175,7 @@ func (s *Server) handleRequest(f *Frame, rt *obs.Trace, arrived time.Time) Reply
 		return Reply{Err: err}
 	}
 	rt.ObserveSpan(obs.StageAdmission, ast, time.Since(ast), "")
-	rep := encodeReply(s.serveAdmitted(req, rt, arrived), rt)
+	rep := encodeReply(s.serveAdmitted(req, rt, deadlineAt(arrived, req.DeadlineMillis)), rt)
 	rep.Held = true
 	return rep
 }
@@ -183,15 +183,14 @@ func (s *Server) handleRequest(f *Frame, rt *obs.Trace, arrived time.Time) Reply
 // serveAdmitted runs an admitted request: the micro-batcher takes
 // small GEMMs that did not opt out, everything else runs as its own
 // task.
-func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, arrived time.Time) callResult {
-	if expired(arrived, req.DeadlineMillis, time.Now()) {
+func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, deadline time.Time) callResult {
+	if expired(deadline, time.Now()) {
 		return callResult{err: ErrDeadlineExceeded}
 	}
 	if req.Op == MsgGemm && req.Flags&FlagNoBatch == 0 &&
 		req.A.Elems() <= batchMaxElems && req.B.Elems() <= batchMaxElems {
 		key := batchKey{n: req.A.Cols, k: req.B.Cols, bhash: WeightKey(req.B)}
-		call := &gemmCall{a: req.A, arrived: arrived, deadlineMillis: req.DeadlineMillis,
-			rt: rt, done: make(chan callResult, 1)}
+		call := &gemmCall{a: req.A, deadline: deadline, rt: rt, done: make(chan callResult, 1)}
 		rt.Begin(obs.StageBatchWait, "")
 		if s.bat.submit(key, req.B, call) {
 			// submit took B over: the group keeps it or has already
@@ -212,18 +211,13 @@ func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, arrived time.Time)
 
 // encodeReply renders a result as the reply payload: the matrix is
 // encoded into a pooled buffer and goes back to the float32 pool (the
-// daemon owns it and nothing else reads it). A result that cannot fit
-// one frame (validateShapes should prevent this) degrades to a typed
-// error reply — the request ID is always answered, so the client never
-// blocks on a silently-dropped encode.
+// daemon owns it and nothing else reads it). Every result fits one
+// frame: validateShapes capped its shape on arrival.
 func encodeReply(res callResult, rt *obs.Trace) Reply {
 	m := res.m
 	defer tensor.Put(m)
 	if res.err != nil {
 		return Reply{Err: res.err}
-	}
-	if m.Elems() > MaxResultElems {
-		return Reply{Err: fmt.Errorf("%w: result %dx%d exceeds reply frame cap", ErrInternal, m.Rows, m.Cols)}
 	}
 	est := time.Now()
 	wb := encodeMatrix(m)
@@ -237,10 +231,10 @@ func encodeReply(res callResult, rt *obs.Trace) Reply {
 // status breakdowns use one vocabulary.
 func ErrStatus(err error) string { return classOf(err).status }
 
-// validateShapes rejects dimension mismatches up front with a typed
-// bad-request error (the runtime's own checks panic, which Enqueue
-// converts to an opaque internal error — this gives the client a
-// usable message instead). It also bounds the *result* size: input
+// validateShapes rejects operands that break the operator's shape rule
+// with a typed bad-request error (the runtime's own check panics, which
+// Enqueue converts to an opaque internal error — this gives the client
+// a usable message instead). It also bounds the *result* size: input
 // frames are capped on the wire, but a GEMM's output is Rows x Cols of
 // different matrices, so small operands can name a result large enough
 // to exhaust daemon memory or overflow the reply frame.
@@ -253,25 +247,18 @@ func validateShapes(req *OpRequest) error {
 	if req.nonFinite {
 		return fmt.Errorf("%w: matrix contains non-finite values (NaN or Inf)", ErrBadRequest)
 	}
-	switch req.Op {
-	case MsgGemm:
-		if req.A.Cols != req.B.Rows {
-			return fmt.Errorf("%w: GEMM inner dimensions %d vs %d", ErrBadRequest, req.A.Cols, req.B.Rows)
-		}
-		if res := uint64(req.A.Rows) * uint64(req.B.Cols); res > MaxResultElems {
-			return fmt.Errorf("%w: GEMM result %dx%d (%d elements) exceeds result cap %d",
-				ErrBadRequest, req.A.Rows, req.B.Cols, res, uint64(MaxResultElems))
-		}
-	case MsgAdd, MsgSub, MsgMul:
-		if req.A.Rows != req.B.Rows || req.A.Cols != req.B.Cols {
-			return fmt.Errorf("%w: elementwise shapes %dx%d vs %dx%d",
-				ErrBadRequest, req.A.Rows, req.A.Cols, req.B.Rows, req.B.Cols)
-		}
-	case MsgConv2D:
-		if req.B.Rows > req.A.Rows || req.B.Cols > req.A.Cols {
-			return fmt.Errorf("%w: conv2D kernel %dx%d larger than input %dx%d",
-				ErrBadRequest, req.B.Rows, req.B.Cols, req.A.Rows, req.A.Cols)
-		}
+	op := req.Op.operator()
+	var br, bc int
+	if req.B != nil {
+		br, bc = req.B.Rows, req.B.Cols
+	}
+	rows, cols, err := op.Shape(req.A.Rows, req.A.Cols, br, bc)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrBadRequest, op, err)
+	}
+	if res := uint64(rows) * uint64(cols); res > MaxResultElems {
+		return fmt.Errorf("%w: %s result %dx%d (%d elements) exceeds result cap %d",
+			ErrBadRequest, op, rows, cols, res, uint64(MaxResultElems))
 	}
 	return nil
 }
@@ -282,11 +269,7 @@ func validateShapes(req *OpRequest) error {
 // recover converts runtime panics into task errors, so a bad request
 // can never take the daemon down.
 func (s *Server) execute(req *OpRequest, rt *obs.Trace) (*tensor.Matrix, error) {
-	var (
-		a   = s.gx.CreateMatrixBuffer(req.A)
-		out *tensor.Matrix
-	)
-	var b *gptpu.Buffer
+	a, b := s.gx.CreateMatrixBuffer(req.A), (*gptpu.Buffer)(nil)
 	if req.B != nil {
 		b = s.gx.CreateMatrixBuffer(req.B)
 	}
@@ -296,26 +279,9 @@ func (s *Server) execute(req *OpRequest, rt *obs.Trace) (*tensor.Matrix, error) 
 	if rt != nil {
 		to = rt
 	}
+	var out *tensor.Matrix
 	rst := time.Now()
-	task := s.gx.EnqueueObserved(to, func(op *gptpu.Op) {
-		switch req.Op {
-		case MsgGemm:
-			out = op.Gemm(a, b)
-		case MsgAdd:
-			out = op.Add(a, b)
-		case MsgSub:
-			out = op.Sub(a, b)
-		case MsgMul:
-			out = op.Mul(a, b)
-		case MsgConv2D:
-			out = op.Conv2D(a, b)
-		case MsgMean:
-			out = tensor.FromSlice(1, 1, []float32{op.Mean(a)})
-		case MsgMax:
-			out = tensor.FromSlice(1, 1, []float32{op.Max(a)})
-		}
-	})
-	err := task.Wait()
+	err := s.gx.EnqueueObserved(to, func(op *gptpu.Op) { out = op.Apply(req.Op.operator(), a, b) }).Wait()
 	rt.ObserveSpan(obs.StageRuntime, rst, time.Since(rst), "")
 	if err != nil {
 		return nil, mapRuntimeErr(err)

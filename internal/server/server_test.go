@@ -558,7 +558,7 @@ func TestBatcherHashCollisionSafe(t *testing.T) {
 	key := batchKey{n: n, k: n, bhash: 0xdecafbad} // forged: same for both weights
 
 	newCall := func() *gemmCall {
-		return &gemmCall{a: a, arrived: time.Now(), done: make(chan callResult, 1)}
+		return &gemmCall{a: a, done: make(chan callResult, 1)}
 	}
 	// An accepted submit takes the weight matrix over (the batcher may
 	// return it to the float32 pool), so each call hands in its own copy

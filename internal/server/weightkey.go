@@ -79,7 +79,7 @@ func WireWeightKey(op MsgType, payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !op.unary() {
+	if op.operator().Arity() == 2 {
 		if rows, cols, data, rest, err = splitMatrix(rest); err != nil {
 			return 0, err
 		}

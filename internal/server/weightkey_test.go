@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/blas"
 	"repro/internal/tensor"
@@ -88,7 +87,7 @@ func TestWeightKeyCollisionFallback(t *testing.T) {
 
 	a := tensor.RandUniform(rng, 4, 8, -1, 1)
 	newCall := func() *gemmCall {
-		return &gemmCall{a: a, arrived: time.Now(), done: make(chan callResult, 1)}
+		return &gemmCall{a: a, done: make(chan callResult, 1)}
 	}
 	// The first call runs at once and is held there, so the second
 	// opens the key's pending group — the group a collider meets.

@@ -24,9 +24,11 @@ package openctpu
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	gptpu "repro"
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -77,7 +79,6 @@ type Buffer struct {
 	data []float32
 	buf  *gptpu.Buffer // nil for output buffers until bound
 	out  *tensor.Matrix
-	ctx  *Context
 }
 
 // Data exposes the raw host data backing the buffer; for output
@@ -98,14 +99,24 @@ func NewOutput(dim *Dimension) *Buffer {
 	return &Buffer{dim: dim}
 }
 
+// matrixOps maps the C API's whole-matrix operators onto the runtime's
+// operator table, which gives each its operand count and its call.
+var matrixOps = map[TPUOp]core.Operator{
+	Conv2D: core.OpConv2D, Gemm: core.OpGemm,
+	Add: core.OpAdd, Sub: core.OpSub, Mul: core.OpMul,
+	Mean: core.OpMean, Max: core.OpMax,
+	Tanh: core.OpTanh, ReLU: core.OpReLU,
+}
+
 // Context owns the runtime connection; Init mirrors the implicit
 // runtime initialization the C library performs on first use.
 type Context struct {
 	ctx *gptpu.Context
 
-	mu    sync.Mutex
-	tasks map[int]*gptpu.Task
-	next  int
+	mu     sync.Mutex
+	tasks  map[int]*gptpu.Task // enqueued, neither waited for nor synced
+	next   int                 // the last task ID handed out
+	synced int                 // every task up to this ID that Sync forgot succeeded
 }
 
 // Init opens the GPTPU runtime over the given number of Edge TPUs.
@@ -133,7 +144,7 @@ func (c *Context) Context() *gptpu.Context { return c.ctx }
 // CreateBuffer mirrors openctpu_create_buffer: "creates an input data
 // buffer for TPU kernels" over raw host data.
 func (c *Context) CreateBuffer(dim *Dimension, data []float32) *Buffer {
-	return &Buffer{dim: dim, data: data, buf: c.ctx.CreateBuffer(dim, data), ctx: c}
+	return &Buffer{dim: dim, data: data, buf: c.ctx.CreateBuffer(dim, data)}
 }
 
 // Kernel is the TPU kernel function signature (the C API passes
@@ -148,7 +159,7 @@ func (c *Context) Enqueue(kernel Kernel, args ...*Buffer) int {
 	id := c.next
 	c.mu.Unlock()
 	task := c.ctx.Enqueue(func(op *gptpu.Op) {
-		kernel(&Invoker{op: op, ctx: c}, args...)
+		kernel(&Invoker{op: op}, args...)
 	})
 	c.mu.Lock()
 	c.tasks[id] = task
@@ -156,20 +167,48 @@ func (c *Context) Enqueue(kernel Kernel, args ...*Buffer) int {
 	return id
 }
 
-// Wait mirrors openctpu_wait: it blocks until the given task returns.
+// Wait mirrors openctpu_wait: it blocks until the given task returns
+// and reports its error. Wait forgets the task, so the context keeps no
+// record of it: a second Wait on the same ID is the unknown-task error,
+// like an ID never handed out — unless a Sync has run since the task
+// was enqueued. Sync forgets the tasks that succeeded, and a Wait on an
+// ID a Sync covered that is no longer kept returns nil at once.
 func (c *Context) Wait(taskID int) error {
 	c.mu.Lock()
-	task := c.tasks[taskID]
+	task, synced := c.tasks[taskID], taskID > 0 && taskID <= c.synced
+	delete(c.tasks, taskID)
 	c.mu.Unlock()
-	if task == nil {
-		return fmt.Errorf("openctpu: unknown task %d", taskID)
+	switch {
+	case task != nil:
+		return task.Wait()
+	case synced:
+		return nil
 	}
-	return task.Wait()
+	return fmt.Errorf("openctpu: unknown task %d", taskID)
 }
 
 // Sync mirrors openctpu_sync: it "requires all TPU tasks to complete
-// before it returns".
-func (c *Context) Sync() error { return c.ctx.Sync() }
+// before it returns", and returns the first error any of them reported.
+// It then forgets every task enqueued before it that succeeded; a
+// failed one stays until a Wait collects its error.
+func (c *Context) Sync() error {
+	c.mu.Lock()
+	upTo, covered := c.next, maps.Clone(c.tasks)
+	c.mu.Unlock()
+	err := c.ctx.Sync()
+	for id, task := range covered {
+		if task.Wait() != nil {
+			delete(covered, id) // kept until a Wait collects its error
+		}
+	}
+	c.mu.Lock()
+	for id := range covered {
+		delete(c.tasks, id)
+	}
+	c.synced = max(c.synced, upTo)
+	c.mu.Unlock()
+	return err
+}
 
 // Elapsed exposes the simulated platform time (not part of the C API;
 // useful for experiments).
@@ -177,8 +216,7 @@ func (c *Context) Elapsed() string { return c.ctx.Elapsed().String() }
 
 // Invoker carries the serial operator chain of one kernel instance.
 type Invoker struct {
-	op  *gptpu.Op
-	ctx *Context
+	op *gptpu.Op
 }
 
 // InvokeOperator mirrors openctpu_invoke_operator: it "invokes a
@@ -188,92 +226,40 @@ type Invoker struct {
 // paper's API and is ignored: SCALE (section 6.2.2, Eqs. 4-8) is the
 // one calibration the runtime implements, whatever the caller passes.
 func (iv *Invoker) InvokeOperator(op TPUOp, flags uint, args ...*Buffer) error {
-	bin := func() (a, b, out *Buffer, err error) {
-		if len(args) != 3 {
-			return nil, nil, nil, fmt.Errorf("openctpu: operator %d needs (in, in, out), got %d args", op, len(args))
+	operands := func(n int) error {
+		if len(args) != n+1 {
+			return fmt.Errorf("openctpu: operator %d takes %d inputs and an output, got %d buffers", op, n, len(args))
 		}
-		return args[0], args[1], args[2], nil
+		return nil
 	}
-	un := func() (a, out *Buffer, err error) {
-		if len(args) != 2 {
-			return nil, nil, fmt.Errorf("openctpu: operator %d needs (in, out), got %d args", op, len(args))
+	if mop, ok := matrixOps[op]; ok {
+		if err := operands(mop.Arity()); err != nil {
+			return err
 		}
-		return args[0], args[1], nil
+		var b *gptpu.Buffer
+		if mop.Arity() == 2 {
+			b = args[1].buf
+		}
+		args[len(args)-1].out = iv.op.Apply(mop, args[0].buf, b)
+		return iv.op.Err()
 	}
 	switch op {
-	case Conv2D:
-		a, b, out, err := bin()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.Conv2D(a.buf, b.buf)
-	case Gemm:
-		a, b, out, err := bin()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.Gemm(a.buf, b.buf)
 	case FullyConnected:
-		a, b, out, err := bin()
-		if err != nil {
+		if err := operands(2); err != nil {
 			return err
 		}
-		y := iv.op.MatVec(a.buf, b.data)
-		out.out = tensor.FromSlice(1, len(y), y)
-	case Add:
-		a, b, out, err := bin()
-		if err != nil {
+		y := iv.op.MatVec(args[0].buf, args[1].data)
+		args[2].out = tensor.FromSlice(1, len(y), y)
+	case Crop, Ext:
+		if err := operands(1); err != nil {
 			return err
 		}
-		out.out = iv.op.Add(a.buf, b.buf)
-	case Sub:
-		a, b, out, err := bin()
-		if err != nil {
-			return err
+		a, out := args[0], args[1]
+		if op == Crop {
+			out.out = iv.op.Crop(a.buf, 0, 0, out.dim.Rows, out.dim.Cols)
+		} else {
+			out.out = iv.op.Ext(a.buf, out.dim.Rows, out.dim.Cols)
 		}
-		out.out = iv.op.Sub(a.buf, b.buf)
-	case Mul:
-		a, b, out, err := bin()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.Mul(a.buf, b.buf)
-	case Crop:
-		a, out, err := un()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.Crop(a.buf, 0, 0, out.dim.Rows, out.dim.Cols)
-	case Ext:
-		a, out, err := un()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.Ext(a.buf, out.dim.Rows, out.dim.Cols)
-	case Mean:
-		a, out, err := un()
-		if err != nil {
-			return err
-		}
-		out.out = tensor.FromSlice(1, 1, []float32{iv.op.Mean(a.buf)})
-	case Max:
-		a, out, err := un()
-		if err != nil {
-			return err
-		}
-		out.out = tensor.FromSlice(1, 1, []float32{iv.op.Max(a.buf)})
-	case Tanh:
-		a, out, err := un()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.Tanh(a.buf)
-	case ReLU:
-		a, out, err := un()
-		if err != nil {
-			return err
-		}
-		out.out = iv.op.ReLU(a.buf)
 	default:
 		return fmt.Errorf("openctpu: unsupported operator %d", op)
 	}

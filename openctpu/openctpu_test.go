@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	gptpu "repro"
 	"repro/internal/blas"
 	"repro/internal/tensor"
 )
@@ -107,6 +108,54 @@ func TestAllOperatorsThroughShim(t *testing.T) {
 	}
 }
 
+// TestMatrixOperatorsMatchRuntime: each of the nine whole-matrix
+// operators InvokeOperator maps onto the runtime's operator table
+// computes what the runtime's named Stream method computes.
+func TestMatrixOperatorsMatchRuntime(t *testing.T) {
+	const n = 32
+	rng := rand.New(rand.NewSource(45))
+	am, bm := tensor.RandUniform(rng, n, n, -2, 2), tensor.RandUniform(rng, n, n, -2, 2)
+	scalar := func(v float32) *tensor.Matrix { return tensor.FromSlice(1, 1, []float32{v}) }
+	cases := []struct {
+		op     TPUOp
+		method func(op *gptpu.Op, a, b *gptpu.Buffer) *tensor.Matrix
+		b      *tensor.Matrix
+	}{
+		{Conv2D, (*gptpu.Op).Conv2D, tensor.RandUniform(rng, 3, 3, -1, 1)},
+		{Gemm, (*gptpu.Op).Gemm, bm},
+		{Add, (*gptpu.Op).Add, bm},
+		{Sub, (*gptpu.Op).Sub, bm},
+		{Mul, (*gptpu.Op).Mul, bm},
+		{Tanh, func(op *gptpu.Op, a, _ *gptpu.Buffer) *tensor.Matrix { return op.Tanh(a) }, nil},
+		{ReLU, func(op *gptpu.Op, a, _ *gptpu.Buffer) *tensor.Matrix { return op.ReLU(a) }, nil},
+		{Mean, func(op *gptpu.Op, a, _ *gptpu.Buffer) *tensor.Matrix { return scalar(op.Mean(a)) }, nil},
+		{Max, func(op *gptpu.Op, a, _ *gptpu.Buffer) *tensor.Matrix { return scalar(op.Max(a)) }, nil},
+	}
+	for _, tc := range cases {
+		ctx, lib := Init(1), gptpu.Open(gptpu.Config{Devices: 1})
+		args := []*Buffer{ctx.CreateBuffer(AllocDimension(2, n, n), am.Data)}
+		var b *gptpu.Buffer
+		if tc.b != nil {
+			args = append(args, ctx.CreateBuffer(AllocDimension(2, tc.b.Rows, tc.b.Cols), tc.b.Data))
+			b = lib.CreateMatrixBuffer(tc.b)
+		}
+		out := NewOutput(AllocDimension(2, n, n))
+		id := ctx.Enqueue(func(iv *Invoker, bufs ...*Buffer) {
+			if err := iv.InvokeOperator(tc.op, SCALE, bufs...); err != nil {
+				t.Errorf("op %d: %v", tc.op, err)
+			}
+		}, append(args, out)...)
+		if err := ctx.Wait(id); err != nil {
+			t.Fatalf("op %d: %v", tc.op, err)
+		}
+		if want := tc.method(lib.NewOp(), lib.CreateMatrixBuffer(am), b); !want.Equal(out.Matrix()) {
+			t.Errorf("op %d: output differs from the runtime's named method", tc.op)
+		}
+		lib.Close()
+		ctx.Context().Close()
+	}
+}
+
 func TestInvokeOperatorArgErrors(t *testing.T) {
 	ctx := Init(1)
 	d := AllocDimension(2, 4, 4)
@@ -192,5 +241,57 @@ func TestGraphEscapeHatch(t *testing.T) {
 				t.Fatalf("[%d,%d] %v != %v", r, c, want.At(r, c), got.At(r, c))
 			}
 		}
+	}
+}
+
+// TestTasksForgotten: the context keeps no record of a task once its
+// outcome is collected. A thousand Enqueue+Wait pairs leave no task
+// behind, and a second Wait on an ID is the unknown-task error. Sync
+// forgets the tasks it covered that succeeded (a later Wait on one
+// returns nil) and keeps a failed one until a Wait collects its error.
+func TestTasksForgotten(t *testing.T) {
+	ctx := Init(1)
+	d := AllocDimension(2, 8, 8)
+	a := ctx.CreateBuffer(d, make([]float32, 64))
+	add := func(iv *Invoker, args ...*Buffer) {
+		_ = iv.InvokeOperator(Add, SCALE, args[0], args[1], args[2])
+	}
+	kept := func() int {
+		ctx.mu.Lock()
+		defer ctx.mu.Unlock()
+		return len(ctx.tasks)
+	}
+
+	var id int
+	for i := 0; i < 1000; i++ {
+		id = ctx.Enqueue(add, a, a, NewOutput(d))
+		if err := ctx.Wait(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := kept(); n != 0 {
+		t.Fatalf("%d tasks kept after 1,000 Enqueue+Wait pairs, want 0", n)
+	}
+	if err := ctx.Wait(id); err == nil {
+		t.Fatal("a second Wait on a collected task must be the unknown-task error")
+	}
+
+	small := ctx.CreateBuffer(AllocDimension(2, 4, 4), make([]float32, 16))
+	ok := ctx.Enqueue(add, a, a, NewOutput(d))
+	bad := ctx.Enqueue(add, a, small, NewOutput(d)) // 8x8 + 4x4: a shape panic, so a task error
+	if err := ctx.Sync(); err == nil {
+		t.Fatal("Sync must report the failed task")
+	}
+	if n := kept(); n != 1 {
+		t.Fatalf("%d tasks kept after Sync, want only the failed one", n)
+	}
+	if err := ctx.Wait(ok); err != nil {
+		t.Fatalf("Wait on a succeeded task Sync forgot: %v, want nil", err)
+	}
+	if err := ctx.Wait(bad); err == nil {
+		t.Fatal("Wait must collect the failed task's error after Sync")
+	}
+	if n := kept(); n != 0 {
+		t.Fatalf("%d tasks kept after the failed task was collected, want 0", n)
 	}
 }

@@ -84,7 +84,20 @@ var globalOwners = map[[2]string]string{
 	{"internal/apps/blackscholes/blackscholes.go", "polyCoeffs"}: "CNDF polynomial fitted once at start-up, read only",
 	{"internal/model/model.go", "magic"}:                         "the model-format magic, read only",
 	{"internal/edgetpu/interp.go", "instrMagic"}:                 "the instruction-packet magic, read only",
+	{"internal/core/optable.go", "operators"}:                    "the operator table, never written after init",
+	{"internal/server/protocol.go", "wireOps"}:                   "the wire's operator types onto the operator table, read only",
+	{"openctpu/openctpu.go", "matrixOps"}:                        "the C API's operators onto the operator table, read only",
+	{"internal/fuzzgraph/run.go", "tableOps"}:                    "the fuzzer's node kinds onto the operator table, read only",
 }
+
+// opTableFile declares core's operator table. It and protocol.go's
+// MsgType.String are the only places a switch may name several table
+// operators or several wire operator types.
+const opTableFile = "internal/core/optable.go"
+
+// wireOpTypes are the wire's operator request types, which the daemon
+// maps onto the operator table.
+var wireOpTypes = []string{"MsgGemm", "MsgAdd", "MsgSub", "MsgMul", "MsgConv2D", "MsgMean", "MsgMax"}
 
 // sourceRules are the rules TestSourceRules applies, each returning
 // one line per violation.
@@ -100,6 +113,7 @@ var sourceRules = []struct {
 	{"stages", literalStages},
 	{"one-door", doorsOutsideServer},
 	{"globals", unlistedGlobals},
+	{"one-op-table", tableSwitches},
 }
 
 // seededViolations gives each rule a small source tree it must reject.
@@ -263,6 +277,72 @@ var state int`,
 		"benchmark/main.go": `package main
 var state int`,
 	},
+	"one-op-table": {
+		"internal/core/optable.go": `package core
+type Operator uint8
+const (
+	OpGemm Operator = iota
+	OpAdd
+	OpMean
+)
+const other = 1
+func arity(op Operator) int {
+	switch op {
+	case OpGemm, OpAdd:
+		return 2
+	}
+	return 1
+}`,
+		"internal/server/protocol.go": `package server
+type MsgType byte
+const (
+	MsgGemm MsgType = 16
+	MsgAdd  MsgType = 17
+	MsgMean MsgType = 21
+)
+func (t MsgType) String() string {
+	switch t {
+	case MsgGemm:
+		return "gemm"
+	case MsgAdd, MsgMean:
+		return "add or mean"
+	}
+	return ""
+}`,
+		"internal/server/server.go": `package server
+import "repro/internal/core"
+func run(t MsgType, op core.Operator) {
+	switch t {
+	case MsgGemm:
+	case MsgAdd, MsgMean:
+	}
+	switch op {
+	case core.OpGemm:
+	}
+}`,
+		"internal/server/server_test.go": `package server
+func check(t MsgType) {
+	switch t {
+	case MsgGemm, MsgMean:
+	}
+}`,
+		"openctpu/openctpu.go": `package openctpu
+import "repro/internal/core"
+func arity(op core.Operator) int {
+	switch {
+	case op == core.OpGemm || op == core.OpAdd:
+		return 2
+	}
+	return 1
+}`,
+		"benchmark/main.go": `package main
+import "repro/internal/core"
+func arity(op core.Operator) {
+	switch op {
+	case core.OpGemm, core.OpAdd:
+	}
+}`,
+	},
 }
 
 // seededWant is, per rule, the substrings its seeded tree's violations
@@ -276,6 +356,7 @@ var seededWant = map[string][]string{
 	"stages":        {"internal/core/engine.go:9: ObserveSpan", "internal/core/engine.go:11: Begin", "obs.StageIdle"},
 	"one-door":      {"cmd/x/main.go:3", "internal/model/stream.go:3", "internal/server/loopback.go:3"},
 	"globals":       {"internal/x/x.go:11: cache", "internal/x/x.go:12: lo", "internal/x/x.go:12: hi"},
+	"one-op-table":  {"internal/server/server.go:4: switch names MsgAdd, MsgGemm, MsgMean", "openctpu/openctpu.go:4: switch names OpAdd, OpGemm"},
 }
 
 func TestSourceRules(t *testing.T) {
@@ -808,6 +889,81 @@ func unlistedGlobals(s *source) []string {
 				}
 			}
 		}
+	}
+	return out
+}
+
+// tableSwitches reports each switch in non-test Go outside benchmark/
+// whose cases name two or more operators of core's operator table, or
+// two or more of the wire's operator request types, outside the
+// table's file and protocol.go's MsgType.String: an operator's operand
+// count, shape rule and call are read from the table, not spelled out
+// again per caller.
+func tableSwitches(s *source) []string {
+	named := make(map[string]bool) // "pkg.Name" of a table operator or wire type
+	for _, name := range wireOpTypes {
+		named["repro/internal/server."+name] = true
+	}
+	for _, gf := range s.files {
+		if gf.rel != opTableFile {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			if typ, ok := gd.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "Operator" {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					named[gf.pkg+"."+id.Name] = true
+				}
+			}
+		}
+	}
+	var out []string
+	for _, gf := range s.files {
+		if gf.test || strings.HasPrefix(gf.rel, "benchmark/") || gf.rel == opTableFile {
+			continue
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return !(gf.rel == "internal/server/protocol.go" && n.Name.Name == "String")
+			case *ast.SwitchStmt:
+				hits := make(map[string]bool)
+				for _, st := range n.Body.List {
+					for _, e := range st.(*ast.CaseClause).List {
+						ast.Inspect(e, func(x ast.Node) bool {
+							switch x := x.(type) {
+							case *ast.SelectorExpr:
+								if name := s.typeOf(gf, x); named[name] {
+									hits[x.Sel.Name] = true
+								}
+								return false
+							case *ast.Ident:
+								if named[gf.pkg+"."+x.Name] {
+									hits[x.Name] = true
+								}
+							}
+							return true
+						})
+					}
+				}
+				if len(hits) >= 2 {
+					names := make([]string, 0, len(hits))
+					for name := range hits {
+						names = append(names, name)
+					}
+					sort.Strings(names)
+					out = append(out, fmt.Sprintf("%s: switch names %s outside the operator table (read the table instead)",
+						s.pos(n), strings.Join(names, ", ")))
+				}
+			}
+			return true
+		})
 	}
 	return out
 }
