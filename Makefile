@@ -20,8 +20,9 @@ test:
 # Accept(), frame readers and bufio only in the server's front door,
 # client and framing, no package-level var without a stated reason
 # (error sentinels aside), and no switch naming several operators of
-# core's operator table or several wire operator types outside the
-# table's file and protocol.go's String. It also
+# core's operator table, or several wire operator types, C API
+# operators or fuzzer node kinds, outside the table's file,
+# protocol.go's String and the fuzzer's generator. It also
 # fails on any file gofmt would rewrite, and vets the benchmark module,
 # which builds the internal config structs by field name: a renamed
 # field fails here, not only in bench-test.

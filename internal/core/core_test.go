@@ -230,6 +230,30 @@ func TestCropExt(t *testing.T) {
 	}
 }
 
+// TestCropEmptyWindow: an empty window at the far edge of the operand
+// passes the shape rule, so Stream.Crop and a fetched graph Crop node
+// must return its empty shape, not crash the engine worker that runs
+// the crop instruction.
+func TestCropEmptyWindow(t *testing.T) {
+	ctx := testCtx(1)
+	a := ctx.CreateMatrixBuffer(tensor.RandUniform(rand.New(rand.NewSource(5)), 8, 8, -1, 1))
+	for _, w := range [][4]int{{8, 8, 0, 0}, {8, 1, 0, 3}} {
+		s := ctx.NewOp()
+		m := s.Crop(a, w[0], w[1], w[2], w[3])
+		if err := s.Err(); err != nil || m == nil || m.Rows != w[2] || m.Cols != w[3] {
+			t.Errorf("Stream.Crop%v = %v, %v; want %dx%d", w, shapeOf(m), err, w[2], w[3])
+		}
+		g := ctx.NewGraph()
+		n := g.Crop(a, w[0], w[1], w[2], w[3]).Fetch()
+		if err := g.Submit(); err != nil {
+			t.Fatalf("graph Crop%v: %v", w, err)
+		}
+		if m, err := n.Result(); err != nil || m.Rows != w[2] || m.Cols != w[3] {
+			t.Errorf("graph Crop%v = %v, %v; want %dx%d", w, shapeOf(m), err, w[2], w[3])
+		}
+	}
+}
+
 func TestConv2DStencil(t *testing.T) {
 	ctx := testCtx(1)
 	rng := rand.New(rand.NewSource(6))

@@ -83,15 +83,6 @@ func (g *Graph) SegmentChains(n int) *Graph {
 	return g
 }
 
-type nodeKind int
-
-const (
-	kDevice nodeKind = iota // matrix-out device operator
-	kMatVec                 // FullyConnected mat×vec, CPU-aggregated vector out
-	kReduce                 // Mean/Max, CPU-aggregated scalar out
-	kHost                   // application host code between device nodes
-)
-
 // Node is one operation of a Graph: a symbolic handle for an output
 // that does not exist until Submit. Chain further device ops off it
 // (n.Add(x).Tanh()), feed it to host nodes, or Fetch it to force host
@@ -99,15 +90,16 @@ const (
 type Node struct {
 	g          *Graph
 	id         int
-	kind       nodeKind
-	op         string
+	name       string // the operator's label, or the host node's name
 	args       []Value
 	rows, cols int
 
-	// kDevice/kMatVec/kReduce: the operator invocation, given the
-	// resolved operand buffers in args order.
-	run func(s *Stream, in []*Buffer) *tensor.Matrix
-	// kHost: application closure + its charged CPU cost.
+	// A device node applies a table operator with its parameters to
+	// the resolved operands, in args order.
+	op     Operator
+	params Params
+	// A host node runs an application closure and charges its CPU cost.
+	host     bool
 	hostFn   func(in []*tensor.Matrix) *tensor.Matrix
 	hostCost timing.Duration
 
@@ -179,8 +171,8 @@ func (n *Node) Vector() ([]float32, error) {
 	if n.err != nil {
 		return nil, n.err
 	}
-	if n.kind != kMatVec {
-		return nil, fmt.Errorf("core: Vector on %s node", n.op)
+	if n.host || n.result() != vectorResult {
+		return nil, fmt.Errorf("core: Vector on %s node", n.name)
 	}
 	if !n.g.submitted {
 		return nil, errors.New("core: Vector before Submit")
@@ -193,8 +185,8 @@ func (n *Node) Scalar() (float32, error) {
 	if n.err != nil {
 		return 0, n.err
 	}
-	if n.kind != kReduce {
-		return 0, fmt.Errorf("core: Scalar on %s node", n.op)
+	if n.host || n.result() != scalarResult {
+		return 0, fmt.Errorf("core: Scalar on %s node", n.name)
 	}
 	if !n.g.submitted {
 		return 0, errors.New("core: Scalar before Submit")
@@ -218,18 +210,13 @@ func (g *Graph) add(n *Node) *Node {
 	return n
 }
 
-// device registers a matrix-out device-operator node.
-func (g *Graph) device(op string, rows, cols int, run func(s *Stream, in []*Buffer) *tensor.Matrix, args ...Value) *Node {
-	return g.add(&Node{kind: kDevice, op: op, rows: rows, cols: cols, run: run, args: args})
-}
-
-// Apply adds a node that applies a table operator to its operands, as
-// many as the operator takes. The table's shape rule gives the node its
-// shape and panics on operands that do not fit; Submit runs the
-// operator's Stream call. A result the CPU aggregates (the
-// FullyConnected GEMM, Mean, Max) always materializes on the host; read
-// a reduction with Scalar.
-func (g *Graph) Apply(op Operator, args ...Value) *Node {
+// Apply adds a node that applies a table operator with parameters p to
+// its operands, as many as the operator takes. The table's shape rule
+// gives the node its shape and panics on operands that do not fit;
+// Submit runs the operator's Stream call. A result the CPU aggregates
+// (the FullyConnected GEMM, MatVec, Mean, Max) always materializes on
+// the host; read a MatVec with Vector and a reduction with Scalar.
+func (g *Graph) Apply(op Operator, p Params, args ...Value) *Node {
 	if len(args) != op.Arity() {
 		panic(fmt.Sprintf("core: graph.%s takes %d operands, got %d", op, op.Arity(), len(args)))
 	}
@@ -238,98 +225,65 @@ func (g *Graph) Apply(op Operator, args ...Value) *Node {
 	if len(args) > 1 {
 		br, bc = args[1].dims()
 	}
-	rows, cols := op.mustShape("graph.", ar, ac, br, bc)
-	n := &Node{kind: kDevice, op: op.String(), rows: rows, cols: cols, run: op.run, args: args}
-	if r := operators[op].result; r != deviceResult {
-		n.fetch = true
-		if r == scalarResult {
-			n.kind = kReduce
-		}
-	}
-	return g.add(n)
+	rows, cols := op.mustShape("graph.", p, ar, ac, br, bc)
+	return g.add(&Node{name: op.String(), op: op, params: p, rows: rows, cols: cols, args: args,
+		fetch: operators[op].result != deviceResult})
 }
 
+// result is a device node's result kind.
+func (n *Node) result() resultKind { return operators[n.op].result }
+
+// chains reports whether the node may join an on-chip chain: a device
+// node with a matrix result.
+func (n *Node) chains() bool { return !n.host && n.result() <= hostResult }
+
 // MatMul adds a tpuGemm node: a (M×N) times b (N×K).
-func (g *Graph) MatMul(a, b Value) *Node { return g.Apply(OpGemm, a, b) }
+func (g *Graph) MatMul(a, b Value) *Node { return g.Apply(OpGemm, Params{}, a, b) }
 
 // Add adds a pair-wise addition node.
-func (g *Graph) Add(a, b Value) *Node { return g.Apply(OpAdd, a, b) }
+func (g *Graph) Add(a, b Value) *Node { return g.Apply(OpAdd, Params{}, a, b) }
 
 // Sub adds a pair-wise subtraction node.
-func (g *Graph) Sub(a, b Value) *Node { return g.Apply(OpSub, a, b) }
+func (g *Graph) Sub(a, b Value) *Node { return g.Apply(OpSub, Params{}, a, b) }
 
 // MulPair adds a pair-wise (Hadamard) multiplication node.
-func (g *Graph) MulPair(a, b Value) *Node { return g.Apply(OpMul, a, b) }
+func (g *Graph) MulPair(a, b Value) *Node { return g.Apply(OpMul, Params{}, a, b) }
 
 // Tanh adds an element-wise tanh node.
-func (g *Graph) Tanh(a Value) *Node { return g.Apply(OpTanh, a) }
+func (g *Graph) Tanh(a Value) *Node { return g.Apply(OpTanh, Params{}, a) }
 
 // ReLU adds an element-wise ReLU node.
-func (g *Graph) ReLU(a Value) *Node { return g.Apply(OpReLU, a) }
+func (g *Graph) ReLU(a Value) *Node { return g.Apply(OpReLU, Params{}, a) }
 
 // Conv2D adds a stride-(1,1) 2-D convolution node of a by kernel.
-func (g *Graph) Conv2D(a, kernel Value) *Node { return g.Apply(OpConv2D, a, kernel) }
+func (g *Graph) Conv2D(a, kernel Value) *Node { return g.Apply(OpConv2D, Params{}, a, kernel) }
 
 // Conv2DStrided adds a strided 2-D convolution node.
 func (g *Graph) Conv2DStrided(a, kernel Value, strideR, strideC int) *Node {
-	ar, ac := a.dims()
-	kr, kc := kernel.dims()
-	checkShapes("graph.conv2DStrided", strideR > 0 && strideC > 0,
-		"strides must be positive (%d,%d)", strideR, strideC)
-	if _, _, err := kernelFits(ar, ac, kr, kc); err != nil {
-		panic("core: graph.conv2DStrided: " + err.Error())
-	}
-	return g.device("conv2DStrided", (ar+strideR-1)/strideR, (ac+strideC-1)/strideC,
-		func(s *Stream, in []*Buffer) *tensor.Matrix {
-			return s.Conv2DStrided(in[0], in[1], strideR, strideC)
-		}, a, kernel)
+	return g.Apply(OpConv2DStrided, Params{StrideR: strideR, StrideC: strideC}, a, kernel)
 }
 
 // Crop adds a sub-matrix extraction node.
 func (g *Graph) Crop(a Value, r0, c0, rows, cols int) *Node {
-	ar, ac := a.dims()
-	checkShapes("graph.crop", r0 >= 0 && c0 >= 0 && rows >= 0 && cols >= 0 && r0+rows <= ar && c0+cols <= ac,
-		"window (%d,%d)+%dx%d outside %dx%d", r0, c0, rows, cols, ar, ac)
-	return g.device("crop", rows, cols, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.Crop(in[0], r0, c0, rows, cols)
-	}, a)
+	return g.Apply(OpCrop, Params{R0: r0, C0: c0, Rows: rows, Cols: cols}, a)
 }
 
 // Ext adds a zero-padding node to the target shape.
 func (g *Graph) Ext(a Value, rows, cols int) *Node {
-	ar, ac := a.dims()
-	checkShapes("graph.ext", rows >= ar && cols >= ac,
-		"target %dx%d smaller than %dx%d", rows, cols, ar, ac)
-	return g.device("ext", rows, cols, func(s *Stream, in []*Buffer) *tensor.Matrix {
-		return s.Ext(in[0], rows, cols)
-	}, a)
+	return g.Apply(OpExt, Params{Rows: rows, Cols: cols}, a)
 }
 
 // MatVec adds a matrix-vector product node: a (M×N) times the vector
 // x (a 1×N or N×1 value). Its per-tile partials are CPU-aggregated by
 // design (section 6.2.1), so the result always materializes on the
 // host; read it with Vector.
-func (g *Graph) MatVec(a, x Value) *Node {
-	ar, ac := a.dims()
-	xr, xc := x.dims()
-	checkShapes("graph.matVec", (xr == 1 || xc == 1) && xr*xc == ac,
-		"vector %dx%d incompatible with matrix cols %d", xr, xc, ac)
-	n := g.add(&Node{kind: kMatVec, op: "matVec", rows: 1, cols: ar, run: matVecNode, args: []Value{a, x}})
-	n.fetch = true
-	return n
-}
-
-// matVecNode runs a MatVec node: its result is the 1×M vector.
-func matVecNode(s *Stream, in []*Buffer) *tensor.Matrix {
-	y := s.MatVec(in[0], vectorData(s.c, in[1].M))
-	return tensor.FromSlice(1, len(y), y)
-}
+func (g *Graph) MatVec(a, x Value) *Node { return g.Apply(OpMatVec, Params{}, a, x) }
 
 // Mean adds a matrix-wise mean-reduction node; read it with Scalar.
-func (g *Graph) Mean(a Value) *Node { return g.Apply(OpMean, a) }
+func (g *Graph) Mean(a Value) *Node { return g.Apply(OpMean, Params{}, a) }
 
 // MaxReduce adds a matrix-wise max-reduction node; read it with Scalar.
-func (g *Graph) MaxReduce(a Value) *Node { return g.Apply(OpMax, a) }
+func (g *Graph) MaxReduce(a Value) *Node { return g.Apply(OpMax, Params{}, a) }
 
 // HostOp adds an application CPU node: fn runs on the host between
 // device nodes (e.g. PageRank's damping or backprop's error scaling),
@@ -338,7 +292,7 @@ func (g *Graph) MaxReduce(a Value) *Node { return g.Apply(OpMax, a) }
 // Device nodes feeding a HostOp are host-materialized automatically —
 // host code cannot read on-chip memory.
 func (g *Graph) HostOp(name string, rows, cols int, cost timing.Duration, fn func(in []*tensor.Matrix) *tensor.Matrix, deps ...Value) *Node {
-	return g.add(&Node{kind: kHost, op: name, rows: rows, cols: cols, hostCost: cost, hostFn: fn, args: deps})
+	return g.add(&Node{name: name, host: true, rows: rows, cols: cols, hostCost: cost, hostFn: fn, args: deps})
 }
 
 // Chaining forms: n.Op(...) reads as "apply Op to n's output".
@@ -414,7 +368,7 @@ func (g *Graph) SubmitObserved(ob TaskObserver) error {
 		start := time.Now()
 		g.runNode(n, epoch, ob)
 		if ob != nil {
-			ob.ObserveSpan(obs.StageNode, start, time.Since(start), fmt.Sprintf("%s#%d", n.op, n.id))
+			ob.ObserveSpan(obs.StageNode, start, time.Since(start), fmt.Sprintf("%s#%d", n.name, n.id))
 		}
 		if n.err != nil && firstErr == nil && !errors.Is(n.err, ErrUpstream) {
 			firstErr = n.err
@@ -446,7 +400,7 @@ func (g *Graph) analyze() {
 			if d == nil {
 				continue
 			}
-			if n.kind == kHost || (n.kind == kMatVec && i == 1) {
+			if n.host || operators[n.op].hostArgs&(1<<i) != 0 {
 				hostConsumed[d.id] = true
 			} else {
 				devConsumers[d.id]++
@@ -454,7 +408,7 @@ func (g *Graph) analyze() {
 		}
 	}
 	for _, n := range g.nodes {
-		n.chip = n.kind == kDevice && !n.fetch && devConsumers[n.id] > 0 && !hostConsumed[n.id]
+		n.chip = !n.host && !n.fetch && devConsumers[n.id] > 0 && !hostConsumed[n.id]
 		if !n.chip {
 			n.fetch = true
 		}
@@ -477,7 +431,7 @@ func (g *Graph) analyze() {
 	for _, n := range g.nodes {
 		for _, a := range n.args {
 			if d := a.asNode(); d != nil && d.chip {
-				if n.kind == kDevice {
+				if n.chains() {
 					parent[find(n.id)] = find(d.id)
 				}
 				if dd := depth[d.id] + 1; dd > depth[n.id] {
@@ -488,7 +442,7 @@ func (g *Graph) analyze() {
 	}
 	cells := make(map[[2]int]*graphHome)
 	for _, n := range g.nodes {
-		if n.kind != kDevice {
+		if !n.chains() {
 			// MatVec/reduce nodes keep the per-instruction policy: the
 			// affinity rule on their (large, reused) matrix operand's key
 			// already places them well.
@@ -530,7 +484,7 @@ func (g *Graph) operand(a Value) (*Buffer, timing.Duration, error) {
 		return a.(*Buffer), 0, nil
 	}
 	if d.err != nil {
-		return nil, 0, fmt.Errorf("%w: %s#%d: %w", ErrUpstream, d.op, d.id, d.err)
+		return nil, 0, fmt.Errorf("%w: %s#%d: %w", ErrUpstream, d.name, d.id, d.err)
 	}
 	return d.buf, d.end, nil
 }
@@ -553,8 +507,7 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 		}
 	}
 
-	switch n.kind {
-	case kHost:
+	if n.host {
 		n.end = c.chargeHost(ready, n.hostCost)
 		if c.Functional() {
 			ins := make([]*tensor.Matrix, len(bufs))
@@ -562,28 +515,32 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 				ins[i] = b.M
 			}
 			n.out = n.hostFn(ins)
-			checkShapes("graph."+n.op, n.out != nil && n.out.Rows == n.rows && n.out.Cols == n.cols,
-				"host node returned %v, declared %dx%d", shapeOf(n.out), n.rows, n.cols)
+			if n.out == nil || n.out.Rows != n.rows || n.out.Cols != n.cols {
+				panic(fmt.Sprintf("core: graph.%s: host node returned %v, declared %dx%d", n.name, shapeOf(n.out), n.rows, n.cols))
+			}
 		} else {
 			n.out = tensor.ShapeOnly(n.rows, n.cols)
 		}
-
-	default: // kDevice, kMatVec, kReduce
+	} else {
 		s := &Stream{c: c, taskID: g.taskID, now: ready, obs: obs, places: &g.places, pin: n.cell, onChip: n.chip}
-		out := n.run(s, bufs)
+		var b *Buffer
+		if len(bufs) > 1 {
+			b = bufs[1]
+		}
+		out := s.Apply(n.op, n.params, bufs[0], b)
 		if err := s.Err(); err != nil {
 			n.err = err
 			return
 		}
 		n.end = s.now
 		n.out = out
-		switch n.kind {
-		case kMatVec:
+		switch n.result() {
+		case vectorResult:
 			n.vec = out.Data
-		case kReduce:
+		case scalarResult:
 			n.scalar = out.Data[0]
 		}
-		if n.kind != kDevice && !c.Functional() {
+		if n.result() >= vectorResult && !c.Functional() {
 			// Shape descriptor like every other node kind: a timing-only
 			// downstream consumer must never compute on a real zero matrix.
 			n.out = tensor.ShapeOnly(n.rows, n.cols)

@@ -432,6 +432,46 @@ func TestGraphHostOpAndMatVec(t *testing.T) {
 	}
 }
 
+// TestGraphMatVecVectorFromDevice: the CPU reads MatVec's vector from
+// host memory (the row's hostArgs), so a device node producing it
+// materializes on the host although nothing else reads it, and the
+// product matches per-op execution bit for bit.
+func TestGraphMatVecVectorFromDevice(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(78))
+	adj := tensor.RandUniform(rng, n, n, 0, 1)
+	vec := tensor.RandUniform(rng, 1, n, -1, 1)
+
+	ctx := NewContext(Config{})
+	defer ctx.Close()
+	g := ctx.NewGraph()
+	x := g.ReLU(ctx.CreateMatrixBuffer(vec))
+	mv := g.MatVec(ctx.CreateMatrixBuffer(adj), x)
+	if err := g.Submit(); err != nil {
+		t.Fatal(err)
+	}
+	if x.OnChip() {
+		t.Fatal("MatVec's vector operand stayed on-chip")
+	}
+	got, err := mv.Vector()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx2 := NewContext(Config{})
+	defer ctx2.Close()
+	s := ctx2.NewOp()
+	want := s.MatVec(ctx2.CreateMatrixBuffer(adj), s.ReLU(ctx2.CreateMatrixBuffer(vec)).Data)
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+			t.Fatalf("matvec[%d]: %v != %v", i, want[i], got[i])
+		}
+	}
+}
+
 // TestGraphIsolatedNodesNotPinned: only nodes touched by an on-chip
 // edge may pin to a chain home device. A graph of independent (or
 // host-separated) nodes must keep the per-instruction affinity/FCFS

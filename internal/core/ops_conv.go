@@ -16,7 +16,7 @@ import (
 // (kRows-1, kCols-1) halo so tile outputs match the monolithic
 // result, and downloads wide accumulators for precision.
 func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
-	if !s.enter(OpConv2D, a, kernel) {
+	if !s.enter(OpConv2D, Params{}, a, kernel) {
 		return nil
 	}
 	defer s.opTimer("conv2D")()
@@ -92,14 +92,10 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 // applications that want custom grouped reductions (e.g. block
 // pooling).
 func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.Matrix {
-	if !s.inputs(a, kernel) {
+	if !s.enter(OpConv2DStrided, Params{StrideR: strideR, StrideC: strideC}, a, kernel) {
 		return nil
 	}
 	defer s.opTimer("conv2DStrided")()
-	checkShapes("conv2D-strided", strideR > 0 && strideC > 0, "strides must be positive (%d,%d)", strideR, strideC)
-	if _, _, err := kernelFits(a.Rows(), a.Cols(), kernel.Rows(), kernel.Cols()); err != nil {
-		panic("core: conv2D-strided: " + err.Error())
-	}
 	c := s.c
 	oa, readyA := c.ensureQuantized(a, s.now, s.taskID)
 	kq, readyK := c.wholeQuantized(kernel, s.now, s.taskID)

@@ -21,9 +21,8 @@ func (s *Stream) MatVec(a *Buffer, x []float32) []float32 {
 	if !s.inputs(a) {
 		return nil
 	}
+	OpMatVec.mustShape("", Params{}, a.Rows(), a.Cols(), 1, len(x))
 	defer s.opTimer("matVec")()
-	checkShapes("FullyConnected", len(x) == a.Cols(),
-		"vector length %d != matrix cols %d", len(x), a.Cols())
 
 	// Quantize the vector (fresh each call: iterative algorithms update
 	// it every round) into a pooled scratch that goes back once the
@@ -183,7 +182,7 @@ func segLen(n, idx, tile int) int {
 // Figure 6 shows this implementation cannot beat the CPU baseline —
 // reproducing that result is the point of keeping it.
 func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
-	if !s.enter(OpGemmFC, a, b) {
+	if !s.enter(OpGemmFC, Params{}, a, b) {
 		return nil
 	}
 	defer s.opTimer("tpuGemmFC")()
@@ -282,7 +281,7 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 // values"), which also reduces precision loss because CPU registers
 // are wider than the device's data paths.
 func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
-	if !s.enter(OpGemm, a, b) {
+	if !s.enter(OpGemm, Params{}, a, b) {
 		return nil
 	}
 	defer s.opTimer("tpuGemm")()

@@ -28,7 +28,7 @@ func (s *Stream) Mul(a, b *Buffer) *tensor.Matrix { return s.pairwise(OpMul, isa
 // joint scale (sums only make sense in a common fixed-point unit);
 // mul composes the per-operand scales.
 func (s *Stream) pairwise(opr Operator, op isa.OpCode, a, b *Buffer) *tensor.Matrix {
-	if !s.enter(opr, a, b) {
+	if !s.enter(opr, Params{}, a, b) {
 		return nil
 	}
 	defer s.opTimer(op.String())()
@@ -159,7 +159,7 @@ func (s *Stream) Tanh(a *Buffer) *tensor.Matrix { return s.elementwise(OpTanh, i
 func (s *Stream) ReLU(a *Buffer) *tensor.Matrix { return s.elementwise(OpReLU, isa.ReLU, a) }
 
 func (s *Stream) elementwise(opr Operator, op isa.OpCode, a *Buffer) *tensor.Matrix {
-	if !s.enter(opr, a, nil) {
+	if !s.enter(opr, Params{}, a, nil) {
 		return nil
 	}
 	defer s.opTimer(op.String())()
@@ -230,7 +230,7 @@ func (s *Stream) Max(a *Buffer) float32 { return s.reduce(OpMax, isa.Max, a) }
 // with Config.OnDeviceReduce the runtime instead iterates additional
 // device rounds, the alternative the paper rejects.
 func (s *Stream) reduce(opr Operator, op isa.OpCode, a *Buffer) float32 {
-	if !s.enter(opr, a, nil) {
+	if !s.enter(opr, Params{}, a, nil) {
 		return 0
 	}
 	defer s.opTimer(op.String())()
@@ -339,12 +339,10 @@ func (s *Stream) reduce(opr Operator, op isa.OpCode, a *Buffer) float32 {
 // Crop removes all elements outside the given sub-matrix and returns
 // it (Table 1); LUD's recursive partitioning uses it (section 7.2.3).
 func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
-	if !s.inputs(a) {
+	if !s.enter(OpCrop, Params{R0: r0, C0: c0, Rows: rows, Cols: cols}, a, nil) {
 		return nil
 	}
 	defer s.opTimer("crop")()
-	checkShapes("crop", r0 >= 0 && c0 >= 0 && rows >= 0 && cols >= 0 && r0+rows <= a.Rows() && c0+cols <= a.Cols(),
-		"window (%d,%d)+%dx%d outside %dx%d", r0, c0, rows, cols, a.Rows(), a.Cols())
 	return s.reshape(isa.Crop, a, rows, cols, func(k *edgetpu.KernelTable, q *tensor.MatrixI8) *tensor.MatrixI8 {
 		return k.Crop(q, r0, c0, rows, cols)
 	})
@@ -352,12 +350,10 @@ func (s *Stream) Crop(a *Buffer, r0, c0, rows, cols int) *tensor.Matrix {
 
 // Ext pads the matrix to the target dimensionality (Table 1).
 func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
-	if !s.inputs(a) {
+	if !s.enter(OpExt, Params{Rows: rows, Cols: cols}, a, nil) {
 		return nil
 	}
 	defer s.opTimer("ext")()
-	checkShapes("ext", rows >= a.Rows() && cols >= a.Cols(),
-		"target %dx%d smaller than %dx%d", rows, cols, a.Rows(), a.Cols())
 	return s.reshape(isa.Ext, a, rows, cols, func(k *edgetpu.KernelTable, q *tensor.MatrixI8) *tensor.MatrixI8 {
 		return k.Ext(q, rows, cols)
 	})

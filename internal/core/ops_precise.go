@@ -21,12 +21,10 @@ import (
 // GemmPrecise is the high-precision GEMM library function: tpuGemm
 // over the dual-portion split of both operands.
 func (s *Stream) GemmPrecise(a, b *Buffer) *tensor.Matrix {
-	if !s.inputs(a, b) {
+	if !s.enter(OpGemm, Params{}, a, b) {
 		return nil
 	}
 	defer s.opTimer("tpuGemmPrecise")()
-	checkShapes("tpuGemm-precise", a.Cols() == b.Rows(),
-		"inner dimensions %d vs %d", a.Cols(), b.Rows())
 	c := s.c
 
 	sa := c.portions(a)
@@ -73,9 +71,8 @@ func (s *Stream) MatVecPrecise(a *Buffer, x []float32) []float32 {
 	if !s.inputs(a) {
 		return nil
 	}
+	OpMatVec.mustShape("", Params{}, a.Rows(), a.Cols(), 1, len(x))
 	defer s.opTimer("matVecPrecise")()
-	checkShapes("FullyConnected-precise", len(x) == a.Cols(),
-		"vector length %d != matrix cols %d", len(x), a.Cols())
 	c := s.c
 
 	sp := c.portions(a)

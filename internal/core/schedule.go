@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/edgetpu"
 	"repro/internal/isa"
@@ -264,12 +263,4 @@ func (c *Context) chargeHost(ready, d timing.Duration) timing.Duration {
 	_, end := c.Host.Acquire(ready, d)
 	c.TL.Observe(end)
 	return end
-}
-
-// checkShapes panics with a descriptive message when operand shapes
-// disagree; operator front-ends use it for argument validation.
-func checkShapes(op string, ok bool, format string, args ...any) {
-	if !ok {
-		panic(fmt.Sprintf("core: %s: %s", op, fmt.Sprintf(format, args...)))
-	}
 }

@@ -9,8 +9,8 @@
 // makespans for a fixed seed.
 //
 // The generator is valid-by-construction: node shapes always satisfy
-// the operators' checkShapes contracts (malformed-argument panics are
-// unit-tested separately), and value magnitudes are bounded so no
+// the shape rules of core's operator table (malformed-argument panics
+// are unit-tested separately), and value magnitudes are bounded so no
 // float32 result can reach ±Inf and trip the runtime's ErrBadInput
 // poisoning. Anything the oracle then reports is a real divergence.
 package fuzzgraph
@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/tensor"
 	"repro/internal/timing"
@@ -81,10 +82,8 @@ type NodeSpec struct {
 	Op    OpKind
 	Args  []int
 	Fetch bool
-	// Crop window / Ext target.
-	R0, C0, Rows, Cols int
-	// Conv2DStrided strides.
-	StrideR, StrideC int
+	// Crop window, Ext target and Conv2DStrided strides.
+	core.Params
 	// Host op kind: "halve", "negate", "transpose".
 	Host string
 }

@@ -203,9 +203,10 @@ func faultCfg(cs *Case, rc runCfg) runCfg {
 // wireCheck replays every wire-expressible node as a single serving
 // request, feeding it the operand values the fetch-all graph run
 // materialized, and requires the daemon's answer to match the graph's
-// bit for bit. Nodes whose op or operands have no wire form (views are
-// fine — the codec walks strides — but host glue, FC/MatVec layouts,
-// crop/ext and strided conv have no message type) are skipped.
+// bit for bit. Nodes with no wire form are skipped: host glue, and the
+// table operators with no message type (the FullyConnected GEMM,
+// Tanh, ReLU, Conv2DStrided, Crop, Ext, MatVec). Views are fine: the
+// codec walks strides.
 func (h *Harness) wireCheck(cs *Case, ins []*tensor.Matrix, fetched *outcome) error {
 	argMat := func(a int) *tensor.Matrix {
 		if a < 0 {

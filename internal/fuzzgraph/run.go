@@ -64,14 +64,16 @@ func hostFn(kind string) func(in []*tensor.Matrix) *tensor.Matrix {
 	}
 }
 
-// tableOps maps the node kinds that are operators of core's operator
-// table onto it: buildGraph and the wire replay take their operand
-// counts and calls from the table.
+// tableOps maps every node kind but host glue onto core's operator
+// table: buildGraph and the wire replay take their operand counts and
+// calls from the table.
 var tableOps = map[OpKind]core.Operator{
 	OpMatMul: core.OpGemm, OpMatMulFC: core.OpGemmFC,
 	OpAdd: core.OpAdd, OpSub: core.OpSub, OpMul: core.OpMul,
 	OpConv2D: core.OpConv2D, OpTanh: core.OpTanh, OpReLU: core.OpReLU,
 	OpMean: core.OpMean, OpMax: core.OpMax,
+	OpConv2DStrided: core.OpConv2DStrided, OpCrop: core.OpCrop, OpExt: core.OpExt,
+	OpMatVec: core.OpMatVec,
 }
 
 // buildGraph instantiates the case's DAG against a context.
@@ -93,28 +95,20 @@ func buildGraph(ctx *core.Context, cs *Case, ins []*tensor.Matrix, fetchAll bool
 	}
 	for _, ns := range cs.Nodes {
 		var n *core.Node
-		top, table := tableOps[ns.Op]
-		switch {
-		case table:
+		if ns.Op == OpHost {
+			a := arg(ns.Args[0])
+			rows, cols := ns.declaredHostDims(a)
+			n = g.HostOp(ns.Host, rows, cols, hostCost, hostFn(ns.Host), a)
+		} else {
+			top, ok := tableOps[ns.Op]
+			if !ok {
+				panic("fuzzgraph: unknown op kind")
+			}
 			args := make([]core.Value, top.Arity())
 			for i := range args {
 				args[i] = arg(ns.Args[i])
 			}
-			n = g.Apply(top, args...)
-		case ns.Op == OpConv2DStrided:
-			n = g.Conv2DStrided(arg(ns.Args[0]), arg(ns.Args[1]), ns.StrideR, ns.StrideC)
-		case ns.Op == OpCrop:
-			n = g.Crop(arg(ns.Args[0]), ns.R0, ns.C0, ns.Rows, ns.Cols)
-		case ns.Op == OpExt:
-			n = g.Ext(arg(ns.Args[0]), ns.Rows, ns.Cols)
-		case ns.Op == OpMatVec:
-			n = g.MatVec(arg(ns.Args[0]), arg(ns.Args[1]))
-		case ns.Op == OpHost:
-			a := arg(ns.Args[0])
-			rows, cols := ns.declaredHostDims(a)
-			n = g.HostOp(ns.Host, rows, cols, hostCost, hostFn(ns.Host), a)
-		default:
-			panic("fuzzgraph: unknown op kind")
+			n = g.Apply(top, ns.Params, args...)
 		}
 		if ns.Fetch || fetchAll {
 			n.Fetch()

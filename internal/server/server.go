@@ -8,6 +8,7 @@ import (
 	"time"
 
 	gptpu "repro"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
@@ -252,7 +253,7 @@ func validateShapes(req *OpRequest) error {
 	if req.B != nil {
 		br, bc = req.B.Rows, req.B.Cols
 	}
-	rows, cols, err := op.Shape(req.A.Rows, req.A.Cols, br, bc)
+	rows, cols, err := op.Shape(core.Params{}, req.A.Rows, req.A.Cols, br, bc)
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadRequest, op, err)
 	}
@@ -281,7 +282,7 @@ func (s *Server) execute(req *OpRequest, rt *obs.Trace) (*tensor.Matrix, error) 
 	}
 	var out *tensor.Matrix
 	rst := time.Now()
-	err := s.gx.EnqueueObserved(to, func(op *gptpu.Op) { out = op.Apply(req.Op.operator(), a, b) }).Wait()
+	err := s.gx.EnqueueObserved(to, func(op *gptpu.Op) { out = op.Apply(req.Op.operator(), core.Params{}, a, b) }).Wait()
 	rt.ObserveSpan(obs.StageRuntime, rst, time.Since(rst), "")
 	if err != nil {
 		return nil, mapRuntimeErr(err)

@@ -99,12 +99,11 @@ func (m *Mat[T]) View(r0, c0, rows, cols int) *Mat[T] {
 	if r0 < 0 || c0 < 0 || rows < 0 || cols < 0 || r0+rows > m.Rows || c0+cols > m.Cols {
 		panic(fmt.Sprintf("tensor: view (%d,%d)+%dx%d out of bounds of %dx%d", r0, c0, rows, cols, m.Rows, m.Cols))
 	}
-	off := r0*m.Stride + c0
-	end := off
-	if rows > 0 && cols > 0 {
-		end = off + (rows-1)*m.Stride + cols
+	if rows == 0 || cols == 0 {
+		return &Mat[T]{Rows: rows, Cols: cols, Stride: m.Stride} // an empty window takes no data
 	}
-	return &Mat[T]{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[off:end]}
+	off := r0*m.Stride + c0
+	return &Mat[T]{Rows: rows, Cols: cols, Stride: m.Stride, Data: m.Data[off : off+(rows-1)*m.Stride+cols]}
 }
 
 // Clone returns a compact deep copy of m.

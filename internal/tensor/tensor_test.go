@@ -73,6 +73,31 @@ func TestViewBoundsPanics(t *testing.T) {
 	m.View(2, 2, 3, 3)
 }
 
+// TestViewEmptyWindow: an empty window is in bounds anywhere up to the
+// far edge, of a compact matrix and of a view alike, and takes no
+// data; a window starting past the edge still panics.
+func TestViewEmptyWindow(t *testing.T) {
+	compact := New(8, 8)
+	view := New(12, 10).View(2, 1, 8, 8)
+	for _, m := range []*Matrix{compact, view} {
+		for _, w := range [][4]int{{8, 8, 0, 0}, {8, 1, 0, 3}, {0, 8, 5, 0}, {8, 0, 0, 8}, {3, 7, 0, 1}, {0, 0, 0, 0}} {
+			v := m.View(w[0], w[1], w[2], w[3])
+			if v.Rows != w[2] || v.Cols != w[3] || len(v.Data) != 0 || v.Elems() != 0 {
+				t.Errorf("stride %d: View%v = %dx%d over %d elements, want %dx%d over none",
+					m.Stride, w, v.Rows, v.Cols, len(v.Data), w[2], w[3])
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("stride %d: empty window at (9,0) must panic", m.Stride)
+				}
+			}()
+			m.View(9, 0, 0, 3)
+		}()
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	m := New(2, 2)
 	m.Set(0, 1, 5)

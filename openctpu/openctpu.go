@@ -99,11 +99,12 @@ func NewOutput(dim *Dimension) *Buffer {
 	return &Buffer{dim: dim}
 }
 
-// matrixOps maps the C API's whole-matrix operators onto the runtime's
+// matrixOps maps every operator of the C API onto the runtime's
 // operator table, which gives each its operand count and its call.
 var matrixOps = map[TPUOp]core.Operator{
-	Conv2D: core.OpConv2D, Gemm: core.OpGemm,
+	Conv2D: core.OpConv2D, Gemm: core.OpGemm, FullyConnected: core.OpMatVec,
 	Add: core.OpAdd, Sub: core.OpSub, Mul: core.OpMul,
+	Crop: core.OpCrop, Ext: core.OpExt,
 	Mean: core.OpMean, Max: core.OpMax,
 	Tanh: core.OpTanh, ReLU: core.OpReLU,
 }
@@ -222,46 +223,24 @@ type Invoker struct {
 // InvokeOperator mirrors openctpu_invoke_operator: it "invokes a
 // supported TPU operator (with operator arguments)". The final Buffer
 // argument receives the output. Binary operators take (in, in, out);
-// unary operators take (in, out). flags is taken only to mirror the
-// paper's API and is ignored: SCALE (section 6.2.2, Eqs. 4-8) is the
-// one calibration the runtime implements, whatever the caller passes.
+// unary operators take (in, out). Crop keeps the output dimension's
+// top-left window of its input and Ext pads its input to it. flags is
+// taken only to mirror the paper's API and is ignored: SCALE (section
+// 6.2.2, Eqs. 4-8) is the one calibration the runtime implements,
+// whatever the caller passes.
 func (iv *Invoker) InvokeOperator(op TPUOp, flags uint, args ...*Buffer) error {
-	operands := func(n int) error {
-		if len(args) != n+1 {
-			return fmt.Errorf("openctpu: operator %d takes %d inputs and an output, got %d buffers", op, n, len(args))
-		}
-		return nil
-	}
-	if mop, ok := matrixOps[op]; ok {
-		if err := operands(mop.Arity()); err != nil {
-			return err
-		}
-		var b *gptpu.Buffer
-		if mop.Arity() == 2 {
-			b = args[1].buf
-		}
-		args[len(args)-1].out = iv.op.Apply(mop, args[0].buf, b)
-		return iv.op.Err()
-	}
-	switch op {
-	case FullyConnected:
-		if err := operands(2); err != nil {
-			return err
-		}
-		y := iv.op.MatVec(args[0].buf, args[1].data)
-		args[2].out = tensor.FromSlice(1, len(y), y)
-	case Crop, Ext:
-		if err := operands(1); err != nil {
-			return err
-		}
-		a, out := args[0], args[1]
-		if op == Crop {
-			out.out = iv.op.Crop(a.buf, 0, 0, out.dim.Rows, out.dim.Cols)
-		} else {
-			out.out = iv.op.Ext(a.buf, out.dim.Rows, out.dim.Cols)
-		}
-	default:
+	mop, ok := matrixOps[op]
+	if !ok {
 		return fmt.Errorf("openctpu: unsupported operator %d", op)
 	}
+	if len(args) != mop.Arity()+1 {
+		return fmt.Errorf("openctpu: operator %d takes %d inputs and an output, got %d buffers", op, mop.Arity(), len(args))
+	}
+	var b *gptpu.Buffer
+	if mop.Arity() == 2 {
+		b = args[1].buf
+	}
+	out := args[len(args)-1]
+	out.out = iv.op.Apply(mop, core.Params{Rows: out.dim.Rows, Cols: out.dim.Cols}, args[0].buf, b)
 	return iv.op.Err()
 }

@@ -86,18 +86,32 @@ var globalOwners = map[[2]string]string{
 	{"internal/edgetpu/interp.go", "instrMagic"}:                 "the instruction-packet magic, read only",
 	{"internal/core/optable.go", "operators"}:                    "the operator table, never written after init",
 	{"internal/server/protocol.go", "wireOps"}:                   "the wire's operator types onto the operator table, read only",
-	{"openctpu/openctpu.go", "matrixOps"}:                        "the C API's operators onto the operator table, read only",
-	{"internal/fuzzgraph/run.go", "tableOps"}:                    "the fuzzer's node kinds onto the operator table, read only",
+	{"openctpu/openctpu.go", "matrixOps"}:                        "every operator of the C API onto the operator table, read only",
+	{"internal/fuzzgraph/run.go", "tableOps"}:                    "every node kind but host glue onto the operator table, read only",
 }
 
 // opTableFile declares core's operator table. It and protocol.go's
 // MsgType.String are the only places a switch may name several table
-// operators or several wire operator types.
+// operators or several names another package maps onto them.
 const opTableFile = "internal/core/optable.go"
 
-// wireOpTypes are the wire's operator request types, which the daemon
-// maps onto the operator table.
-var wireOpTypes = []string{"MsgGemm", "MsgAdd", "MsgSub", "MsgMul", "MsgConv2D", "MsgMean", "MsgMax"}
+// tableEnums are, by package, the names that map onto the operator
+// table: the wire's operator request types, the C API's operators and
+// the fuzzer's node kinds but host glue.
+var tableEnums = map[string][]string{
+	"repro/internal/server": {"MsgGemm", "MsgAdd", "MsgSub", "MsgMul", "MsgConv2D", "MsgMean", "MsgMax"},
+	"repro/openctpu": {"Conv2D", "FullyConnected", "Add", "Sub", "Mul", "Crop", "Ext",
+		"Mean", "Max", "Tanh", "ReLU", "Gemm"},
+	"repro/internal/fuzzgraph": {"OpMatMul", "OpMatMulFC", "OpAdd", "OpSub", "OpMul", "OpTanh", "OpReLU",
+		"OpConv2D", "OpConv2DStrided", "OpCrop", "OpExt", "OpMatVec", "OpMean", "OpMax"},
+}
+
+// opTableExempt are the files besides the table's own that may switch
+// over its operators, each with its reason.
+var opTableExempt = map[string]string{
+	"internal/fuzzgraph/gen.go": "the generator's own grammar: its shape and magnitude rules stay " +
+		"independent of the table on purpose, so the fuzzer tests the table instead of restating it",
+}
 
 // sourceRules are the rules TestSourceRules applies, each returning
 // one line per violation.
@@ -328,12 +342,45 @@ func check(t MsgType) {
 }`,
 		"openctpu/openctpu.go": `package openctpu
 import "repro/internal/core"
+type TPUOp int
+const (
+	Crop TPUOp = iota
+	Ext
+)
 func arity(op core.Operator) int {
 	switch {
 	case op == core.OpGemm || op == core.OpAdd:
 		return 2
 	}
 	return 1
+}
+func invoke(op TPUOp) {
+	switch op {
+	case Crop, Ext:
+	}
+}`,
+		"internal/fuzzgraph/run.go": `package fuzzgraph
+type OpKind int
+const (
+	OpCrop OpKind = iota
+	OpExt
+	OpHost
+)
+type NodeSpec struct{ Op OpKind }
+func build(ns NodeSpec) {
+	switch {
+	case ns.Op == OpCrop:
+	case ns.Op == OpExt:
+	}
+	switch ns.Op {
+	case OpCrop, OpHost:
+	}
+}`,
+		"internal/fuzzgraph/gen.go": `package fuzzgraph
+func shape(op OpKind) {
+	switch op {
+	case OpCrop, OpExt:
+	}
 }`,
 		"benchmark/main.go": `package main
 import "repro/internal/core"
@@ -356,7 +403,8 @@ var seededWant = map[string][]string{
 	"stages":        {"internal/core/engine.go:9: ObserveSpan", "internal/core/engine.go:11: Begin", "obs.StageIdle"},
 	"one-door":      {"cmd/x/main.go:3", "internal/model/stream.go:3", "internal/server/loopback.go:3"},
 	"globals":       {"internal/x/x.go:11: cache", "internal/x/x.go:12: lo", "internal/x/x.go:12: hi"},
-	"one-op-table":  {"internal/server/server.go:4: switch names MsgAdd, MsgGemm, MsgMean", "openctpu/openctpu.go:4: switch names OpAdd, OpGemm"},
+	"one-op-table": {"internal/fuzzgraph/run.go:10: switch names OpCrop, OpExt", "internal/server/server.go:4: switch names MsgAdd, MsgGemm, MsgMean",
+		"openctpu/openctpu.go:9: switch names OpAdd, OpGemm", "openctpu/openctpu.go:16: switch names Crop, Ext"},
 }
 
 func TestSourceRules(t *testing.T) {
@@ -895,14 +943,16 @@ func unlistedGlobals(s *source) []string {
 
 // tableSwitches reports each switch in non-test Go outside benchmark/
 // whose cases name two or more operators of core's operator table, or
-// two or more of the wire's operator request types, outside the
-// table's file and protocol.go's MsgType.String: an operator's operand
-// count, shape rule and call are read from the table, not spelled out
-// again per caller.
+// two or more of the names one of tableEnums maps onto it, outside the
+// table's file, protocol.go's MsgType.String and opTableExempt: an
+// operator's operand count, parameters, shape rule and call are read
+// from the table, not spelled out again per caller.
 func tableSwitches(s *source) []string {
-	named := make(map[string]bool) // "pkg.Name" of a table operator or wire type
-	for _, name := range wireOpTypes {
-		named["repro/internal/server."+name] = true
+	named := make(map[string]bool) // "pkg.Name" of a table operator or a name mapped onto one
+	for pkg, names := range tableEnums {
+		for _, name := range names {
+			named[pkg+"."+name] = true
+		}
 	}
 	for _, gf := range s.files {
 		if gf.rel != opTableFile {
@@ -925,7 +975,7 @@ func tableSwitches(s *source) []string {
 	}
 	var out []string
 	for _, gf := range s.files {
-		if gf.test || strings.HasPrefix(gf.rel, "benchmark/") || gf.rel == opTableFile {
+		if gf.test || strings.HasPrefix(gf.rel, "benchmark/") || gf.rel == opTableFile || opTableExempt[gf.rel] != "" {
 			continue
 		}
 		ast.Inspect(gf.f, func(n ast.Node) bool {
