@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race flake-gate bench-test ci bench bench-kernels serve-smoke obs-smoke fuzz-smoke graph-fuzz graph-fuzz-soak cluster-smoke clean
+.PHONY: all build test vet race flake-gate bench-test ci bench-kernels serve-smoke obs-smoke fuzz-smoke graph-fuzz graph-fuzz-soak cluster-smoke clean
 
 all: build
 
@@ -109,12 +109,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzInstructionPacket' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DEquiv' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DGemmEquiv' -fuzztime 5s ./internal/edgetpu
-
-# bench regenerates the paper's tables and figures at quick scale (all
-# on the virtual clock); host wall-clock performance is measured by
-# 'bash benchmark/run.sh' and 'go test -bench'.
-bench:
-	$(GO) run ./cmd/gptpu-bench
 
 # bench-kernels is the kernel-substrate benchmark smoke: every naive vs
 # optimized instruction microbenchmark runs once (-benchtime 1x) so CI

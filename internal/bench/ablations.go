@@ -90,9 +90,8 @@ func Ablations(o Opts) *Report {
 		panic(fmt.Sprint(op.Err(), op2.Err()))
 	}
 	rep.AddRow("exactness calibration (quant)",
-		fmt.Sprintf("RMSE %.4f", tensor.RMSE(ref, exact)),
-		fmt.Sprintf("RMSE %.4f", tensor.RMSE(ref, ranged)),
-		"integer datasets compute exactly")
+		num(tensor.RMSE(ref, exact), "1", "RMSE %.4f"), num(tensor.RMSE(ref, ranged), "1", "RMSE %.4f"),
+		label("integer datasets compute exactly"))
 
 	rep.AddNote("each row toggles exactly one runtime mechanism on an otherwise identical workload")
 	return rep
@@ -143,7 +142,7 @@ func Precision(o Opts) *Report {
 		if base == 0 {
 			base = el
 		}
-		rep.AddRow(v.name, fmt.Sprintf("%.5f", tensor.RMSE(ref, got)), secs(el), f2x(el/base))
+		rep.AddRow(v.name, num(tensor.RMSE(ref, got), "1", "%.5f"), secs(el), f2x(el/base))
 	}
 	rep.AddNote("GemmPrecise realizes the paper's 'iteratively computing on different portions of raw input numbers' (section 10) as a library call")
 	return rep

@@ -46,6 +46,7 @@ func Table1(_ Opts) *Report {
 		Title:  "maximum OPS and RPS per Edge TPU operator/instruction",
 		Header: []string{"operator", "OPS(paper)", "OPS(sim)", "RPS(paper)", "RPS(sim)", "ratio"},
 	}
+	rate := func(v float64) Cell { return num(v, "1/s", "%.2f") }
 	for _, op := range isa.AllOps() {
 		tl := timing.NewTimeline()
 		pool := edgetpu.NewPool(tl, params, 1, nil)
@@ -71,7 +72,7 @@ func Table1(_ Opts) *Report {
 		ops := 10000 / (t2 - t1)
 		rps := ops * float64(in.Results())
 		oc := params.Op[op]
-		rep.AddRow(op.String(), f2(oc.PaperOPS), f2(ops), f2(oc.PaperRPS), f2(rps), f2x(ops/oc.PaperOPS))
+		rep.AddRow(op.String(), rate(oc.PaperOPS), rate(ops), rate(oc.PaperRPS), rate(rps), f2x(ops/oc.PaperOPS))
 	}
 	rep.AddNote("canonical instruction shapes recovered from the published RPS/OPS ratios; 'ratio' is simulated/paper OPS")
 	return rep
@@ -102,7 +103,7 @@ func DataExchange(_ Opts) *Report {
 		case 8:
 			paper = "~48ms"
 		}
-		rep.AddRow(fmt.Sprintf("%dMB", mb), paper, ms(end.Seconds()))
+		rep.AddRow(fmt.Sprintf("%dMB", mb), label(paper), ms(end.Seconds()))
 	}
 	rep.AddNote("rate calibrated to the paper's measured 6 ms/MB; latency exceeds any single instruction, as observed")
 	return rep
@@ -142,9 +143,9 @@ func ModelCreation(o Opts) *Report {
 		Title:  "model-creation latency for a 2Kx2K matrix",
 		Header: []string{"path", "latency(paper)", "latency(sim)"},
 	}
-	rep.AddRow("Python TFLite compiler", "2.7s", secs(ref))
-	rep.AddRow("Tensorizer (reverse-engineered format)", "1.8ms", ms(fast))
-	rep.AddRow("speedup", "~1500x", f2x(ref/fast))
+	rep.AddRow("Python TFLite compiler", label("2.7s"), secs(ref))
+	rep.AddRow("Tensorizer (reverse-engineered format)", label("1.8ms"), ms(fast))
+	rep.AddRow("speedup", label("~1500x"), f2x(ref/fast))
 	rep.AddNote("functional check: %d-byte model encoded and decoded losslessly (%dx%d data section, scale %g)",
 		len(enc), mod.Rows, mod.Cols, mod.Scale)
 	return rep
@@ -167,7 +168,7 @@ func Table6(_ Opts) *Report {
 		{"Jetson Nano", energy.JetsonNanoCost, energy.JetsonNanoWatts, ""},
 		{"8x Edge TPU", energy.EdgeTPU8Cost, energy.EdgeTPU8WattsTP, "using 4x dual Edge TPU modules"},
 	} {
-		rep.AddRow(r.name, fmt.Sprintf("%.2f", r.cost), fmt.Sprintf("%gW", r.watts), r.comment)
+		rep.AddRow(r.name, num(r.cost, "USD", "%.2f"), num(r.watts, "W", "%gW"), label(r.comment))
 	}
 	rep.AddNote("static inventory (Table 6); the energy model draws its constants from these figures")
 	return rep

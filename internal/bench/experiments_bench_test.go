@@ -1,34 +1,18 @@
 package bench
 
-// One testing.B benchmark per paper table/figure: each regenerates
-// the experiment at quick scale (cmd/gptpu-bench -full runs the
-// paper-scale configurations).
-
 import "testing"
 
-func benchExperiment(b *testing.B, id string) {
-	e, ok := ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	var rep *Report
-	for i := 0; i < b.N; i++ {
-		rep = e.Run(Opts{})
-	}
-	if rep == nil || len(rep.Rows) == 0 {
-		b.Fatal("experiment produced no rows")
+// BenchmarkExperiments regenerates each experiment at quick scale, one
+// sub-benchmark per All() entry (cmd/gptpu-bench -full runs the
+// paper-scale configurations).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if len(e.Run(Opts{}).Rows) == 0 {
+					b.Fatal("experiment produced no rows")
+				}
+			}
+		})
 	}
 }
-
-// One benchmark per paper artifact (E1-E10 in DESIGN.md).
-
-func BenchmarkTable1Characterization(b *testing.B) { benchExperiment(b, "table1") }
-func BenchmarkDataExchange(b *testing.B)           { benchExperiment(b, "exchange") }
-func BenchmarkModelCreation(b *testing.B)          { benchExperiment(b, "model") }
-func BenchmarkFigure6GemmVariants(b *testing.B)    { benchExperiment(b, "fig6") }
-func BenchmarkFigure7Applications(b *testing.B)    { benchExperiment(b, "fig7") }
-func BenchmarkTable4Accuracy(b *testing.B)         { benchExperiment(b, "table4") }
-func BenchmarkTable5FBGEMM(b *testing.B)           { benchExperiment(b, "table5") }
-func BenchmarkFigure8Scaling(b *testing.B)         { benchExperiment(b, "fig8") }
-func BenchmarkTable6Inventory(b *testing.B)        { benchExperiment(b, "table6") }
-func BenchmarkFigure9GPUs(b *testing.B)            { benchExperiment(b, "fig9") }

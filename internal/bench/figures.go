@@ -17,7 +17,7 @@ import (
 // OpenBLAS CPU baseline, at 1K/2K/4K (quick mode: 256/512/1K).
 func Figure6(o Opts) *Report {
 	sizes := []int{256, 512, 1024}
-	paper := map[int]string{1024: "1.48", 2048: "1.90", 4096: "2.06"}
+	paper := map[int]float64{1024: 1.48, 2048: 1.90, 4096: 2.06}
 	if o.Full {
 		sizes = []int{1024, 2048, 4096}
 	}
@@ -32,18 +32,12 @@ func Figure6(o Opts) *Report {
 		_, cpuM := gemm.RunCPU(cpu, 1, cfg, nil, nil)
 
 		ctxC := o.open(gptpu.Config{TimingOnly: true})
-		_, convM, err := gemm.RunTPU(ctxC, gemm.Conv2D, shapeOnly(n), shapeOnly(n))
-		if err != nil {
-			panic(err)
-		}
+		_, convM := must(gemm.RunTPU(ctxC, gemm.Conv2D, shapeOnly(n), shapeOnly(n)))
 		ctxF := o.open(gptpu.Config{TimingOnly: true})
-		_, fcM, err := gemm.RunTPU(ctxF, gemm.FullyConnected, shapeOnly(n), shapeOnly(n))
-		if err != nil {
-			panic(err)
-		}
-		pp := paper[n]
-		if pp == "" {
-			pp = "-"
+		_, fcM := must(gemm.RunTPU(ctxF, gemm.FullyConnected, shapeOnly(n), shapeOnly(n)))
+		pp := label("-")
+		if v, ok := paper[n]; ok {
+			pp = num(v, "x", "%.2f")
 		}
 		rep.AddRow(fmt.Sprintf("%dx%d", n, n), pp,
 			f2x(convM.Speedup(cpuM)), f2x(fcM.Speedup(cpuM)),
@@ -61,26 +55,20 @@ func Figure7(o Opts) *Report {
 		Title:  "per-application speedup / energy / EDP: 1 Edge TPU vs 1 CPU core",
 		Header: []string{"app", "speedup(paper)", "speedup(sim)", "energy(sim)", "EDP(sim)"},
 	}
-	var spdSum, engSum, edpSum float64
-	var spdSumNoBP float64
-	ws := workloads(o)
-	for _, w := range ws {
+	var noBP [][]Cell
+	for _, w := range workloads(o) {
 		cpuM := w.cpu(1)
 		tpuM := w.tpu(1)
-		spd := tpuM.Speedup(cpuM)
-		eng := tpuM.EnergyRatio(cpuM)
-		edp := tpuM.EDPRatio(cpuM)
-		spdSum += spd
-		engSum += eng
-		edpSum += edp
+		rep.AddRow(w.name, label(w.paperSpeedup), f2x(tpuM.Speedup(cpuM)),
+			pct(tpuM.EnergyRatio(cpuM)), pct(tpuM.EDPRatio(cpuM)))
 		if w.name != "Backprop" {
-			spdSumNoBP += spd
+			noBP = append(noBP, rep.Rows[len(rep.Rows)-1])
 		}
-		rep.AddRow(w.name, w.paperSpeedup, f2x(spd), pct(eng), pct(edp))
 	}
-	n := float64(len(ws))
-	rep.AddRow("Average", "2.46", f2x(spdSum/n), pct(engSum/n), pct(edpSum/n))
-	rep.AddRow("Avg. w/o Backprop", "2.19", f2x(spdSumNoBP/(n-1)), "-", "-")
+	rows := rep.Rows
+	rep.AddRow("Average", label("2.46"), rep.mean(rows, "speedup(sim)"),
+		rep.mean(rows, "energy(sim)"), rep.mean(rows, "EDP(sim)"))
+	rep.AddRow("Avg. w/o Backprop", label("2.19"), rep.mean(noBP, "speedup(sim)"), label("-"), label("-"))
 	rep.AddNote("paper: average 2.46x speedup, 40%% energy saving, 67%% EDP reduction; HotSpot3D lowest at 1.14x")
 	if !o.Full {
 		rep.AddNote("quick mode: inputs scaled down from Table 3; run with -full for paper-scale sizes")
@@ -98,33 +86,25 @@ func Figure8(o Opts) *Report {
 		Header: []string{"app", "2 TPUs", "4 TPUs", "8 TPUs", "8 CPUs",
 			"scale@8(sim)", "note"},
 	}
-	devCounts := []int{2, 4, 8}
-	var sum8TPU, sum8CPU float64
-	ws := workloads(o)
-	for _, w := range ws {
+	for _, w := range workloads(o) {
 		cpu1 := w.cpu(1)
 		tpu1 := w.tpu(1)
-		var cells []string
+		var cells []Cell
 		var tpu8 apps.Metrics
-		for _, d := range devCounts {
-			m := w.tpu(d)
-			if d == 8 {
-				tpu8 = m
-			}
-			cells = append(cells, f2x(m.Speedup(cpu1)))
+		for _, d := range []int{2, 4, 8} {
+			tpu8 = w.tpu(d)
+			cells = append(cells, f2x(tpu8.Speedup(cpu1)))
 		}
-		cpu8 := w.cpu(8)
-		sum8TPU += tpu8.Speedup(cpu1)
-		sum8CPU += cpu8.Speedup(cpu1)
 		note := ""
 		if w.name == "LUD" {
 			note = "paper: worst scaling (recursive partitioning)"
 		}
-		rep.AddRow(append([]string{w.name}, append(cells,
-			f2x(cpu8.Speedup(cpu1)), f2x(tpu8.Speedup(tpu1)), note)...)...)
+		rep.AddRow(w.name, append(cells,
+			f2x(w.cpu(8).Speedup(cpu1)), f2x(tpu8.Speedup(tpu1)), label(note))...)
 	}
-	n := float64(len(ws))
-	rep.AddRow("Average", "-", "-", f2x(sum8TPU/n), f2x(sum8CPU/n), "-", "paper: 13.86x @8 TPUs, 2.70x @8 CPUs")
+	rows := rep.Rows
+	rep.AddRow("Average", label("-"), label("-"), rep.mean(rows, "8 TPUs"), rep.mean(rows, "8 CPUs"),
+		label("-"), label("paper: 13.86x @8 TPUs, 2.70x @8 CPUs"))
 	return rep
 }
 
@@ -137,10 +117,7 @@ func Figure9(o Opts) *Report {
 		Header: []string{"app", "1xTPU", "RTX2080", "Jetson", "8xTPU",
 			"E(TPU)", "E(RTX)", "E(Jetson)", "E(8xTPU)"},
 	}
-	type agg struct{ tpu, rtx, jet, tpu8, eT, eR, eJ, e8 float64 }
-	var sum agg
-	ws := workloads(o)
-	for _, w := range ws {
+	for _, w := range workloads(o) {
 		cpu1 := w.cpu(1)
 		tpu1 := w.tpu(1)
 		tpu8 := w.tpu(8)
@@ -153,29 +130,15 @@ func Figure9(o Opts) *Report {
 			jcpu = scaleMetrics(cpu1, w.jetsonScale)
 		}
 		jet := w.gpu(gpusim.New(gpusim.JetsonNano()), w.jetsonScale)
-
-		s1 := tpu1.Speedup(cpu1)
-		sr := rtx.Speedup(cpu1)
-		sj := jet.Speedup(jcpu)
-		s8 := tpu8.Speedup(cpu1)
-		eT := tpu1.EnergyRatio(cpu1)
-		eR := rtx.EnergyRatio(cpu1)
-		eJ := jet.EnergyRatio(jcpu)
-		e8 := tpu8.EnergyRatio(cpu1)
-		sum.tpu += s1
-		sum.rtx += sr
-		sum.jet += sj
-		sum.tpu8 += s8
-		sum.eT += eT
-		sum.eR += eR
-		sum.eJ += eJ
-		sum.e8 += e8
-		rep.AddRow(w.name, f2x(s1), f2x(sr), f2x(sj), f2x(s8),
-			pct(eT), pct(eR), pct(eJ), pct(e8))
+		rep.AddRow(w.name, f2x(tpu1.Speedup(cpu1)), f2x(rtx.Speedup(cpu1)), f2x(jet.Speedup(jcpu)),
+			f2x(tpu8.Speedup(cpu1)), pct(tpu1.EnergyRatio(cpu1)), pct(rtx.EnergyRatio(cpu1)),
+			pct(jet.EnergyRatio(jcpu)), pct(tpu8.EnergyRatio(cpu1)))
 	}
-	n := float64(len(ws))
-	rep.AddRow("Average", f2x(sum.tpu/n), f2x(sum.rtx/n), f2x(sum.jet/n), f2x(sum.tpu8/n),
-		pct(sum.eT/n), pct(sum.eR/n), pct(sum.eJ/n), pct(sum.e8/n))
+	var avg []Cell
+	for _, col := range rep.Header[1:] {
+		avg = append(avg, rep.mean(rep.Rows, col))
+	}
+	rep.AddRow("Average", avg...)
 	rep.AddNote("paper: RTX 2080 364x vs CPU core (69x vs Edge TPU); Jetson 1.15x vs CPU (2.30x vs TPU); 8x TPU most energy-efficient (-40%%), RTX +9%% energy")
 	rep.AddNote("Jetson inputs scaled per section 9.4 (4 GB memory); its columns compare against the CPU at the same scaled size")
 	return rep

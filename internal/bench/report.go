@@ -2,7 +2,9 @@
 // evaluation (the per-experiment index lives in DESIGN.md). Each
 // experiment returns a Report that prints the paper's published
 // values next to the values measured on the simulated platform, so
-// the reproduction quality is visible row by row.
+// the reproduction quality is visible row by row. A report's cells
+// keep numbers as computed; its text is a view of them, and the
+// quick-scale cells are pinned by TestLedger.
 //
 // Performance experiments run timing-only at (scaled) Table 3 sizes;
 // accuracy experiments run fully functionally at sizes the functional
@@ -43,40 +45,113 @@ func (o Opts) open(cfg gptpu.Config) *gptpu.Context {
 	return gptpu.Open(cfg)
 }
 
-// Report is one regenerated table or figure.
+// Report is one regenerated table or figure. Header names the
+// columns; each row starts with a label naming the row.
 type Report struct {
 	ID     string // experiment id, e.g. "table1", "fig7"
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
 	Notes  []string
 }
 
-// AddRow appends a formatted row.
-func (r *Report) AddRow(cells ...string) { r.Rows = append(r.Rows, cells) }
+// A Cell is one report entry: a label, or a number kept as computed
+// (fractions stay fractions, seconds stay seconds) with its unit and
+// the format it prints in.
+type Cell struct {
+	Label string  // a label's text
+	Value float64 // a number's value
+	Unit  string  // a number's unit
+	form  string  // a number's printf format, applied to Value*scale; "" for a label
+	scale float64
+}
+
+// IsNum reports whether c is a number.
+func (c Cell) IsNum() bool { return c.form != "" }
+
+// String renders c as the report prints it.
+func (c Cell) String() string {
+	if !c.IsNum() {
+		return c.Label
+	}
+	return fmt.Sprintf(c.form, c.Value*c.scale)
+}
+
+func label(s string) Cell { return Cell{Label: s} }
+
+// num is a number in unit printed with form.
+func num(v float64, unit, form string) Cell { return Cell{Value: v, Unit: unit, form: form, scale: 1} }
+
+// f2x is a ratio printed with 2 decimals and a trailing x.
+func f2x(v float64) Cell { return num(v, "x", "%.2fx") }
+
+// pct is a fraction printed as a percentage with 2 decimals.
+func pct(v float64) Cell { return Cell{Value: v, Unit: "fraction", form: "%.2f%%", scale: 100} }
+
+// ms is seconds printed as milliseconds.
+func ms(sec float64) Cell { return Cell{Value: sec, Unit: "s", form: "%.2fms", scale: 1e3} }
+
+// secs is seconds printed with 3 decimals.
+func secs(sec float64) Cell { return num(sec, "s", "%.3fs") }
+
+// AddRow appends a row named name.
+func (r *Report) AddRow(name string, cells ...Cell) {
+	r.Rows = append(r.Rows, append([]Cell{label(name)}, cells...))
+}
 
 // AddNote appends a footnote.
 func (r *Report) AddNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
+// col is the index of the column named name, or -1.
+func (r *Report) col(name string) int {
+	for i, h := range r.Header {
+		if h == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// mean is the mean of column col over rows, added in row order, with
+// the column's unit and format.
+func (r *Report) mean(rows [][]Cell, col string) Cell {
+	i := r.col(col)
+	c := rows[0][i]
+	var sum float64
+	for _, row := range rows {
+		sum += row[i].Value
+	}
+	c.Value = sum / float64(len(rows))
+	return c
+}
+
 // Fprint renders the report as an aligned text table.
 func (r *Report) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title)
-	widths := make([]int, len(r.Header))
-	for i, h := range r.Header {
-		widths[i] = len(h)
-	}
+	lines := [][]string{r.Header, nil}
 	for _, row := range r.Rows {
-		for i, c := range row {
+		var line []string
+		for _, c := range row {
+			line = append(line, c.String())
+		}
+		lines = append(lines, line)
+	}
+	widths := make([]int, len(r.Header))
+	for _, line := range lines {
+		for i, c := range line {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
 		}
 	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
+	for _, n := range widths {
+		lines[1] = append(lines[1], strings.Repeat("-", n))
+	}
+	for _, line := range lines {
+		parts := make([]string, len(line))
+		for i, c := range line {
 			w := 0
 			if i < len(widths) {
 				w = widths[i]
@@ -84,15 +159,6 @@ func (r *Report) Fprint(w io.Writer) {
 			parts[i] = fmt.Sprintf("%-*s", w, c)
 		}
 		fmt.Fprintln(w, "  "+strings.TrimRight(strings.Join(parts, "  "), " "))
-	}
-	line(r.Header)
-	sep := make([]string, len(r.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range r.Rows {
-		line(row)
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
@@ -106,21 +172,6 @@ func (r *Report) String() string {
 	r.Fprint(&b)
 	return b.String()
 }
-
-// f2 formats a float with 2 decimals.
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
-// f2x formats a ratio with a trailing x.
-func f2x(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// pct formats a fraction as a percentage with 2 decimals.
-func pct(v float64) string { return fmt.Sprintf("%.2f%%", 100*v) }
-
-// ms formats seconds as milliseconds.
-func ms(sec float64) string { return fmt.Sprintf("%.2fms", sec*1e3) }
-
-// secs formats seconds.
-func secs(sec float64) string { return fmt.Sprintf("%.3fs", sec) }
 
 // Experiment is a named generator, for the cmd front-end.
 type Experiment struct {

@@ -32,11 +32,13 @@ type workload struct {
 	jetsonScale float64
 }
 
-func mustTPU(m apps.Metrics, err error) apps.Metrics {
+// must returns a run's result and metrics, and panics on its error:
+// every experiment input is fixed, so an error is a bug.
+func must[T any](v T, m apps.Metrics, err error) (T, apps.Metrics) {
 	if err != nil {
 		panic(err)
 	}
-	return m
+	return v, m
 }
 
 // workloads builds the seven applications at quick or full scale.
@@ -71,8 +73,8 @@ func workloads(o Opts) []workload {
 			},
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
-				_, m, err := backprop.RunTPU(ctx, backprop.Config{Batch: bpB, In: bpIO, Hidden: bpIO}, nil)
-				return mustTPU(m, err)
+				_, m := must(backprop.RunTPU(ctx, backprop.Config{Batch: bpB, In: bpIO, Hidden: bpIO}, nil))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				n := scaleDim(bpB, sc)
@@ -89,8 +91,8 @@ func workloads(o Opts) []workload {
 			},
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
-				_, m, err := blackscholes.RunTPU(ctx, blackscholes.Config{N: bsN}, nil)
-				return mustTPU(m, err)
+				_, m := must(blackscholes.RunTPU(ctx, blackscholes.Config{N: bsN}, nil))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				return blackscholes.RunGPU(g, blackscholes.Config{N: scaleDim(bsN, sc)}, gpusim.FP32)
@@ -105,8 +107,8 @@ func workloads(o Opts) []workload {
 			},
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
-				_, m, err := gaussian.RunTPU(ctx, gaussian.Config{N: gaN}, nil)
-				return mustTPU(m, err)
+				_, m := must(gaussian.RunTPU(ctx, gaussian.Config{N: gaN}, nil))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				return gaussian.RunGPU(g, gaussian.Config{N: scaleDim(gaN, sc)}, gpusim.FP16)
@@ -122,8 +124,8 @@ func workloads(o Opts) []workload {
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
 				a, b := shapeOnly(gemmN), shapeOnly(gemmN)
-				_, m, err := gemm.RunTPU(ctx, gemm.Conv2D, a, b)
-				return mustTPU(m, err)
+				_, m := must(gemm.RunTPU(ctx, gemm.Conv2D, a, b))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				prec := gpusim.INT8 // tensor cores in 8-bit mode (section 9.4)
@@ -142,8 +144,8 @@ func workloads(o Opts) []workload {
 			},
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
-				_, m, err := hotspot3d.RunTPU(ctx, hotspot3d.Config{N: hsN, Layers: hsLayers, Iters: hsIters}, nil, nil)
-				return mustTPU(m, err)
+				_, m := must(hotspot3d.RunTPU(ctx, hotspot3d.Config{N: hsN, Layers: hsLayers, Iters: hsIters}, nil, nil))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				return hotspot3d.RunGPU(g, hotspot3d.Config{N: scaleDim(hsN, sc), Layers: hsLayers, Iters: hsIters})
@@ -158,8 +160,8 @@ func workloads(o Opts) []workload {
 			},
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
-				_, m, err := lud.RunTPU(ctx, lud.Config{N: ludN}, nil)
-				return mustTPU(m, err)
+				_, m := must(lud.RunTPU(ctx, lud.Config{N: ludN}, nil))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				return lud.RunGPU(g, lud.Config{N: scaleDim(ludN, sc)}, gpusim.FP32)
@@ -174,9 +176,9 @@ func workloads(o Opts) []workload {
 			},
 			tpu: func(dev int) apps.Metrics {
 				ctx := o.open(gptpu.Config{Devices: dev, TimingOnly: true})
-				g := &pagerank.Graph{Adj: shapeOnlyRect(prN, prN), OutDeg: make([]float32, prN)}
-				_, m, err := pagerank.RunTPU(ctx, pagerank.Config{N: prN, Iters: prIters}, g)
-				return mustTPU(m, err)
+				g := &pagerank.Graph{Adj: tensor.ShapeOnly(prN, prN), OutDeg: make([]float32, prN)}
+				_, m := must(pagerank.RunTPU(ctx, pagerank.Config{N: prN, Iters: prIters}, g))
+				return m
 			},
 			gpu: func(g *gpusim.GPU, sc float64) apps.Metrics {
 				return pagerank.RunGPU(g, pagerank.Config{N: scaleDim(prN, sc), Iters: prIters})
@@ -198,6 +200,3 @@ func scaleDim(n int, sc float64) int {
 
 // shapeOnly returns an NxN shape-only matrix for timing-only runs.
 func shapeOnly(n int) *tensor.Matrix { return tensor.ShapeOnly(n, n) }
-
-// shapeOnlyRect returns an RxC shape-only matrix.
-func shapeOnlyRect(r, c int) *tensor.Matrix { return tensor.ShapeOnly(r, c) }
