@@ -40,7 +40,9 @@ race:
 ci: vet race flake-gate serve-smoke obs-smoke fuzz-smoke graph-fuzz cluster-smoke bench-kernels bench-test
 
 # flake-gate reruns the serving and cluster suites, the runtime's
-# result free-list hammer (TestReleaseHammer) and the precise operators'
+# result free-list hammers (TestReleaseHammer; TestGraphReleaseHammer,
+# whose concurrent graph submissions release dead intermediates to the
+# free list the others draw on) and the precise operators'
 # shared-buffer tests, whose split codes are pooled scratch put back
 # while other tasks may still run, twenty times under the race detector
 # (~1 min on 2 cores). The request path's ordering oracles
@@ -50,7 +52,7 @@ ci: vet race flake-gate serve-smoke obs-smoke fuzz-smoke graph-fuzz cluster-smok
 # while still read, fails here long before it fails once.
 flake-gate:
 	$(GO) test -race -count=20 ./internal/server ./internal/cluster
-	$(GO) test -race -count=20 -run 'TestReleaseHammer|TestMatVecPreciseSharedBuffer|TestMatMulPreciseSharedBuffer' ./internal/core
+	$(GO) test -race -count=20 -run 'TestReleaseHammer|TestGraphReleaseHammer|TestMatVecPreciseSharedBuffer|TestMatMulPreciseSharedBuffer' ./internal/core
 
 # bench-test runs the repo benchmark's own suite (unit tests plus a 1 s
 # smoke of every workload, checksums and NoBatch bit-identity included);

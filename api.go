@@ -90,4 +90,8 @@ var (
 	// ErrOnChip is returned by GraphNode.Result for intermediates that
 	// stayed in on-chip memory (call Fetch before Submit to download).
 	ErrOnChip = core.ErrOnChip
+	// ErrReleased is returned by GraphNode.Result for intermediates
+	// whose host memory Submit handed back after their last consumer
+	// ran (call Fetch before Submit to keep the result).
+	ErrReleased = core.ErrReleased
 )

@@ -3,6 +3,7 @@ package apps_test
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	gptpu "repro"
@@ -36,22 +37,28 @@ func TestTimingOnlyMatchesFunctional(t *testing.T) {
 }
 
 // TestAppByteBudget pins the bytes one functional run allocates — input
-// generation, a fresh two-device context and the run — for the three
-// applications that hand their per-iteration matrices back with
-// Context.Release: Gaussian its Mul and GEMM operands and products,
-// HotSpot3D its padded grids, conv results and superseded grids,
-// BlackScholes its feature matrix (one for both CNDF products) and the
-// products, while the precise operators hand back the split codes of
-// each fresh feature buffer. A run that stops releasing goes over:
-// without its releases Gaussian allocates several times its budget.
+// generation, a fresh two-device context and the run — for each of the
+// six applications. Gaussian, HotSpot3D and BlackScholes hand their
+// per-iteration matrices back with Context.Release (Gaussian its Mul
+// and GEMM operands and products, HotSpot3D its padded grids, conv
+// results and superseded grids, BlackScholes its feature matrix and
+// the products), the precise operators hand back the split codes of
+// each fresh feature buffer, Backprop's and PageRank's graphs release
+// every intermediate after its last consumer, and each context's Close
+// puts its free list into tensor's recycler for the next run. A run
+// that stops releasing goes over: without its releases Gaussian
+// allocates several times its budget.
 func TestAppByteBudget(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	budget := map[string]int{ // KiB
-		"gaussian":     650, // 2332 before Release
-		"hotspot3d":    720, // 1108
-		"blackscholes": 520, // 941; 672 while the split codes were kept
+		"pagerank":     580, // 509 before the graph released intermediates
+		"hotspot3d":    540, // 1108 before Release, 618 before Close recycled
+		"backprop":     460, // 485 before the graph released intermediates
+		"lud":          460, // 390 before results were size classes
+		"gaussian":     500, // 2332 before Release, 553 before Close recycled
+		"blackscholes": 215, // 941 before Release, 447 before Close recycled
 	}
 	run := goldenApps()
 	for name, kib := range budget {
@@ -65,6 +72,42 @@ func TestAppByteBudget(t *testing.T) {
 		t.Logf("%s: %.0f KiB per run (budget %d KiB)", name, got/1024, kib)
 		if got > float64(kib<<10) {
 			t.Errorf("%s: %.0f KiB per run, budget %d KiB — is a per-iteration matrix no longer released?", name, got/1024, kib)
+		}
+	}
+}
+
+// TestCloseFeedsNextContext: what a closed context released serves the
+// next one. With the collector off and the recycler emptied, a second
+// fresh context running the same application allocates at most two
+// thirds of what the first did; if Close dropped its free list,
+// HotSpot3D's second run would allocate nine tenths of its first.
+func TestCloseFeedsNextContext(t *testing.T) {
+	if tensor.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	run := goldenApps()
+	for _, name := range []string{"hotspot3d", "gaussian", "blackscholes"} {
+		once := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ctx := gptpu.Open(gptpu.Config{Devices: 2})
+			if _, _, err := run[name](ctx); err != nil {
+				t.Fatal(err)
+			}
+			ctx.Close()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		once() // first-use allocations of the program
+		gc := debug.SetGCPercent(-1)
+		runtime.GC()
+		runtime.GC() // twice: the recycler's pools survive one collection
+		first := once()
+		second := once()
+		debug.SetGCPercent(gc)
+		t.Logf("%s: first context %d KiB, second %d KiB", name, first>>10, second>>10)
+		if 3*second > 2*first {
+			t.Errorf("%s: second context allocated %d KiB, first %d KiB — does Close still hand its free list to the recycler?", name, second>>10, first>>10)
 		}
 	}
 }

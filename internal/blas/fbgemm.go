@@ -32,7 +32,7 @@ func Int8Gemm(a, b *tensor.Matrix) *tensor.Matrix {
 	}
 	pa, pb := quant.ParamsFor(a), quant.ParamsFor(b)
 	qa := quant.QuantizeWith(a, pa)
-	qb := quant.QuantizeWith(b, pb)
+	qbt := quant.QuantizeWith(b, pb).Transpose() // column j of B is row j
 
 	m, n, k := a.Rows, a.Cols, b.Cols
 	out := tensor.New(m, k)
@@ -40,12 +40,14 @@ func Int8Gemm(a, b *tensor.Matrix) *tensor.Matrix {
 	for i := 0; i < m; i++ {
 		ra := qa.Row(i)
 		for j := 0; j < k; j++ {
+			rb := qbt.Row(j)
 			var wide int32
 			for l0 := 0; l0 < n; l0 += acc16Depth {
-				lMax := min(l0+acc16Depth, n)
+				xa := ra[l0:min(l0+acc16Depth, n)]
+				xb := rb[l0 : l0+len(xa)]
 				var acc int16
-				for l := l0; l < lMax; l++ {
-					acc = satAddI16(acc, int16(ra[l])*int16(qb.At(l, j)))
+				for l, x := range xa {
+					acc = satAddI16(acc, int16(x)*int16(xb[l]))
 				}
 				wide += int32(acc)
 			}

@@ -219,12 +219,16 @@ func (c *Context) engine() *engine {
 // queued finish charging before Close returns, and operators whose
 // submissions lose the race fail with ErrClosed instead of panicking
 // the worker pool (what gptpu-serve's shutdown drain relies on). It
-// also drops the free list of released matrices.
+// also hands the free list of released matrices to tensor.Put.
 func (c *Context) Close() {
 	c.engine().close()
 	c.freeMu.Lock()
+	free := c.free
 	c.free = nil
 	c.freeMu.Unlock()
+	for _, m := range free {
+		tensor.Put(m)
+	}
 }
 
 // Reset rewinds virtual time and scheduler state (buffers keep their

@@ -20,6 +20,11 @@ var ErrUpstream = errors.New("core: upstream graph node failed")
 // Fetch before Submit to download the result.
 var ErrOnChip = errors.New("core: node result resides on-chip (call Fetch before Submit)")
 
+// ErrReleased is returned by Node.Result for a device intermediate
+// whose output Submit handed back to the context after its last
+// consumer ran. Call Fetch before Submit to keep the result.
+var ErrReleased = errors.New("core: node result was released after its last consumer (call Fetch before Submit)")
+
 // Value is anything a graph node can consume as an operand: a host
 // *Buffer or the output handle of an upstream *Node.
 type Value interface {
@@ -104,16 +109,19 @@ type Node struct {
 	hostCost timing.Duration
 
 	fetch bool // host materialization requested (or forced)
+	kept  bool // Fetch'd, CPU-aggregated, or returned by a host node: never released
 
 	// Filled by Submit.
-	cell   *graphHome // chain placement cell (device nodes)
-	chip   bool       // output stayed in on-chip memory
-	out    *tensor.Matrix
-	vec    []float32
-	scalar float32
-	buf    *Buffer // output as a consumable operand
-	end    timing.Duration
-	err    error
+	cell     *graphHome // chain placement cell (device nodes)
+	chip     bool       // output stayed in on-chip memory
+	uses     int        // operand slots still to read the output
+	released bool       // output handed back to the context
+	out      *tensor.Matrix
+	vec      []float32
+	scalar   float32
+	buf      *Buffer // output as a consumable operand
+	end      timing.Duration
+	err      error
 }
 
 func (n *Node) dims() (int, int) { return n.rows, n.cols }
@@ -126,14 +134,17 @@ func (n *Node) Rows() int { return n.rows }
 func (n *Node) Cols() int { return n.cols }
 
 // Fetch marks the node's output for host materialization: Submit
-// downloads and dequantizes it like per-op execution would, making
-// Result available. Leaves (nodes nothing consumes) and nodes feeding
-// host code are fetched automatically.
+// downloads and dequantizes it like per-op execution would, and keeps
+// it for Result. Leaves (nodes nothing consumes) and results the CPU
+// aggregates are fetched and kept automatically. Nodes feeding host
+// code are materialized too, but unless fetched, a device node's
+// output goes back to the context (Context.Release) once its last
+// consumer has run.
 func (n *Node) Fetch() *Node {
 	if n.g.submitted {
 		panic("core: Fetch after Submit")
 	}
-	n.fetch = true
+	n.fetch, n.kept = true, true
 	return n
 }
 
@@ -150,9 +161,10 @@ func (n *Node) OnChip() bool { return n.chip }
 func (n *Node) End() timing.Duration { return n.end }
 
 // Result returns the node's materialized output matrix. It fails with
-// ErrOnChip for intermediates that never left the device, and with
-// the node's execution error if it (or an upstream node) failed. In
-// timing-only mode the matrix is shape-only.
+// ErrOnChip for intermediates that never left the device, with
+// ErrReleased for intermediates Submit released, and with the node's
+// execution error if it (or an upstream node) failed. In timing-only
+// mode the matrix is shape-only.
 func (n *Node) Result() (*tensor.Matrix, error) {
 	if n.err != nil {
 		return nil, n.err
@@ -162,6 +174,9 @@ func (n *Node) Result() (*tensor.Matrix, error) {
 	}
 	if n.chip {
 		return nil, ErrOnChip
+	}
+	if n.released {
+		return nil, ErrReleased
 	}
 	return n.out, nil
 }
@@ -226,8 +241,9 @@ func (g *Graph) Apply(op Operator, p Params, args ...Value) *Node {
 		br, bc = args[1].dims()
 	}
 	rows, cols := op.mustShape("graph.", p, ar, ac, br, bc)
+	cpu := operators[op].result != deviceResult
 	return g.add(&Node{name: op.String(), op: op, params: p, rows: rows, cols: cols, args: args,
-		fetch: operators[op].result != deviceResult})
+		fetch: cpu, kept: cpu})
 }
 
 // result is a device node's result kind.
@@ -290,7 +306,10 @@ func (g *Graph) MaxReduce(a Value) *Node { return g.Apply(OpMax, Params{}, a) }
 // charging cost of virtual CPU time at its dependencies' completion.
 // In timing-only mode fn is skipped and the output is shape-only.
 // Device nodes feeding a HostOp are host-materialized automatically —
-// host code cannot read on-chip memory.
+// host code cannot read on-chip memory. fn's inputs are valid only
+// during the call: an unfetched device node's output is released once
+// its last consumer has run. fn may return one of its inputs, which
+// then stays the host node's output.
 func (g *Graph) HostOp(name string, rows, cols int, cost timing.Duration, fn func(in []*tensor.Matrix) *tensor.Matrix, deps ...Value) *Node {
 	return g.add(&Node{name: name, host: true, rows: rows, cols: cols, hostCost: cost, hostFn: fn, args: deps})
 }
@@ -373,8 +392,26 @@ func (g *Graph) SubmitObserved(ob TaskObserver) error {
 		if n.err != nil && firstErr == nil && !errors.Is(n.err, ErrUpstream) {
 			firstErr = n.err
 		}
+		for _, a := range n.args {
+			if d := a.asNode(); d != nil {
+				if d.uses--; d.uses == 0 {
+					g.release(d)
+				}
+			}
+		}
 	}
 	return firstErr
+}
+
+// release hands a dead intermediate's output back to the context: a
+// device node's, after its last consumer ran, unless it is kept (see
+// Node.kept).
+func (g *Graph) release(n *Node) {
+	if n.host || n.kept || n.out == nil || !g.c.Functional() {
+		return
+	}
+	g.c.Release(n.out)
+	n.out, n.buf, n.released = nil, nil, true
 }
 
 // analyze decides, before any execution, which node outputs stay
@@ -400,6 +437,7 @@ func (g *Graph) analyze() {
 			if d == nil {
 				continue
 			}
+			d.uses++
 			if n.host || operators[n.op].hostArgs&(1<<i) != 0 {
 				hostConsumed[d.id] = true
 			} else {
@@ -518,6 +556,11 @@ func (g *Graph) runNode(n *Node, epoch timing.Duration, obs TaskObserver) {
 			if n.out == nil || n.out.Rows != n.rows || n.out.Cols != n.cols {
 				panic(fmt.Sprintf("core: graph.%s: host node returned %v, declared %dx%d", n.name, shapeOf(n.out), n.rows, n.cols))
 			}
+			for i, a := range n.args {
+				if d := a.asNode(); d != nil && sameArray(n.out, ins[i]) {
+					d.kept = true // the alias guard: fn returned its input
+				}
+			}
 		} else {
 			n.out = tensor.ShapeOnly(n.rows, n.cols)
 		}
@@ -580,6 +623,13 @@ func vectorData(c *Context, m *tensor.Matrix) []float32 {
 		}
 	}
 	return out
+}
+
+// sameArray reports whether a and b are views of one backing array:
+// a view's data runs to the end of its parent's capacity.
+func sameArray(a, b *tensor.Matrix) bool {
+	ca, cb := cap(a.Data), cap(b.Data)
+	return ca > 0 && cb > 0 && &a.Data[:ca][ca-1] == &b.Data[:cb][cb-1]
 }
 
 func shapeOf(m *tensor.Matrix) string {

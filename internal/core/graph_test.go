@@ -4,11 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -137,7 +139,10 @@ func graphDeterminismRun(t *testing.T, workers int, fc *fault.Config) (float64, 
 	right := g.Add(bb, bc).Tanh()
 	join := left.MulPair(right).Fetch()
 	mean := g.Mean(join)
-	if err := g.Submit(); err != nil {
+	// The left chain's on-chip shadow is released once join has run:
+	// copy it when its own node span ends (functional check only).
+	tap := &nodeTap{g: g}
+	if err := g.SubmitObserved(tap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mean.Scalar(); err != nil {
@@ -147,9 +152,32 @@ func graphDeterminismRun(t *testing.T, workers int, fc *fault.Config) (float64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm := g.nodes[1].out // left chain shadow (on-chip): functional check only
+	lm := tap.copies[left.id]
+	if lm == nil || !left.OnChip() {
+		t.Fatal("left chain: no on-chip shadow to compare")
+	}
 	return ctx.Elapsed().Seconds(), jm, lm, ctx.Stats()
 }
+
+// nodeTap is a TaskObserver that keeps each node's output, and a copy
+// of it, as the node's span ends: before Submit can release it.
+type nodeTap struct {
+	g            *Graph
+	outs, copies []*tensor.Matrix // by node id
+}
+
+func (p *nodeTap) ObserveSpan(stage string, _ time.Time, _ time.Duration, _ string) {
+	if stage != obs.StageNode { // the other stages come from engine workers
+		return
+	}
+	out := p.g.nodes[len(p.outs)].out
+	p.outs = append(p.outs, out)
+	if out != nil {
+		out = out.Clone()
+	}
+	p.copies = append(p.copies, out)
+}
+func (p *nodeTap) ObserveEvent(string, string, bool) {}
 
 // TestGraphDeterminismAcrossWorkers: same DAG at workers=1 vs 8 →
 // bit-identical results and virtual makespans.
@@ -641,5 +669,167 @@ func TestGraphUpstreamPoisoningMixedKinds(t *testing.T) {
 	}
 	if healthy.Err() != nil {
 		t.Fatalf("independent branch poisoned: %v", healthy.Err())
+	}
+}
+
+// TestGraphReleasesDeadIntermediates: once its last consumer has run,
+// an unfetched device node's output goes back to the context — a
+// host-consumed one and an on-chip shadow alike — and backs a later
+// node's result, while Result on it reports ErrReleased.
+func TestGraphReleasesDeadIntermediates(t *testing.T) {
+	ctx := testCtx(2)
+	defer ctx.Close()
+	a, b, c := graphChainInputs(32)
+	ba, bb, bc := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b), ctx.CreateMatrixBuffer(c)
+	g := ctx.NewGraph()
+	sum := g.Add(ba, bb)
+	half := g.HostOp("halve", 32, 32, 0, func(in []*tensor.Matrix) *tensor.Matrix {
+		out := in[0].Clone()
+		out.Scale(0.5)
+		return out
+	}, sum)
+	prod := g.MulPair(half, sum) // sum's second, last consumer
+	chip := g.MatMul(prod, bc)   // takes sum's memory; prod's shadow dies here
+	add := chip.Add(ba)          // and backs this result
+	leaf := add.Tanh()
+	tap := &nodeTap{g: g}
+	if err := g.SubmitObserved(tap); err != nil {
+		t.Fatal(err)
+	}
+	if sameMemory(tap.outs[prod.id], tap.outs[sum.id]) {
+		t.Fatal("sum's output was reused while its last consumer still read it")
+	}
+	if !sameMemory(tap.outs[chip.id], tap.outs[sum.id]) {
+		t.Fatal("the node after sum's last consumer did not reuse sum's released output")
+	}
+	if !sameMemory(tap.outs[add.id], tap.outs[prod.id]) {
+		t.Fatal("the node after prod's last consumer did not reuse prod's released shadow")
+	}
+	lm, err := leaf.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prod.OnChip() || !chip.OnChip() {
+		t.Fatal("prod and chip should have stayed on-chip")
+	}
+	if _, err := sum.Result(); !errors.Is(err, ErrReleased) {
+		t.Fatalf("released node Result err = %v, want ErrReleased", err)
+	}
+	if _, err := prod.Result(); !errors.Is(err, ErrOnChip) {
+		t.Fatalf("on-chip node Result err = %v, want ErrOnChip", err)
+	}
+
+	// The same chain per-op gives the same bits.
+	s := ctx.NewOp()
+	sm := s.Add(ba, bb)
+	hm := sm.Clone()
+	hm.Scale(0.5)
+	pm := s.Mul(ctx.CreateMatrixBuffer(hm), ctx.CreateMatrixBuffer(sm))
+	want := s.Tanh(ctx.CreateMatrixBuffer(s.Add(ctx.CreateMatrixBuffer(s.Gemm(ctx.CreateMatrixBuffer(pm), bc)), ba)))
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	bitIdentical(t, want, lm, "graph with released intermediates vs per-op")
+}
+
+// TestGraphKeepsLiveResults: a Fetch'ed node with a consumer, a leaf,
+// and a node whose HostOp consumer returned its input as the host
+// node's output all keep their results; nothing reaches the free list.
+func TestGraphKeepsLiveResults(t *testing.T) {
+	ctx := testCtx(2)
+	defer ctx.Close()
+	a, b, _ := graphChainInputs(32)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
+	g := ctx.NewGraph()
+	fetched := g.Add(ba, bb).Fetch()
+	leaf := fetched.Tanh()
+	aliased := g.ReLU(ba)
+	same := g.HostOp("same", 32, 32, 0, func(in []*tensor.Matrix) *tensor.Matrix { return in[0] }, aliased)
+	if err := g.Submit(); err != nil {
+		t.Fatal(err)
+	}
+	s := ctx.NewOp()
+	for _, c := range []struct {
+		name string
+		n    *Node
+		want *tensor.Matrix
+	}{
+		{"fetched", fetched, s.Add(ba, bb)},
+		{"leaf", leaf, s.Tanh(ctx.CreateMatrixBuffer(s.Add(ba, bb)))},
+		{"aliased", aliased, s.ReLU(ba)},
+		{"host output", same, s.ReLU(ba)},
+	} {
+		got, err := c.n.Result()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		bitIdentical(t, c.want, got, c.name)
+	}
+	if s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	if n := freeLen(ctx); n != 0 {
+		t.Fatalf("free list holds %d matrices after a graph with no dead intermediate", n)
+	}
+}
+
+// TestGraphReleaseHammer submits graphs with HostOps from concurrent
+// goroutines on one context: every intermediate goes back to the one
+// free list the others draw their results from. Under -race (make
+// flake-gate runs it twenty times) an output released while a host
+// node or the caller still reads it, or a list update outside the
+// lock, fails here.
+func TestGraphReleaseHammer(t *testing.T) {
+	ctx := testCtx(2)
+	defer ctx.Close()
+	a, b, _ := graphChainInputs(24)
+	ba, bb := ctx.CreateMatrixBuffer(a), ctx.CreateMatrixBuffer(b)
+	run := func(mark float32) (*tensor.Matrix, error) {
+		g := ctx.NewGraph()
+		scaled := g.HostOp("mark", 24, 24, 0, func(in []*tensor.Matrix) *tensor.Matrix {
+			out := in[0].Clone()
+			out.Scale(mark)
+			runtime.Gosched()
+			return out
+		}, g.Add(ba, bb))
+		leaf := g.MulPair(scaled, bb).Tanh()
+		if err := g.Submit(); err != nil {
+			return nil, err
+		}
+		return leaf.Result()
+	}
+	const tasks, rounds = 8, 10
+	want := make([]*tensor.Matrix, tasks)
+	for k := range want {
+		m, err := run(float32(k + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = m.Clone()
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, tasks)
+	for k := 0; k < tasks; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got, err := run(float32(k + 1))
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				if !got.Equal(want[k]) {
+					errs <- "a graph result changed under concurrent releases"
+					return
+				}
+				ctx.Release(got)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

@@ -13,18 +13,19 @@ const maxFreeResults = 32
 // are unspecified — the ForOverwrite contract of
 // tensor.GetForOverwrite: the caller stores every element before it
 // reads any. It is the smallest matrix on the context's free list that
-// fits (memory the caller handed back with Release), or else a fresh
-// one from tensor.GetF32Exact, so a caller that never releases pays
-// for exactly what it gets. In timing-only mode it is a shape-only
-// descriptor (paper-scale sweeps must not materialize gigabyte
-// matrices). Every operator result comes from here; the matrix is the
-// caller's, to keep or to Release.
+// fits (memory the caller handed back with Release), or else a size
+// class from tensor.GetForOverwrite, which is what lets it recycle
+// once released: a kept result holds its whole class, up to twice its
+// elements' bytes and at least 64 elements. In timing-only mode it is a
+// shape-only descriptor (paper-scale sweeps must not materialize
+// gigabyte matrices). Every operator result comes from here; the
+// matrix is the caller's, to keep or to Release.
 func (c *Context) Matrix(rows, cols int) *tensor.Matrix {
 	if !c.Functional() {
 		return tensor.ShapeOnly(rows, cols)
 	}
 	if rows <= 0 || cols <= 0 { // empty, or negative: New panics
-		return tensor.GetF32Exact(rows, cols)
+		return tensor.New(rows, cols)
 	}
 	n := rows * cols
 	c.freeMu.Lock()
@@ -36,7 +37,7 @@ func (c *Context) Matrix(rows, cols int) *tensor.Matrix {
 	}
 	if best < 0 {
 		c.freeMu.Unlock()
-		return tensor.GetF32Exact(rows, cols)
+		return tensor.GetForOverwrite[float32](rows, cols)
 	}
 	m := c.free[best]
 	last := len(c.free) - 1
@@ -48,11 +49,13 @@ func (c *Context) Matrix(rows, cols int) *tensor.Matrix {
 }
 
 // Release hands m back to the context, for the next operator result or
-// Matrix call that fits. It transfers ownership: the caller must not
-// touch m again, nor any view of it or Buffer made from it. Release of
-// nil, of a view (stride wider than its columns), of a matrix already
-// on the list, or in timing-only mode is a no-op, and a full list keeps
-// its largest matrices. Nothing is charged on the virtual clock.
+// Matrix call that fits; Close puts what is still on the list into
+// tensor's recycler, so the memory also serves the next context. It
+// transfers ownership: the caller must not touch m again, nor any view
+// of it or Buffer made from it. Release of nil, of a view (stride wider
+// than its columns), of a matrix already on the list, or in
+// timing-only mode is a no-op, and a full list keeps its largest
+// matrices. Nothing is charged on the virtual clock.
 func (c *Context) Release(m *tensor.Matrix) {
 	if m == nil || cap(m.Data) == 0 || !m.IsCompact() || !c.Functional() {
 		return

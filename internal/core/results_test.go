@@ -119,16 +119,31 @@ func TestFreeListBound(t *testing.T) {
 	ctx.freeMu.Unlock()
 }
 
-// TestCloseDropsFreeList: the free list dies with the context.
-func TestCloseDropsFreeList(t *testing.T) {
-	ctx := testCtx(1)
-	ctx.Release(ctx.Matrix(16, 16))
-	if n := freeLen(ctx); n != 1 {
-		t.Fatalf("free list holds %d, want 1", n)
+// TestCloseRecyclesFreeList: Close empties the free list into tensor's
+// recycler, so the next matrix of that size class, in any context,
+// reuses the memory.
+func TestCloseRecyclesFreeList(t *testing.T) {
+	recycled := false
+	// A Put is normally the very next Get's answer; a few attempts ride
+	// out a goroutine migration or a collection in between.
+	for try := 0; try < 10 && !recycled; try++ {
+		ctx := testCtx(1)
+		m := ctx.Matrix(10, 10) // 100 elements: the 128 class
+		ctx.Release(m)
+		if n := freeLen(ctx); n != 1 {
+			t.Fatalf("free list holds %d, want 1", n)
+		}
+		ctx.Close()
+		if n := freeLen(ctx); n != 0 {
+			t.Fatalf("free list holds %d after Close, want 0", n)
+		}
+		if tensor.RaceEnabled {
+			return // sync.Pool drops Puts under race: recycling is not observable
+		}
+		recycled = sameMemory(tensor.GetForOverwrite[float32](11, 11), m)
 	}
-	ctx.Close()
-	if n := freeLen(ctx); n != 0 {
-		t.Fatalf("free list holds %d after Close, want 0", n)
+	if !recycled {
+		t.Fatal("a closed context's released matrix never reached the recycler")
 	}
 }
 

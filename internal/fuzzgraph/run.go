@@ -113,6 +113,15 @@ func buildGraph(ctx *core.Context, cs *Case, ins []*tensor.Matrix, fetchAll bool
 		if ns.Fetch || fetchAll {
 			n.Fetch()
 		}
+		// The CPU reads a host node's operand and MatVec's vector from
+		// host memory, so those nodes materialize whatever is fetched;
+		// fetching keeps them past their last consumer for inspection
+		// without moving any placement.
+		for i, a := range ns.Args {
+			if a >= 0 && (ns.Op == OpHost || ns.Op == OpMatVec && i == 1) {
+				nodes[a].Fetch()
+			}
+		}
 		nodes = append(nodes, n)
 	}
 	return g, nodes

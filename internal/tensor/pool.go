@@ -9,13 +9,14 @@ import (
 // every pooled buffer of the runtime. The dispatch engine's functional
 // closures consume scratch matrices per instruction (int32
 // accumulators, requantized int8 tiles), operators aggregate device
-// partials in int64 scratch, the serving path holds host-side float32
-// matrices (operands decoded off the wire, the micro-batcher's stacked
-// activations, results whose only reader is the reply encoder), and
-// the wire path reads and encodes frames in byte buffers. At paper
-// tile shapes a steady-state stream retires thousands of instructions
-// per second, so allocating those buffers fresh would make the garbage
-// collector a hot-path participant.
+// partials in int64 scratch, every float32 operator result is a size
+// class (internal/core's Context.Matrix), the serving path holds
+// host-side float32 matrices (operands decoded off the wire, the
+// micro-batcher's stacked activations, results whose only reader is the
+// reply encoder), and the wire path reads and encodes frames in byte
+// buffers. At paper tile shapes a steady-state stream retires
+// thousands of instructions per second, so allocating those buffers
+// fresh would make the garbage collector a hot-path participant.
 //
 // A pooled buffer is a *Mat[T] with a compact layout whose capacity is
 // a power of two between 1<<minPoolBits and 1<<maxPoolBits elements;
@@ -36,13 +37,14 @@ import (
 //     transfers ownership back to the recycler: the caller must not
 //     touch the matrix (or any view of it) afterwards.
 //   - Put is always optional. A matrix that escapes (returned to user
-//     code, cached, encoded) is simply dropped and collected normally.
-//     For float32 matrices that is the rule, not the exception:
+//     code, cached, encoded) is simply dropped and collected normally:
 //     anything retained (a batch group's weights, a cached weight
 //     buffer) or decoded for a caller outside the owning package
 //     (Client.Call results) is never Put. A library caller done with
-//     an operator result hands it to its context's free list with
-//     Context.Release (internal/core), not to the recycler.
+//     an operator result hands it back with Context.Release
+//     (internal/core): the context keeps it as a front cache for its
+//     next result, and Close puts what is left here, so released
+//     memory outlives the context that made it.
 //   - Get returns fully zeroed logical contents, exactly like New,
 //     so pooled and fresh matrices are interchangeable.
 //     GetForOverwrite skips the zeroing pass and may hold stale
@@ -158,18 +160,3 @@ func PutI8(m *MatrixI8) { Put(m) }
 
 // PutI32 is Put for int32 matrices.
 func PutI32(m *MatrixI32) { Put(m) }
-
-// GetF32Exact is GetForOverwrite for a float32 matrix that will
-// probably never come back — an operator result, which belongs to
-// whoever called the operator. It never over-allocates: only when
-// rows*cols is itself a pool capacity does the matrix come from (and
-// fit back into) the pool; any other size is allocated exactly, as New
-// would, and does not recycle. Library callers thus pay for exactly
-// the result they keep, while a caller that does return power-of-two
-// results (the serving daemon) still gets them back.
-func GetF32Exact(rows, cols int) *Matrix {
-	if n := rows * cols; n >= 1<<minPoolBits && n&(n-1) == 0 {
-		return GetForOverwrite[float32](rows, cols)
-	}
-	return New(rows, cols)
-}

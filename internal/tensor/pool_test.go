@@ -123,39 +123,6 @@ func TestPoolF32Ownership(t *testing.T) {
 	Put(big)
 }
 
-// TestGetF32Exact: a result matrix never costs more than its elements.
-// Sizes that are pool capacities recycle, every other size is an exact
-// allocation that Put ignores.
-func TestGetF32Exact(t *testing.T) {
-	for _, tc := range []struct {
-		rows, cols int
-		pooled     bool
-	}{{32, 32, true}, {8, 8, true}, {4, 4, false}, {10, 10, false}, {100, 7, false}, {1, 1, false}} {
-		m := GetF32Exact(tc.rows, tc.cols)
-		if m.Rows != tc.rows || m.Cols != tc.cols || m.Stride != tc.cols {
-			t.Fatalf("%dx%d: shape %dx%d stride %d", tc.rows, tc.cols, m.Rows, m.Cols, m.Stride)
-		}
-		if cap(m.Data) != tc.rows*tc.cols {
-			t.Errorf("%dx%d: capacity %d, want exactly %d", tc.rows, tc.cols, cap(m.Data), tc.rows*tc.cols)
-		}
-		if RaceEnabled {
-			continue // sync.Pool drops Puts under race: recycling is not observable
-		}
-		// A Put is normally the very next Get's answer; a few attempts
-		// ride out a goroutine migration or a collection in between.
-		recycled := false
-		for try := 0; try < 10 && !recycled; try++ {
-			p := &m.Data[0]
-			Put(m)
-			m = GetF32Exact(tc.rows, tc.cols)
-			recycled = &m.Data[0] == p
-		}
-		if recycled != tc.pooled {
-			t.Errorf("%dx%d: recycled = %v, want %v", tc.rows, tc.cols, recycled, tc.pooled)
-		}
-	}
-}
-
 // TestRecyclerEveryElemType runs the recycler's contract over each
 // element type it serves.
 func TestRecyclerEveryElemType(t *testing.T) {
