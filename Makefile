@@ -102,8 +102,11 @@ obs-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget ('go test -fuzz'
 # accepts exactly one target per invocation, hence one line each):
-# the wire-protocol frame decoder, the model-format decoders, and the
-# conv2D and GEMM-panel fast-path/reference equivalence oracles.
+# the wire-protocol frame decoder, the model-format decoders, the
+# conv2D and GEMM-panel fast-path/reference equivalence oracles, the
+# float reference GEMM against the blocked loop it replaced (zeros,
+# infinities and NaN among the values), and the indexed first fit
+# against the linear gap walk.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/model
@@ -111,16 +114,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzInstructionPacket' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DEquiv' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DGemmEquiv' -fuzztime 5s ./internal/edgetpu
+	$(GO) test -run '^$$' -fuzz 'FuzzGemmBits' -fuzztime 5s ./internal/blas
+	$(GO) test -run '^$$' -fuzz 'FuzzFirstFit' -fuzztime 5s ./internal/timing
 
 # bench-kernels is the kernel-substrate benchmark smoke: every naive vs
 # optimized instruction microbenchmark runs once (-benchtime 1x) so CI
 # catches kernels that crash, allocate unboundedly, or lose their
 # reference twin without paying for stable timings. The GEMM panel
 # shapes (GMAC/s) ride the same smoke; the Tensorizer's host passes
-# follow.
+# follow, then the CPU baselines (the float reference GEMM at 32³, 128³
+# and 512³, the FBGEMM-style int8 GEMM) and first fit on a fragmented
+# resource.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Benchmark(Conv2D|FullyConnected|Add|Tanh|Crop|Mean|Max)' -benchtime 1x ./internal/edgetpu
 	$(GO) test -run '^$$' -bench 'Benchmark(Analyze|QuantizeInto)' -benchtime 1x ./internal/quant
+	$(GO) test -run '^$$' -bench 'Benchmark(Gemm|Int8Gemm)$$' -benchtime 1x ./internal/blas
+	$(GO) test -run '^$$' -bench 'BenchmarkAcquireSpanFragmented' -benchtime 1x ./internal/timing
 
 clean:
 	$(GO) clean ./...

@@ -2,49 +2,139 @@ package blas
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
 	"repro/internal/tensor"
 )
 
-// gemmBlock is the cache-blocking factor of the float32 kernel; 64
-// keeps three 64x64 float32 panels (48 KB) inside a Zen 2 L2 slice.
-const gemmBlock = 64
+// gemmNR is the width of the float32 kernel's register tile: Gemm
+// packs gemmNR columns of B at a time into one contiguous panel and
+// sweeps it with a 2 x gemmNR tile of C held in registers, so each
+// element of A loaded feeds gemmNR products and each panel element two.
+// Three columns is the widest tile whose six sums, two A elements and
+// six in-flight products fit amd64's fifteen allocatable float
+// registers; a 2 x 4 tile spills sums to the stack inside the loop and
+// runs 20-30 % slower.
+const gemmNR = 3
 
-// Gemm computes C = A*B with the blocked float32 algorithm of the
-// OpenBLAS-style baseline [69]. It is the functional reference for
-// every GEMM accuracy comparison.
+// gemmStackDepth is the deepest panel Gemm packs into a stack array;
+// deeper ones borrow their scratch from the tensor recycler.
+const gemmStackDepth = 64
+
+// infBits is a float32's exponent field: all ones in Inf and NaN only.
+const infBits = 0x7f800000
+
+// Gemm computes C = A*B with the packed, register-tiled float32
+// algorithm of the OpenBLAS-style baseline [69]. It is the functional
+// reference for every GEMM accuracy comparison.
+//
+// Every element of C is the float32 sum of its products in ascending
+// depth order, starting from +0, exactly as NaiveGemm computes it. The
+// one exception is kept from the earlier blocked kernel: a zero in A
+// contributes nothing, even against an infinite or NaN element of B
+// (where 0*Inf would be NaN). Against a finite B, adding the +-0
+// product of a zero cannot change a sum that started at +0, so only a
+// panel holding a non-finite value needs the explicit skip.
 func Gemm(a, b *tensor.Matrix) *tensor.Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("blas: Gemm inner dimensions %d vs %d", a.Cols, b.Rows))
 	}
+	out := tensor.New(a.Rows, b.Cols)
+	gemmInto(out, a, b)
+	return out
+}
+
+// gemmInto stores A*B into out, whose shape the caller checked.
+func gemmInto(out, a, b *tensor.Matrix) {
 	m, n, k := a.Rows, a.Cols, b.Cols
-	out := tensor.New(m, k)
-	for i0 := 0; i0 < m; i0 += gemmBlock {
-		iMax := min(i0+gemmBlock, m)
-		for l0 := 0; l0 < n; l0 += gemmBlock {
-			lMax := min(l0+gemmBlock, n)
-			for j0 := 0; j0 < k; j0 += gemmBlock {
-				jMax := min(j0+gemmBlock, k)
-				for i := i0; i < iMax; i++ {
-					ar := a.Row(i)
-					or := out.Row(i)
-					for l := l0; l < lMax; l++ {
-						av := ar[l]
-						if av == 0 {
-							continue
-						}
-						br := b.Row(l)
-						for j := j0; j < jMax; j++ {
-							or[j] += av * br[j]
-						}
-					}
-				}
+	var stack [gemmStackDepth * gemmNR]float32
+	panel := stack[:]
+	if n > gemmStackDepth {
+		scratch := tensor.GetForOverwrite[float32](1, n*gemmNR)
+		defer tensor.Put(scratch)
+		panel = scratch.Data
+	}
+	panel = panel[:n*gemmNR]
+	for j0 := 0; j0 < k; j0 += gemmNR {
+		w := min(gemmNR, k-j0)
+		finite := packPanel(panel, b, j0, w)
+		i := 0
+		if finite {
+			for ; i+2 <= m; i += 2 {
+				tile2(out.Row(i)[j0:j0+w], out.Row(i + 1)[j0:j0+w], a.Row(i), a.Row(i+1), panel)
 			}
 		}
+		for ; i < m; i++ {
+			tile1Skip(out.Row(i)[j0:j0+w], a.Row(i), panel)
+		}
 	}
-	return out
+}
+
+// packPanel copies columns j0..j0+w of B into panel, gemmNR values per
+// depth step with the columns past w zeroed, and reports whether every
+// value it copied is finite.
+func packPanel(panel []float32, b *tensor.Matrix, j0, w int) bool {
+	finite := true
+	for l := 0; l < b.Rows; l++ {
+		p := panel[l*gemmNR : l*gemmNR+gemmNR]
+		src := b.Row(l)[j0 : j0+w]
+		for j := range p {
+			var v float32
+			if j < w {
+				v = src[j]
+				finite = finite && math.Float32bits(v)&infBits != infBits
+			}
+			p[j] = v
+		}
+	}
+	return finite
+}
+
+// tile2 stores rows a0 and a1 of A times a finite packed panel into o0
+// and o1 (the first len(o0) panel columns). The six sums stay in
+// registers over the whole depth and each adds its products in
+// ascending order.
+func tile2(o0, o1, a0, a1, panel []float32) {
+	a1 = a1[:len(a0)]
+	panel = panel[:len(a0)*gemmNR]
+	var c00, c01, c02, c10, c11, c12 float32
+	for l, x0 := range a0 {
+		x1 := a1[l]
+		p := panel[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
+		b := p[0]
+		c00 += x0 * b
+		c10 += x1 * b
+		b = p[1]
+		c01 += x0 * b
+		c11 += x1 * b
+		b = p[2]
+		c02 += x0 * b
+		c12 += x1 * b
+	}
+	r0 := [gemmNR]float32{c00, c01, c02}
+	r1 := [gemmNR]float32{c10, c11, c12}
+	copy(o0, r0[:])
+	copy(o1, r1[:])
+}
+
+// tile1Skip stores row a0 of A times the packed panel into o0, skipping
+// the zeros of a0: the tile for a panel holding Inf or NaN, and for
+// the odd last row.
+func tile1Skip(o0, a0, panel []float32) {
+	panel = panel[:len(a0)*gemmNR]
+	var c [gemmNR]float32
+	for l, x := range a0 {
+		if x == 0 {
+			continue
+		}
+		p := panel[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
+		c[0] += x * p[0]
+		c[1] += x * p[1]
+		c[2] += x * p[2]
+	}
+	copy(o0, c[:])
 }
 
 // NaiveGemm is the textbook triple loop, kept as an oracle for
@@ -84,10 +174,11 @@ func MatVec(a *tensor.Matrix, x []float32) []float32 {
 	return y
 }
 
-// GemmParallel computes C = A*B with the blocked kernel fanned out
-// across the real machine's cores. It is the oracle-side counterpart
-// used by the experiment harness for large reference products; the
-// simulated baselines charge virtual time separately.
+// GemmParallel computes C = A*B with Gemm's kernel fanned out across
+// the real machine's cores, each worker storing its rows of C in
+// place. It is the oracle-side counterpart used by the experiment
+// harness for large reference products; the simulated baselines charge
+// virtual time separately.
 func GemmParallel(a, b *tensor.Matrix) *tensor.Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("blas: GemmParallel inner dimensions %d vs %d", a.Cols, b.Rows))
@@ -98,7 +189,8 @@ func GemmParallel(a, b *tensor.Matrix) *tensor.Matrix {
 		workers = a.Rows
 	}
 	if workers <= 1 {
-		return Gemm(a, b)
+		gemmInto(out, a, b)
+		return out
 	}
 	var wg sync.WaitGroup
 	chunk := (a.Rows + workers - 1) / workers
@@ -111,11 +203,7 @@ func GemmParallel(a, b *tensor.Matrix) *tensor.Matrix {
 		wg.Add(1)
 		go func(r0, r1 int) {
 			defer wg.Done()
-			av := a.View(r0, 0, r1-r0, a.Cols)
-			res := Gemm(av, b)
-			for r := 0; r < res.Rows; r++ {
-				copy(out.Row(r0+r), res.Row(r))
-			}
+			gemmInto(out.View(r0, 0, r1-r0, out.Cols), a.View(r0, 0, r1-r0, a.Cols), b)
 		}(r0, r1)
 	}
 	wg.Wait()

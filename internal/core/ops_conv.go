@@ -29,7 +29,7 @@ func (s *Stream) Conv2D(a *Buffer, kernel *Buffer) *tensor.Matrix {
 	tile := isa.ArithTile
 	haloR, haloC := kernel.Rows()-1, kernel.Cols()-1
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
-	pl := s.plan(len(spans))
+	pl := s.plan(len(spans), 2)
 	// Output requantization: the accumulated stencil value is bounded
 	// by sum|k| * max|input|; the Tensorizer calibrates the divisor
 	// from the actual quantized kernel so results ship back as int8
@@ -115,7 +115,7 @@ func (s *Stream) Conv2DStrided(a, kernel *Buffer, strideR, strideC int) *tensor.
 	if cap := int(c.params.TPUMemBytes/2) / max(a.Cols()*strideR, 1); cap > 0 && cap < bandOut {
 		bandOut = max(cap, 1)
 	}
-	pl := s.plan((outRows + bandOut - 1) / bandOut)
+	pl := s.plan((outRows+bandOut-1)/bandOut, 2)
 	for o0 := 0; o0 < outRows; o0 += bandOut {
 		oEnd := min(o0+bandOut, outRows)
 		r0 := o0 * strideR

@@ -85,7 +85,7 @@ func (s *Stream) matVec(a *Buffer, x quant.Portion, n int) []float32 {
 		defer tensor.Put(wide)
 		acc = wide.Data
 	}
-	pl := s.plan((m + blockRows - 1) / blockRows)
+	pl := s.plan((m+blockRows-1)/blockRows, 2)
 	inCols := tile
 	if n < tile {
 		inCols = n
@@ -198,7 +198,7 @@ func (s *Stream) GemmFC(a, b *Buffer) *tensor.Matrix {
 	colTiles := (n + tile - 1) / tile
 
 	out := c.Matrix(m, k)
-	pl := s.plan(rowTiles * k)
+	pl := s.plan(rowTiles*k, colTiles+1)
 	inputs := make([]inputRef, 0, colTiles+1) // staging, copied into the plan's arena
 	for j := 0; j < k; j++ {
 		for rt := 0; rt < rowTiles; rt++ {
@@ -404,7 +404,7 @@ func (s *Stream) Gemm(a, b *Buffer) *tensor.Matrix {
 		// finely enough that the runtime spreads instructions over every
 		// attached device ("Tensorizer also automatically generates
 		// parallel tasks from the user code", section 9.3).
-		pl := s.plan(((m + chunkRows - 1) / chunkRows) * ncc)
+		pl := s.plan(((m+chunkRows-1)/chunkRows)*ncc, 2)
 		for r0 := 0; r0 < m; r0 += chunkRows {
 			rows := chunkRows
 			if r0+rows > m {

@@ -79,7 +79,7 @@ func (s *Stream) pairwise(opr Operator, op isa.OpCode, a, b *Buffer) *tensor.Mat
 	out := c.Matrix(a.Rows(), a.Cols())
 	tile := isa.TileFor(op)
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
-	pl := s.plan(len(spans))
+	pl := s.plan(len(spans), 2)
 	for i, sp := range spans {
 		sp := sp
 		w := instrWork{
@@ -168,7 +168,7 @@ func (s *Stream) elementwise(opr Operator, op isa.OpCode, a *Buffer) *tensor.Mat
 	out := c.Matrix(a.Rows(), a.Cols())
 	tile := isa.TileFor(op)
 	spans := tensor.TileSpans(a.Rows(), a.Cols(), tile, tile)
-	pl := s.plan(len(spans))
+	pl := s.plan(len(spans), 1)
 	for i, sp := range spans {
 		sp := sp
 		w := instrWork{
@@ -249,7 +249,7 @@ func (s *Stream) reduce(opr Operator, op isa.OpCode, a *Buffer) float32 {
 	if op == isa.Mean {
 		outBytes = 4 // wide numerator comes back for exact CPU recombination
 	}
-	pl := s.plan(len(spans))
+	pl := s.plan(len(spans), 1)
 	for i, sp := range spans {
 		i, sp := i, sp
 		w := instrWork{
@@ -293,7 +293,7 @@ func (s *Stream) reduce(opr Operator, op isa.OpCode, a *Buffer) float32 {
 			}
 			cols := (n + rows - 1) / rows
 			end = c.chargeHost(end, c.params.QuantTime(int64(n))+c.params.TensorizerEncodeTime(int64(n)))
-			rp := s.plan(1)
+			rp := s.plan(1, 1)
 			rp.add(instrWork{
 				instr: isa.Instruction{Op: op, InRows: rows, InCols: cols,
 					TaskID: s.taskID, InputKey: c.nextKey(), QuantFlags: quantFlags},
@@ -364,7 +364,7 @@ func (s *Stream) Ext(a *Buffer, rows, cols int) *tensor.Matrix {
 func (s *Stream) reshape(op isa.OpCode, a *Buffer, rows, cols int, kern func(*edgetpu.KernelTable, *tensor.MatrixI8) *tensor.MatrixI8) *tensor.Matrix {
 	c := s.c
 	oa, ready := c.wholeQuantized(a, s.now, s.taskID)
-	pl := s.plan(1)
+	pl := s.plan(1, 1)
 	w := instrWork{
 		instr: isa.Instruction{Op: op, InRows: a.Rows(), InCols: a.Cols(),
 			TaskID: s.taskID, InputKey: a.key, QuantFlags: quantFlags},

@@ -129,8 +129,10 @@ type plan struct {
 	bt    batch
 }
 
-// plan opens an instruction plan sized for about n instructions.
-func (s *Stream) plan(n int) *plan {
+// plan opens an instruction plan sized for n instructions of refs
+// operands each, so neither the instruction slice nor the operand arena
+// grows while the operator fills them.
+func (s *Stream) plan(n, refs int) *plan {
 	p, _ := s.c.plans.Get().(*plan)
 	if p == nil {
 		p = &plan{}
@@ -139,6 +141,11 @@ func (s *Stream) plan(n int) *plan {
 	if cap(p.works) < n {
 		p.works = make([]instrWork, 0, n)
 	}
+	if need := n * refs; cap(p.refs) < need {
+		// At least double, so a recycled plan that serves slowly growing
+		// operators reallocates its arena a logarithmic number of times.
+		p.refs = make([]inputRef, 0, max(need, 2*cap(p.refs)))
+	}
 	return p
 }
 
@@ -146,7 +153,8 @@ func (s *Stream) plan(n int) *plan {
 func (p *plan) add(w instrWork) { p.works = append(p.works, w) }
 
 // inputs returns the operand list for the next instruction, carved
-// from the plan's arena (a grown arena leaves earlier lists on the old
+// from the plan's arena (should an operator pass more operands than it
+// sized the plan for, the arena grows and earlier lists stay on the old
 // array, which they keep alive).
 func (p *plan) inputs(refs ...inputRef) []inputRef {
 	n := len(p.refs)

@@ -31,9 +31,18 @@ type Resource struct {
 
 	mu        sync.Mutex
 	intervals []ival // busy intervals: sorted, disjoint, coalesced
-	busy      Duration
-	ops       int64
-	trace     *traceBuf // nil unless the timeline enabled tracing
+	// gapMax[b] bounds from above the idle gaps before the intervals
+	// of block b (intervals b*gapBlock up to (b+1)*gapBlock-1), where
+	// the gap before interval i is intervals[i].start -
+	// intervals[i-1].end and interval 0 has none. First fit skips every
+	// block whose bound is shorter than the work; a search that scans a
+	// whole block without a fit tightens its bound to the block's
+	// longest gap. The extra entry serves the interval that triggers a
+	// freeze.
+	gapMax [maxIntervals/gapBlock + 1]Duration
+	busy   Duration
+	ops    int64
+	trace  *traceBuf // nil unless the timeline enabled tracing
 }
 
 type ival struct{ start, end Duration }
@@ -58,18 +67,7 @@ func (r *Resource) AcquireSpan(ready, d Duration, sp Span) (start, end Duration)
 	if d == 0 {
 		return ready, ready
 	}
-	// Find the first gap at or after ready that fits d.
-	i := sort.Search(len(r.intervals), func(i int) bool { return r.intervals[i].end > ready })
-	start = ready
-	for ; i < len(r.intervals); i++ {
-		iv := r.intervals[i]
-		if start+d <= iv.start {
-			break // fits in the gap before interval i
-		}
-		if iv.end > start {
-			start = iv.end
-		}
-	}
+	i, start := r.firstFit(ready, d)
 	end = start + d
 	// Insert [start, end) at position i, coalescing with touching
 	// neighbours to keep the interval list short.
@@ -84,16 +82,34 @@ func (r *Resource) AcquireSpan(ready, d Duration, sp Span) (start, end Duration)
 		hi++
 	}
 	merged := ival{ns, ne}
+	// Keep every block's gapMax an upper bound: a gap that shrinks
+	// leaves it valid, while a new gap, and every gap a shift carries
+	// into another block, raises it.
 	switch {
 	case lo == len(r.intervals):
 		r.intervals = append(r.intervals, merged)
+		r.raise(lo)
 	case hi == lo:
 		r.intervals = append(r.intervals, ival{})
 		copy(r.intervals[lo+1:], r.intervals[lo:])
 		r.intervals[lo] = merged
+		r.raise(lo)
+		// From lo+1 on the gaps moved up one: each later block takes in
+		// the last gap of the block before it.
+		for j := lo + 1; j < len(r.intervals); j = (j/gapBlock + 1) * gapBlock {
+			r.raise(j)
+		}
 	default:
 		r.intervals[lo] = merged
 		r.intervals = append(r.intervals[:lo+1], r.intervals[hi:]...)
+		if hi-lo == 2 {
+			// Merged on both sides: from lo+1 on the gaps moved down one,
+			// so each block from there takes in the first gap of the
+			// block after it.
+			for j := (lo+1)/gapBlock*gapBlock + gapBlock - 1; j < len(r.intervals); j += gapBlock {
+				r.raise(j)
+			}
+		}
 	}
 	// Bound the schedule history: heavily fragmented resources (e.g. a
 	// PCIe link interleaving millions of uploads and downloads) would
@@ -106,6 +122,7 @@ func (r *Resource) AcquireSpan(ready, d Duration, sp Span) (start, end Duration)
 		r.intervals[cut-1] = ival{r.intervals[0].start, r.intervals[cut-1].end}
 		n := copy(r.intervals[0:], r.intervals[cut-1:])
 		r.intervals = r.intervals[:n]
+		r.reindex()
 	}
 	if r.trace != nil {
 		r.trace.add(Event{Resource: r.Name, Start: start, End: end, Span: sp})
@@ -118,7 +135,65 @@ const (
 	// much recent schedule detail survives it.
 	maxIntervals  = 256
 	keepIntervals = 128
+	// gapBlock is how many intervals one gapMax entry summarises.
+	gapBlock = 16
 )
+
+// firstFit returns where work of duration d > 0 ready at ready starts:
+// at ready when it fits before the first interval that ends after
+// ready, else at the end of the interval before the first later gap
+// of at least d, else after the last interval. i is the position the
+// work takes in the interval list. It is the linear walk from ready
+// through the gaps, with gapMax skipping every block too short for d.
+func (r *Resource) firstFit(ready, d Duration) (i int, start Duration) {
+	iv := r.intervals
+	i = sort.Search(len(iv), func(i int) bool { return iv[i].end > ready })
+	if i == len(iv) || ready+d <= iv[i].start {
+		return i, ready
+	}
+	for b := (i + 1) / gapBlock; b*gapBlock < len(iv); b++ {
+		if r.gapMax[b] < d {
+			continue
+		}
+		j0 := max(b*gapBlock, i+1)
+		var longest Duration
+		for j := j0; j < min((b+1)*gapBlock, len(iv)); j++ {
+			g := iv[j].start - iv[j-1].end
+			if g >= d {
+				return j, iv[j-1].end
+			}
+			longest = max(longest, g)
+		}
+		if j0 == max(b*gapBlock, 1) {
+			r.gapMax[b] = longest
+		}
+	}
+	return len(iv), iv[len(iv)-1].end
+}
+
+// raise lifts the bound of the block holding gap j to cover it. A
+// block the list grows back into after shrinking out of it keeps its
+// old bound, which covers its gaps once raised and may be too high
+// until a search tightens it.
+func (r *Resource) raise(j int) {
+	if j > 0 && j < len(r.intervals) {
+		b := j / gapBlock
+		r.gapMax[b] = max(r.gapMax[b], r.intervals[j].start-r.intervals[j-1].end)
+	}
+}
+
+// reindex sets every block's bound to its longest gap (0 past the end
+// of the list).
+func (r *Resource) reindex() {
+	iv := r.intervals
+	for b := range r.gapMax {
+		var longest Duration
+		for j := max(b*gapBlock, 1); j < min((b+1)*gapBlock, len(iv)); j++ {
+			longest = max(longest, iv[j].start-iv[j-1].end)
+		}
+		r.gapMax[b] = longest
+	}
+}
 
 // AvailableAt returns the time after which the resource is guaranteed
 // idle (earlier gaps may also exist).
