@@ -94,8 +94,9 @@ cluster-smoke:
 
 # obs-smoke is the observability soak: a chaos daemon with tracing on
 # serves concurrent soak traffic, then the script asserts the stage
-# quantiles appear on /metrics, the flight dump parses and attributes
-# at least one request to a fault-triggered retry, the merged Chrome
+# histogram on /metrics counted the traced requests, /debug/flight
+# serves recent waterfalls, the flight dump parses and attributes at
+# least one request to a fault-triggered retry, the merged Chrome
 # trace carries request lanes, and tracing overhead stays in budget.
 obs-smoke:
 	GO="$(GO)" sh scripts/obs-smoke.sh

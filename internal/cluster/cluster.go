@@ -114,9 +114,6 @@ func New(cfg Config) *Router {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.Export(reg)
-	}
 	r := &Router{
 		cfg: cfg,
 		set: newMemberSet(cfg.Members),

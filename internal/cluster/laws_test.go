@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
@@ -61,7 +62,8 @@ func scriptedMember(t *testing.T) string {
 // gptpu_cluster_replies_total, and neither the router's in-flight
 // gauge nor its flight recorder holds a request.
 func TestRouterRequestsConserved(t *testing.T) {
-	r := startRouter(t, Config{Members: []string{scriptedMember(t)}, Obs: obs.New(obs.Config{})})
+	rec := obs.New(obs.Config{})
+	r := startRouter(t, Config{Members: []string{scriptedMember(t)}, Obs: rec})
 	c := dialRouter(t, r)
 
 	want := map[float32]error{0: nil, 1: server.ErrBadRequest, 2: server.ErrOverloaded, 3: server.ErrDeadlineExceeded}
@@ -83,7 +85,71 @@ func TestRouterRequestsConserved(t *testing.T) {
 	if req, rep := familyTotal(reg, "gptpu_cluster_requests_total"), familyTotal(reg, "gptpu_cluster_replies_total"); req != 4 || rep != req {
 		t.Errorf("gptpu_cluster_requests_total = %v, Σ gptpu_cluster_replies_total = %v, want both 4", req, rep)
 	}
-	if a, b := familyTotal(reg, "gptpu_cluster_inflight"), familyTotal(reg, "gptpu_obs_inflight"); a != 0 || b != 0 {
-		t.Errorf("gptpu_cluster_inflight = %v, gptpu_obs_inflight = %v after every reply, want 0", a, b)
+	if a, n := familyTotal(reg, "gptpu_cluster_inflight"), len(rec.Dump().InFlight); a != 0 || n != 0 {
+		t.Errorf("gptpu_cluster_inflight = %v, %d traces in flight after every reply, want 0", a, n)
+	}
+}
+
+// TestStageHistogramConserved is the router twin of the daemon's law:
+// after n traced requests through a router to a traced daemon, each
+// front door's prefix_stage_seconds counts one total per reply, and
+// each stage's sum is its spans summed over that process's completed
+// waterfalls.
+func TestStageHistogramConserved(t *testing.T) {
+	drec, rrec := obs.New(obs.Config{}), obs.New(obs.Config{})
+	d := startDaemon(t, server.Config{Devices: 1, Obs: drec})
+	r := startRouter(t, Config{Obs: rrec}, d)
+	c := dialRouter(t, r)
+	a := tensor.New(4, 4)
+	const n = 12
+	for i := 0; i < n; i += 3 {
+		if _, err := c.Gemm(a, a, nil); err != nil {
+			t.Fatalf("gemm: %v", err)
+		}
+		if _, err := c.Add(a, a, nil); err != nil {
+			t.Fatalf("add: %v", err)
+		}
+		if _, err := c.Gemm(a, tensor.New(3, 5), nil); !errors.Is(err, server.ErrBadRequest) {
+			t.Fatalf("mismatched gemm: want ErrBadRequest, got %v", err)
+		}
+	}
+	checkStageHistogram(t, r.Metrics(), "gptpu_cluster", rrec.Dump(), n)
+	checkStageHistogram(t, d.Metrics(), "gptpu_serve", drec.Dump(), n)
+}
+
+// checkStageHistogram checks prefix_stage_seconds in reg against
+// prefix_replies_total and the completed waterfalls of d, which must
+// hold all n requests: one total observation per reply, and each
+// stage's sum equal to its span durations to the microsecond.
+func checkStageHistogram(t *testing.T, reg *telemetry.Registry, prefix string, d obs.FlightDump, n int) {
+	t.Helper()
+	spans := map[string]float64{} // stage → seconds over the waterfalls
+	for _, tr := range d.Completed {
+		for _, sp := range tr.Spans {
+			spans[sp.Stage] += sp.DurUS / 1e6
+		}
+	}
+	hist := map[string]*telemetry.HistSnapshot{}
+	replies := 0.0
+	for _, fam := range reg.Snapshot() {
+		for _, s := range fam.Samples {
+			if fam.Name == prefix+"_stage_seconds" {
+				hist[s.Labels[0].Value] = s.Hist
+			} else if fam.Name == prefix+"_replies_total" {
+				replies += s.Value
+			}
+		}
+	}
+	total := hist[obs.StageTotal]
+	if total == nil || total.Count != uint64(n) || replies != float64(n) || len(d.Completed) != n {
+		t.Fatalf("%s: total stage %+v, Σ replies %v, %d waterfalls; want %d of each", prefix, total, replies, len(d.Completed), n)
+	}
+	if len(hist) != len(spans) {
+		t.Errorf("%s: %d stages in the histogram, %d in the waterfalls", prefix, len(hist), len(spans))
+	}
+	for stage, sec := range spans {
+		if h := hist[stage]; h == nil || math.Abs(h.Sum-sec) > 1e-6 {
+			t.Errorf("%s: stage %s histogram %+v, want sum %g s", prefix, stage, h, sec)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"repro/internal/apps/pagerank"
 	"repro/internal/blas"
 	"repro/internal/tensor"
-	"repro/internal/trace"
+	"repro/internal/timing"
 )
 
 // Functional results must be independent of the device count: the
@@ -121,8 +121,9 @@ func TestLUDSurvivesDeviceLoss(t *testing.T) {
 	}
 }
 
-// Tracing an application run must account for every busy resource and
-// roughly reconcile with the reported busy times.
+// Tracing an application run must account for every busy resource:
+// the recorded events, which trace.Write exports, sum per resource to
+// the timeline's own busy time and operation count.
 func TestTraceReconcilesWithTimeline(t *testing.T) {
 	cfg := pagerank.Config{N: 512, Iters: 5, Seed: 5}
 	g := cfg.Generate()
@@ -131,21 +132,23 @@ func TestTraceReconcilesWithTimeline(t *testing.T) {
 	if _, _, err := pagerank.RunTPU(ctx, cfg, g); err != nil {
 		t.Fatal(err)
 	}
-	sums := trace.Summarize(ctx.TL)
-	byName := map[string]float64{}
-	for _, s := range sums {
-		byName[s.Resource] = s.Busy.Seconds()
+	busy := map[string]timing.Duration{}
+	ops := map[string]int64{}
+	for _, e := range ctx.TL.Trace() {
+		if e.End > e.Start { // zero-length marks are lifecycle instants, not occupancy
+			busy[e.Resource] += e.End - e.Start
+			ops[e.Resource]++
+		}
 	}
 	for _, r := range ctx.TL.Resources() {
 		if r.BusyTime() == 0 {
 			continue
 		}
-		got, ok := byName[r.Name]
-		if !ok {
+		if _, ok := busy[r.Name]; !ok {
 			t.Fatalf("resource %s busy but absent from trace", r.Name)
 		}
-		if math.Abs(got-r.BusyTime().Seconds()) > 1e-9 {
-			t.Fatalf("%s: trace busy %v vs timeline %v", r.Name, got, r.BusyTime().Seconds())
+		if math.Abs(busy[r.Name].Seconds()-r.BusyTime().Seconds()) > 1e-9 || ops[r.Name] != r.Ops() {
+			t.Fatalf("%s: trace busy %v in %d ops vs timeline %v in %d", r.Name, busy[r.Name], ops[r.Name], r.BusyTime(), r.Ops())
 		}
 	}
 }

@@ -9,123 +9,111 @@ import (
 	"repro/internal/telemetry"
 )
 
-// traceWithStages finishes one trace whose per-stage durations are
-// exact microsecond multiples, so quantile values are deterministic.
-func traceWithStages(r *Recorder, durs map[string]time.Duration) {
-	tr := r.Start(0, 1, "gemm")
-	base := time.Now()
-	for stage, d := range durs {
-		tr.ObserveSpan(stage, base, d, "")
-	}
-	tr.Finish("ok")
+// stageFamily registers the front door's stage histogram shape (one
+// family, a stage label, decade buckets from 1 µs to 100 s) on a fresh
+// registry.
+func stageFamily() (*telemetry.Registry, *telemetry.HistogramVec) {
+	reg := telemetry.NewRegistry()
+	return reg, reg.Histogram("gptpu_serve_stage_seconds", "Seconds per stage.",
+		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}, "stage")
 }
 
-// TestPrometheusGolden pins the wire shape of the new quantile
-// family: family naming, the {stage,quantile} label schema, child
-// ordering (sorted stages, ascending quantiles), and nearest-rank
-// values from a known population. The total/stage_seconds lines for
-// the synthetic "total" stage are excluded since Finish computes them
-// from wall time.
-func TestPrometheusGolden(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	r := New(Config{})
-	r.Export(reg)
-
-	// 100 identical traces: decode 2µs, exec 10µs, graph-node 20µs,
-	// queue_wait 5µs per request. Every quantile of a constant
-	// population is the constant.
-	for i := 0; i < 100; i++ {
-		traceWithStages(r, map[string]time.Duration{
-			StageDecode:    2 * time.Microsecond,
-			StageExec:      10 * time.Microsecond,
-			StageNode:      20 * time.Microsecond,
-			StageQueueWait: 5 * time.Microsecond,
-		})
+// traceWithStages finishes one trace with the given spans, in order;
+// their durations are exact microsecond multiples, so the histogram's
+// values are deterministic.
+func traceWithStages(r *Recorder, stages *telemetry.HistogramVec, spans []Span) {
+	tr := r.Start(0, 1, "gemm")
+	base := time.Now()
+	for _, sp := range spans {
+		tr.ObserveSpan(sp.Stage, base, time.Duration(sp.DurUS)*time.Microsecond, "")
 	}
+	tr.Finish("ok", stages)
+}
 
+// scrape renders reg and keeps the lines that contain every needle
+// and no stage="total" (the total is wall-clock time).
+func scrape(t *testing.T, reg *telemetry.Registry, needles ...string) []string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-
-	// Extract only the deterministic stage lines (the "total" stage's
-	// value is wall-clock dependent).
-	var got []string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "gptpu_obs_stage_seconds{") && !strings.Contains(line, `stage="total"`) {
-			got = append(got, line)
+	var out []string
+line:
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "" || strings.Contains(line, `stage="total"`) {
+			continue
 		}
+		for _, n := range needles {
+			if !strings.Contains(line, n) {
+				continue line
+			}
+		}
+		out = append(out, line)
 	}
+	return out
+}
+
+// TestPrometheusGolden pins what Finish feeds the stage histogram: one
+// child per stage in first-seen order, one observation per stage per
+// request, and a stage's spans summed into it — three 100 µs charge
+// attempts make one 300 µs observation, in the 1 ms bucket.
+func TestPrometheusGolden(t *testing.T) {
+	reg, stages := stageFamily()
+	r := New(Config{})
+	for i := 0; i < 100; i++ {
+		traceWithStages(r, stages, []Span{
+			{Stage: StageDecode, DurUS: 2},
+			{Stage: StageQueueWait, DurUS: 5},
+			{Stage: StageCharge, DurUS: 100},
+			{Stage: StageCharge, DurUS: 100},
+			{Stage: StageCharge, DurUS: 100},
+			{Stage: StageExec, DurUS: 30},
+		})
+	}
+
 	want := []string{
-		`gptpu_obs_stage_seconds{stage="decode",quantile="0.5"} 2e-06`,
-		`gptpu_obs_stage_seconds{stage="decode",quantile="0.99"} 2e-06`,
-		`gptpu_obs_stage_seconds{stage="decode",quantile="0.999"} 2e-06`,
-		`gptpu_obs_stage_seconds{stage="exec",quantile="0.5"} 1e-05`,
-		`gptpu_obs_stage_seconds{stage="exec",quantile="0.99"} 1e-05`,
-		`gptpu_obs_stage_seconds{stage="exec",quantile="0.999"} 1e-05`,
-		`gptpu_obs_stage_seconds{stage="node",quantile="0.5"} 2e-05`,
-		`gptpu_obs_stage_seconds{stage="node",quantile="0.99"} 2e-05`,
-		`gptpu_obs_stage_seconds{stage="node",quantile="0.999"} 2e-05`,
-		`gptpu_obs_stage_seconds{stage="queue_wait",quantile="0.5"} 5e-06`,
-		`gptpu_obs_stage_seconds{stage="queue_wait",quantile="0.99"} 5e-06`,
-		`gptpu_obs_stage_seconds{stage="queue_wait",quantile="0.999"} 5e-06`,
+		`gptpu_serve_stage_seconds_count{stage="decode"} 100`,
+		`gptpu_serve_stage_seconds_count{stage="queue_wait"} 100`,
+		`gptpu_serve_stage_seconds_count{stage="charge"} 100`,
+		`gptpu_serve_stage_seconds_count{stage="exec"} 100`,
 	}
-	if len(got) != len(want) {
-		t.Fatalf("stage sample lines:\ngot  %d: %v\nwant %d: %v", len(got), got, len(want), want)
+	if got := scrape(t, reg, "_count"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("count lines:\ngot  %q\nwant %q", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("line %d:\ngot  %s\nwant %s", i, got[i], want[i])
+	for stage, want := range map[string]float64{StageDecode: 2e-4, StageQueueWait: 5e-4, StageCharge: 3e-2, StageExec: 3e-3} {
+		if got := stages.With(stage).Sum(); got < want*(1-1e-9) || got > want*(1+1e-9) {
+			t.Errorf("%s sum = %g s, want %g s", stage, got, want)
 		}
 	}
-
-	// The companion families must be present with their label schemas.
-	for _, needle := range []string{
-		"# TYPE gptpu_obs_stage_seconds gauge",
-		"# TYPE gptpu_obs_requests_total counter",
-		`gptpu_obs_requests_total{status="ok"} 100`,
-		"# TYPE gptpu_obs_inflight gauge",
-		"gptpu_obs_inflight 0",
-	} {
-		if !strings.Contains(out, needle) {
-			t.Fatalf("export missing %q in:\n%s", needle, out)
-		}
+	want = []string{
+		`gptpu_serve_stage_seconds_bucket{stage="charge",le="1e-06"} 0`,
+		`gptpu_serve_stage_seconds_bucket{stage="charge",le="1e-05"} 0`,
+		`gptpu_serve_stage_seconds_bucket{stage="charge",le="0.0001"} 0`,
+		`gptpu_serve_stage_seconds_bucket{stage="charge",le="0.001"} 100`,
+	}
+	if got := scrape(t, reg, `stage="charge"`, "_bucket"); strings.Join(got[:4], "\n") != strings.Join(want, "\n") {
+		t.Fatalf("charge buckets:\ngot  %q\nwant %q", got[:4], want)
+	}
+	if got := scrape(t, reg, "# TYPE"); len(got) != 1 || got[0] != "# TYPE gptpu_serve_stage_seconds histogram" {
+		t.Fatalf("type lines: %q", got)
+	}
+	if n := stages.With(StageTotal).Count(); n != 100 {
+		t.Fatalf("total count = %d, want one per finished trace (100)", n)
 	}
 }
 
 // TestPrometheusStableAcrossScrapes: two consecutive scrapes with no
-// new traffic render the quantile block byte-identically — child
-// creation order must not depend on scrape count or map iteration.
+// new traffic render the stage block byte-identically — child order
+// must not depend on scrape count or map iteration.
 func TestPrometheusStableAcrossScrapes(t *testing.T) {
-	reg := telemetry.NewRegistry()
+	reg, stages := stageFamily()
 	r := New(Config{})
-	r.Export(reg)
 	for i := 0; i < 10; i++ {
-		traceWithStages(r, map[string]time.Duration{
-			StageExec:   time.Millisecond,
-			StageCharge: 100 * time.Microsecond,
-		})
+		traceWithStages(r, stages, []Span{{Stage: StageExec, DurUS: 1000}, {Stage: StageCharge, DurUS: 100}})
 	}
-	var a, b bytes.Buffer
-	if err := reg.WritePrometheus(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	// Strip the wall-clock "total" stage lines before comparing.
-	strip := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, `stage="total"`) {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(a.String()) != strip(b.String()) {
-		t.Fatalf("scrapes differ:\n--- first\n%s\n--- second\n%s", a.String(), b.String())
+	a, b := scrape(t, reg), scrape(t, reg)
+	if strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("scrapes differ:\n--- first\n%s\n--- second\n%s", strings.Join(a, "\n"), strings.Join(b, "\n"))
 	}
 }

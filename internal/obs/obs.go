@@ -1,6 +1,6 @@
 // Package obs is the per-request observability layer of the serving
-// path: end-to-end trace waterfalls, windowed SLO quantiles, and a
-// flight recorder for postmortems.
+// path: end-to-end trace waterfalls and a flight recorder for
+// postmortems.
 //
 // The GPTPU paper diagnoses every workload by decomposing where time
 // goes (data exchange vs compute, per-instruction latency — §3.2,
@@ -11,10 +11,12 @@
 // request owns a Trace — an append-only list of closed spans (stage,
 // start, duration, attribute) plus point events (fault annotations,
 // retry notes) — built with one short mutex hold per record so the
-// hot path stays cheap. Traces flow into a Recorder: a bounded ring
-// of completed waterfalls, the set of in-flight requests, windowed
-// per-stage quantiles published through telemetry, and capture
-// snapshots frozen at the moment of a fault or drain.
+// hot path stays cheap. The trace is the one record of a request's
+// intervals: sealing it observes each stage's per-request sum into
+// the front door's stage histogram, and moves it into a Recorder —
+// a bounded ring of completed waterfalls, the set of in-flight
+// requests, and capture snapshots frozen at the moment of a fault or
+// drain.
 //
 // Everything is nil-safe: a nil *Trace or nil *Recorder turns every
 // method into a no-op, so call sites need no "if tracing enabled"
@@ -24,9 +26,12 @@ package obs
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Stage names of the request waterfall, in pipeline order. Core
@@ -189,10 +194,11 @@ func (t *Trace) End(stage string) {
 
 // Finish seals the trace with a terminal status ("ok", "shed",
 // "deadline", ...), closes any still-open spans, appends the total
-// span, feeds the per-stage quantile windows, and moves the trace
+// span, observes each stage's per-request sum into stages (three
+// charge attempts make one charge observation) and moves the trace
 // from the recorder's in-flight set into the completed ring. Repeated
 // calls are no-ops.
-func (t *Trace) Finish(status string) {
+func (t *Trace) Finish(status string, stages *telemetry.HistogramVec) {
 	if t == nil {
 		return
 	}
@@ -206,21 +212,31 @@ func (t *Trace) Finish(status string) {
 		t.addSpanLocked(Span{Stage: o.stage, StartUS: t.usSince(o.start), DurUS: float64(now.Sub(o.start).Nanoseconds()) / 1e3, Attr: o.attr})
 	}
 	t.open = nil
-	total := now.Sub(t.start)
-	t.addSpanLocked(Span{Stage: StageTotal, StartUS: 0, DurUS: float64(total.Nanoseconds()) / 1e3})
-	// Per-stage sums for the quantile windows: a request with three
-	// charge attempts contributes one charge observation (their sum),
-	// matching "where did this request's latency go".
-	sums := make(map[string]float64, 8)
-	for _, sp := range t.spans {
-		sums[sp.Stage] += sp.DurUS / 1e6
-	}
+	// The total span passes the span cap: every sealed trace carries
+	// exactly one, so the histogram's total count is the traced replies.
+	t.spans = append(t.spans, Span{Stage: StageTotal, DurUS: float64(now.Sub(t.start).Nanoseconds()) / 1e3})
 	t.done = true
 	t.status = status
 	t.end = now
 	t.mu.Unlock()
+	// A sealed trace's spans never change again, so they are read
+	// without the lock.
+	if stages != nil {
+		for i, sp := range t.spans {
+			if slices.ContainsFunc(t.spans[:i], func(p Span) bool { return p.Stage == sp.Stage }) {
+				continue // summed at the stage's first span
+			}
+			var us float64
+			for _, p := range t.spans[i:] {
+				if p.Stage == sp.Stage {
+					us += p.DurUS
+				}
+			}
+			stages.With(sp.Stage).Observe(us / 1e6)
+		}
+	}
 	if t.rec != nil {
-		t.rec.finish(t, status, sums)
+		t.rec.finish(t)
 	}
 }
 

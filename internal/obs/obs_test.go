@@ -29,13 +29,12 @@ func TestNilSafety(t *testing.T) {
 	tr.ObserveEvent("device_lost", "", true)
 	tr.Begin(StageBatchWait, "")
 	tr.End(StageBatchWait)
-	tr.Finish("ok")
+	tr.Finish("ok", nil)
 	r.Capture("drain")
 	d := r.Dump()
 	if len(d.Completed) != 0 || len(d.InFlight) != 0 {
 		t.Fatal("nil recorder dump is not empty")
 	}
-	r.Export(telemetry.NewRegistry())
 }
 
 // TestTraceIDs: fresh IDs are unique and non-zero; FormatID emits 16
@@ -69,7 +68,7 @@ func TestRingCapacity(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr := r.Start(0, uint64(i), "gemm")
 		ids = append(ids, FormatID(tr.ID()))
-		tr.Finish("ok")
+		tr.Finish("ok", nil)
 	}
 	d := r.Dump()
 	if d.TotalFinished != 10 {
@@ -115,7 +114,7 @@ func TestOpenSpansInDumps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr.Finish("ok")
+	tr.Finish("ok", nil)
 	d = r.Dump()
 	if len(d.Completed) != 1 || len(d.InFlight) != 0 {
 		t.Fatalf("after finish: %d completed, %d in-flight", len(d.Completed), len(d.InFlight))
@@ -134,12 +133,16 @@ func TestOpenSpansInDumps(t *testing.T) {
 }
 
 // TestFinishIdempotent: a second Finish must not double-count the
-// trace in the ring or the quantile window.
+// trace in the ring or the stage histogram.
 func TestFinishIdempotent(t *testing.T) {
 	r := New(Config{})
+	stages := telemetry.NewRegistry().Histogram("stage_seconds", "h", []float64{1}, "stage")
 	tr := r.Start(0, 1, "gemm")
-	tr.Finish("ok")
-	tr.Finish("internal")
+	tr.Finish("ok", stages)
+	tr.Finish("internal", stages)
+	if n := stages.With(StageTotal).Count(); n != 1 {
+		t.Fatalf("double finish: %d total observations, want 1", n)
+	}
 	d := r.Dump()
 	if d.TotalFinished != 1 || len(d.Completed) != 1 {
 		t.Fatalf("double finish: TotalFinished=%d, completed=%d", d.TotalFinished, len(d.Completed))
@@ -150,7 +153,8 @@ func TestFinishIdempotent(t *testing.T) {
 }
 
 // TestSpanCapDropCounted: a trace overflowing maxSpans must count its
-// drops instead of growing without bound.
+// drops instead of growing without bound, and still seals with its
+// total span.
 func TestSpanCapDropCounted(t *testing.T) {
 	r := New(Config{})
 	tr := r.Start(0, 1, "gemm")
@@ -158,14 +162,14 @@ func TestSpanCapDropCounted(t *testing.T) {
 	for i := 0; i < maxSpans+10; i++ {
 		tr.ObserveSpan(StageCharge, start, time.Microsecond, "")
 	}
-	tr.Finish("ok")
+	tr.Finish("ok", nil)
 	d := r.Dump()
 	rec := d.Completed[0]
-	if len(rec.Spans) > maxSpans {
-		t.Fatalf("%d spans recorded, cap is %d", len(rec.Spans), maxSpans)
+	if len(rec.Spans) != maxSpans+1 || rec.Spans[maxSpans].Stage != StageTotal {
+		t.Fatalf("%d spans recorded, want the cap of %d plus the total", len(rec.Spans), maxSpans)
 	}
-	if rec.Dropped < 10 {
-		t.Fatalf("Dropped = %d, want >= 10", rec.Dropped)
+	if rec.Dropped != 10 {
+		t.Fatalf("Dropped = %d, want 10", rec.Dropped)
 	}
 }
 
@@ -187,7 +191,7 @@ func TestFaultCapture(t *testing.T) {
 	if len(c.InFlight) != 1 || c.InFlight[0].TraceID != FormatID(tr.ID()) {
 		t.Fatalf("capture missed the in-flight trace: %+v", c.InFlight)
 	}
-	tr.Finish("transient")
+	tr.Finish("transient", nil)
 	d = r.Dump()
 	if got := FaultAttributed(&d); got < 1 {
 		t.Fatalf("FaultAttributed = %d, want >= 1", got)
@@ -212,7 +216,7 @@ func TestNoFaultCapture(t *testing.T) {
 		if d := r.Dump(); len(d.Captures) != 2 {
 			t.Fatalf("%+v: explicit Capture after a fault capture was suppressed", cfg)
 		}
-		tr.Finish("ok")
+		tr.Finish("ok", nil)
 	}
 }
 
@@ -223,7 +227,7 @@ func TestValidateRejects(t *testing.T) {
 		r := New(Config{})
 		tr := r.Start(0, 1, "gemm")
 		tr.ObserveSpan(StageExec, time.Now(), time.Millisecond, "")
-		tr.Finish("ok")
+		tr.Finish("ok", nil)
 		return r.Dump()
 	}
 	cases := []struct {
@@ -259,7 +263,7 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	tr := r.Start(0, 7, "conv2d")
 	tr.ObserveSpan(StageDecode, time.Now(), 50*time.Microsecond, "")
 	tr.ObserveEvent("transient_retry", "dev=1 attempt=1 backoff=2ms", true)
-	tr.Finish("ok")
+	tr.Finish("ok", nil)
 	live := r.Start(0, 8, "gemm")
 	live.Begin(StageBatchWait, "")
 
@@ -282,7 +286,7 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	if FaultAttributed(&d) < 1 {
 		t.Fatalf("FaultAttributed = %d after round trip", FaultAttributed(&d))
 	}
-	live.Finish("ok")
+	live.Finish("ok", nil)
 }
 
 // TestWriteFile: the flight dump written to a file parses and passes
@@ -291,7 +295,7 @@ func TestWriteFile(t *testing.T) {
 	r := New(Config{})
 	tr := r.Start(0, 7, "mean")
 	tr.ObserveSpan(StageDecode, time.Now(), 50*time.Microsecond, "")
-	tr.Finish("ok")
+	tr.Finish("ok", nil)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "flight.json")
 	if err := r.WriteFile(path); err != nil {
@@ -313,42 +317,6 @@ func TestWriteFile(t *testing.T) {
 	}
 	if err := r.WriteFile(filepath.Join(dir, "missing", "flight.json")); err == nil {
 		t.Fatal("WriteFile into a missing directory reported no error")
-	}
-}
-
-// TestQuantileNearestRank pins the quantile estimator to the
-// nearest-rank definition on a known population.
-func TestQuantileNearestRank(t *testing.T) {
-	q := newQuantiles(1000)
-	for i := 1; i <= 100; i++ {
-		q.observe("exec", float64(i))
-	}
-	reg := telemetry.NewRegistry()
-	g := reg.Gauge("t", "h", "stage", "quantile")
-	q.publish(g)
-	want := map[string]float64{"0.5": 50, "0.99": 99, "0.999": 100}
-	for ql, w := range want {
-		if got := g.With("exec", ql).Value(); got != w {
-			t.Fatalf("p%s = %g, want %g", ql, got, w)
-		}
-	}
-}
-
-// TestQuantileWindowSlides: the window keeps only the trailing N
-// observations, so a burst of slow requests ages out.
-func TestQuantileWindowSlides(t *testing.T) {
-	q := newQuantiles(10)
-	for i := 0; i < 10; i++ {
-		q.observe("exec", 100) // slow era
-	}
-	for i := 0; i < 10; i++ {
-		q.observe("exec", 1) // fast era fully replaces it
-	}
-	reg := telemetry.NewRegistry()
-	g := reg.Gauge("t", "h", "stage", "quantile")
-	q.publish(g)
-	if got := g.With("exec", "0.99").Value(); got != 1 {
-		t.Fatalf("p99 = %g after window slid, want 1", got)
 	}
 }
 
@@ -396,7 +364,7 @@ func TestConcurrentTracesRace(t *testing.T) {
 					tr.ObserveEvent("transient_retry", "dev=0 attempt=1", true)
 				}
 				tr.End(StageBatchWait)
-				tr.Finish("ok")
+				tr.Finish("ok", nil)
 			}
 		}(w)
 	}

@@ -10,8 +10,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Config sizes a Recorder. Zero values pick defaults.
@@ -22,19 +20,17 @@ type Config struct {
 
 const (
 	defaultCapacity = 256
-	quantileWindow  = 2048 // per-stage quantile window, in observations
-	maxCaptures     = 8    // bounded postmortem snapshots kept FIFO
-	captureInflight = 64   // traces frozen per capture
+	maxCaptures     = 8  // bounded postmortem snapshots kept FIFO
+	captureInflight = 64 // traces frozen per capture
 	captureMinGap   = time.Second
 )
 
 // Recorder is the process-wide flight recorder: a bounded ring of the
-// last N completed request waterfalls, the live in-flight set,
-// windowed per-stage quantiles, and capture snapshots frozen at fault
-// or drain moments. A nil *Recorder disables tracing everywhere.
+// last N completed request waterfalls, the live in-flight set, and
+// capture snapshots frozen at fault or drain moments. A nil *Recorder
+// disables tracing everywhere.
 type Recorder struct {
 	capacity int
-	q        *quantiles
 
 	mu            sync.Mutex
 	ring          []*Trace // circular, len == capacity once warm
@@ -43,10 +39,6 @@ type Recorder struct {
 	inflight      map[*Trace]struct{}
 	captures      []Capture
 	lastCapture   time.Time
-
-	// Metric handles; nil until Export attaches a registry.
-	reqs      *telemetry.CounterVec
-	inflightG *telemetry.Gauge
 }
 
 // New builds a Recorder.
@@ -56,32 +48,8 @@ func New(cfg Config) *Recorder {
 	}
 	return &Recorder{
 		capacity: cfg.Capacity,
-		q:        newQuantiles(quantileWindow),
 		inflight: make(map[*Trace]struct{}),
 	}
-}
-
-// Export registers the recorder's metric families on reg and hooks
-// quantile publication into registry snapshots, so every Prometheus
-// scrape sees quantiles computed from the window at scrape time.
-func (r *Recorder) Export(reg *telemetry.Registry) {
-	if r == nil || reg == nil {
-		return
-	}
-	stage := reg.Gauge("gptpu_obs_stage_seconds",
-		"Windowed per-stage request latency quantiles (nearest-rank over the trailing observation window).",
-		"stage", "quantile")
-	r.reqs = reg.Counter("gptpu_obs_requests_total",
-		"Traced requests finished, by terminal status.", "status")
-	inflight := reg.Gauge("gptpu_obs_inflight", "Traced requests currently in flight.")
-	r.inflightG = inflight.With()
-	reg.AddSnapshotHook(func() {
-		r.q.publish(stage)
-		r.mu.Lock()
-		n := len(r.inflight)
-		r.mu.Unlock()
-		r.inflightG.Set(float64(n))
-	})
 }
 
 // Start opens a trace for one request and adds it to the in-flight
@@ -101,15 +69,9 @@ func (r *Recorder) Start(traceID, reqID uint64, op string) *Trace {
 	return t
 }
 
-// finish moves a sealed trace into the completed ring and feeds the
-// quantile windows. Called by Trace.Finish with no trace lock held.
-func (r *Recorder) finish(t *Trace, status string, stageSums map[string]float64) {
-	for stage, sec := range stageSums {
-		r.q.observe(stage, sec)
-	}
-	if r.reqs != nil {
-		r.reqs.With(status).Inc()
-	}
+// finish moves a sealed trace into the completed ring. Called by
+// Trace.Finish with no trace lock held.
+func (r *Recorder) finish(t *Trace) {
 	r.mu.Lock()
 	delete(r.inflight, t)
 	r.totalFinished++

@@ -36,6 +36,7 @@ type FrontDoor struct {
 	requests     *telemetry.CounterVec   // by op
 	replies      *telemetry.CounterVec   // by status (ok / error class)
 	latency      *telemetry.HistogramVec // arrival to reply sealed, by op
+	stages       *telemetry.HistogramVec // a traced request's seconds per stage
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -93,7 +94,8 @@ var latBuckets = telemetry.ExpBuckets(1e-4, 10, 7)
 // prefix_connections, prefix_bytes_read_total,
 // prefix_bytes_written_total, and the request path's
 // prefix_requests_total, prefix_replies_total and
-// prefix_request_seconds.
+// prefix_request_seconds, and the traced requests'
+// prefix_stage_seconds.
 func NewFrontDoor(prefix string, reg *telemetry.Registry, rec *obs.Recorder, log *slog.Logger, owner DoorOwner) *FrontDoor {
 	d := &FrontDoor{
 		owner: owner,
@@ -112,6 +114,9 @@ func NewFrontDoor(prefix string, reg *telemetry.Registry, rec *obs.Recorder, log
 		latency: reg.Histogram(prefix+"_request_seconds",
 			"Wall seconds from request arrival to reply sealed (the socket write follows), by operator.",
 			latBuckets, "op"),
+		stages: reg.Histogram(prefix+"_stage_seconds",
+			"Wall seconds a traced request spent in each stage, its spans of one stage summed; the total stage counts one per traced reply.",
+			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}, "stage"),
 		conns: make(map[net.Conn]struct{}),
 	}
 	for op := MsgGemm; op <= MsgMax; op++ {
@@ -340,7 +345,7 @@ func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 	}
 	d.replies.With(status).Inc()
 	d.latency.With(op.String()).Observe(time.Since(arrived).Seconds())
-	rt.Finish(status)
+	rt.Finish(status, d.stages)
 	if rep.Held {
 		d.owner.Settle()
 	}

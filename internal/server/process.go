@@ -42,7 +42,7 @@ type Process struct {
 func NewProcess(name string, fs *flag.FlagSet) *Process {
 	p := &Process{Name: name}
 	fs.StringVar(&p.metricsAddr, "metrics", "", "also serve the telemetry HTTP exporter and /debug/flight on this address (e.g. :9090)")
-	fs.BoolVar(&p.obsOn, "obs", true, "per-request tracing, stage quantiles, and the flight recorder")
+	fs.BoolVar(&p.obsOn, "obs", true, "per-request tracing, stage histograms, and the flight recorder")
 	fs.IntVar(&p.flightN, "flight", 256, "flight recorder capacity: completed request waterfalls kept for postmortems")
 	fs.StringVar(&p.flightDump, "flight-dump", "", "write the flight recorder as JSON to this file at exit")
 	fs.BoolVar(&p.logJSON, "log-json", false, "emit structured logs as JSON instead of text")

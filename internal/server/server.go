@@ -33,9 +33,9 @@ type Config struct {
 	// RetryBudget bounds the runtime's per-instruction dispatch
 	// retries under injected faults (0 = the runtime default of 8).
 	RetryBudget int
-	// Obs is the flight recorder: per-request trace waterfalls, the
-	// windowed stage quantiles, and the postmortem dump. nil disables
-	// request tracing entirely (zero per-request overhead).
+	// Obs is the flight recorder: per-request trace waterfalls, which
+	// feed gptpu_serve_stage_seconds, and the postmortem dump. nil
+	// disables request tracing entirely (zero per-request overhead).
 	Obs *obs.Recorder
 	// Logger receives structured serving-path logs with trace-ID and
 	// request-ID attributes (nil = discard).
@@ -81,9 +81,6 @@ func New(cfg Config) *Server {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if cfg.Obs != nil {
-		cfg.Obs.Export(reg)
 	}
 	s := &Server{
 		cfg: cfg,

@@ -50,32 +50,6 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	names    []string // sorted registration index for deterministic export
-
-	hookMu sync.Mutex
-	hooks  []func()
-}
-
-// AddSnapshotHook registers fn to run at the start of every Snapshot
-// call, before any family is read. Pull-model exporters (windowed
-// quantiles, derived gauges) use it to publish fresh values exactly
-// when a scrape happens instead of on a timer. Hooks run outside the
-// registry locks, in registration order, and must not block.
-func (r *Registry) AddSnapshotHook(fn func()) {
-	if fn == nil {
-		return
-	}
-	r.hookMu.Lock()
-	r.hooks = append(r.hooks, fn)
-	r.hookMu.Unlock()
-}
-
-func (r *Registry) runHooks() {
-	r.hookMu.Lock()
-	hooks := append([]func(){}, r.hooks...)
-	r.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
 }
 
 // NewRegistry returns an empty registry.
@@ -368,7 +342,6 @@ type MetricSnapshot struct {
 // within a family appear in first-use order, making repeated exports
 // of a quiesced registry byte-identical.
 func (r *Registry) Snapshot() []MetricSnapshot {
-	r.runHooks()
 	r.mu.RLock()
 	names := append([]string(nil), r.names...)
 	fams := make([]*family, len(names))

@@ -15,8 +15,7 @@
 // details identify which operator and task the occupancy belongs to.
 // A serving daemon's flight-recorder records join the same file as a
 // third group of request lanes, so one view correlates device charging
-// with request lifecycles. Write is the one writer; Summarize is the
-// textual counterpart.
+// with request lifecycles. Write is the one writer.
 package trace
 
 import (
@@ -263,50 +262,6 @@ func appendTimeline(out []any, events []timing.Event, machinePID, taskPID int, s
 				Pid: taskPID, Tid: e.Span.Task, Args: targs,
 			})
 		}
-	}
-	return out
-}
-
-// Summary aggregates the trace into per-resource busy time and
-// utilization relative to the makespan, the textual counterpart of
-// the visual trace.
-type Summary struct {
-	Resource    string
-	Busy        timing.Duration
-	Ops         int
-	Utilization float64
-}
-
-// Summarize computes per-resource occupancy statistics from the
-// recorded events. Zero-duration marks (task-lifecycle instants) do
-// not count as resource occupancy. The result is sorted by resource
-// name, so repeated calls over the same timeline are deterministic.
-func Summarize(tl *timing.Timeline) []Summary {
-	events := tl.Trace()
-	mk := tl.Makespan().Seconds()
-	agg := map[string]*Summary{}
-	var names []string
-	for _, e := range events {
-		if e.Start == e.End {
-			continue
-		}
-		s, ok := agg[e.Resource]
-		if !ok {
-			s = &Summary{Resource: e.Resource}
-			agg[e.Resource] = s
-			names = append(names, e.Resource)
-		}
-		s.Busy += e.End - e.Start
-		s.Ops++
-	}
-	sort.Strings(names)
-	out := make([]Summary, 0, len(names))
-	for _, n := range names {
-		s := agg[n]
-		if mk > 0 {
-			s.Utilization = s.Busy.Seconds() / mk
-		}
-		out = append(out, *s)
 	}
 	return out
 }

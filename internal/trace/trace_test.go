@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -292,78 +291,6 @@ func TestWriteRequestLanes(t *testing.T) {
 		for k, v := range w.args {
 			if g.args[k] != v {
 				t.Fatalf("slice %d arg %s = %v, want %v", i, k, g.args[k], v)
-			}
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tl := tracedTimeline(t)
-	sums := Summarize(tl)
-	if len(sums) != 2 {
-		t.Fatalf("got %d summaries", len(sums))
-	}
-	// Sorted by name: edgetpu0 first.
-	if !strings.HasPrefix(sums[0].Resource, "edgetpu") {
-		t.Fatalf("order: %v", sums[0].Resource)
-	}
-	if sums[0].Busy != 2*time.Millisecond || sums[0].Ops != 1 {
-		t.Fatalf("edgetpu summary %+v", sums[0])
-	}
-	if sums[1].Busy != 5*time.Millisecond || sums[1].Ops != 2 {
-		t.Fatalf("link summary %+v", sums[1])
-	}
-	if sums[1].Utilization < 0.7 || sums[1].Utilization > 0.72 {
-		t.Fatalf("link utilization %v, want ~5/7", sums[1].Utilization)
-	}
-}
-
-// TestSummarizeEmptyTimeline: no events means no summaries, not a
-// panic or a nil-map surprise.
-func TestSummarizeEmptyTimeline(t *testing.T) {
-	tl := timing.NewTimeline()
-	tl.EnableTrace()
-	if sums := Summarize(tl); len(sums) != 0 {
-		t.Fatalf("empty timeline summaries: %+v", sums)
-	}
-}
-
-// TestSummarizeZeroMakespan: zero-duration marks are ignored, and a
-// timeline whose makespan is zero yields zero utilization (not NaN or
-// a divide-by-zero panic).
-func TestSummarizeZeroMakespan(t *testing.T) {
-	tl := timing.NewTimeline()
-	tl.EnableTrace()
-	tl.NewResource("idle")
-	tl.Mark("opq", 0, timing.Span{Phase: "enqueue", Task: 1})
-	sums := Summarize(tl)
-	if len(sums) != 0 {
-		t.Fatalf("marks must not count as occupancy: %+v", sums)
-	}
-	if mk := tl.Makespan(); mk != 0 {
-		t.Fatalf("makespan %v, want 0", mk)
-	}
-}
-
-// TestSummarizeDeterministicOrder: lane ordering is stable across
-// repeated summaries regardless of event arrival order.
-func TestSummarizeDeterministicOrder(t *testing.T) {
-	tl := timing.NewTimeline()
-	tl.EnableTrace()
-	for _, name := range []string{"zeta", "alpha", "mid", "beta", "omega"} {
-		tl.NewResource(name).Acquire(0, time.Millisecond)
-	}
-	first := Summarize(tl)
-	for i := 1; i < len(first); i++ {
-		if first[i].Resource < first[i-1].Resource {
-			t.Fatalf("unsorted: %q after %q", first[i].Resource, first[i-1].Resource)
-		}
-	}
-	for rep := 0; rep < 5; rep++ {
-		again := Summarize(tl)
-		for i := range first {
-			if again[i] != first[i] {
-				t.Fatalf("rep %d order drift: %+v vs %+v", rep, again[i], first[i])
 			}
 		}
 	}

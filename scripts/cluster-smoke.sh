@@ -184,7 +184,8 @@ for family in gptpu_cluster_requests_total gptpu_cluster_replies_total \
     gptpu_cluster_forwards_total gptpu_cluster_failovers_total \
     gptpu_cluster_probes_total gptpu_cluster_request_seconds \
     gptpu_cluster_bytes_read_total gptpu_cluster_bytes_written_total \
-    gptpu_cluster_connections gptpu_cluster_inflight; do
+    gptpu_cluster_connections gptpu_cluster_inflight \
+    gptpu_cluster_stage_seconds; do
     if ! grep -q "^$family" "$SCRAPE"; then
         echo "cluster-smoke: /metrics missing $family" >&2
         exit 1

@@ -5,8 +5,8 @@
 #   2. boot it with chaos fault injection, tracing, a metrics listener,
 #      a flight-dump path and a Chrome-trace path
 #   3. drive concurrent GEMM traffic through the -soak client mode
-#   4. scrape /metrics and assert the per-stage quantile families and
-#      /debug/flight are live
+#   4. scrape /metrics and assert the per-stage histogram counted the
+#      traced requests, and /debug/flight serves the completed ring
 #   5. SIGTERM the daemon, assert a clean drain, then verify the flight
 #      dump parses, is internally consistent, and attributes at least
 #      one request's latency to a fault-triggered retry
@@ -116,30 +116,35 @@ echo "obs-smoke: driving traced soak traffic"
 TRACED_SECS=$(soak_secs "$ADDR")
 echo "obs-smoke: traced soak took ${TRACED_SECS}s"
 
-# The metrics listener must expose the per-stage quantiles and the
-# flight recorder while traffic has flowed.
+# fetch URL FILE: an HTTP GET through curl or wget.
+fetch() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -sf "$1" >"$2"
+    elif command -v wget >/dev/null 2>&1; then
+        wget -qO "$2" "$1"
+    else
+        echo "obs-smoke: neither curl nor wget available" >&2
+        exit 1
+    fi
+}
+
+# The metrics listener must expose the per-stage histogram the sealed
+# traces feed, with the traced requests counted in its total stage,
+# and serve the recent waterfalls at /debug/flight.
 SCRAPE="$TMP/metrics.prom"
-if command -v curl >/dev/null 2>&1; then
-    curl -sf "http://$METRICS/metrics" >"$SCRAPE"
-elif command -v wget >/dev/null 2>&1; then
-    wget -qO "$SCRAPE" "http://$METRICS/metrics"
-else
-    echo "obs-smoke: neither curl nor wget available" >&2
+fetch "http://$METRICS/metrics" "$SCRAPE"
+if ! grep -Eq '^gptpu_serve_stage_seconds_count\{stage="total"\} [1-9]' "$SCRAPE"; then
+    echo "obs-smoke: /metrics lacks a non-zero gptpu_serve_stage_seconds total count" >&2
+    grep '^gptpu_serve_stage_seconds' "$SCRAPE" >&2 || true
     exit 1
 fi
-for family in gptpu_obs_stage_seconds gptpu_obs_requests_total gptpu_obs_inflight; do
-    if ! grep -q "^$family" "$SCRAPE"; then
-        echo "obs-smoke: /metrics missing $family" >&2
-        exit 1
-    fi
-done
-for q in 0.5 0.99 0.999; do
-    if ! grep -q "quantile=\"$q\"" "$SCRAPE"; then
-        echo "obs-smoke: /metrics missing quantile $q" >&2
-        exit 1
-    fi
-done
-echo "obs-smoke: /metrics exposes stage quantiles (p50/p99/p999)"
+LIVE="$TMP/flight-live.json"
+fetch "http://$METRICS/debug/flight" "$LIVE"
+if ! grep -q '"stage": "total"' "$LIVE"; then
+    echo "obs-smoke: /debug/flight holds no completed waterfall" >&2
+    exit 1
+fi
+echo "obs-smoke: /metrics exposes per-stage histograms, /debug/flight the recent waterfalls"
 
 echo "obs-smoke: draining daemon"
 drain_daemon

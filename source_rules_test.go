@@ -79,7 +79,6 @@ var globalOwners = map[[2]string]string{
 	{"internal/fuzzgraph/gen.go", "opNames"}:                     "node-kind names, read only",
 	{"internal/fuzzgraph/gen.go", "dimAlphabet"}:                 "the generator's shape alphabet, read only",
 	{"internal/fuzzgraph/corpus.go", "CorpusSeeds"}:              "the committed regression seeds, read only",
-	{"internal/obs/quantile.go", "quantileLabels"}:               "published quantile labels, read only",
 	{"internal/cluster/membership.go", "memberStates"}:           "membership states in export order, read only",
 	{"internal/apps/blackscholes/blackscholes.go", "polyCoeffs"}: "CNDF polynomial fitted once at start-up, read only",
 	{"internal/model/model.go", "magic"}:                         "the model-format magic, read only",
@@ -399,12 +398,33 @@ var seededWant = map[string][]string{
 	"deleted-flags": {"DESIGN.md: -pace", "Makefile: -nowire", "README.md: -dead-strikes", "scripts/x.sh: -batch-max"},
 	"core-escape":   {"cmd/x/main.go:3", "cmd/x/main.go:4", "internal/x/x_test.go:2"},
 	"http-mux":      {"cmd/x/main.go:3"},
-	"sync-pool":     {"internal/core/context.go:5", "internal/edgetpu/ops_fast.go:4", "internal/server/x.go:3"},
+	"sync-pool":     {"internal/core/context.go:5", "internal/edgetpu/ops_fast.go:4", "internal/server/x.go:3", "internal/core/context.go: gone"},
 	"stages":        {"internal/core/engine.go:9: ObserveSpan", "internal/core/engine.go:11: Begin", "obs.StageIdle"},
 	"one-door":      {"cmd/x/main.go:3", "internal/model/stream.go:3", "internal/server/loopback.go:3"},
-	"globals":       {"internal/x/x.go:11: cache", "internal/x/x.go:12: lo", "internal/x/x.go:12: hi"},
+	"globals":       {"internal/x/x.go:11: cache", "internal/x/x.go:12: lo", "internal/x/x.go:12: hi", "internal/x/x.go: gone"},
 	"one-op-table": {"internal/fuzzgraph/run.go:10: switch names OpCrop, OpExt", "internal/server/server.go:4: switch names MsgAdd, MsgGemm, MsgMean",
 		"openctpu/openctpu.go:9: switch names OpAdd, OpGemm", "openctpu/openctpu.go:16: switch names Crop, Ext"},
+}
+
+// owners are the allow-lists the globals and sync-pool rules read.
+type owners struct{ globals, pools map[[2]string]string }
+
+// seededOwners replace globalOwners and poolOwners in those two rules'
+// seeded trees: each lists what its tree declares, plus one entry
+// naming a var or field the tree no longer declares.
+var seededOwners = map[string]owners{
+	"globals": {globals: map[[2]string]string{
+		{"internal/tensor/pool.go", "i8Pools"}:  "seeded",
+		{"internal/tensor/pool.go", "i32Pools"}: "seeded",
+		{"internal/x/x.go", "gone"}:             "a var deleted since",
+	}},
+	"sync-pool": {
+		globals: map[[2]string]string{{"internal/edgetpu/ops_fast.go", "gemmScratchPool"}: "seeded"},
+		pools: map[[2]string]string{
+			{"internal/core/context.go", "plans"}: "seeded",
+			{"internal/core/context.go", "gone"}:  "a field deleted since",
+		},
+	},
 }
 
 func TestSourceRules(t *testing.T) {
@@ -414,7 +434,11 @@ func TestSourceRules(t *testing.T) {
 			for _, v := range r.check(repo) {
 				t.Error(v)
 			}
-			got := r.check(newSource(t, seededViolations[r.name]))
+			seeded := newSource(t, seededViolations[r.name])
+			if o, ok := seededOwners[r.name]; ok {
+				seeded.owners = o
+			}
+			got := r.check(seeded)
 			want := seededWant[r.name]
 			if len(got) != len(want) {
 				t.Fatalf("seeded violations: got %d reports %q, want %d naming %q", len(got), got, len(want), want)
@@ -437,6 +461,7 @@ type source struct {
 	names map[string]string  // import path → package name
 	alias map[string]string  // "pkg.Name" of a type alias → "pkg.Name" it aliases
 	decls map[string]*goFile // "pkg.Name" of a struct type → its file
+	owners
 }
 
 // goFile is one parsed Go file.
@@ -491,6 +516,7 @@ func newSource(t *testing.T, files map[string]string) *source {
 	s := &source{
 		fset: token.NewFileSet(), text: files, names: map[string]string{},
 		alias: map[string]string{}, decls: map[string]*goFile{},
+		owners: owners{globals: globalOwners, pools: poolOwners},
 	}
 	for rel, src := range files {
 		if !strings.HasSuffix(rel, ".go") {
@@ -762,10 +788,12 @@ func muxOutsideTelemetry(s *source) []string {
 
 // strayPools reports any sync.Pool in non-test Go outside
 // internal/tensor and benchmark/ that no allowlist names (or a
-// comment there naming sync.Pool): buffers recycle through tensor's
-// one size-classed recycler.
+// comment there naming sync.Pool), and any poolOwners entry that no
+// longer names one: buffers recycle through tensor's one size-classed
+// recycler.
 func strayPools(s *source) []string {
 	var out []string
+	pooled := make(map[[2]string]bool) // file and name of each sync.Pool's declaration
 	for _, gf := range s.files {
 		if gf.test || strings.HasPrefix(gf.rel, "internal/tensor/") || strings.HasPrefix(gf.rel, "benchmark/") {
 			continue
@@ -787,8 +815,12 @@ func strayPools(s *source) []string {
 					name = n.Names[0].Name
 				}
 			case *ast.SelectorExpr:
-				if s.typeOf(gf, n) == "sync.Pool" && !ownsPool(gf.rel, owner) {
-					out = append(out, s.pos(n)+": a sync.Pool outside internal/tensor's recycler")
+				if s.typeOf(gf, n) == "sync.Pool" {
+					k := [2]string{gf.rel, innermost(owner)}
+					pooled[k] = true
+					if s.pools[k] == "" && s.globals[k] == "" {
+						out = append(out, s.pos(n)+": a sync.Pool outside internal/tensor's recycler")
+					}
 				}
 			}
 			owner = append(owner, name)
@@ -796,19 +828,31 @@ func strayPools(s *source) []string {
 		})
 		out = append(out, s.commentHits(gf, "sync.Pool")...)
 	}
-	return out
+	return append(out, staleOwners(s.pools, pooled, "poolOwners")...)
 }
 
-// ownsPool reports whether the innermost named declaration enclosing a
-// sync.Pool in rel is one poolOwners or globalOwners lists.
-func ownsPool(rel string, owner []string) bool {
+// innermost is the name of the innermost named declaration in owner.
+func innermost(owner []string) string {
 	for i := len(owner) - 1; i >= 0; i-- {
 		if owner[i] != "" {
-			k := [2]string{rel, owner[i]}
-			return poolOwners[k] != "" || globalOwners[k] != ""
+			return owner[i]
 		}
 	}
-	return false
+	return ""
+}
+
+// staleOwners reports, sorted, each entry of the allow-list called
+// list whose file and name declared does not hold: an entry leaves
+// with what it allowed.
+func staleOwners(allowed map[[2]string]string, declared map[[2]string]bool, list string) []string {
+	var out []string
+	for k := range allowed {
+		if !declared[k] {
+			out = append(out, fmt.Sprintf("%s: %s is in %s but no longer declared there", k[0], k[1], list))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // literalStages reports, in non-test Go, every ObserveSpan, Begin or
@@ -912,10 +956,12 @@ func doorsOutsideServer(s *source) []string {
 
 // unlistedGlobals reports each package-level var of non-test Go outside
 // benchmark/ and examples/ that globalOwners does not list with a
-// reason. A var initialized by errors.New, fmt.Errorf or another
-// package's Err* sentinel is exempt.
+// reason, and each globalOwners entry naming no such var. A var
+// initialized by errors.New, fmt.Errorf or another package's Err*
+// sentinel is exempt.
 func unlistedGlobals(s *source) []string {
 	var out []string
+	declared := make(map[[2]string]bool)
 	for _, gf := range s.files {
 		if gf.test || strings.HasPrefix(gf.rel, "benchmark/") || strings.HasPrefix(gf.rel, "examples/") {
 			continue
@@ -928,17 +974,19 @@ func unlistedGlobals(s *source) []string {
 			for _, spec := range gd.Specs {
 				vs := spec.(*ast.ValueSpec)
 				for i, id := range vs.Names {
+					k := [2]string{gf.rel, id.Name}
+					declared[k] = true
 					if i < len(vs.Values) && s.isSentinel(gf, vs.Values[i]) {
 						continue
 					}
-					if globalOwners[[2]string{gf.rel, id.Name}] == "" {
+					if s.globals[k] == "" {
 						out = append(out, fmt.Sprintf("%s: %s is package-level state with no reason in globalOwners", s.pos(id), id.Name))
 					}
 				}
 			}
 		}
 	}
-	return out
+	return append(out, staleOwners(s.globals, declared, "globalOwners")...)
 }
 
 // tableSwitches reports each switch in non-test Go outside benchmark/
