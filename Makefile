@@ -19,10 +19,12 @@ test:
 # span stage an obs.Stage* constant and every such constant emitted,
 # Accept(), frame readers and bufio only in the server's front door,
 # client and framing, no package-level var without a stated reason
-# (error sentinels aside), and no switch naming several operators of
+# (error sentinels aside), no switch naming several operators of
 # core's operator table, or several wire operator types, C API
 # operators or fuzzer node kinds, outside the table's file,
-# protocol.go's String and the fuzzer's generator. It also
+# protocol.go's String and the fuzzer's generator, and (test-only-api)
+# no exported name in internal/ that only its own package or only tests
+# read, unless its allow-list gives a reason. It also
 # fails on any file gofmt would rewrite, and vets the benchmark module,
 # which builds the internal config structs by field name: a renamed
 # field fails here, not only in bench-test.

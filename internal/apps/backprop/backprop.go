@@ -21,9 +21,9 @@ import (
 	"repro/internal/timing"
 )
 
-// LearningRate for the single update step, applied per sample (the
-// effective step is LearningRate / batch).
-const LearningRate = 0.05
+// learningRate for the single update step, applied per sample (the
+// effective step is learningRate / batch).
+const learningRate = 0.05
 
 // Config describes one training pass: Batch samples of In features
 // through a Hidden-unit layer to Out outputs.
@@ -89,7 +89,7 @@ func refPass(w *Workload) *Result {
 		dH.Data[i] *= v * (1 - v) // sigmoid derivative
 	}
 	dW1 := blas.Gemm(w.X.Transpose(), dH)
-	lr := LearningRate / float32(w.X.Rows)
+	lr := learningRate / float32(w.X.Rows)
 	nw1, nw2 := w.W1.Clone(), w.W2.Clone()
 	for i := range nw1.Data {
 		nw1.Data[i] -= lr * dW1.Data[i]
@@ -123,7 +123,7 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, w *Workload) (*Result, apps.
 // (the tanh→sigmoid shift, error deltas, learning-rate scaling) a
 // HostOp node with the same charged CPU cost the per-op path pays.
 // The whole pass enters the engine through a single Submit, and its
-// weight results are bit-identical to RunTPUSerial.
+// weight results are bit-identical to runTPUSerial.
 func RunTPU(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics, error) {
 	functional := ctx.Functional()
 	if w == nil {
@@ -186,7 +186,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics,
 	dW1 := g.MatMul(bxt, dHs)
 
 	// Weight update: add of the (-lr)-scaled deltas.
-	lr := LearningRate / float32(cfg.Batch)
+	lr := learningRate / float32(cfg.Batch)
 	scaleLR := func(in []*tensor.Matrix) *tensor.Matrix {
 		out := in[0].Clone()
 		out.Scale(-lr)
@@ -215,113 +215,11 @@ func RunTPU(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics,
 	return res, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
 }
 
-// RunTPUSerial is the pre-graph per-op execution path: each operator
-// round-trips its result through the host. Kept as the equivalence
-// oracle for RunTPU and as the baseline the graph benchmark compares
-// against.
-func RunTPUSerial(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics, error) {
-	functional := ctx.Functional()
-	if w == nil {
-		w = &Workload{
-			X:      tensor.New(cfg.Batch, cfg.In),
-			W1:     tensor.New(cfg.In, cfg.Hidden),
-			W2:     tensor.New(cfg.Hidden, cfg.out()),
-			Target: tensor.New(cfg.Batch, cfg.out()),
-		}
-	}
-	op := ctx.NewOp()
-	params := ctx.Params()
-	hostEpilogue := func(elems int64) {
-		ctx.ChargeHostWork(params.AggTime(elems))
-	}
-
-	bx := ctx.CreateMatrixBuffer(w.X)
-	bw1 := ctx.CreateMatrixBuffer(w.W1)
-	bw2 := ctx.CreateMatrixBuffer(w.W2)
-
-	// Forward: FullyConnected layers with the tanh-realized sigmoid.
-	h1lin := op.Gemm(bx, bw1)
-	bh1lin := ctx.CreateMatrixBuffer(scaleHalf(h1lin, functional))
-	h1tanh := op.Tanh(bh1lin)
-	var h1 *tensor.Matrix
-	if functional {
-		h1 = sigmoidFromTanh(h1tanh)
-	} else {
-		h1 = tensor.New(cfg.Batch, cfg.Hidden)
-	}
-	hostEpilogue(int64(cfg.Batch) * int64(cfg.Hidden))
-
-	bh1 := ctx.CreateMatrixBuffer(h1)
-	y := op.Gemm(bh1, bw2)
-
-	// Host: output delta (y - target).
-	dY := tensor.New(cfg.Batch, cfg.out())
-	if functional {
-		for i := range y.Data {
-			dY.Data[i] = y.Data[i] - w.Target.Data[i]
-		}
-	}
-	hostEpilogue(int64(cfg.Batch) * int64(cfg.out()))
-
-	// Backward: tpuGemm derives the weight deltas.
-	bh1t := ctx.CreateMatrixBuffer(transposeOrShape(h1, functional))
-	bdY := ctx.CreateMatrixBuffer(dY)
-	dW2 := op.Gemm(bh1t, bdY)
-
-	bw2t := ctx.CreateMatrixBuffer(transposeOrShape(w.W2, functional))
-	dH := op.Gemm(bdY, bw2t)
-	if functional {
-		for i, v := range h1.Data {
-			dH.Data[i] *= v * (1 - v)
-		}
-	}
-	hostEpilogue(int64(cfg.Batch) * int64(cfg.Hidden))
-
-	bxt := ctx.CreateMatrixBuffer(transposeOrShape(w.X, functional))
-	bdH := ctx.CreateMatrixBuffer(dH)
-	dW1 := op.Gemm(bxt, bdH)
-
-	// Weight update: add of the (-lr)-scaled deltas (section 7.2.5's
-	// "add for the actual backpropagation").
-	lr := LearningRate / float32(cfg.Batch)
-	upd1 := scaleByNegLR(dW1, lr, functional)
-	upd2 := scaleByNegLR(dW2, lr, functional)
-	hostEpilogue(int64(upd1.Elems() + upd2.Elems()))
-	nw1 := op.Add(bw1, ctx.CreateMatrixBuffer(upd1))
-	nw2 := op.Add(bw2, ctx.CreateMatrixBuffer(upd2))
-	if op.Err() != nil {
-		return nil, apps.Metrics{}, op.Err()
-	}
-	var res *Result
-	if functional {
-		res = &Result{W1: nw1, W2: nw2}
-	}
-	return res, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
-}
-
-func scaleHalf(m *tensor.Matrix, functional bool) *tensor.Matrix {
-	if !functional {
-		return tensor.New(m.Rows, m.Cols)
-	}
-	out := m.Clone()
-	out.Scale(0.5)
-	return out
-}
-
 func transposeOrShape(m *tensor.Matrix, functional bool) *tensor.Matrix {
 	if !functional {
 		return tensor.New(m.Cols, m.Rows)
 	}
 	return m.Transpose()
-}
-
-func scaleByNegLR(m *tensor.Matrix, lr float32, functional bool) *tensor.Matrix {
-	if !functional {
-		return tensor.New(m.Rows, m.Cols)
-	}
-	out := m.Clone()
-	out.Scale(-lr)
-	return out
 }
 
 // RunGPU charges the GPU implementation (FP16 per section 9.4).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	gptpu "repro"
+	"repro/internal/apps"
 	"repro/internal/blas"
 	"repro/internal/gpusim"
 	"repro/internal/tensor"
@@ -109,7 +110,7 @@ func TestRunGPU(t *testing.T) {
 func TestGraphMatchesSerial(t *testing.T) {
 	cfg := Config{Batch: 96, In: 64, Hidden: 48, Out: 8, Seed: 9}
 	w := cfg.Generate()
-	serial, _, err := RunTPUSerial(gptpu.Open(gptpu.Config{}), cfg, w)
+	serial, _, err := runTPUSerial(gptpu.Open(gptpu.Config{}), cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,4 +150,105 @@ func TestGraphTimingOnly(t *testing.T) {
 	if m.Elapsed <= 0 {
 		t.Fatal("no virtual time charged")
 	}
+}
+
+// runTPUSerial is the pre-graph per-op execution path: each operator
+// round-trips its result through the host. It is the equivalence
+// oracle for RunTPU.
+func runTPUSerial(ctx *gptpu.Context, cfg Config, w *Workload) (*Result, apps.Metrics, error) {
+	functional := ctx.Functional()
+	if w == nil {
+		w = &Workload{
+			X:      tensor.New(cfg.Batch, cfg.In),
+			W1:     tensor.New(cfg.In, cfg.Hidden),
+			W2:     tensor.New(cfg.Hidden, cfg.out()),
+			Target: tensor.New(cfg.Batch, cfg.out()),
+		}
+	}
+	op := ctx.NewOp()
+	params := ctx.Params()
+	hostEpilogue := func(elems int64) {
+		ctx.ChargeHostWork(params.AggTime(elems))
+	}
+
+	bx := ctx.CreateMatrixBuffer(w.X)
+	bw1 := ctx.CreateMatrixBuffer(w.W1)
+	bw2 := ctx.CreateMatrixBuffer(w.W2)
+
+	// Forward: FullyConnected layers with the tanh-realized sigmoid.
+	h1lin := op.Gemm(bx, bw1)
+	bh1lin := ctx.CreateMatrixBuffer(scaleHalf(h1lin, functional))
+	h1tanh := op.Tanh(bh1lin)
+	var h1 *tensor.Matrix
+	if functional {
+		h1 = sigmoidFromTanh(h1tanh)
+	} else {
+		h1 = tensor.New(cfg.Batch, cfg.Hidden)
+	}
+	hostEpilogue(int64(cfg.Batch) * int64(cfg.Hidden))
+
+	bh1 := ctx.CreateMatrixBuffer(h1)
+	y := op.Gemm(bh1, bw2)
+
+	// Host: output delta (y - target).
+	dY := tensor.New(cfg.Batch, cfg.out())
+	if functional {
+		for i := range y.Data {
+			dY.Data[i] = y.Data[i] - w.Target.Data[i]
+		}
+	}
+	hostEpilogue(int64(cfg.Batch) * int64(cfg.out()))
+
+	// Backward: tpuGemm derives the weight deltas.
+	bh1t := ctx.CreateMatrixBuffer(transposeOrShape(h1, functional))
+	bdY := ctx.CreateMatrixBuffer(dY)
+	dW2 := op.Gemm(bh1t, bdY)
+
+	bw2t := ctx.CreateMatrixBuffer(transposeOrShape(w.W2, functional))
+	dH := op.Gemm(bdY, bw2t)
+	if functional {
+		for i, v := range h1.Data {
+			dH.Data[i] *= v * (1 - v)
+		}
+	}
+	hostEpilogue(int64(cfg.Batch) * int64(cfg.Hidden))
+
+	bxt := ctx.CreateMatrixBuffer(transposeOrShape(w.X, functional))
+	bdH := ctx.CreateMatrixBuffer(dH)
+	dW1 := op.Gemm(bxt, bdH)
+
+	// Weight update: add of the (-lr)-scaled deltas (section 7.2.5's
+	// "add for the actual backpropagation").
+	lr := learningRate / float32(cfg.Batch)
+	upd1 := scaleByNegLR(dW1, lr, functional)
+	upd2 := scaleByNegLR(dW2, lr, functional)
+	hostEpilogue(int64(upd1.Elems() + upd2.Elems()))
+	nw1 := op.Add(bw1, ctx.CreateMatrixBuffer(upd1))
+	nw2 := op.Add(bw2, ctx.CreateMatrixBuffer(upd2))
+	if op.Err() != nil {
+		return nil, apps.Metrics{}, op.Err()
+	}
+	var res *Result
+	if functional {
+		res = &Result{W1: nw1, W2: nw2}
+	}
+	return res, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
+}
+
+func scaleHalf(m *tensor.Matrix, functional bool) *tensor.Matrix {
+	if !functional {
+		return tensor.New(m.Rows, m.Cols)
+	}
+	out := m.Clone()
+	out.Scale(0.5)
+	return out
+}
+
+func scaleByNegLR(m *tensor.Matrix, lr float32, functional bool) *tensor.Matrix {
+	if !functional {
+		return tensor.New(m.Rows, m.Cols)
+	}
+	out := m.Clone()
+	out.Scale(-lr)
+	return out
 }

@@ -19,8 +19,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// PolyDegree is the CNDF polynomial degree (paper: ninth degree).
-const PolyDegree = 9
+// polyDegree is the CNDF polynomial degree (paper: ninth degree).
+const polyDegree = 9
 
 // dClamp is the domain half-width of the polynomial fit; |d| beyond
 // it clamps to 0/1 (the CNDF tails are flat there: Phi(3.6) differs
@@ -57,28 +57,12 @@ func (c Config) Generate() []Option {
 // cndf is the exact cumulative normal (the baseline's kernel).
 func cndf(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 
-// PriceExact computes the reference call price.
-func PriceExact(o Option) float32 {
+// priceExact computes the reference call price.
+func priceExact(o Option) float32 {
 	s, k, t, r, v := float64(o.S), float64(o.K), float64(o.T), float64(o.R), float64(o.V)
 	d1 := (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
 	d2 := d1 - v*math.Sqrt(t)
 	return float32(s*cndf(d1) - k*math.Exp(-r*t)*cndf(d2))
-}
-
-// PriceExactPut computes the reference European put price.
-func PriceExactPut(o Option) float32 {
-	s, k, t, r, v := float64(o.S), float64(o.K), float64(o.T), float64(o.R), float64(o.V)
-	d1 := (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
-	d2 := d1 - v*math.Sqrt(t)
-	return float32(k*math.Exp(-r*t)*cndf(-d2) - s*cndf(-d1))
-}
-
-// PutFromCall converts a call price to the matching put via put-call
-// parity (P = C - S + K*exp(-rT)); the GPTPU pipeline prices calls on
-// the device and derives puts with this host-side identity, exactly
-// as production pricing systems do.
-func PutFromCall(call float32, o Option) float32 {
-	return call - o.S + o.K*float32(math.Exp(-float64(o.R)*float64(o.T)))
 }
 
 // polyCoeffs fits the degree-9 polynomial Phi(4t) ~ sum c_k t^k over
@@ -89,7 +73,7 @@ var polyCoeffs = fitCNDFPoly()
 
 func fitCNDFPoly() []float32 {
 	const samples = 801
-	const dim = PolyDegree + 1
+	const dim = polyDegree + 1
 	var ata [dim][dim]float64
 	var atb [dim]float64
 	for s := 0; s < samples; s++ {
@@ -138,23 +122,6 @@ func fitCNDFPoly() []float32 {
 	return out
 }
 
-// PolyCNDF evaluates the fitted polynomial on the host (for tests).
-func PolyCNDF(x float64) float64 {
-	t := x / dClamp
-	if t > 1 {
-		return 1
-	}
-	if t < -1 {
-		return 0
-	}
-	var acc, p float64 = 0, 1
-	for _, c := range polyCoeffs {
-		acc += float64(c) * p
-		p *= t
-	}
-	return acc
-}
-
 // RunCPU executes the AxBench-style baseline: the full closed-form
 // formula with transcendental math per option.
 func RunCPU(cpu *blas.CPU, threads int, cfg Config, opts []Option) ([]float32, apps.Metrics) {
@@ -162,7 +129,7 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, opts []Option) ([]float32, a
 	if opts != nil {
 		prices = make([]float32, len(opts))
 		for i, o := range opts {
-			prices[i] = PriceExact(o)
+			prices[i] = priceExact(o)
 		}
 	}
 	cpu.ChargeScalar(0, int64(cfg.N), threads)
@@ -195,7 +162,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 		// One feature matrix serves both products: it holds the d1
 		// powers until Phi(d1) returns and is clamped, then the d2
 		// powers.
-		f := ctx.Matrix(bn, PolyDegree+1)
+		f := ctx.Matrix(bn, polyDegree+1)
 		if functional {
 			for i := 0; i < bn; i++ {
 				d1, _ := dValues(opts[b0+i])
@@ -203,7 +170,7 @@ func RunTPU(ctx *gptpu.Context, cfg Config, opts []Option) ([]float32, apps.Metr
 			}
 		}
 		// Host: feature expansion (9 multiplies per option per d).
-		ctx.ChargeHostWork(params.QuantTime(int64(bn) * (PolyDegree + 1) * 2))
+		ctx.ChargeHostWork(params.QuantTime(int64(bn) * (polyDegree + 1) * 2))
 
 		// The polynomial products run at ~16-bit precision (the lo*lo
 		// term of the dual-portion split is negligible at ~1e-5).

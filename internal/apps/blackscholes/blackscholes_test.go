@@ -16,7 +16,7 @@ func TestPolyFitQuality(t *testing.T) {
 	// domain.
 	var worst float64
 	for x := -3.5; x <= 3.5; x += 0.05 {
-		d := math.Abs(PolyCNDF(x) - cndf(x))
+		d := math.Abs(polyCNDF(x) - cndf(x))
 		if d > worst {
 			worst = d
 		}
@@ -27,7 +27,7 @@ func TestPolyFitQuality(t *testing.T) {
 }
 
 func TestPolyCNDFTails(t *testing.T) {
-	if PolyCNDF(10) != 1 || PolyCNDF(-10) != 0 {
+	if polyCNDF(10) != 1 || polyCNDF(-10) != 0 {
 		t.Fatal("tails must clamp to 0/1")
 	}
 }
@@ -36,13 +36,13 @@ func TestPriceExactSanity(t *testing.T) {
 	// Deep in-the-money call is worth ~S - K*exp(-rT).
 	o := Option{S: 200, K: 20, T: 1, R: 0.05, V: 0.2}
 	want := 200 - 20*float32(math.Exp(-0.05))
-	got := PriceExact(o)
+	got := priceExact(o)
 	if math.Abs(float64(got-want)) > 0.1 {
 		t.Fatalf("deep ITM price %v want %v", got, want)
 	}
 	// Far out-of-the-money call is nearly worthless.
 	o = Option{S: 20, K: 200, T: 0.5, R: 0.05, V: 0.2}
-	if p := PriceExact(o); p > 0.01 {
+	if p := priceExact(o); p > 0.01 {
 		t.Fatalf("deep OTM price %v", p)
 	}
 }
@@ -145,8 +145,8 @@ func TestPutCallParity(t *testing.T) {
 	}
 	var se, rs float64
 	for i, o := range opts {
-		put := PutFromCall(calls[i], o)
-		ref := PriceExactPut(o)
+		put := putFromCall(calls[i], o)
+		ref := priceExactPut(o)
 		d := float64(put - ref)
 		se += d * d
 		rs += float64(ref)*float64(ref) + 1
@@ -159,9 +159,41 @@ func TestPutCallParity(t *testing.T) {
 func TestPutCallParityExact(t *testing.T) {
 	// The two closed forms must themselves satisfy parity.
 	o := Option{S: 105, K: 95, T: 0.75, R: 0.04, V: 0.25}
-	c := PriceExact(o)
-	p := PriceExactPut(o)
-	if d := math.Abs(float64(PutFromCall(c, o) - p)); d > 1e-3 {
+	c := priceExact(o)
+	p := priceExactPut(o)
+	if d := math.Abs(float64(putFromCall(c, o) - p)); d > 1e-3 {
 		t.Fatalf("closed forms violate parity by %v", d)
 	}
+}
+
+// priceExactPut computes the reference European put price.
+func priceExactPut(o Option) float32 {
+	s, k, t, r, v := float64(o.S), float64(o.K), float64(o.T), float64(o.R), float64(o.V)
+	d1 := (math.Log(s/k) + (r+v*v/2)*t) / (v * math.Sqrt(t))
+	d2 := d1 - v*math.Sqrt(t)
+	return float32(k*math.Exp(-r*t)*cndf(-d2) - s*cndf(-d1))
+}
+
+// putFromCall converts a call price to the matching put via put-call
+// parity (P = C - S + K*exp(-rT)), the host-side identity that derives
+// puts from device-priced calls.
+func putFromCall(call float32, o Option) float32 {
+	return call - o.S + o.K*float32(math.Exp(-float64(o.R)*float64(o.T)))
+}
+
+// polyCNDF evaluates the fitted polynomial on the host.
+func polyCNDF(x float64) float64 {
+	t := x / dClamp
+	if t > 1 {
+		return 1
+	}
+	if t < -1 {
+		return 0
+	}
+	var acc, p float64 = 0, 1
+	for _, c := range polyCoeffs {
+		acc += float64(c) * p
+		p *= t
+	}
+	return acc
 }

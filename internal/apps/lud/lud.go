@@ -22,11 +22,11 @@ import (
 	"repro/internal/timing"
 )
 
-// BaseSize is the host-factorized leaf size (one Edge TPU tile).
-const BaseSize = 128
+// baseSize is the host-factorized leaf size (one Edge TPU tile).
+const baseSize = 128
 
 // Config describes one run: factor an N x N matrix (N a power of two
-// at least BaseSize).
+// at least baseSize).
 type Config struct {
 	N    int
 	Seed int64
@@ -163,7 +163,7 @@ func (r *runner) chargeHostFlops(flops float64) {
 // factor computes the combined LU of a in place (recursively).
 func (r *runner) factor(a *tensor.Matrix) {
 	n := a.Rows
-	if n <= BaseSize {
+	if n <= baseSize {
 		if r.functional {
 			hostLU(a)
 		}
@@ -217,13 +217,13 @@ func (r *runner) factor(a *tensor.Matrix) {
 func RunGPU(g *gpusim.GPU, cfg Config, prec gpusim.Precision) apps.Metrics {
 	n := int64(cfg.N)
 	end := g.Transfer(0, n*n*4)
-	blocks := cfg.N / BaseSize
+	blocks := cfg.N / baseSize
 	for b := 0; b < blocks; b++ {
-		rem := float64(cfg.N - b*BaseSize)
+		rem := float64(cfg.N - b*baseSize)
 		// Panel + triangular solves (bandwidth-bound).
-		end = g.Kernel(end, 2*rem*BaseSize*BaseSize, int64(rem)*BaseSize*4, prec)
+		end = g.Kernel(end, 2*rem*baseSize*baseSize, int64(rem)*baseSize*4, prec)
 		// Trailing GEMM update.
-		end = g.Kernel(end, 2*rem*rem*BaseSize, int64(rem*rem)*4, prec)
+		end = g.Kernel(end, 2*rem*rem*baseSize, int64(rem*rem)*4, prec)
 	}
 	g.Transfer(end, n*n*4)
 	return apps.Metrics{Elapsed: g.Elapsed(), Energy: g.Energy()}

@@ -23,8 +23,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Damping is the classic PageRank damping factor.
-const Damping = 0.85
+// damping is the classic PageRank damping factor.
+const damping = 0.85
 
 // Config describes one run: N nodes, Iters power iterations, average
 // out-degree Degree for the random graph. PowerLaw switches the
@@ -101,9 +101,9 @@ func normalize(rank, outDeg []float32) []float32 {
 // damp applies r' = d*y + (1-d)/N.
 func damp(y []float32, n int) []float32 {
 	out := make([]float32, len(y))
-	base := (1 - float32(Damping)) / float32(n)
+	base := (1 - float32(damping)) / float32(n)
 	for i, v := range y {
-		out[i] = Damping*v + base
+		out[i] = damping*v + base
 	}
 	return out
 }
@@ -141,7 +141,7 @@ func RunCPU(cpu *blas.CPU, threads int, cfg Config, g *Graph) ([]float32, apps.M
 // normalize HostOp feeds a MatVec device node feeds a damp HostOp,
 // chained on the shared adjacency buffer. The whole run enters the
 // engine through a single Submit; rank results are bit-identical to
-// the per-op RunTPUSerial path.
+// the per-op runTPUSerial path.
 func RunTPU(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, error) {
 	bm := ctx.CreateMatrixBuffer(g.Adj)
 	hostCost := ctx.Params().AggTime(int64(cfg.N))
@@ -171,31 +171,6 @@ func RunTPU(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, 
 			return nil, apps.Metrics{}, err
 		}
 		rank = m.Data
-	}
-	return rank, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
-}
-
-// RunTPUSerial is the pre-graph per-op execution path (one enqueue and
-// host round-trip per MatVec). Kept as the equivalence oracle for
-// RunTPU and as the baseline the graph benchmark compares against.
-func RunTPUSerial(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, error) {
-	bm := ctx.CreateMatrixBuffer(g.Adj)
-	op := ctx.NewOp()
-	rank := initialRank(cfg.N)
-	x := make([]float32, cfg.N)
-	for it := 0; it < cfg.iters(); it++ {
-		if ctx.Functional() {
-			x = normalize(rank, g.OutDeg)
-		}
-		ctx.ChargeHostWork(ctx.Params().AggTime(int64(cfg.N)))
-		y := op.MatVec(bm, x)
-		if op.Err() != nil {
-			return nil, apps.Metrics{}, op.Err()
-		}
-		if ctx.Functional() {
-			rank = damp(y, cfg.N)
-		}
-		ctx.ChargeHostWork(ctx.Params().AggTime(int64(cfg.N)))
 	}
 	return rank, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
 }

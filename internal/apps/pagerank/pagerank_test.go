@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	gptpu "repro"
+	"repro/internal/apps"
 	"repro/internal/blas"
 	"repro/internal/gpusim"
 )
@@ -108,7 +109,7 @@ func TestQuickRankInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		floor := (1 - Damping) / float32(cfg.N) * 0.95
+		floor := (1 - damping) / float32(cfg.N) * 0.95
 		var sum float64
 		for _, v := range rank {
 			if v < floor {
@@ -167,7 +168,7 @@ func TestPowerLawGraphIsSkewed(t *testing.T) {
 func TestGraphMatchesSerial(t *testing.T) {
 	cfg := Config{N: 128, Iters: 12, Degree: 6, PowerLaw: true, Seed: 7}
 	g := cfg.Generate()
-	serial, _, err := RunTPUSerial(gptpu.Open(gptpu.Config{}), cfg, g)
+	serial, _, err := runTPUSerial(gptpu.Open(gptpu.Config{}), cfg, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,4 +203,28 @@ func TestGraphTimingOnly(t *testing.T) {
 	if m.Elapsed <= 0 {
 		t.Fatal("no virtual time charged")
 	}
+}
+
+// runTPUSerial is the pre-graph per-op execution path (one enqueue and
+// host round-trip per MatVec), the equivalence oracle for RunTPU.
+func runTPUSerial(ctx *gptpu.Context, cfg Config, g *Graph) ([]float32, apps.Metrics, error) {
+	bm := ctx.CreateMatrixBuffer(g.Adj)
+	op := ctx.NewOp()
+	rank := initialRank(cfg.N)
+	x := make([]float32, cfg.N)
+	for it := 0; it < cfg.iters(); it++ {
+		if ctx.Functional() {
+			x = normalize(rank, g.OutDeg)
+		}
+		ctx.ChargeHostWork(ctx.Params().AggTime(int64(cfg.N)))
+		y := op.MatVec(bm, x)
+		if op.Err() != nil {
+			return nil, apps.Metrics{}, op.Err()
+		}
+		if ctx.Functional() {
+			rank = damp(y, cfg.N)
+		}
+		ctx.ChargeHostWork(ctx.Params().AggTime(int64(cfg.N)))
+	}
+	return rank, apps.Metrics{Elapsed: ctx.Elapsed(), Energy: ctx.Energy()}, nil
 }

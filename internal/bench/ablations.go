@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Ablations quantifies the design decisions DESIGN.md calls out, each
+// ablations quantifies the design decisions DESIGN.md calls out, each
 // against the same workload with only the one mechanism toggled:
 //
 //  1. locality-aware IQ scheduling (section 6.1) vs pure FCFS;
@@ -19,7 +19,7 @@ import (
 //     iterative alternative (section 6.2.1);
 //  4. exactness-preserving calibration vs what the raw range rule
 //     would produce (accuracy column).
-func Ablations(o Opts) *Report {
+func ablations(o Opts) *Report {
 	rep := &Report{
 		ID:     "ablations",
 		Title:  "design-decision ablations (virtual time / accuracy impact)",
@@ -46,7 +46,7 @@ func Ablations(o Opts) *Report {
 		return ctx.Elapsed().Seconds()
 	}
 	with, without := runLoc(false), runLoc(true)
-	rep.AddRow("locality scheduling (6.1)", secs(with), secs(without), f2x(without/with))
+	rep.addRow("locality scheduling (6.1)", secs(with), secs(without), f2x(without/with))
 
 	// 2. Compiler path on a single GEMM.
 	runCompile := func(slow bool) float64 {
@@ -56,7 +56,7 @@ func Ablations(o Opts) *Report {
 		return ctx.Elapsed().Seconds()
 	}
 	fast, slow := runCompile(false), runCompile(true)
-	rep.AddRow("Tensorizer encoder (6.2.3)", secs(fast), secs(slow), f2x(slow/fast))
+	rep.addRow("Tensorizer encoder (6.2.3)", secs(fast), secs(slow), f2x(slow/fast))
 
 	// 3. Reduction strategy on a matrix-wise mean.
 	runReduce := func(onDevice bool) float64 {
@@ -66,7 +66,7 @@ func Ablations(o Opts) *Report {
 		return ctx.Elapsed().Seconds()
 	}
 	cpuAgg, devAgg := runReduce(false), runReduce(true)
-	rep.AddRow("CPU-side aggregation (6.2.1)", secs(cpuAgg), secs(devAgg), f2x(devAgg/cpuAgg))
+	rep.addRow("CPU-side aggregation (6.2.1)", secs(cpuAgg), secs(devAgg), f2x(devAgg/cpuAgg))
 
 	// 4. Exactness-preserving calibration, measured as achieved RMSE on
 	// an integer dataset (the mechanism behind Table 5's 0.00 rows).
@@ -89,19 +89,19 @@ func Ablations(o Opts) *Report {
 	if op.Err() != nil || op2.Err() != nil {
 		panic(fmt.Sprint(op.Err(), op2.Err()))
 	}
-	rep.AddRow("exactness calibration (quant)",
+	rep.addRow("exactness calibration (quant)",
 		num(tensor.RMSE(ref, exact), "1", "RMSE %.4f"), num(tensor.RMSE(ref, ranged), "1", "RMSE %.4f"),
 		label("integer datasets compute exactly"))
 
-	rep.AddNote("each row toggles exactly one runtime mechanism on an otherwise identical workload")
+	rep.addNote("each row toggles exactly one runtime mechanism on an otherwise identical workload")
 	return rep
 }
 
-// Precision quantifies the dual-portion high-precision GEMM (the
+// precision quantifies the dual-portion high-precision GEMM (the
 // section 10 capability surfaced as Op.GemmPrecise): accuracy against
 // the float reference and the virtual-time cost, side by side with
 // plain tpuGemm and the FullyConnected algorithm.
-func Precision(o Opts) *Report {
+func precision(o Opts) *Report {
 	n := 256
 	if o.Full {
 		n = 512
@@ -142,8 +142,8 @@ func Precision(o Opts) *Report {
 		if base == 0 {
 			base = el
 		}
-		rep.AddRow(v.name, num(tensor.RMSE(ref, got), "1", "%.5f"), secs(el), f2x(el/base))
+		rep.addRow(v.name, num(tensor.RMSE(ref, got), "1", "%.5f"), secs(el), f2x(el/base))
 	}
-	rep.AddNote("GemmPrecise realizes the paper's 'iteratively computing on different portions of raw input numbers' (section 10) as a library call")
+	rep.addNote("GemmPrecise realizes the paper's 'iteratively computing on different portions of raw input numbers' (section 10) as a library call")
 	return rep
 }

@@ -183,10 +183,10 @@ func accuracyCases() []accuracyCase {
 	}
 }
 
-// Table4 reproduces the accuracy study: MAPE (a) and RMSE (b) for
+// table4 reproduces the accuracy study: MAPE (a) and RMSE (b) for
 // every application on its default dataset and on synthetic datasets
 // with value ranges up to 2^7, 2^15 and 2^31.
-func Table4(o Opts) *Report {
+func table4(o Opts) *Report {
 	rep := &Report{
 		ID:    "table4",
 		Title: "application MAPE / RMSE vs exact CPU results, by input value range",
@@ -203,23 +203,23 @@ func Table4(o Opts) *Report {
 			}
 			mapes[i], rmses[i] = c.run(o, r)
 		}
-		rep.AddRow(c.name, pct(c.paperMAPE), pct(mapes[0]), pct(mapes[1]), pct(mapes[2]), pct(mapes[3]),
+		rep.addRow(c.name, pct(c.paperMAPE), pct(mapes[0]), pct(mapes[1]), pct(mapes[2]), pct(mapes[3]),
 			pct(c.paperRMSE), pct(rmses[0]), pct(rmses[3]))
 	}
 	rows := rep.Rows
 	avg := func(col string) Cell { return rep.mean(rows, col) }
-	rep.AddRow("Average", pct(0.0033), avg("MAPE(def)"), avg("MAPE(2^7)"), avg("MAPE(2^15)"), avg("MAPE(2^31)"),
+	rep.addRow("Average", pct(0.0033), avg("MAPE(def)"), avg("MAPE(2^7)"), avg("MAPE(2^15)"), avg("MAPE(2^31)"),
 		pct(0.0041), avg("RMSE(def)"), avg("RMSE(2^31)"))
-	rep.AddNote("paper: MAPE always below 1%% across applications and ranges; largest RMSE 0.98%%")
-	rep.AddNote("the paper's 0.00%% rows (Gaussian, LUD) reflect exactness-preserving integer calibration; float elimination accumulates sqrt(N)-growth quantization error (see EXPERIMENTS.md)")
+	rep.addNote("paper: MAPE always below 1%% across applications and ranges; largest RMSE 0.98%%")
+	rep.addNote("the paper's 0.00%% rows (Gaussian, LUD) reflect exactness-preserving integer calibration; float elimination accumulates sqrt(N)-growth quantization error (see EXPERIMENTS.md)")
 	return rep
 }
 
-// Table5 reproduces the low-precision CPU comparison: GPTPU's GEMM
+// table5 reproduces the low-precision CPU comparison: GPTPU's GEMM
 // versus FBGEMM on 1024x1024 positive-integer matrices with maximum
 // values from 2 to 128 — speedup plus both libraries' RMSE (FBGEMM's
 // saturating 16-bit accumulation collapses past a maximum of 16).
-func Table5(o Opts) *Report {
+func table5(o Opts) *Report {
 	n := 256
 	if o.Full {
 		n = 1024
@@ -248,10 +248,10 @@ func Table5(o Opts) *Report {
 		fb := blas.Int8Gemm(a, b)
 		ctx := o.open(gptpu.Config{})
 		tpu, _ := must(gemm.RunTPU(ctx, gemm.Conv2D, a, b))
-		rep.AddRow(fmt.Sprintf("0-%d", max), num(paperSpd[max], "x", "%.2f"), f2x(speedup),
+		rep.addRow(fmt.Sprintf("0-%d", max), num(paperSpd[max], "x", "%.2f"), f2x(speedup),
 			rmse(paperFB[max]), rmse(tensor.RMSE(ref, fb)), rmse(paperTPU[max]), rmse(tensor.RMSE(ref, tpu)))
 	}
-	rep.AddNote("FBGEMM-style baseline accumulates uint8xint8 products in saturating int16 over 256-deep blocks; GPTPU reads wide accumulators back for CPU aggregation")
+	rep.addNote("FBGEMM-style baseline accumulates uint8xint8 products in saturating int16 over 256-deep blocks; GPTPU reads wide accumulators back for CPU aggregation")
 	return rep
 }
 

@@ -202,10 +202,10 @@ func TestTable6Static(t *testing.T) {
 
 func TestReportFormatting(t *testing.T) {
 	rep := &Report{ID: "x", Title: "t", Header: []string{"a", "b", "c"}}
-	rep.AddRow("1", pct(0.5), label("-"))
-	rep.AddRow("2", pct(0.25), label("-"))
-	rep.AddRow("mean", rep.mean(rep.Rows, "b"), label("-"))
-	rep.AddNote("n %d", 5)
+	rep.addRow("1", pct(0.5), label("-"))
+	rep.addRow("2", pct(0.25), label("-"))
+	rep.addRow("mean", rep.mean(rep.Rows, "b"), label("-"))
+	rep.addNote("n %d", 5)
 	s := rep.String()
 	for _, want := range []string{"== x: t ==", "  a     b       c", "  1     50.00%  -", "  mean  37.50%  -", "note: n 5"} {
 		if !strings.Contains(s, want) {
@@ -322,7 +322,7 @@ func TestLedger(t *testing.T) {
 		rep := report(e.ID)
 		for _, row := range rep.Rows {
 			for j, c := range row {
-				if !c.IsNum() {
+				if !c.isNum() {
 					continue
 				}
 				name := e.ID + "/" + row[0].Label + "/" + rep.Header[j]

@@ -35,11 +35,11 @@ func canonicalInstr(op isa.OpCode, p *timing.Params) *isa.Instruction {
 	}
 }
 
-// Table1 re-runs the section 3.2 measurement loop on the simulated
+// table1 re-runs the section 3.2 measurement loop on the simulated
 // device: issue each canonical instruction 10,000 then 20,000 times
 // and derive OPS and RPS from the latency difference (Equations 1-2),
 // exactly as the paper does to cancel setup cost.
-func Table1(_ Opts) *Report {
+func table1(_ Opts) *Report {
 	params := timing.Default()
 	rep := &Report{
 		ID:     "table1",
@@ -72,16 +72,16 @@ func Table1(_ Opts) *Report {
 		ops := 10000 / (t2 - t1)
 		rps := ops * float64(in.Results())
 		oc := params.Op[op]
-		rep.AddRow(op.String(), rate(oc.PaperOPS), rate(ops), rate(oc.PaperRPS), rate(rps), f2x(ops/oc.PaperOPS))
+		rep.addRow(op.String(), rate(oc.PaperOPS), rate(ops), rate(oc.PaperRPS), rate(rps), f2x(ops/oc.PaperOPS))
 	}
-	rep.AddNote("canonical instruction shapes recovered from the published RPS/OPS ratios; 'ratio' is simulated/paper OPS")
+	rep.addNote("canonical instruction shapes recovered from the published RPS/OPS ratios; 'ratio' is simulated/paper OPS")
 	return rep
 }
 
-// DataExchange reproduces the section 3.2 transfer measurement:
+// dataExchange reproduces the section 3.2 transfer measurement:
 // "transmitting 1 MB of data to an Edge TPU takes around 6 ms, while
 // transmitting 8 MB ... takes 48 ms".
-func DataExchange(_ Opts) *Report {
+func dataExchange(_ Opts) *Report {
 	params := timing.Default()
 	tl := timing.NewTimeline()
 	pool := edgetpu.NewPool(tl, params, 1, nil)
@@ -103,18 +103,18 @@ func DataExchange(_ Opts) *Report {
 		case 8:
 			paper = "~48ms"
 		}
-		rep.AddRow(fmt.Sprintf("%dMB", mb), label(paper), ms(end.Seconds()))
+		rep.addRow(fmt.Sprintf("%dMB", mb), label(paper), ms(end.Seconds()))
 	}
-	rep.AddNote("rate calibrated to the paper's measured 6 ms/MB; latency exceeds any single instruction, as observed")
+	rep.addNote("rate calibrated to the paper's measured 6 ms/MB; latency exceeds any single instruction, as observed")
 	return rep
 }
 
-// ModelCreation reproduces the 6.2.3 result: the C-based Tensorizer
+// modelCreation reproduces the 6.2.3 result: the C-based Tensorizer
 // encodes a 2Kx2K model in 1.8 ms versus 2.7 s for the Python TFLite
 // compiler — "a 1500x speedup". The fast path also byte-encodes a
 // real model through the reverse-engineered format as a functional
 // check.
-func ModelCreation(o Opts) *Report {
+func modelCreation(o Opts) *Report {
 	params := timing.Default()
 	n := 512
 	if o.Full {
@@ -143,10 +143,10 @@ func ModelCreation(o Opts) *Report {
 		Title:  "model-creation latency for a 2Kx2K matrix",
 		Header: []string{"path", "latency(paper)", "latency(sim)"},
 	}
-	rep.AddRow("Python TFLite compiler", label("2.7s"), secs(ref))
-	rep.AddRow("Tensorizer (reverse-engineered format)", label("1.8ms"), ms(fast))
-	rep.AddRow("speedup", label("~1500x"), f2x(ref/fast))
-	rep.AddNote("functional check: %d-byte model encoded and decoded losslessly (%dx%d data section, scale %g)",
+	rep.addRow("Python TFLite compiler", label("2.7s"), secs(ref))
+	rep.addRow("Tensorizer (reverse-engineered format)", label("1.8ms"), ms(fast))
+	rep.addRow("speedup", label("~1500x"), f2x(ref/fast))
+	rep.addNote("functional check: %d-byte model encoded and decoded losslessly (%dx%d data section, scale %g)",
 		len(enc), mod.Rows, mod.Cols, mod.Scale)
 	return rep
 }
@@ -168,8 +168,8 @@ func Table6(_ Opts) *Report {
 		{"Jetson Nano", energy.JetsonNanoCost, energy.JetsonNanoWatts, ""},
 		{"8x Edge TPU", energy.EdgeTPU8Cost, energy.EdgeTPU8WattsTP, "using 4x dual Edge TPU modules"},
 	} {
-		rep.AddRow(r.name, num(r.cost, "USD", "%.2f"), num(r.watts, "W", "%gW"), label(r.comment))
+		rep.addRow(r.name, num(r.cost, "USD", "%.2f"), num(r.watts, "W", "%gW"), label(r.comment))
 	}
-	rep.AddNote("static inventory (Table 6); the energy model draws its constants from these figures")
+	rep.addNote("static inventory (Table 6); the energy model draws its constants from these figures")
 	return rep
 }

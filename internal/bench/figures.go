@@ -12,10 +12,10 @@ import (
 	"repro/internal/timing"
 )
 
-// Figure6 reproduces the GEMM microbenchmark: GPTPU GEMM with
+// figure6 reproduces the GEMM microbenchmark: GPTPU GEMM with
 // FullyConnected and with conv2D, relative to the single-core
 // OpenBLAS CPU baseline, at 1K/2K/4K (quick mode: 256/512/1K).
-func Figure6(o Opts) *Report {
+func figure6(o Opts) *Report {
 	sizes := []int{256, 512, 1024}
 	paper := map[int]float64{1024: 1.48, 2048: 1.90, 4096: 2.06}
 	if o.Full {
@@ -39,17 +39,17 @@ func Figure6(o Opts) *Report {
 		if v, ok := paper[n]; ok {
 			pp = num(v, "x", "%.2f")
 		}
-		rep.AddRow(fmt.Sprintf("%dx%d", n, n), pp,
+		rep.addRow(fmt.Sprintf("%dx%d", n, n), pp,
 			f2x(convM.Speedup(cpuM)), f2x(fcM.Speedup(cpuM)),
 			f2x(fcM.Elapsed.Seconds()/convM.Elapsed.Seconds()))
 	}
-	rep.AddNote("paper: conv2D-based GEMM outperforms the FullyConnected algorithm by 43x at 4Kx4K (section 7.1.3)")
+	rep.addNote("paper: conv2D-based GEMM outperforms the FullyConnected algorithm by 43x at 4Kx4K (section 7.1.3)")
 	return rep
 }
 
-// Figure7 reproduces the single-TPU per-application comparison:
+// figure7 reproduces the single-TPU per-application comparison:
 // speedup, relative energy, and relative EDP versus one CPU core.
-func Figure7(o Opts) *Report {
+func figure7(o Opts) *Report {
 	rep := &Report{
 		ID:     "fig7",
 		Title:  "per-application speedup / energy / EDP: 1 Edge TPU vs 1 CPU core",
@@ -59,27 +59,27 @@ func Figure7(o Opts) *Report {
 	for _, w := range workloads(o) {
 		cpuM := w.cpu(1)
 		tpuM := w.tpu(1)
-		rep.AddRow(w.name, label(w.paperSpeedup), f2x(tpuM.Speedup(cpuM)),
+		rep.addRow(w.name, label(w.paperSpeedup), f2x(tpuM.Speedup(cpuM)),
 			pct(tpuM.EnergyRatio(cpuM)), pct(tpuM.EDPRatio(cpuM)))
 		if w.name != "Backprop" {
 			noBP = append(noBP, rep.Rows[len(rep.Rows)-1])
 		}
 	}
 	rows := rep.Rows
-	rep.AddRow("Average", label("2.46"), rep.mean(rows, "speedup(sim)"),
+	rep.addRow("Average", label("2.46"), rep.mean(rows, "speedup(sim)"),
 		rep.mean(rows, "energy(sim)"), rep.mean(rows, "EDP(sim)"))
-	rep.AddRow("Avg. w/o Backprop", label("2.19"), rep.mean(noBP, "speedup(sim)"), label("-"), label("-"))
-	rep.AddNote("paper: average 2.46x speedup, 40%% energy saving, 67%% EDP reduction; HotSpot3D lowest at 1.14x")
+	rep.addRow("Avg. w/o Backprop", label("2.19"), rep.mean(noBP, "speedup(sim)"), label("-"), label("-"))
+	rep.addNote("paper: average 2.46x speedup, 40%% energy saving, 67%% EDP reduction; HotSpot3D lowest at 1.14x")
 	if !o.Full {
-		rep.AddNote("quick mode: inputs scaled down from Table 3; run with -full for paper-scale sizes")
+		rep.addNote("quick mode: inputs scaled down from Table 3; run with -full for paper-scale sizes")
 	}
 	return rep
 }
 
-// Figure8 reproduces the multi-TPU scaling study: (a) speedup of
+// figure8 reproduces the multi-TPU scaling study: (a) speedup of
 // 2/4/8 Edge TPUs and of the 8-core OpenMP CPU baseline over one CPU
 // core; (b) per-app scaling relative to a single Edge TPU.
-func Figure8(o Opts) *Report {
+func figure8(o Opts) *Report {
 	rep := &Report{
 		ID:    "fig8",
 		Title: "multi-TPU scaling vs 1 CPU core (a) and vs 1 Edge TPU (b)",
@@ -99,18 +99,18 @@ func Figure8(o Opts) *Report {
 		if w.name == "LUD" {
 			note = "paper: worst scaling (recursive partitioning)"
 		}
-		rep.AddRow(w.name, append(cells,
+		rep.addRow(w.name, append(cells,
 			f2x(w.cpu(8).Speedup(cpu1)), f2x(tpu8.Speedup(tpu1)), label(note))...)
 	}
 	rows := rep.Rows
-	rep.AddRow("Average", label("-"), label("-"), rep.mean(rows, "8 TPUs"), rep.mean(rows, "8 CPUs"),
+	rep.addRow("Average", label("-"), label("-"), rep.mean(rows, "8 TPUs"), rep.mean(rows, "8 CPUs"),
 		label("-"), label("paper: 13.86x @8 TPUs, 2.70x @8 CPUs"))
 	return rep
 }
 
-// Figure9 reproduces the GPU comparison: RTX 2080, Jetson Nano, 1x
+// figure9 reproduces the GPU comparison: RTX 2080, Jetson Nano, 1x
 // and 8x Edge TPUs versus one CPU core, for performance and energy.
-func Figure9(o Opts) *Report {
+func figure9(o Opts) *Report {
 	rep := &Report{
 		ID:    "fig9",
 		Title: "GPU comparison: speedup over 1 CPU core and relative energy",
@@ -130,7 +130,7 @@ func Figure9(o Opts) *Report {
 			jcpu = scaleMetrics(cpu1, w.jetsonScale)
 		}
 		jet := w.gpu(gpusim.New(gpusim.JetsonNano()), w.jetsonScale)
-		rep.AddRow(w.name, f2x(tpu1.Speedup(cpu1)), f2x(rtx.Speedup(cpu1)), f2x(jet.Speedup(jcpu)),
+		rep.addRow(w.name, f2x(tpu1.Speedup(cpu1)), f2x(rtx.Speedup(cpu1)), f2x(jet.Speedup(jcpu)),
 			f2x(tpu8.Speedup(cpu1)), pct(tpu1.EnergyRatio(cpu1)), pct(rtx.EnergyRatio(cpu1)),
 			pct(jet.EnergyRatio(jcpu)), pct(tpu8.EnergyRatio(cpu1)))
 	}
@@ -138,9 +138,9 @@ func Figure9(o Opts) *Report {
 	for _, col := range rep.Header[1:] {
 		avg = append(avg, rep.mean(rep.Rows, col))
 	}
-	rep.AddRow("Average", avg...)
-	rep.AddNote("paper: RTX 2080 364x vs CPU core (69x vs Edge TPU); Jetson 1.15x vs CPU (2.30x vs TPU); 8x TPU most energy-efficient (-40%%), RTX +9%% energy")
-	rep.AddNote("Jetson inputs scaled per section 9.4 (4 GB memory); its columns compare against the CPU at the same scaled size")
+	rep.addRow("Average", avg...)
+	rep.addNote("paper: RTX 2080 364x vs CPU core (69x vs Edge TPU); Jetson 1.15x vs CPU (2.30x vs TPU); 8x TPU most energy-efficient (-40%%), RTX +9%% energy")
+	rep.addNote("Jetson inputs scaled per section 9.4 (4 GB memory); its columns compare against the CPU at the same scaled size")
 	return rep
 }
 

@@ -66,12 +66,12 @@ type Cell struct {
 	scale float64
 }
 
-// IsNum reports whether c is a number.
-func (c Cell) IsNum() bool { return c.form != "" }
+// isNum reports whether c is a number.
+func (c Cell) isNum() bool { return c.form != "" }
 
 // String renders c as the report prints it.
 func (c Cell) String() string {
-	if !c.IsNum() {
+	if !c.isNum() {
 		return c.Label
 	}
 	return fmt.Sprintf(c.form, c.Value*c.scale)
@@ -94,13 +94,13 @@ func ms(sec float64) Cell { return Cell{Value: sec, Unit: "s", form: "%.2fms", s
 // secs is seconds printed with 3 decimals.
 func secs(sec float64) Cell { return num(sec, "s", "%.3fs") }
 
-// AddRow appends a row named name.
-func (r *Report) AddRow(name string, cells ...Cell) {
+// addRow appends a row named name.
+func (r *Report) addRow(name string, cells ...Cell) {
 	r.Rows = append(r.Rows, append([]Cell{label(name)}, cells...))
 }
 
-// AddNote appends a footnote.
-func (r *Report) AddNote(format string, args ...any) {
+// addNote appends a footnote.
+func (r *Report) addNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
@@ -183,19 +183,19 @@ type Experiment struct {
 // All lists every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Edge TPU instruction OPS/RPS characterization", Table1},
-		{"exchange", "Data-exchange rate (section 3.2)", DataExchange},
-		{"model", "Model-creation latency (sections 3.3, 6.2.3)", ModelCreation},
-		{"fig6", "GEMM: FullyConnected vs conv2D vs CPU (Figure 6)", Figure6},
-		{"fig7", "Per-application speedup/energy/EDP vs CPU (Figure 7)", Figure7},
-		{"table4", "Application MAPE and RMSE (Table 4)", Table4},
-		{"table5", "tpuGemm vs FBGEMM (Table 5)", Table5},
-		{"fig8", "Multi-TPU scaling (Figure 8)", Figure8},
+		{"table1", "Edge TPU instruction OPS/RPS characterization", table1},
+		{"exchange", "Data-exchange rate (section 3.2)", dataExchange},
+		{"model", "Model-creation latency (sections 3.3, 6.2.3)", modelCreation},
+		{"fig6", "GEMM: FullyConnected vs conv2D vs CPU (Figure 6)", figure6},
+		{"fig7", "Per-application speedup/energy/EDP vs CPU (Figure 7)", figure7},
+		{"table4", "Application MAPE and RMSE (Table 4)", table4},
+		{"table5", "tpuGemm vs FBGEMM (Table 5)", table5},
+		{"fig8", "Multi-TPU scaling (Figure 8)", figure8},
 		{"table6", "Accelerator cost and power (Table 6)", Table6},
-		{"fig9", "GPU comparison (Figure 9)", Figure9},
-		{"ablations", "Design-decision ablations (DESIGN.md section 5)", Ablations},
-		{"precision", "GEMM accuracy/latency variants (section 10 extension)", Precision},
-		{"sensitivity", "Calibration-constant sensitivity of the conclusions", Sensitivity},
+		{"fig9", "GPU comparison (Figure 9)", figure9},
+		{"ablations", "Design-decision ablations (DESIGN.md section 5)", ablations},
+		{"precision", "GEMM accuracy/latency variants (section 10 extension)", precision},
+		{"sensitivity", "Calibration-constant sensitivity of the conclusions", sensitivity},
 	}
 }
 

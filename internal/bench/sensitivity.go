@@ -10,7 +10,7 @@ import (
 	"repro/internal/timing"
 )
 
-// Sensitivity backs the reproduction's robustness claim: the
+// sensitivity backs the reproduction's robustness claim: the
 // qualitative results (GPTPU beats the single-core CPU on the
 // GEMM-class workloads; conv2D-GEMM dominates the FullyConnected
 // algorithm) must survive ±2x perturbations of the estimated — i.e.
@@ -18,7 +18,7 @@ import (
 // constant in both directions and reports the GEMM speedup at the
 // probe size; a sign flip (crossing 1x) would mark the conclusion as
 // calibration-fragile.
-func Sensitivity(o Opts) *Report {
+func sensitivity(o Opts) *Report {
 	n := 1024
 	if o.Full {
 		n = 4096
@@ -78,8 +78,8 @@ func Sensitivity(o Opts) *Report {
 		if calFC < calConv && halfOK && doubleOK {
 			stable = "yes"
 		}
-		rep.AddRow(k.name, f2x(half), f2x(calConv), f2x(double), label(stable))
+		rep.addRow(k.name, f2x(half), f2x(calConv), f2x(double), label(stable))
 	}
-	rep.AddNote("the conv2D-vs-FC ordering must hold at every perturbation; speedup magnitudes shift, conclusions do not")
+	rep.addNote("the conv2D-vs-FC ordering must hold at every perturbation; speedup magnitudes shift, conclusions do not")
 	return rep
 }

@@ -43,11 +43,8 @@ func NewCPU(params *timing.Params, cores int) *CPU {
 	return c
 }
 
-// Params returns the cost model.
-func (c *CPU) Params() *timing.Params { return c.params }
-
-// Cores returns the number of cores.
-func (c *CPU) Cores() int { return len(c.cores) }
+// numCores returns the number of cores.
+func (c *CPU) numCores() int { return len(c.cores) }
 
 // Elapsed returns the virtual makespan.
 func (c *CPU) Elapsed() timing.Duration { return c.TL.Makespan() }
@@ -55,9 +52,6 @@ func (c *CPU) Elapsed() timing.Duration { return c.TL.Makespan() }
 // Energy returns the wall-power accounting (idle floor + loaded
 // cores).
 func (c *CPU) Energy() energy.Report { return energy.Measure(c.TL) }
-
-// Reset rewinds virtual time.
-func (c *CPU) Reset() { c.TL.Reset() }
 
 // chargeParallel splits total core-work across threads cores starting
 // at ready and returns the completion time. Multithreaded runs keep an

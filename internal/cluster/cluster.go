@@ -68,7 +68,7 @@ type Config struct {
 	// probe replies (empty = unnamed).
 	ShardID string
 	// ProbeInterval is the health-probe period (0 = 1s, negative
-	// disables background probing — tests drive ProbeNow directly).
+	// disables background probing — tests drive probeNow directly).
 	ProbeInterval time.Duration
 	// Metrics is the registry for gptpu_cluster_ telemetry (nil = a
 	// fresh registry, exposed via Metrics).
@@ -179,20 +179,6 @@ func (r *Router) Shutdown() error {
 // Abort is the chaos hard-kill (server.FrontDoor.Abort): the listener
 // and every client connection drop without a drain.
 func (r *Router) Abort() { r.door.Abort() }
-
-// Snapshot reports every member's current health state (operator
-// introspection and tests).
-func (r *Router) Snapshot() []MemberStatus {
-	out := make([]MemberStatus, 0, len(r.set.all()))
-	for _, m := range r.set.all() {
-		st, strikes, h := m.snapshot()
-		out = append(out, MemberStatus{
-			Addr: m.addr, State: st.String(), Strikes: strikes,
-			ShardID: h.ShardID, Devices: h.Devices,
-		})
-	}
-	return out
-}
 
 // AffinitySize returns the live affinity-table entry count.
 func (r *Router) AffinitySize() int { return r.aff.size() }

@@ -39,7 +39,7 @@ func startDaemon(t *testing.T, cfg server.Config) *server.Server {
 }
 
 // startRouter boots a router over the given daemons with background
-// probing off — tests drive ProbeNow directly for deterministic state
+// probing off — tests drive probeNow directly for deterministic state
 // transitions.
 func startRouter(t *testing.T, cfg Config, daemons ...*server.Server) *Router {
 	t.Helper()
@@ -131,11 +131,11 @@ func TestRouterBytesReconcile(t *testing.T) {
 		for _, call := range []func() error{
 			func() error { _, err := c.Gemm(a, b, nil); return err },
 			func() error { _, err := c.Add(a, b, nil); return err },
-			func() error { _, err := c.Sub(a, b, nil); return err },
-			func() error { _, err := c.Mul(a, b, nil); return err },
-			func() error { _, err := c.Conv2D(a, k, nil); return err },
+			func() error { _, err := c.Call(server.MsgSub, a, b, nil); return err },
+			func() error { _, err := c.Call(server.MsgMul, a, b, nil); return err },
+			func() error { _, err := c.Call(server.MsgConv2D, a, k, nil); return err },
 			func() error { _, err := c.Mean(a, nil); return err },
-			func() error { _, err := c.Max(a, nil); return err },
+			func() error { _, err := c.Call(server.MsgMax, a, nil, nil); return err },
 		} {
 			if err := call(); err != nil {
 				t.Fatalf("%dx%d: %v", n, n, err)
@@ -184,7 +184,7 @@ func TestRouterHealthAggregate(t *testing.T) {
 	d1 := startDaemon(t, server.Config{Devices: 2, ShardID: "s1"})
 	d2 := startDaemon(t, server.Config{Devices: 3, ShardID: "s2"})
 	r := startRouter(t, Config{ShardID: "edge-router"}, d1, d2)
-	r.ProbeNow() // learn member device counts
+	r.probeNow() // learn member device counts
 	c := dialRouter(t, r)
 	h, err := c.Health()
 	if err != nil {
@@ -293,7 +293,7 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 		t.Fatalf("gemm with a dead member: %v", err)
 	}
 
-	r.ProbeNow() // d1 is actually alive: probe succeeds, member re-admits
+	r.probeNow() // d1 is actually alive: probe succeeds, member re-admits
 	st, strikes, h := m.snapshot()
 	if st != stateHealthy || strikes != 0 {
 		t.Fatalf("after probe: state=%s strikes=%d", st, strikes)
@@ -345,7 +345,7 @@ func TestAffinityStickyAcrossReadmission(t *testing.T) {
 	}
 
 	// Re-admit the old home. The binding must not move back.
-	r.ProbeNow()
+	r.probeNow()
 	if got := len(r.set.eligible()); got != 3 {
 		t.Fatalf("%d eligible after re-admission, want 3", got)
 	}

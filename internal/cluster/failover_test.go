@@ -140,9 +140,9 @@ func TestChaosFailover(t *testing.T) {
 	// rounds eject the dead members deterministically, then a fresh
 	// burst of requests — every key, including those homed on the
 	// victims — must succeed on d0 alone.
-	r.ProbeNow()
-	r.ProbeNow()
-	snap := r.Snapshot()
+	r.probeNow()
+	r.probeNow()
+	snap := r.snapshot()
 	states := map[string]string{}
 	for _, s := range snap {
 		states[s.Addr] = s.State

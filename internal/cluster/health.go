@@ -24,7 +24,7 @@ import (
 // re-admission never causes a second round of cold weight caches.
 
 // startProber launches the background probe loop (no-op when
-// ProbeInterval is negative — tests call ProbeNow directly).
+// ProbeInterval is negative — tests call probeNow directly).
 func (r *Router) startProber() {
 	if r.cfg.ProbeInterval < 0 {
 		return
@@ -42,13 +42,13 @@ func (r *Router) startProber() {
 		defer close(done)
 		t := time.NewTicker(r.cfg.ProbeInterval)
 		defer t.Stop()
-		r.ProbeNow()
+		r.probeNow()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-t.C:
-				r.ProbeNow()
+				r.probeNow()
 			}
 		}
 	}()
@@ -68,10 +68,10 @@ func (r *Router) stopProber() {
 	}
 }
 
-// ProbeNow probes every member once, synchronously (the background
+// probeNow probes every member once, synchronously (the background
 // loop calls it on each tick; tests call it directly for deterministic
 // state transitions).
-func (r *Router) ProbeNow() {
+func (r *Router) probeNow() {
 	for _, m := range r.set.all() {
 		r.probeMember(m)
 	}

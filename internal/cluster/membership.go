@@ -196,12 +196,3 @@ func (s *memberSet) all() []*member { return s.members }
 
 // get looks a member up by address.
 func (s *memberSet) get(addr string) *member { return s.byAddr[addr] }
-
-// MemberStatus is one member's externally visible state (Snapshot).
-type MemberStatus struct {
-	Addr    string
-	State   string
-	Strikes int
-	ShardID string
-	Devices int
-}

@@ -101,8 +101,8 @@ func TestMalformedPongStrikes(t *testing.T) {
 	}()
 	r := startRouter(t, Config{Members: []string{ln.Addr().String()}})
 	for i, want := range []string{"suspect", "dead"} {
-		r.ProbeNow()
-		if st := r.Snapshot()[0].State; st != want {
+		r.probeNow()
+		if st := r.snapshot()[0].State; st != want {
 			t.Fatalf("after probe %d the member is %s, want %s", i+1, st, want)
 		}
 	}
@@ -147,4 +147,26 @@ func decodeResult(p []byte) (*tensor.Matrix, error) {
 		m.Data[i] = math.Float32frombits(binary.BigEndian.Uint32(p[8+4*i:]))
 	}
 	return m, nil
+}
+
+// snapshot reports every member's current health state.
+func (r *Router) snapshot() []memberStatus {
+	out := make([]memberStatus, 0, len(r.set.all()))
+	for _, m := range r.set.all() {
+		st, strikes, h := m.snapshot()
+		out = append(out, memberStatus{
+			Addr: m.addr, State: st.String(), Strikes: strikes,
+			ShardID: h.ShardID, Devices: h.Devices,
+		})
+	}
+	return out
+}
+
+// memberStatus is one member's state as snapshot reports it.
+type memberStatus struct {
+	Addr    string
+	State   string
+	Strikes int
+	ShardID string
+	Devices int
 }

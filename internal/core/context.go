@@ -378,7 +378,7 @@ type Buffer struct {
 
 	// invalid rejects the buffer from every operator: set when the
 	// host data contains non-finite values that would defeat the
-	// symmetric quantization (ScaleFor guards the divide-by-zero, but
+	// symmetric quantization (quant's scale guards the divide-by-zero, but
 	// a NaN/Inf input still cannot produce a meaningful int8 mapping).
 	// A sticky error instead of a panic: the serving daemon creates
 	// buffers from remote bytes outside any Enqueue recover.

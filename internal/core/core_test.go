@@ -683,8 +683,8 @@ func TestMatMulPreciseBeatsPlain(t *testing.T) {
 }
 
 // TestPreciseOpsMatchFloatPortions pins the dual-portion operators to
-// the composition they replace: buffers over quant.SplitPortions'
-// float32 portions, three plain operators, and the host charges for
+// the composition they replace: buffers over floatPortions' float32
+// portions, three plain operators, and the host charges for
 // the split and the combination. Results and virtual makespans must
 // agree exactly, on a compact operand and on a strided view.
 func TestPreciseOpsMatchFloatPortions(t *testing.T) {
@@ -704,7 +704,7 @@ func TestPreciseOpsMatchFloatPortions(t *testing.T) {
 		return len(a) == len(b)
 	}
 	split := func(ctx *Context, m *tensor.Matrix) (hi, lo *Buffer) {
-		h, l, _ := quant.SplitPortions(m)
+		h, l := floatPortions(m)
 		ctx.ChargeHostWork(ctx.params.QuantTime(int64(m.Elems())))
 		return ctx.CreateMatrixBuffer(h), ctx.CreateMatrixBuffer(l)
 	}
@@ -718,7 +718,7 @@ func TestPreciseOpsMatchFloatPortions(t *testing.T) {
 		ref := testCtx(2)
 		rs := ref.NewOp()
 		ah, al := split(ref, a)
-		xh, xl, _ := quant.SplitPortions(tensor.FromSlice(1, len(x), x))
+		xh, xl := floatPortions(tensor.FromSlice(1, len(x), x))
 		hh, hl, lh := rs.MatVec(ah, xh.Data), rs.MatVec(ah, xl.Data), rs.MatVec(al, xh.Data)
 		want := make([]float32, len(hh))
 		for i := range want {
@@ -1063,4 +1063,16 @@ func TestNewOpStreamsLeaveNoTable(t *testing.T) {
 		t.Errorf("heap grew %d bytes over %d finished streams (%d per stream), want at most 32 per stream",
 			grew, streams, grew/streams)
 	}
+}
+
+// floatPortions is the dual-portion split in float32: m's own int8
+// codes dequantized, and the residual.
+func floatPortions(m *tensor.Matrix) (hi, lo *tensor.Matrix) {
+	p := quant.ParamsFor(m)
+	hi = quant.Dequantize(quant.QuantizeWith(m, p), p)
+	lo = m.Clone()
+	for i := range lo.Data {
+		lo.Data[i] -= hi.Data[i]
+	}
+	return hi, lo
 }

@@ -311,7 +311,7 @@ func (c *Context) chargeInstr(w *instrWork) (timing.Duration, error) {
 		d := c.pickDevice(w, healthy)
 		end, err := c.tryOn(d, w)
 		if err == nil {
-			c.met.instrs.With(w.instr.Op.String()).Add(float64(w.n()))
+			c.met.instrs.With(w.instr.Op.String()).Add(uint64(w.n()))
 			return end, nil
 		}
 		lastErr = err

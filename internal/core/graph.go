@@ -377,7 +377,7 @@ func (g *Graph) SubmitObserved(ob TaskObserver) error {
 	g.submitted = true
 	c := g.c
 	c.met.graphSubmits.Inc()
-	c.met.graphNodes.Add(float64(len(g.nodes)))
+	c.met.graphNodes.Add(uint64(len(g.nodes)))
 	g.analyze()
 	epoch := c.TL.Makespan()
 	defer c.dropPlacements(&g.places) // a graph submits once: its task ends here

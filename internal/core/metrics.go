@@ -2,10 +2,6 @@ package core
 
 import "repro/internal/telemetry"
 
-// vlatBuckets ladder virtual-time latencies from 1 µs to 10 s; the
-// paper's whole-operator makespans land inside this range.
-var vlatBuckets = telemetry.ExpBuckets(1e-6, 10, 8)
-
 // runtimeMetrics holds the context's telemetry handles. Everything the
 // runtime records lives in one registry (Context.Metrics) so the
 // Prometheus/JSON exports, Context.Stats and gptpu-info's catalog all
@@ -50,9 +46,10 @@ func newRuntimeMetrics(reg *telemetry.Registry) *runtimeMetrics {
 			"OPQ tasks currently running (enqueued, not yet finished).").With(),
 		instrs: reg.Counter("gptpu_instructions_total",
 			"Edge TPU instructions dispatched, by instruction kind.", "op"),
+		// 1 µs to 10 s: the paper's whole-operator makespans land inside.
 		opVLat: reg.Histogram("gptpu_operator_vlatency_vseconds",
 			"Virtual seconds one operator invocation occupies its stream, by operator.",
-			vlatBuckets, "op"),
+			telemetry.ExpBuckets(1e-6, 10, 8), "op"),
 		quantCacheHits: reg.Counter("gptpu_quant_cache_hits_total",
 			"Operator invocations that reused a buffer's cached quantization/model.").With(),
 		quantCacheMisses: reg.Counter("gptpu_quant_cache_misses_total",

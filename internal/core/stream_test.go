@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/isa"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -172,7 +171,7 @@ func TestQuantFlagsAffectPlacementKey(t *testing.T) {
 		w := &instrWork{instr: isa.Instruction{QuantFlags: flags}, inputs: in, places: p}
 		return c.pickDevice(w, healthy).ID
 	}
-	other := uint32(quant.MethodSampled) + 1
+	other := quantFlags + 1
 	first := pick(quantFlags)
 	second := pick(other)
 	if len(p.tab) != 2 {

@@ -72,7 +72,7 @@ func BenchmarkConv2DGemmNaive(b *testing.B) {
 		for ch := range kviews {
 			kviews[ch] = &tensor.MatrixI8{Rows: side, Cols: side, Stride: side, Data: kers.Row(ch)}
 		}
-		_ = RefConv2D(stacked, kviews, side, side)
+		_ = refConv2D(stacked, kviews, side, side)
 	}
 }
 
@@ -102,7 +102,7 @@ func BenchmarkConv2DGemmShapes(b *testing.B) {
 		for _, k := range []struct {
 			name string
 			fn   func(wins, kers *tensor.MatrixI8) *tensor.MatrixI32
-		}{{"fast", Conv2DGemm}, {"ref", RefConv2DGemm}} {
+		}{{"fast", Conv2DGemm}, {"ref", refConv2DGemm}} {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", nw, nch, n, k.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -121,7 +121,7 @@ func BenchmarkConv2DStencilNaive(b *testing.B) {
 	b.SetBytes(int64(benchTile*benchTile) * 5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = RefConv2D(in, []*tensor.MatrixI8{k}, 1, 1)
+		_ = refConv2D(in, []*tensor.MatrixI8{k}, 1, 1)
 	}
 }
 
@@ -144,7 +144,7 @@ func BenchmarkFullyConnectedNaive(b *testing.B) {
 	b.SetBytes(int64(benchTile*benchTile) + int64(benchTile)*5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = RefFullyConnected(w, vec)
+		_ = refFullyConnected(w, vec)
 	}
 }
 
@@ -166,7 +166,7 @@ func BenchmarkAddNaive(b *testing.B) {
 	b.SetBytes(int64(benchTile*benchTile) * 6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = RefAdd(x, y)
+		_ = refAdd(x, y)
 	}
 }
 
@@ -185,7 +185,7 @@ func BenchmarkTanhNaive(b *testing.B) {
 	b.SetBytes(int64(benchTile*benchTile) * 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = RefTanhLUT(in, 11.7)
+		_ = refTanhLUT(in, 11.7)
 	}
 }
 
@@ -203,7 +203,7 @@ func BenchmarkCropNaive(b *testing.B) {
 	b.SetBytes(int64(96*96) * 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = RefCrop(in, 16, 16, 96, 96)
+		_ = refCrop(in, 16, 16, 96, 96)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestConv2DEquivalence(t *testing.T) {
 		}
 		sr, sc := rng.Intn(5), rng.Intn(5) // 0 exercises the <=0 → 1 normalization
 		got := Conv2D(in, kernels, sr, sc)
-		want := RefConv2D(in, kernels, sr, sc)
+		want := refConv2D(in, kernels, sr, sc)
 		for ch := range kernels {
 			sameI32(t, "Conv2D", got[ch], want[ch])
 			tensor.Put(got[ch])
@@ -109,7 +109,7 @@ func TestConv2DEquivalenceGemmShape(t *testing.T) {
 			kernels[ch] = randI8(rng, s, s)
 		}
 		got := Conv2D(in, kernels, s, s)
-		want := RefConv2D(in, kernels, s, s)
+		want := refConv2D(in, kernels, s, s)
 		for ch := range kernels {
 			sameI32(t, "Conv2D(gemm-shape)", got[ch], want[ch])
 			tensor.Put(got[ch])
@@ -131,7 +131,7 @@ func TestConv2DGemmEquivalence(t *testing.T) {
 		for ch := range kviews {
 			kviews[ch] = &tensor.MatrixI8{Rows: s, Cols: s, Stride: s, Data: kers.Row(ch)}
 		}
-		want := RefConv2D(stacked, kviews, s, s)
+		want := refConv2D(stacked, kviews, s, s)
 		for ch := 0; ch < nch; ch++ {
 			for i := 0; i < nWin; i++ {
 				if got.At(i, ch) != want[ch].At(i, 0) {
@@ -156,7 +156,7 @@ func constI8(rows, cols int, v int8) *tensor.MatrixI8 {
 func checkConv2DGemm(t *testing.T, name string, wins, kers *tensor.MatrixI8) {
 	t.Helper()
 	got := Conv2DGemm(wins, kers)
-	sameI32(t, name, got, RefConv2DGemm(wins, kers))
+	sameI32(t, name, got, refConv2DGemm(wins, kers))
 	tensor.Put(got)
 }
 
@@ -172,7 +172,7 @@ func checkConv2DGemmSaturated(t *testing.T, name string, nw, nch, n int) {
 }
 
 // TestConv2DGemmGeometry walks the micro-kernel's edges against
-// RefConv2DGemm: window rows in every residue mod 3 (the packed row
+// refConv2DGemm: window rows in every residue mod 3 (the packed row
 // groups, including a panel shorter than one group), kernel rows in
 // every residue mod 4 (the register block and its one-row tail),
 // compact operands and strided views, random and saturated values.
@@ -232,7 +232,7 @@ func TestConv2DGemmZeroTailEquivalence(t *testing.T) {
 		}
 		got := Conv2DGemm(wins.View(0, 0, nWin, segN), kers.View(0, 0, nch, segN))
 		want := Conv2DGemm(wins, kers)
-		sameI32(t, "zero-tail views", got, RefConv2DGemm(wins.View(0, 0, nWin, segN), kers.View(0, 0, nch, segN)))
+		sameI32(t, "zero-tail views", got, refConv2DGemm(wins.View(0, 0, nWin, segN), kers.View(0, 0, nch, segN)))
 		for i := 0; i < nWin; i++ {
 			for ch := 0; ch < nch; ch++ {
 				if got.At(i, ch) != want.At(i, ch) {
@@ -255,8 +255,8 @@ func TestFullyConnectedEquivalence(t *testing.T) {
 		for i := range vec {
 			vec[i] = int8(rng.Intn(256) - 128)
 		}
-		got := FullyConnected(w, vec)
-		want := RefFullyConnected(w, vec)
+		got := fullyConnected(w, vec)
+		want := refFullyConnected(w, vec)
 		for r := range want {
 			if got[r] != want[r] {
 				t.Fatalf("FullyConnected: [%d] = %d, want %d", r, got[r], want[r])
@@ -272,7 +272,7 @@ func TestPairwiseEquivalence(t *testing.T) {
 		fast func(a, b *tensor.MatrixI8) *tensor.MatrixI32
 		ref  func(a, b *tensor.MatrixI8) *tensor.MatrixI32
 	}{
-		{"Add", Add, RefAdd}, {"Sub", Sub, RefSub}, {"Mul", Mul, RefMul},
+		{"Add", Add, refAdd}, {"Sub", Sub, refSub}, {"Mul", Mul, refMul},
 	}
 	for trial := 0; trial < 100; trial++ {
 		rows, cols := rng.Intn(30)+1, rng.Intn(30)+1
@@ -295,12 +295,12 @@ func TestCropExtEquivalence(t *testing.T) {
 		cr, cc := rng.Intn(rows)+1, rng.Intn(cols)+1
 		r0, c0 := rng.Intn(rows-cr+1), rng.Intn(cols-cc+1)
 		got := Crop(in, r0, c0, cr, cc)
-		sameI8(t, "Crop", got, RefCrop(in, r0, c0, cr, cc))
+		sameI8(t, "Crop", got, refCrop(in, r0, c0, cr, cc))
 		tensor.Put(got)
 
 		er, ec := rows+rng.Intn(8), cols+rng.Intn(8)
 		gotE := Ext(in, er, ec)
-		sameI8(t, "Ext", gotE, RefExt(in, er, ec))
+		sameI8(t, "Ext", gotE, refExt(in, er, ec))
 		tensor.Put(gotE)
 	}
 }
@@ -337,11 +337,11 @@ func TestActivationEquivalence(t *testing.T) {
 
 		scale := float32(rng.Float64()*100 + 0.5)
 		gotT := TanhLUT(in, scale)
-		sameI8(t, "TanhLUT", gotT, RefTanhLUT(in, scale))
+		sameI8(t, "TanhLUT", gotT, refTanhLUT(in, scale))
 		tensor.Put(gotT)
 
 		gotR := ReLU(in)
-		sameI8(t, "ReLU", gotR, RefReLU(in))
+		sameI8(t, "ReLU", gotR, refReLU(in))
 		tensor.Put(gotR)
 	}
 }
@@ -365,7 +365,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 		for ch := range kviews {
 			kviews[ch] = &tensor.MatrixI8{Rows: s, Cols: s, Stride: s, Data: kers.Row(ch)}
 		}
-		want := RefConv2D(stacked, kviews, s, s)
+		want := refConv2D(stacked, kviews, s, s)
 		for ch := 0; ch < nch; ch++ {
 			for i := 0; i < nWin; i++ {
 				if got.At(i, ch) != want[ch].At(i, 0) {
@@ -391,22 +391,22 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 		in := randI8Operand(rng, sh[0], sh[1])
 		kernels := []*tensor.MatrixI8{randI8(rng, 3, 3), randI8(rng, 3, 3)}
 		got := Conv2D(in, kernels, sh[2], sh[3])
-		want := RefConv2D(in, kernels, sh[2], sh[3])
+		want := refConv2D(in, kernels, sh[2], sh[3])
 		for ch := range kernels {
 			sameI32(t, "Conv2D", got[ch], want[ch])
 			tensor.Put(got[ch])
 		}
 	}
 
-	// FullyConnected: the dot path behind GemmFC.
+	// fullyConnected: the dot path behind GemmFC.
 	for _, sh := range [][2]int{{256, 256}, {61, 67}, {3, 129}, {1, 1}} {
 		w := randI8Operand(rng, sh[0], sh[1])
 		vec := make([]int8, sh[1])
 		for i := range vec {
 			vec[i] = int8(rng.Intn(256) - 128)
 		}
-		got := FullyConnected(w, vec)
-		want := RefFullyConnected(w, vec)
+		got := fullyConnected(w, vec)
+		want := refFullyConnected(w, vec)
 		for r := range want {
 			if got[r] != want[r] {
 				t.Fatalf("FullyConnected: [%d] = %d, want %d", r, got[r], want[r])
@@ -421,7 +421,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 			op        string
 			fast, ref func(a, b *tensor.MatrixI8) *tensor.MatrixI32
 		}{
-			{"Add", Add, RefAdd}, {"Sub", Sub, RefSub}, {"Mul", Mul, RefMul},
+			{"Add", Add, refAdd}, {"Sub", Sub, refSub}, {"Mul", Mul, refMul},
 		} {
 			got := fn.fast(a, b)
 			sameI32(t, fn.op, got, fn.ref(a, b))
@@ -429,7 +429,7 @@ func TestEquivalenceEdgeShapes(t *testing.T) {
 		}
 		scale := float32(rng.Float64()*100 + 0.5)
 		gotT := TanhLUT(a, scale)
-		sameI8(t, "TanhLUT", gotT, RefTanhLUT(a, scale))
+		sameI8(t, "TanhLUT", gotT, refTanhLUT(a, scale))
 		tensor.Put(gotT)
 	}
 }
@@ -452,7 +452,7 @@ func FuzzConv2DEquiv(f *testing.F) {
 			kernels[ch] = randI8Operand(rng, kr, kc)
 		}
 		got := Conv2D(in, kernels, int(sr)%6, int(sc)%6)
-		want := RefConv2D(in, kernels, int(sr)%6, int(sc)%6)
+		want := refConv2D(in, kernels, int(sr)%6, int(sc)%6)
 		for ch := range kernels {
 			sameI32(t, "Conv2D(fuzz)", got[ch], want[ch])
 			tensor.Put(got[ch])
@@ -463,7 +463,7 @@ func FuzzConv2DEquiv(f *testing.F) {
 // FuzzConv2DGemmEquiv fuzzes the GEMM panel product's geometry — window
 // and kernel counts (row groups of three, register blocks of four),
 // inner dimension (lane chunks of 32), operand layout and saturated
-// values: always bit-identical to RefConv2DGemm.
+// values: always bit-identical to refConv2DGemm.
 func FuzzConv2DGemmEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(128), uint8(128), uint16(128), uint8(0))
 	f.Add(int64(2), uint8(7), uint8(5), uint16(33), uint8(1))   // all -128 x all -128

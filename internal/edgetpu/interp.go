@@ -52,16 +52,16 @@ type InstrParams struct {
 //	then per operand: uint32 length + encoded model bytes
 const instrHeaderSize = 8 + 1 + 1 + 7*4
 
-// ErrBadInstruction reports a malformed packet.
-var ErrBadInstruction = errors.New("edgetpu: bad instruction packet")
+// errBadInstruction reports a malformed packet.
+var errBadInstruction = errors.New("edgetpu: bad instruction packet")
 
 // EncodeInstruction assembles an instruction packet.
 func EncodeInstruction(op isa.OpCode, p InstrParams, operands ...*model.Model) ([]byte, error) {
 	if !op.Valid() {
-		return nil, fmt.Errorf("%w: invalid opcode %d", ErrBadInstruction, int(op))
+		return nil, fmt.Errorf("%w: invalid opcode %d", errBadInstruction, int(op))
 	}
 	if len(operands) == 0 || len(operands) > 255 {
-		return nil, fmt.Errorf("%w: %d operands", ErrBadInstruction, len(operands))
+		return nil, fmt.Errorf("%w: %d operands", errBadInstruction, len(operands))
 	}
 	buf := make([]byte, instrHeaderSize)
 	copy(buf[:8], instrMagic[:])
@@ -81,20 +81,20 @@ func EncodeInstruction(op isa.OpCode, p InstrParams, operands ...*model.Model) (
 	return buf, nil
 }
 
-// DecodeInstruction parses a packet back into its parts.
-func DecodeInstruction(buf []byte) (isa.OpCode, InstrParams, []*model.Model, error) {
+// decodeInstruction parses a packet back into its parts.
+func decodeInstruction(buf []byte) (isa.OpCode, InstrParams, []*model.Model, error) {
 	var p InstrParams
 	if len(buf) < instrHeaderSize {
-		return 0, p, nil, fmt.Errorf("%w: truncated header", ErrBadInstruction)
+		return 0, p, nil, fmt.Errorf("%w: truncated header", errBadInstruction)
 	}
 	for i, b := range instrMagic {
 		if buf[i] != b {
-			return 0, p, nil, fmt.Errorf("%w: magic mismatch", ErrBadInstruction)
+			return 0, p, nil, fmt.Errorf("%w: magic mismatch", errBadInstruction)
 		}
 	}
 	op := isa.OpCode(buf[8])
 	if !op.Valid() {
-		return 0, p, nil, fmt.Errorf("%w: opcode %d", ErrBadInstruction, buf[8])
+		return 0, p, nil, fmt.Errorf("%w: opcode %d", errBadInstruction, buf[8])
 	}
 	count := int(buf[9])
 	words := make([]int, 7)
@@ -110,22 +110,22 @@ func DecodeInstruction(buf []byte) (isa.OpCode, InstrParams, []*model.Model, err
 	off := instrHeaderSize
 	for i := 0; i < count; i++ {
 		if off+4 > len(buf) {
-			return 0, p, nil, fmt.Errorf("%w: truncated operand %d length", ErrBadInstruction, i)
+			return 0, p, nil, fmt.Errorf("%w: truncated operand %d length", errBadInstruction, i)
 		}
 		l := int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
 		if off+l > len(buf) {
-			return 0, p, nil, fmt.Errorf("%w: truncated operand %d body", ErrBadInstruction, i)
+			return 0, p, nil, fmt.Errorf("%w: truncated operand %d body", errBadInstruction, i)
 		}
 		m, err := model.Decode(buf[off : off+l])
 		if err != nil {
-			return 0, p, nil, fmt.Errorf("%w: operand %d: %v", ErrBadInstruction, i, err)
+			return 0, p, nil, fmt.Errorf("%w: operand %d: %v", errBadInstruction, i, err)
 		}
 		operands = append(operands, m)
 		off += l
 	}
 	if off != len(buf) {
-		return 0, p, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadInstruction, len(buf)-off)
+		return 0, p, nil, fmt.Errorf("%w: %d trailing bytes", errBadInstruction, len(buf)-off)
 	}
 	return op, p, operands, nil
 }
@@ -139,7 +139,7 @@ type Interpreter struct{}
 // scales and the requantization divisor, so the host can dequantize
 // without extra metadata.
 func (Interpreter) Execute(packet []byte) ([]byte, error) {
-	op, p, operands, err := DecodeInstruction(packet)
+	op, p, operands, err := decodeInstruction(packet)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 	divider := quant.NewDivider(div)
 	need := func(n int) error {
 		if len(operands) != n {
-			return fmt.Errorf("%w: %v needs %d operands, got %d", ErrBadInstruction, op, n, len(operands))
+			return fmt.Errorf("%w: %v needs %d operands, got %d", errBadInstruction, op, n, len(operands))
 		}
 		return nil
 	}
@@ -180,12 +180,12 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		}
 		w, x := operands[0], operands[1]
 		if x.Rows != 1 {
-			return nil, fmt.Errorf("%w: FullyConnected vector operand must be 1 x N", ErrBadInstruction)
+			return nil, fmt.Errorf("%w: FullyConnected vector operand must be 1 x N", errBadInstruction)
 		}
 		if x.Cols != w.Cols {
-			return nil, fmt.Errorf("%w: vector length %d != weight cols %d", ErrBadInstruction, x.Cols, w.Cols)
+			return nil, fmt.Errorf("%w: vector length %d != weight cols %d", errBadInstruction, x.Cols, w.Cols)
 		}
-		res := FullyConnected(w.Data, x.Data.Row(0))
+		res := fullyConnected(w.Data, x.Data.Row(0))
 		wide := tensor.NewI32(1, len(res))
 		copy(wide.Row(0), res)
 		return requant(wide, w.Scale*x.Scale).Encode(), nil
@@ -195,19 +195,19 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		}
 		a, b := operands[0], operands[1]
 		if a.Rows != b.Rows || a.Cols != b.Cols {
-			return nil, fmt.Errorf("%w: pairwise shape mismatch", ErrBadInstruction)
+			return nil, fmt.Errorf("%w: pairwise shape mismatch", errBadInstruction)
 		}
 		var wide *tensor.MatrixI32
 		var combined float32
 		switch op {
 		case isa.Add:
 			if a.Scale != b.Scale {
-				return nil, fmt.Errorf("%w: add needs a joint scale", ErrBadInstruction)
+				return nil, fmt.Errorf("%w: add needs a joint scale", errBadInstruction)
 			}
 			wide, combined = Add(a.Data, b.Data), a.Scale
 		case isa.Sub:
 			if a.Scale != b.Scale {
-				return nil, fmt.Errorf("%w: sub needs a joint scale", ErrBadInstruction)
+				return nil, fmt.Errorf("%w: sub needs a joint scale", errBadInstruction)
 			}
 			wide, combined = Sub(a.Data, b.Data), a.Scale
 		default:
@@ -221,7 +221,7 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		a := operands[0]
 		if p.R0 < 0 || p.C0 < 0 || p.Rows <= 0 || p.Cols <= 0 ||
 			p.R0+p.Rows > a.Rows || p.C0+p.Cols > a.Cols {
-			return nil, fmt.Errorf("%w: crop window out of bounds", ErrBadInstruction)
+			return nil, fmt.Errorf("%w: crop window out of bounds", errBadInstruction)
 		}
 		return model.FromI8(Crop(a.Data, p.R0, p.C0, p.Rows, p.Cols), a.Scale).Encode(), nil
 	case op == isa.Ext:
@@ -230,7 +230,7 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		}
 		a := operands[0]
 		if p.Rows < a.Rows || p.Cols < a.Cols {
-			return nil, fmt.Errorf("%w: ext target smaller than input", ErrBadInstruction)
+			return nil, fmt.Errorf("%w: ext target smaller than input", errBadInstruction)
 		}
 		return model.FromI8(Ext(a.Data, p.Rows, p.Cols), a.Scale).Encode(), nil
 	case op == isa.Mean:
@@ -263,5 +263,5 @@ func (Interpreter) Execute(packet []byte) ([]byte, error) {
 		a := operands[0]
 		return model.FromI8(ReLU(a.Data), a.Scale).Encode(), nil
 	}
-	return nil, fmt.Errorf("%w: unhandled opcode %v", ErrBadInstruction, op)
+	return nil, fmt.Errorf("%w: unhandled opcode %v", errBadInstruction, op)
 }

@@ -44,7 +44,7 @@ func TestInstructionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, p, operands, err := DecodeInstruction(pkt)
+	op, p, operands, err := decodeInstruction(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestInterpreterFullyConnected(t *testing.T) {
 	if out.Rows != 1 || out.Cols != 8 {
 		t.Fatalf("FC output %dx%d", out.Rows, out.Cols)
 	}
-	direct := FullyConnected(w.Data, x.Data.Row(0))
+	direct := fullyConnected(w.Data, x.Data.Row(0))
 	for i, v := range direct {
 		if out.Data.At(0, i) != quant.SaturateI8(quant.NewDivider(1024).RoundDiv(v)) {
 			t.Fatalf("FC elem %d mismatch", i)
@@ -169,8 +169,8 @@ func TestInterpreterErrors(t *testing.T) {
 		if err != nil {
 			continue // encode-level rejection also counts
 		}
-		if _, err := (Interpreter{}).Execute(pkt); !errors.Is(err, ErrBadInstruction) {
-			t.Errorf("case %d: want ErrBadInstruction, got %v", i, err)
+		if _, err := (Interpreter{}).Execute(pkt); !errors.Is(err, errBadInstruction) {
+			t.Errorf("case %d: want errBadInstruction, got %v", i, err)
 		}
 	}
 }
@@ -203,10 +203,10 @@ func TestQuickDecodeInstructionRobust(t *testing.T) {
 	f := func(raw []byte) bool {
 		defer func() {
 			if recover() != nil {
-				t.Fatal("DecodeInstruction panicked")
+				t.Fatal("decodeInstruction panicked")
 			}
 		}()
-		_, _, _, _ = DecodeInstruction(raw)
+		_, _, _, _ = decodeInstruction(raw)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -225,7 +225,7 @@ func TestQuickInstructionRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		op, pp, ops, err := DecodeInstruction(pkt)
+		op, pp, ops, err := decodeInstruction(pkt)
 		if err != nil || op != isa.ReLU || pp.StrideR != int(sr) || pp.StrideC != int(sc) {
 			return false
 		}

@@ -48,16 +48,16 @@ var Fast = &KernelTable{
 // Ref binds the frozen naive reference kernels — the executable
 // specification, used as the differential fuzzer's second oracle.
 var Ref = &KernelTable{
-	Conv2D:             RefConv2D,
-	Conv2DGemm:         RefConv2DGemm,
-	FullyConnectedInto: RefFullyConnectedInto,
-	Add:                RefAdd,
-	Sub:                RefSub,
-	Mul:                RefMul,
-	Crop:               RefCrop,
-	Ext:                RefExt,
+	Conv2D:             refConv2D,
+	Conv2DGemm:         refConv2DGemm,
+	FullyConnectedInto: refFullyConnectedInto,
+	Add:                refAdd,
+	Sub:                refSub,
+	Mul:                refMul,
+	Crop:               refCrop,
+	Ext:                refExt,
 	MeanSum:            MeanSum,
 	MaxVal:             MaxVal,
-	TanhLUT:            RefTanhLUT,
-	ReLU:               RefReLU,
+	TanhLUT:            refTanhLUT,
+	ReLU:               refReLU,
 }

@@ -11,8 +11,8 @@ import (
 // dispatch tables with the same random operands and requires
 // bit-identical outputs — the contract that lets the differential
 // fuzzer swap whole instruction DAGs between the two substrates. This
-// is also the direct coverage for RefConv2DGemm and
-// RefFullyConnectedInto, which exist only as table entries.
+// is also the direct coverage for refConv2DGemm and
+// refFullyConnectedInto, which exist only as table entries.
 func TestKernelTableEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 60; trial++ {

@@ -64,16 +64,16 @@ func Conv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC in
 	return outs
 }
 
-// FullyConnected performs the Edge TPU FullyConnected instruction:
+// fullyConnected performs the Edge TPU FullyConnected instruction:
 // the input vector multiplies a weight matrix (Table 1), producing
 // one 32-bit accumulator per weight row.
-func FullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
+func fullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
 	out := make([]int32, weights.Rows)
 	FullyConnectedInto(out, weights, vec)
 	return out
 }
 
-// FullyConnectedInto is FullyConnected writing into a caller-supplied
+// FullyConnectedInto is fullyConnected writing into a caller-supplied
 // accumulator slice of length weights.Rows — the allocation-free form
 // the runtime's steady-state streams use with pooled buffers.
 func FullyConnectedInto(dst []int32, weights *tensor.MatrixI8, vec []int8) {

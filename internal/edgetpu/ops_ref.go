@@ -26,7 +26,7 @@ import (
 // twin: one plain loop each (MeanSum, MaxVal in ops.go) serves both
 // kernel tables.
 
-// RefConv2D is the reference Edge TPU conv2D instruction (Equation 9
+// refConv2D is the reference Edge TPU conv2D instruction (Equation 9
 // with the optional striding of Figure 5): for each output channel
 // kernel K and each stride-aligned window anchored at (i*sr, j*sc),
 //
@@ -34,7 +34,7 @@ import (
 //
 // with zero padding past the input's bottom/right edges. Results are
 // exact 32-bit accumulations; one output matrix per kernel.
-func RefConv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC int) []*tensor.MatrixI32 {
+func refConv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC int) []*tensor.MatrixI32 {
 	if strideR <= 0 {
 		strideR = 1
 	}
@@ -73,12 +73,12 @@ func RefConv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC
 	return outs
 }
 
-// RefConv2DGemm is the reference GEMM-as-conv2D kernel: every row of
+// refConv2DGemm is the reference GEMM-as-conv2D kernel: every row of
 // wins is one flattened input window, every row of kers one flattened
 // kernel, and out[i][j] is the exact widened dot product of window i
 // with kernel j — the semantics the SWAR-packed Conv2DGemm fast path
 // must reproduce bit for bit.
-func RefConv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
+func refConv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	if wins.Cols != kers.Cols {
 		panic("edgetpu: Conv2DGemm operand width mismatch")
 	}
@@ -98,23 +98,23 @@ func RefConv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	return out
 }
 
-// RefFullyConnectedInto is RefFullyConnected writing into a
+// refFullyConnectedInto is refFullyConnected writing into a
 // caller-supplied accumulator slice, matching the allocation-free
 // entry point the runtime streams use.
-func RefFullyConnectedInto(dst []int32, weights *tensor.MatrixI8, vec []int8) {
+func refFullyConnectedInto(dst []int32, weights *tensor.MatrixI8, vec []int8) {
 	if len(vec) != weights.Cols {
 		panic(fmt.Sprintf("edgetpu: FullyConnected vector length %d != weight cols %d", len(vec), weights.Cols))
 	}
 	if len(dst) != weights.Rows {
 		panic(fmt.Sprintf("edgetpu: FullyConnected dst length %d != weight rows %d", len(dst), weights.Rows))
 	}
-	copy(dst, RefFullyConnected(weights, vec))
+	copy(dst, refFullyConnected(weights, vec))
 }
 
-// RefFullyConnected is the reference FullyConnected instruction: the
+// refFullyConnected is the reference FullyConnected instruction: the
 // input vector multiplies a weight matrix, one 32-bit accumulator per
 // weight row.
-func RefFullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
+func refFullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
 	if len(vec) != weights.Cols {
 		panic(fmt.Sprintf("edgetpu: FullyConnected vector length %d != weight cols %d", len(vec), weights.Cols))
 	}
@@ -130,18 +130,18 @@ func RefFullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
 	return out
 }
 
-// RefAdd is the reference pair-wise addition with wide results.
-func RefAdd(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
+// refAdd is the reference pair-wise addition with wide results.
+func refAdd(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
 	return refPairwise(a, b, func(x, y int32) int32 { return x + y })
 }
 
-// RefSub is the reference pair-wise subtraction with wide results.
-func RefSub(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
+// refSub is the reference pair-wise subtraction with wide results.
+func refSub(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
 	return refPairwise(a, b, func(x, y int32) int32 { return x - y })
 }
 
-// RefMul is the reference pair-wise multiplication with wide results.
-func RefMul(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
+// refMul is the reference pair-wise multiplication with wide results.
+func refMul(a, b *tensor.MatrixI8) *tensor.MatrixI32 {
 	return refPairwise(a, b, func(x, y int32) int32 { return x * y })
 }
 
@@ -161,21 +161,21 @@ func refPairwise(a, b *tensor.MatrixI8, f func(x, y int32) int32) *tensor.Matrix
 	return out
 }
 
-// RefCrop is the reference crop instruction: a sub-matrix copy via the
+// refCrop is the reference crop instruction: a sub-matrix copy via the
 // generic view-then-clone walk.
-func RefCrop(in *tensor.MatrixI8, r0, c0, rows, cols int) *tensor.MatrixI8 {
+func refCrop(in *tensor.MatrixI8, r0, c0, rows, cols int) *tensor.MatrixI8 {
 	return in.View(r0, c0, rows, cols).Clone()
 }
 
-// RefExt is the reference ext instruction: zero-pad to the target
+// refExt is the reference ext instruction: zero-pad to the target
 // dimensionality.
-func RefExt(in *tensor.MatrixI8, rows, cols int) *tensor.MatrixI8 {
+func refExt(in *tensor.MatrixI8, rows, cols int) *tensor.MatrixI8 {
 	return in.Pad(rows, cols)
 }
 
-// RefTanhLUT is the reference tanh instruction, rebuilding the
+// refTanhLUT is the reference tanh instruction, rebuilding the
 // 256-entry lookup table on every call.
-func RefTanhLUT(in *tensor.MatrixI8, inScale float32) *tensor.MatrixI8 {
+func refTanhLUT(in *tensor.MatrixI8, inScale float32) *tensor.MatrixI8 {
 	out := tensor.NewI8(in.Rows, in.Cols)
 	var lut [256]int8
 	for i := 0; i < 256; i++ {
@@ -191,8 +191,8 @@ func RefTanhLUT(in *tensor.MatrixI8, inScale float32) *tensor.MatrixI8 {
 	return out
 }
 
-// RefReLU is the reference ReLU instruction.
-func RefReLU(in *tensor.MatrixI8) *tensor.MatrixI8 {
+// refReLU is the reference ReLU instruction.
+func refReLU(in *tensor.MatrixI8) *tensor.MatrixI8 {
 	out := tensor.NewI8(in.Rows, in.Cols)
 	for r := 0; r < in.Rows; r++ {
 		src, dst := in.Row(r), out.Row(r)

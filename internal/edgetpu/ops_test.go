@@ -80,7 +80,7 @@ func TestConv2DMultiChannel(t *testing.T) {
 
 func TestFullyConnected(t *testing.T) {
 	w := i8(2, 3, 1, 2, 3, -1, 0, 1)
-	out := FullyConnected(w, []int8{1, 1, 1})
+	out := fullyConnected(w, []int8{1, 1, 1})
 	if out[0] != 6 || out[1] != 0 {
 		t.Fatalf("FC got %v", out)
 	}
@@ -92,7 +92,7 @@ func TestFullyConnectedShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	FullyConnected(i8(1, 2, 1, 2), []int8{1})
+	fullyConnected(i8(1, 2, 1, 2), []int8{1})
 }
 
 func TestPairwiseOps(t *testing.T) {
@@ -193,7 +193,7 @@ func TestTanhCacheConcurrent(t *testing.T) {
 			for i := 0; i < scalesPerWorker; i++ {
 				scale := float32(w*scalesPerWorker+i+1) * 0.37
 				got := TanhLUT(in, scale)
-				want := RefTanhLUT(in, scale)
+				want := refTanhLUT(in, scale)
 				for r := 0; r < got.Rows; r++ {
 					gr, wr := got.Row(r), want.Row(r)
 					for c := range gr {
@@ -261,7 +261,7 @@ func TestQuickConvIdentity(t *testing.T) {
 	}
 }
 
-// Property: FullyConnected distributes over vector addition (exact
+// Property: fullyConnected distributes over vector addition (exact
 // integer linearity).
 func TestQuickFCLinearity(t *testing.T) {
 	f := func(seed int64) bool {
@@ -278,9 +278,9 @@ func TestQuickFCLinearity(t *testing.T) {
 			v[i] = int8(rng.Intn(11) - 5)
 			sum[i] = u[i] + v[i]
 		}
-		a := FullyConnected(w, u)
-		b := FullyConnected(w, v)
-		s := FullyConnected(w, sum)
+		a := fullyConnected(w, u)
+		b := fullyConnected(w, v)
+		s := fullyConnected(w, sum)
 		for i := range s {
 			if s[i] != a[i]+b[i] {
 				return false

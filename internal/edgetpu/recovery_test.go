@@ -24,12 +24,12 @@ func TestFailClearsOnChipMemory(t *testing.T) {
 	if _, err := d.Upload(1, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
-	if d.MemUsed() == 0 || !d.Resident(1) {
+	if d.occupied() == 0 || !d.Resident(1) {
 		t.Fatal("setup: upload did not populate residency")
 	}
 	d.Fail()
-	if d.MemUsed() != 0 {
-		t.Fatalf("failed device reports %d bytes used", d.MemUsed())
+	if d.occupied() != 0 {
+		t.Fatalf("failed device reports %d bytes used", d.occupied())
 	}
 	if d.Resident(1) {
 		t.Fatal("failed device reports stale residency")
@@ -45,11 +45,11 @@ func TestReviveQuarantineProbeLifecycle(t *testing.T) {
 	busyBefore := d.ComputeBusy()
 
 	d.Fail()
-	d.Revive()
+	d.revive()
 	if d.Healthy() {
 		t.Fatal("revived device must not be healthy before the probe")
 	}
-	if !d.Quarantined() {
+	if !d.isQuarantined() {
 		t.Fatal("revived device must be quarantined")
 	}
 	// Quarantined devices refuse work exactly like failed ones.
@@ -60,8 +60,8 @@ func TestReviveQuarantineProbeLifecycle(t *testing.T) {
 		t.Fatalf("quarantined exec err=%v", err)
 	}
 
-	d.Probe(time.Millisecond)
-	if !d.Healthy() || d.Quarantined() {
+	d.probe(time.Millisecond)
+	if !d.Healthy() || d.isQuarantined() {
 		t.Fatal("probe must promote the device to healthy")
 	}
 	// The probe self-test costs virtual compute time.
@@ -69,7 +69,7 @@ func TestReviveQuarantineProbeLifecycle(t *testing.T) {
 		t.Fatal("probe charged no virtual time")
 	}
 	// Re-entry is cold: pre-failure residency is gone.
-	if d.Resident(1) || d.MemUsed() != 0 {
+	if d.Resident(1) || d.occupied() != 0 {
 		t.Fatal("revived device must re-enter cold")
 	}
 }
@@ -77,8 +77,8 @@ func TestReviveQuarantineProbeLifecycle(t *testing.T) {
 func TestReviveWithoutFailureIsNoop(t *testing.T) {
 	pool, _, _ := newTestPool(1)
 	d := pool.Devices[0]
-	d.Revive()
-	if !d.Healthy() || d.Quarantined() {
+	d.revive()
+	if !d.Healthy() || d.isQuarantined() {
 		t.Fatal("reviving a healthy device must change nothing")
 	}
 }

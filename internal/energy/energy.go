@@ -25,11 +25,11 @@ const (
 
 	CPUCoreWattsLo = 6.5
 	CPUCoreWattsHi = 12.5
-	CPUCoreWatts   = (CPUCoreWattsLo + CPUCoreWattsHi) / 2
+	cpuCoreWatts   = (CPUCoreWattsLo + CPUCoreWattsHi) / 2
 
 	TPUWattsLo = 0.9
 	TPUWattsHi = 1.4
-	TPUWatts   = (TPUWattsLo + TPUWattsHi) / 2
+	tpuWatts   = (TPUWattsLo + TPUWattsHi) / 2
 
 	RTX2080Watts    = 215.0
 	JetsonNanoWatts = 10.0
@@ -56,9 +56,9 @@ const (
 func PowerFor(name string) float64 {
 	switch {
 	case strings.HasPrefix(name, "edgetpu"):
-		return TPUWatts
+		return tpuWatts
 	case strings.HasPrefix(name, "cpu-core"):
-		return CPUCoreWatts
+		return cpuCoreWatts
 	case strings.HasPrefix(name, "gpu-rtx2080"):
 		return RTX2080Watts
 	case strings.HasPrefix(name, "gpu-jetson"):

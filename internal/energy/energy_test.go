@@ -10,9 +10,9 @@ import (
 
 func TestPowerFor(t *testing.T) {
 	cases := map[string]float64{
-		"edgetpu0":        TPUWatts,
-		"edgetpu7":        TPUWatts,
-		"cpu-core0":       CPUCoreWatts,
+		"edgetpu0":        tpuWatts,
+		"edgetpu7":        tpuWatts,
+		"cpu-core0":       cpuCoreWatts,
 		"gpu-rtx2080":     RTX2080Watts,
 		"gpu-jetson":      JetsonNanoWatts,
 		"pcie-dev0-link":  0,
@@ -27,15 +27,15 @@ func TestPowerFor(t *testing.T) {
 }
 
 func TestPaperPowerRangesRespected(t *testing.T) {
-	if CPUCoreWatts < CPUCoreWattsLo || CPUCoreWatts > CPUCoreWattsHi {
+	if cpuCoreWatts < CPUCoreWattsLo || cpuCoreWatts > CPUCoreWattsHi {
 		t.Fatal("CPU core midpoint outside paper range")
 	}
-	if TPUWatts < TPUWattsLo || TPUWatts > TPUWattsHi {
+	if tpuWatts < TPUWattsLo || tpuWatts > TPUWattsHi {
 		t.Fatal("TPU midpoint outside paper range")
 	}
 	// Paper section 9.3: 8 Edge TPUs "consume similar active power as
 	// a single RyZen core".
-	if eight := 8 * TPUWatts; eight < CPUCoreWattsLo || eight > CPUCoreWattsHi+1 {
+	if eight := 8 * tpuWatts; eight < CPUCoreWattsLo || eight > CPUCoreWattsHi+1 {
 		t.Fatalf("8x TPU power %v should be comparable to one core (%v-%v)", eight, CPUCoreWattsLo, CPUCoreWattsHi)
 	}
 }
@@ -51,7 +51,7 @@ func TestMeasureIntegration(t *testing.T) {
 	if rep.Makespan != 2*time.Second {
 		t.Fatalf("makespan %v", rep.Makespan)
 	}
-	wantActive := CPUCoreWatts*2 + TPUWatts*1
+	wantActive := cpuCoreWatts*2 + tpuWatts*1
 	if math.Abs(rep.ActiveJoules-wantActive) > 1e-9 {
 		t.Fatalf("active %v want %v", rep.ActiveJoules, wantActive)
 	}

@@ -53,8 +53,8 @@ type Config struct {
 	LinkScale map[int]float64
 }
 
-// Empty reports whether the plan injects nothing at all.
-func (c *Config) Empty() bool {
+// empty reports whether the plan injects nothing at all.
+func (c *Config) empty() bool {
 	return c == nil || (c.TransientProb <= 0 && len(c.Kill) == 0 &&
 		len(c.Revive) == 0 && len(c.LinkScale) == 0)
 }
@@ -76,7 +76,7 @@ type Injector struct {
 // New builds an injector for cfg; a nil or empty plan yields a nil
 // injector.
 func New(cfg *Config) *Injector {
-	if cfg.Empty() {
+	if cfg.empty() {
 		return nil
 	}
 	inj := &Injector{
@@ -159,10 +159,10 @@ func (i *Injector) LinkScale(dev int) float64 {
 	return 1
 }
 
-// ParseEvents parses a device-loss/revival flag spec: a comma-separated
+// parseEvents parses a device-loss/revival flag spec: a comma-separated
 // list of dev@duration entries, e.g. "1@5ms,3@1s" (durations are
 // virtual times in Go duration syntax).
-func ParseEvents(spec string) ([]Event, error) {
+func parseEvents(spec string) ([]Event, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
@@ -181,9 +181,9 @@ func ParseEvents(spec string) ([]Event, error) {
 	return out, nil
 }
 
-// ParseScales parses a link-degradation flag spec: a comma-separated
+// parseScales parses a link-degradation flag spec: a comma-separated
 // list of dev@multiplier entries, e.g. "0@2.5,2@1.5".
-func ParseScales(spec string) (map[int]float64, error) {
+func parseScales(spec string) (map[int]float64, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}

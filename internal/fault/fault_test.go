@@ -87,7 +87,7 @@ func TestLinkScale(t *testing.T) {
 }
 
 func TestParseEvents(t *testing.T) {
-	evs, err := ParseEvents(" 1@5ms, 3@1s ")
+	evs, err := parseEvents(" 1@5ms, 3@1s ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +100,18 @@ func TestParseEvents(t *testing.T) {
 			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
 		}
 	}
-	if evs, err := ParseEvents(""); err != nil || evs != nil {
+	if evs, err := parseEvents(""); err != nil || evs != nil {
 		t.Fatalf("empty spec: %v, %v", evs, err)
 	}
 	for _, bad := range []string{"1", "x@5ms", "-1@5ms", "1@banana", "1@-5ms"} {
-		if _, err := ParseEvents(bad); err == nil {
+		if _, err := parseEvents(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
 	}
 }
 
 func TestParseScales(t *testing.T) {
-	m, err := ParseScales("0@2.5,2@1.5")
+	m, err := parseScales("0@2.5,2@1.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestParseScales(t *testing.T) {
 		t.Fatalf("scales = %v", m)
 	}
 	for _, bad := range []string{"0", "a@2", "0@zero", "0@0", "0@-1"} {
-		if _, err := ParseScales(bad); err == nil {
+		if _, err := parseScales(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
 	}

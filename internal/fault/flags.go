@@ -32,15 +32,15 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 // Config materializes the parsed flags into a fault plan, or nil when
 // no fault flag was used.
 func (f *Flags) Config() (*Config, error) {
-	kill, err := ParseEvents(f.Kill)
+	kill, err := parseEvents(f.Kill)
 	if err != nil {
 		return nil, err
 	}
-	revive, err := ParseEvents(f.Revive)
+	revive, err := parseEvents(f.Revive)
 	if err != nil {
 		return nil, err
 	}
-	link, err := ParseScales(f.Link)
+	link, err := parseScales(f.Link)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func (f *Flags) Config() (*Config, error) {
 		Revive:        revive,
 		LinkScale:     link,
 	}
-	if cfg.Empty() {
+	if cfg.empty() {
 		return nil, nil
 	}
 	return cfg, nil

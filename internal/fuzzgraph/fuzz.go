@@ -9,17 +9,17 @@ type Failure struct {
 	Err       error
 }
 
-// CheckSeed generates the case for one seed and runs the full
+// checkSeed generates the case for one seed and runs the full
 // differential matrix against it. On divergence it minimizes the case
 // (with the same harness, so wire-leg failures minimize too) and
 // returns the failure; nil means the seed passed.
-func CheckSeed(seed int64, h *Harness) *Failure {
-	cs := Generate(seed)
-	err := Check(cs, h)
+func checkSeed(seed int64, h *Harness) *Failure {
+	cs := generate(seed)
+	err := check(cs, h)
 	if err == nil {
 		return nil
 	}
-	min := Minimize(cs, func(c *Case) bool { return Check(c, h) != nil })
+	min := minimize(cs, func(c *Case) bool { return check(c, h) != nil })
 	return &Failure{Seed: seed, Case: cs, Minimized: min, Err: err}
 }
 
@@ -30,7 +30,7 @@ func Run(start int64, n int, h *Harness, progress func(seed int64, f *Failure)) 
 	var fails []*Failure
 	for i := 0; i < n; i++ {
 		seed := start + int64(i)
-		f := CheckSeed(seed, h)
+		f := checkSeed(seed, h)
 		if f != nil {
 			fails = append(fails, f)
 		}

@@ -14,7 +14,7 @@ import (
 // program listing included — the property replayable repros rest on.
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		a, b := Generate(seed), Generate(seed)
+		a, b := generate(seed), generate(seed)
 		if a.String() != b.String() {
 			t.Fatalf("seed %d: two generations differ:\n%s\n--- vs ---\n%s", seed, a, b)
 		}
@@ -28,12 +28,12 @@ func TestGenerateDeterministic(t *testing.T) {
 // commits: the corpus seeds and their comments ("seed 5 minimizes to
 // mul -> max") mean something only while a seed replays the same
 // program. A change to the generator that moves this digest must say
-// so and re-check CorpusSeeds.
+// so and re-check corpusSeeds.
 func TestGenerateGolden(t *testing.T) {
 	const want = "ca33e0dd75cf8192e4c91c4566b87934437c938dac7e02bfa1f5e8cede0e4f06"
 	h := sha256.New()
 	for seed := int64(1); seed <= 300; seed++ {
-		h.Write([]byte(Generate(seed).String()))
+		h.Write([]byte(generate(seed).String()))
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
 		t.Errorf("seeds 1-300 generate other programs: listing digest %s, want %s", got, want)
@@ -89,7 +89,7 @@ func TestTableOpsMatchNamedBuilders(t *testing.T) {
 			cs.Inputs = append(cs.Inputs, InputSpec{Rows: sh[0], Cols: sh[1], Dist: "uniform", Lo: -1, Hi: 1, Seed: 2})
 			cs.Nodes[0].Args = append(cs.Nodes[0].Args, -2)
 		}
-		ins := cs.Materialize()
+		ins := cs.materialize()
 		outcome := func(build func(ctx *core.Context, leaves []*core.Buffer) (*core.Graph, *core.Node)) (string, timing.Duration) {
 			ctx := core.NewContext(core.Config{Devices: 2})
 			defer ctx.Close()
@@ -133,7 +133,7 @@ func TestGenerateCoverage(t *testing.T) {
 	ops := map[OpKind]int{}
 	var views, segs, fetches int
 	for seed := int64(1); seed <= 300; seed++ {
-		cs := Generate(seed)
+		cs := generate(seed)
 		for i := range cs.Nodes {
 			ops[cs.Nodes[i].Op]++
 			if cs.Nodes[i].Fetch {
@@ -185,8 +185,8 @@ func TestCorpusReplay(t *testing.T) {
 		t.Fatalf("harness: %v", err)
 	}
 	defer h.Close()
-	for _, seed := range CorpusSeeds {
-		if f := CheckSeed(seed, h); f != nil {
+	for _, seed := range corpusSeeds {
+		if f := checkSeed(seed, h); f != nil {
 			t.Errorf("corpus seed %d regressed: %v\nminimized:\n%s", seed, f.Err, f.Minimized)
 		}
 	}
@@ -199,7 +199,7 @@ func TestMinimize(t *testing.T) {
 	var cs *Case
 	var seed int64
 	for seed = 1; ; seed++ {
-		cs = Generate(seed)
+		cs = generate(seed)
 		n := 0
 		for i := range cs.Nodes {
 			if cs.Nodes[i].Op == OpTanh {
@@ -221,7 +221,7 @@ func TestMinimize(t *testing.T) {
 		}
 		return false
 	}
-	min := Minimize(cs, hasTanh)
+	min := minimize(cs, hasTanh)
 	if !hasTanh(min) {
 		t.Fatalf("minimized case lost the failing property:\n%s", min)
 	}
@@ -237,10 +237,22 @@ func TestMinimize(t *testing.T) {
 			}
 		}
 	}
-	if err := Check(min, nil); err != nil {
+	if err := check(min, nil); err != nil {
 		t.Fatalf("minimized case no longer runs clean: %v", err)
 	}
 	if !strings.Contains(min.String(), "tanh") {
 		t.Errorf("listing does not mention tanh:\n%s", min)
 	}
+}
+
+// corpusSeeds replays one committed seed per divergence the fuzzer
+// has caught and we have fixed. TestCorpusReplay runs every entry on
+// each CI pass, so a fixed bug that comes back fails immediately with
+// a minimized repro.
+var corpusSeeds = []int64{
+	// Reduce nodes (core/graph.go) published a real 1x1 zero matrix in
+	// timing-only mode instead of a shape descriptor.
+	// Caught by the timing-only leg ("n6 published real data (1x1)");
+	// seed 5 minimizes to mul -> max, seed 14 has the reduce at n0.
+	5, 10, 14,
 }

@@ -123,10 +123,10 @@ func pickDim(rng *rand.Rand) int {
 	return dimAlphabet[rng.Intn(len(dimAlphabet))]
 }
 
-// Generate builds the case for a seed. The same seed always yields
+// generate builds the case for a seed. The same seed always yields
 // the same case, including its synthesized-on-demand inputs and fault
 // plan.
-func Generate(seed int64) *Case {
+func generate(seed int64) *Case {
 	rng := rand.New(rand.NewSource(seed))
 	cs := &Case{Seed: seed}
 
@@ -351,9 +351,9 @@ func (c *Case) String() string {
 	return b.String()
 }
 
-// Materialize builds the leaf matrices, each deterministic from its
+// materialize builds the leaf matrices, each deterministic from its
 // own spec seed (independent of how many inputs exist).
-func (c *Case) Materialize() []*tensor.Matrix {
+func (c *Case) materialize() []*tensor.Matrix {
 	ins := make([]*tensor.Matrix, len(c.Inputs))
 	for i, sp := range c.Inputs {
 		ins[i] = sp.materialize()

@@ -72,12 +72,12 @@ func pruneInputs(cs *Case) *Case {
 	return out
 }
 
-// Minimize shrinks a failing case: it repeatedly tries to drop each
+// minimize shrinks a failing case: it repeatedly tries to drop each
 // node (latest first, taking its transitive consumers with it),
 // keeping any drop after which the predicate still fails, until a
 // fixpoint; then it prunes unreferenced inputs. The predicate must be
 // deterministic — it is re-run once per candidate.
-func Minimize(cs *Case, fails func(*Case) bool) *Case {
+func minimize(cs *Case, fails func(*Case) bool) *Case {
 	cur := cs
 	for changed := true; changed; {
 		changed = false

@@ -88,7 +88,7 @@ func diffBits(what string, want, got []uint32) error {
 	return nil
 }
 
-// Check executes the case through the full differential matrix and
+// check executes the case through the full differential matrix and
 // returns the first divergence:
 //
 //   - optimized kernels at workers {1,4,8}: identical results AND
@@ -105,8 +105,8 @@ func diffBits(what string, want, got []uint32) error {
 //     may publish real data;
 //   - the wire: every wire-expressible node replayed one op at a time
 //     through a live daemon, compared bit-for-bit against the graph.
-func Check(cs *Case, h *Harness) error {
-	ins := cs.Materialize()
+func check(cs *Case, h *Harness) error {
+	ins := cs.materialize()
 	base := runCase(cs, ins, runCfg{workers: 1, functional: true})
 
 	for _, w := range []int{4, 8} {

@@ -149,6 +149,3 @@ func (g *GPU) Elapsed() timing.Duration { return g.TL.Makespan() }
 func (g *GPU) Energy() energy.Report {
 	return energy.MeasureWith(g.TL, energy.PowerFor, g.M.IdleWatts)
 }
-
-// Reset rewinds virtual time.
-func (g *GPU) Reset() { g.TL.Reset() }

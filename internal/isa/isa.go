@@ -87,17 +87,9 @@ func TileFor(op OpCode) int {
 // equally-shaped matrices (add, sub, mul).
 func (op OpCode) Pairwise() bool { return op == Add || op == Sub || op == Mul }
 
-// Elementwise reports whether op computes element-by-element on a
-// single matrix (tanh, ReLU).
-func (op OpCode) Elementwise() bool { return op == Tanh || op == ReLU }
-
 // MatrixWise reports whether op reduces a whole matrix to a scalar
 // (mean, max); these require CPU-side aggregation across tiles.
 func (op OpCode) MatrixWise() bool { return op == Mean || op == Max }
-
-// Arithmetic reports whether op is a multiply-accumulate operator that
-// follows the blocking-GEMM rewriting rule (conv2D, FullyConnected).
-func (op OpCode) Arithmetic() bool { return op == Conv2D || op == FullyConnected }
 
 // Instruction is one entry in the GPTPU back-end instruction queue: a
 // single device operation on (up to) two tile operands. The Tensorizer

@@ -40,13 +40,13 @@ func TestOpClassesPartition(t *testing.T) {
 		if op.Pairwise() {
 			classes++
 		}
-		if op.Elementwise() {
+		if op.elementwise() {
 			classes++
 		}
 		if op.MatrixWise() {
 			classes++
 		}
-		if op.Arithmetic() {
+		if op.arithmetic() {
 			classes++
 		}
 		if op == Crop || op == Ext {
@@ -124,3 +124,12 @@ func TestTileConstants(t *testing.T) {
 		}
 	}
 }
+
+// elementwise reports whether op computes element-by-element on a
+// single matrix (tanh, ReLU). The runtime needs no such predicate; the
+// partition test does.
+func (op OpCode) elementwise() bool { return op == Tanh || op == ReLU }
+
+// arithmetic reports whether op is a multiply-accumulate operator that
+// follows the blocking-GEMM rewriting rule (conv2D, FullyConnected).
+func (op OpCode) arithmetic() bool { return op == Conv2D || op == FullyConnected }

@@ -47,9 +47,6 @@ type Model struct {
 	Data       *tensor.MatrixI8
 }
 
-// Bytes returns the total encoded size of the model.
-func (m *Model) Bytes() int { return HeaderSize + m.Rows*m.Cols + metadataSize }
-
 // FromMatrix builds a model from raw float data: quantize with the
 // supplied parameters and zero-pad both dimensions up to a multiple
 // of tile (the Edge TPU compiler "adds zero padding to unused

@@ -156,8 +156,8 @@ func TestFromI8ClonesViews(t *testing.T) {
 	if mod.Data.Stride != 4 {
 		t.Fatal("FromI8 must compact strided views")
 	}
-	if mod.Bytes() != HeaderSize+16+12 {
-		t.Fatalf("Bytes()=%d", mod.Bytes())
+	if n := len(mod.Encode()); n != HeaderSize+16+12 {
+		t.Fatalf("encoded %d bytes", n)
 	}
 }
 
@@ -203,8 +203,8 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(mod.Bytes()) {
-		t.Fatalf("streamed %d bytes, Bytes() says %d", n, mod.Bytes())
+	if n != int64(buf.Len()) {
+		t.Fatalf("streamed %d bytes, EncodeTo says %d", buf.Len(), n)
 	}
 	// Streamed bytes must be identical to the in-memory encoder's.
 	if !bytes.Equal(buf.Bytes(), mod.Encode()) {

@@ -37,13 +37,8 @@ type Interconnect struct {
 	cardOf  []int
 }
 
-// New builds an interconnect for numDevices Edge TPUs on tl, packing
-// them four per switch card.
-func New(tl *timing.Timeline, params *timing.Params, numDevices int) *Interconnect {
-	return NewInjected(tl, params, numDevices, nil)
-}
-
-// NewInjected is New with a fault injector whose per-device LinkScale
+// NewInjected builds an interconnect for numDevices Edge TPUs on tl,
+// packing them four per switch card. inj's per-device LinkScale
 // multipliers degrade individual links' transfer latency (nil = none).
 func NewInjected(tl *timing.Timeline, params *timing.Params, numDevices int, inj *fault.Injector) *Interconnect {
 	if numDevices <= 0 {
@@ -61,26 +56,12 @@ func NewInjected(tl *timing.Timeline, params *timing.Params, numDevices int, inj
 	return ic
 }
 
-// Devices returns the number of attached devices.
-func (ic *Interconnect) Devices() int { return len(ic.links) }
-
-// Cards returns the number of switch cards.
-func (ic *Interconnect) Cards() int { return len(ic.uplinks) }
-
-// CardOf returns the card index hosting device dev.
-func (ic *Interconnect) CardOf(dev int) int { return ic.cardOf[dev] }
-
-// Transfer schedules a host<->device transfer of the given byte count
-// for device dev, ready at the given time, and returns its completion
-// time. Direction is symmetric in this model (the measured exchange
-// rate covers both).
-func (ic *Interconnect) Transfer(dev int, bytes int64, ready timing.Duration) timing.Duration {
-	return ic.TransferSpan(dev, bytes, ready, timing.Span{})
-}
-
-// TransferSpan is Transfer with task-lifecycle annotation for the
-// trace: sp tags the link and uplink occupancy with the phase
-// (upload/download), operator and task that moved the bytes.
+// TransferSpan schedules a host<->device transfer of the given byte
+// count for device dev, ready at the given time, and returns its
+// completion time. Direction is symmetric in this model (the measured
+// exchange rate covers both). sp tags the link and uplink occupancy
+// for the trace with the phase (upload/download), operator and task
+// that moved the bytes.
 func (ic *Interconnect) TransferSpan(dev int, bytes int64, ready timing.Duration, sp timing.Span) timing.Duration {
 	if dev < 0 || dev >= len(ic.links) {
 		panic(fmt.Sprintf("pcie: device %d out of range [0,%d)", dev, len(ic.links)))

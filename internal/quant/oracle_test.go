@@ -60,7 +60,7 @@ func refAnalyze(m *tensor.Matrix) (Params, bool) {
 	if -lo > absMax {
 		absMax = -lo
 	}
-	return Params{Scale: ScaleFor(absMax)}, poison == 0
+	return Params{Scale: scaleFor(absMax)}, poison == 0
 }
 
 // TestRoundToI8Saturates is the regression for the out-of-range
@@ -201,8 +201,8 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		}
 		// Quantize calibrates with the same abs-max scan; tensor's
 		// comparison walk is its reference.
-		if _, qp := Quantize(m); math.Float32bits(qp.Scale) != math.Float32bits(ScaleFor(m.AbsMax())) {
-			t.Errorf("%s: Quantize scale %v, want %v", name, qp.Scale, ScaleFor(m.AbsMax()))
+		if _, qp := Quantize(m); math.Float32bits(qp.Scale) != math.Float32bits(scaleFor(absMax(m))) {
+			t.Errorf("%s: Quantize scale %v, want %v", name, qp.Scale, scaleFor(absMax(m)))
 		}
 	}
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {

@@ -261,7 +261,7 @@ func (b *batcher) flush(key batchKey, g *batchGroup) {
 	}
 
 	b.met.batches.Inc()
-	b.met.batchedReqs.Add(float64(len(live)))
+	b.met.batchedReqs.Add(uint64(len(live)))
 
 	if err != nil {
 		res := callResult{err: mapRuntimeErr(err)}

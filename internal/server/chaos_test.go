@@ -93,7 +93,7 @@ func TestChaosSoak(t *testing.T) {
 						if e := tensor.RMSE(want, got); e > 0.05 {
 							errs <- fmt.Errorf("conn %d %s RMSE %v", ci, op, e)
 						}
-					case Retryable(err):
+					case retryable(err):
 						// Retries exhausted on a shed or transient reply:
 						// a typed, bounded outcome, not a failure.
 						mu.Lock()
@@ -109,7 +109,7 @@ func TestChaosSoak(t *testing.T) {
 				check("add", got, refAdd(a, b), err)
 			}
 			mu.Lock()
-			retries += c.Retries()
+			retries += c.retries.Load()
 			mu.Unlock()
 		}(ci)
 	}
@@ -183,7 +183,7 @@ func TestChaosDeterministicMakespan(t *testing.T) {
 }
 
 // Regression: a NaN/Inf matrix on the wire used to reach quantization,
-// where ScaleFor's zero scale poisoned the batch result with NaN for
+// where quant's zero scale poisoned the batch result with NaN for
 // every coalesced caller. The daemon must reject it at admission with
 // ErrBadRequest and stay healthy.
 func TestNonFiniteWireMatrixRejected(t *testing.T) {
@@ -216,7 +216,7 @@ func TestNonFiniteWireMatrixRejected(t *testing.T) {
 
 // TestTransientErrorTyped drives the daemon's runtime into guaranteed
 // retry-budget exhaustion (every exec faults) and checks the failure
-// classifies as the retryable CodeTransient on the wire, not an
+// classifies as the retryable codeTransient on the wire, not an
 // internal error.
 func TestTransientErrorTyped(t *testing.T) {
 	srv := New(Config{
@@ -245,7 +245,7 @@ func TestTransientErrorTyped(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("want ErrTransient, got %v", err)
 	}
-	if !Retryable(err) {
+	if !retryable(err) {
 		t.Fatal("transient reply must be client-retryable")
 	}
 }

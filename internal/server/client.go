@@ -70,11 +70,11 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	return time.Duration(f*(1-backoffJitter) + rand.Float64()*f*backoffJitter)
 }
 
-// Retryable reports whether err is a failure class worth resending an
+// retryable reports whether err is a failure class worth resending an
 // identical request for: a shed (ErrOverloaded) or a device fault the
 // server classified as transient. Connection losses are not retryable
 // through this client — it is dead; redial instead.
-func Retryable(err error) bool {
+func retryable(err error) bool {
 	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrTransient)
 }
 
@@ -131,9 +131,6 @@ func newClient(conn net.Conn, p RetryPolicy) *Client {
 	go c.readLoop()
 	return c
 }
-
-// Retries returns how many retry sends this client has performed.
-func (c *Client) Retries() int64 { return c.retries.Load() }
 
 // Close tears down the connection; outstanding calls fail.
 func (c *Client) Close() error {
@@ -289,7 +286,7 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 			req.DeadlineMillis = wireMillis(opts.Deadline)
 		}
 		if opts.NoBatch {
-			req.Flags |= FlagNoBatch
+			req.Flags |= flagNoBatch
 		}
 		traceID = opts.TraceID
 	}
@@ -309,7 +306,7 @@ func (c *Client) Call(op MsgType, a, b *tensor.Matrix, opts *CallOpts) (*tensor.
 			}
 		}
 		f, err = c.roundTrip(op, payload.Data, traceID)
-		if err == nil || attempt >= c.retry.Max || !Retryable(err) {
+		if err == nil || attempt >= c.retry.Max || !retryable(err) {
 			break
 		}
 		c.retries.Add(1)
@@ -344,29 +341,9 @@ func (c *Client) Add(a, b *tensor.Matrix, opts *CallOpts) (*tensor.Matrix, error
 	return c.Call(MsgAdd, a, b, opts)
 }
 
-// Sub computes A - B remotely.
-func (c *Client) Sub(a, b *tensor.Matrix, opts *CallOpts) (*tensor.Matrix, error) {
-	return c.Call(MsgSub, a, b, opts)
-}
-
-// Mul computes the pair-wise product remotely.
-func (c *Client) Mul(a, b *tensor.Matrix, opts *CallOpts) (*tensor.Matrix, error) {
-	return c.Call(MsgMul, a, b, opts)
-}
-
-// Conv2D convolves input a with kernel k remotely.
-func (c *Client) Conv2D(a, k *tensor.Matrix, opts *CallOpts) (*tensor.Matrix, error) {
-	return c.Call(MsgConv2D, a, k, opts)
-}
-
 // Mean reduces a to its average value remotely.
 func (c *Client) Mean(a *tensor.Matrix, opts *CallOpts) (float32, error) {
 	return scalarOf(c.Call(MsgMean, a, nil, opts))
-}
-
-// Max reduces a to its maximum value remotely.
-func (c *Client) Max(a *tensor.Matrix, opts *CallOpts) (float32, error) {
-	return scalarOf(c.Call(MsgMax, a, nil, opts))
 }
 
 // scalarOf reads a reduction's 1x1 result.

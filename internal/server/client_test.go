@@ -34,7 +34,7 @@ func shedFirstDaemon(t *testing.T) (addr string, deadlines <-chan uint32) {
 				return
 			}
 			seen <- binary.BigEndian.Uint32(f.Payload)
-			reply := &Frame{Type: MsgError, ReqID: f.ReqID, Payload: encodeError(CodeOverloaded, "shed")}
+			reply := &Frame{Type: MsgError, ReqID: f.ReqID, Payload: encodeError(codeOverloaded, "shed")}
 			if n == 0 {
 				time.Sleep(40 * time.Millisecond)
 			} else {

@@ -260,7 +260,7 @@ func TestWireWeightKeyMalformed(t *testing.T) {
 		}
 		same(req.Op, append(append([]byte(nil), full...), 0))
 		for _, off := range []int{5, 9} { // rows, cols of A
-			for _, dim := range []uint32{0, MaxDim + 1, math.MaxUint32} {
+			for _, dim := range []uint32{0, maxDim + 1, math.MaxUint32} {
 				bad := append([]byte(nil), full...)
 				binary.BigEndian.PutUint32(bad[off:], dim)
 				same(req.Op, bad)

@@ -87,9 +87,6 @@ func Relay(resp *Frame) Reply {
 	return rep
 }
 
-// latBuckets ladder end-to-end request wall time from 100 µs to 100 s.
-var latBuckets = telemetry.ExpBuckets(1e-4, 10, 7)
-
 // NewFrontDoor builds a front door that records into reg under prefix:
 // prefix_connections, prefix_bytes_read_total,
 // prefix_bytes_written_total, and the request path's
@@ -113,10 +110,10 @@ func NewFrontDoor(prefix string, reg *telemetry.Registry, rec *obs.Recorder, log
 			"Replies written, by status (ok or error class).", "status"),
 		latency: reg.Histogram(prefix+"_request_seconds",
 			"Wall seconds from request arrival to reply sealed (the socket write follows), by operator.",
-			latBuckets, "op"),
+			telemetry.ExpBuckets(1e-4, 10, 7), "op"), // 100 µs to 100 s
 		stages: reg.Histogram(prefix+"_stage_seconds",
 			"Wall seconds a traced request spent in each stage, its spans of one stage summed; the total stage counts one per traced reply.",
-			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}, "stage"),
+			telemetry.ExpBuckets(1e-6, 10, 9), "stage"), // 1 µs to 100 s
 		conns: make(map[net.Conn]struct{}),
 	}
 	for op := MsgGemm; op <= MsgMax; op++ {
@@ -250,7 +247,7 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 		d.connWG.Done()
 	}()
 
-	w := &ConnWriter{fw: frameWriter{w: conn}, written: d.bytesWritten}
+	w := &connWriter{fw: frameWriter{w: conn}, written: d.bytesWritten}
 	// Frames are pooled. An operator frame belongs to the owner's
 	// handler, which releases it after its last read; every other frame
 	// is released here, after its reply.
@@ -261,7 +258,7 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 			if errors.Is(err, ErrVersionMismatch) && f != nil {
 				// Answer this request, keep the connection: the length
 				// prefix kept the framing intact.
-				w.Reply(f.ReqID, 0, MsgError, encodeError(CodeVersion, err.Error()))
+				w.reply(f.ReqID, 0, MsgError, encodeError(CodeVersion, err.Error()))
 				f.Release()
 				continue
 			}
@@ -269,11 +266,11 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 				// Malformed framing: the stream position is unknown,
 				// so drop the connection after a best-effort error.
 				d.log.Warn("dropping connection on malformed frame", "err", err.Error())
-				w.Reply(0, 0, MsgError, encodeError(CodeBadRequest, err.Error()))
+				w.reply(0, 0, MsgError, encodeError(CodeBadRequest, err.Error()))
 			}
 			return
 		}
-		d.bytesRead.Add(float64(WireLen(f)))
+		d.bytesRead.Add(uint64(WireLen(f)))
 
 		switch {
 		case f.Type == MsgPing:
@@ -283,14 +280,14 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 			d.mu.Lock()
 			h.Draining = d.draining
 			d.mu.Unlock()
-			w.Reply(f.ReqID, f.TraceID, MsgPong, encodeHealth(h))
+			w.reply(f.ReqID, f.TraceID, MsgPong, encodeHealth(h))
 		case f.Type.isOp():
 			d.mu.Lock()
 			if d.draining {
 				d.mu.Unlock()
 				// Typed error replies echo the request's trace ID so the
 				// client can log which request the shutdown bounced.
-				w.Reply(f.ReqID, f.TraceID, MsgError, encodeError(CodeShuttingDown, "draining"))
+				w.reply(f.ReqID, f.TraceID, MsgError, encodeError(CodeShuttingDown, "draining"))
 				break
 			}
 			d.reqWG.Add(1)
@@ -298,7 +295,7 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 			go d.handle(w, f)
 			continue
 		default:
-			w.Reply(f.ReqID, f.TraceID, MsgError,
+			w.reply(f.ReqID, f.TraceID, MsgError,
 				encodeError(CodeBadRequest, fmt.Sprintf("unexpected frame type %s", f.Type)))
 		}
 		f.Release()
@@ -312,7 +309,7 @@ func (d *FrontDoor) handleConn(conn net.Conn) {
 // sealed and the owner's slot given back — and only then is the frame
 // written. A client that has read its answer therefore finds the
 // request finished in the flight recorder and its slot free.
-func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
+func (d *FrontDoor) handle(w *connWriter, f *Frame) {
 	defer d.reqWG.Done()
 	arrived := time.Now()
 	op, reqID := f.Type, f.ReqID
@@ -336,7 +333,7 @@ func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 		// sheds and deadline misses are expected load-control outcomes
 		// and stay at debug so a chaos soak does not drown the log.
 		lvl := slog.LevelDebug
-		if class.code == CodeInternal || class.code == CodeBadRequest {
+		if class.code == codeInternal || class.code == CodeBadRequest {
 			lvl = slog.LevelWarn
 		}
 		d.log.Log(context.Background(), lvl, "request failed",
@@ -350,27 +347,27 @@ func (d *FrontDoor) handle(w *ConnWriter, f *Frame) {
 		d.owner.Settle()
 	}
 	wst := time.Now()
-	w.Reply(reqID, traceID, rep.Type, rep.Payload)
+	w.reply(reqID, traceID, rep.Type, rep.Payload)
 	d.owner.WriteSeconds.Observe(time.Since(wst).Seconds())
 	tensor.Put(rep.buf)
 }
 
-// ConnWriter serializes whole-frame writes from the request goroutines
+// connWriter serializes whole-frame writes from the request goroutines
 // sharing one connection, and counts the bytes it writes.
-type ConnWriter struct {
+type connWriter struct {
 	mu      sync.Mutex
 	fw      frameWriter
 	written *telemetry.Counter
 }
 
-// Reply writes one frame echoing a request's ID and trace ID. Write
+// reply writes one frame echoing a request's ID and trace ID. Write
 // errors are ignored — the read loop notices a dead connection.
-func (w *ConnWriter) Reply(reqID, traceID uint64, t MsgType, payload []byte) {
+func (w *connWriter) reply(reqID, traceID uint64, t MsgType, payload []byte) {
 	f := Frame{Type: t, ReqID: reqID, TraceID: traceID, Payload: payload}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.fw.write(&f) != nil {
 		return
 	}
-	w.written.Add(float64(WireLen(&f)))
+	w.written.Add(uint64(WireLen(&f)))
 }

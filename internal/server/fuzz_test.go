@@ -28,7 +28,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	// Oversized length claim over an empty body.
 	over := make([]byte, 4)
-	binary.BigEndian.PutUint32(over, MaxFrameLen+1)
+	binary.BigEndian.PutUint32(over, maxFrameLen+1)
 	f.Add(over)
 
 	// Length far beyond the payload actually present.
@@ -55,12 +55,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	shortV2[7] = byte(MsgPing)
 	f.Add(shortV2)
 
-	// Matrix header claiming MaxDim x MaxDim with no data.
+	// Matrix header claiming maxDim x maxDim with no data.
 	huge := make([]byte, 0, 64)
 	huge = binary.BigEndian.AppendUint32(huge, 0) // deadline
 	huge = append(huge, 0)                        // flags
-	huge = binary.BigEndian.AppendUint32(huge, MaxDim)
-	huge = binary.BigEndian.AppendUint32(huge, MaxDim)
+	huge = binary.BigEndian.AppendUint32(huge, maxDim)
+	huge = binary.BigEndian.AppendUint32(huge, maxDim)
 	var hf bytes.Buffer
 	_ = EncodeFrame(&hf, &Frame{Version: Version, Type: MsgGemm, ReqID: 1, Payload: huge})
 	f.Add(hf.Bytes())

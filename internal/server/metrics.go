@@ -2,9 +2,6 @@ package server
 
 import "repro/internal/telemetry"
 
-// waitBuckets ladder reply-write wall time from 10 µs to 10 s.
-var waitBuckets = telemetry.ExpBuckets(1e-5, 10, 7)
-
 // serverMetrics holds the serving layer's telemetry handles. They live
 // in the same registry as the runtime's scheduler and device counters
 // (Server.Metrics), so one -metrics endpoint exports the whole stack.
@@ -33,7 +30,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Requests shed by the admission controller (ErrOverloaded).").With(),
 		replyWrite: reg.Histogram("gptpu_serve_reply_write_seconds",
 			"Wall seconds writing one reply frame to its connection (lock wait + write + flush).",
-			waitBuckets).With(),
+			telemetry.ExpBuckets(1e-5, 10, 7)).With(), // 10 µs to 10 s
 		batches: reg.Counter("gptpu_serve_batches_total",
 			"Micro-batch flushes submitted to the runtime.").With(),
 		batchedReqs: reg.Counter("gptpu_serve_batched_requests_total",

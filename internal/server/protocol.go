@@ -80,20 +80,20 @@ const (
 	// type and request ID. headerLen adds the 8-byte trace ID.
 	idLen     = 12
 	headerLen = idLen + 8
-	// MaxFrameLen bounds one frame's post-length bytes (64 MiB, a
+	// maxFrameLen bounds one frame's post-length bytes (64 MiB, a
 	// 2896x2896 float32 matrix pair with headroom). DecodeFrame
 	// rejects larger claims before allocating.
-	MaxFrameLen = 64 << 20
-	// MaxDim bounds one matrix dimension; with the frame cap it also
+	maxFrameLen = 64 << 20
+	// maxDim bounds one matrix dimension; with the frame cap it also
 	// bounds total elements.
-	MaxDim = 1 << 20
-	// MaxResultElems bounds a result matrix's element count so its
+	maxDim = 1 << 20
+	// maxResultElems bounds a result matrix's element count so its
 	// reply (8-byte matrix header + 4 bytes/element) always fits one
 	// frame. The frame cap bounds *inputs*, but not what they
 	// compute: an outer-product GEMM (2^20 x 1 times 1 x 2^20) ships
 	// ~8 MiB of operands yet names a 4 TiB result — validateShapes
 	// rejects such requests up front instead of letting them allocate.
-	MaxResultElems = (MaxFrameLen - headerLen - 8) / 4
+	maxResultElems = (maxFrameLen - headerLen - 8) / 4
 )
 
 // MsgType enumerates frame types.
@@ -169,22 +169,22 @@ func (t MsgType) String() string {
 
 // Request flag bits.
 const (
-	// FlagNoBatch opts one request out of GEMM micro-batching (exact
+	// flagNoBatch opts one request out of GEMM micro-batching (exact
 	// per-request quantization scale at lower throughput).
-	FlagNoBatch byte = 1 << 0
+	flagNoBatch byte = 1 << 0
 )
 
 // Error codes carried by MsgError frames. Each maps to a typed
 // sentinel error on the client so callers can errors.Is against the
 // failure class.
 const (
-	CodeOverloaded   uint16 = 1
-	CodeDeadline     uint16 = 2
+	codeOverloaded   uint16 = 1
+	codeDeadline     uint16 = 2
 	CodeBadRequest   uint16 = 3
-	CodeInternal     uint16 = 4
+	codeInternal     uint16 = 4
 	CodeShuttingDown uint16 = 5
 	CodeVersion      uint16 = 6
-	CodeTransient    uint16 = 7
+	codeTransient    uint16 = 7
 )
 
 // Typed failure classes. ErrOverloaded is the load-shedding reply the
@@ -217,13 +217,13 @@ type errClass struct {
 // comes last: it is also the class of an unknown code and of an error
 // that wraps no sentinel.
 var errClasses = [...]errClass{
-	{CodeOverloaded, ErrOverloaded, "overloaded"},
-	{CodeDeadline, ErrDeadlineExceeded, "deadline"},
+	{codeOverloaded, ErrOverloaded, "overloaded"},
+	{codeDeadline, ErrDeadlineExceeded, "deadline"},
 	{CodeBadRequest, ErrBadRequest, "bad_request"},
 	{CodeShuttingDown, ErrShuttingDown, "shutting_down"},
 	{CodeVersion, ErrVersionMismatch, "version"},
-	{CodeTransient, ErrTransient, "transient"},
-	{CodeInternal, ErrInternal, "internal"},
+	{codeTransient, ErrTransient, "transient"},
+	{codeInternal, ErrInternal, "internal"},
 }
 
 // classOfCode returns the class a wire code names.
@@ -314,7 +314,7 @@ func EncodeFrame(w io.Writer, f *Frame) error {
 
 // checkPayload rejects a payload too large for one frame.
 func checkPayload(f *Frame) error {
-	if len(f.Payload) > MaxFrameLen-headerLen {
+	if len(f.Payload) > maxFrameLen-headerLen {
 		return fmt.Errorf("server: payload %d bytes exceeds frame cap", len(f.Payload))
 	}
 	return nil
@@ -363,7 +363,7 @@ func (fw *frameWriter) write(f *Frame) error {
 	return err
 }
 
-// DecodeFrame reads one frame of at most max bytes (0 = MaxFrameLen)
+// DecodeFrame reads one frame of at most max bytes (0 = maxFrameLen)
 // from r, rejecting malformed input with an error (never a panic, never
 // an allocation beyond max). A frame of another version is returned
 // together with ErrVersionMismatch so the caller can still answer its
@@ -384,21 +384,21 @@ type FrameReader struct {
 	lenBuf [4]byte
 }
 
-// NewFrameReader reads frames of at most MaxFrameLen bytes from r.
+// NewFrameReader reads frames of at most maxFrameLen bytes from r.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
 }
 
 // Next reads one frame; errors are DecodeFrame's.
 func (fr *FrameReader) Next() (*Frame, error) {
-	return readFrame(fr.r, fr.lenBuf[:], MaxFrameLen, true)
+	return readFrame(fr.r, fr.lenBuf[:], maxFrameLen, true)
 }
 
 // readFrame is the one frame decoder: lenBuf is 4 bytes of scratch for
 // the length prefix, pooled selects a recycled body buffer.
 func readFrame(r io.Reader, lenBuf []byte, max uint32, pooled bool) (*Frame, error) {
-	if max == 0 || max > MaxFrameLen {
-		max = MaxFrameLen
+	if max == 0 || max > maxFrameLen {
+		max = maxFrameLen
 	}
 	if _, err := io.ReadFull(r, lenBuf); err != nil {
 		return nil, err
@@ -503,7 +503,7 @@ func splitMatrix(buf []byte) (rows, cols int, data, rest []byte, err error) {
 	}
 	r := binary.BigEndian.Uint32(buf[0:])
 	c := binary.BigEndian.Uint32(buf[4:])
-	if r == 0 || c == 0 || r > MaxDim || c > MaxDim {
+	if r == 0 || c == 0 || r > maxDim || c > maxDim {
 		return 0, 0, nil, nil, fmt.Errorf("%w: matrix dimensions %dx%d out of range", ErrBadRequest, r, c)
 	}
 	need := uint64(r) * uint64(c) * 4

@@ -75,7 +75,7 @@ func TestOpRequestRoundTrip(t *testing.T) {
 	a := tensor.RandUniform(rng, 5, 7, -1, 1)
 	b := tensor.RandUniform(rng, 7, 2, -1, 1)
 	for _, tc := range []*OpRequest{
-		{Op: MsgGemm, DeadlineMillis: 250, Flags: FlagNoBatch, A: a, B: b},
+		{Op: MsgGemm, DeadlineMillis: 250, Flags: flagNoBatch, A: a, B: b},
 		{Op: MsgMean, A: a},
 	} {
 		got, err := DecodeOpRequest(tc.Op, encodeOpRequest(tc).Data)
@@ -115,7 +115,7 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 	})
 	t.Run("oversized-claim", func(t *testing.T) {
 		big := append([]byte(nil), good...)
-		binary.BigEndian.PutUint32(big[0:], MaxFrameLen+1)
+		binary.BigEndian.PutUint32(big[0:], maxFrameLen+1)
 		if _, err := DecodeFrame(bytes.NewReader(big), 0); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("oversized claim: want ErrBadRequest, got %v", err)
 		}
@@ -166,8 +166,8 @@ func TestDecodeMatrixRejectsOverclaimedDims(t *testing.T) {
 	// A matrix header claiming huge dimensions with no data must be
 	// rejected before allocating rows*cols anything.
 	buf := make([]byte, 8)
-	binary.BigEndian.PutUint32(buf[0:], MaxDim)
-	binary.BigEndian.PutUint32(buf[4:], MaxDim)
+	binary.BigEndian.PutUint32(buf[0:], maxDim)
+	binary.BigEndian.PutUint32(buf[4:], maxDim)
 	if _, _, err := decodeMatrix(buf); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("overclaimed dims: want ErrBadRequest, got %v", err)
 	}
@@ -307,7 +307,7 @@ func (c *countingConn) Read(b []byte) (int, error) {
 // a payload write, whatever their size (an 8 KiB request is twice a
 // default bufio buffer, 768 KiB route_mixed's largest frame); an 8 KiB
 // frame arrives in one Read. The peer echoes each request through the
-// reader and the ConnWriter of a front-door connection.
+// reader and the connWriter of a front-door connection.
 func TestOneWritePerFrame(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -324,14 +324,14 @@ func TestOneWritePerFrame(t *testing.T) {
 		sc := &countingConn{TCPConn: conn.(*net.TCPConn)}
 		peer <- sc
 		fr := newConnReader(sc)
-		w := &ConnWriter{fw: frameWriter{w: sc}}
+		w := &connWriter{fw: frameWriter{w: sc}}
 		for {
 			f, err := fr.Next()
 			if err != nil {
 				sc.Close()
 				return
 			}
-			w.Reply(f.ReqID, f.TraceID, MsgResult, f.Payload)
+			w.reply(f.ReqID, f.TraceID, MsgResult, f.Payload)
 			f.Release()
 		}
 	}()

@@ -185,7 +185,7 @@ func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, deadline time.Time
 	if expired(deadline, time.Now()) {
 		return callResult{err: ErrDeadlineExceeded}
 	}
-	if req.Op == MsgGemm && req.Flags&FlagNoBatch == 0 &&
+	if req.Op == MsgGemm && req.Flags&flagNoBatch == 0 &&
 		req.A.Elems() <= batchMaxElems && req.B.Elems() <= batchMaxElems {
 		key := batchKey{n: req.A.Cols, k: req.B.Cols, bhash: WeightKey(req.B)}
 		call := &gemmCall{a: req.A, deadline: deadline, rt: rt, done: make(chan callResult, 1)}
@@ -254,9 +254,9 @@ func validateShapes(req *OpRequest) error {
 	if err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrBadRequest, op, err)
 	}
-	if res := uint64(rows) * uint64(cols); res > MaxResultElems {
+	if res := uint64(rows) * uint64(cols); res > maxResultElems {
 		return fmt.Errorf("%w: %s result %dx%d (%d elements) exceeds result cap %d",
-			ErrBadRequest, op, rows, cols, res, uint64(MaxResultElems))
+			ErrBadRequest, op, rows, cols, res, uint64(maxResultElems))
 	}
 	return nil
 }

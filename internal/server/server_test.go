@@ -431,7 +431,7 @@ func TestVersionNegotiation(t *testing.T) {
 		t.Fatalf("client resent a rejected request: v%d %s", f.Version, f.Type)
 	default:
 	}
-	if n := c.Retries(); n != 0 {
+	if n := c.retries.Load(); n != 0 {
 		t.Fatalf("client retried a version mismatch %d times", n)
 	}
 }

@@ -114,9 +114,9 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Handler returns an http.Handler exposing the registry in the
+// handler returns an http.Handler exposing the registry in the
 // Prometheus text format.
-func (r *Registry) Handler() http.Handler {
+func (r *Registry) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
@@ -144,7 +144,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 // in the background until Close.
 func Listen(addr string, reg *Registry, withPprof bool, routes map[string]http.Handler) (*Server, error) {
 	mux := http.NewServeMux()
-	mux.Handle("/", reg.Handler())
+	mux.Handle("/", reg.handler())
 	if withPprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,33 +113,25 @@ func (f *family) child(labelValues []string, make func() metric) metric {
 	return m
 }
 
-// Counter is a monotonically-increasing float64 value.
-type Counter struct{ bits atomic.Uint64 }
+// Counter is a monotonically-increasing count of events or bytes.
+type Counter struct{ n atomic.Uint64 }
 
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds v (must be >= 0; negative deltas are ignored to keep the
-// counter monotone).
-func (c *Counter) Add(v float64) {
-	if v < 0 || c == nil {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
+// Add adds n.
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.n.Add(n)
 	}
 }
 
-// Value returns the current total.
+// Value returns the current total, as a float64 for export.
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	return math.Float64frombits(c.bits.Load())
+	return float64(c.n.Load())
 }
 
 func (c *Counter) write(s *Sample) { s.Value = c.Value() }
@@ -293,6 +286,9 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 
 // ExpBuckets returns n exponentially-spaced bucket bounds starting at
 // start with the given growth factor — the standard latency ladder.
+// Each bound is rounded to 15 significant digits, so the drift of
+// repeated multiplication never shows: a decade ladder is its decimal
+// literals bit for bit (1e-05, not 9.999999999999999e-06).
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if start <= 0 || factor <= 1 || n < 1 {
 		panic("telemetry: ExpBuckets needs start>0, factor>1, n>=1")
@@ -300,7 +296,7 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)
 	v := start
 	for i := range out {
-		out[i] = v
+		out[i], _ = strconv.ParseFloat(strconv.FormatFloat(v, 'g', 15, 64), 64)
 		v *= factor
 	}
 	return out

@@ -14,13 +14,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("execs_total", "instructions executed").With()
 	c.Inc()
-	c.Add(2.5)
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("counter = %v, want 3.5", got)
-	}
-	c.Add(-1) // ignored: counters are monotone
-	if got := c.Value(); got != 3.5 {
-		t.Fatalf("counter after negative add = %v, want 3.5", got)
+	c.Add(2)
+	if got := c.Value(); got != 3 {
+		t.Fatalf("counter = %v, want 3", got)
 	}
 	g := r.Gauge("depth", "queue depth").With()
 	g.Set(4)
@@ -244,12 +240,29 @@ func TestHTTPHandler(t *testing.T) {
 	}
 }
 
+// TestExpBuckets checks each ladder bound bit for bit against its
+// decimal literal: repeated multiplication alone drifts an ulp per
+// step, and a Prometheus exposition then reads le="9.999999999999999e-06".
 func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(1e-6, 10, 4)
-	want := []float64{1e-6, 1e-5, 1e-4, 1e-3}
-	for i := range want {
-		if math.Abs(b[i]-want[i]) > 1e-18 {
-			t.Fatalf("buckets %v", b)
+	for _, tc := range []struct {
+		start, factor float64
+		n             int
+		want          []float64
+	}{
+		{1e-6, 10, 9, []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}},
+		{1e-5, 10, 7, []float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10}},
+		{1e-4, 10, 7, []float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10, 100}},
+		{0.001, 2, 5, []float64{0.001, 0.002, 0.004, 0.008, 0.016}},
+		{0.1, 3, 4, []float64{0.1, 0.3, 0.9, 2.7}},
+	} {
+		got := ExpBuckets(tc.start, tc.factor, tc.n)
+		if len(got) != len(tc.want) {
+			t.Fatalf("ExpBuckets(%v, %v, %d) = %v", tc.start, tc.factor, tc.n, got)
+		}
+		for i, w := range tc.want {
+			if math.Float64bits(got[i]) != math.Float64bits(w) {
+				t.Errorf("ExpBuckets(%v, %v, %d)[%d] = %v, want %v", tc.start, tc.factor, tc.n, i, got[i], w)
+			}
 		}
 	}
 }

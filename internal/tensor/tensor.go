@@ -138,20 +138,6 @@ func (m *Mat[T]) Fill(v T) {
 // Zero clears the matrix.
 func (m *Mat[T]) Zero() { m.Fill(0) }
 
-// AddInto accumulates o into m element-wise, wrapping on overflow.
-// Shapes must match.
-func (m *Mat[T]) AddInto(o *Mat[T]) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic("tensor: AddInto shape mismatch")
-	}
-	for r := 0; r < m.Rows; r++ {
-		a, b := m.Row(r), o.Row(r)
-		for i := range a {
-			a[i] += b[i]
-		}
-	}
-}
-
 // Pad returns a compact (rows x cols) copy of m zero-padded on the
 // bottom/right, reproducing the Edge TPU compiler behaviour of padding
 // inputs to the hardware tile shape (paper section 3.3).
@@ -219,16 +205,6 @@ func (m *Mat[T]) MinMax() (min, max T) {
 		}
 	}
 	return min, max
-}
-
-// AbsMax returns max(|v|) over all elements (0 for empty). It is for
-// float matrices: an integer type's minimum has no positive twin.
-func (m *Mat[T]) AbsMax() T {
-	min, max := m.MinMax()
-	if -min > max {
-		return -min
-	}
-	return max
 }
 
 // Scale multiplies every element by s in place.

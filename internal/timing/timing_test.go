@@ -249,14 +249,8 @@ func TestISAOpPredicates(t *testing.T) {
 	if !isa.Add.Pairwise() || !isa.Sub.Pairwise() || !isa.Mul.Pairwise() {
 		t.Fatal("pairwise predicates")
 	}
-	if !isa.Tanh.Elementwise() || !isa.ReLU.Elementwise() {
-		t.Fatal("elementwise predicates")
-	}
 	if !isa.Mean.MatrixWise() || !isa.Max.MatrixWise() {
 		t.Fatal("matrixwise predicates")
-	}
-	if !isa.Conv2D.Arithmetic() || !isa.FullyConnected.Arithmetic() {
-		t.Fatal("arithmetic predicates")
 	}
 	if isa.TileFor(isa.Mean) != isa.ReduceTile || isa.TileFor(isa.Add) != isa.ArithTile {
 		t.Fatal("tile shapes")

@@ -84,7 +84,7 @@ func eventName(e timing.Event) string {
 	return e.Resource
 }
 
-// Write renders traced timelines and request records as one Chrome
+// write renders traced timelines and request records as one Chrome
 // trace JSON array. Each traced timeline gets a pair of process groups
 // (machine lanes and task lanes); with more than one, the pairs are
 // numbered ("gptpu machine #k" / "tasks #k") so runs stay visually
@@ -92,7 +92,7 @@ func eventName(e timing.Event) string {
 // records (a flight recorder's Dump) follow in one "requests (wall
 // clock)" process group with one thread lane per record. Returns the
 // number of events written (metadata records excluded).
-func Write(w io.Writer, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error) {
+func write(w io.Writer, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error) {
 	var traced [][]timing.Event
 	for _, tl := range tls {
 		if events := tl.Trace(); events != nil {
@@ -127,7 +127,7 @@ func Write(w io.Writer, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error
 // and returns the number of events written.
 func WriteFile(path string, tls []*timing.Timeline, reqs []obs.TraceRec) (int, error) {
 	var b bytes.Buffer
-	n, err := Write(&b, tls, reqs)
+	n, err := write(&b, tls, reqs)
 	if err != nil {
 		return 0, err
 	}

@@ -35,7 +35,7 @@ func decode(t *testing.T, buf *bytes.Buffer) []map[string]any {
 func TestExportChromeFormat(t *testing.T) {
 	tl := tracedTimeline(t)
 	var buf bytes.Buffer
-	n, err := Write(&buf, []*timing.Timeline{tl}, nil)
+	n, err := write(&buf, []*timing.Timeline{tl}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExportWithoutTracing(t *testing.T) {
 	tl := timing.NewTimeline()
 	tl.NewResource("x").Acquire(0, 1)
 	var buf bytes.Buffer
-	if _, err := Write(&buf, []*timing.Timeline{tl}, nil); err == nil {
+	if _, err := write(&buf, []*timing.Timeline{tl}, nil); err == nil {
 		t.Fatal("expected error when tracing disabled")
 	}
 }
@@ -82,7 +82,7 @@ func TestExportEmptyTimeline(t *testing.T) {
 	tl := timing.NewTimeline()
 	tl.EnableTrace()
 	var buf bytes.Buffer
-	n, err := Write(&buf, []*timing.Timeline{tl}, nil)
+	n, err := write(&buf, []*timing.Timeline{tl}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestExportSpanArgs(t *testing.T) {
 		timing.Span{Phase: "exec", Op: "conv2D", Task: 7})
 
 	var buf bytes.Buffer
-	if _, err := Write(&buf, []*timing.Timeline{tl}, nil); err != nil {
+	if _, err := write(&buf, []*timing.Timeline{tl}, nil); err != nil {
 		t.Fatal(err)
 	}
 	arr := decode(t, &buf)
@@ -178,12 +178,12 @@ func TestExportDeterministicLanes(t *testing.T) {
 			timing.Span{Phase: "exec", Op: "add", Task: i + 1})
 	}
 	var first bytes.Buffer
-	if _, err := Write(&first, []*timing.Timeline{tl}, nil); err != nil {
+	if _, err := write(&first, []*timing.Timeline{tl}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		var again bytes.Buffer
-		if _, err := Write(&again, []*timing.Timeline{tl}, nil); err != nil {
+		if _, err := write(&again, []*timing.Timeline{tl}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), again.Bytes()) {
@@ -224,7 +224,7 @@ func TestWriteRequestLanes(t *testing.T) {
 			Events: []obs.Event{{AtUS: 3, Name: "transient_fault", Attr: "dev=0", Fault: true}}},
 	}
 	var buf bytes.Buffer
-	n, err := Write(&buf, []*timing.Timeline{tracedTimeline(t)}, reqs)
+	n, err := write(&buf, []*timing.Timeline{tracedTimeline(t)}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
