@@ -11,13 +11,16 @@
 // accelerator-as-a-service idea across daemons. Three mechanisms carry
 // the cluster semantics:
 //
-//   - Weight-affinity placement: requests shard by the content hash of
-//     their weight matrix (server.WeightKey — the same fingerprint the
-//     daemon's micro-batcher caches weight buffers under), ranked over
-//     healthy members by rendezvous hashing. Repeat traffic for a
-//     model therefore lands on the member whose batcher already holds
-//     its quantized weights, and membership churn remaps only the keys
-//     the churned member owned.
+//   - Weight-affinity placement: batchable GEMMs shard by the content
+//     hash of their weight matrix (server.WeightKey — the same
+//     fingerprint the daemon's micro-batcher caches weight buffers
+//     under), ranked over healthy members by rendezvous hashing. Repeat
+//     traffic for a model therefore lands on the member whose batcher
+//     already holds its quantized weights, and membership churn remaps
+//     only the keys the churned member owned. Only batchable GEMMs are
+//     keyed by content, because no daemon caches anything else by it:
+//     every other request ranks by a per-router sequence key, spreading
+//     over the members, and neither reads nor binds the affinity table.
 //
 //   - Replica failover: a key's rendezvous rank order is its replica
 //     list. Sheds, transient device faults, draining answers, and lost
@@ -42,6 +45,7 @@ import (
 	"io"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -91,6 +95,7 @@ type Router struct {
 	rec  *obs.Recorder
 	log  *slog.Logger
 	door *server.FrontDoor
+	seq  atomic.Uint64 // placement keys of requests no daemon keys by content
 
 	mu        sync.Mutex
 	probeStop chan struct{}

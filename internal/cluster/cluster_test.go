@@ -234,6 +234,55 @@ func TestRouterAffinityConcentration(t *testing.T) {
 	}
 }
 
+// TestRouterUnkeyedSpread: requests no daemon caches by content (Add,
+// Mean, Conv2D and opted-out GEMMs) neither read nor bind the affinity
+// table, and their sequence keys spread them over every member. The
+// table is primed with every sequence key the test will draw, all bound
+// to one member: a lookup would show as a hit and pull every request
+// there.
+func TestRouterUnkeyedSpread(t *testing.T) {
+	d1 := startDaemon(t, server.Config{Devices: 1})
+	d2 := startDaemon(t, server.Config{Devices: 1})
+	d3 := startDaemon(t, server.Config{Devices: 1})
+	r := startRouter(t, Config{}, d1, d2, d3)
+	c := dialRouter(t, r)
+	const requests = 48
+	for key := uint64(1); key <= requests; key++ {
+		r.aff.bind(key, d1.Addr())
+	}
+
+	rng := rand.New(rand.NewSource(12))
+	a := tensor.RandUniform(rng, 8, 8, -1, 1)
+	b := tensor.RandUniform(rng, 8, 8, -1, 1)
+	k := tensor.RandUniform(rng, 3, 3, -1, 1)
+	for i := 0; i < requests/4; i++ {
+		for _, call := range []func() error{
+			func() error { _, err := c.Add(a, b, nil); return err },
+			func() error { _, err := c.Mean(a, nil); return err },
+			func() error { _, err := c.Call(server.MsgConv2D, a, k, nil); return err },
+			func() error { _, err := c.Gemm(a, b, &server.CallOpts{NoBatch: true}); return err },
+		} {
+			if err := call(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := r.AffinitySize(); got != requests {
+		t.Fatalf("affinity table has %d entries after unkeyed requests, want the %d primed", got, requests)
+	}
+	if hits := r.met.affHits.Value(); hits != 0 {
+		t.Fatalf("%v affinity hits for unkeyed requests, want 0", hits)
+	}
+	if rebinds := r.met.affRebinds.Value(); rebinds != 0 {
+		t.Fatalf("%v affinity rebinds for unkeyed requests, want 0", rebinds)
+	}
+	for _, d := range []*server.Server{d1, d2, d3} {
+		if n := r.met.forwards.With(d.Addr()).Value(); n == 0 {
+			t.Fatalf("member %s served none of %d unkeyed requests", d.Addr(), requests)
+		}
+	}
+}
+
 // TestRouterBadRequestNoFailover: a client-fault answer (shape
 // mismatch) returns immediately — replaying a bad request against
 // every replica would turn one client mistake into cluster-wide load.

@@ -201,7 +201,7 @@ func TestHardKillInFlight(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := tensor.RandUniform(rng, 8, 8, -1, 1)
 	var b *tensor.Matrix
-	for b == nil || r.candidates(server.WeightKey(b))[0].addr != hole.addr() {
+	for b == nil || r.candidates(server.WeightKey(b), true)[0].addr != hole.addr() {
 		b = tensor.RandUniform(rng, 8, 8, -1, 1)
 	}
 	want := blas.NaiveGemm(a, b)

@@ -18,17 +18,21 @@ import (
 // daemon's correlate.
 func (r *Router) handleRequest(f *server.Frame, rt *obs.Trace, arrived time.Time) server.Reply {
 	r.met.inflight.Add(1)
-	// The placement key is the weight operand's content hash (B for
-	// binary operators, A for the unary reductions), folded over the
-	// payload bytes where they lie: the router never materializes a
-	// matrix, and a malformed payload is refused here with the same
-	// typed error the daemon's decoder would give.
+	// A batchable GEMM's placement key is its weight operand's content
+	// hash, folded over the payload bytes where they lie: the router
+	// never materializes a matrix, and a malformed payload is refused
+	// here with the same typed error the daemon's decoder would give.
+	// No daemon caches any other request by content, so those spread by
+	// a sequence key and skip the affinity table.
 	dst := time.Now()
-	key, err := server.WireWeightKey(f.Type, f.Payload)
+	key, batched, err := server.WireWeightKey(f.Type, f.Payload)
+	if !batched {
+		key = r.seq.Add(1)
+	}
 	rt.ObserveSpan(obs.StageRouteDecode, dst, time.Since(dst), "")
 	var resp *server.Frame
 	if err == nil {
-		resp, err = r.forward(key, f.Type, f.Payload, f.TraceID, arrived, rt)
+		resp, err = r.forward(key, batched, f.Type, f.Payload, f.TraceID, arrived, rt)
 	}
 	// The client's payload was resent on every forward attempt: it has
 	// no reader left.
@@ -41,17 +45,21 @@ func (r *Router) handleRequest(f *server.Frame, rt *obs.Trace, arrived time.Time
 	return rep
 }
 
-// candidates orders the members to try for key: the affinity-table
-// member first (its weight buffers are warm), then the rendezvous rank
-// order over healthy members. With no healthy members the full roster
-// ranks instead — one attempt against a suspect member beats an
-// unconditional failure, and a success re-admits it.
-func (r *Router) candidates(key uint64) []*member {
+// candidates orders the members to try for key: for an affine
+// (content-keyed) request the affinity-table member first (its weight
+// buffers are warm), then the rendezvous rank order over healthy
+// members. With no healthy members the full roster ranks instead — one
+// attempt against a suspect member beats an unconditional failure, and
+// a success re-admits it.
+func (r *Router) candidates(key uint64, affine bool) []*member {
 	pool := r.set.eligible()
 	if len(pool) == 0 {
 		pool = r.set.all()
 	}
 	ranked := rankMembers(key, pool)
+	if !affine {
+		return ranked
+	}
 	if addr, ok := r.aff.lookup(key); ok {
 		for i, m := range ranked {
 			if m.addr == addr {
@@ -80,9 +88,9 @@ func (r *Router) candidates(key uint64) []*member {
 // genuine computed failure (internal). The error returned after the
 // last candidate is always a typed error, so the client's retry
 // machinery sees a classified failure, never a raw socket error.
-func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
+func (r *Router) forward(key uint64, affine bool, op server.MsgType, payload []byte,
 	traceID uint64, arrived time.Time, rt *obs.Trace) (*server.Frame, error) {
-	cands := r.candidates(key)
+	cands := r.candidates(key, affine)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("%w: no cluster members configured", server.ErrInternal)
 	}
@@ -103,7 +111,7 @@ func (r *Router) forward(key uint64, op server.MsgType, payload []byte,
 		if err == nil {
 			r.met.forwards.With(m.addr).Inc()
 			rt.ObserveSpan(obs.StageRouteForward, fst, time.Since(fst), m.addr)
-			if r.aff.bind(key, m.addr) {
+			if affine && r.aff.bind(key, m.addr) {
 				r.met.affRebinds.Inc()
 			}
 			return resp, nil

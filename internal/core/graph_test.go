@@ -122,6 +122,66 @@ func TestGraphChainBitExactAndZeroIntermediateDownloads(t *testing.T) {
 	}
 }
 
+// TestGraphNodeMethodsMatchStream chains each Node method onto an
+// on-chip intermediate (A + B) and requires the graph's result to
+// match, bit for bit and shape for shape (Node.Rows, Node.Cols), the
+// Stream operator run on the per-op intermediate.
+func TestGraphNodeMethodsMatchStream(t *testing.T) {
+	const n = 40
+	a, b, c := graphChainInputs(n)
+	k := tensor.RandUniform(rand.New(rand.NewSource(7)), 3, 3, -1, 1)
+	scalar := func(v float32) *tensor.Matrix { return tensor.FromSlice(1, 1, []float32{v}) }
+	for _, tc := range []struct {
+		name   string
+		graph  func(x *Node, c, k *Buffer) *Node
+		stream func(s *Stream, x, c, k *Buffer) *tensor.Matrix
+	}{
+		{"MatMul", func(x *Node, c, _ *Buffer) *Node { return x.MatMul(c) },
+			func(s *Stream, x, c, _ *Buffer) *tensor.Matrix { return s.Gemm(x, c) }},
+		{"Sub", func(x *Node, c, _ *Buffer) *Node { return x.Sub(c) },
+			func(s *Stream, x, c, _ *Buffer) *tensor.Matrix { return s.Sub(x, c) }},
+		{"Conv2D", func(x *Node, _, k *Buffer) *Node { return x.Conv2D(k) },
+			func(s *Stream, x, _, k *Buffer) *tensor.Matrix { return s.Conv2D(x, k) }},
+		{"Crop", func(x *Node, _, _ *Buffer) *Node { return x.Crop(3, 5, 17, 11) },
+			func(s *Stream, x, _, _ *Buffer) *tensor.Matrix { return s.Crop(x, 3, 5, 17, 11) }},
+		{"Ext", func(x *Node, _, _ *Buffer) *Node { return x.Ext(n+6, n+9) },
+			func(s *Stream, x, _, _ *Buffer) *tensor.Matrix { return s.Ext(x, n+6, n+9) }},
+		{"Mean", func(x *Node, _, _ *Buffer) *Node { return x.Mean() },
+			func(s *Stream, x, _, _ *Buffer) *tensor.Matrix { return scalar(s.Mean(x)) }},
+		{"MaxReduce", func(x *Node, _, _ *Buffer) *Node { return x.MaxReduce() },
+			func(s *Stream, x, _, _ *Buffer) *tensor.Matrix { return scalar(s.Max(x)) }},
+	} {
+		ctxS := NewContext(Config{})
+		s := ctxS.NewOp()
+		x := s.Add(ctxS.CreateMatrixBuffer(a), ctxS.CreateMatrixBuffer(b))
+		want := tc.stream(s, ctxS.CreateMatrixBuffer(x), ctxS.CreateMatrixBuffer(c), ctxS.CreateMatrixBuffer(k))
+		if err := s.Err(); err != nil {
+			t.Fatalf("%s: stream: %v", tc.name, err)
+		}
+		ctxS.Close()
+
+		ctxG := NewContext(Config{})
+		g := ctxG.NewGraph()
+		leaf := tc.graph(g.Add(ctxG.CreateMatrixBuffer(a), ctxG.CreateMatrixBuffer(b)),
+			ctxG.CreateMatrixBuffer(c), ctxG.CreateMatrixBuffer(k))
+		if err := g.Submit(); err != nil {
+			t.Fatalf("%s: graph: %v", tc.name, err)
+		}
+		if leaf.Rows() != want.Rows || leaf.Cols() != want.Cols {
+			t.Fatalf("%s: node shape %dx%d, stream %dx%d", tc.name, leaf.Rows(), leaf.Cols(), want.Rows, want.Cols)
+		}
+		got, err := leaf.Result()
+		if v, serr := leaf.Scalar(); serr == nil {
+			got, err = scalar(v), nil
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		bitIdentical(t, want, got, "graph "+tc.name+" vs Stream")
+		ctxG.Close()
+	}
+}
+
 // graphDeterminismRun executes a DAG with independent branches and a
 // shared join at a given worker count, optionally under a fault plan,
 // returning makespan, results and stats.

@@ -94,19 +94,29 @@ func BenchmarkConv2DGemmFast(b *testing.B) {
 // operands, at the shapes the repo benchmark's layer replay times: the
 // gemm_lib panel (128 windows x 512 kernels, inner 512), the 128-cube
 // tile and the serve_small 32-cube. GMAC/s counts rows·channels·inner
-// multiply-adds per call; the ref twin is the naive int64 loop.
+// multiply-adds per call; the ref twin is the naive int64 loop. The
+// signed panels run the biased three-row geometry; fast-nonneg runs
+// the same shapes with every code in 0..127 (quantized [0, 1) data),
+// the one-signed four-row geometry.
 func BenchmarkConv2DGemmShapes(b *testing.B) {
 	for _, sh := range [][3]int{{128, 512, 512}, {128, 128, 128}, {32, 32, 32}} {
 		nw, nch, n := sh[0], sh[1], sh[2]
 		wins, kers := benchMatrix(nw, n, 12), benchMatrix(nch, n, 13)
+		uwins, ukers := benchMatrix(nw, n, 12), benchMatrix(nch, n, 13)
+		for _, m := range []*tensor.MatrixI8{uwins, ukers} {
+			for i := range m.Data {
+				m.Data[i] &= 0x7f
+			}
+		}
 		for _, k := range []struct {
-			name string
-			fn   func(wins, kers *tensor.MatrixI8) *tensor.MatrixI32
-		}{{"fast", Conv2DGemm}, {"ref", refConv2DGemm}} {
+			name       string
+			fn         func(wins, kers *tensor.MatrixI8) *tensor.MatrixI32
+			wins, kers *tensor.MatrixI8
+		}{{"fast", Conv2DGemm, wins, kers}, {"ref", refConv2DGemm, wins, kers}, {"fast-nonneg", Conv2DGemm, uwins, ukers}} {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", nw, nch, n, k.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					tensor.Put(k.fn(wins, kers))
+					tensor.Put(k.fn(k.wins, k.kers))
 				}
 				macs := float64(nw) * float64(nch) * float64(n) * float64(b.N)
 				b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")

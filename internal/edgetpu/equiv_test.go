@@ -174,8 +174,9 @@ func checkConv2DGemmSaturated(t *testing.T, name string, nw, nch, n int) {
 // TestConv2DGemmGeometry walks the micro-kernel's edges against
 // refConv2DGemm: window rows in every residue mod 3 (the packed row
 // groups, including a panel shorter than one group), kernel rows in
-// every residue mod 4 (the register block and its one-row tail),
-// compact operands and strided views, random and saturated values.
+// every residue mod 4 (the register block and its padded tail),
+// compact operands and strided views, random and saturated values;
+// then the one-signed geometry's edges (checkOneSignedGeometry).
 func TestConv2DGemmGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	// Inner dimensions around the 32-term lane chunks (one short, exact,
@@ -196,6 +197,74 @@ func TestConv2DGemmGeometry(t *testing.T) {
 	checkConv2DGemm(t, "Conv2DGemm 3x2x0", tensor.NewI8(3, 0), tensor.NewI8(2, 0))
 	checkConv2DGemm(t, "Conv2DGemm 0x2x5", tensor.NewI8(0, 5), randI8(rng, 2, 5))
 	checkConv2DGemm(t, "Conv2DGemm 3x0x5", randI8(rng, 3, 5), tensor.NewI8(0, 5))
+	checkOneSignedGeometry(t, rng)
+}
+
+// nonNegI8 returns a rows x cols operand (compact or a strided view)
+// holding codes 0..127 only: the quantization of [0, 1) data.
+func nonNegI8(rng *rand.Rand, rows, cols int) *tensor.MatrixI8 {
+	if cols == 0 {
+		return tensor.NewI8(rows, 0)
+	}
+	m := randI8Operand(rng, rows, cols)
+	for r := 0; r < rows; r++ {
+		row := m.Row(r)
+		for i := range row {
+			row[i] &= 0x7f
+		}
+	}
+	return m
+}
+
+// oneSigned reports whether Conv2DGemm takes the one-signed geometry
+// for these panels.
+func oneSigned(wins, kers *tensor.MatrixI8) bool {
+	return nonNegative(kers) && packRows4(new(gemmScratch), wins)
+}
+
+// checkOneSignedGeometry walks the one-signed geometry's edges against
+// refConv2DGemm: window rows in every residue mod 8 (pairs of packed
+// four-row groups), inner dimensions in every residue mod 4 (the
+// four-word steps between lane splits), the empty inner dimension,
+// every lane at its 4·127² bound, and a dot long enough to need a
+// second chunk. A single negative code in the last window row or the
+// last kernel must send the panels to the biased geometry, which stays
+// exact.
+func checkOneSignedGeometry(t *testing.T, rng *rand.Rand) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 31, 32, 33, 512, 4301} {
+		for nw := 1; nw <= 9; nw++ {
+			for nch := 1; nch <= 8; nch++ {
+				name := fmt.Sprintf("Conv2DGemm one-signed %dx%dx%d", nw, nch, n)
+				wins, kers := nonNegI8(rng, nw, n), nonNegI8(rng, nch, n)
+				if !oneSigned(wins, kers) {
+					t.Fatalf("%s: panels take the biased geometry", name)
+				}
+				checkConv2DGemm(t, name, wins, kers)
+				if n == 0 {
+					continue
+				}
+				for _, m := range []*tensor.MatrixI8{wins, kers} {
+					last := m.Row(m.Rows - 1)
+					at := rng.Intn(n)
+					saved := last[at]
+					last[at] = -1
+					if oneSigned(wins, kers) {
+						t.Fatalf("%s: a -1 in the last row still takes the one-signed geometry", name)
+					}
+					checkConv2DGemm(t, name+" with -1", wins, kers)
+					last[at] = saved
+				}
+			}
+		}
+		for _, sh := range [][2]int{{1, 1}, {4, 4}, {5, 3}, {129, 7}} {
+			checkConv2DGemm(t, fmt.Sprintf("Conv2DGemm one-signed %dx%dx%d all 127", sh[0], sh[1], n),
+				constI8(sh[0], n, 127), constI8(sh[1], n, 127))
+		}
+	}
+	// A 32-bit half of the lane sums holds 66 572 steps of all-127
+	// products; one step more must run as two chunks to stay exact.
+	n := 4 * 66573
+	checkConv2DGemm(t, "Conv2DGemm one-signed long", constI8(5, n, 127), constI8(5, n, 127))
 }
 
 // TestConv2DGemmZeroTailEquivalence pins the Gemm closure's
@@ -460,28 +529,38 @@ func FuzzConv2DEquiv(f *testing.F) {
 	})
 }
 
-// FuzzConv2DGemmEquiv fuzzes the GEMM panel product's geometry — window
-// and kernel counts (row groups of three, register blocks of four),
-// inner dimension (lane chunks of 32), operand layout and saturated
-// values: always bit-identical to refConv2DGemm.
+// FuzzConv2DGemmEquiv fuzzes the GEMM panel product's geometries —
+// window and kernel counts (row groups of three or four, register
+// blocks of four), inner dimension (lane chunks of 32, steps of four),
+// operand layout, saturated values, and one-signed panels with and
+// without a stray negative code: always bit-identical to
+// refConv2DGemm.
 func FuzzConv2DGemmEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(128), uint8(128), uint16(128), uint8(0))
-	f.Add(int64(2), uint8(7), uint8(5), uint16(33), uint8(1))   // all -128 x all -128
-	f.Add(int64(3), uint8(1), uint8(1), uint16(4300), uint8(2)) // 127 x -128
-	f.Add(int64(4), uint8(3), uint8(4), uint16(32), uint8(3))   // all 127: every lane at its bound
+	f.Add(int64(2), uint8(7), uint8(5), uint16(33), uint8(1))      // all -128 x all -128
+	f.Add(int64(3), uint8(1), uint8(1), uint16(4300), uint8(2))    // 127 x -128
+	f.Add(int64(4), uint8(3), uint8(4), uint16(32), uint8(3))      // all 127: every lane at its bound
+	f.Add(int64(5), uint8(128), uint8(128), uint16(511), uint8(4)) // codes 0..127: one-signed
+	f.Add(int64(6), uint8(9), uint8(6), uint16(37), uint8(5))      // 0..127 and one negative code
 	f.Fuzz(func(t *testing.T, seed int64, rows, chans uint8, inner uint16, fill uint8) {
 		nw, nch, n := int(rows)%140+1, int(chans)%140+1, int(inner)%4400+1
 		rng := rand.New(rand.NewSource(seed))
 		var wins, kers *tensor.MatrixI8
-		switch fill % 4 {
+		switch fill % 6 {
 		case 0:
 			wins, kers = randI8Operand(rng, nw, n), randI8Operand(rng, nch, n)
 		case 1:
 			wins, kers = constI8(nw, n, -128), constI8(nch, n, -128)
 		case 2:
 			wins, kers = constI8(nw, n, 127), constI8(nch, n, -128)
-		default:
+		case 3:
 			wins, kers = constI8(nw, n, 127), constI8(nch, n, 127)
+		default:
+			wins, kers = nonNegI8(rng, nw, n), nonNegI8(rng, nch, n)
+			if fill%6 == 5 {
+				m := [2]*tensor.MatrixI8{wins, kers}[rng.Intn(2)]
+				m.Row(rng.Intn(m.Rows))[rng.Intn(n)] = int8(-1 - rng.Intn(128))
+			}
 		}
 		checkConv2DGemm(t, "Conv2DGemm(fuzz)", wins, kers)
 	})

@@ -32,6 +32,10 @@ import (
 //     of the scalar loop's multiplier-port bound. A lane takes at most
 //     32 products before it is split out: 32·255² < 2²¹, so the lanes
 //     stay inside bits 0-62 and never carry into each other;
+//   - its one-signed twin, taken when no code of either panel is
+//     negative (quantized [0, 1) data): four window rows share a word
+//     in unbiased 16-bit lanes, four multiply-adds per integer multiply
+//     (mac2U), split every four words since 4·127² < 2¹⁶;
 //   - a stride-1 row-axpy path for stencil convolutions, turning the
 //     per-output gather into sequential accumulate sweeps, with all
 //     nine taps of the common 3x3 stencil fused into one pass.
@@ -190,12 +194,12 @@ func conv2DGeneral(in, k *tensor.MatrixI8, out *tensor.MatrixI32, strideR, strid
 	}
 }
 
-// gemmScratch holds the packed biased-operand panels Conv2DGemm builds
-// per call; pooled because the hot GEMM stream calls it once per
-// instruction.
+// gemmScratch holds the packed operand panels Conv2DGemm builds per
+// call; pooled because the hot GEMM stream calls it once per
+// instruction. The one-signed geometry uses pw alone.
 type gemmScratch struct {
-	pw []uint64 // window panel: one n-word run per group of three rows
-	kb []uint8  // kernel panel: nch x n biased bytes
+	pw []uint64 // window panel: one n-word run per group of three (biased) or four rows
+	kb []uint8  // kernel panel: nch x n biased bytes, padded to whole blocks of four rows
 	cw []int64  // per window row: n·2¹⁴ − 128·Σx', the bias terms it owns
 	ck []int64  // per kernel row: 128·Σc'
 }
@@ -299,24 +303,6 @@ func laneDot4(d *[12]uint64, pw []uint64, b0, b1, b2, b3 []uint8) {
 	}
 }
 
-// laneDot1 is laneDot4 for one kernel row: the channel tail when the
-// kernel count is not a multiple of four.
-func laneDot1(pw []uint64, b []uint8) (d [3]uint64) {
-	for len(pw) > 0 {
-		c := min(len(pw), laneChunk)
-		k := b[:c]
-		var a uint64
-		for t, x := range pw[:c] {
-			a += x * uint64(k[t])
-		}
-		d[0] += a & laneMask
-		d[1] += a >> laneBits & laneMask
-		d[2] += a >> (2 * laneBits)
-		pw, b = pw[c:], b[c:]
-	}
-	return d
-}
-
 // Conv2DGemm runs the conv2D instruction in its GEMM-as-strided-conv
 // configuration without materializing per-channel kernel views: row i
 // of wins is one flattened s x s window (a padded row of A), row ch of
@@ -325,11 +311,12 @@ func laneDot1(pw []uint64, b []uint8) (d [3]uint64) {
 //	out[i][ch] = dot(wins.Row(i), kers.Row(ch))
 //
 // — bit-identical to Conv2D(stacked, kernelViews, s, s) per channel,
-// which the equivalence suite pins. The inner product runs on
-// bias-packed operands, three window rows per 64-bit word against one
-// kernel byte (three multiply-adds per integer multiply, see
-// laneDot4); exactness is restored per output element from the row
-// sums the packing pass collects:
+// which the equivalence suite pins. The operands' signs pick the lane
+// geometry: with no negative code in either panel (quantized [0, 1)
+// data) four window rows share a word in unbiased 16-bit lanes
+// (gemmDotU); otherwise three biased rows share it in 21-bit lanes
+// (laneDot4), and exactness is restored per output element from the
+// row sums the packing pass collects:
 //
 //	Σ x·c = Σ (x'−128)(c'−128) = Σ x'c' + (n·2¹⁴ − 128·Σx') − 128·Σc'
 //
@@ -341,9 +328,16 @@ func Conv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	}
 	nw, nch, n := wins.Rows, kers.Rows, wins.Cols
 	out := tensor.GetForOverwrite[int32](nw, nch)
-	groups := (nw + 2) / 3
 	sc := gemmScratchPool.Get().(*gemmScratch)
-	sc.pw, sc.kb = grow(sc.pw, groups*n), grow(sc.kb, nch*n)
+	if nonNegative(kers) && packRows4(sc, wins) {
+		gemmDotU(sc, kers, out)
+		gemmScratchPool.Put(sc)
+		return out
+	}
+	groups := (nw + 2) / 3
+	// The kernel panel pads to whole blocks of four rows with whatever
+	// bytes the scratch held: any byte keeps a lane in bound.
+	sc.pw, sc.kb = grow(sc.pw, groups*n), grow(sc.kb, (nch+3)/4*4*n)
 	sc.cw, sc.ck = grow(sc.cw, 3*groups), grow(sc.ck, nch)
 	base := int64(n) << 14
 	for g := 0; g < groups; g++ {
@@ -360,6 +354,112 @@ func Conv2DGemm(wins, kers *tensor.MatrixI8) *tensor.MatrixI32 {
 	gemmDot(sc, out, n)
 	gemmScratchPool.Put(sc)
 	return out
+}
+
+// The one-signed lane geometry: four non-negative window rows share a
+// word in unbiased 16-bit lanes, w = x0 | x1<<16 | x2<<32 | x3<<48. A
+// product is at most 127² = 16129, so a lane holds four (64 516 < 2¹⁶);
+// after each step of four words the odd lanes move into the 32-bit
+// halves of a word of their own. A half holds 2¹⁶ steps (2¹⁶·64 516 <
+// 2³²), so a dot longer than u16Chunk words runs in chunks.
+const (
+	u16Even  = 0x0000ffff0000ffff
+	u16Chunk = 1 << 18
+)
+
+// nonNegative reports whether no code of m is negative, stopping after
+// the first row that holds one.
+func nonNegative(m *tensor.MatrixI8) bool {
+	var or int8
+	for r := 0; r < m.Rows && or >= 0; r++ {
+		for _, v := range m.Row(r) {
+			or |= v
+		}
+	}
+	return or >= 0
+}
+
+// packRows4 packs wins into sc.pw in the one-signed geometry, one
+// n-word run per group of four rows (a short last group repeats its
+// final row), and reports false at the first group with a negative code.
+func packRows4(sc *gemmScratch, wins *tensor.MatrixI8) bool {
+	nw, n := wins.Rows, wins.Cols
+	sc.pw = grow(sc.pw, (nw+3)/4*n)
+	var or int8
+	for i := 0; i < nw && or >= 0; i += 4 {
+		r0, r1 := wins.Row(i), wins.Row(min(i+1, nw-1))[:n]
+		r2, r3 := wins.Row(min(i+2, nw-1))[:n], wins.Row(min(i+3, nw-1))[:n]
+		dst := sc.pw[i/4*n : (i/4+1)*n]
+		for t, v := range r0 {
+			or |= v | r1[t] | r2[t] | r3[t]
+			dst[t] = uint64(v) | uint64(r1[t])<<16 | uint64(r2[t])<<32 | uint64(r3[t])<<48
+		}
+	}
+	return or >= 0
+}
+
+// mac2U is the one-signed micro-kernel: one chunk (at most u16Chunk
+// words) of two packed window runs against one kernel row, adding the
+// eight dots into d[4·run + row]. A step of four words is four integer
+// multiplies per run; its sum adds whole into a running total and its
+// odd lanes into a second word, the even lanes being the total less the
+// odd ones. One kernel row keeps every value in a register on amd64
+// (four spilled the sums); out of line for the reason mac4 is.
+//
+//go:noinline
+func mac2U(d *[8]uint64, wa, wb []uint64, k []int8) {
+	n := len(wa)
+	wa, wb, k = wa[:n:n], wb[:n:n], k[:n:n]
+	var sa, oa, sb, ob uint64
+	t := 0
+	for ; t+4 <= n; t += 4 {
+		c, qa, qb := k[t:t+4:t+4], wa[t:t+4:t+4], wb[t:t+4:t+4]
+		x := uint64(uint8(c[0]))
+		a, b := qa[0]*x, qb[0]*x
+		x = uint64(uint8(c[1]))
+		a, b = a+qa[1]*x, b+qb[1]*x
+		x = uint64(uint8(c[2]))
+		a, b = a+qa[2]*x, b+qb[2]*x
+		x = uint64(uint8(c[3]))
+		a, b = a+qa[3]*x, b+qb[3]*x
+		sa, oa = sa+a, oa+a>>16&u16Even
+		sb, ob = sb+b, ob+b>>16&u16Even
+	}
+	var a, b uint64 // the last partial step, at most three words
+	for ; t < n; t++ {
+		a += wa[t] * uint64(uint8(k[t]))
+		b += wb[t] * uint64(uint8(k[t]))
+	}
+	for r, so := range [2][2]uint64{{sa + a, oa + a>>16&u16Even}, {sb + b, ob + b>>16&u16Even}} {
+		e := so[0] - so[1]<<16
+		d[4*r] += e & (1<<32 - 1)
+		d[4*r+1] += so[1] & (1<<32 - 1)
+		d[4*r+2] += e >> 32
+		d[4*r+3] += so[1] >> 32
+	}
+}
+
+// gemmDotU is the one-signed dot phase: each pair of window groups of
+// sc.pw (a lone last group pairs with itself) against every kernel row
+// writes output rows 4g..4g+7, clipped at the panel's end.
+func gemmDotU(sc *gemmScratch, kers *tensor.MatrixI8, out *tensor.MatrixI32) {
+	nw, nch, n := out.Rows, out.Cols, kers.Cols
+	groups := (nw + 3) / 4
+	for g := 0; g < groups; g += 2 {
+		g1 := min(g+1, groups-1)
+		wa, wb := sc.pw[g*n:(g+1)*n], sc.pw[g1*n:(g1+1)*n]
+		for ch := 0; ch < nch; ch++ {
+			k := kers.Row(ch)
+			var d [8]uint64
+			for lo := 0; lo < n; lo += u16Chunk {
+				hi := min(lo+u16Chunk, n)
+				mac2U(&d, wa[lo:hi], wb[lo:hi], k[lo:hi])
+			}
+			for r := 0; r < min(8, nw-4*g); r++ {
+				out.Row(4*g + r)[ch] = int32(d[r])
+			}
+		}
+	}
 }
 
 // gemmDot is the Conv2DGemm dot phase over the packed panels in sc:
@@ -379,22 +479,21 @@ func gemmDot(sc *gemmScratch, out *tensor.MatrixI32, n int) {
 		}
 		cw := sc.cw[i : i+3]
 		var d [12]uint64
-		ch := 0
-		for ; ch+4 <= nch; ch += 4 {
-			kb, ck := sc.kb[ch*n:(ch+4)*n], sc.ck[ch:ch+4]
+		for ch := 0; ch < nch; ch += 4 {
+			kb := sc.kb[ch*n : (ch+4)*n]
 			laneDot4(&d, pw, kb[:n], kb[n:2*n], kb[2*n:3*n], kb[3*n:])
 			for r := 0; r < rows; r++ {
-				o := oRow[r][ch : ch+4 : ch+4]
-				o[0] = int32(int64(d[r]) + cw[r] - ck[0])
-				o[1] = int32(int64(d[3+r]) + cw[r] - ck[1])
-				o[2] = int32(int64(d[6+r]) + cw[r] - ck[2])
-				o[3] = int32(int64(d[9+r]) + cw[r] - ck[3])
-			}
-		}
-		for ; ch < nch; ch++ {
-			d := laneDot1(pw, sc.kb[ch*n:(ch+1)*n])
-			for r := 0; r < rows; r++ {
-				oRow[r][ch] = int32(int64(d[r]) + cw[r] - sc.ck[ch])
+				if o := oRow[r][ch:min(ch+4, nch)]; len(o) == 4 {
+					ck := sc.ck[ch : ch+4]
+					o[0] = int32(int64(d[r]) + cw[r] - ck[0])
+					o[1] = int32(int64(d[3+r]) + cw[r] - ck[1])
+					o[2] = int32(int64(d[6+r]) + cw[r] - ck[2])
+					o[3] = int32(int64(d[9+r]) + cw[r] - ck[3])
+				} else {
+					for c := range o {
+						o[c] = int32(int64(d[3*c+r]) + cw[r] - sc.ck[ch+c])
+					}
+				}
 			}
 		}
 	}

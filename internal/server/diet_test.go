@@ -193,23 +193,24 @@ func refWeightKey(m *tensor.Matrix) uint64 {
 	return h.Sum64()
 }
 
-// TestWireWeightKey: the router's key over the payload bytes is the
-// daemon's key over the decoded weight operand, bit for bit, for every
-// operator class (B for binary operators, A for the reductions) and for
-// strided operands; and both equal the original hash/fnv definition, so
-// placement and the affinity table did not move.
+// TestWireWeightKey: the router's wire key validates every operator
+// class, reports a request batchable exactly when it is a GEMM that did
+// not opt out, and for those is the daemon's key over the decoded
+// weight operand B, bit for bit (strided operands too); both equal the
+// original hash/fnv definition, so placement and the affinity table
+// did not move. Every other request hashes nothing.
 func TestWireWeightKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		op := MsgType(int(MsgGemm) + rng.Intn(int(MsgMax-MsgGemm)+1))
 		a := tensor.RandUniform(rng, 1+rng.Intn(40), 1+rng.Intn(40), -8, 8)
-		req := &OpRequest{Op: op, DeadlineMillis: uint32(rng.Intn(100)), A: a}
+		req := &OpRequest{Op: op, DeadlineMillis: uint32(rng.Intn(100)), Flags: flagNoBatch * byte(rng.Intn(2)), A: a}
 		if op.operator().Arity() == 2 {
 			parent := tensor.RandUniform(rng, 50, 50, -8, 8)
 			req.B = parent.View(rng.Intn(10), rng.Intn(10), 1+rng.Intn(40), 1+rng.Intn(40))
 		}
 		wb := encodeOpRequest(req)
-		got, err := WireWeightKey(op, wb.Data)
+		got, batched, err := WireWeightKey(op, wb.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,15 +218,64 @@ func TestWireWeightKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		weight := dec.B
-		if weight == nil {
-			weight = dec.A
+		if want := op == MsgGemm && req.Flags == 0; batched != want {
+			t.Fatalf("%s flags %d: batched %v, want %v", op, req.Flags, batched, want)
 		}
-		if want := WeightKey(weight); got != want {
+		if !batched {
+			if got != 0 {
+				t.Fatalf("%s: unbatched request keyed %#x", op, got)
+			}
+			tensor.Put(wb)
+			continue
+		}
+		if want := WeightKey(dec.B); got != want {
 			t.Fatalf("%s: wire key %#x, decoded key %#x", op, got, want)
 		}
-		if want := refWeightKey(weight); got != want {
+		if want := refWeightKey(dec.B); got != want {
 			t.Fatalf("%s: key %#x, hash/fnv reference %#x", op, got, want)
+		}
+		tensor.Put(wb)
+	}
+}
+
+// TestBatchableAgrees: the router's wire predicate and the daemon's
+// batcher take the same requests on both sides of batchMaxElems, for A
+// and for B, and refuse opted-out GEMMs and every other operator.
+func TestBatchableAgrees(t *testing.T) {
+	srv := startServer(t, Config{Devices: 1})
+	rng := rand.New(rand.NewSource(11))
+	m := func(rows, cols int) *tensor.Matrix { return tensor.RandUniform(rng, rows, cols, 0, 1) }
+	for _, tc := range []struct {
+		name  string
+		req   *OpRequest
+		batch bool
+	}{
+		{"A at the bound", &OpRequest{Op: MsgGemm, A: m(1, batchMaxElems), B: m(batchMaxElems, 1)}, true},
+		{"A over the bound", &OpRequest{Op: MsgGemm, A: m(1, batchMaxElems+1), B: m(batchMaxElems+1, 1)}, false},
+		{"B at the bound", &OpRequest{Op: MsgGemm, A: m(1, 1), B: m(1, batchMaxElems)}, true},
+		{"B over the bound", &OpRequest{Op: MsgGemm, A: m(1, 1), B: m(1, batchMaxElems+1)}, false},
+		{"opted out", &OpRequest{Op: MsgGemm, Flags: flagNoBatch, A: m(4, 4), B: m(4, 4)}, false},
+		{"add", &OpRequest{Op: MsgAdd, A: m(4, 4), B: m(4, 4)}, false},
+		{"conv2d", &OpRequest{Op: MsgConv2D, A: m(8, 8), B: m(3, 3)}, false},
+		{"mean", &OpRequest{Op: MsgMean, A: m(4, 4)}, false},
+	} {
+		wb := encodeOpRequest(tc.req)
+		_, batched, err := WireWeightKey(tc.req.Op, wb.Data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		dec, err := DecodeOpRequest(tc.req.Op, wb.Data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		before := srv.met.batchedReqs.Value()
+		res := srv.serveAdmitted(dec, nil, time.Time{})
+		if res.err != nil {
+			t.Fatalf("%s: %v", tc.name, res.err)
+		}
+		daemon := srv.met.batchedReqs.Value() > before
+		if batched != tc.batch || daemon != tc.batch {
+			t.Fatalf("%s: router batchable %v, daemon batched %v, want %v", tc.name, batched, daemon, tc.batch)
 		}
 		tensor.Put(wb)
 	}
@@ -241,7 +291,7 @@ func TestWireWeightKeyMalformed(t *testing.T) {
 	b := tensor.RandUniform(rng, 5, 2, -1, 1)
 	same := func(op MsgType, payload []byte) {
 		t.Helper()
-		_, kerr := WireWeightKey(op, payload)
+		_, _, kerr := WireWeightKey(op, payload)
 		_, derr := DecodeOpRequest(op, payload)
 		if (kerr == nil) != (derr == nil) {
 			t.Fatalf("%s, %d bytes: key error %v, decode error %v", op, len(payload), kerr, derr)

@@ -185,8 +185,7 @@ func (s *Server) serveAdmitted(req *OpRequest, rt *obs.Trace, deadline time.Time
 	if expired(deadline, time.Now()) {
 		return callResult{err: ErrDeadlineExceeded}
 	}
-	if req.Op == MsgGemm && req.Flags&flagNoBatch == 0 &&
-		req.A.Elems() <= batchMaxElems && req.B.Elems() <= batchMaxElems {
+	if req.B != nil && batchable(req.Op, req.Flags, req.A.Elems(), req.B.Elems()) {
 		key := batchKey{n: req.A.Cols, k: req.B.Cols, bhash: WeightKey(req.B)}
 		call := &gemmCall{a: req.A, deadline: deadline, rt: rt, done: make(chan callResult, 1)}
 		rt.Begin(obs.StageBatchWait, "")

@@ -38,12 +38,14 @@ func fnvBits(h uint64, b uint32) uint64 {
 
 // WeightKey fingerprints a matrix's dimensions and float bit patterns
 // (FNV-1a 64 over one little-endian uint64 per value, dimensions
-// first). It is the content-derived identity shared by the GEMM
-// micro-batcher (batch-group compatibility and the weight-buffer
-// cache) and the cluster router (rendezvous placement key), so the
-// node a weight matrix hashes to is the node whose batcher already
-// holds its quantized buffer — repeat traffic for a model lands where
-// its weights are hot.
+// first). It is the content-derived identity of a batchable GEMM's
+// weight operand B, shared by the micro-batcher (batch-group
+// compatibility and the weight-buffer cache) and the cluster router
+// (rendezvous placement key, through WireWeightKey), so the node a
+// weight matrix hashes to is the node whose batcher already holds its
+// quantized buffer — repeat traffic for a model lands where its
+// weights are hot. No other request is keyed by content: nothing on
+// the daemon would read the key.
 //
 // The key is a fast index, not an identity proof: 64-bit FNV
 // collisions are adversarially craftable, so every consumer that acts
@@ -62,36 +64,48 @@ func WeightKey(m *tensor.Matrix) uint64 {
 	return h
 }
 
-// WireWeightKey is WeightKey of an encoded operator request's weight
-// operand — B for binary operators (the stable, cacheable side; A is
-// the per-call activation), A for the unary reductions — computed over
-// the payload bytes in place. The payload is validated exactly as
-// DecodeOpRequest validates it (same typed ErrBadRequest on malformed
-// input), and the key equals WeightKey of the decoded operand bit for
-// bit, so the router places a request where the daemon's batcher keys
-// it without materializing either matrix.
-func WireWeightKey(op MsgType, payload []byte) (uint64, error) {
+// batchable is the micro-batcher's admission predicate, one rule for
+// the daemon (serveAdmitted) and the router (WireWeightKey): a GEMM
+// that did not opt out, whose A and B each hold at most batchMaxElems
+// elements.
+func batchable(op MsgType, flags byte, aElems, bElems int) bool {
+	return op == MsgGemm && flags&flagNoBatch == 0 && aElems <= batchMaxElems && bElems <= batchMaxElems
+}
+
+// WireWeightKey validates an encoded operator request exactly as
+// DecodeOpRequest does (same typed ErrBadRequest on malformed input)
+// and reports whether the daemon would batch it. For a batchable GEMM
+// it also returns WeightKey of the weight operand B, bit for bit,
+// computed over the payload bytes in place, so the router places the
+// request where the daemon's batcher keys it without materializing
+// either matrix. Any other request hashes nothing and returns key 0.
+func WireWeightKey(op MsgType, payload []byte) (key uint64, batched bool, err error) {
 	body, err := opRequestBody(op, payload)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
-	rows, cols, data, rest, err := splitMatrix(body)
+	rows, cols, _, rest, err := splitMatrix(body)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
+	aElems, bElems, data := rows*cols, 0, []byte(nil)
 	if op.operator().Arity() == 2 {
 		if rows, cols, data, rest, err = splitMatrix(rest); err != nil {
-			return 0, err
+			return 0, false, err
 		}
+		bElems = rows * cols
 	}
 	if len(rest) != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes after request", ErrBadRequest, len(rest))
+		return 0, false, fmt.Errorf("%w: %d trailing bytes after request", ErrBadRequest, len(rest))
+	}
+	if !batchable(op, payload[4], aElems, bElems) {
+		return 0, false, nil
 	}
 	h := fnvWord(fnvOffset64, uint64(rows)<<32|uint64(cols))
 	for ; len(data) >= 4; data = data[4:] {
 		h = fnvBits(h, binary.BigEndian.Uint32(data))
 	}
-	return h, nil
+	return h, true, nil
 }
 
 // WeightEqual reports byte-identity of two matrices (dimensions and
