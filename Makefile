@@ -105,7 +105,7 @@ obs-smoke:
 
 # fuzz-smoke gives each fuzz target a short budget ('go test -fuzz'
 # accepts exactly one target per invocation, hence one line each):
-# the wire-protocol frame decoder, the model-format decoders, the
+# the wire-protocol frame decoder, the model-format decoder, the
 # conv2D and GEMM-panel fast-path/reference equivalence oracles, the
 # float reference GEMM against the blocked loop it replaced (zeros,
 # infinities and NaN among the values), and the indexed first fit
@@ -113,8 +113,6 @@ obs-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime 5s ./internal/model
-	$(GO) test -run '^$$' -fuzz 'FuzzDecodeFrom' -fuzztime 5s ./internal/model
-	$(GO) test -run '^$$' -fuzz 'FuzzInstructionPacket' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DEquiv' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzConv2DGemmEquiv' -fuzztime 5s ./internal/edgetpu
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmBits' -fuzztime 5s ./internal/blas

@@ -79,7 +79,7 @@ func battery(seed int64, devices int) []check {
 	add("max", math.Abs(float64(op.Max(bpos)-top))/float64(top), 0.01, "exact up to input rounding")
 
 	// Data movement (must be exact in quantized space).
-	add("crop", tensor.RMSE(a.Crop(8, 8, 16, 16), op.Crop(ba, 8, 8, 16, 16)), 0.01, "window extraction")
+	add("crop", tensor.RMSE(a.View(8, 8, 16, 16).Clone(), op.Crop(ba, 8, 8, 16, 16)), 0.01, "window extraction")
 	ext := op.Ext(ba, n+32, n+32)
 	var padErr float64
 	for r := n; r < n+32; r++ {

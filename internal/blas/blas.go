@@ -43,9 +43,6 @@ func NewCPU(params *timing.Params, cores int) *CPU {
 	return c
 }
 
-// numCores returns the number of cores.
-func (c *CPU) numCores() int { return len(c.cores) }
-
 // Elapsed returns the virtual makespan.
 func (c *CPU) Elapsed() timing.Duration { return c.TL.Makespan() }
 

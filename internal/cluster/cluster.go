@@ -182,7 +182,8 @@ func (r *Router) Shutdown() error {
 }
 
 // Abort is the chaos hard-kill (server.FrontDoor.Abort): the listener
-// and every client connection drop without a drain.
+// and every client connection drop without a drain. The front door's
+// tests use it to pin the router's abort beside the daemon's.
 func (r *Router) Abort() { r.door.Abort() }
 
 // AffinitySize returns the live affinity-table entry count.

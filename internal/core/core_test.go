@@ -214,7 +214,7 @@ func TestCropExt(t *testing.T) {
 	if s.Err() != nil {
 		t.Fatal(s.Err())
 	}
-	ref := a.Crop(10, 20, 30, 40)
+	ref := a.View(10, 20, 30, 40).Clone()
 	if e := tensor.RMSE(ref, crop); e > 0.02 {
 		t.Errorf("crop RMSE %v", e)
 	}
@@ -225,7 +225,7 @@ func TestCropExt(t *testing.T) {
 	if ext.At(99, 99) != 0 {
 		t.Fatal("ext padding must be zero")
 	}
-	if e := tensor.RMSE(a, ext.Crop(0, 0, 64, 64)); e > 0.02 {
+	if e := tensor.RMSE(a, ext.View(0, 0, 64, 64).Clone()); e > 0.02 {
 		t.Errorf("ext body RMSE %v", e)
 	}
 }

@@ -64,18 +64,10 @@ func Conv2D(in *tensor.MatrixI8, kernels []*tensor.MatrixI8, strideR, strideC in
 	return outs
 }
 
-// fullyConnected performs the Edge TPU FullyConnected instruction:
-// the input vector multiplies a weight matrix (Table 1), producing
-// one 32-bit accumulator per weight row.
-func fullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
-	out := make([]int32, weights.Rows)
-	FullyConnectedInto(out, weights, vec)
-	return out
-}
-
-// FullyConnectedInto is fullyConnected writing into a caller-supplied
-// accumulator slice of length weights.Rows — the allocation-free form
-// the runtime's steady-state streams use with pooled buffers.
+// FullyConnectedInto performs the Edge TPU FullyConnected instruction:
+// the input vector multiplies a weight matrix (Table 1), producing one
+// 32-bit accumulator per weight row into dst (length weights.Rows), the
+// allocation-free form the runtime's streams use with pooled buffers.
 func FullyConnectedInto(dst []int32, weights *tensor.MatrixI8, vec []int8) {
 	if len(vec) != weights.Cols {
 		panic(fmt.Sprintf("edgetpu: FullyConnected vector length %d != weight cols %d", len(vec), weights.Cols))

@@ -16,6 +16,13 @@ func i8(rows, cols int, vals ...int8) *tensor.MatrixI8 {
 	return m
 }
 
+// fullyConnected is FullyConnectedInto into a fresh accumulator slice.
+func fullyConnected(weights *tensor.MatrixI8, vec []int8) []int32 {
+	out := make([]int32, weights.Rows)
+	FullyConnectedInto(out, weights, vec)
+	return out
+}
+
 func TestConv2DIdentityKernel(t *testing.T) {
 	in := i8(3, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	k := i8(1, 1, 1)

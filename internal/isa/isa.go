@@ -50,9 +50,6 @@ func (op OpCode) String() string {
 	return opNames[op]
 }
 
-// Valid reports whether op is a defined opcode.
-func (op OpCode) Valid() bool { return op >= 0 && int(op) < NumOps }
-
 // AllOps lists every opcode in Table 1 order.
 func AllOps() []OpCode {
 	ops := make([]OpCode, NumOps)
@@ -82,10 +79,6 @@ func TileFor(op OpCode) int {
 		return ArithTile
 	}
 }
-
-// Pairwise reports whether op computes element-by-element on a pair of
-// equally-shaped matrices (add, sub, mul).
-func (op OpCode) Pairwise() bool { return op == Add || op == Sub || op == Mul }
 
 // MatrixWise reports whether op reduces a whole matrix to a scalar
 // (mean, max); these require CPU-side aggregation across tiles.

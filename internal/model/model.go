@@ -64,19 +64,6 @@ func FromMatrix(m *tensor.Matrix, tile int, p quant.Params) *Model {
 	return &Model{Rows: pr, Cols: pc, Scale: p.Scale, Data: q}
 }
 
-// FromI8 wraps already-quantized data (must be compact).
-func FromI8(q *tensor.MatrixI8, scale float32) *Model {
-	if q.Stride != q.Cols {
-		q = q.Clone()
-	}
-	return &Model{Rows: q.Rows, Cols: q.Cols, Scale: scale, Data: q}
-}
-
-// ToMatrix dequantizes the model back to floats (padded shape).
-func (m *Model) ToMatrix() *tensor.Matrix {
-	return quant.Dequantize(m.Data, quant.Params{Scale: m.Scale})
-}
-
 // Encode serializes the model into the reverse-engineered byte format.
 func (m *Model) Encode() []byte {
 	dataLen := m.Rows * m.Cols
@@ -105,33 +92,24 @@ func (m *Model) Encode() []byte {
 	return buf
 }
 
-// checkHeader checks the magic and the reserved bytes of a model's
-// general header; the data-section length is the caller's to check.
-func checkHeader(header []byte) error {
-	for i, b := range magic {
-		if header[i] != b {
-			return errors.New("model: unrecognized model-format version")
-		}
-	}
-	// Reserved header bytes must be zero: strict parsing keeps every
-	// accepted buffer byte-identical to its canonical re-encoding
-	// (guaranteed by the decoder fuzz tests).
-	for i := len(magic); i < HeaderSize-4; i++ {
-		if header[i] != 0 {
-			return fmt.Errorf("model: non-zero reserved header byte at %d", i)
-		}
-	}
-	return nil
-}
-
 // Decode parses an encoded model, validating structure the way the
 // device firmware would.
 func Decode(buf []byte) (*Model, error) {
 	if len(buf) < HeaderSize+metadataSize {
 		return nil, fmt.Errorf("model: truncated buffer (%d bytes)", len(buf))
 	}
-	if err := checkHeader(buf[:HeaderSize]); err != nil {
-		return nil, err
+	for i, b := range magic {
+		if buf[i] != b {
+			return nil, errors.New("model: unrecognized model-format version")
+		}
+	}
+	// Reserved header bytes must be zero: strict parsing keeps every
+	// accepted buffer byte-identical to its canonical re-encoding
+	// (guaranteed by the decoder fuzz test).
+	for i := len(magic); i < HeaderSize-4; i++ {
+		if buf[i] != 0 {
+			return nil, fmt.Errorf("model: non-zero reserved header byte at %d", i)
+		}
 	}
 	dataLen := int(binary.LittleEndian.Uint32(buf[HeaderSize-4 : HeaderSize]))
 	if len(buf) != HeaderSize+dataLen+metadataSize {
@@ -145,7 +123,7 @@ func Decode(buf []byte) (*Model, error) {
 	if rows*cols != dataLen {
 		return nil, fmt.Errorf("model: metadata %dx%d inconsistent with %d data bytes", rows, cols, dataLen)
 	}
-	if scale <= 0 || scale != scale { // NaN check
+	if !(scale > 0 && scale <= math.MaxFloat32) { // finite and positive; NaN fails both
 		return nil, fmt.Errorf("model: invalid scale factor %v", scale)
 	}
 	q := tensor.NewI8(rows, cols)

@@ -152,13 +152,6 @@ func (m *Mat[T]) Pad(rows, cols int) *Mat[T] {
 	return out
 }
 
-// Crop returns a compact copy of the (rows x cols) sub-matrix rooted at
-// (r0, c0). It mirrors the Edge TPU "crop" instruction semantics
-// (Table 1: remove all unwanted elements outside of a sub-matrix).
-func (m *Mat[T]) Crop(r0, c0, rows, cols int) *Mat[T] {
-	return m.View(r0, c0, rows, cols).Clone()
-}
-
 // Transpose returns a compact transposed copy.
 func (m *Mat[T]) Transpose() *Mat[T] {
 	out := newMat[T](m.Cols, m.Rows)

@@ -78,7 +78,6 @@ var globalOwners = map[[2]string]string{
 	{"internal/cluster/membership.go", "memberStates"}:           "membership states in export order, read only",
 	{"internal/apps/blackscholes/blackscholes.go", "polyCoeffs"}: "CNDF polynomial fitted once at start-up, read only",
 	{"internal/model/model.go", "magic"}:                         "the model-format magic, read only",
-	{"internal/edgetpu/interp.go", "instrMagic"}:                 "the instruction-packet magic, read only",
 	{"internal/core/optable.go", "operators"}:                    "the operator table, never written after init",
 	{"internal/server/protocol.go", "wireOps"}:                   "the wire's operator types onto the operator table, read only",
 	{"openctpu/openctpu.go", "matrixOps"}:                        "every operator of the C API onto the operator table, read only",
@@ -88,18 +87,16 @@ var globalOwners = map[[2]string]string{
 // apiAllowed are the exported names of internal/ that no non-test Go
 // reads, keyed by package path below internal/ and name ("pkg.Name" or
 // "pkg.Type.Method"), each with its reason: a caller an open ROADMAP
-// item gives it, or a test helper the tests of several packages share.
+// item gives it, or a test helper other packages' tests use.
 var apiAllowed = map[string]string{
 	"quant.OutputScale":            "ROADMAP item 5 puts the static chain rule (Eqs. 4–8) on the graph path",
 	"quant.EstimateChainedScale":   "ROADMAP item 5 puts the static chain rule (Eqs. 4–8) on the graph path",
 	"quant.OpOther":                "ROADMAP item 5's chain rule classes every range-preserving operator (Eq. 8)",
 	"quant.MethodSampled":          "ROADMAP item 5 decides whether calibration samples (§6.2.2) or scans",
-	"edgetpu.EncodeInstruction":    "ROADMAP item 10 drives the reference kernels through §3.3 packets",
-	"edgetpu.Interpreter.Execute":  "ROADMAP item 10 drives the reference kernels through §3.3 packets",
-	"model.DecodeFrom":             "ROADMAP item 10 decodes each packet-driven result",
-	"model.Model.EncodeTo":         "ROADMAP item 10 assembles each packet-driven instruction",
-	"model.Model.ToMatrix":         "ROADMAP item 10 decodes each packet-driven result",
 	"tensor.RaceEnabled":           "budget tests in several packages skip under -race, where sync.Pool drops Puts",
+	"server.Server.Abort":          "the front door's tests and internal/cluster's failover tests hard-kill a daemon with it",
+	"cluster.Router.Abort":         "internal/server's TestFrontDoor hard-kills the router with it",
+	"telemetry.Histogram.Count":    "the tests of telemetry, obs and server read observation counts with it",
 	"apps/gaussian.BackSubstitute": "internal/integration checks the elimination end to end",
 	"apps/lud.SplitLU":             "internal/integration checks the factors end to end",
 }
